@@ -4,8 +4,8 @@ A Young frame with at most ``d`` rows and ``n`` boxes simultaneously labels an
 irreducible representation of the symmetric group S_n (of dimension
 :func:`dim_sym`) and a polynomial irreducible representation of U(d) (of
 dimension :func:`dim_unitary`).  Everything else in this package is built on
-these two dimension counts plus the binary entropy / relative entropy helpers
-defined at the bottom.
+these two dimension counts, the skew standard-tableau count :func:`dim_skew`
+and the binary entropy / relative entropy helpers defined at the bottom.
 
 All functions here are pure and the memoized ones are safe to call from
 multiple threads (recomputation under the GIL is idempotent).
@@ -136,6 +136,7 @@ def enumerate_frames(d: int, n: int) -> list[YoungFrame]:
 
     Deterministic decreasing lexicographic order on the zero-padded rows,
     e.g. (d=2, n=4) -> [(4,0), (3,1), (2,2)].  Enforced caps: d <= 4, n <= 16.
+    Each call returns a fresh list.
     """
     if d < 1:
         raise ValueError("row budget d must be >= 1")
@@ -144,6 +145,11 @@ def enumerate_frames(d: int, n: int) -> list[YoungFrame]:
             f"enumerate_frames(d={d}, n={n}) outside supported range "
             f"(d <= {MAX_ROW_BUDGET}, 0 <= n <= {MAX_BOXES})"
         )
+    return list(_enumerate_frames(d, n))
+
+
+@cache
+def _enumerate_frames(d: int, n: int) -> tuple[YoungFrame, ...]:
     out: list[YoungFrame] = []
 
     def descend(prefix: list[int], remaining: int, slots: int, max_part: int) -> None:
@@ -160,7 +166,7 @@ def enumerate_frames(d: int, n: int) -> list[YoungFrame]:
             prefix.pop()
 
     descend([], n, d, n)
-    return out
+    return tuple(out)
 
 
 @cache
@@ -211,6 +217,42 @@ def dim_unitary(lam: YoungFrame, d: int) -> int:
     if d < 1:
         raise ValueError("d must be >= 1")
     return _dim_unitary(lam.reduced, d)
+
+
+@cache
+def _dim_skew(outer: tuple[int, ...], inner: tuple[int, ...]) -> int:
+    rows = len(outer)
+    if len(inner) > rows or any(m > r for m, r in zip(inner, outer)):
+        return 0
+    inner = inner + (0,) * (rows - len(inner))
+    # Aitken: f^{outer/inner} = N! det[1/(outer_i - inner_j - i + j)!], 1/(negative)! = 0.
+    mat = [[Fraction(0)] * rows for _ in range(rows)]
+    for i in range(rows):
+        for j in range(rows):
+            a = outer[i] - inner[j] - i + j
+            if a >= 0:
+                mat[i][j] = Fraction(1, math.factorial(a))
+    # No pivoting: each leading principal minor is the (nonzero) count for the
+    # top rows alone, up to a factorial.
+    det = Fraction(1)
+    for c in range(rows):
+        det *= mat[c][c]
+        for r in range(c + 1, rows):
+            factor = mat[r][c] / mat[c][c]
+            if factor:
+                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[c])]
+    val = math.factorial(sum(outer) - sum(inner)) * det
+    assert val.denominator == 1 and val >= 0
+    return val.numerator
+
+
+def dim_skew(outer: YoungFrame, inner: YoungFrame) -> int:
+    """Number of standard Young tableaux of the skew shape outer/inner.
+
+    Computed by Aitken's determinant (Stanley, EC2 §7.16); zero when inner
+    does not fit inside outer.  Equals sum over nu of c^outer_{inner nu} dim F_nu.
+    """
+    return _dim_skew(outer.reduced, inner.reduced)
 
 
 @dataclass(frozen=True)

@@ -2,15 +2,22 @@
 
 Where the dense oracle multiplies d^n-dimensional matrices, the functions here
 compute the same exact rational numbers purely from dimension counts and
-Littlewood-Richardson coefficients, scaling far beyond the oracle's caps:
+skew standard-tableau counts, scaling far beyond the oracle's caps:
 
-* :func:`partial_trace_decomposition` expands the partial trace of an
-  isotypical projector over the smaller isotypical projectors,
 * :func:`twirl_spectrum` gives the exact weight of each block lam' after k
-  sites of the lam block have been replaced by maximally mixed states,
+  sites of the lam block have been replaced by maximally mixed states, as a
+  sum over mu of f_mu f^{lam/mu} f^{lam'/mu} / dim U_mu.  The skew counts
+  f^{lam/mu} come from Aitken's determinant (Stanley, EC2 §7.16) and stand in
+  for the sum over nu of c^lam_{mu nu} f_nu, so no Littlewood-Richardson (LR)
+  coefficient is on this path,
 * :func:`channel_output_spectrum` resums those over the binomial distribution
   of depolarised-site counts, yielding the full output distribution of the
-  site-wise depolarising channel on the flat state pi_lam,
+  site-wise depolarising channel on the flat state pi_lam; :func:`sweep_to_csv`
+  computes the n+1 twirl spectra once and resums them for every q,
+* :func:`partial_trace_decomposition` and :func:`paired_block_overlap` are the
+  LR route to the same numbers: the partial trace of an isotypical projector
+  expanded over the smaller isotypical projectors, and its overlap with each
+  block.  The tests and the oracle suite cross-check both routes,
 * :func:`channel_tail_bound` is the closed-form exponential upper bound on a
   single far-away weight, and :func:`xy_optimize` /
   :func:`xy_entropy_bound` solve the extremal dimension-product problems that
@@ -30,6 +37,7 @@ from typing import Iterator
 from .frames import (
     YoungFrame,
     binary_entropy,
+    dim_skew,
     dim_sym,
     dim_unitary,
     enumerate_frames,
@@ -63,11 +71,20 @@ class BranchingTable:
         return out
 
 
+def _check_source(lam: YoungFrame, k: int, d: int) -> None:
+    """Reject a source block or site count the fast path cannot honour."""
+    if d < 1:
+        raise ValueError(f"row budget d must be >= 1, got {d}")
+    if not lam.fits(d):
+        raise ValueError(f"frame {lam} has more than d={d} rows")
+    if not 0 <= k <= lam.n:
+        raise ValueError(f"k={k} outside 0..{lam.n}")
+
+
 def partial_trace_decomposition(lam: YoungFrame, k: int, d: int) -> BranchingTable:
     """Exact coefficients of tr_{[k]} P_lam over the P_mu with mu in YF_{d, n-k}."""
+    _check_source(lam, k, d)
     n = lam.n
-    if not 0 <= k <= n:
-        raise ValueError(f"k={k} outside 0..{n}")
     l = n - k
     du_lam = dim_unitary(lam, d)
     entries: dict[tuple[YoungFrame, YoungFrame], Fraction] = {}
@@ -144,25 +161,52 @@ def twirl_spectrum(lam: YoungFrame, k: int, d: int, *, normalized: bool = True) 
     every P_lam' commutes with the permutation action).  With ``normalized``
     the input is the flat state pi_lam instead of P_lam and the weights form a
     probability distribution.
+
+    Summing the LR expansion of both partial traces over nu and gamma leaves
+
+        dim U_lam dim U_lam' / d^k * sum_mu f_mu f^{lam/mu} f^{lam'/mu} / dim U_mu
+
+    over mu in YF_{d,n-k}, with f the (skew) standard-tableau counts; the
+    normalized weight divides by f_lam dim U_lam.
     """
+    _check_source(lam, k, d)
     n = lam.n
-    branching = partial_trace_decomposition(lam, k, d)
-    gammas = enumerate_frames(d, k)
+    # f_mu f^{lam/mu} / dim U_mu, brought to the common denominator ``common``.
+    terms = []
+    for mu in enumerate_frames(d, n - k):
+        a = dim_sym(mu) * dim_skew(lam, mu)
+        if a:
+            terms.append((mu, a, dim_unitary(mu, d)))
+    common = math.lcm(*(u for _, _, u in terms))
+    coeffs = [(mu, a * (common // u)) for mu, a, u in terms]
+    denominator = common * d**k * (dim_sym(lam) if normalized else 1)
+    source = 1 if normalized else dim_unitary(lam, d)
     weights: dict[YoungFrame, Fraction] = {}
     for lam_p in enumerate_frames(d, n):
-        acc = Fraction(0)
-        df = dim_sym(lam_p)
-        for (mu, _nu), bcoeff in branching.entries.items():
-            for gamma in gammas:
-                pbo = paired_block_overlap(lam_p, mu, gamma, d)
-                if pbo:
-                    acc += bcoeff * pbo * df
+        acc = sum(c * dim_skew(lam_p, mu) for mu, c in coeffs)
         if acc:
-            weights[lam_p] = acc / d**k
-    if normalized:
-        norm = Fraction(dim_sym(lam) * dim_unitary(lam, d))
-        weights = {f: w / norm for f, w in weights.items()}
-    return _assemble_table(d, n, weights)
+            weights[lam_p] = Fraction(acc * source * dim_unitary(lam_p, d), denominator)
+    return SpectralTable(d, n, weights)
+
+
+def _depolarising_weight(q: Fraction | int | str) -> Fraction:
+    q = Fraction(q)
+    if not 0 <= q <= 1:
+        raise ValueError(f"depolarising weight must lie in [0, 1], got {q}")
+    return q
+
+
+def _binomial_mixture(twirls: list[SpectralTable], q: Fraction) -> SpectralTable:
+    """sum over k of C(n,k) q^k (1-q)^(n-k) times twirls[k]."""
+    n = len(twirls) - 1
+    weights: dict[YoungFrame, Fraction] = {}
+    for k, twirl in enumerate(twirls):
+        w = math.comb(n, k) * q**k * (1 - q) ** (n - k)
+        if w == 0:
+            continue
+        for lam_p, value in twirl:
+            weights[lam_p] = weights.get(lam_p, Fraction(0)) + w * value
+    return _assemble_table(twirls[0].d, n, weights)
 
 
 def channel_output_spectrum(lam: YoungFrame, q: Fraction | int | str, d: int) -> SpectralTable:
@@ -171,18 +215,8 @@ def channel_output_spectrum(lam: YoungFrame, q: Fraction | int | str, d: int) ->
     Pr[lam'] = sum over k of C(n,k) q^k (1-q)^(n-k) times the normalized
     twirl spectrum at k; the weights sum to exactly 1.
     """
-    q = Fraction(q)
-    if not 0 <= q <= 1:
-        raise ValueError(f"depolarising weight must lie in [0, 1], got {q}")
-    n = lam.n
-    weights: dict[YoungFrame, Fraction] = {}
-    for k in range(n + 1):
-        w = math.comb(n, k) * q**k * (1 - q) ** (n - k)
-        if w == 0:
-            continue
-        for lam_p, value in twirl_spectrum(lam, k, d, normalized=True):
-            weights[lam_p] = weights.get(lam_p, Fraction(0)) + w * value
-    return _assemble_table(d, n, weights)
+    q = _depolarising_weight(q)
+    return _binomial_mixture([twirl_spectrum(lam, k, d) for k in range(lam.n + 1)], q)
 
 
 def tail_bound_exponent(lam: YoungFrame, lam_prime: YoungFrame, q: Fraction, n: int) -> float:
@@ -320,7 +354,9 @@ def sweep_to_csv(lam: YoungFrame, d: int, grid: list[Fraction], *, exact: bool =
     if not grid:
         raise ValueError("q grid must be nonempty")
     n = lam.n
-    tables = [channel_output_spectrum(lam, q, d) for q in grid]
+    grid = [_depolarising_weight(q) for q in grid]
+    twirls = [twirl_spectrum(lam, k, d) for k in range(n + 1)]
+    tables = [_binomial_mixture(twirls, q) for q in grid]
     header = ["frame"] + [f"q={q.numerator}/{q.denominator}" for q in grid]
     lines = [",".join(header)]
     for lam_p in enumerate_frames(d, n):

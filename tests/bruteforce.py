@@ -14,12 +14,20 @@ from isotwirl.frames import YoungFrame
 
 def count_standard_tableaux(lam: YoungFrame) -> int:
     """Number of fillings with 1..n increasing along rows and down columns."""
-    rows = lam.reduced
-    n = sum(rows)
-    if n == 0:
-        return 1
-    cells = [(i, j) for i, r in enumerate(rows) for j in range(r)]
-    grid = {c: 0 for c in cells}
+    return count_standard_skew_tableaux(lam, YoungFrame(()))
+
+
+def count_standard_skew_tableaux(outer: YoungFrame, inner: YoungFrame) -> int:
+    """Fillings of the cells of outer/inner with 1..N increasing along rows and down columns.
+
+    Zero when inner does not fit inside outer.
+    """
+    rows = outer.reduced
+    if inner.num_rows > len(rows) or any(inner.row(i) > r for i, r in enumerate(rows)):
+        return 0
+    cells = [(i, j) for i, r in enumerate(rows) for j in range(inner.row(i), r)]
+    n = len(cells)
+    filled = {(i, j) for i in range(len(rows)) for j in range(inner.row(i))}
     count = 0
 
     def place(value: int) -> None:
@@ -28,15 +36,15 @@ def count_standard_tableaux(lam: YoungFrame) -> int:
             count += 1
             return
         for (i, j) in cells:
-            if grid[(i, j)]:
+            if (i, j) in filled:
                 continue
-            if j > 0 and not grid[(i, j - 1)]:
+            if j > 0 and (i, j - 1) not in filled:
                 continue
-            if i > 0 and (i - 1, j) in grid and not grid[(i - 1, j)]:
+            if i > 0 and (i - 1, j) not in filled:
                 continue
-            grid[(i, j)] = value
+            filled.add((i, j))
             place(value + 1)
-            grid[(i, j)] = 0
+            filled.discard((i, j))
 
     place(1)
     return count

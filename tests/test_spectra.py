@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from isotwirl.frames import dim_sym, dim_unitary, enumerate_frames, frame
+from bruteforce import count_standard_skew_tableaux, partitions_of
+from isotwirl.frames import YoungFrame, dim_skew, dim_sym, dim_unitary, enumerate_frames, frame
 from isotwirl import oracle as orc
+from isotwirl.lr import lr_coefficient
 from isotwirl.spectra import (
     channel_output_spectrum,
     channel_tail_bound,
@@ -97,6 +99,96 @@ def test_twirl_spectrum_matches_oracle():
                         dense = fam[lam_p].hs_product(twirled)
                         assert plain.weight(lam_p) == dense
                         assert normed.weight(lam_p) == dense / norm
+
+
+def lr_route_twirl_spectrum(lam, k, d, normalized):
+    """The twirl spectrum as the triple sum over the branching table and paired overlaps."""
+    branching = partial_trace_decomposition(lam, k, d)
+    weights = {}
+    for lam_p in enumerate_frames(d, lam.n):
+        acc = Fraction(0)
+        for (mu, _nu), bcoeff in branching.entries.items():
+            for gamma in enumerate_frames(d, k):
+                acc += bcoeff * paired_block_overlap(lam_p, mu, gamma, d) * dim_sym(lam_p)
+        if acc:
+            weights[lam_p] = acc / d**k
+    if normalized:
+        norm = dim_sym(lam) * dim_unitary(lam, d)
+        weights = {f: w / norm for f, w in weights.items()}
+    return weights
+
+
+def test_twirl_spectrum_equals_lr_route_exhaustively():
+    for d, n_max in ((2, 10), (3, 8), (4, 6)):
+        for n in range(n_max + 1):
+            frames = enumerate_frames(d, n)
+            for lam in frames:
+                for k in range(n + 1):
+                    for normalized in (False, True):
+                        table = twirl_spectrum(lam, k, d, normalized=normalized)
+                        assert table.entries == lr_route_twirl_spectrum(lam, k, d, normalized)
+                        assert table.support() == [f for f in frames if f in table.entries]
+
+
+def test_dim_skew_examples():
+    assert dim_skew(frame(2, 1), frame()) == 2
+    assert dim_skew(frame(2, 1), frame(1)) == 2
+    assert dim_skew(frame(2, 2), frame(1)) == 2
+    assert dim_skew(frame(3, 1), frame(1)) == 3
+    assert dim_skew(frame(3, 1), frame(1, 1)) == 1
+    assert dim_skew(frame(3, 1), frame(3, 1)) == 1
+    assert dim_skew(frame(3, 1), frame(2, 2)) == 0
+    assert dim_skew(frame(2), frame(1, 1)) == 0
+
+
+def test_dim_skew_matches_tableau_count():
+    for n in range(0, 8):
+        for outer in map(YoungFrame, partitions_of(n)):
+            for m in range(n + 1):
+                for inner in map(YoungFrame, partitions_of(m)):
+                    assert dim_skew(outer, inner) == count_standard_skew_tableaux(outer, inner)
+
+
+def test_dim_skew_is_lr_sum_of_dimensions():
+    for n in range(0, 9):
+        for outer in map(YoungFrame, partitions_of(n)):
+            for m in range(n + 1):
+                for inner in map(YoungFrame, partitions_of(m)):
+                    lr_sum = sum(
+                        lr_coefficient(outer, inner, nu) * dim_sym(nu)
+                        for nu in map(YoungFrame, partitions_of(n - m))
+                    )
+                    assert dim_skew(outer, inner) == lr_sum
+
+
+def test_fast_path_rejects_frames_d_and_k_it_cannot_honour():
+    calls = (
+        lambda lam, k, d: twirl_spectrum(lam, k, d),
+        lambda lam, k, d: twirl_spectrum(lam, k, d, normalized=False),
+        lambda lam, k, d: partial_trace_decomposition(lam, k, d),
+        lambda lam, k, d: channel_output_spectrum(lam, Fraction(1, 2), d),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="more than d=1 rows"):
+            call(frame(3, 1), 1, 1)
+        with pytest.raises(ValueError, match="more than d=2 rows"):
+            call(frame(2, 1, 1), 1, 2)
+        for d in (0, -1):
+            with pytest.raises(ValueError, match="d must be >= 1"):
+                call(frame(), 0, d)
+    for call in calls[:3]:
+        for k in (-1, 5):
+            with pytest.raises(ValueError, match="outside 0..4"):
+                call(frame(3, 1), k, 2)
+    with pytest.raises(ValueError, match="more than d=1 rows"):
+        sweep_to_csv(frame(3, 1), 1, [Fraction(1, 2)])
+
+
+def test_enumerate_frames_returns_a_fresh_list():
+    first = enumerate_frames(2, 4)
+    first.append(frame(1, 1, 1, 1))
+    first.reverse()
+    assert enumerate_frames(2, 4) == [frame(4, 0), frame(3, 1), frame(2, 2)]
 
 
 def test_channel_output_edges():
