@@ -4,7 +4,7 @@ The package computes, in exact rational arithmetic, how the site-wise
 depolarising channel redistributes weight between the isotypical
 (symmetric-Werner) blocks of (C^d)^(x n), twice over: once through dense
 operators built from the full symmetric-group action (the oracle), and once
-through Littlewood-Richardson branching and dimension formulas (the fast
+through dimension formulas and skew standard-tableau counts (the fast
 path).  The verification suites prove the two agree entry by entry and check
 the support-window and exponential-tail statements that make the fast path
 useful.
@@ -34,12 +34,10 @@ from .lr import LRTableau, SkewShape, lr_coefficient, lr_nonzero_pairs, lr_table
 from .oracle import (
     TensorOperator,
     depolarise_n,
-    dump_operator,
     insert_maximally_mixed,
     is_positive_semidefinite,
     isotypical_projector,
     isotypical_projectors,
-    load_operator,
     overlap,
     perm_operator,
     tensor_with_maximally_mixed,
@@ -84,7 +82,6 @@ __all__ = [
     "depolarise_n",
     "dim_sym",
     "dim_unitary",
-    "dump_operator",
     "enumerate_frames",
     "enumerate_group",
     "frame",
@@ -94,7 +91,6 @@ __all__ = [
     "is_positive_semidefinite",
     "isotypical_projector",
     "isotypical_projectors",
-    "load_operator",
     "lr_coefficient",
     "lr_nonzero_pairs",
     "lr_tableaux",

@@ -1,7 +1,9 @@
 """Command-line front end: queries, sweeps, table emission and verification.
 
 Subcommands: dims, lr, char, horn, spectrum, sweep, xy, verify.
-Exit codes: 0 ok, 1 verification failure, 2 usage/input error.
+Exit codes: 0 ok, 1 verification failure, 2 usage, input or I/O error.
+``main`` is the one error boundary: every ``ValueError`` (``InputError``
+included) and ``OSError`` becomes a one-line ``error:`` message on stderr.
 Identical invocations produce byte-identical output files.
 """
 
@@ -12,7 +14,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .frames import YoungFrame, dim_sym, dim_unitary, format_frame, parse_frame
+from .frames import dim_sym, dim_unitary, format_frame, parse_frame
 from .horn import HornTriple, basic_horn_holds, horn_feasible
 from .lr import CHARACTER_ORACLE_CAP, lr_coefficient, lr_tableaux, lr_via_characters
 from .spectra import (
@@ -30,7 +32,7 @@ USAGE_ERROR = 2
 VERIFY_FAILURE = 1
 
 
-class InputError(Exception):
+class InputError(ValueError):
     """Bad user input: reported on stderr, exit code 2."""
 
 
@@ -46,13 +48,6 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _parse_frame_arg(text: str) -> YoungFrame:
-    try:
-        return parse_frame(text)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-
-
 def _parse_q(text: str) -> Fraction:
     try:
         q = Fraction(text)
@@ -64,7 +59,7 @@ def _parse_q(text: str) -> Fraction:
 
 
 def cmd_dims(args: argparse.Namespace) -> int:
-    lam = _parse_frame_arg(args.frame)
+    lam = parse_frame(args.frame)
     if not lam.fits(args.d):
         raise InputError(f"frame {args.frame} has more than {args.d} rows")
     ds, du = dim_sym(lam), dim_unitary(lam, args.d)
@@ -88,9 +83,9 @@ def cmd_dims(args: argparse.Namespace) -> int:
 
 
 def cmd_lr(args: argparse.Namespace) -> int:
-    lam = _parse_frame_arg(args.lam)
-    mu = _parse_frame_arg(args.mu)
-    nu = _parse_frame_arg(args.nu)
+    lam = parse_frame(args.lam)
+    mu = parse_frame(args.mu)
+    nu = parse_frame(args.nu)
     note = None
     if lam.n != mu.n + nu.n:
         note = f"size mismatch: {lam.n} != {mu.n} + {nu.n}; coefficient is 0"
@@ -128,8 +123,8 @@ def cmd_lr(args: argparse.Namespace) -> int:
 
 
 def cmd_char(args: argparse.Namespace) -> int:
-    lam = _parse_frame_arg(args.lam)
-    ct = _parse_frame_arg(args.cycles)
+    lam = parse_frame(args.lam)
+    ct = parse_frame(args.cycles)
     if lam.n != ct.n:
         raise InputError(f"frame has {lam.n} boxes but cycle type has {ct.n}")
     value = character(lam, ct)
@@ -142,13 +137,10 @@ def cmd_char(args: argparse.Namespace) -> int:
 
 
 def cmd_horn(args: argparse.Namespace) -> int:
-    lam = _parse_frame_arg(args.lam)
-    mu = _parse_frame_arg(args.mu)
-    nu = _parse_frame_arg(args.nu)
-    try:
-        triple = HornTriple(lam, mu, nu, args.d)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    lam = parse_frame(args.lam)
+    mu = parse_frame(args.mu)
+    nu = parse_frame(args.nu)
+    triple = HornTriple(lam, mu, nu, args.d)
     results = {}
     if args.basic or not args.feasible:
         results["basic"] = basic_horn_holds(triple)
@@ -163,20 +155,13 @@ def cmd_horn(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    lam = _parse_frame_arg(args.lam)
-    if not lam.fits(args.d):
-        raise InputError(f"frame {args.lam} has more than {args.d} rows")
+    lam = parse_frame(args.lam)
     if (args.q is None) == (args.k is None):
         raise InputError("provide exactly one of --q or --k")
-    try:
-        if args.q is not None:
-            table = channel_output_spectrum(lam, _parse_q(args.q), args.d)
-        else:
-            if not 0 <= args.k <= lam.n:
-                raise InputError(f"k={args.k} outside 0..{lam.n}")
-            table = twirl_spectrum(lam, args.k, args.d, normalized=not args.unnormalized)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    if args.q is not None:
+        table = channel_output_spectrum(lam, _parse_q(args.q), args.d)
+    else:
+        table = twirl_spectrum(lam, args.k, args.d, normalized=not args.unnormalized)
     fmt = args.format or "csv"
     text = _json_dump(table_to_json_obj(table)) if fmt == "json" else table_to_csv(table)
     _emit(text, args.out)
@@ -184,25 +169,14 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    lam = _parse_frame_arg(args.lam)
-    if not lam.fits(args.d):
-        raise InputError(f"frame {args.lam} has more than {args.d} rows")
     grid = [_parse_q(tok) for tok in args.grid.split(",") if tok.strip()]
-    if not grid:
-        raise InputError("q grid must be nonempty")
-    try:
-        text = sweep_to_csv(lam, args.d, grid, exact=args.exact)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
-    _emit(text, args.out)
+    _emit(sweep_to_csv(parse_frame(args.lam), args.d, grid, exact=args.exact), args.out)
     return 0
 
 
 def cmd_xy(args: argparse.Namespace) -> int:
-    lam = _parse_frame_arg(args.lam)
-    lam_p = _parse_frame_arg(args.lam_prime)
-    if args.l + args.k != lam.n or lam.n != lam_p.n:
-        raise InputError(f"split {args.l}+{args.k} does not match frames with {lam.n} boxes")
+    lam = parse_frame(args.lam)
+    lam_p = parse_frame(args.lam_prime)
     extrema = xy_optimize(lam, lam_p, args.l, args.k, args.d)
     fmt_triple = (
         lambda t: None if t is None else [format_frame(f) for f in t]
@@ -236,10 +210,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if args.grid
         else DEFAULT_Q_GRID
     )
-    try:
-        cfg = RunConfig(d_max=args.cap_d, n_max=args.cap_n, q_grid=grid, seed=args.seed)
-    except ValueError as exc:
-        raise InputError(str(exc)) from None
+    cfg = RunConfig(d_max=args.cap_d, n_max=args.cap_n, q_grid=grid, seed=args.seed)
     try:
         report = run_suite(args.suite, cfg)
     except KeyError:
@@ -341,7 +312,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

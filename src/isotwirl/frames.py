@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from typing import Union
 
 Scalar = Union[int, float, Fraction]
@@ -45,9 +45,9 @@ class YoungFrame:
         if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
             raise ValueError(f"rows must be weakly decreasing, got {rows}")
 
-    @property
+    @cached_property
     def reduced(self) -> tuple[int, ...]:
-        """Rows with trailing zeros stripped (the canonical identity)."""
+        """Rows with trailing zeros stripped (the canonical identity), computed once."""
         m = len(self.rows)
         while m and self.rows[m - 1] == 0:
             m -= 1

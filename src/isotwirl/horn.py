@@ -73,6 +73,19 @@ def support_window(lam: YoungFrame, d: int, k: int) -> Callable[[YoungFrame], bo
     return lambda lam_prime: within_support_window(lam, lam_prime, d, k)
 
 
+def check_split(lam: YoungFrame, lam_prime: YoungFrame, l: int, k: int, d: int) -> None:
+    """Reject a split l + k or a pair of frames that no YF_d branching chain can join.
+
+    Shared input contract of the chain searches :func:`branching_disjoint`
+    and :func:`isotwirl.spectra.xy_optimize`.
+    """
+    if l + k != lam.n or lam.n != lam_prime.n:
+        raise ValueError(f"split {l}+{k} does not match frames with {lam.n} and {lam_prime.n} boxes")
+    for f in (lam, lam_prime):
+        if not f.fits(d):
+            raise ValueError(f"frame {f} has more than d={d} rows")
+
+
 def branching_disjoint(lam: YoungFrame, lam_prime: YoungFrame, l: int, k: int, d: int) -> bool:
     """True iff no (mu, nu, gamma) has c^lam_{mu nu} * c^lam'_{mu gamma} != 0.
 
@@ -80,8 +93,7 @@ def branching_disjoint(lam: YoungFrame, lam_prime: YoungFrame, l: int, k: int, d
     outside the support window of lam this must hold, and the verification
     suites check exactly that implication.
     """
-    if l + k != lam.n or lam.n != lam_prime.n:
-        raise ValueError("split does not match frame sizes")
+    check_split(lam, lam_prime, l, k, d)
     k_frames = enumerate_frames(d, k)
     for mu in enumerate_frames(d, l):
         if not any(lr_coefficient(lam, mu, nu) for nu in k_frames):

@@ -26,7 +26,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .frames import YoungFrame, dim_sym, enumerate_frames
-from .symmetric_group import Permutation
+from .symmetric_group import Permutation, cycle_lengths
 
 # Hard default caps: dense dimension d^n, and n for loops over all n! permutations.
 DIMENSION_CAP = 6561
@@ -96,20 +96,6 @@ class TensorOperator:
         dim = d**n
         return cls(d, n, Fraction(1, dim), np.identity(dim, dtype=object))
 
-    @classmethod
-    def from_fraction_matrix(cls, d: int, n: int, rows: Sequence[Sequence[Fraction]]) -> "TensorOperator":
-        dim = d**n
-        den = 1
-        for row in rows:
-            for x in row:
-                den = den * Fraction(x).denominator // math.gcd(den, Fraction(x).denominator)
-        mat = np.empty((dim, dim), dtype=object)
-        for i in range(dim):
-            for j in range(dim):
-                x = Fraction(rows[i][j])
-                mat[i, j] = int(x * den)
-        return cls(d, n, Fraction(1, den), mat)
-
     # -- scalar structure ----------------------------------------------------
 
     def reduced(self) -> "TensorOperator":
@@ -124,9 +110,6 @@ class TensorOperator:
 
     def entry(self, i: int, j: int) -> Fraction:
         return self.scale * int(self.mat[i, j])
-
-    def to_fraction_matrix(self) -> np.ndarray:
-        return self.mat * self.scale
 
     def is_zero(self) -> bool:
         return self.scale == 0 or not self.mat.any()
@@ -265,19 +248,7 @@ def _class_sum_matrices(d: int, n: int) -> dict[tuple[int, ...], np.ndarray]:
     cols = np.arange(dim)
     sums: dict[tuple[int, ...], np.ndarray] = {}
     for images in itertools.permutations(range(n)):
-        seen = [False] * n
-        ct = []
-        for i in range(n):
-            if not seen[i]:
-                length = 0
-                j = i
-                while not seen[j]:
-                    seen[j] = True
-                    j = images[j]
-                    length += 1
-                ct.append(length)
-        ct.sort(reverse=True)
-        key = tuple(ct)
+        key = cycle_lengths(images)
         mat = sums.get(key)
         if mat is None:
             mat = np.zeros((dim, dim), dtype=np.int32)
@@ -459,33 +430,3 @@ def is_positive_semidefinite(a: TensorOperator) -> bool:
             work[sub] = work[sub] - np.outer(col, col) / p
     return True
 
-
-# -- plain-text dump ---------------------------------------------------------------
-
-
-def dump_operator(a: TensorOperator) -> str:
-    """Sparse triplet text: header with (d, n), then "row col num/den" lines."""
-    a = a.reduced()
-    lines = [f"# tensor-operator d={a.d} n={a.n}"]
-    rows, cols = np.nonzero(a.mat)
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        v = a.entry(i, j)
-        lines.append(f"{i} {j} {v.numerator}/{v.denominator}")
-    return "\n".join(lines) + "\n"
-
-
-def load_operator(text: str) -> TensorOperator:
-    """Inverse of :func:`dump_operator`."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    header = lines[0]
-    if not header.startswith("# tensor-operator"):
-        raise ValueError("missing tensor-operator header")
-    fields = dict(part.split("=") for part in header.split()[2:])
-    d, n = int(fields["d"]), int(fields["n"])
-    dim = d**n
-    entries = np.empty((dim, dim), dtype=object)
-    entries[:] = Fraction(0)
-    for ln in lines[1:]:
-        i_s, j_s, val = ln.split()
-        entries[int(i_s), int(j_s)] = Fraction(val)
-    return TensorOperator.from_fraction_matrix(d, n, entries)

@@ -43,6 +43,7 @@ from .frames import (
     enumerate_frames,
     format_frame,
 )
+from .horn import check_split
 from .lr import lr_coefficient, lr_nonzero_pairs
 
 
@@ -221,6 +222,11 @@ def channel_output_spectrum(lam: YoungFrame, q: Fraction | int | str, d: int) ->
 
 def tail_bound_exponent(lam: YoungFrame, lam_prime: YoungFrame, q: Fraction, n: int) -> float:
     """log2 of :func:`channel_tail_bound` (handy for slack-free comparisons)."""
+    for f in (lam, lam_prime):
+        if not f.fits(2):
+            raise ValueError(f"the tail bound holds for d=2 only; frame {f} has more than 2 rows")
+        if f.n != n:
+            raise ValueError(f"frame {f} has {f.n} boxes, not n={n}")
     q = Fraction(q)
     gap = abs(lam.row(0) - lam_prime.row(0))
     ratio = Fraction(gap, n)
@@ -242,7 +248,8 @@ def channel_tail_bound(lam: YoungFrame, lam_prime: YoungFrame, q: Fraction | int
     The log2(n+1)/n term accounts for summing at most n+1 binomial weights,
     each bounded through the relative-entropy estimate and the (correctly
     oriented) quadratic lower bound on it.  At |lam_1 - lam'_1|/n = q the
-    value is >= 1 and carries no information; below that the function raises.
+    value is >= 1 and carries no information; below that the function raises,
+    as it does for a frame with more than 2 rows or with other than n boxes.
     """
     return 2.0 ** tail_bound_exponent(lam, lam_prime, Fraction(q), n)
 
@@ -264,8 +271,7 @@ class XYExtrema:
 
 def xy_optimize(lam: YoungFrame, lam_prime: YoungFrame, l: int, k: int, d: int) -> XYExtrema:
     """Exhaustive search of the feasible (mu, nu, gamma) triples for X and Y."""
-    if l + k != lam.n or lam.n != lam_prime.n:
-        raise ValueError("split does not match frame sizes")
+    check_split(lam, lam_prime, l, k, d)
     best_max = best_min = 0
     argmax = argmin = None
     k_frames = enumerate_frames(d, k)

@@ -87,10 +87,32 @@ class Permutation:
         return out
 
     def cycle_type(self) -> YoungFrame:
-        return YoungFrame(tuple(sorted((len(c) for c in self.cycles()), reverse=True)))
+        return YoungFrame(cycle_lengths(self.images))
 
     def sign(self) -> int:
         return -1 if (self.n - len(self.cycles())) % 2 else 1
+
+
+def cycle_lengths(images: tuple[int, ...]) -> tuple[int, ...]:
+    """Cycle lengths of i -> images[i], weakly decreasing.
+
+    Takes the bare image tuple so that loops over all of S_n need not build a
+    :class:`Permutation` per element.
+    """
+    n = len(images)
+    seen = [False] * n
+    lengths = []
+    for i in range(n):
+        if not seen[i]:
+            length = 0
+            j = i
+            while not seen[j]:
+                seen[j] = True
+                j = images[j]
+                length += 1
+            lengths.append(length)
+    lengths.sort(reverse=True)
+    return tuple(lengths)
 
 
 def cycle_type(tau: Permutation) -> YoungFrame:

@@ -15,6 +15,10 @@ Five suites, each a list of named checks over a configurable size range:
   far-away weight, and the output mode matches between fast path and oracle.
 * ``xybound``    - the entropy bound on the extremal dimension products.
 
+Every check that an acceptance criterion states is a ``check_*`` function
+that takes its sizes as arguments: the suites call it with sizes derived from
+:class:`RunConfig`, and the acceptance tests call it at the criterion's sizes.
+
 Reports are deterministic: no timestamps, fixed iteration orders, failures
 truncated to the first five, and JSON dumped with sorted keys.  Two runs with
 the same configuration produce byte-identical reports.
@@ -131,13 +135,18 @@ class _Collector:
         self.failures: list[str] = []
         self.info: dict = {}
 
-    def record(self, ok: bool, describe: str) -> None:
+    def record(self, ok: bool, template: str, *args) -> None:
+        """Count one instance; a failure is described as ``template.format(*args)``.
+
+        The description is formatted only for a reported failure, so a sweep
+        of passing instances does no string work.
+        """
         self.checked += 1
         if not ok and len(self.failures) < MAX_FAILURES_REPORTED:
-            self.failures.append(describe)
+            self.failures.append(template.format(*args))
 
-    def expect_equal(self, a, b, describe: str) -> None:
-        self.record(a == b, f"{describe}: {a} != {b}")
+    def expect_equal(self, a, b, template: str, *args) -> None:
+        self.record(a == b, template + ": {} != {}", *args, a, b)
 
     def result(self) -> CheckResult:
         return CheckResult(self.name, not self.failures, self.checked, self.failures, self.info)
@@ -173,56 +182,72 @@ def _random_psd_operator(rng: random.Random, d: int, n: int) -> orc.TensorOperat
 # ---------------------------------------------------------------------------
 
 
-def suite_saturation(cfg: RunConfig) -> list[CheckResult]:
-    dims = _Collector("schur_weyl_dimension_identity")
-    for d in range(2, cfg.d_max + 1):
-        for n in range(0, cfg.n_max + 1):
-            total = sum(dim_sym(f) * dim_unitary(f, d) for f in enumerate_frames(d, n))
-            dims.expect_equal(total, d**n, f"d={d} n={n}")
+def _lr_triples(d: int, n_max: int):
+    """Every (lam, mu, nu) with lam in YF_{d,n} for n <= n_max and |mu| + |nu| = n.
 
+    Ordered by n, lam, |mu|, mu, nu: the order every LR sweep reports in.
+    """
+    for n in range(0, n_max + 1):
+        for lam in enumerate_frames(d, n):
+            for l in range(0, n + 1):
+                for mu in enumerate_frames(d, l):
+                    for nu in enumerate_frames(d, n - l):
+                        yield lam, mu, nu
+
+
+def check_dimension_identity(sizes: list[tuple[int, int]]) -> CheckResult:
+    """sum over lam of dim F_lam dim U_lam = d**n for each (d, n_max) and n <= n_max."""
+    dims = _Collector("schur_weyl_dimension_identity")
+    for d, n_max in sizes:
+        for n in range(0, n_max + 1):
+            total = sum(dim_sym(f) * dim_unitary(f, d) for f in enumerate_frames(d, n))
+            dims.expect_equal(total, d**n, "d={} n={}", d, n)
+    return dims.result()
+
+
+def check_lr_coefficients(d: int, n_max: int) -> list[CheckResult]:
+    """Tableau count = character oracle, the restriction identity and c^lam_{mu nu} = c^lam_{nu mu}."""
     cross = _Collector("lr_tableaux_vs_characters")
     restrict = _Collector("lr_restriction_dimension_identity")
     symmetry = _Collector("lr_symmetry")
+    totals: dict[tuple[YoungFrame, int], int] = {}
+    for lam, mu, nu in _lr_triples(d, n_max):
+        c = lr_coefficient(lam, mu, nu)
+        cross.expect_equal(c, lr_via_characters(lam, mu, nu), "c^{}_{},{}", lam, mu, nu)
+        symmetry.expect_equal(c, lr_coefficient(lam, nu, mu), "symmetry {}|{},{}", lam, mu, nu)
+        totals[(lam, mu.n)] = totals.get((lam, mu.n), 0) + c * dim_sym(mu) * dim_sym(nu)
+    for (lam, l), total in totals.items():
+        restrict.expect_equal(total, dim_sym(lam), "restriction {} split {}+{}", lam, l, lam.n - l)
+    return [cross.result(), restrict.result(), symmetry.result()]
+
+
+def check_horn_inequalities(d: int, n_max: int) -> list[CheckResult]:
+    """The basic inequalities are necessary, and feasibility is LR positivity."""
     necessity = _Collector("horn_necessity_of_basic_inequalities")
     feasibility = _Collector("horn_feasible_iff_lr_positive")
-    d = cfg.d_max
-    for n in range(0, cfg.n_max + 1):
-        for lam in enumerate_frames(d, n):
-            for l in range(0, n + 1):
-                k = n - l
-                total = 0
-                for mu in enumerate_frames(d, l):
-                    for nu in enumerate_frames(d, k):
-                        c = lr_coefficient(lam, mu, nu)
-                        cross.expect_equal(
-                            c, lr_via_characters(lam, mu, nu), f"c^{lam}_{mu},{nu}"
-                        )
-                        symmetry.expect_equal(
-                            c, lr_coefficient(lam, nu, mu), f"symmetry {lam}|{mu},{nu}"
-                        )
-                        total += c * dim_sym(mu) * dim_sym(nu)
-                        triple = HornTriple(lam, mu, nu, d)
-                        feasible = horn_feasible(triple)
-                        feasibility.expect_equal(feasible, c > 0, f"feasibility {lam}|{mu},{nu}")
-                        if c > 0:
-                            necessity.record(
-                                basic_horn_holds(triple),
-                                f"c>0 but basic inequalities fail: {lam}|{mu},{nu}",
-                            )
-                        elif not basic_horn_holds(triple):
-                            necessity.record(
-                                not feasible, f"basic false but feasible: {lam}|{mu},{nu}"
-                            )
-                restrict.expect_equal(total, dim_sym(lam), f"restriction {lam} split {l}+{k}")
+    for lam, mu, nu in _lr_triples(d, n_max):
+        c = lr_coefficient(lam, mu, nu)
+        triple = HornTriple(lam, mu, nu, d)
+        feasible = horn_feasible(triple)
+        feasibility.expect_equal(feasible, c > 0, "feasibility {}|{},{}", lam, mu, nu)
+        if c > 0:
+            necessity.record(
+                basic_horn_holds(triple), "c>0 but basic inequalities fail: {}|{},{}", lam, mu, nu
+            )
+        elif not basic_horn_holds(triple):
+            necessity.record(not feasible, "basic false but feasible: {}|{},{}", lam, mu, nu)
+    return [necessity.result(), feasibility.result()]
+
+
+def suite_saturation(cfg: RunConfig) -> list[CheckResult]:
+    dims = check_dimension_identity([(d, cfg.n_max) for d in range(2, cfg.d_max + 1)])
+    lr_checks = check_lr_coefficients(cfg.d_max, cfg.n_max)
+    horn_checks = check_horn_inequalities(cfg.d_max, cfg.n_max)
 
     tworow = _Collector("lr_two_row_multiplicity_free")
-    for n in range(0, min(cfg.n_max + 4, 10) + 1):
-        for lam in enumerate_frames(2, n):
-            for l in range(0, n + 1):
-                for mu in enumerate_frames(2, l):
-                    for nu in enumerate_frames(2, n - l):
-                        c = lr_coefficient(lam, mu, nu)
-                        tworow.record(c in (0, 1), f"c^{lam}_{mu},{nu} = {c}")
+    for lam, mu, nu in _lr_triples(2, min(cfg.n_max + 4, 10)):
+        c = lr_coefficient(lam, mu, nu)
+        tworow.record(c in (0, 1), "c^{}_{},{} = {}", lam, mu, nu, c)
 
     entropy = _Collector("pinsker_and_dimension_entropy_bound")
     grid = [Fraction(i, 8) for i in range(0, 9)]
@@ -231,16 +256,16 @@ def suite_saturation(cfg: RunConfig) -> list[CheckResult]:
             r, s = ProbabilityPair(r0), ProbabilityPair(s0)
             dv = rel_entropy(r, s)
             lhs = l1_distance(r, s) ** 2 / (2 * math.log(2))
-            entropy.record(dv >= lhs - 1e-12, f"Pinsker fails at r0={r0} s0={s0}")
+            entropy.record(dv >= lhs - 1e-12, "Pinsker fails at r0={} s0={}", r0, s0)
     for k in range(1, 13):
         for gamma in enumerate_frames(2, k):
             bound = 2.0 ** (k * binary_entropy(Fraction(gamma.row(0), k)))
             entropy.record(
                 dim_sym(gamma) <= bound * (1 + 1e-12),
-                f"dim bound fails at {gamma} k={k}",
+                "dim bound fails at {} k={}", gamma, k,
             )
 
-    return [c.result() for c in (dims, cross, restrict, symmetry, necessity, feasibility, tworow, entropy)]
+    return [dims, *lr_checks, *horn_checks, tworow.result(), entropy.result()]
 
 
 # ---------------------------------------------------------------------------
@@ -248,34 +273,65 @@ def suite_saturation(cfg: RunConfig) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def padded_reduction(proj: orc.TensorOperator, n: int, k: int) -> orc.TensorOperator:
-    """tr over the last k sites of ``proj``, tensored back with the identity."""
-    reduced = proj.partial_trace(range(n - k, n))
-    if k == 0:
-        return reduced
-    return reduced.kron(orc.TensorOperator.identity(proj.d, k))
+def dense_reductions(proj: orc.TensorOperator) -> list[orc.TensorOperator]:
+    """tr over the last k sites of ``proj`` for k = 0..n, each traced from the previous."""
+    out = [proj]
+    for k in range(1, proj.n + 1):
+        out.append(out[-1].partial_trace([proj.n - k]))
+    return out
 
 
-def suite_support(cfg: RunConfig) -> list[CheckResult]:
+def _padded(reduced: orc.TensorOperator, k: int) -> orc.TensorOperator:
+    """``reduced`` tensored with the identity on k more sites."""
+    return reduced.kron(orc.TensorOperator.identity(reduced.d, k)) if k else reduced
+
+
+def check_dense_overlap_outside_window(sizes: list[tuple[int, int]]) -> CheckResult:
+    """tr{P_lam' (tr_{[k]} P_lam tensor 1)} = 0 outside the window, for each (d, n_max)."""
     dense = _Collector("dense_overlap_zero_outside_window")
-    outside_count = 0
-    for d, n_cap in _dense_sizes(cfg):
+    for d, n_cap in sizes:
         for n in range(1, n_cap + 1):
             frames = enumerate_frames(d, n)
             family = orc.isotypical_projectors(d, n)
             for lam in frames:
-                for k in range(0, n + 1):
-                    padded = padded_reduction(family[lam], n, k)
+                for k, reduced in enumerate(dense_reductions(family[lam])):
+                    padded = _padded(reduced, k)
                     for lam_p in frames:
                         if within_support_window(lam, lam_p, d, k):
                             continue
-                        outside_count += 1
                         value = family[lam_p].hs_product(padded)
                         dense.record(
                             value == 0,
-                            f"d={d} lam={lam} lam'={lam_p} k={k}: overlap {value} != 0",
+                            "d={} lam={} lam'={} k={}: overlap {} != 0", d, lam, lam_p, k, value,
                         )
-    dense.info["outside_window_cases"] = outside_count
+    dense.info["outside_window_cases"] = dense.checked
+    return dense.result()
+
+
+def check_projector_domination(n_max: int) -> CheckResult:
+    """sum of P_mu tensor P_nu over c^lam_{mu nu} > 0 dominates P_lam (d = 2, n <= n_max)."""
+    psd = _Collector("projector_pair_domination_psd")
+    for n in range(1, n_max + 1):
+        family = orc.isotypical_projectors(2, n)
+        small = {m: orc.isotypical_projectors(2, m) for m in range(0, n + 1)}
+        for lam in enumerate_frames(2, n):
+            for l in range(0, n + 1):
+                k = n - l
+                dominating = orc.TensorOperator.zero(2, n)
+                for mu in enumerate_frames(2, l):
+                    for nu in enumerate_frames(2, k):
+                        if lr_coefficient(lam, mu, nu) > 0:
+                            dominating = dominating + small[l][mu].kron(small[k][nu])
+                diff = dominating - family[lam]
+                psd.record(
+                    orc.is_positive_semidefinite(diff),
+                    "lam={} split {}+{}: domination difference not PSD", lam, l, k,
+                )
+    return psd.result()
+
+
+def suite_support(cfg: RunConfig) -> list[CheckResult]:
+    dense = check_dense_overlap_outside_window(_dense_sizes(cfg))
 
     engine = _Collector("engine_weight_zero_outside_window")
     for d in range(2, cfg.d_max + 1):
@@ -288,7 +344,7 @@ def suite_support(cfg: RunConfig) -> list[CheckResult]:
                         if not within_support_window(lam, lam_p, d, k):
                             engine.record(
                                 table.weight(lam_p) == 0,
-                                f"d={d} lam={lam} lam'={lam_p} k={k}: engine weight nonzero",
+                                "d={} lam={} lam'={} k={}: engine weight nonzero", d, lam, lam_p, k,
                             )
 
     chains = _Collector("branching_chains_disjoint_outside_window")
@@ -302,7 +358,7 @@ def suite_support(cfg: RunConfig) -> list[CheckResult]:
                             continue
                         chains.record(
                             branching_disjoint(lam, lam_p, n - k, k, d),
-                            f"d={d} lam={lam} lam'={lam_p} k={k}: common chain exists",
+                            "d={} lam={} lam'={} k={}: common chain exists", d, lam, lam_p, k,
                         )
 
     # Support growth across k is an empirical observation, not a proven
@@ -329,25 +385,8 @@ def suite_support(cfg: RunConfig) -> list[CheckResult]:
     growth.info["violations"] = violations
     growth.info["violation_count"] = violation_count
 
-    psd = _Collector("projector_pair_domination_psd")
-    for n in range(1, min(cfg.n_max, 6) + 1):
-        family = orc.isotypical_projectors(2, n)
-        small = {m: orc.isotypical_projectors(2, m) for m in range(0, n + 1)}
-        for lam in enumerate_frames(2, n):
-            for l in range(0, n + 1):
-                k = n - l
-                dominating = orc.TensorOperator.zero(2, n)
-                for mu in enumerate_frames(2, l):
-                    for nu in enumerate_frames(2, k):
-                        if lr_coefficient(lam, mu, nu) > 0:
-                            dominating = dominating + small[l][mu].kron(small[k][nu])
-                diff = dominating - family[lam]
-                psd.record(
-                    orc.is_positive_semidefinite(diff),
-                    f"lam={lam} split {l}+{k}: domination difference not PSD",
-                )
-
-    return [c.result() for c in (dense, engine, chains, growth, psd)]
+    psd = check_projector_domination(min(cfg.n_max, 6))
+    return [dense, engine.result(), chains.result(), growth.result(), psd]
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +395,7 @@ def suite_support(cfg: RunConfig) -> list[CheckResult]:
 
 
 def oracle_twirl_overlap(
-    family: dict[YoungFrame, orc.TensorOperator],
-    reductions: dict[tuple[YoungFrame, int], orc.TensorOperator],
+    reductions: dict[YoungFrame, list[orc.TensorOperator]],
     lam: YoungFrame,
     k: int,
     lam_p: YoungFrame,
@@ -365,12 +403,86 @@ def oracle_twirl_overlap(
 ) -> Fraction:
     """Dense value of tr{P_lam' (tr_{[k]} P_lam tensor pi_{[k]})}.
 
-    Evaluated through the partial-trace pairing tr{tr_B(P_lam') tr_B(P_lam)},
-    which is the same exact number (adjointness of the partial trace); the
-    equality of this route with the literal padded product is itself one of
-    the oracle suite's checks.
+    ``reductions`` maps each frame to :func:`dense_reductions` of its
+    projector.  Evaluated through the partial-trace pairing
+    tr{tr_B(P_lam') tr_B(P_lam)}, which is the same exact number (adjointness
+    of the partial trace); the equality of this route with the literal padded
+    product is itself one of the oracle suite's checks.
     """
-    return reductions[(lam_p, k)].hs_product(reductions[(lam, k)]) / d**k
+    return reductions[lam_p][k].hs_product(reductions[lam][k]) / d**k
+
+
+def _binomial_sum(q: Fraction, values: list[Fraction]) -> Fraction:
+    """sum over k of C(n,k) q^k (1-q)^(n-k) values[k], with n = len(values) - 1."""
+    n = len(values) - 1
+    return sum(
+        (math.comb(n, k) * q**k * (1 - q) ** (n - k) * v for k, v in enumerate(values)), Fraction(0)
+    )
+
+
+def oracle_channel_weights(
+    reductions: dict[YoungFrame, list[orc.TensorOperator]], source: YoungFrame, q: Fraction, d: int
+) -> dict[YoungFrame, Fraction]:
+    """Dense weight of each block in the depolarised flat state pi_source.
+
+    ``reductions`` maps every frame of YF_{d,n} to its :func:`dense_reductions`.
+    """
+    norm = Fraction(dim_sym(source) * dim_unitary(source, d))
+    return {
+        lam_p: _binomial_sum(
+            q,
+            [oracle_twirl_overlap(reductions, source, k, lam_p, d) / norm for k in range(source.n + 1)],
+        )
+        for lam_p in reductions
+    }
+
+
+def check_fast_path_against_oracle(
+    sizes: list[tuple[int, int]], q_values: tuple[Fraction, ...]
+) -> list[CheckResult]:
+    """Twirl and channel spectra of the fast path equal the dense oracle, for each (d, n_max)."""
+    route = _Collector("padded_product_equals_partial_trace_pairing")
+    fast_twirl = _Collector("fast_path_equals_oracle_twirl_spectra")
+    fast_channel = _Collector("fast_path_equals_oracle_channel_spectra")
+    for d, n_cap in sizes:
+        for n in range(1, n_cap + 1):
+            frames = enumerate_frames(d, n)
+            family = orc.isotypical_projectors(d, n)
+            reductions = {lam: dense_reductions(family[lam]) for lam in frames}
+            dense_w = {}
+            for lam in frames:
+                norm = Fraction(dim_sym(lam) * dim_unitary(lam, d))
+                for k in range(n + 1):
+                    literal = _padded(reductions[lam][k], k)
+                    table = twirl_spectrum(lam, k, d, normalized=False)
+                    table_norm = twirl_spectrum(lam, k, d, normalized=True)
+                    for lam_p in frames:
+                        paired = oracle_twirl_overlap(reductions, lam, k, lam_p, d)
+                        literal_value = family[lam_p].hs_product(literal) / d**k
+                        route.expect_equal(
+                            literal_value, paired, "d={} lam={} k={} lam'={}", d, lam, k, lam_p
+                        )
+                        fast_twirl.expect_equal(
+                            table.weight(lam_p), paired, "d={} lam={} k={} lam'={}", d, lam, k, lam_p
+                        )
+                        fast_twirl.expect_equal(
+                            table_norm.weight(lam_p),
+                            paired / norm,
+                            "normalized d={} lam={} k={} lam'={}", d, lam, k, lam_p,
+                        )
+                        dense_w[(lam, k, lam_p)] = paired / norm
+            for lam in frames:
+                for q in q_values:
+                    table = channel_output_spectrum(lam, q, d)
+                    fast_channel.expect_equal(
+                        table.total(), Fraction(1), "total d={} {} q={}", d, lam, q
+                    )
+                    for lam_p in frames:
+                        expected = _binomial_sum(q, [dense_w[(lam, k, lam_p)] for k in range(n + 1)])
+                        fast_channel.expect_equal(
+                            table.weight(lam_p), expected, "d={} lam={} q={} lam'={}", d, lam, q, lam_p
+                        )
+    return [route.result(), fast_twirl.result(), fast_channel.result()]
 
 
 def suite_oracle(cfg: RunConfig) -> list[CheckResult]:
@@ -385,15 +497,16 @@ def suite_oracle(cfg: RunConfig) -> list[CheckResult]:
             for lam in frames:
                 p = family[lam]
                 total = total + p
-                algebra.record(p @ p == p, f"d={d} n={n} {lam}: not idempotent")
+                algebra.record(p @ p == p, "d={} n={} {}: not idempotent", d, n, lam)
                 algebra.expect_equal(
-                    p.trace(), dim_sym(lam) * dim_unitary(lam, d), f"d={d} n={n} {lam}: trace"
+                    p.trace(), dim_sym(lam) * dim_unitary(lam, d), "d={} n={} {}: trace", d, n, lam
                 )
                 algebra.record(
-                    np.array_equal(p.mat, p.mat.T), f"d={d} n={n} {lam}: not symmetric"
+                    np.array_equal(p.mat, p.mat.T), "d={} n={} {}: not symmetric", d, n, lam
                 )
             algebra.record(
-                total == orc.TensorOperator.identity(d, n), f"d={d} n={n}: projectors do not sum to identity"
+                total == orc.TensorOperator.identity(d, n),
+                "d={} n={}: projectors do not sum to identity", d, n,
             )
             # For symmetric idempotents tr(PQ) equals the squared Frobenius
             # norm of PQ, so a zero pairing certifies PQ = 0 exactly.
@@ -402,7 +515,7 @@ def suite_oracle(cfg: RunConfig) -> list[CheckResult]:
                     algebra.expect_equal(
                         family[lam].hs_product(family[lam_p]),
                         Fraction(0),
-                        f"d={d} n={n}: {lam} and {lam_p} not orthogonal",
+                        "d={} n={}: {} and {} not orthogonal", d, n, lam, lam_p,
                     )
 
     rep = _Collector("permutation_representation")
@@ -411,7 +524,7 @@ def suite_oracle(cfg: RunConfig) -> list[CheckResult]:
             for t in enumerate_group(3):
                 rep.record(
                     orc.perm_operator(s, d) @ orc.perm_operator(t, d) == orc.perm_operator(s * t, d),
-                    f"d={d}: B({s.images})B({t.images}) != B(product)",
+                    "d={}: B({})B({}) != B(product)", d, s.images, t.images,
                 )
     n = min(cfg.n_max, 6)
     for _ in range(6):
@@ -422,7 +535,7 @@ def suite_oracle(cfg: RunConfig) -> list[CheckResult]:
         t = Permutation(tuple(imgs))
         rep.record(
             orc.perm_operator(s, 2) @ orc.perm_operator(t, 2) == orc.perm_operator(s * t, 2),
-            f"random pair at n={n}",
+            "random pair at n={}", n,
         )
 
     commute = _Collector("projector_commutes_with_permutations")
@@ -437,7 +550,7 @@ def suite_oracle(cfg: RunConfig) -> list[CheckResult]:
                 for tau in perms:
                     commute.record(
                         orc.conjugate_by_permutation(p, tau) == p,
-                        f"d={d} n={n} {lam}: fails for {tau.images}",
+                        "d={} n={} {}: fails for {}", d, n, lam, tau.images,
                     )
 
     reduction_checks = _Collector("partial_trace_properties")
@@ -466,7 +579,7 @@ def suite_oracle(cfg: RunConfig) -> list[CheckResult]:
                     recon = orc.TensorOperator.zero(d, n - k)
                     for mu, w in table.projector_weights().items():
                         recon = recon + w * small[n - k][mu]
-                    branching.record(dense == recon, f"d={d} lam={lam} k={k}")
+                    branching.record(dense == recon, "d={} lam={} k={}", d, lam, k)
 
     twirl_checks = _Collector("twirl_properties")
     for d, hard in ((2, 6), (3, 4)):
@@ -476,12 +589,12 @@ def suite_oracle(cfg: RunConfig) -> list[CheckResult]:
         family = orc.isotypical_projectors(d, n)
         a = _random_operator(rng, d, n)
         tw = orc.twirl(a)
-        twirl_checks.expect_equal(tw.trace(), a.trace(), f"d={d}: twirl trace")
-        twirl_checks.record(orc.twirl(tw) == tw, f"d={d}: twirl not idempotent")
+        twirl_checks.expect_equal(tw.trace(), a.trace(), "d={}: twirl trace", d)
+        twirl_checks.record(orc.twirl(tw) == tw, "d={}: twirl not idempotent", d)
         for lam, p in family.items():
-            twirl_checks.record(orc.twirl(p) == p, f"d={d} {lam}: projector not twirl-invariant")
+            twirl_checks.record(orc.twirl(p) == p, "d={} {}: projector not twirl-invariant", d, lam)
             twirl_checks.expect_equal(
-                p.hs_product(tw), p.hs_product(a), f"d={d} {lam}: overlap changed by twirl"
+                p.hs_product(tw), p.hs_product(a), "d={} {}: overlap changed by twirl", d, lam
             )
 
     pair_expansion = _Collector("twirl_pair_expansion")
@@ -503,7 +616,7 @@ def suite_oracle(cfg: RunConfig) -> list[CheckResult]:
                             if w:
                                 recon = recon + w * family[lam_p]
                         pair_expansion.record(
-                            literal == recon, f"d={d} mu={mu} gamma={gamma} (n={n})"
+                            literal == recon, "d={} mu={} gamma={} (n={})", d, mu, gamma, n
                         )
 
     channel = _Collector("depolarise_channel_identities")
@@ -512,18 +625,18 @@ def suite_oracle(cfg: RunConfig) -> list[CheckResult]:
             continue
         n = min(cfg.n_max, hard)
         a = _random_operator(rng, d, n)
-        channel.record(orc.depolarise_n(a, 0) == a, f"d={d}: q=0 not identity")
+        channel.record(orc.depolarise_n(a, 0) == a, "d={}: q=0 not identity", d)
         channel.record(
             orc.depolarise_n(a, 1) == a.trace() * orc.TensorOperator.maximally_mixed(d, n),
-            f"d={d}: q=1 not fully mixing",
+            "d={}: q=1 not fully mixing", d,
         )
         for q in (Fraction(1, 3), Fraction(1, 2)):
             out = orc.depolarise_n(a, q)
-            channel.expect_equal(out.trace(), a.trace(), f"d={d} q={q}: trace not preserved")
+            channel.expect_equal(out.trace(), a.trace(), "d={} q={}: trace not preserved", d, q)
         psd_in = _random_psd_operator(rng, d, min(n, 3))
         channel.record(
             orc.is_positive_semidefinite(orc.depolarise_n(psd_in, Fraction(2, 5))),
-            f"d={d}: PSD input mapped outside PSD cone",
+            "d={}: PSD input mapped outside PSD cone", d,
         )
         family = orc.isotypical_projectors(d, n)
         for lam in enumerate_frames(d, n):
@@ -539,77 +652,13 @@ def suite_oracle(cfg: RunConfig) -> list[CheckResult]:
                     padded = orc.tensor_with_maximally_mixed(reduced, k)
                     recon = recon + w * orc.twirl(padded)
                 channel.record(
-                    literal == recon, f"d={d} lam={lam} q={q}: subset sum != binomial twirl sum"
+                    literal == recon, "d={} lam={} q={}: subset sum != binomial twirl sum", d, lam, q
                 )
 
-    fast_twirl = _Collector("fast_path_equals_oracle_twirl_spectra")
-    route = _Collector("padded_product_equals_partial_trace_pairing")
-    fast_channel = _Collector("fast_path_equals_oracle_channel_spectra")
     q_values = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
-    for d, n_cap in _dense_sizes(cfg):
-        for n in range(1, n_cap + 1):
-            frames = enumerate_frames(d, n)
-            family = orc.isotypical_projectors(d, n)
-            reductions = {
-                (lam, k): family[lam].partial_trace(range(n - k, n))
-                for lam in frames
-                for k in range(n + 1)
-            }
-            dense_w = {}
-            for lam in frames:
-                for k in range(n + 1):
-                    literal = padded_reduction(family[lam], n, k)
-                    table = twirl_spectrum(lam, k, d, normalized=False)
-                    table_norm = twirl_spectrum(lam, k, d, normalized=True)
-                    norm = Fraction(dim_sym(lam) * dim_unitary(lam, d))
-                    for lam_p in frames:
-                        paired = oracle_twirl_overlap(family, reductions, lam, k, lam_p, d)
-                        literal_value = family[lam_p].hs_product(literal) / d**k
-                        route.expect_equal(
-                            literal_value, paired, f"d={d} lam={lam} k={k} lam'={lam_p}"
-                        )
-                        fast_twirl.expect_equal(
-                            table.weight(lam_p), paired, f"d={d} lam={lam} k={k} lam'={lam_p}"
-                        )
-                        fast_twirl.expect_equal(
-                            table_norm.weight(lam_p),
-                            paired / norm,
-                            f"normalized d={d} lam={lam} k={k} lam'={lam_p}",
-                        )
-                        dense_w[(lam, k, lam_p)] = paired / norm
-            for lam in frames:
-                for q in q_values:
-                    table = channel_output_spectrum(lam, q, d)
-                    fast_channel.expect_equal(table.total(), Fraction(1), f"total d={d} {lam} q={q}")
-                    for lam_p in frames:
-                        expected = sum(
-                            (
-                                math.comb(n, k) * q**k * (1 - q) ** (n - k)
-                                * dense_w[(lam, k, lam_p)]
-                                for k in range(n + 1)
-                            ),
-                            Fraction(0),
-                        )
-                        fast_channel.expect_equal(
-                            table.weight(lam_p), expected, f"d={d} lam={lam} q={q} lam'={lam_p}"
-                        )
-
-    return [
-        c.result()
-        for c in (
-            algebra,
-            rep,
-            commute,
-            reduction_checks,
-            branching,
-            twirl_checks,
-            pair_expansion,
-            channel,
-            route,
-            fast_twirl,
-            fast_channel,
-        )
-    ]
+    fast_path = check_fast_path_against_oracle(_dense_sizes(cfg), q_values)
+    checks = (algebra, rep, commute, reduction_checks, branching, twirl_checks, pair_expansion, channel)
+    return [c.result() for c in checks] + fast_path
 
 
 # ---------------------------------------------------------------------------
@@ -617,11 +666,12 @@ def suite_oracle(cfg: RunConfig) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def suite_tail(cfg: RunConfig) -> list[CheckResult]:
+def check_tail_bound(n_max: int, q_grid: tuple[Fraction, ...]) -> CheckResult:
+    """The exponential bound dominates every far-away weight (d = 2, 2 <= n <= n_max)."""
     bound_check = _Collector("tail_bound_dominates_measured_weight")
-    for n in range(2, min(cfg.n_max, 10) + 1):
+    for n in range(2, n_max + 1):
         frames = enumerate_frames(2, n)
-        for q in cfg.q_grid:
+        for q in q_grid:
             spectra = {lam: channel_output_spectrum(lam, q, 2) for lam in frames}
             for lam in frames:
                 for lam_p in frames:
@@ -636,37 +686,28 @@ def suite_tail(cfg: RunConfig) -> list[CheckResult]:
                         log_measured = math.log2(measured.numerator) - math.log2(measured.denominator)
                         ok = log_measured <= exponent + 1e-12
                     bound_check.record(
-                        ok, f"n={n} q={q} lam={lam} lam'={lam_p}: {float(measured)} > 2**{exponent}"
+                        ok,
+                        "n={} q={} lam={} lam'={}: {} > 2**{}", n, q, lam, lam_p, float(measured), exponent,
                     )
+    return bound_check.result()
 
+
+def check_output_mode(
+    n: int, q_grid: tuple[Fraction, ...], *, factorial_cap: int = orc.FACTORIAL_LOOP_CAP
+) -> CheckResult:
+    """The most likely output block of pi_(n) is the same on the fast path and the oracle (d = 2)."""
     concentration = _Collector("output_mode_matches_oracle")
     modes = []
-    n = min(cfg.n_max, 8)
     source = YoungFrame((n,))
     frames = enumerate_frames(2, n)
-    family = orc.isotypical_projectors(2, n)
-    reductions = {
-        (lam, k): family[lam].partial_trace(range(n - k, n))
-        for lam in frames
-        for k in range(n + 1)
-    }
-    norm = Fraction(dim_sym(source) * dim_unitary(source, 2))
-    for q in cfg.q_grid:
-        engine_table = channel_output_spectrum(source, q, 2)
-        oracle_weights = {}
-        for lam_p in frames:
-            oracle_weights[lam_p] = sum(
-                (
-                    math.comb(n, k) * q**k * (1 - q) ** (n - k)
-                    * oracle_twirl_overlap(family, reductions, source, k, lam_p, 2) / norm
-                    for k in range(n + 1)
-                ),
-                Fraction(0),
-            )
+    family = orc.isotypical_projectors(2, n, factorial_cap=factorial_cap)
+    reductions = {lam: dense_reductions(family[lam]) for lam in frames}
+    for q in q_grid:
+        oracle_weights = oracle_channel_weights(reductions, source, q, 2)
         oracle_mode = max(frames, key=lambda f: (oracle_weights[f], -frames.index(f)))
-        engine_mode = engine_table.mode()
+        engine_mode = channel_output_spectrum(source, q, 2).mode()
         concentration.expect_equal(
-            format_frame(engine_mode, 2), format_frame(oracle_mode, 2), f"mode at n={n} q={q}"
+            format_frame(engine_mode, 2), format_frame(oracle_mode, 2), "mode at n={} q={}", n, q
         )
         modes.append(
             {
@@ -678,8 +719,11 @@ def suite_tail(cfg: RunConfig) -> list[CheckResult]:
         )
     concentration.info["n"] = n
     concentration.info["modes"] = modes
+    return concentration.result()
 
-    return [bound_check.result(), concentration.result()]
+
+def suite_tail(cfg: RunConfig) -> list[CheckResult]:
+    return [check_tail_bound(cfg.n_max, cfg.q_grid), check_output_mode(min(cfg.n_max, 8), cfg.q_grid)]
 
 
 # ---------------------------------------------------------------------------
@@ -687,17 +731,22 @@ def suite_tail(cfg: RunConfig) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def suite_xybound(cfg: RunConfig) -> list[CheckResult]:
+def check_xy_entropy_bound(n_max: int) -> CheckResult:
+    """X <= 2**(k h(lam'_2/k)) for the source (n), and X = 0 beyond the window (n <= n_max)."""
     bound = _Collector("xy_extrema_within_entropy_bound")
-    for n in range(1, min(cfg.n_max, 10) + 1):
-        source = YoungFrame((n,))
+    for n in range(1, n_max + 1):
         for lam_p in enumerate_frames(2, n):
             for k in range(0, n + 1):
                 chk = xy_entropy_bound(lam_p, k)
-                bound.record(chk.holds, f"n={n} lam'={lam_p} k={k}: X={chk.x} bound={chk.bound}")
+                bound.record(
+                    chk.holds, "n={} lam'={} k={}: X={} bound={}", n, lam_p, k, chk.x, chk.bound
+                )
                 if lam_p.row(1) > k:
-                    bound.record(chk.x == 0, f"n={n} lam'={lam_p} k={k}: X nonzero beyond window")
+                    bound.record(chk.x == 0, "n={} lam'={} k={}: X nonzero beyond window", n, lam_p, k)
+    return bound.result()
 
+
+def suite_xybound(cfg: RunConfig) -> list[CheckResult]:
     consistency = _Collector("xy_empty_iff_chains_disjoint")
     for n in range(1, min(cfg.n_max, 8) + 1):
         frames = enumerate_frames(2, n)
@@ -707,10 +756,10 @@ def suite_xybound(cfg: RunConfig) -> list[CheckResult]:
                     extrema = xy_optimize(lam, lam_p, n - k, k, 2)
                     disjoint = branching_disjoint(lam, lam_p, n - k, k, 2)
                     consistency.expect_equal(
-                        extrema.x == 0, disjoint, f"n={n} lam={lam} lam'={lam_p} k={k}"
+                        extrema.x == 0, disjoint, "n={} lam={} lam'={} k={}", n, lam, lam_p, k
                     )
 
-    return [bound.result(), consistency.result()]
+    return [check_xy_entropy_bound(cfg.n_max), consistency.result()]
 
 
 # ---------------------------------------------------------------------------

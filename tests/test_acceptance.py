@@ -1,8 +1,12 @@
 """Acceptance criteria, one test per criterion, at their stated sizes.
 
-Each test prints a single pass line on success; tolerances are pinned in the
-asserts (exact equality for all rational quantities, 1e-12 log-domain slack
-where a float bound meets an exact integer or rational).
+Each test runs the ``verify`` suite checks that state its criterion, at the
+criterion's sizes rather than a suite's ``RunConfig`` caps, so every check is
+written once.  Assertions no suite makes (time budgets, the literal dense
+channel, oracle weights summing to one) stay here.  Tolerances live in the
+checks: exact equality for all rational quantities, 1e-12 log-domain slack
+where a float bound meets an exact integer or rational.  Each test prints a
+single pass line on success.
 """
 
 import math
@@ -10,49 +14,31 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
-from isotwirl.frames import dim_sym, dim_unitary, enumerate_frames, frame
-from isotwirl.horn import HornTriple, basic_horn_holds, horn_feasible, within_support_window
-from isotwirl.lr import lr_coefficient, lr_via_characters
 from isotwirl import oracle as orc
-from isotwirl.spectra import (
-    channel_output_spectrum,
-    partial_trace_decomposition,
-    tail_bound_exponent,
-    twirl_spectrum,
-    xy_optimize,
-)
+from isotwirl import verify
+from isotwirl.frames import dim_sym, dim_unitary, enumerate_frames, frame
+from isotwirl.spectra import channel_output_spectrum
 
 Q_ORACLE = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
 Q_TENTHS = tuple(Fraction(i, 10) for i in range(1, 10))
-DENSE_SIZES = ((2, 8), (3, 6))
+DENSE_SIZES = [(2, 8), (3, 6)]
+GOLDEN_REPORT = Path(__file__).parent / "data" / "verify_all_cap5.json"
 
 
 def report(num: int, text: str) -> None:
     print(f"[acceptance] criterion {num}: PASS - {text}")
 
 
-def padded_reduction(proj, n, k):
-    reduced = proj.partial_trace(range(n - k, n))
-    if k == 0:
-        return reduced
-    return reduced.kron(orc.TensorOperator.identity(proj.d, k))
-
-
-def iterative_reductions(proj, n):
-    """tr over the last k sites for k = 0..n, each built from the previous."""
-    out = {0: proj}
-    for k in range(1, n + 1):
-        out[k] = out[k - 1].partial_trace([n - k])
-    return out
+def assert_passed(*results: verify.CheckResult) -> None:
+    for result in results:
+        assert result.passed, (result.name, result.failures)
 
 
 def test_c01_schur_weyl_dimension_identity():
     start = time.monotonic()
-    for d, n_max in ((2, 10), (3, 7)):
-        for n in range(0, n_max + 1):
-            total = sum(dim_sym(f) * dim_unitary(f, d) for f in enumerate_frames(d, n))
-            assert total == d**n, (d, n)
+    assert_passed(verify.check_dimension_identity([(2, 10), (3, 7)]))
     elapsed = time.monotonic() - start
     assert elapsed < 1.0, f"identity sweep took {elapsed:.2f}s (budget 1s)"
     report(1, f"sum of dim products equals d**n for d=2 n<=10, d=3 n<=7 in {elapsed:.2f}s")
@@ -60,41 +46,18 @@ def test_c01_schur_weyl_dimension_identity():
 
 def test_c02_lr_cross_validation():
     start = time.monotonic()
-    triples = 0
-    for n in range(0, 9):
-        for lam in enumerate_frames(3, n):
-            for l in range(0, n + 1):
-                k = n - l
-                total = 0
-                for mu in enumerate_frames(3, l):
-                    for nu in enumerate_frames(3, k):
-                        c = lr_coefficient(lam, mu, nu)
-                        assert c == lr_via_characters(lam, mu, nu), (str(lam), str(mu), str(nu))
-                        total += c * dim_sym(mu) * dim_sym(nu)
-                        triples += 1
-                assert total == dim_sym(lam), (str(lam), l, k)
+    results = verify.check_lr_coefficients(3, 8)
+    assert_passed(*results)
     elapsed = time.monotonic() - start
     assert elapsed < 120.0, f"LR sweep took {elapsed:.1f}s (budget 120s)"
-    report(2, f"{triples} triples: tableau count = character oracle, restriction identity, {elapsed:.1f}s")
+    report(2, f"{results[0].checked} triples: tableau count = character oracle, "
+              f"restriction identity, symmetry, {elapsed:.1f}s")
 
 
 def test_c03_support_window_exact_zero():
-    checked = outside = 0
-    for d, n_max in DENSE_SIZES:
-        for n in range(1, n_max + 1):
-            frames = enumerate_frames(d, n)
-            family = orc.isotypical_projectors(d, n)
-            for lam in frames:
-                for k in range(0, n + 1):
-                    padded = padded_reduction(family[lam], n, k)
-                    for lam_p in frames:
-                        checked += 1
-                        if within_support_window(lam, lam_p, d, k):
-                            continue
-                        outside += 1
-                        value = family[lam_p].hs_product(padded)
-                        assert value == 0, (d, str(lam), str(lam_p), k, value)
-    report(3, f"dense overlap exactly 0 in all {outside} outside-window cases of {checked}")
+    result = verify.check_dense_overlap_outside_window(DENSE_SIZES)
+    assert_passed(result)
+    report(3, f"dense overlap exactly 0 in all {result.checked} outside-window cases")
 
 
 def test_c04_fast_path_equals_dense_oracle():
@@ -126,141 +89,46 @@ def test_c04_fast_path_equals_dense_oracle():
             assert literal == recon, (d, str(lam))
 
     # full-size agreement of both spectra against literal dense overlaps
-    for d, n_max in DENSE_SIZES:
-        for n in range(1, n_max + 1):
-            frames = enumerate_frames(d, n)
-            family = orc.isotypical_projectors(d, n)
-            dense = {}
-            for lam in frames:
-                norm = Fraction(dim_sym(lam) * dim_unitary(lam, d))
-                for k in range(0, n + 1):
-                    padded = padded_reduction(family[lam], n, k)
-                    plain = twirl_spectrum(lam, k, d, normalized=False)
-                    normed = twirl_spectrum(lam, k, d)
-                    for lam_p in frames:
-                        value = family[lam_p].hs_product(padded) / d**k
-                        assert plain.weight(lam_p) == value, (d, str(lam), k, str(lam_p))
-                        assert normed.weight(lam_p) == value / norm
-                        dense[(lam, k, lam_p)] = value / norm
-            for lam in frames:
-                for q in Q_ORACLE:
-                    table = channel_output_spectrum(lam, q, d)
-                    assert table.total() == 1
-                    for lam_p in frames:
-                        expected = sum(
-                            (
-                                math.comb(n, k) * q**k * (1 - q) ** (n - k) * dense[(lam, k, lam_p)]
-                                for k in range(n + 1)
-                            ),
-                            Fraction(0),
-                        )
-                        assert table.weight(lam_p) == expected, (d, str(lam), q, str(lam_p))
+    assert_passed(*verify.check_fast_path_against_oracle(DENSE_SIZES, Q_ORACLE))
     report(4, "twirl and channel spectra equal the dense oracle as exact rationals "
               "(d=2 n<=8, d=3 n<=6, all k, q in {0,1/4,1/2,3/4,1})")
 
 
 def test_c05_tail_bound_dominates():
-    pairs = 0
-    for n in range(2, 11):  # superset of the required {6, 8, 10}
-        frames = enumerate_frames(2, n)
-        for q in Q_TENTHS:
-            tables = {lam: channel_output_spectrum(lam, q, 2) for lam in frames}
-            for lam in frames:
-                for lam_p in frames:
-                    gap = abs(lam.row(0) - lam_p.row(0))
-                    if Fraction(gap, n) <= q:
-                        continue
-                    pairs += 1
-                    measured = tables[lam].weight(lam_p)
-                    if measured == 0:
-                        continue
-                    log_measured = math.log2(measured.numerator) - math.log2(measured.denominator)
-                    log_bound = tail_bound_exponent(lam, lam_p, q, n)
-                    assert log_measured <= log_bound + 1e-12, (n, q, str(lam), str(lam_p))
-    report(5, f"exponential bound dominates all {pairs} far pairs (n <= 10, q in tenths)")
+    result = verify.check_tail_bound(10, Q_TENTHS)  # superset of the required n in {6, 8, 10}
+    assert_passed(result)
+    report(5, f"exponential bound dominates all {result.checked} far pairs (n <= 10, q in tenths)")
 
 
 def test_c06_horn_necessity_and_saturation():
-    for n in range(0, 9):
-        for lam in enumerate_frames(3, n):
-            for l in range(0, n + 1):
-                for mu in enumerate_frames(3, l):
-                    for nu in enumerate_frames(3, n - l):
-                        c = lr_coefficient(lam, mu, nu)
-                        t = HornTriple(lam, mu, nu, 3)
-                        feasible = horn_feasible(t)
-                        assert feasible == (c > 0)
-                        if c > 0:
-                            assert basic_horn_holds(t), (str(lam), str(mu), str(nu))
-                        if not basic_horn_holds(t):
-                            assert not feasible
+    assert_passed(*verify.check_horn_inequalities(3, 8))
     report(6, "basic inequalities necessary, feasibility = LR positivity (d<=3, n<=8)")
 
 
 def test_c07_xy_entropy_bound_exhaustive():
-    from isotwirl.frames import binary_entropy
-
-    for n in range(1, 11):
-        source = frame(n)
-        for lam_p in enumerate_frames(2, n):
-            for k in range(0, n + 1):
-                x = xy_optimize(source, lam_p, n - k, k, 2).x
-                second = lam_p.row(1)
-                if second > k:
-                    assert x == 0, (n, str(lam_p), k)
-                elif x:
-                    entropy = binary_entropy(Fraction(second, k)) if k else 0.0
-                    assert math.log2(x) <= k * entropy + 1e-12, (n, str(lam_p), k, x)
+    assert_passed(verify.check_xy_entropy_bound(10))
     report(7, "X <= 2**(k*h(lam'_2/k)) and X = 0 beyond the window (d=2, n<=10, exhaustive)")
 
 
 def test_c08_projector_pair_domination_psd():
-    for n in range(1, 7):
-        family = orc.isotypical_projectors(2, n)
-        small = {m: orc.isotypical_projectors(2, m) for m in range(0, n + 1)}
-        for lam in enumerate_frames(2, n):
-            for l in range(0, n + 1):
-                k = n - l
-                dominating = orc.TensorOperator.zero(2, n)
-                for mu in enumerate_frames(2, l):
-                    for nu in enumerate_frames(2, k):
-                        if lr_coefficient(lam, mu, nu) > 0:
-                            dominating = dominating + small[l][mu].kron(small[k][nu])
-                assert orc.is_positive_semidefinite(dominating - family[lam]), (str(lam), l, k)
+    assert_passed(verify.check_projector_domination(6))
     report(8, "sum of admitted projector pairs dominates P_lam (exact PSD factorization, d=2 n<=6)")
 
 
 def test_c09_concentration_mode_matches_oracle():
     lines = []
     for n in (8, 10):
-        source = frame(n)
-        frames = enumerate_frames(2, n)
-        family = orc.isotypical_projectors(2, n, factorial_cap=10)
-        reductions = {lam: iterative_reductions(family[lam], n) for lam in frames}
-        norm = Fraction(dim_sym(source) * dim_unitary(source, 2))
+        result = verify.check_output_mode(n, Q_TENTHS, factorial_cap=n)
+        assert_passed(result)
+        family = orc.isotypical_projectors(2, n, factorial_cap=n)
+        reductions = {lam: verify.dense_reductions(p) for lam, p in family.items()}
         for q in Q_TENTHS:
-            oracle_weights = {}
-            for lam_p in frames:
-                oracle_weights[lam_p] = sum(
-                    (
-                        math.comb(n, k) * q**k * (1 - q) ** (n - k)
-                        * reductions[lam_p][k].hs_product(reductions[source][k])
-                        / (2**k * norm)
-                        for k in range(n + 1)
-                    ),
-                    Fraction(0),
-                )
-            assert sum(oracle_weights.values()) == 1
-            oracle_mode = frames[0]
-            for lam_p in frames[1:]:
-                if oracle_weights[lam_p] > oracle_weights[oracle_mode]:
-                    oracle_mode = lam_p
-            engine_mode = channel_output_spectrum(source, q, 2).mode()
-            assert engine_mode == oracle_mode, (n, q, str(engine_mode), str(oracle_mode))
+            assert sum(verify.oracle_channel_weights(reductions, frame(n), q, 2).values()) == 1
+        for mode in result.info["modes"]:
             lines.append(
-                f"n={n} q={q}: mode row1={engine_mode.row(0)} "
-                f"(half-weight reference n*q/2={float(n * q / 2):.1f}, "
-                f"complement n*(1-q/2)={float(n * (1 - q / 2)):.1f})"
+                f"n={n} q={mode['q']}: mode row1={mode['mode_row1']} "
+                f"(half-weight reference n*q/2={mode['half_weight_reference']:.1f}, "
+                f"complement n*(1-q/2)={mode['complement_reference']:.1f})"
             )
     orc.clear_projector_cache()
     for line in lines:
@@ -281,4 +149,6 @@ def test_c10_verify_all_deterministic(tmp_path):
         assert res.returncode == 0, res.stderr
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
-    report(10, "two `verify all` runs with identical config produced byte-identical reports")
+    assert outputs[0] == GOLDEN_REPORT.read_bytes()
+    report(10, "two `verify all` runs with identical config produced byte-identical reports, "
+               "equal to the recorded report")

@@ -157,3 +157,31 @@ def test_output_files_byte_identical(tmp_path: Path):
     for path in (a, b):
         assert run_cli("sweep", "6,0", "--grid", "0.1,0.5,0.9", "--out", str(path)).returncode == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (("dims", "2,1"), 0),
+        (("verify", "xybound", "--cap-n", "2"), 0),
+        (("xy", "4,0", "3,1", "2", "2", "--d", "7"), 2),
+        (("xy", "4,0,0", "3,1", "2", "2", "--d", "1"), 2),
+        (("xy", "4,0", "3,1", "1", "1"), 2),
+        (("horn", "1,1,1", "1", "1,1"), 2),
+        (("spectrum", "2,1,1", "--q", "1/2"), 2),
+        (("spectrum", "4,0", "--k", "9"), 2),
+        (("sweep", "2,1,1", "--grid", "0.5"), 2),
+        (("sweep", "4,0", "--grid", ","), 2),
+        (("verify", "all", "--cap-n", "11"), 2),
+        (("spectrum", "4,0", "--q", "1/2", "--out", "{missing}/x.csv"), 2),
+        (("char", "2,1", "3", "--out", "{missing}/y"), 2),
+        (("verify", "tail", "--cap-n", "4", "--out", "{missing}/z.json"), 2),
+    ],
+)
+def test_exit_codes_without_traceback(tmp_path: Path, args, code):
+    args = [a.format(missing=tmp_path / "missing") for a in args]
+    res = run_cli(*args)
+    assert res.returncode == code, res.stderr
+    assert "Traceback" not in res.stderr
+    if code == 2:
+        assert res.stderr.splitlines()[-1].startswith("error: ")

@@ -17,6 +17,7 @@ from isotwirl.frames import (
     parse_frame,
     rel_entropy,
 )
+from isotwirl.verify import check_dimension_identity
 
 
 def test_frame_identity_ignores_trailing_zeros():
@@ -118,10 +119,8 @@ def test_dim_unitary_matches_tableau_count():
 
 
 def test_schur_weyl_completeness():
-    for d in (2, 3):
-        for n in range(0, 9):
-            total = sum(dim_sym(f) * dim_unitary(f, d) for f in enumerate_frames(d, n))
-            assert total == d**n
+    result = check_dimension_identity([(2, 8), (3, 8)])
+    assert result.passed, result.failures
 
 
 def test_binary_entropy():

@@ -9,7 +9,7 @@ from isotwirl.horn import (
     support_window,
     within_support_window,
 )
-from isotwirl.lr import lr_coefficient
+from isotwirl.verify import check_horn_inequalities
 
 
 def test_basic_horn_examples():
@@ -33,16 +33,8 @@ def test_feasibility_examples():
 
 def test_basic_inequalities_necessary_for_feasibility():
     for d in (2, 3):
-        for n in range(0, 7):
-            for lam in enumerate_frames(d, n):
-                for l in range(0, n + 1):
-                    for mu in enumerate_frames(d, l):
-                        for nu in enumerate_frames(d, n - l):
-                            t = HornTriple(lam, mu, nu, d)
-                            if lr_coefficient(lam, mu, nu) > 0:
-                                assert basic_horn_holds(t), (str(lam), str(mu), str(nu))
-                            if not basic_horn_holds(t):
-                                assert not horn_feasible(t)
+        for result in check_horn_inequalities(d, 6):
+            assert result.passed, (d, result.name, result.failures)
 
 
 def test_support_window_examples():
@@ -66,8 +58,12 @@ def test_branching_disjoint_examples():
     for lam in (frame(3, 1), frame(2, 2), frame(4, 0)):
         for k in range(0, 5):
             assert not branching_disjoint(lam, lam, 4 - k, k, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="split 1\\+1"):
         branching_disjoint(frame(3, 1), frame(2, 2), 1, 1, 2)
+    with pytest.raises(ValueError, match="more than d=1 rows"):
+        branching_disjoint(frame(4), frame(3, 1), 2, 2, 1)
+    with pytest.raises(ValueError, match="more than d=2 rows"):
+        branching_disjoint(frame(2, 1, 1), frame(4), 2, 2, 2)
 
 
 def test_window_violation_implies_disjoint_chains():

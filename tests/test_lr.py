@@ -1,7 +1,7 @@
 import pytest
 
 from bruteforce import is_lattice_word
-from isotwirl.frames import dim_sym, enumerate_frames, frame
+from isotwirl.frames import enumerate_frames, frame
 from isotwirl.lr import (
     SkewShape,
     lr_coefficient,
@@ -9,6 +9,7 @@ from isotwirl.lr import (
     lr_tableaux,
     lr_via_characters,
 )
+from isotwirl.verify import check_lr_coefficients
 
 
 def test_pieri_examples():
@@ -37,33 +38,18 @@ def test_character_oracle_cap():
 
 
 def test_tableaux_vs_characters_exhaustive():
-    for n in range(0, 7):
-        for lam in enumerate_frames(3, n):
-            for l in range(0, n + 1):
-                for mu in enumerate_frames(3, l):
-                    for nu in enumerate_frames(3, n - l):
-                        assert lr_coefficient(lam, mu, nu) == lr_via_characters(lam, mu, nu)
+    cross, _, _ = check_lr_coefficients(3, 6)
+    assert cross.passed, cross.failures
 
 
 def test_restriction_dimension_identity():
-    for n in range(0, 7):
-        for lam in enumerate_frames(3, n):
-            for l in range(0, n + 1):
-                total = sum(
-                    lr_coefficient(lam, mu, nu) * dim_sym(mu) * dim_sym(nu)
-                    for mu in enumerate_frames(3, l)
-                    for nu in enumerate_frames(3, n - l)
-                )
-                assert total == dim_sym(lam)
+    _, restrict, _ = check_lr_coefficients(3, 6)
+    assert restrict.passed, restrict.failures
 
 
 def test_symmetry():
-    for n in range(0, 7):
-        for lam in enumerate_frames(3, n):
-            for l in range(0, n + 1):
-                for mu in enumerate_frames(3, l):
-                    for nu in enumerate_frames(3, n - l):
-                        assert lr_coefficient(lam, mu, nu) == lr_coefficient(lam, nu, mu)
+    _, _, symmetry = check_lr_coefficients(3, 6)
+    assert symmetry.passed, symmetry.failures
 
 
 def test_two_row_coefficients_multiplicity_free():

@@ -245,14 +245,3 @@ def test_scale_representation_equality():
     doubled = orc.TensorOperator(2, 1, Fraction(1, 2), 2 * np.identity(2, dtype=object))
     assert ident == doubled
     assert (Fraction(1, 3) * ident).reduced() == Fraction(1, 3) * ident
-
-
-def test_dump_and_load_round_trip():
-    fam = orc.isotypical_projectors(2, 2)
-    text = orc.dump_operator(fam[frame(2)])
-    lines = text.splitlines()
-    assert lines[0] == "# tensor-operator d=2 n=2"
-    assert "1 2 1/2" in lines
-    assert orc.load_operator(text) == fam[frame(2)]
-    with pytest.raises(ValueError):
-        orc.load_operator("0 0 1/1\n")

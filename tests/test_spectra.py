@@ -21,6 +21,7 @@ from isotwirl.spectra import (
     xy_entropy_bound,
     xy_optimize,
 )
+from isotwirl.verify import check_tail_bound
 
 
 def test_branching_examples():
@@ -226,23 +227,17 @@ def test_tail_bound_value_and_regime():
     assert channel_tail_bound(frame(8, 0), frame(6, 2), Fraction(1, 4), 8) >= 1
     with pytest.raises(ValueError, match="vacuous"):
         channel_tail_bound(frame(8, 0), frame(7, 1), Fraction(1, 4), 8)
+    with pytest.raises(ValueError, match="more than 2 rows"):
+        channel_tail_bound(frame(6, 0, 0), frame(2, 2, 2), Fraction(1, 10), 6)
+    with pytest.raises(ValueError, match="not n=4"):
+        channel_tail_bound(frame(6), frame(2, 2), Fraction(1, 10), 4)
+    with pytest.raises(ValueError, match="not n=6"):
+        tail_bound_exponent(frame(6), frame(2, 2), Fraction(1, 10), 6)
 
 
 def test_tail_bound_dominates_small_cases():
-    for n in (4, 6):
-        for q in (Fraction(1, 10), Fraction(1, 2), Fraction(7, 10)):
-            frames = enumerate_frames(2, n)
-            for lam in frames:
-                table = channel_output_spectrum(lam, q, 2)
-                for lam_p in frames:
-                    gap = abs(lam.row(0) - lam_p.row(0))
-                    if Fraction(gap, n) <= q:
-                        continue
-                    measured = table.weight(lam_p)
-                    if measured == 0:
-                        continue
-                    log_measured = math.log2(measured.numerator) - math.log2(measured.denominator)
-                    assert log_measured <= tail_bound_exponent(lam, lam_p, q, n) + 1e-12
+    result = check_tail_bound(6, (Fraction(1, 10), Fraction(1, 2), Fraction(7, 10)))
+    assert result.passed, result.failures
 
 
 def test_xy_optimize_examples():
@@ -252,8 +247,12 @@ def test_xy_optimize_examples():
     assert res.x == 1 and res.argmax is not None
     res = xy_optimize(frame(4, 0), frame(2, 2), 3, 1, 2)
     assert res.x == 0 and res.y == 0 and res.argmax is None and res.argmin is None
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="split 1\\+1"):
         xy_optimize(frame(4, 0), frame(3, 1), 1, 1, 2)
+    with pytest.raises(ValueError, match="more than d=1 rows"):
+        xy_optimize(frame(4, 0, 0), frame(3, 1), 2, 2, 1)
+    with pytest.raises(ValueError, match="more than d=2 rows"):
+        xy_optimize(frame(4), frame(2, 1, 1), 2, 2, 2)
 
 
 def test_xy_optimize_extrema_are_attained():
