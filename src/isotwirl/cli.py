@@ -2,6 +2,7 @@
 
 Subcommands: dims, lr, char, horn, spectrum, sweep, xy, verify.
 Exit codes: 0 ok, 1 verification failure, 2 usage, input or I/O error.
+``--format`` is honoured or refused: a format a command does not write exits 2.
 ``main`` is the one error boundary: every ``ValueError`` (``InputError``
 included) and ``OSError`` becomes a one-line ``error:`` message on stderr.
 Identical invocations produce byte-identical output files.
@@ -30,6 +31,7 @@ from .verify import DEFAULT_Q_GRID, SUITES, RunConfig, run_suite
 
 USAGE_ERROR = 2
 VERIFY_FAILURE = 1
+TEXT_OR_JSON = ("text", "json")
 
 
 class InputError(ValueError):
@@ -234,7 +236,8 @@ def _add_global_flags(parser: argparse.ArgumentParser, *, suppress: bool) -> Non
     parser.add_argument("--d", type=int, default=default(2),
                         help="local dimension / frame row budget (default 2)")
     parser.add_argument("--format", choices=["text", "csv", "json"], default=default(None),
-                        help="output format (default: text, csv for tables)")
+                        help="output format: text or json; csv or json for spectrum; csv for "
+                             "sweep; json for verify (default: the first); others exit 2")
     parser.add_argument("--out", default=default(None), help="output file (default stdout)")
     parser.add_argument("--cap-n", type=int, default=default(6),
                         help="size cap for verification sweeps")
@@ -257,19 +260,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dims", help="dimensions and projector trace of a frame", parents=[common])
     p.add_argument("frame")
-    p.set_defaults(fn=cmd_dims)
+    p.set_defaults(fn=cmd_dims, formats=TEXT_OR_JSON)
 
     p = sub.add_parser("lr", help="Littlewood-Richardson coefficient with character cross-check", parents=[common])
     p.add_argument("lam")
     p.add_argument("mu")
     p.add_argument("nu")
     p.add_argument("--witness", action="store_true", help="print the witness tableaux")
-    p.set_defaults(fn=cmd_lr)
+    p.set_defaults(fn=cmd_lr, formats=TEXT_OR_JSON)
 
     p = sub.add_parser("char", help="symmetric-group character at a cycle type", parents=[common])
     p.add_argument("lam")
     p.add_argument("cycles")
-    p.set_defaults(fn=cmd_char)
+    p.set_defaults(fn=cmd_char, formats=TEXT_OR_JSON)
 
     p = sub.add_parser("horn", help="eigenvalue-sum checks for a spectra triple", parents=[common])
     p.add_argument("lam")
@@ -277,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("nu")
     p.add_argument("--basic", action="store_true", help="only the basic inequality family")
     p.add_argument("--feasible", action="store_true", help="only exact feasibility (LR positivity)")
-    p.set_defaults(fn=cmd_horn)
+    p.set_defaults(fn=cmd_horn, formats=TEXT_OR_JSON)
 
     p = sub.add_parser("spectrum", help="output spectrum over isotypical blocks", parents=[common])
     p.add_argument("lam")
@@ -285,24 +288,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None, help="number of maximally mixed sites instead of --q")
     p.add_argument("--unnormalized", action="store_true",
                    help="weights for the unnormalized projector instead of the flat state")
-    p.set_defaults(fn=cmd_spectrum)
+    p.set_defaults(fn=cmd_spectrum, formats=("csv", "json"))
 
     p = sub.add_parser("sweep", help="spectrum table for a grid of depolarising weights", parents=[common])
     p.add_argument("lam")
     p.add_argument("--grid", required=True, help="comma-separated weights, e.g. 0.1,0.2,0.3")
-    p.set_defaults(fn=cmd_sweep)
+    p.set_defaults(fn=cmd_sweep, formats=("csv",))
 
     p = sub.add_parser("xy", help="extremal dimension products over connecting chains", parents=[common])
     p.add_argument("lam")
     p.add_argument("lam_prime")
     p.add_argument("l", type=int)
     p.add_argument("k", type=int)
-    p.set_defaults(fn=cmd_xy)
+    p.set_defaults(fn=cmd_xy, formats=TEXT_OR_JSON)
 
     p = sub.add_parser("verify", help="run a verification suite and emit its JSON report", parents=[common])
     p.add_argument("suite", help="saturation | support | oracle | tail | xybound | all")
     p.add_argument("--grid", default=None, help="override the q grid for the tail suite")
-    p.set_defaults(fn=cmd_verify)
+    p.set_defaults(fn=cmd_verify, formats=("json",))
 
     return parser
 
@@ -311,6 +314,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.format not in (None, *args.formats):
+            raise InputError(f"{args.command} writes {' or '.join(args.formats)}, not {args.format}")
         return args.fn(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

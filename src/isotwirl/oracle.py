@@ -3,13 +3,15 @@
 Everything the fast combinatorial path claims is checked against dense
 operators built here: permutation matrices, isotypical projectors assembled
 from the full character sum over S_n, partial traces, the permutation twirl,
-and the site-wise depolarising channel realized as its subset decomposition.
+and the depolarising channel applied literally, one site at a time.
 
 A :class:`TensorOperator` stores an exact rational matrix as a global
-``Fraction`` scale times a dense integer matrix (numpy object dtype holding
-Python ints), so no rounding can ever occur.  Matrix products route through
-int64 when a safe bound certifies no overflow, falling back to arbitrary
-precision otherwise.
+``Fraction`` scale times a dense integer matrix, so no rounding can ever
+occur.  An integer-dtype matrix is kept as int64; an object-dtype matrix
+(Python ints) gets an int64 copy the first time an int64 route needs one and
+its entries fit.  ``mat`` always gives the Python-int form.  Matrix products,
+Hilbert-Schmidt pairings and the channel run in int64 when a bound on the
+entries certifies no overflow, falling back to arbitrary precision otherwise.
 
 Operators are immutable by convention: no operation mutates its inputs, and
 constructed operators can be shared freely across threads.
@@ -58,61 +60,79 @@ def _index_powers(d: int, n: int) -> np.ndarray:
 class TensorOperator:
     """Dense exact-rational operator: ``scale`` times an integer matrix."""
 
-    __slots__ = ("d", "n", "scale", "mat", "_i64")
+    __slots__ = ("d", "n", "scale", "_obj", "_i64", "_amax")
 
     def __init__(self, d: int, n: int, scale: Fraction, mat: np.ndarray):
         _check_dense_size(d, n)
         dim = d**n
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix shape {mat.shape} does not match {dim}x{dim}")
+        if mat.dtype != object and mat.dtype.kind not in "iu":
+            raise ValueError(f"matrix dtype {mat.dtype} is not exact: pass integers or Python ints")
         self.d = d
         self.n = n
         self.scale = Fraction(scale)
-        self.mat = mat if mat.dtype == object else mat.astype(object)
-        self._i64 = None
+        self._obj = self._i64 = self._amax = None
+        if np.can_cast(mat.dtype, np.int64):
+            self._i64 = mat.astype(np.int64, copy=False)
+        else:
+            self._obj = mat.astype(object, copy=False)
+
+    @property
+    def mat(self) -> np.ndarray:
+        """The integer matrix as Python ints (object dtype), built on first access."""
+        if self._obj is None:
+            self._obj = self._i64.astype(object)
+        return self._obj
+
+    def _array(self) -> np.ndarray:
+        """The stored integer matrix: int64 when held, else Python ints."""
+        return self._obj if self._i64 is None else self._i64
 
     def _int64_view(self) -> tuple[np.ndarray | None, int]:
-        """Cached (int64 copy, max abs entry); copy is None when entries overflow."""
-        if self._i64 is None:
-            amax = int(np.abs(self.mat).max()) if self.mat.size else 0
-            arr = self.mat.astype(np.int64) if amax <= _INT64_MAX else None
-            self._i64 = (arr, amax)
-        return self._i64
+        """Cached (int64 matrix, max abs entry); the matrix is None when an entry overflows."""
+        if self._amax is None:
+            src = self._array()
+            self._amax = max(int(src.max()), -int(src.min())) if src.size else 0
+            if self._i64 is None and self._amax <= _INT64_MAX:
+                self._i64 = self._obj.astype(np.int64)
+        return (self._i64 if self._amax <= _INT64_MAX else None), self._amax
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, d: int, n: int) -> "TensorOperator":
         dim = d**n
-        return cls(d, n, Fraction(0), np.zeros((dim, dim), dtype=object))
+        return cls(d, n, Fraction(0), np.zeros((dim, dim), dtype=np.int64))
 
     @classmethod
     def identity(cls, d: int, n: int) -> "TensorOperator":
         dim = d**n
-        return cls(d, n, Fraction(1), np.identity(dim, dtype=object))
+        return cls(d, n, Fraction(1), np.identity(dim, dtype=np.int64))
 
     @classmethod
     def maximally_mixed(cls, d: int, n: int = 1) -> "TensorOperator":
         dim = d**n
-        return cls(d, n, Fraction(1, dim), np.identity(dim, dtype=object))
+        return cls(d, n, Fraction(1, dim), np.identity(dim, dtype=np.int64))
 
     # -- scalar structure ----------------------------------------------------
 
     def reduced(self) -> "TensorOperator":
         """Fold the integer gcd of the matrix into the scale (canonical form)."""
-        flat = np.abs(self.mat.ravel())
-        g = int(np.gcd.reduce(flat)) if flat.size else 0
+        arr, _ = self._int64_view()
+        src = self.mat if arr is None else arr
+        g = int(np.gcd.reduce(np.abs(src.ravel()))) if src.size else 0
         if g == 0:
             return TensorOperator.zero(self.d, self.n)
         if g == 1:
             return self
-        return TensorOperator(self.d, self.n, self.scale * g, self.mat // g)
+        return TensorOperator(self.d, self.n, self.scale * g, src // g)
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.scale * int(self.mat[i, j])
+        return self.scale * int(self._array()[i, j])
 
     def is_zero(self) -> bool:
-        return self.scale == 0 or not self.mat.any()
+        return self.scale == 0 or not self._array().any()
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -142,7 +162,7 @@ class TensorOperator:
         c = Fraction(c)
         if c == 0:
             return TensorOperator.zero(self.d, self.n)
-        return TensorOperator(self.d, self.n, self.scale * c, self.mat)
+        return TensorOperator(self.d, self.n, self.scale * c, self._array())
 
     def __mul__(self, c: int | Fraction) -> "TensorOperator":
         return self.__rmul__(c)
@@ -151,24 +171,24 @@ class TensorOperator:
         self._compatible(other)
         a64, amax = self._int64_view()
         b64, bmax = other._int64_view()
-        if a64 is not None and b64 is not None and self.mat.shape[1] * amax * bmax <= _INT64_MAX:
-            product = (a64 @ b64).astype(object)
+        if a64 is not None and b64 is not None and a64.shape[1] * amax * bmax <= _INT64_MAX:
+            product = a64 @ b64
         else:
             product = self.mat @ other.mat
         return TensorOperator(self.d, self.n, self.scale * other.scale, product)
 
     def transpose(self) -> "TensorOperator":
-        return TensorOperator(self.d, self.n, self.scale, self.mat.T.copy())
+        return TensorOperator(self.d, self.n, self.scale, self._array().T.copy())
 
     def trace(self) -> Fraction:
-        return self.scale * int(np.trace(self.mat))
+        return self.scale * sum(map(int, self._array().diagonal()))
 
     def hs_product(self, other: "TensorOperator") -> Fraction:
         """Hilbert-Schmidt pairing tr(self @ other) without forming the product."""
         self._compatible(other)
         a64, amax = self._int64_view()
         b64, bmax = other._int64_view()
-        if a64 is not None and b64 is not None and self.mat.size * amax * bmax <= _INT64_MAX:
+        if a64 is not None and b64 is not None and a64.size * amax * bmax <= _INT64_MAX:
             total = int((a64 * b64.T).sum())
         else:
             total = int((self.mat * other.mat.T).sum())
@@ -228,7 +248,7 @@ def perm_operator(tau: Permutation, d: int) -> TensorOperator:
     """0/1 matrix moving the letter at site i to site tau(i); B(s)B(t) = B(st)."""
     _check_dense_size(d, tau.n)
     dim = d**tau.n
-    mat = np.zeros((dim, dim), dtype=object)
+    mat = np.zeros((dim, dim), dtype=np.int64)
     mat[_word_map(tau.images, d), np.arange(dim)] = 1
     return TensorOperator(d, tau.n, Fraction(1), mat)
 
@@ -271,7 +291,7 @@ def _projector_family(d: int, n: int) -> dict[YoungFrame, TensorOperator]:
             chi = character(lam, YoungFrame(key))
             if chi:
                 acc += chi * mat.astype(np.int64)
-        family[lam] = TensorOperator(d, n, Fraction(dim_sym(lam), fact), acc.astype(object))
+        family[lam] = TensorOperator(d, n, Fraction(dim_sym(lam), fact), acc)
     return family
 
 
@@ -348,7 +368,7 @@ def conjugate_by_permutation(a: TensorOperator, tau: Permutation) -> TensorOpera
     if tau.n != a.n:
         raise ValueError("permutation size does not match operator sites")
     g = _word_map(tau.inverse().images, a.d)
-    return TensorOperator(a.d, a.n, a.scale, a.mat[np.ix_(g, g)])
+    return TensorOperator(a.d, a.n, a.scale, a._array()[np.ix_(g, g)])
 
 
 def twirl(a: TensorOperator, *, factorial_cap: int = FACTORIAL_LOOP_CAP) -> TensorOperator:
@@ -369,25 +389,33 @@ def twirl(a: TensorOperator, *, factorial_cap: int = FACTORIAL_LOOP_CAP) -> Tens
 def depolarise_n(a: TensorOperator, q: Fraction | int | str) -> TensorOperator:
     """Apply the depolarising channel with replacement weight ``q`` to every site.
 
-    Realized as the exact subset decomposition: each subset S of sites is
-    traced out and replaced by maximally mixed states, weighted by
-    q^|S| (1-q)^(n-|S|).  ``q`` is the probability that a single site is
-    replaced by the maximally mixed state (q=0 is the identity channel, q=1
-    full depolarisation).
+    ``q`` is the probability that a single site is replaced by the maximally
+    mixed state (q=0 is the identity channel, q=1 full depolarisation).  The
+    n-fold channel is the product of its one-site channels, applied one site
+    at a time.  With q = a/b, site s maps the integer matrix M to
+    (b-a) d M + a (tr_s M tensor 1 at s) and divides the scale by b d.  Each
+    pass multiplies the largest entry by at most b d, so the passes run in
+    int64 when max(max|M|, 1) (b d)^n fits (the 1 keeps the scalars b d in
+    range on a zero matrix), and in Python ints otherwise.
     """
     q = Fraction(q)
     if not 0 <= q <= 1:
         raise ValueError(f"depolarising weight must lie in [0, 1], got {q}")
-    n = a.n
-    total = TensorOperator.zero(a.d, n)
-    for k in range(n + 1):
-        w = q**k * (1 - q) ** (n - k)
-        if w == 0:
-            continue
-        for subset in itertools.combinations(range(n), k):
-            reduced_op = a.partial_trace(subset)
-            total = total + w * insert_maximally_mixed(reduced_op, subset, n)
-    return total.reduced()
+    d, n = a.d, a.n
+    growth = q.denominator * d
+    mat, amax = a._int64_view()
+    if mat is None or max(amax, 1) * growth**n > _INT64_MAX:
+        mat = a.mat
+    keep = (q.denominator - q.numerator) * d
+    for site in range(n):
+        left, right = d**site, d ** (n - site - 1)
+        blocks = mat.reshape(left, d, right, left, d, right)
+        mixed = q.numerator * np.trace(blocks, axis1=1, axis2=4)  # axes (left, right, left, right)
+        out = keep * blocks
+        for i in range(d):
+            out[:, i, :, :, i, :] += mixed
+        mat = out.reshape(mat.shape)
+    return TensorOperator(d, n, a.scale / growth**n, mat).reduced()
 
 
 def overlap(lam_prime: YoungFrame, a: TensorOperator, *, factorial_cap: int = FACTORIAL_LOOP_CAP) -> Fraction:

@@ -15,9 +15,9 @@ Five suites, each a list of named checks over a configurable size range:
   far-away weight, and the output mode matches between fast path and oracle.
 * ``xybound``    - the entropy bound on the extremal dimension products.
 
-Every check that an acceptance criterion states is a ``check_*`` function
-that takes its sizes as arguments: the suites call it with sizes derived from
-:class:`RunConfig`, and the acceptance tests call it at the criterion's sizes.
+Every check that a test also states is a ``check_*`` function that takes its
+sizes as arguments: the suites call it with sizes derived from
+:class:`RunConfig`, and the tests call it at their own sizes.
 
 Reports are deterministic: no timestamps, fixed iteration orders, failures
 truncated to the first five, and JSON dumped with sorted keys.  Two runs with
@@ -239,33 +239,41 @@ def check_horn_inequalities(d: int, n_max: int) -> list[CheckResult]:
     return [necessity.result(), feasibility.result()]
 
 
-def suite_saturation(cfg: RunConfig) -> list[CheckResult]:
-    dims = check_dimension_identity([(d, cfg.n_max) for d in range(2, cfg.d_max + 1)])
-    lr_checks = check_lr_coefficients(cfg.d_max, cfg.n_max)
-    horn_checks = check_horn_inequalities(cfg.d_max, cfg.n_max)
-
+def check_two_row_multiplicity_free(n_max: int) -> CheckResult:
+    """c^lam_{mu nu} is 0 or 1 for every two-row triple with n <= n_max."""
     tworow = _Collector("lr_two_row_multiplicity_free")
-    for lam, mu, nu in _lr_triples(2, min(cfg.n_max + 4, 10)):
+    for lam, mu, nu in _lr_triples(2, n_max):
         c = lr_coefficient(lam, mu, nu)
         tworow.record(c in (0, 1), "c^{}_{},{} = {}", lam, mu, nu, c)
+    return tworow.result()
 
+
+def check_entropy_bounds(pinsker_grid: tuple[Fraction, ...], k_max: int) -> CheckResult:
+    """Pinsker on all pairs of ``pinsker_grid``; dim F_gamma <= 2**(k h(gamma_1/k)) for two-row k <= k_max."""
     entropy = _Collector("pinsker_and_dimension_entropy_bound")
-    grid = [Fraction(i, 8) for i in range(0, 9)]
-    for r0 in grid:
-        for s0 in grid:
+    for r0 in pinsker_grid:
+        for s0 in pinsker_grid:
             r, s = ProbabilityPair(r0), ProbabilityPair(s0)
             dv = rel_entropy(r, s)
             lhs = l1_distance(r, s) ** 2 / (2 * math.log(2))
             entropy.record(dv >= lhs - 1e-12, "Pinsker fails at r0={} s0={}", r0, s0)
-    for k in range(1, 13):
+    for k in range(1, k_max + 1):
         for gamma in enumerate_frames(2, k):
             bound = 2.0 ** (k * binary_entropy(Fraction(gamma.row(0), k)))
             entropy.record(
                 dim_sym(gamma) <= bound * (1 + 1e-12),
                 "dim bound fails at {} k={}", gamma, k,
             )
+    return entropy.result()
 
-    return [dims, *lr_checks, *horn_checks, tworow.result(), entropy.result()]
+
+def suite_saturation(cfg: RunConfig) -> list[CheckResult]:
+    dims = check_dimension_identity([(d, cfg.n_max) for d in range(2, cfg.d_max + 1)])
+    lr_checks = check_lr_coefficients(cfg.d_max, cfg.n_max)
+    horn_checks = check_horn_inequalities(cfg.d_max, cfg.n_max)
+    tworow = check_two_row_multiplicity_free(min(cfg.n_max + 4, 10))
+    entropy = check_entropy_bounds(tuple(Fraction(i, 8) for i in range(0, 9)), 12)
+    return [dims, *lr_checks, *horn_checks, tworow, entropy]
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +338,24 @@ def check_projector_domination(n_max: int) -> CheckResult:
     return psd.result()
 
 
+def check_chains_disjoint_outside_window(sizes: list[tuple[int, int]]) -> CheckResult:
+    """No branching chain joins lam to lam' outside the window, for each (d, n_max)."""
+    chains = _Collector("branching_chains_disjoint_outside_window")
+    for d, n_max in sizes:
+        for n in range(1, n_max + 1):
+            frames = enumerate_frames(d, n)
+            for lam in frames:
+                for lam_p in frames:
+                    for k in range(0, n + 1):
+                        if within_support_window(lam, lam_p, d, k):
+                            continue
+                        chains.record(
+                            branching_disjoint(lam, lam_p, n - k, k, d),
+                            "d={} lam={} lam'={} k={}: common chain exists", d, lam, lam_p, k,
+                        )
+    return chains.result()
+
+
 def suite_support(cfg: RunConfig) -> list[CheckResult]:
     dense = check_dense_overlap_outside_window(_dense_sizes(cfg))
 
@@ -347,19 +373,9 @@ def suite_support(cfg: RunConfig) -> list[CheckResult]:
                                 "d={} lam={} lam'={} k={}: engine weight nonzero", d, lam, lam_p, k,
                             )
 
-    chains = _Collector("branching_chains_disjoint_outside_window")
-    for d in range(2, cfg.d_max + 1):
-        for n in range(1, min(cfg.n_max, 7) + 1):
-            frames = enumerate_frames(d, n)
-            for lam in frames:
-                for lam_p in frames:
-                    for k in range(0, n + 1):
-                        if within_support_window(lam, lam_p, d, k):
-                            continue
-                        chains.record(
-                            branching_disjoint(lam, lam_p, n - k, k, d),
-                            "d={} lam={} lam'={} k={}: common chain exists", d, lam, lam_p, k,
-                        )
+    chains = check_chains_disjoint_outside_window(
+        [(d, min(cfg.n_max, 7)) for d in range(2, cfg.d_max + 1)]
+    )
 
     # Support growth across k is an empirical observation, not a proven
     # statement: violations are counted and reported, never asserted.
@@ -386,7 +402,7 @@ def suite_support(cfg: RunConfig) -> list[CheckResult]:
     growth.info["violation_count"] = violation_count
 
     psd = check_projector_domination(min(cfg.n_max, 6))
-    return [dense, engine.result(), chains.result(), growth.result(), psd]
+    return [dense, engine.result(), chains, growth.result(), psd]
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +501,23 @@ def check_fast_path_against_oracle(
     return [route.result(), fast_twirl.result(), fast_channel.result()]
 
 
+def check_branching_table(sizes: list[tuple[int, int]]) -> CheckResult:
+    """tr over the last k sites of P_lam equals its branching table's projector sum, for each (d, n_max)."""
+    branching = _Collector("branching_table_matches_dense_partial_trace")
+    for d, n_max in sizes:
+        for n in range(1, n_max + 1):
+            family = orc.isotypical_projectors(d, n)
+            small = {m: orc.isotypical_projectors(d, m) for m in range(0, n + 1)}
+            for lam in enumerate_frames(d, n):
+                for k, dense in enumerate(dense_reductions(family[lam])):
+                    table = partial_trace_decomposition(lam, k, d)
+                    recon = orc.TensorOperator.zero(d, n - k)
+                    for mu, w in table.projector_weights().items():
+                        recon = recon + w * small[n - k][mu]
+                    branching.record(dense == recon, "d={} lam={} k={}", d, lam, k)
+    return branching.result()
+
+
 def suite_oracle(cfg: RunConfig) -> list[CheckResult]:
     rng = random.Random(cfg.seed)
 
@@ -565,21 +598,9 @@ def suite_oracle(cfg: RunConfig) -> list[CheckResult]:
         mixed.partial_trace([2, 3]).trace(), mixed.trace(), "mixed-padded trace"
     )
 
-    branching = _Collector("branching_table_matches_dense_partial_trace")
-    for d, hard in ((2, 6), (3, 5)):
-        if d > cfg.d_max:
-            continue
-        for n in range(1, min(cfg.n_max, hard) + 1):
-            family = orc.isotypical_projectors(d, n)
-            small = {m: orc.isotypical_projectors(d, m) for m in range(0, n + 1)}
-            for lam in enumerate_frames(d, n):
-                for k in range(0, n + 1):
-                    dense = family[lam].partial_trace(range(n - k, n))
-                    table = partial_trace_decomposition(lam, k, d)
-                    recon = orc.TensorOperator.zero(d, n - k)
-                    for mu, w in table.projector_weights().items():
-                        recon = recon + w * small[n - k][mu]
-                    branching.record(dense == recon, "d={} lam={} k={}", d, lam, k)
+    branching = check_branching_table(
+        [(d, min(cfg.n_max, hard)) for d, hard in ((2, 6), (3, 5)) if d <= cfg.d_max]
+    )
 
     twirl_checks = _Collector("twirl_properties")
     for d, hard in ((2, 6), (3, 4)):
@@ -652,13 +673,15 @@ def suite_oracle(cfg: RunConfig) -> list[CheckResult]:
                     padded = orc.tensor_with_maximally_mixed(reduced, k)
                     recon = recon + w * orc.twirl(padded)
                 channel.record(
-                    literal == recon, "d={} lam={} q={}: subset sum != binomial twirl sum", d, lam, q
+                    literal == recon, "d={} lam={} q={}: channel != binomial twirl sum", d, lam, q
                 )
 
     q_values = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
     fast_path = check_fast_path_against_oracle(_dense_sizes(cfg), q_values)
-    checks = (algebra, rep, commute, reduction_checks, branching, twirl_checks, pair_expansion, channel)
-    return [c.result() for c in checks] + fast_path
+    return [
+        algebra.result(), rep.result(), commute.result(), reduction_checks.result(), branching,
+        twirl_checks.result(), pair_expansion.result(), channel.result(), *fast_path,
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,18 @@
 """Independent brute-force oracles used only by the tests.
 
 Everything here is deliberately naive (exhaustive enumeration, no shared code
-paths with the package beyond the YoungFrame container) so that agreement with
-the package is meaningful.
+paths with the package beyond the YoungFrame container and, for the channel,
+the oracle's partial trace and site insertion) so that agreement with the
+package is meaningful.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from isotwirl.frames import YoungFrame
+from isotwirl.oracle import TensorOperator, insert_maximally_mixed
 
 
 def count_standard_tableaux(lam: YoungFrame) -> int:
@@ -136,3 +139,21 @@ def is_lattice_word(word: list[int]) -> bool:
         if v > 1 and counts.get(v, 0) > counts.get(v - 1, 0):
             return False
     return True
+
+
+def depolarise_by_subsets(a: TensorOperator, q: Fraction) -> TensorOperator:
+    """The n-fold depolarising channel as its literal 2^n subset decomposition.
+
+    Each subset S of sites is traced out and replaced by maximally mixed
+    states, weighted by q^|S| (1-q)^(n-|S|).
+    """
+    q = Fraction(q)
+    n = a.n
+    total = TensorOperator.zero(a.d, n)
+    for k in range(n + 1):
+        w = q**k * (1 - q) ** (n - k)
+        if w == 0:
+            continue
+        for subset in itertools.combinations(range(n), k):
+            total = total + w * insert_maximally_mixed(a.partial_trace(subset), subset, n)
+    return total.reduced()

@@ -73,7 +73,7 @@ def test_c04_fast_path_equals_dense_oracle():
                     for lam_p in enumerate_frames(d, n):
                         assert table.weight(lam_p) == family[lam_p].hs_product(dense_out)
 
-    # subset-sum channel equals the binomial sum of twirled reductions
+    # the literal channel equals the binomial sum of twirled reductions
     # (the identity that lets the full-size check below use dense reductions)
     for d, n in ((2, 6), (3, 4)):
         family = orc.isotypical_projectors(d, n)

@@ -176,6 +176,14 @@ def test_output_files_byte_identical(tmp_path: Path):
         (("spectrum", "4,0", "--q", "1/2", "--out", "{missing}/x.csv"), 2),
         (("char", "2,1", "3", "--out", "{missing}/y"), 2),
         (("verify", "tail", "--cap-n", "4", "--out", "{missing}/z.json"), 2),
+        (("dims", "2,1", "--format", "csv"), 2),
+        (("char", "2,1", "3", "--format", "csv"), 2),
+        (("lr", "2", "1", "1", "--format", "csv"), 2),
+        (("horn", "2,1", "1", "1,1", "--format", "csv"), 2),
+        (("xy", "4,0", "3,1", "2", "2", "--format", "csv"), 2),
+        (("verify", "xybound", "--cap-n", "2", "--format", "csv"), 2),
+        (("sweep", "4,0", "--grid", "0.5", "--format", "json"), 2),
+        (("spectrum", "4,0", "--k", "1", "--format", "text"), 2),
     ],
 )
 def test_exit_codes_without_traceback(tmp_path: Path, args, code):

@@ -5,7 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from isotwirl.frames import dim_sym, dim_unitary, enumerate_frames, frame
+from bruteforce import depolarise_by_subsets
+from isotwirl.frames import dim_sym, dim_unitary, frame
 from isotwirl.symmetric_group import Permutation, enumerate_group
 from isotwirl import oracle as orc
 
@@ -188,6 +189,42 @@ def test_depolarise_edges_and_trace():
         orc.depolarise_n(a, Fraction(3, 2))
 
 
+def test_depolarise_matches_subset_sum():
+    # entries up to 5 and 10**15 fit the int64 bound for some (d, n, q), entries
+    # near 2**62 never do, so both routes of the channel meet the reference
+    rng = random.Random(8)
+    qs = (Fraction(0), Fraction(1), Fraction(1, 3), Fraction(5, 7), Fraction(11, 12))
+    for d, n_max in ((2, 5), (3, 3), (4, 2)):
+        for n in range(1, n_max + 1):
+            for bound in (5, 10**15, 2**62):
+                dim = d**n
+                mat = np.array([[rng.randint(-bound, bound) for _ in range(dim)] for _ in range(dim)],
+                               dtype=object)
+                a = orc.TensorOperator(d, n, Fraction(1, rng.randint(1, 9)), mat)
+                for q in qs:
+                    assert orc.depolarise_n(a, q) == depolarise_by_subsets(a, q), (d, n, bound, q)
+
+
+def test_int64_and_object_matrices_agree():
+    rng = random.Random(9)
+    for bound in (5, 2**62):
+        obj = np.array([[rng.randint(-bound, bound) for _ in range(8)] for _ in range(8)], dtype=object)
+        from_obj = orc.TensorOperator(2, 3, Fraction(2, 3), obj)
+        from_i64 = orc.TensorOperator(2, 3, Fraction(2, 3), obj.astype(np.int64))
+        assert from_obj == from_i64
+        assert from_obj.mat.dtype == object and from_i64.mat.dtype == object
+        assert from_obj.reduced() == from_i64.reduced()
+        assert orc.depolarise_n(from_obj, Fraction(1, 3)) == orc.depolarise_n(from_i64, Fraction(1, 3))
+
+
+def test_inexact_matrices_rejected():
+    with pytest.raises(ValueError):
+        orc.TensorOperator(2, 1, Fraction(1), np.array([[0.5, 0], [0, 0.5]]))
+    for dtype in (np.float32, np.complex128, np.bool_):
+        with pytest.raises(ValueError):
+            orc.TensorOperator(2, 1, Fraction(1), np.identity(2, dtype=dtype))
+
+
 def test_depolarise_preserves_psd():
     rng = random.Random(7)
     r = rand_op(rng, 2, 2)
@@ -197,7 +234,7 @@ def test_depolarise_preserves_psd():
 
 
 def test_depolarise_binomial_twirl_decomposition():
-    # On permutation-invariant input the subset sum collapses to binomial
+    # On permutation-invariant input the channel collapses to binomial
     # weights times twirled contiguous reductions.
     for d, n in ((2, 4), (3, 3)):
         fam = orc.isotypical_projectors(d, n)

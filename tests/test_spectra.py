@@ -21,7 +21,7 @@ from isotwirl.spectra import (
     xy_entropy_bound,
     xy_optimize,
 )
-from isotwirl.verify import check_tail_bound
+from isotwirl.verify import check_branching_table, check_tail_bound
 
 
 def test_branching_examples():
@@ -36,17 +36,8 @@ def test_branching_examples():
 
 
 def test_branching_matches_dense_partial_trace():
-    for d, n_max in ((2, 5), (3, 4)):
-        for n in range(1, n_max + 1):
-            fam = orc.isotypical_projectors(d, n)
-            small = {m: orc.isotypical_projectors(d, m) for m in range(n + 1)}
-            for lam in enumerate_frames(d, n):
-                for k in range(n + 1):
-                    dense = fam[lam].partial_trace(range(n - k, n))
-                    recon = orc.TensorOperator.zero(d, n - k)
-                    for mu, w in partial_trace_decomposition(lam, k, d).projector_weights().items():
-                        recon = recon + w * small[n - k][mu]
-                    assert dense == recon
+    result = check_branching_table([(2, 5), (3, 4)])
+    assert result.passed, result.failures
 
 
 def test_paired_block_overlap_examples():
