@@ -1,17 +1,21 @@
 """Brute-force exact-rational operators on (C^d)^(x n): the ground truth.
 
 Everything the fast combinatorial path claims is checked against dense
-operators built here: permutation matrices, isotypical projectors assembled
-from the full character sum over S_n, partial traces, the permutation twirl,
-and the depolarising channel applied literally, one site at a time.
+operators built here: permutation matrices, isotypical projectors built as
+polynomials in two central elements of the group algebra of S_n (the sums of
+all transpositions and of all 3-cycles, whose eigenvalues are content sums),
+partial traces, the permutation twirl, and the depolarising channel applied
+literally, one site at a time.  The projectors use no LR coefficient, skew
+count or character, so the oracle stays independent of the fast path.
 
 A :class:`TensorOperator` stores an exact rational matrix as a global
 ``Fraction`` scale times a dense integer matrix, so no rounding can ever
 occur.  An integer-dtype matrix is kept as int64; an object-dtype matrix
 (Python ints) gets an int64 copy the first time an int64 route needs one and
-its entries fit.  ``mat`` always gives the Python-int form.  Matrix products,
-Hilbert-Schmidt pairings and the channel run in int64 when a bound on the
-entries certifies no overflow, falling back to arbitrary precision otherwise.
+its entries fit.  ``mat`` always gives the Python-int form.  Sums, equality,
+matrix products, Hilbert-Schmidt pairings, partial traces and the channel run
+in int64 when a bound on the entries certifies no overflow, falling back to
+arbitrary precision otherwise.
 
 Operators are immutable by convention: no operation mutates its inputs, and
 constructed operators can be shared freely across threads.
@@ -22,15 +26,16 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from functools import cache, lru_cache
-from typing import Iterable, Sequence
+from functools import cache, lru_cache, partial
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .frames import YoungFrame, dim_sym, enumerate_frames
-from .symmetric_group import Permutation, cycle_lengths
+from .frames import YoungFrame, enumerate_frames
+from .symmetric_group import Permutation
 
-# Hard default caps: dense dimension d^n, and n for loops over all n! permutations.
+# Hard default caps: dense dimension d^n, and n for the projector family and for
+# loops over all n! permutations.
 DIMENSION_CAP = 6561
 FACTORIAL_LOOP_CAP = 8
 
@@ -42,6 +47,11 @@ def _check_dense_size(d: int, n: int) -> None:
         raise ValueError(f"invalid local dimension/site count ({d}, {n})")
     if d**n > DIMENSION_CAP:
         raise ValueError(f"dense dimension {d}**{n} exceeds cap {DIMENSION_CAP}")
+
+
+def _amax(a: np.ndarray) -> int:
+    """Largest entry modulus of an integer matrix (0 when empty)."""
+    return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
 @cache
@@ -92,8 +102,7 @@ class TensorOperator:
     def _int64_view(self) -> tuple[np.ndarray | None, int]:
         """Cached (int64 matrix, max abs entry); the matrix is None when an entry overflows."""
         if self._amax is None:
-            src = self._array()
-            self._amax = max(int(src.max()), -int(src.min())) if src.size else 0
+            self._amax = _amax(self._array())
             if self._i64 is None and self._amax <= _INT64_MAX:
                 self._i64 = self._obj.astype(np.int64)
         return (self._i64 if self._amax <= _INT64_MAX else None), self._amax
@@ -131,10 +140,15 @@ class TensorOperator:
     def entry(self, i: int, j: int) -> Fraction:
         return self.scale * int(self._array()[i, j])
 
-    def is_zero(self) -> bool:
-        return self.scale == 0 or not self._array().any()
-
     # -- arithmetic ----------------------------------------------------------
+
+    def _scaled_pair(self, a: int, other: "TensorOperator", b: int) -> tuple[np.ndarray, np.ndarray]:
+        """a times this matrix and b times the other's, in int64 when |a| max|A| + |b| max|B| fits."""
+        a64, amax = self._int64_view()
+        b64, bmax = other._int64_view()
+        if a64 is not None and b64 is not None and abs(a) * max(amax, 1) + abs(b) * max(bmax, 1) <= _INT64_MAX:
+            return a * a64, b * b64
+        return a * self.mat, b * other.mat
 
     def _compatible(self, other: "TensorOperator") -> None:
         if (self.d, self.n) != (other.d, other.n):
@@ -153,7 +167,8 @@ class TensorOperator:
         )
         a = int(self.scale / s)
         b = int(other.scale / s)
-        return TensorOperator(self.d, self.n, s, a * self.mat + b * other.mat)
+        x, y = self._scaled_pair(a, other, b)
+        return TensorOperator(self.d, self.n, s, x + y)
 
     def __sub__(self, other: "TensorOperator") -> "TensorOperator":
         return self + (-1) * other
@@ -176,9 +191,6 @@ class TensorOperator:
         else:
             product = self.mat @ other.mat
         return TensorOperator(self.d, self.n, self.scale * other.scale, product)
-
-    def transpose(self) -> "TensorOperator":
-        return TensorOperator(self.d, self.n, self.scale, self._array().T.copy())
 
     def trace(self) -> Fraction:
         return self.scale * sum(map(int, self._array().diagonal()))
@@ -209,25 +221,32 @@ class TensorOperator:
             return False
         a = self.scale.numerator * other.scale.denominator
         b = other.scale.numerator * self.scale.denominator
-        return bool(np.array_equal(a * self.mat, b * other.mat))
+        return bool(np.array_equal(*self._scaled_pair(a, other, b)))
 
     # -- site-structure operations --------------------------------------------
 
     def partial_trace(self, sites: Iterable[int]) -> "TensorOperator":
-        """Trace out the given 0-based sites; remaining sites keep their order."""
+        """Trace out the given 0-based sites; remaining sites keep their order.
+
+        Each output entry sums d^(number of traced sites) input entries, so the
+        trace runs on the int64 matrix when max|entry| times that count fits.
+        """
         sites = sorted(set(sites))
         if any(s < 0 or s >= self.n for s in sites):
             raise ValueError(f"sites {sites} outside range(0, {self.n})")
         if not sites:
             return self
         d, n = self.d, self.n
-        tensor = self.mat.reshape((d,) * (2 * n))
+        arr, amax = self._int64_view()
+        if arr is None or amax * d ** len(sites) > _INT64_MAX:
+            arr = self.mat
+        tensor = arr.reshape((d,) * (2 * n))
         cur = n
         for s in reversed(sites):
             tensor = np.trace(tensor, axis1=s, axis2=cur + s)
             cur -= 1
         m = n - len(sites)
-        tensor = np.asarray(tensor, dtype=object).reshape((d**m, d**m))
+        tensor = np.asarray(tensor, dtype=arr.dtype).reshape((d**m, d**m))
         return TensorOperator(d, m, self.scale, tensor)
 
 
@@ -256,55 +275,170 @@ def perm_operator(tau: Permutation, d: int) -> TensorOperator:
 # -- isotypical projectors -------------------------------------------------------
 
 
-def _class_sum_matrices(d: int, n: int) -> dict[tuple[int, ...], np.ndarray]:
-    """Sum of permutation matrices over each conjugacy class, as int32 counts.
+def _int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact a @ b of integer matrices: int64 when m max|a| max|b| fits, else Python ints."""
+    if a.dtype != object and b.dtype != object and a.shape[1] * _amax(a) * _amax(b) <= _INT64_MAX:
+        return a @ b
+    return a.astype(object) @ b.astype(object)
 
-    Conjugacy classes are closed under inversion, so gathering by tau instead
-    of tau^{-1} sums the same set of matrices.
+
+def central_eigenvalues(lam: YoungFrame) -> tuple[int, int]:
+    """Scalars by which T and C3 act on the lam isotypical block.
+
+    T is the sum of all transpositions and C3 the sum of all 3-cycles.  T acts
+    as the content sum c(lam), the sum of (column - row) over the boxes of lam
+    (Jucys, Murphy; Okounkov-Vershik, arXiv:math/0503040).  The squares of the
+    Jucys-Murphy elements sum to C3 + C(n, 2), so C3 acts as the sum of squared
+    contents minus C(n, 2).
     """
-    dim = d**n
-    digits = _word_digits(d, n)
-    powers = _index_powers(d, n)
-    cols = np.arange(dim)
-    sums: dict[tuple[int, ...], np.ndarray] = {}
-    for images in itertools.permutations(range(n)):
-        key = cycle_lengths(images)
-        mat = sums.get(key)
-        if mat is None:
-            mat = np.zeros((dim, dim), dtype=np.int32)
-            sums[key] = mat
-        rows = digits[:, images] @ powers
-        mat[rows, cols] += 1
-    return sums
+    contents = [j - i for i, row in enumerate(lam.reduced) for j in range(row)]
+    return sum(contents), sum(c * c for c in contents) - math.comb(lam.n, 2)
+
+
+def _cycle_class_maps(d: int, n: int, length: int) -> np.ndarray:
+    """Word maps of every cycle of the given length on n sites, one row each."""
+    maps = []
+    for sites in itertools.combinations(range(n), length):
+        for rest in itertools.permutations(sites[1:]):
+            images = list(range(n))
+            cycle = (sites[0],) + rest
+            for i, j in zip(cycle, cycle[1:] + cycle[:1]):
+                images[i] = j
+            maps.append(_word_map(tuple(images), d))
+    return np.array(maps, dtype=np.int64).reshape(-1, d**n)
+
+
+def _class_block(maps: np.ndarray, words: np.ndarray, local: np.ndarray) -> np.ndarray:
+    """The class sum restricted to a letter-count block; ``local`` numbers its words 0..m-1."""
+    m = len(words)
+    rows = local[maps[:, words]]
+    return np.bincount((rows * m + np.arange(m)).ravel(), minlength=m * m).reshape(m, m)
+
+
+def _lagrange_idempotents(mat: np.ndarray, values: list[int]) -> list[tuple[np.ndarray, int]]:
+    """(N_i, D_i) with N_i / D_i = prod over j != i of (mat - v_j) / (v_i - v_j).
+
+    For a diagonalisable ``mat`` whose eigenvalues lie in the distinct
+    ``values``, N_i / D_i projects onto the v_i eigenspace.  Each N_i is a
+    polynomial in ``mat``, summed from its powers, which are computed once.
+    """
+    powers = [np.identity(mat.shape[0], dtype=np.int64), mat][: len(values)]
+    for _ in range(len(values) - 2):
+        powers.append(_int_matmul(powers[-1], mat))
+    bounds = [max(_amax(p), 1) for p in powers]
+    out = []
+    for i, v in enumerate(values):
+        coeffs, den = [1], 1  # coefficients of prod (x - u), lowest degree first
+        for u in values[:i] + values[i + 1 :]:
+            coeffs = [a - u * b for a, b in zip([0] + coeffs, coeffs + [0])]
+            den *= v - u
+        terms = powers
+        if sum(abs(c) * b for c, b in zip(coeffs, bounds)) > _INT64_MAX:
+            terms = [p.astype(object) for p in powers]
+        out.append((sum(c * p for c, p in zip(coeffs, terms)), den))
+    return out
+
+
+def _block_projectors(
+    frames: list[YoungFrame], block: Callable[[int], np.ndarray]
+) -> dict[YoungFrame, tuple[np.ndarray, int]]:
+    """Lowest-terms (N, D) with P_lam = N / D on one letter-count block, for the frames in it.
+
+    ``block(2)`` and ``block(3)`` give T and C3 on the block.  The Lagrange
+    product over content sums projects onto P_lam, or onto the sum of the P_mu
+    sharing lam's content sum; a second product over the C3 eigenvalues splits
+    such a collision.  The two eigenvalues together tell apart the frames of
+    every YF(d, n) the caps allow.
+    """
+    groups: dict[int, list[YoungFrame]] = {}
+    for lam in frames:
+        groups.setdefault(central_eigenvalues(lam)[0], []).append(lam)
+    out = {}
+    for (num, den), group in zip(_lagrange_idempotents(block(2), list(groups)), groups.values()):
+        if len(group) == 1:
+            out[group[0]] = (num, den)
+            continue
+        split = [central_eigenvalues(lam)[1] for lam in group]
+        for lam, (snum, sden) in zip(group, _lagrange_idempotents(block(3), split)):
+            out[lam] = (_int_matmul(num, snum), den * sden)
+    for lam, (num, den) in out.items():
+        g = math.gcd(int(np.gcd.reduce(np.abs(num.ravel()))), den) * (1 if den > 0 else -1)
+        out[lam] = (num // g, den // g)
+    return out
+
+
+def _dominates(lam: YoungFrame, part: tuple[int, ...]) -> bool:
+    return all(a >= b for a, b in zip(itertools.accumulate(lam.padded(len(part))), itertools.accumulate(part)))
 
 
 @lru_cache(maxsize=4)
 def _projector_family(d: int, n: int) -> dict[YoungFrame, TensorOperator]:
-    from .symmetric_group import character  # local import avoids cycle at module load
+    """The family from central elements, one letter-count block at a time.
 
-    fact = math.factorial(n)
-    sums = _class_sum_matrices(d, n)
+    Permutations keep a word's letter histogram, so every P_lam is block
+    diagonal over the histograms, and P_lam is nonzero on a block exactly when
+    lam dominates its sorted histogram (Kostka number > 0).  Relabelling the
+    letters commutes with S_n, so the products are taken once per sorted
+    histogram, on the block whose histogram is decreasing, and gathered onto
+    its relabellings.  Each P_lam is one int64 matrix over the lcm L of its
+    block denominators.  Its entries L P_ij have modulus at most L, as an
+    orthogonal projector's entries have modulus at most 1, and L divides n!,
+    as n! P_lam is an integer matrix, so they fit for every n the caps allow.
+    The gcd g of those entries is taken block by block, so the operator
+    g/L times (L P / g) is already in the canonical form ``reduced`` gives.
+    """
+    dim = d**n
+    digits = _word_digits(d, n)
+    counts = np.stack([(digits == a).sum(axis=1) for a in range(d)], axis=1)
+    keys = counts @ (n + 1) ** np.arange(d)
+    order = np.argsort(keys, kind="stable")
+    blocks = np.split(order, np.flatnonzero(np.diff(keys[order])) + 1)
+    local = np.empty(dim, dtype=np.int64)
+    for words in blocks:
+        local[words] = np.arange(len(words))
+    cycle_maps = cache(partial(_cycle_class_maps, d, n))
+
+    frames = enumerate_frames(d, n)
+    canonical: dict[tuple[int, ...], dict[YoungFrame, tuple[np.ndarray, int]]] = {}
+    for words in blocks:
+        hist = tuple(int(c) for c in counts[words[0]])
+        if list(hist) == sorted(hist, reverse=True):
+            canonical[hist] = _block_projectors(
+                [lam for lam in frames if _dominates(lam, hist)],
+                lambda length: _class_block(cycle_maps(length), words, local),
+            )
+
+    pieces: dict[YoungFrame, list[tuple[np.ndarray, np.ndarray, int]]] = {lam: [] for lam in frames}
+    for words in blocks:
+        hist = counts[words[0]]
+        relabel = np.empty(d, dtype=np.int64)
+        relabel[np.argsort(-hist, kind="stable")] = np.arange(d)
+        gather = local[relabel[digits[words]] @ _index_powers(d, n)]
+        for lam, (num, den) in canonical[tuple(sorted(map(int, hist), reverse=True))].items():
+            pieces[lam].append((words, num[np.ix_(gather, gather)], den))
     family: dict[YoungFrame, TensorOperator] = {}
-    for lam in enumerate_frames(d, n):
-        acc = np.zeros((d**n, d**n), dtype=np.int64)
-        for key, mat in sums.items():
-            chi = character(lam, YoungFrame(key))
-            if chi:
-                acc += chi * mat.astype(np.int64)
-        family[lam] = TensorOperator(d, n, Fraction(dim_sym(lam), fact), acc)
+    for lam, parts in pieces.items():
+        lcm = math.lcm(*(den for _, _, den in parts))
+        g = math.gcd(*(lcm // den * int(np.gcd.reduce(np.abs(num.ravel()))) for _, num, den in parts))
+        mat = np.zeros((dim, dim), dtype=np.int64)
+        for words, num, den in parts:
+            mat[np.ix_(words, words)] = num * (lcm // den) // g
+        family[lam] = TensorOperator(d, n, Fraction(g, lcm), mat)
     return family
 
 
 def isotypical_projectors(
     d: int, n: int, *, factorial_cap: int = FACTORIAL_LOOP_CAP
 ) -> dict[YoungFrame, TensorOperator]:
-    """All isotypical projectors P_lam for lam in YF_{d,n}, built in one sweep.
+    """All isotypical projectors P_lam for lam in YF_{d,n}, in ``enumerate_frames`` order.
 
-    Each projector is the central idempotent (dim F_lam / n!) * sum over tau of
-    chi_lam(tau) B(tau), assembled from per-class permutation-matrix sums and
-    the memoized character table.  The n! sweep is refused above
-    ``factorial_cap`` (default 8); callers that genuinely need more pass a
-    larger cap explicitly.
+    T, the sum of all transpositions, acts on the lam block as the content sum
+    c(lam), so P_lam = prod over mu != lam of (T - c(mu)) / (c(lam) - c(mu)),
+    the product running over the frames present in a letter-count block.
+    Where two frames share a content sum the 3-cycle class sum splits them
+    (see :func:`central_eigenvalues`).  Building T takes n(n-1)/2 index
+    gathers, not a sweep over all n! permutations; the ``factorial_cap``
+    (default 8) still refuses larger n unless a caller raises it explicitly.
     """
     _check_dense_size(d, n)
     if n > factorial_cap:
@@ -322,7 +456,7 @@ def isotypical_projector(
 
 
 def clear_projector_cache() -> None:
-    """Drop cached projector families (the n=10 family holds ~200 MB)."""
+    """Drop cached projector families (the d=2 n=10 family holds 48 MB of int64 matrices)."""
     _projector_family.cache_clear()
 
 

@@ -1,18 +1,23 @@
 """Independent brute-force oracles used only by the tests.
 
 Everything here is deliberately naive (exhaustive enumeration, no shared code
-paths with the package beyond the YoungFrame container and, for the channel,
-the oracle's partial trace and site insertion) so that agreement with the
-package is meaningful.
+paths with the package beyond the YoungFrame container, frame enumeration and
+the character table for the projectors, and, for the channel, the oracle's
+partial trace and site insertion) so that agreement with the package is
+meaningful.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
-from isotwirl.frames import YoungFrame
+import numpy as np
+
+from isotwirl.frames import YoungFrame, enumerate_frames
 from isotwirl.oracle import TensorOperator, insert_maximally_mixed
+from isotwirl.symmetric_group import character
 
 
 def count_standard_tableaux(lam: YoungFrame) -> int:
@@ -157,3 +162,41 @@ def depolarise_by_subsets(a: TensorOperator, q: Fraction) -> TensorOperator:
         for subset in itertools.combinations(range(n), k):
             total = total + w * insert_maximally_mixed(a.partial_trace(subset), subset, n)
     return total.reduced()
+
+
+def projectors_by_characters(d: int, n: int) -> dict[YoungFrame, TensorOperator]:
+    """Isotypical projectors as central idempotents (f_lam / n!) sum over tau of chi_lam(tau) B(tau).
+
+    The permutation matrices are summed per conjugacy class over all n!
+    permutations.  Classes are closed under inversion, so gathering by tau
+    instead of tau^{-1} sums the same matrices.
+    """
+    dim = d**n
+    digits = np.array(list(itertools.product(range(d), repeat=n)), dtype=np.int64).reshape(dim, n)
+    powers = np.array([d ** (n - 1 - i) for i in range(n)], dtype=np.int64)
+    cols = np.arange(dim)
+    sums: dict[tuple[int, ...], np.ndarray] = {}
+    for images in itertools.permutations(range(n)):
+        key = cycle_type_of(images)
+        if key not in sums:
+            sums[key] = np.zeros((dim, dim), dtype=np.int64)
+        sums[key][digits[:, images] @ powers, cols] += 1
+    family = {}
+    for lam in enumerate_frames(d, n):
+        acc = sum(character(lam, YoungFrame(key)) * mat for key, mat in sums.items())
+        family[lam] = TensorOperator(d, n, Fraction(count_standard_tableaux(lam), math.factorial(n)), acc)
+    return family
+
+
+def partial_trace_by_sums(a: TensorOperator, sites: tuple[int, ...]) -> TensorOperator:
+    """Trace out ``sites`` by adding up matrix entries word pair by word pair, in Python ints."""
+    d, n = a.d, a.n
+    keep = [s for s in range(n) if s not in sites]
+    words = list(itertools.product(range(d), repeat=n))
+    out = np.zeros((d ** len(keep), d ** len(keep)), dtype=object)
+    for (i, w), (j, v) in itertools.product(enumerate(words), repeat=2):
+        if all(w[s] == v[s] for s in sites):
+            row = sum(w[s] * d ** (len(keep) - 1 - t) for t, s in enumerate(keep))
+            col = sum(v[s] * d ** (len(keep) - 1 - t) for t, s in enumerate(keep))
+            out[row, col] += int(a.mat[i, j])
+    return TensorOperator(d, len(keep), a.scale, out)

@@ -184,6 +184,7 @@ def test_output_files_byte_identical(tmp_path: Path):
         (("verify", "xybound", "--cap-n", "2", "--format", "csv"), 2),
         (("sweep", "4,0", "--grid", "0.5", "--format", "json"), 2),
         (("spectrum", "4,0", "--k", "1", "--format", "text"), 2),
+        (("lr", "3,1", "2", "1,1,1"), 0),
     ],
 )
 def test_exit_codes_without_traceback(tmp_path: Path, args, code):
@@ -193,3 +194,6 @@ def test_exit_codes_without_traceback(tmp_path: Path, args, code):
     assert "Traceback" not in res.stderr
     if code == 2:
         assert res.stderr.splitlines()[-1].startswith("error: ")
+    if args[0] == "lr" and code == 0:
+        # c^lam_{mu nu} = 0 across sizes is an answer, not an input error
+        assert "size mismatch" in res.stdout

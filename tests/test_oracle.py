@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -5,9 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from bruteforce import depolarise_by_subsets
-from isotwirl.frames import dim_sym, dim_unitary, frame
-from isotwirl.symmetric_group import Permutation, enumerate_group
+from bruteforce import depolarise_by_subsets, partial_trace_by_sums, projectors_by_characters
+from isotwirl.frames import dim_sym, dim_unitary, enumerate_frames, frame
+from isotwirl.symmetric_group import Permutation, character, class_size, enumerate_group
 from isotwirl import oracle as orc
 
 
@@ -71,7 +72,7 @@ def test_projector_family_properties():
             items = list(fam.values())
             for i, p in enumerate(items):
                 for q in items[i + 1 :]:
-                    assert (p @ q).is_zero()
+                    assert p @ q == orc.TensorOperator.zero(d, n)
 
 
 def test_projector_family_properties_full_size():
@@ -89,6 +90,45 @@ def test_projector_family_properties_full_size():
         for i, p in enumerate(items):
             for q in items[i + 1 :]:
                 assert p.hs_product(q) == 0
+
+
+def test_projector_family_matches_character_sum():
+    # every dense size with d <= 4 and n <= 6 but (4, 6), whose reference holds
+    # eleven 4096 x 4096 class sums (test_central_elements_separate_frames
+    # checks the (4, 6) family's sum and traces instead)
+    sizes = [(d, n) for d in range(1, 5) for n in range(7) if (d, n) != (4, 6)] + [(2, 7), (2, 8)]
+    for d, n in sizes:
+        fam, ref = orc.isotypical_projectors(d, n), projectors_by_characters(d, n)
+        assert list(fam) == list(ref), (d, n)
+        for lam, p in ref.items():
+            assert fam[lam] == p, (d, n, str(lam))
+
+
+def test_central_elements_separate_frames():
+    # every YF(d, n) the frame and dense caps allow
+    for d in range(1, 5):
+        for n in range(17):
+            if d**n > orc.DIMENSION_CAP:
+                break
+            frames = enumerate_frames(d, n)
+            pairs = [orc.central_eigenvalues(lam) for lam in frames]
+            assert len(set(pairs)) == len(frames), (d, n)
+            # a class sum acts on the lam block as |C| chi_lam(C) / f_lam
+            for lam, eigenvalues in zip(frames, pairs):
+                for length, value in zip((2, 3), eigenvalues):
+                    if n >= length:
+                        ct = frame(length, *(1,) * (n - length))
+                        assert class_size(ct) * character(lam, ct) == value * dim_sym(lam), (d, str(lam))
+    # content sums alone collide at (3, 6), so the dense family there needs C3
+    assert orc.central_eigenvalues(frame(4, 1, 1))[0] == orc.central_eigenvalues(frame(3, 3))[0]
+    orc.clear_projector_cache()
+    fam = orc.isotypical_projectors(4, 6)
+    total = orc.TensorOperator.zero(4, 6)
+    for lam, p in fam.items():
+        assert p.trace() == dim_sym(lam) * dim_unitary(lam, 4)
+        total = total + p
+    assert total == orc.TensorOperator.identity(4, 6)
+    orc.clear_projector_cache()
 
 
 def test_projector_commutes_with_action():
@@ -109,6 +149,24 @@ def test_partial_trace_examples():
     assert a.partial_trace([0, 2]).trace() == a.trace()
     with pytest.raises(ValueError):
         a.partial_trace([3])
+
+
+def test_partial_trace_int64_and_object_routes():
+    # entries near 2**60 overflow int64 once three qubit sites are traced and
+    # entries near 2**62 once one is, so both routes meet the reference
+    rng = random.Random(10)
+    for d, n in ((2, 4), (3, 3)):
+        for bound in (5, 2**60, 2**62):
+            mat = np.array([[rng.randint(-bound, bound) for _ in range(d**n)] for _ in range(d**n)],
+                           dtype=object)
+            amax = max(abs(x) for x in mat.ravel())
+            for stored in (mat, mat.astype(np.int64)):
+                a = orc.TensorOperator(d, n, Fraction(1, 3), stored)
+                for k in range(1, n + 1):
+                    for sites in itertools.combinations(range(n), k):
+                        out = a.partial_trace(sites)
+                        assert (out._array().dtype == np.int64) == (amax * d**k <= 2**63 - 1)
+                        assert out == partial_trace_by_sums(a, sites), (d, n, bound, sites)
 
 
 def test_partial_trace_site_order():
@@ -212,6 +270,8 @@ def test_int64_and_object_matrices_agree():
         from_obj = orc.TensorOperator(2, 3, Fraction(2, 3), obj)
         from_i64 = orc.TensorOperator(2, 3, Fraction(2, 3), obj.astype(np.int64))
         assert from_obj == from_i64
+        assert from_i64 + from_i64 == orc.TensorOperator(2, 3, Fraction(2, 3), 2 * obj)
+        assert from_i64 - from_obj == orc.TensorOperator.zero(2, 3)
         assert from_obj.mat.dtype == object and from_i64.mat.dtype == object
         assert from_obj.reduced() == from_i64.reduced()
         assert orc.depolarise_n(from_obj, Fraction(1, 3)) == orc.depolarise_n(from_i64, Fraction(1, 3))
@@ -228,7 +288,7 @@ def test_inexact_matrices_rejected():
 def test_depolarise_preserves_psd():
     rng = random.Random(7)
     r = rand_op(rng, 2, 2)
-    psd = r.transpose() @ r
+    psd = orc.TensorOperator(2, 2, r.scale, r.mat.T) @ r
     assert orc.is_positive_semidefinite(psd)
     assert orc.is_positive_semidefinite(orc.depolarise_n(psd, Fraction(1, 3)))
 
