@@ -4,18 +4,25 @@ Everything the fast combinatorial path claims is checked against dense
 operators built here: permutation matrices, isotypical projectors built as
 polynomials in two central elements of the group algebra of S_n (the sums of
 all transpositions and of all 3-cycles, whose eigenvalues are content sums),
-partial traces, the permutation twirl, and the depolarising channel applied
-literally, one site at a time.  The projectors use no LR coefficient, skew
-count or character, so the oracle stays independent of the fast path.
+partial traces, the permutation twirl, the depolarising channel applied
+literally, one site at a time, and an exact positive-semidefiniteness test
+(fraction-free Bareiss elimination).  The projectors use no LR coefficient,
+skew count or character, so the oracle stays independent of the fast path.
 
 A :class:`TensorOperator` stores an exact rational matrix as a global
 ``Fraction`` scale times a dense integer matrix, so no rounding can ever
 occur.  An integer-dtype matrix is kept as int64; an object-dtype matrix
 (Python ints) gets an int64 copy the first time an int64 route needs one and
 its entries fit.  ``mat`` always gives the Python-int form.  Sums, equality,
-matrix products, Hilbert-Schmidt pairings, partial traces and the channel run
-in int64 when a bound on the entries certifies no overflow, falling back to
-arbitrary precision otherwise.
+matrix and tensor products, Hilbert-Schmidt pairings, partial traces and the
+channel run in int64 when a bound on the entries certifies no overflow,
+falling back to arbitrary precision otherwise.
+
+Permutations of the sites keep a word's letter histogram, so permutation
+operators, projectors and their sums and products are block diagonal over the
+letter-count blocks of :func:`_letter_blocks`.  The projector build, matrix
+products and the PSD test work one such block at a time; an operator that is
+nonzero outside the blocks is handled as one block holding every index.
 
 Operators are immutable by convention: no operation mutates its inputs, and
 constructed operators can be shared freely across threads.
@@ -67,6 +74,30 @@ def _index_powers(d: int, n: int) -> np.ndarray:
     return np.array([d ** (n - 1 - i) for i in range(n)], dtype=np.int64)
 
 
+@cache
+def _letter_blocks(d: int, n: int) -> tuple[np.ndarray, ...]:
+    """Word indices of [d]^n grouped by letter histogram, one read-only array per block.
+
+    Blocks are ordered by histogram and each lists its words in increasing
+    order.  Every permutation operator maps a block to itself.
+    """
+    digits = _word_digits(d, n)
+    counts = np.stack([(digits == a).sum(axis=1) for a in range(d)], axis=1)
+    keys = counts @ (n + 1) ** np.arange(d)
+    order = np.argsort(keys, kind="stable")
+    order.flags.writeable = False
+    return tuple(np.split(order, np.flatnonzero(np.diff(keys[order])) + 1))
+
+
+def _block_partition(d: int, n: int, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The letter blocks when every array is exactly zero outside them, else one block of all indices."""
+    blocks = _letter_blocks(d, n)
+    for arr in arrays:
+        if sum(np.count_nonzero(arr[np.ix_(w, w)]) for w in blocks) != np.count_nonzero(arr):
+            return (np.arange(d**n),)
+    return blocks
+
+
 class TensorOperator:
     """Dense exact-rational operator: ``scale`` times an integer matrix."""
 
@@ -107,6 +138,11 @@ class TensorOperator:
                 self._i64 = self._obj.astype(np.int64)
         return (self._i64 if self._amax <= _INT64_MAX else None), self._amax
 
+    def _exact(self) -> np.ndarray:
+        """The integer matrix as int64 when every entry fits, else as Python ints."""
+        arr, _ = self._int64_view()
+        return self.mat if arr is None else arr
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -128,8 +164,7 @@ class TensorOperator:
 
     def reduced(self) -> "TensorOperator":
         """Fold the integer gcd of the matrix into the scale (canonical form)."""
-        arr, _ = self._int64_view()
-        src = self.mat if arr is None else arr
+        src = self._exact()
         g = int(np.gcd.reduce(np.abs(src.ravel()))) if src.size else 0
         if g == 0:
             return TensorOperator.zero(self.d, self.n)
@@ -183,13 +218,22 @@ class TensorOperator:
         return self.__rmul__(c)
 
     def __matmul__(self, other: "TensorOperator") -> "TensorOperator":
+        """Matrix product, block by block over :func:`_block_partition` of both matrices.
+
+        Each block product runs in int64 when its own bound certifies no
+        overflow (see :func:`_int_matmul`) and in Python ints otherwise.
+        """
         self._compatible(other)
-        a64, amax = self._int64_view()
-        b64, bmax = other._int64_view()
-        if a64 is not None and b64 is not None and a64.shape[1] * amax * bmax <= _INT64_MAX:
-            product = a64 @ b64
+        a, b = self._exact(), other._exact()
+        blocks = _block_partition(self.d, self.n, a, b)
+        parts = [_int_matmul(a[np.ix_(w, w)], b[np.ix_(w, w)]) for w in blocks]
+        if len(parts) == 1:  # the one block holds every index in order
+            product = parts[0]
         else:
-            product = self.mat @ other.mat
+            exact = np.int64 if all(p.dtype == np.int64 for p in parts) else object
+            product = np.zeros(a.shape, dtype=exact)
+            for w, part in zip(blocks, parts):
+                product[np.ix_(w, w)] = part
         return TensorOperator(self.d, self.n, self.scale * other.scale, product)
 
     def trace(self) -> Fraction:
@@ -210,9 +254,13 @@ class TensorOperator:
         if self.d != other.d:
             raise ValueError("local dimensions differ")
         _check_dense_size(self.d, self.n + other.n)
-        return TensorOperator(
-            self.d, self.n + other.n, self.scale * other.scale, np.kron(self.mat, other.mat)
-        )
+        a64, amax = self._int64_view()
+        b64, bmax = other._int64_view()
+        if a64 is not None and b64 is not None and amax * bmax <= _INT64_MAX:
+            product = np.kron(a64, b64)
+        else:
+            product = np.kron(self.mat, other.mat)
+        return TensorOperator(self.d, self.n + other.n, self.scale * other.scale, product)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TensorOperator):
@@ -389,10 +437,8 @@ def _projector_family(d: int, n: int) -> dict[YoungFrame, TensorOperator]:
     """
     dim = d**n
     digits = _word_digits(d, n)
-    counts = np.stack([(digits == a).sum(axis=1) for a in range(d)], axis=1)
-    keys = counts @ (n + 1) ** np.arange(d)
-    order = np.argsort(keys, kind="stable")
-    blocks = np.split(order, np.flatnonzero(np.diff(keys[order])) + 1)
+    blocks = _letter_blocks(d, n)
+    hists = [np.bincount(digits[words[0]], minlength=d) for words in blocks]
     local = np.empty(dim, dtype=np.int64)
     for words in blocks:
         local[words] = np.arange(len(words))
@@ -400,8 +446,8 @@ def _projector_family(d: int, n: int) -> dict[YoungFrame, TensorOperator]:
 
     frames = enumerate_frames(d, n)
     canonical: dict[tuple[int, ...], dict[YoungFrame, tuple[np.ndarray, int]]] = {}
-    for words in blocks:
-        hist = tuple(int(c) for c in counts[words[0]])
+    for words, hist in zip(blocks, hists):
+        hist = tuple(map(int, hist))
         if list(hist) == sorted(hist, reverse=True):
             canonical[hist] = _block_projectors(
                 [lam for lam in frames if _dominates(lam, hist)],
@@ -409,8 +455,7 @@ def _projector_family(d: int, n: int) -> dict[YoungFrame, TensorOperator]:
             )
 
     pieces: dict[YoungFrame, list[tuple[np.ndarray, np.ndarray, int]]] = {lam: [] for lam in frames}
-    for words in blocks:
-        hist = counts[words[0]]
+    for words, hist in zip(blocks, hists):
         relabel = np.empty(d, dtype=np.int64)
         relabel[np.argsort(-hist, kind="stable")] = np.arange(d)
         gather = local[relabel[digits[words]] @ _index_powers(d, n)]
@@ -566,29 +611,49 @@ def overlap(lam_prime: YoungFrame, a: TensorOperator, *, factorial_cap: int = FA
 def is_positive_semidefinite(a: TensorOperator) -> bool:
     """Exact PSD test for a symmetric rational matrix.
 
-    Rational LDL-style elimination with diagonal pivoting: a negative diagonal
-    entry refutes PSD immediately; a zero diagonal entry with a nonzero
-    residual row refutes it too (a PSD matrix vanishes on the row and column
-    of any zero diagonal element); otherwise eliminate on a positive pivot and
-    recurse on the Schur complement.
-    """
-    if not np.array_equal(a.mat, a.mat.T):
-        raise ValueError("PSD test expects a symmetric operator")
-    m = a.mat.shape[0]
-    work = a.mat * a.scale  # Fraction-valued working copy, scale included
-    alive = list(range(m))
-    while alive:
-        diag = [work[i, i] for i in alive]
-        if any(x < 0 for x in diag):
-            return False
-        pivot_pos = next((t for t, x in enumerate(diag) if x > 0), None)
-        if pivot_pos is None:
-            return all(work[i, j] == 0 for i in alive for j in alive)
-        i = alive.pop(pivot_pos)
-        p = work[i, i]
-        col = np.array([work[j, i] for j in alive], dtype=object)
-        if alive:
-            sub = np.ix_(alive, alive)
-            work[sub] = work[sub] - np.outer(col, col) / p
-    return True
+    A positive scale does not change the verdict, a zero scale makes the
+    matrix zero (PSD), and a negative one negates the integer matrix.  The
+    matrix is PSD exactly when each diagonal block of
+    :func:`_block_partition` is, so each block is tested on its own.
 
+    Each block runs symmetric Bareiss elimination on Python ints (Bareiss,
+    Math. Comp. 22, 1968) with diagonal pivoting: a negative diagonal entry
+    refutes PSD; when no diagonal entry is positive, PSD holds exactly when
+    the remaining matrix is zero (a PSD matrix vanishes on the row and column
+    of a zero diagonal entry); otherwise the first positive diagonal entry p
+    is the pivot and every remaining entry becomes
+    (p M_ij - M_ip M_pj) / p_prev, p_prev being the previous pivot (1 at the
+    start).  The division is exact by Sylvester's identity: with P the pivots
+    so far, the entry is the minor of the block on rows P + {i} and columns
+    P + {j}, and the pivot is the principal minor on P.  That minor is the
+    product of the rational LDL pivots, all positive, so each entry is a
+    positive multiple of the Schur complement entry of rational LDL
+    elimination: every sign that decides the verdict is kept, and no
+    fraction is formed.
+    """
+    arr = a._array()
+    if not np.array_equal(arr, arr.T):
+        raise ValueError("PSD test expects a symmetric operator")
+    if a.scale == 0:
+        return True
+    sign = 1 if a.scale > 0 else -1
+    return all(
+        _bareiss_psd(sign * arr[np.ix_(w, w)].astype(object)) for w in _block_partition(a.d, a.n, arr)
+    )
+
+
+def _bareiss_psd(m: np.ndarray) -> bool:
+    """Symmetric Bareiss elimination of a symmetric Python-int matrix (see above)."""
+    prev = 1
+    while len(m):
+        diag = m.diagonal().tolist()
+        if min(diag) < 0:
+            return False
+        pos = next((t for t, x in enumerate(diag) if x > 0), None)
+        if pos is None:
+            return not np.count_nonzero(m)
+        rest = [t for t in range(len(m)) if t != pos]
+        col = m[rest, pos]
+        m = (diag[pos] * m[np.ix_(rest, rest)] - np.outer(col, col)) // prev
+        prev = diag[pos]
+    return True

@@ -3,8 +3,8 @@
 Everything here is deliberately naive (exhaustive enumeration, no shared code
 paths with the package beyond the YoungFrame container, frame enumeration and
 the character table for the projectors, and, for the channel, the oracle's
-partial trace and site insertion) so that agreement with the package is
-meaningful.
+partial trace and site insertion; the PSD reference eliminates the whole
+matrix in ``Fraction``) so that agreement with the package is meaningful.
 """
 
 from __future__ import annotations
@@ -200,3 +200,29 @@ def partial_trace_by_sums(a: TensorOperator, sites: tuple[int, ...]) -> TensorOp
             col = sum(v[s] * d ** (len(keep) - 1 - t) for t, s in enumerate(keep))
             out[row, col] += int(a.mat[i, j])
     return TensorOperator(d, len(keep), a.scale, out)
+
+
+def psd_by_fraction_ldl(a: TensorOperator) -> bool:
+    """Exact PSD test by rational LDL elimination of the whole matrix, scale included.
+
+    Diagonal pivoting: a negative diagonal entry refutes PSD; with no positive
+    diagonal entry left, PSD holds exactly when the rest is zero; otherwise
+    eliminate on the first positive pivot and recurse on the Schur complement.
+    """
+    if not np.array_equal(a.mat, a.mat.T):
+        raise ValueError("PSD test expects a symmetric operator")
+    work = a.mat * a.scale
+    alive = list(range(work.shape[0]))
+    while alive:
+        diag = [work[i, i] for i in alive]
+        if any(x < 0 for x in diag):
+            return False
+        pivot_pos = next((t for t, x in enumerate(diag) if x > 0), None)
+        if pivot_pos is None:
+            return all(work[i, j] == 0 for i in alive for j in alive)
+        i = alive.pop(pivot_pos)
+        col = np.array([work[j, i] for j in alive], dtype=object)
+        if alive:
+            sub = np.ix_(alive, alive)
+            work[sub] = work[sub] - np.outer(col, col) / work[i, i]
+    return True

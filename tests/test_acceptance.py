@@ -111,8 +111,8 @@ def test_c07_xy_entropy_bound_exhaustive():
 
 
 def test_c08_projector_pair_domination_psd():
-    assert_passed(verify.check_projector_domination(6))
-    report(8, "sum of admitted projector pairs dominates P_lam (exact PSD factorization, d=2 n<=6)")
+    assert_passed(verify.check_projector_domination(8))
+    report(8, "sum of admitted projector pairs dominates P_lam (exact PSD factorization, d=2 n<=8)")
 
 
 def test_c09_concentration_mode_matches_oracle():

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from bruteforce import depolarise_by_subsets, partial_trace_by_sums, projectors_by_characters
+from bruteforce import depolarise_by_subsets, partial_trace_by_sums, projectors_by_characters, psd_by_fraction_ldl
 from isotwirl.frames import dim_sym, dim_unitary, enumerate_frames, frame
 from isotwirl.symmetric_group import Permutation, character, class_size, enumerate_group
 from isotwirl import oracle as orc
@@ -19,6 +20,18 @@ def rand_op(rng, d, n, den=7):
         for j in range(dim):
             mat[i, j] = rng.randint(-5, 5)
     return orc.TensorOperator(d, n, Fraction(1, den), mat)
+
+
+def block_mask(d, n):
+    """True exactly on the word pairs inside one letter-count block."""
+    mask = np.zeros((d**n, d**n), dtype=bool)
+    for words in orc._letter_blocks(d, n):
+        mask[np.ix_(words, words)] = True
+    return mask
+
+
+def full_product(a, b):
+    return orc.TensorOperator(a.d, a.n, a.scale * b.scale, a.mat @ b.mat)
 
 
 def test_perm_operator_examples():
@@ -277,6 +290,67 @@ def test_int64_and_object_matrices_agree():
         assert orc.depolarise_n(from_obj, Fraction(1, 3)) == orc.depolarise_n(from_i64, Fraction(1, 3))
 
 
+def test_letter_blocks_partition_words():
+    for d, n in ((1, 3), (2, 0), (2, 4), (3, 3), (4, 2)):
+        blocks = orc._letter_blocks(d, n)
+        assert sorted(np.concatenate(blocks).tolist()) == list(range(d**n))
+        words = list(itertools.product(range(d), repeat=n))
+        hists = [{tuple(sorted(words[i])) for i in block} for block in blocks]
+        assert all(len(h) == 1 for h in hists) and len(set.union(*hists)) == len(blocks)
+        # a lone block lists every word in order, so its product needs no scatter
+        assert len(blocks) > 1 or blocks[0].tolist() == list(range(d**n))
+
+
+def test_matmul_matches_full_product(monkeypatch):
+    # projector and permutation-operator pairs are block diagonal over letter counts
+    for d, n in ((2, 4), (3, 3)):
+        family = list(orc.isotypical_projectors(d, n).values())
+        perms = [orc.perm_operator(s, d) for s in enumerate_group(n)][:8]
+        for ops in (family, perms):
+            for a, b in itertools.product(ops, repeat=2):
+                assert len(orc._block_partition(d, n, a._array(), b._array())) > 1
+                assert a @ b == full_product(a, b)
+    # a random pair is nonzero outside the blocks, so it is one block of every index
+    rng = random.Random(11)
+    a, b = rand_op(rng, 2, 3), rand_op(rng, 2, 3)
+    assert len(orc._block_partition(2, 3, a.mat, b.mat)) == 1
+    assert a @ b == full_product(a, b)
+    # entries near 2**40 in the 6-word block of (2, 4) overflow int64 there only
+    routes = []
+    int_matmul = orc._int_matmul
+
+    def recorded(x, y):
+        product = int_matmul(x, y)
+        routes.append(product.dtype)
+        return product
+
+    monkeypatch.setattr(orc, "_int_matmul", recorded)
+    mat = np.where(block_mask(2, 4), np.array([[rng.randint(-5, 5) for _ in range(16)] for _ in range(16)]), 0)
+    big = orc._letter_blocks(2, 4)[2]
+    mat[np.ix_(big, big)] *= 2**40
+    a = orc.TensorOperator(2, 4, Fraction(1, 3), mat)
+    product = a @ a
+    assert routes == [np.int64, np.int64, object, np.int64, np.int64]
+    assert product._array().dtype == object and product == full_product(a, a)
+
+
+def test_kron_int64_and_object_routes():
+    # the int64 route runs exactly when max|A| max|B| fits, up to entries near 2**62
+    rng = random.Random(12)
+    for bound_a, bound_b, fits in ((5, 5, True), (2**31, 2**31, True), (2**62, 1, True), (2**62, 2, False)):
+        mats = []
+        for dim, bound in ((2, bound_a), (4, bound_b)):
+            mat = np.array([[rng.randint(-bound, bound) for _ in range(dim)] for _ in range(dim)], dtype=object)
+            mat[0, 0] = bound
+            mats.append(mat)
+        for stored in (mats, [m.astype(np.int64) for m in mats]):
+            a = orc.TensorOperator(2, 1, Fraction(1, 3), stored[0])
+            b = orc.TensorOperator(2, 2, Fraction(2, 5), stored[1])
+            out = a.kron(b)
+            assert (out._array().dtype == np.int64) == fits
+            assert out == orc.TensorOperator(2, 3, Fraction(2, 15), np.kron(a.mat, b.mat))
+
+
 def test_inexact_matrices_rejected():
     with pytest.raises(ValueError):
         orc.TensorOperator(2, 1, Fraction(1), np.array([[0.5, 0], [0, 0.5]]))
@@ -335,6 +409,48 @@ def test_psd_checks():
     mat[0, 1] = mat[1, 0] = 1
     assert not orc.is_positive_semidefinite(orc.TensorOperator(2, 1, Fraction(1), mat))
     assert orc.is_positive_semidefinite(orc.TensorOperator.zero(2, 2))
+
+
+PSD_SIZES = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
+
+
+@st.composite
+def psd_cases(draw):
+    """(operator, kind, masked): a rank-deficient Gram matrix, minus eps I, or with a zero-diagonal row."""
+    d, n = draw(st.sampled_from(PSD_SIZES))
+    dim = d**n
+    rank = draw(st.integers(0, dim - 1))
+    r = np.array(draw(st.lists(st.integers(-3, 3), min_size=rank * dim, max_size=rank * dim)), dtype=object)
+    mat = r.reshape(rank, dim).T @ r.reshape(rank, dim) if rank else np.zeros((dim, dim), dtype=object)
+    masked = draw(st.booleans())
+    if masked:
+        mat = np.where(block_mask(d, n), mat, 0)
+    kind = draw(st.sampled_from(["gram", "minus_eps", "zero_diag"]))
+    den = draw(st.integers(1, 40))
+    if kind == "minus_eps":
+        mat = den * mat - np.identity(dim, dtype=object)
+    elif kind == "zero_diag":
+        i = draw(st.integers(0, dim - 1))
+        row = np.array(draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)), dtype=object)
+        row[i], row[(i + 1) % dim] = 0, draw(st.sampled_from([-2, -1, 1, 2]))
+        if masked:
+            row = np.where(block_mask(d, n)[i], row, 0)
+        mat[i, :] = mat[:, i] = row
+    scale = Fraction(draw(st.integers(-2, 2)), den)
+    return orc.TensorOperator(d, n, scale, mat), kind, masked
+
+
+@given(psd_cases())
+def test_psd_matches_fraction_ldl(case):
+    a, kind, masked = case
+    verdict = orc.is_positive_semidefinite(a)
+    assert verdict == psd_by_fraction_ldl(a)
+    if masked:
+        assert len(orc._block_partition(a.d, a.n, a._array())) > 1
+    if a.scale == 0 or (kind == "gram" and a.scale > 0):
+        assert verdict
+    elif not masked and kind == "minus_eps" and a.scale > 0:
+        assert not verdict  # the Gram matrix has a null vector
 
 
 def test_scale_representation_equality():
