@@ -240,7 +240,7 @@ def _add_global_flags(parser: argparse.ArgumentParser, *, suppress: bool) -> Non
                              "sweep; json for verify (default: the first); others exit 2")
     parser.add_argument("--out", default=default(None), help="output file (default stdout)")
     parser.add_argument("--cap-n", type=int, default=default(6),
-                        help="size cap for verification sweeps")
+                        help="size cap for verification sweeps (1..10; up to 64 for verify tail)")
     parser.add_argument("--cap-d", type=int, default=default(3),
                         help="dimension cap for verification sweeps")
     parser.add_argument("--exact", action="store_const", const=True, default=default(False),

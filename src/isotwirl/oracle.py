@@ -4,10 +4,11 @@ Everything the fast combinatorial path claims is checked against dense
 operators built here: permutation matrices, isotypical projectors built as
 polynomials in two central elements of the group algebra of S_n (the sums of
 all transpositions and of all 3-cycles, whose eigenvalues are content sums),
-partial traces, the permutation twirl, the depolarising channel applied
-literally, one site at a time, and an exact positive-semidefiniteness test
-(fraction-free Bareiss elimination).  The projectors use no LR coefficient,
-skew count or character, so the oracle stays independent of the fast path.
+partial traces, the permutation twirl (a mean over orbits of word pairs),
+the depolarising channel applied literally, one site at a time, and an exact
+positive-semidefiniteness test (fraction-free Bareiss elimination).  The
+projectors use no LR coefficient, skew count or character, so the oracle
+stays independent of the fast path.
 
 A :class:`TensorOperator` stores an exact rational matrix as a global
 ``Fraction`` scale times a dense integer matrix, so no rounding can ever
@@ -550,19 +551,50 @@ def conjugate_by_permutation(a: TensorOperator, tau: Permutation) -> TensorOpera
     return TensorOperator(a.d, a.n, a.scale, a._array()[np.ix_(g, g)])
 
 
+@lru_cache(maxsize=4)
+def _pair_orbits(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Orbit index of every word pair (x, y) under permuting the sites of x and y together.
+
+    Returns the (d^n, d^n) orbit index of each pair, orbits numbered from 0,
+    and n!/|orbit| for each orbit.  An orbit is labelled by the histogram of
+    the letter pairs (x_i, y_i): the codes d x_i + y_i, sorted and read as a
+    base-d^2 number, which stays below d^(2n) <= DIMENSION_CAP^2.
+    """
+    digits = _word_digits(d, n)
+    dim = d**n
+    powers = (d * d) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    labels = np.empty((dim, dim), dtype=np.int64)
+    step = max(1, 2**22 // (dim * max(n, 1)))  # rows per slice: at most ~4M letter pairs
+    for start in range(0, dim, step):
+        pairs = digits[start:start + step, None, :] * d + digits[None, :, :]
+        pairs.sort(axis=2)
+        labels[start:start + step] = pairs @ powers
+    _, orbit, sizes = np.unique(labels, return_inverse=True, return_counts=True)
+    return orbit.reshape(dim, dim), math.factorial(n) // sizes
+
+
 def twirl(a: TensorOperator, *, factorial_cap: int = FACTORIAL_LOOP_CAP) -> TensorOperator:
-    """Average of B(tau) a B(tau)^{-1} over all of S_n (the permutation twirl)."""
+    """Average of B(tau) a B(tau)^{-1} over all of S_n (the permutation twirl).
+
+    Conjugating by every tau carries the entry at the word pair (x, y) over
+    its orbit under permuting the sites of x and y together, and the group sum
+    meets each member of the orbit n!/|orbit| times.  So the twirl at (x, y)
+    is the mean of ``a`` over the orbit, stored as n!/|orbit| times the orbit
+    sum with scale ``a.scale / n!``: the same integer matrix the sum over all
+    n! permutations gives.  The sums run in int64 when n! max|a| fits, else in
+    Python ints.  ``factorial_cap`` bounds n as for the other n!-sized
+    constructions.
+    """
     n, d = a.n, a.d
     if n > factorial_cap:
         raise ValueError(f"twirl over S_{n} exceeds factorial cap {factorial_cap}")
-    dim = d**n
-    acc = np.zeros((dim, dim), dtype=object)
-    for images in itertools.permutations(range(n)):
-        # Conjugating by B(tau) permutes rows and columns by the word map of
-        # tau^{-1}; summing over the whole group, gathering by tau is the same.
-        g = _word_map(images, d)
-        acc += a.mat[np.ix_(g, g)]
-    return TensorOperator(d, n, a.scale / math.factorial(n), acc)
+    orbit, stabiliser = _pair_orbits(d, n)
+    arr, amax = a._int64_view()
+    if arr is None or math.factorial(n) * amax > _INT64_MAX:
+        arr, stabiliser = a.mat, stabiliser.astype(object)
+    sums = np.zeros(len(stabiliser), dtype=arr.dtype)
+    np.add.at(sums, orbit.ravel(), arr.ravel())
+    return TensorOperator(d, n, a.scale / math.factorial(n), (stabiliser * sums)[orbit])
 
 
 def depolarise_n(a: TensorOperator, q: Fraction | int | str) -> TensorOperator:

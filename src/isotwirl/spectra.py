@@ -7,13 +7,17 @@ skew standard-tableau counts, scaling far beyond the oracle's caps:
 * :func:`twirl_spectrum` gives the exact weight of each block lam' after k
   sites of the lam block have been replaced by maximally mixed states, as a
   sum over mu of f_mu f^{lam/mu} f^{lam'/mu} / dim U_mu.  The skew counts
-  f^{lam/mu} come from Aitken's determinant (Stanley, EC2 §7.16) and stand in
-  for the sum over nu of c^lam_{mu nu} f_nu, so no Littlewood-Richardson (LR)
-  coefficient is on this path,
+  f^{lam/mu} come from one pass down Young's lattice per frame
+  (:func:`frames.dim_skew`, the branching rule) and stand in for the sum over
+  nu of c^lam_{mu nu} f_nu, so no Littlewood-Richardson (LR) coefficient is
+  on this path,
 * :func:`channel_output_spectrum` resums those over the binomial distribution
   of depolarised-site counts, yielding the full output distribution of the
-  site-wise depolarising channel on the flat state pi_lam; :func:`sweep_to_csv`
-  computes the n+1 twirl spectra once and resums them for every q,
+  site-wise depolarising channel on the flat state pi_lam.  The resummation
+  runs on integers over one common denominator per q, with one ``Fraction``
+  per output frame; :func:`channel_output_spectra` (behind
+  :func:`sweep_to_csv` and the tail-bound check) computes the n+1 twirl
+  spectra once and resums them for every q,
 * :func:`partial_trace_decomposition` and :func:`paired_block_overlap` are the
   LR route to the same numbers: the partial trace of an isotypical projector
   expanded over the smaller isotypical projectors, and its overlap with each
@@ -29,15 +33,19 @@ bounds and in serialized convenience columns.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .frames import (
     YoungFrame,
+    _dim_sym,
+    _dim_unitary,
+    _skew_counts,
     binary_entropy,
-    dim_skew,
     dim_sym,
     dim_unitary,
     enumerate_frames,
@@ -147,11 +155,35 @@ class SpectralTable:
         return iter(self.entries.items())
 
 
-def _assemble_table(d: int, n: int, weights: dict[YoungFrame, Fraction]) -> SpectralTable:
-    ordered = {
-        lam: weights[lam] for lam in enumerate_frames(d, n) if weights.get(lam, Fraction(0)) != 0
-    }
-    return SpectralTable(d, n, ordered)
+def _twirl_numerators(lam: YoungFrame, d: int, ks) -> list[tuple[int, list[int]]]:
+    """Integer form (D, [N per frame of YF_{d,n}]) of the k-site twirl spectrum of lam, per k in ``ks``.
+
+    The normalized weight of lam' is N / (f_lam D), the unnormalized one
+    N dim U_lam / D.  The list follows the frame enumeration order and keeps
+    the zeros.  Every skew count is read from the lattice counts of lam and of
+    each lam'.
+    """
+    n = lam.n
+    frames = enumerate_frames(d, n)
+    skews = [_skew_counts(lam_p.reduced) for lam_p in frames]
+    units = [dim_unitary(lam_p, d) for lam_p in frames]
+    by_size: dict[int, list[tuple[tuple[int, ...], int]]] = {}
+    for mu, f in _skew_counts(lam.reduced).items():
+        by_size.setdefault(sum(mu), []).append((mu, f))
+    out = []
+    for k in ks:
+        # f_mu f^{lam/mu} / dim U_mu, brought to the common denominator ``common``.
+        level = by_size[n - k]
+        mus = [mu for mu, _ in level]
+        mu_units = [_dim_unitary(mu, d) for mu in mus]
+        common = math.lcm(*mu_units)
+        coeffs = [_dim_sym(mu) * f * (common // u) for (mu, f), u in zip(level, mu_units)]
+        numerators = [
+            sum(map(operator.mul, coeffs, map(skew.get, mus, itertools.repeat(0)))) * u
+            for skew, u in zip(skews, units)
+        ]
+        out.append((common * d**k, numerators))
+    return out
 
 
 def twirl_spectrum(lam: YoungFrame, k: int, d: int, *, normalized: bool = True) -> SpectralTable:
@@ -171,23 +203,16 @@ def twirl_spectrum(lam: YoungFrame, k: int, d: int, *, normalized: bool = True) 
     normalized weight divides by f_lam dim U_lam.
     """
     _check_source(lam, k, d)
-    n = lam.n
-    # f_mu f^{lam/mu} / dim U_mu, brought to the common denominator ``common``.
-    terms = []
-    for mu in enumerate_frames(d, n - k):
-        a = dim_sym(mu) * dim_skew(lam, mu)
-        if a:
-            terms.append((mu, a, dim_unitary(mu, d)))
-    common = math.lcm(*(u for _, _, u in terms))
-    coeffs = [(mu, a * (common // u)) for mu, a, u in terms]
-    denominator = common * d**k * (dim_sym(lam) if normalized else 1)
-    source = 1 if normalized else dim_unitary(lam, d)
-    weights: dict[YoungFrame, Fraction] = {}
-    for lam_p in enumerate_frames(d, n):
-        acc = sum(c * dim_skew(lam_p, mu) for mu, c in coeffs)
-        if acc:
-            weights[lam_p] = Fraction(acc * source * dim_unitary(lam_p, d), denominator)
-    return SpectralTable(d, n, weights)
+    [(denominator, numerators)] = _twirl_numerators(lam, d, (k,))
+    if normalized:
+        denominator *= dim_sym(lam)
+        source = 1
+    else:
+        source = dim_unitary(lam, d)
+    frames = enumerate_frames(d, lam.n)
+    return SpectralTable(
+        d, lam.n, {f: Fraction(num * source, denominator) for f, num in zip(frames, numerators) if num}
+    )
 
 
 def _depolarising_weight(q: Fraction | int | str) -> Fraction:
@@ -197,17 +222,40 @@ def _depolarising_weight(q: Fraction | int | str) -> Fraction:
     return q
 
 
-def _binomial_mixture(twirls: list[SpectralTable], q: Fraction) -> SpectralTable:
-    """sum over k of C(n,k) q^k (1-q)^(n-k) times twirls[k]."""
-    n = len(twirls) - 1
-    weights: dict[YoungFrame, Fraction] = {}
-    for k, twirl in enumerate(twirls):
-        w = math.comb(n, k) * q**k * (1 - q) ** (n - k)
-        if w == 0:
-            continue
-        for lam_p, value in twirl:
-            weights[lam_p] = weights.get(lam_p, Fraction(0)) + w * value
-    return _assemble_table(twirls[0].d, n, weights)
+def channel_output_spectra(
+    lam: YoungFrame, grid: Iterable[Fraction | int | str], d: int
+) -> list[SpectralTable]:
+    """:func:`channel_output_spectrum` for every q in ``grid``, from one set of twirl spectra.
+
+    The n+1 normalized twirl spectra N_k/D_k are computed once.  For q = a/b
+    each weight is one integer sum over the common denominator L b^n, with L
+    the lcm of the D_k:
+
+        sum over k of C(n,k) a^k (b-a)^(n-k) (L/D_k) N_k(lam'),
+
+    turned into one ``Fraction`` per output frame.
+    """
+    grid = [_depolarising_weight(q) for q in grid]
+    _check_source(lam, 0, d)
+    n = lam.n
+    twirls = _twirl_numerators(lam, d, range(n + 1))
+    common = math.lcm(*(den for den, _ in twirls))
+    # (L/D_k) N_k(lam') for every k, one tuple per output frame.
+    columns = list(zip(*([num * (common // den) for num in nums] for den, nums in twirls)))
+    frames = enumerate_frames(d, n)
+    f_lam = dim_sym(lam)
+    tables = []
+    for q in grid:
+        a, b = q.numerator, q.denominator
+        weights = [math.comb(n, k) * a**k * (b - a) ** (n - k) for k in range(n + 1)]
+        denominator = common * b**n * f_lam
+        entries = {}
+        for lam_p, column in zip(frames, columns):
+            acc = sum(map(operator.mul, weights, column))
+            if acc:
+                entries[lam_p] = Fraction(acc, denominator)
+        tables.append(SpectralTable(d, n, entries))
+    return tables
 
 
 def channel_output_spectrum(lam: YoungFrame, q: Fraction | int | str, d: int) -> SpectralTable:
@@ -216,8 +264,7 @@ def channel_output_spectrum(lam: YoungFrame, q: Fraction | int | str, d: int) ->
     Pr[lam'] = sum over k of C(n,k) q^k (1-q)^(n-k) times the normalized
     twirl spectrum at k; the weights sum to exactly 1.
     """
-    q = _depolarising_weight(q)
-    return _binomial_mixture([twirl_spectrum(lam, k, d) for k in range(lam.n + 1)], q)
+    return channel_output_spectra(lam, [q], d)[0]
 
 
 def tail_bound_exponent(lam: YoungFrame, lam_prime: YoungFrame, q: Fraction, n: int) -> float:
@@ -359,13 +406,11 @@ def sweep_to_csv(lam: YoungFrame, d: int, grid: list[Fraction], *, exact: bool =
     """
     if not grid:
         raise ValueError("q grid must be nonempty")
-    n = lam.n
     grid = [_depolarising_weight(q) for q in grid]
-    twirls = [twirl_spectrum(lam, k, d) for k in range(n + 1)]
-    tables = [_binomial_mixture(twirls, q) for q in grid]
+    tables = channel_output_spectra(lam, grid, d)
     header = ["frame"] + [f"q={q.numerator}/{q.denominator}" for q in grid]
     lines = [",".join(header)]
-    for lam_p in enumerate_frames(d, n):
+    for lam_p in enumerate_frames(d, lam.n):
         cells = [f'"{format_frame(lam_p, d)}"']
         for table in tables:
             w = table.weight(lam_p)

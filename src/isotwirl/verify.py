@@ -49,6 +49,7 @@ from .frames import (
 from .horn import HornTriple, basic_horn_holds, branching_disjoint, horn_feasible, within_support_window
 from .lr import lr_coefficient, lr_via_characters
 from .spectra import (
+    channel_output_spectra,
     channel_output_spectrum,
     paired_block_overlap,
     partial_trace_decomposition,
@@ -63,6 +64,12 @@ MAX_FAILURES_REPORTED = 5
 
 DEFAULT_Q_GRID = tuple(Fraction(i, 10) for i in range(1, 10))
 
+# Largest n_max per suite: the tail suite's bound check runs on the fast path
+# alone (its dense mode check stays at n <= 8); every other suite, and "all",
+# sweeps dense operators or LR tableaux up to n_max.
+N_MAX = 10
+TAIL_N_MAX = 64
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -76,8 +83,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not 2 <= self.d_max <= 3:
             raise ValueError("d_max must be 2 or 3")
-        if not 1 <= self.n_max <= 10:
-            raise ValueError("n_max must lie in 1..10")
+        if not 1 <= self.n_max <= TAIL_N_MAX:
+            raise ValueError(f"n_max must lie in 1..{TAIL_N_MAX}")
         if any(not 0 <= q <= 1 for q in self.q_grid):
             raise ValueError("q grid values must lie in [0, 1]")
 
@@ -694,14 +701,14 @@ def check_tail_bound(n_max: int, q_grid: tuple[Fraction, ...]) -> CheckResult:
     bound_check = _Collector("tail_bound_dominates_measured_weight")
     for n in range(2, n_max + 1):
         frames = enumerate_frames(2, n)
-        for q in q_grid:
-            spectra = {lam: channel_output_spectrum(lam, q, 2) for lam in frames}
+        spectra = {lam: channel_output_spectra(lam, q_grid, 2) for lam in frames}
+        for i, q in enumerate(q_grid):
             for lam in frames:
                 for lam_p in frames:
                     gap = abs(lam.row(0) - lam_p.row(0))
                     if Fraction(gap, n) <= q:
                         continue
-                    measured = spectra[lam].weight(lam_p)
+                    measured = spectra[lam][i].weight(lam_p)
                     exponent = tail_bound_exponent(lam, lam_p, q, n)
                     if measured == 0:
                         ok = True
@@ -802,6 +809,11 @@ SUITES = {
 def run_suite(name: str, cfg: RunConfig | None = None) -> SuiteReport:
     """Run one suite (or "all") and return its deterministic report."""
     cfg = cfg or RunConfig()
+    if name != "all" and name not in SUITES:
+        raise KeyError(name)
+    n_cap = TAIL_N_MAX if name == "tail" else N_MAX
+    if cfg.n_max > n_cap:
+        raise ValueError(f"n_max must lie in 1..{n_cap} for suite {name!r}")
     if name == "all":
         checks = []
         for suite_name, fn in SUITES.items():
@@ -809,6 +821,4 @@ def run_suite(name: str, cfg: RunConfig | None = None) -> SuiteReport:
                 check.name = f"{suite_name}/{check.name}"
                 checks.append(check)
         return SuiteReport("all", cfg, checks)
-    if name not in SUITES:
-        raise KeyError(name)
     return SuiteReport(name, cfg, SUITES[name](cfg))

@@ -4,7 +4,9 @@ Everything here is deliberately naive (exhaustive enumeration, no shared code
 paths with the package beyond the YoungFrame container, frame enumeration and
 the character table for the projectors, and, for the channel, the oracle's
 partial trace and site insertion; the PSD reference eliminates the whole
-matrix in ``Fraction``) so that agreement with the package is meaningful.
+matrix in ``Fraction``, skew counts come from Aitken's determinant and the
+twirl from a sum over all n! permutations) so that agreement with the package
+is meaningful.
 """
 
 from __future__ import annotations
@@ -56,6 +58,34 @@ def count_standard_skew_tableaux(outer: YoungFrame, inner: YoungFrame) -> int:
 
     place(1)
     return count
+
+
+def skew_count_by_aitken(outer: YoungFrame, inner: YoungFrame) -> int:
+    """f^{outer/inner} by Aitken's determinant N! det[1/(outer_i - inner_j - i + j)!] (EC2 §7.16).
+
+    Eliminated in ``Fraction`` without pivoting: each leading principal minor
+    is the (nonzero) count for the top rows alone, up to a factorial.  Zero
+    when inner does not fit inside outer.
+    """
+    rows = outer.num_rows
+    if inner.num_rows > rows or any(inner.row(i) > outer.row(i) for i in range(rows)):
+        return 0
+    mat = [[Fraction(0)] * rows for _ in range(rows)]
+    for i in range(rows):
+        for j in range(rows):
+            a = outer.row(i) - inner.row(j) - i + j
+            if a >= 0:
+                mat[i][j] = Fraction(1, math.factorial(a))
+    det = Fraction(1)
+    for c in range(rows):
+        det *= mat[c][c]
+        for r in range(c + 1, rows):
+            factor = mat[r][c] / mat[c][c]
+            if factor:
+                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[c])]
+    val = math.factorial(outer.n - inner.n) * det
+    assert val.denominator == 1 and val >= 0
+    return val.numerator
 
 
 def count_semistandard_tableaux(lam: YoungFrame, d: int) -> int:
@@ -186,6 +216,23 @@ def projectors_by_characters(d: int, n: int) -> dict[YoungFrame, TensorOperator]
         acc = sum(character(lam, YoungFrame(key)) * mat for key, mat in sums.items())
         family[lam] = TensorOperator(d, n, Fraction(count_standard_tableaux(lam), math.factorial(n)), acc)
     return family
+
+
+def twirl_by_permutations(a: TensorOperator) -> TensorOperator:
+    """The permutation twirl as the literal sum of B(tau) a B(tau)^{-1} over all n! permutations.
+
+    Summed over the whole group, gathering rows and columns by the word map of
+    tau instead of tau^{-1} adds the same matrices.
+    """
+    d, n = a.d, a.n
+    dim = d**n
+    digits = np.array(list(itertools.product(range(d), repeat=n)), dtype=np.int64).reshape(dim, n)
+    powers = np.array([d ** (n - 1 - i) for i in range(n)], dtype=np.int64)
+    acc = np.zeros((dim, dim), dtype=object)
+    for images in itertools.permutations(range(n)):
+        g = digits[:, images] @ powers
+        acc += a.mat[np.ix_(g, g)]
+    return TensorOperator(d, n, a.scale / math.factorial(n), acc)
 
 
 def partial_trace_by_sums(a: TensorOperator, sites: tuple[int, ...]) -> TensorOperator:

@@ -95,9 +95,9 @@ def test_c04_fast_path_equals_dense_oracle():
 
 
 def test_c05_tail_bound_dominates():
-    result = verify.check_tail_bound(10, Q_TENTHS)  # superset of the required n in {6, 8, 10}
+    result = verify.check_tail_bound(64, Q_TENTHS)  # superset of the required n in {6, 8, 10}
     assert_passed(result)
-    report(5, f"exponential bound dominates all {result.checked} far pairs (n <= 10, q in tenths)")
+    report(5, f"exponential bound dominates all {result.checked} far pairs (n <= 64, q in tenths)")
 
 
 def test_c06_horn_necessity_and_saturation():

@@ -185,6 +185,9 @@ def test_output_files_byte_identical(tmp_path: Path):
         (("sweep", "4,0", "--grid", "0.5", "--format", "json"), 2),
         (("spectrum", "4,0", "--k", "1", "--format", "text"), 2),
         (("lr", "3,1", "2", "1,1,1"), 0),
+        (("verify", "support", "--cap-n", "11"), 2),
+        (("verify", "tail", "--cap-n", "65"), 2),
+        (("spectrum", "65,64", "--q", "1/2"), 2),
     ],
 )
 def test_exit_codes_without_traceback(tmp_path: Path, args, code):

@@ -82,8 +82,9 @@ def test_enumerate_frames_order_is_decreasing_lex():
 def test_enumerate_frames_caps():
     with pytest.raises(ValueError):
         enumerate_frames(5, 3)
-    with pytest.raises(ValueError):
-        enumerate_frames(2, 17)
+    for d, n in ((1, 129), (2, 129), (3, 37), (4, 25)):
+        with pytest.raises(ValueError, match=f"n <= {n - 1} for d={d}"):
+            enumerate_frames(d, n)
     with pytest.raises(ValueError):
         enumerate_frames(0, 1)
 

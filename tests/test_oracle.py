@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bruteforce import depolarise_by_subsets, partial_trace_by_sums, projectors_by_characters, psd_by_fraction_ldl
+from bruteforce import (
+    depolarise_by_subsets,
+    partial_trace_by_sums,
+    projectors_by_characters,
+    psd_by_fraction_ldl,
+    twirl_by_permutations,
+)
 from isotwirl.frames import dim_sym, dim_unitary, enumerate_frames, frame
 from isotwirl.symmetric_group import Permutation, character, class_size, enumerate_group
 from isotwirl import oracle as orc
@@ -228,6 +234,23 @@ def test_twirl_properties():
         assert orc.conjugate_by_permutation(tw, tau) == tw
     with pytest.raises(ValueError):
         orc.twirl(rand_op(rng, 2, 4), factorial_cap=3)
+
+
+def test_twirl_equals_sum_over_all_permutations():
+    rng = np.random.default_rng(11)
+    cases = [(2, n) for n in range(0, 7)] + [(3, n) for n in range(0, 5)]
+    for d, n in cases:
+        a = orc.TensorOperator(d, n, Fraction(3, 7), rng.integers(-9, 10, size=(d**n, d**n)))
+        got, ref = orc.twirl(a), twirl_by_permutations(a)
+        assert got.scale == ref.scale and np.array_equal(got.mat, ref.mat), (d, n)
+        assert got._array().dtype == np.int64
+    # Entries fit int64 but 4! max|a| does not: the orbit sums run on Python ints
+    mat = rng.integers(-3, 4, size=(16, 16)) * 2**59
+    mat[0, 0] = 3 * 2**59  # the orbit of (0000, 0000) has one member, met 4! times
+    a = orc.TensorOperator(2, 4, Fraction(1, 5), mat)
+    got, ref = orc.twirl(a), twirl_by_permutations(a)
+    assert got.scale == ref.scale and np.array_equal(got.mat, ref.mat)
+    assert got._array().dtype == object
 
 
 def test_twirl_two_term_example():

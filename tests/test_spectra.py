@@ -3,9 +3,11 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from bruteforce import count_standard_skew_tableaux, partitions_of
+from bruteforce import count_standard_skew_tableaux, partitions_of, skew_count_by_aitken
 from isotwirl.frames import YoungFrame, dim_skew, dim_sym, dim_unitary, enumerate_frames, frame
+from isotwirl.horn import within_support_window
 from isotwirl import oracle as orc
 from isotwirl.lr import lr_coefficient
 from isotwirl.spectra import (
@@ -21,7 +23,8 @@ from isotwirl.spectra import (
     xy_entropy_bound,
     xy_optimize,
 )
-from isotwirl.verify import check_branching_table, check_tail_bound
+from isotwirl import verify
+from isotwirl.verify import DEFAULT_Q_GRID, check_branching_table, check_tail_bound
 
 
 def test_branching_examples():
@@ -153,6 +156,53 @@ def test_dim_skew_is_lr_sum_of_dimensions():
                     assert dim_skew(outer, inner) == lr_sum
 
 
+def test_dim_skew_equals_aitken_determinant():
+    for n in range(0, 11):
+        for outer in map(YoungFrame, partitions_of(n, max_rows=4)):
+            for m in range(n + 1):
+                for inner in map(YoungFrame, partitions_of(m)):
+                    assert dim_skew(outer, inner) == skew_count_by_aitken(outer, inner), (outer, inner)
+
+
+@st.composite
+def fast_path_cases(draw, n_max=10):
+    """A frame of YF(d, n) with d <= 4, n <= n_max, a site count k and a rational q in [0, 1]."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(0, n_max))
+    lam = draw(st.sampled_from(enumerate_frames(d, n)))
+    k = draw(st.integers(0, n))
+    b = draw(st.integers(1, 30))
+    q = Fraction(draw(st.integers(0, b)), b)
+    return lam, d, k, q
+
+
+@given(fast_path_cases())
+def test_channel_output_totals_exactly_one(case):
+    lam, d, _k, q = case
+    table = channel_output_spectrum(lam, q, d)
+    assert table.total() == 1
+    assert all(w > 0 for _, w in table)
+
+
+@given(fast_path_cases())
+def test_engine_weights_vanish_outside_support_window(case):
+    lam, d, k, _q = case
+    for normalized in (False, True):
+        table = twirl_spectrum(lam, k, d, normalized=normalized)
+        for lam_p in enumerate_frames(d, lam.n):
+            if not within_support_window(lam, lam_p, d, k):
+                assert table.weight(lam_p) == 0, (lam, lam_p, k)
+
+
+@given(fast_path_cases(n_max=7))
+def test_lattice_twirl_equals_lr_route(case):
+    lam, d, k, _q = case
+    for normalized in (False, True):
+        assert twirl_spectrum(lam, k, d, normalized=normalized).entries == lr_route_twirl_spectrum(
+            lam, k, d, normalized
+        )
+
+
 def test_fast_path_rejects_frames_d_and_k_it_cannot_honour():
     calls = (
         lambda lam, k, d: twirl_spectrum(lam, k, d),
@@ -229,6 +279,17 @@ def test_tail_bound_value_and_regime():
 def test_tail_bound_dominates_small_cases():
     result = check_tail_bound(6, (Fraction(1, 10), Fraction(1, 2), Fraction(7, 10)))
     assert result.passed, result.failures
+
+
+def test_tail_bound_check_reads_each_weight_at_its_own_q(monkeypatch):
+    # A "bound" equal to the exact weight passes only when every weight is read at its own q.
+    def exact_exponent(lam, lam_p, q, n):
+        w = channel_output_spectrum(lam, q, 2).weight(lam_p)
+        return math.log2(w.numerator) - math.log2(w.denominator) if w else -math.inf
+
+    monkeypatch.setattr(verify, "tail_bound_exponent", exact_exponent)
+    for grid in (DEFAULT_Q_GRID, DEFAULT_Q_GRID[::-1]):
+        assert check_tail_bound(8, grid).passed
 
 
 def test_xy_optimize_examples():
