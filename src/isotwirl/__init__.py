@@ -27,7 +27,6 @@ from .horn import (
     basic_horn_holds,
     branching_disjoint,
     horn_feasible,
-    support_window,
     within_support_window,
 )
 from .lr import LRTableau, SkewShape, lr_coefficient, lr_nonzero_pairs, lr_tableaux, lr_via_characters
@@ -36,9 +35,7 @@ from .oracle import (
     depolarise_n,
     insert_maximally_mixed,
     is_positive_semidefinite,
-    isotypical_projector,
     isotypical_projectors,
-    overlap,
     perm_operator,
     tensor_with_maximally_mixed,
     twirl,
@@ -55,7 +52,7 @@ from .spectra import (
     xy_entropy_bound,
     xy_optimize,
 )
-from .symmetric_group import CycleType, Permutation, character, cycle_type, cycle_types, enumerate_group
+from .symmetric_group import CycleType, Permutation, character, cycle_types, enumerate_group
 from .verify import RunConfig, run_suite
 
 __all__ = [
@@ -77,7 +74,6 @@ __all__ = [
     "channel_output_spectrum",
     "channel_tail_bound",
     "character",
-    "cycle_type",
     "cycle_types",
     "depolarise_n",
     "dim_sym",
@@ -89,20 +85,17 @@ __all__ = [
     "horn_feasible",
     "insert_maximally_mixed",
     "is_positive_semidefinite",
-    "isotypical_projector",
     "isotypical_projectors",
     "lr_coefficient",
     "lr_nonzero_pairs",
     "lr_tableaux",
     "lr_via_characters",
-    "overlap",
     "paired_block_overlap",
     "parse_frame",
     "partial_trace_decomposition",
     "perm_operator",
     "rel_entropy",
     "run_suite",
-    "support_window",
     "tensor_with_maximally_mixed",
     "twirl",
     "twirl_spectrum",

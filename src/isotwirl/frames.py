@@ -79,12 +79,6 @@ class YoungFrame:
             raise ValueError(f"frame {red} has more than {d} rows")
         return red + (0,) * (d - len(red))
 
-    def conjugate(self) -> "YoungFrame":
-        red = self.reduced
-        if not red:
-            return YoungFrame(())
-        return YoungFrame(tuple(sum(1 for r in red if r > j) for j in range(red[0])))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, YoungFrame):
             return NotImplemented

@@ -4,7 +4,7 @@
 lam_{i+j-1} <= mu_i + nu_j (plus the trace identity) that a sum of two
 non-negative operators must satisfy.  ``horn_feasible`` decides exact
 feasibility for integer spectra through Littlewood-Richardson positivity,
-which for that case is an if-and-only-if.  ``support_window`` and
+which for that case is an if-and-only-if.  ``within_support_window`` and
 ``branching_disjoint`` express the combinatorial support statement the rest of
 the package verifies: once two frames differ by more than (d-1)*k in some row,
 no branching chain through a common middle frame can connect them.
@@ -13,8 +13,6 @@ no branching chain through a common middle frame can connect them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
-
 from .frames import YoungFrame, enumerate_frames
 from .lr import lr_coefficient
 
@@ -62,15 +60,6 @@ def within_support_window(lam: YoungFrame, lam_prime: YoungFrame, d: int, k: int
     a, b = lam.padded(d), lam_prime.padded(d)
     bound = (d - 1) * k
     return all(abs(a[m] - b[m]) <= bound for m in range(d))
-
-
-def support_window(lam: YoungFrame, d: int, k: int) -> Callable[[YoungFrame], bool]:
-    """Predicate on lam' testing membership in the (d-1)*k window around lam.
-
-    The complement of the window is exactly where depolarising k sites of the
-    lam block can never produce weight (see the support verification suite).
-    """
-    return lambda lam_prime: within_support_window(lam, lam_prime, d, k)
 
 
 def check_split(lam: YoungFrame, lam_prime: YoungFrame, l: int, k: int, d: int) -> None:

@@ -58,15 +58,6 @@ class LRTableau:
     skew: SkewShape
     filling: tuple[tuple[int, ...], ...]
 
-    def content(self) -> YoungFrame:
-        counts: dict[int, int] = {}
-        for row in self.filling:
-            for v in row:
-                counts[v] = counts.get(v, 0) + 1
-        if not counts:
-            return YoungFrame(())
-        return YoungFrame(tuple(counts.get(v, 0) for v in range(1, max(counts) + 1)))
-
     def render(self) -> str:
         """Grid with '.' on inner cells, one row per line."""
         lines = []

@@ -11,13 +11,13 @@ projectors use no LR coefficient, skew count or character, so the oracle
 stays independent of the fast path.
 
 A :class:`TensorOperator` stores an exact rational matrix as a global
-``Fraction`` scale times a dense integer matrix, so no rounding can ever
-occur.  An integer-dtype matrix is kept as int64; an object-dtype matrix
-(Python ints) gets an int64 copy the first time an int64 route needs one and
-its entries fit.  ``mat`` always gives the Python-int form.  Sums, equality,
-matrix and tensor products, Hilbert-Schmidt pairings, partial traces and the
-channel run in int64 when a bound on the entries certifies no overflow,
-falling back to arbitrary precision otherwise.
+``Fraction`` scale times one dense integer matrix, so no rounding can ever
+occur.  The matrix is int64 when every entry fits and Python ints (object
+dtype) otherwise; ``mat`` gives a fresh Python-int copy.  Sums, equality,
+matrix and tensor products, Hilbert-Schmidt pairings, partial traces, the
+twirl and the channel bound the entries they will form and pass that bound
+to :func:`_exact`, which keeps int64 only when it certifies no overflow and
+falls back to arbitrary precision otherwise.
 
 Permutations of the sites keep a word's letter histogram, so permutation
 operators, projectors and their sums and products are block diagonal over the
@@ -62,6 +62,17 @@ def _amax(a: np.ndarray) -> int:
     return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
+def _exact(bound: int, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The integer arrays unchanged when all are int64 and ``bound`` fits int64, else as Python ints.
+
+    ``bound`` is the caller's certificate: no entry it computes from the
+    arrays exceeds it in modulus.
+    """
+    if bound <= _INT64_MAX and all(a.dtype == np.int64 for a in arrays):
+        return arrays
+    return tuple(a.astype(object, copy=False) for a in arrays)
+
+
 @cache
 def _word_digits(d: int, n: int) -> np.ndarray:
     """All words of [d]^n as digit rows, lexicographic; shape (d^n, n)."""
@@ -102,7 +113,7 @@ def _block_partition(d: int, n: int, *arrays: np.ndarray) -> tuple[np.ndarray, .
 class TensorOperator:
     """Dense exact-rational operator: ``scale`` times an integer matrix."""
 
-    __slots__ = ("d", "n", "scale", "_obj", "_i64", "_amax")
+    __slots__ = ("d", "n", "scale", "_mat", "_amax")
 
     def __init__(self, d: int, n: int, scale: Fraction, mat: np.ndarray):
         _check_dense_size(d, n)
@@ -114,35 +125,24 @@ class TensorOperator:
         self.d = d
         self.n = n
         self.scale = Fraction(scale)
-        self._obj = self._i64 = self._amax = None
-        if np.can_cast(mat.dtype, np.int64):
-            self._i64 = mat.astype(np.int64, copy=False)
-        else:
-            self._obj = mat.astype(object, copy=False)
+        self._amax = None
+        if not np.can_cast(mat.dtype, np.int64):
+            mat = mat.astype(object, copy=False)
+        try:
+            self._mat = mat.astype(np.int64, copy=False)
+        except OverflowError:  # some Python int needs more than 64 bits
+            self._mat = mat
 
     @property
     def mat(self) -> np.ndarray:
-        """The integer matrix as Python ints (object dtype), built on first access."""
-        if self._obj is None:
-            self._obj = self._i64.astype(object)
-        return self._obj
+        """A fresh copy of the integer matrix as Python ints (object dtype); not cached."""
+        return self._mat.astype(object)
 
-    def _array(self) -> np.ndarray:
-        """The stored integer matrix: int64 when held, else Python ints."""
-        return self._obj if self._i64 is None else self._i64
-
-    def _int64_view(self) -> tuple[np.ndarray | None, int]:
-        """Cached (int64 matrix, max abs entry); the matrix is None when an entry overflows."""
+    def _bound(self) -> int:
+        """Largest entry modulus of the matrix, computed once."""
         if self._amax is None:
-            self._amax = _amax(self._array())
-            if self._i64 is None and self._amax <= _INT64_MAX:
-                self._i64 = self._obj.astype(np.int64)
-        return (self._i64 if self._amax <= _INT64_MAX else None), self._amax
-
-    def _exact(self) -> np.ndarray:
-        """The integer matrix as int64 when every entry fits, else as Python ints."""
-        arr, _ = self._int64_view()
-        return self.mat if arr is None else arr
+            self._amax = _amax(self._mat)
+        return self._amax
 
     # -- constructors ------------------------------------------------------
 
@@ -165,7 +165,7 @@ class TensorOperator:
 
     def reduced(self) -> "TensorOperator":
         """Fold the integer gcd of the matrix into the scale (canonical form)."""
-        src = self._exact()
+        src = self._mat
         g = int(np.gcd.reduce(np.abs(src.ravel()))) if src.size else 0
         if g == 0:
             return TensorOperator.zero(self.d, self.n)
@@ -174,17 +174,15 @@ class TensorOperator:
         return TensorOperator(self.d, self.n, self.scale * g, src // g)
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.scale * int(self._array()[i, j])
+        return self.scale * int(self._mat[i, j])
 
     # -- arithmetic ----------------------------------------------------------
 
     def _scaled_pair(self, a: int, other: "TensorOperator", b: int) -> tuple[np.ndarray, np.ndarray]:
         """a times this matrix and b times the other's, in int64 when |a| max|A| + |b| max|B| fits."""
-        a64, amax = self._int64_view()
-        b64, bmax = other._int64_view()
-        if a64 is not None and b64 is not None and abs(a) * max(amax, 1) + abs(b) * max(bmax, 1) <= _INT64_MAX:
-            return a * a64, b * b64
-        return a * self.mat, b * other.mat
+        bound = abs(a) * max(self._bound(), 1) + abs(b) * max(other._bound(), 1)
+        x, y = _exact(bound, self._mat, other._mat)
+        return a * x, b * y
 
     def _compatible(self, other: "TensorOperator") -> None:
         if (self.d, self.n) != (other.d, other.n):
@@ -213,7 +211,7 @@ class TensorOperator:
         c = Fraction(c)
         if c == 0:
             return TensorOperator.zero(self.d, self.n)
-        return TensorOperator(self.d, self.n, self.scale * c, self._array())
+        return TensorOperator(self.d, self.n, self.scale * c, self._mat)
 
     def __mul__(self, c: int | Fraction) -> "TensorOperator":
         return self.__rmul__(c)
@@ -225,7 +223,7 @@ class TensorOperator:
         overflow (see :func:`_int_matmul`) and in Python ints otherwise.
         """
         self._compatible(other)
-        a, b = self._exact(), other._exact()
+        a, b = self._mat, other._mat
         blocks = _block_partition(self.d, self.n, a, b)
         parts = [_int_matmul(a[np.ix_(w, w)], b[np.ix_(w, w)]) for w in blocks]
         if len(parts) == 1:  # the one block holds every index in order
@@ -238,30 +236,20 @@ class TensorOperator:
         return TensorOperator(self.d, self.n, self.scale * other.scale, product)
 
     def trace(self) -> Fraction:
-        return self.scale * sum(map(int, self._array().diagonal()))
+        return self.scale * sum(map(int, self._mat.diagonal()))
 
     def hs_product(self, other: "TensorOperator") -> Fraction:
         """Hilbert-Schmidt pairing tr(self @ other) without forming the product."""
         self._compatible(other)
-        a64, amax = self._int64_view()
-        b64, bmax = other._int64_view()
-        if a64 is not None and b64 is not None and a64.size * amax * bmax <= _INT64_MAX:
-            total = int((a64 * b64.T).sum())
-        else:
-            total = int((self.mat * other.mat.T).sum())
-        return self.scale * other.scale * total
+        a, b = _exact(self._mat.size * self._bound() * other._bound(), self._mat, other._mat)
+        return self.scale * other.scale * int((a * b.T).sum())
 
     def kron(self, other: "TensorOperator") -> "TensorOperator":
         if self.d != other.d:
             raise ValueError("local dimensions differ")
         _check_dense_size(self.d, self.n + other.n)
-        a64, amax = self._int64_view()
-        b64, bmax = other._int64_view()
-        if a64 is not None and b64 is not None and amax * bmax <= _INT64_MAX:
-            product = np.kron(a64, b64)
-        else:
-            product = np.kron(self.mat, other.mat)
-        return TensorOperator(self.d, self.n + other.n, self.scale * other.scale, product)
+        a, b = _exact(self._bound() * other._bound(), self._mat, other._mat)
+        return TensorOperator(self.d, self.n + other.n, self.scale * other.scale, np.kron(a, b))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TensorOperator):
@@ -286,9 +274,7 @@ class TensorOperator:
         if not sites:
             return self
         d, n = self.d, self.n
-        arr, amax = self._int64_view()
-        if arr is None or amax * d ** len(sites) > _INT64_MAX:
-            arr = self.mat
+        (arr,) = _exact(self._bound() * d ** len(sites), self._mat)
         tensor = arr.reshape((d,) * (2 * n))
         cur = n
         for s in reversed(sites):
@@ -326,9 +312,8 @@ def perm_operator(tau: Permutation, d: int) -> TensorOperator:
 
 def _int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Exact a @ b of integer matrices: int64 when m max|a| max|b| fits, else Python ints."""
-    if a.dtype != object and b.dtype != object and a.shape[1] * _amax(a) * _amax(b) <= _INT64_MAX:
-        return a @ b
-    return a.astype(object) @ b.astype(object)
+    a, b = _exact(a.shape[1] * _amax(a) * _amax(b), a, b)
+    return a @ b
 
 
 def central_eigenvalues(lam: YoungFrame) -> tuple[int, int]:
@@ -381,9 +366,7 @@ def _lagrange_idempotents(mat: np.ndarray, values: list[int]) -> list[tuple[np.n
         for u in values[:i] + values[i + 1 :]:
             coeffs = [a - u * b for a, b in zip([0] + coeffs, coeffs + [0])]
             den *= v - u
-        terms = powers
-        if sum(abs(c) * b for c, b in zip(coeffs, bounds)) > _INT64_MAX:
-            terms = [p.astype(object) for p in powers]
+        terms = _exact(sum(abs(c) * b for c, b in zip(coeffs, bounds)), *powers)
         out.append((sum(c * p for c, p in zip(coeffs, terms)), den))
     return out
 
@@ -492,31 +475,23 @@ def isotypical_projectors(
     return _projector_family(d, n)
 
 
-def isotypical_projector(
-    lam: YoungFrame, d: int, *, factorial_cap: int = FACTORIAL_LOOP_CAP
-) -> TensorOperator:
-    """The projector onto the lam isotypical block of (C^d)^(x n), n = |lam|."""
-    if not lam.fits(d):
-        raise ValueError(f"frame {lam} does not fit in {d} rows")
-    return isotypical_projectors(d, lam.n, factorial_cap=factorial_cap)[lam]
-
-
 def clear_projector_cache() -> None:
-    """Drop cached projector families (the d=2 n=10 family holds 48 MB of int64 matrices)."""
+    """Drop cached projector families.
+
+    A family holds one int64 matrix per frame and no Python-int copy; the
+    d=2 n=10 family holds 48 MB.
+    """
     _projector_family.cache_clear()
 
 
 # -- channel building blocks ----------------------------------------------------
 
 
-def tensor_with_maximally_mixed(a: TensorOperator, k: int, d: int | None = None) -> TensorOperator:
+def tensor_with_maximally_mixed(a: TensorOperator, k: int) -> TensorOperator:
     """a tensored with k maximally mixed sites appended on the right."""
-    d = a.d if d is None else d
-    if d != a.d:
-        raise ValueError("local dimension mismatch")
     if k == 0:
         return a
-    return a.kron(TensorOperator.maximally_mixed(d, k))
+    return a.kron(TensorOperator.maximally_mixed(a.d, k))
 
 
 def insert_maximally_mixed(a: TensorOperator, positions: Sequence[int], n: int) -> TensorOperator:
@@ -534,7 +509,7 @@ def insert_maximally_mixed(a: TensorOperator, positions: Sequence[int], n: int) 
         return a
     d = a.d
     _check_dense_size(d, n)
-    big = np.kron(a.mat, np.identity(d**k, dtype=object))
+    big = np.kron(a._mat, np.identity(d**k, dtype=a._mat.dtype))
     remaining = [s for s in range(n) if s not in set(positions)]
     source_site = remaining + positions  # axis s of `big` carries site source_site[s]
     src_axis = {site: axis for axis, site in enumerate(source_site)}
@@ -548,7 +523,7 @@ def conjugate_by_permutation(a: TensorOperator, tau: Permutation) -> TensorOpera
     if tau.n != a.n:
         raise ValueError("permutation size does not match operator sites")
     g = _word_map(tau.inverse().images, a.d)
-    return TensorOperator(a.d, a.n, a.scale, a._array()[np.ix_(g, g)])
+    return TensorOperator(a.d, a.n, a.scale, a._mat[np.ix_(g, g)])
 
 
 @lru_cache(maxsize=4)
@@ -589,9 +564,7 @@ def twirl(a: TensorOperator, *, factorial_cap: int = FACTORIAL_LOOP_CAP) -> Tens
     if n > factorial_cap:
         raise ValueError(f"twirl over S_{n} exceeds factorial cap {factorial_cap}")
     orbit, stabiliser = _pair_orbits(d, n)
-    arr, amax = a._int64_view()
-    if arr is None or math.factorial(n) * amax > _INT64_MAX:
-        arr, stabiliser = a.mat, stabiliser.astype(object)
+    arr, stabiliser = _exact(math.factorial(n) * a._bound(), a._mat, stabiliser)
     sums = np.zeros(len(stabiliser), dtype=arr.dtype)
     np.add.at(sums, orbit.ravel(), arr.ravel())
     return TensorOperator(d, n, a.scale / math.factorial(n), (stabiliser * sums)[orbit])
@@ -614,9 +587,7 @@ def depolarise_n(a: TensorOperator, q: Fraction | int | str) -> TensorOperator:
         raise ValueError(f"depolarising weight must lie in [0, 1], got {q}")
     d, n = a.d, a.n
     growth = q.denominator * d
-    mat, amax = a._int64_view()
-    if mat is None or max(amax, 1) * growth**n > _INT64_MAX:
-        mat = a.mat
+    (mat,) = _exact(max(a._bound(), 1) * growth**n, a._mat)
     keep = (q.denominator - q.numerator) * d
     for site in range(n):
         left, right = d**site, d ** (n - site - 1)
@@ -627,14 +598,6 @@ def depolarise_n(a: TensorOperator, q: Fraction | int | str) -> TensorOperator:
             out[:, i, :, :, i, :] += mixed
         mat = out.reshape(mat.shape)
     return TensorOperator(d, n, a.scale / growth**n, mat).reduced()
-
-
-def overlap(lam_prime: YoungFrame, a: TensorOperator, *, factorial_cap: int = FACTORIAL_LOOP_CAP) -> Fraction:
-    """Exact overlap tr(P_{lam'} a) with the isotypical projector of ``a``'s size."""
-    if lam_prime.n != a.n:
-        raise ValueError(f"frame has {lam_prime.n} boxes but operator acts on {a.n} sites")
-    proj = isotypical_projector(lam_prime, a.d, factorial_cap=factorial_cap)
-    return proj.hs_product(a)
 
 
 # -- exact positive-semidefiniteness test ------------------------------------------
@@ -663,7 +626,7 @@ def is_positive_semidefinite(a: TensorOperator) -> bool:
     elimination: every sign that decides the verdict is kept, and no
     fraction is formed.
     """
-    arr = a._array()
+    arr = a._mat
     if not np.array_equal(arr, arr.T):
         raise ValueError("PSD test expects a symmetric operator")
     if a.scale == 0:

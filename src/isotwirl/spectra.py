@@ -69,9 +69,6 @@ class BranchingTable:
     d: int
     entries: dict[tuple[YoungFrame, YoungFrame], Fraction]
 
-    def coefficient(self, mu: YoungFrame, nu: YoungFrame) -> Fraction:
-        return self.entries.get((mu, nu), Fraction(0))
-
     def projector_weights(self) -> dict[YoungFrame, Fraction]:
         """Total weight of each P_mu: sum of entries over nu."""
         out: dict[YoungFrame, Fraction] = {}

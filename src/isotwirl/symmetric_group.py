@@ -40,21 +40,9 @@ class Permutation:
         if sorted(images) != list(range(len(images))):
             raise ValueError(f"not a permutation of 0..{len(images) - 1}: {images}")
 
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
-
-    @classmethod
-    def from_one_based(cls, images: tuple[int, ...] | list[int]) -> "Permutation":
-        """Build from 1-based one-line notation, e.g. (2, 1, 3)."""
-        return cls(tuple(i - 1 for i in images))
-
     @property
     def n(self) -> int:
         return len(self.images)
-
-    def __call__(self, i: int) -> int:
-        return self.images[i]
 
     def compose(self, other: "Permutation") -> "Permutation":
         """Function composition self # other: i -> self(other(i))."""
@@ -70,54 +58,6 @@ class Permutation:
         for i, j in enumerate(self.images):
             inv[j] = i
         return Permutation(tuple(inv))
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        seen = [False] * self.n
-        out = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            cyc = []
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                cyc.append(j)
-                j = self.images[j]
-            out.append(tuple(cyc))
-        return out
-
-    def cycle_type(self) -> YoungFrame:
-        return YoungFrame(cycle_lengths(self.images))
-
-    def sign(self) -> int:
-        return -1 if (self.n - len(self.cycles())) % 2 else 1
-
-
-def cycle_lengths(images: tuple[int, ...]) -> tuple[int, ...]:
-    """Cycle lengths of i -> images[i], weakly decreasing.
-
-    Takes the bare image tuple so that loops over all of S_n need not build a
-    :class:`Permutation` per element.
-    """
-    n = len(images)
-    seen = [False] * n
-    lengths = []
-    for i in range(n):
-        if not seen[i]:
-            length = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = images[j]
-                length += 1
-            lengths.append(length)
-    lengths.sort(reverse=True)
-    return tuple(lengths)
-
-
-def cycle_type(tau: Permutation) -> YoungFrame:
-    """Sorted cycle lengths of ``tau`` as a frame with n boxes."""
-    return tau.cycle_type()
 
 
 def enumerate_group(n: int, *, cap: int = GROUP_ENUMERATION_CAP) -> Iterator[Permutation]:
@@ -159,12 +99,6 @@ def class_size(ct: YoungFrame) -> int:
     for m in mult.values():
         z *= math.factorial(m)
     return math.factorial(n) // z
-
-
-def class_sign(ct: YoungFrame) -> int:
-    """Sign of any permutation in the class: (-1)**(n - #cycles)."""
-    parts = ct.reduced
-    return -1 if (sum(parts) - len(parts)) % 2 else 1
 
 
 @cache

@@ -366,11 +366,18 @@ def check_chains_disjoint_outside_window(sizes: list[tuple[int, int]]) -> CheckR
 def suite_support(cfg: RunConfig) -> list[CheckResult]:
     dense = check_dense_overlap_outside_window(_dense_sizes(cfg))
 
+    # Each twirl spectrum feeds both the engine-window check and the growth
+    # report.  Support growth across k is an empirical observation, not a
+    # proven statement: violations are counted and reported, never asserted.
     engine = _Collector("engine_weight_zero_outside_window")
+    growth = _Collector("support_growth_monotone_report")
+    violations: list[str] = []
+    violation_count = 0
     for d in range(2, cfg.d_max + 1):
         for n in range(1, cfg.n_max + 1):
             frames = enumerate_frames(d, n)
             for lam in frames:
+                prev: set | None = None
                 for k in range(0, n + 1):
                     table = twirl_spectrum(lam, k, d, normalized=False)
                     for lam_p in frames:
@@ -379,22 +386,7 @@ def suite_support(cfg: RunConfig) -> list[CheckResult]:
                                 table.weight(lam_p) == 0,
                                 "d={} lam={} lam'={} k={}: engine weight nonzero", d, lam, lam_p, k,
                             )
-
-    chains = check_chains_disjoint_outside_window(
-        [(d, min(cfg.n_max, 7)) for d in range(2, cfg.d_max + 1)]
-    )
-
-    # Support growth across k is an empirical observation, not a proven
-    # statement: violations are counted and reported, never asserted.
-    growth = _Collector("support_growth_monotone_report")
-    violations: list[str] = []
-    violation_count = 0
-    for d in range(2, cfg.d_max + 1):
-        for n in range(1, cfg.n_max + 1):
-            for lam in enumerate_frames(d, n):
-                prev: set | None = None
-                for k in range(0, n + 1):
-                    supp = set(twirl_spectrum(lam, k, d, normalized=False).support())
+                    supp = set(table.support())
                     if prev is not None:
                         growth.checked += 1
                         missing = prev - supp
@@ -408,6 +400,9 @@ def suite_support(cfg: RunConfig) -> list[CheckResult]:
     growth.info["violations"] = violations
     growth.info["violation_count"] = violation_count
 
+    chains = check_chains_disjoint_outside_window(
+        [(d, min(cfg.n_max, 7)) for d in range(2, cfg.d_max + 1)]
+    )
     psd = check_projector_domination(min(cfg.n_max, 6))
     return [dense, engine.result(), chains, growth.result(), psd]
 
@@ -536,13 +531,14 @@ def suite_oracle(cfg: RunConfig) -> list[CheckResult]:
             frames = list(family)
             for lam in frames:
                 p = family[lam]
+                mat = p.mat
                 total = total + p
                 algebra.record(p @ p == p, "d={} n={} {}: not idempotent", d, n, lam)
                 algebra.expect_equal(
                     p.trace(), dim_sym(lam) * dim_unitary(lam, d), "d={} n={} {}: trace", d, n, lam
                 )
                 algebra.record(
-                    np.array_equal(p.mat, p.mat.T), "d={} n={} {}: not symmetric", d, n, lam
+                    np.array_equal(mat, mat.T), "d={} n={} {}: not symmetric", d, n, lam
                 )
             algebra.record(
                 total == orc.TensorOperator.identity(d, n),

@@ -137,6 +137,12 @@ def partitions_of(n: int, max_rows: int | None = None) -> list[tuple[int, ...]]:
     return out
 
 
+def class_sign(ct: YoungFrame) -> int:
+    """Sign of any permutation in the class: (-1)**(n - #cycles)."""
+    parts = ct.reduced
+    return -1 if (sum(parts) - len(parts)) % 2 else 1
+
+
 def cycle_type_of(images: tuple[int, ...]) -> tuple[int, ...]:
     n = len(images)
     seen = [False] * n
@@ -228,10 +234,11 @@ def twirl_by_permutations(a: TensorOperator) -> TensorOperator:
     dim = d**n
     digits = np.array(list(itertools.product(range(d), repeat=n)), dtype=np.int64).reshape(dim, n)
     powers = np.array([d ** (n - 1 - i) for i in range(n)], dtype=np.int64)
+    mat = a.mat
     acc = np.zeros((dim, dim), dtype=object)
     for images in itertools.permutations(range(n)):
         g = digits[:, images] @ powers
-        acc += a.mat[np.ix_(g, g)]
+        acc += mat[np.ix_(g, g)]
     return TensorOperator(d, n, a.scale / math.factorial(n), acc)
 
 
@@ -240,12 +247,13 @@ def partial_trace_by_sums(a: TensorOperator, sites: tuple[int, ...]) -> TensorOp
     d, n = a.d, a.n
     keep = [s for s in range(n) if s not in sites]
     words = list(itertools.product(range(d), repeat=n))
+    mat = a.mat
     out = np.zeros((d ** len(keep), d ** len(keep)), dtype=object)
     for (i, w), (j, v) in itertools.product(enumerate(words), repeat=2):
         if all(w[s] == v[s] for s in sites):
             row = sum(w[s] * d ** (len(keep) - 1 - t) for t, s in enumerate(keep))
             col = sum(v[s] * d ** (len(keep) - 1 - t) for t, s in enumerate(keep))
-            out[row, col] += int(a.mat[i, j])
+            out[row, col] += int(mat[i, j])
     return TensorOperator(d, len(keep), a.scale, out)
 
 
@@ -256,9 +264,10 @@ def psd_by_fraction_ldl(a: TensorOperator) -> bool:
     diagonal entry left, PSD holds exactly when the rest is zero; otherwise
     eliminate on the first positive pivot and recurse on the Schur complement.
     """
-    if not np.array_equal(a.mat, a.mat.T):
+    mat = a.mat
+    if not np.array_equal(mat, mat.T):
         raise ValueError("PSD test expects a symmetric operator")
-    work = a.mat * a.scale
+    work = mat * a.scale
     alive = list(range(work.shape[0]))
     while alive:
         diag = [work[i, i] for i in alive]

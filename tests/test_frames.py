@@ -40,8 +40,6 @@ def test_frame_padding_and_rows():
     assert lam.num_rows == 3 and lam.n == 7
     with pytest.raises(ValueError):
         lam.padded(2)
-    assert frame(3, 2).conjugate() == frame(2, 2, 1)
-    assert frame().conjugate() == frame()
 
 
 def test_parse_and_format():

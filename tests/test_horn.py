@@ -6,7 +6,6 @@ from isotwirl.horn import (
     basic_horn_holds,
     branching_disjoint,
     horn_feasible,
-    support_window,
     within_support_window,
 )
 from isotwirl.verify import check_chains_disjoint_outside_window, check_horn_inequalities
@@ -39,13 +38,12 @@ def test_basic_inequalities_necessary_for_feasibility():
 
 def test_support_window_examples():
     # k = 0 admits only the frame itself
-    win = support_window(frame(3, 1), 2, 0)
-    assert win(frame(3, 1))
-    assert not win(frame(2, 2)) and not win(frame(4, 0))
+    assert within_support_window(frame(3, 1), frame(3, 1), 2, 0)
+    assert not within_support_window(frame(3, 1), frame(2, 2), 2, 0)
+    assert not within_support_window(frame(3, 1), frame(4, 0), 2, 0)
     # d=2, k=1 around (4,0)
-    win = support_window(frame(4, 0), 2, 1)
-    assert win(frame(3, 1))
-    assert not win(frame(2, 2))
+    assert within_support_window(frame(4, 0), frame(3, 1), 2, 1)
+    assert not within_support_window(frame(4, 0), frame(2, 2), 2, 1)
     # d=3, k=1 around (6,3,0): all |delta| <= 2
     assert within_support_window(frame(6, 3, 0), frame(4, 4, 1), 3, 1)
     assert not within_support_window(frame(6, 3, 0), frame(3, 3, 3), 3, 1)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from bruteforce import is_lattice_word
@@ -76,7 +78,8 @@ def test_witness_tableaux_are_valid():
         tabs = lr_tableaux(lam, mu, nu)
         assert len(tabs) == lr_coefficient(lam, mu, nu)
         for t in tabs:
-            assert t.content() == nu
+            entries = Counter(v for row in t.filling for v in row)
+            assert sorted(entries.items()) == list(enumerate(nu.reduced, 1))  # content nu
             rows = t.filling
             for i, row in enumerate(rows):
                 assert list(row) == sorted(row)  # weakly increasing rows

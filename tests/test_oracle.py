@@ -40,8 +40,23 @@ def full_product(a, b):
     return orc.TensorOperator(a.d, a.n, a.scale * b.scale, a.mat @ b.mat)
 
 
+@pytest.fixture
+def exact_routes(monkeypatch):
+    """The dtype each call of ``orc._exact`` hands back, in call order."""
+    routes = []
+    exact = orc._exact
+
+    def recorded(bound, *arrays):
+        out = exact(bound, *arrays)
+        routes.append(out[0].dtype)
+        return out
+
+    monkeypatch.setattr(orc, "_exact", recorded)
+    return routes
+
+
 def test_perm_operator_examples():
-    ident = orc.perm_operator(Permutation.identity(2), 2)
+    ident = orc.perm_operator(Permutation((0, 1)), 2)
     assert ident == orc.TensorOperator.identity(2, 2)
     swap = orc.perm_operator(Permutation((1, 0)), 2)
     expect = np.zeros((4, 4), dtype=object)
@@ -61,7 +76,7 @@ def test_perm_operator_is_representation():
 
 def test_dimension_cap():
     with pytest.raises(ValueError):
-        orc.perm_operator(Permutation.identity(9), 3)  # 3**9 > 6561
+        orc.perm_operator(Permutation(tuple(range(9))), 3)  # 3**9 > 6561
     with pytest.raises(ValueError):
         orc.isotypical_projectors(2, 9)  # factorial cap
 
@@ -170,7 +185,7 @@ def test_partial_trace_examples():
         a.partial_trace([3])
 
 
-def test_partial_trace_int64_and_object_routes():
+def test_partial_trace_int64_and_object_routes(exact_routes):
     # entries near 2**60 overflow int64 once three qubit sites are traced and
     # entries near 2**62 once one is, so both routes meet the reference
     rng = random.Random(10)
@@ -183,8 +198,9 @@ def test_partial_trace_int64_and_object_routes():
                 a = orc.TensorOperator(d, n, Fraction(1, 3), stored)
                 for k in range(1, n + 1):
                     for sites in itertools.combinations(range(n), k):
+                        exact_routes.clear()
                         out = a.partial_trace(sites)
-                        assert (out._array().dtype == np.int64) == (amax * d**k <= 2**63 - 1)
+                        assert exact_routes == [np.int64 if amax * d**k <= 2**63 - 1 else object]
                         assert out == partial_trace_by_sums(a, sites), (d, n, bound, sites)
 
 
@@ -236,21 +252,23 @@ def test_twirl_properties():
         orc.twirl(rand_op(rng, 2, 4), factorial_cap=3)
 
 
-def test_twirl_equals_sum_over_all_permutations():
+def test_twirl_equals_sum_over_all_permutations(exact_routes):
     rng = np.random.default_rng(11)
     cases = [(2, n) for n in range(0, 7)] + [(3, n) for n in range(0, 5)]
     for d, n in cases:
         a = orc.TensorOperator(d, n, Fraction(3, 7), rng.integers(-9, 10, size=(d**n, d**n)))
+        exact_routes.clear()
         got, ref = orc.twirl(a), twirl_by_permutations(a)
         assert got.scale == ref.scale and np.array_equal(got.mat, ref.mat), (d, n)
-        assert got._array().dtype == np.int64
+        assert exact_routes == [np.int64]
     # Entries fit int64 but 4! max|a| does not: the orbit sums run on Python ints
     mat = rng.integers(-3, 4, size=(16, 16)) * 2**59
     mat[0, 0] = 3 * 2**59  # the orbit of (0000, 0000) has one member, met 4! times
     a = orc.TensorOperator(2, 4, Fraction(1, 5), mat)
+    exact_routes.clear()
     got, ref = orc.twirl(a), twirl_by_permutations(a)
     assert got.scale == ref.scale and np.array_equal(got.mat, ref.mat)
-    assert got._array().dtype == object
+    assert exact_routes == [object]
 
 
 def test_twirl_two_term_example():
@@ -283,7 +301,7 @@ def test_depolarise_edges_and_trace():
         orc.depolarise_n(a, Fraction(3, 2))
 
 
-def test_depolarise_matches_subset_sum():
+def test_depolarise_matches_subset_sum(exact_routes):
     # entries up to 5 and 10**15 fit the int64 bound for some (d, n, q), entries
     # near 2**62 never do, so both routes of the channel meet the reference
     rng = random.Random(8)
@@ -294,9 +312,40 @@ def test_depolarise_matches_subset_sum():
                 dim = d**n
                 mat = np.array([[rng.randint(-bound, bound) for _ in range(dim)] for _ in range(dim)],
                                dtype=object)
+                amax = max(abs(x) for x in mat.ravel())
                 a = orc.TensorOperator(d, n, Fraction(1, rng.randint(1, 9)), mat)
                 for q in qs:
-                    assert orc.depolarise_n(a, q) == depolarise_by_subsets(a, q), (d, n, bound, q)
+                    exact_routes.clear()
+                    got = orc.depolarise_n(a, q)
+                    fits = max(amax, 1) * (q.denominator * d) ** n <= 2**63 - 1
+                    assert exact_routes == [np.int64 if fits else object], (d, n, bound, q)
+                    assert got == depolarise_by_subsets(a, q), (d, n, bound, q)
+
+
+def test_exact_route_boundary():
+    # int64 inputs stay int64 up to a bound of 2**63 - 1; past it, or with any
+    # Python-int input, every array comes back as Python ints
+    small = np.arange(4, dtype=np.int64).reshape(2, 2)
+    kept = orc._exact(2**63 - 1, small, -small)
+    assert [x.dtype for x in kept] == [np.int64, np.int64] and kept[0] is small
+    for bound, arrays in ((2**63, (small, -small)), (0, (small, small.astype(object)))):
+        out = orc._exact(bound, *arrays)
+        assert [x.dtype for x in out] == [object, object]
+        assert all(np.array_equal(x, y) for x, y in zip(out, arrays))
+        assert all(type(v) is int for x in out for v in x.ravel())
+
+
+def test_stored_matrix_is_int64_exactly_when_entries_fit():
+    for entry, stored in ((2**63 - 1, np.int64), (-(2**63), np.int64), (2**63, object), (-(2**63) - 1, object)):
+        mat = np.array([[entry, 0], [0, 1]], dtype=object)
+        a = orc.TensorOperator(2, 1, Fraction(1), mat)
+        assert a._mat.dtype == stored and a.entry(0, 0) == entry
+    a = orc.TensorOperator(2, 1, Fraction(1), np.array([[2**63, 0], [0, 1]], dtype=np.uint64))
+    assert a._mat.dtype == object and a.entry(0, 0) == 2**63
+    # ``mat`` is a fresh Python-int copy: writing to it leaves the operator alone
+    copy = a.mat
+    copy[1, 1] = 5
+    assert a.mat is not copy and a.entry(1, 1) == 1
 
 
 def test_int64_and_object_matrices_agree():
@@ -331,7 +380,7 @@ def test_matmul_matches_full_product(monkeypatch):
         perms = [orc.perm_operator(s, d) for s in enumerate_group(n)][:8]
         for ops in (family, perms):
             for a, b in itertools.product(ops, repeat=2):
-                assert len(orc._block_partition(d, n, a._array(), b._array())) > 1
+                assert len(orc._block_partition(d, n, a._mat, b._mat)) > 1
                 assert a @ b == full_product(a, b)
     # a random pair is nonzero outside the blocks, so it is one block of every index
     rng = random.Random(11)
@@ -354,10 +403,10 @@ def test_matmul_matches_full_product(monkeypatch):
     a = orc.TensorOperator(2, 4, Fraction(1, 3), mat)
     product = a @ a
     assert routes == [np.int64, np.int64, object, np.int64, np.int64]
-    assert product._array().dtype == object and product == full_product(a, a)
+    assert product._mat.dtype == object and product == full_product(a, a)
 
 
-def test_kron_int64_and_object_routes():
+def test_kron_int64_and_object_routes(exact_routes):
     # the int64 route runs exactly when max|A| max|B| fits, up to entries near 2**62
     rng = random.Random(12)
     for bound_a, bound_b, fits in ((5, 5, True), (2**31, 2**31, True), (2**62, 1, True), (2**62, 2, False)):
@@ -369,8 +418,9 @@ def test_kron_int64_and_object_routes():
         for stored in (mats, [m.astype(np.int64) for m in mats]):
             a = orc.TensorOperator(2, 1, Fraction(1, 3), stored[0])
             b = orc.TensorOperator(2, 2, Fraction(2, 5), stored[1])
+            exact_routes.clear()
             out = a.kron(b)
-            assert (out._array().dtype == np.int64) == fits
+            assert exact_routes == [np.int64 if fits else object]
             assert out == orc.TensorOperator(2, 3, Fraction(2, 15), np.kron(a.mat, b.mat))
 
 
@@ -411,14 +461,14 @@ def test_depolarise_binomial_twirl_decomposition():
 def test_overlap_examples():
     fam = orc.isotypical_projectors(2, 4)
     for lam, p in fam.items():
-        assert orc.overlap(lam, p) == dim_sym(lam) * dim_unitary(lam, 2)
+        assert p.hs_product(p) == dim_sym(lam) * dim_unitary(lam, 2)
         for other in fam:
             if other != lam:
-                assert orc.overlap(other, p) == 0
+                assert fam[other].hs_product(p) == 0
     # support-window vanishing instance: |4 - 2| = 2 > (d-1)*k = 1
     padded = fam[frame(4, 0)].partial_trace([3]).kron(orc.TensorOperator.identity(2, 1))
-    assert orc.overlap(frame(2, 2), padded) == 0
-    assert orc.overlap(frame(3, 1), padded) != 0
+    assert fam[frame(2, 2)].hs_product(padded) == 0
+    assert fam[frame(3, 1)].hs_product(padded) != 0
 
 
 def test_psd_checks():
@@ -469,7 +519,7 @@ def test_psd_matches_fraction_ldl(case):
     verdict = orc.is_positive_semidefinite(a)
     assert verdict == psd_by_fraction_ldl(a)
     if masked:
-        assert len(orc._block_partition(a.d, a.n, a._array())) > 1
+        assert len(orc._block_partition(a.d, a.n, a._mat)) > 1
     if a.scale == 0 or (kind == "gram" and a.scale > 0):
         assert verdict
     elif not masked and kind == "minus_eps" and a.scale > 0:

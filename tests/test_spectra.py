@@ -31,7 +31,7 @@ def test_branching_examples():
     table = partial_trace_decomposition(frame(2), 1, 2)
     assert table.entries == {(frame(1), frame(1)): Fraction(3, 2)}
     table = partial_trace_decomposition(frame(4, 0), 1, 2)
-    assert table.coefficient(frame(3), frame(1)) == Fraction(5, 4)
+    assert table.entries[(frame(3), frame(1))] == Fraction(5, 4)
     table = partial_trace_decomposition(frame(3, 1), 0, 2)
     assert table.entries == {(frame(3, 1), frame()): Fraction(1)}
     with pytest.raises(ValueError):
