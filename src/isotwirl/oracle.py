@@ -21,9 +21,13 @@ falls back to arbitrary precision otherwise.
 
 Permutations of the sites keep a word's letter histogram, so permutation
 operators, projectors and their sums and products are block diagonal over the
-letter-count blocks of :func:`_letter_blocks`.  The projector build, matrix
-products and the PSD test work one such block at a time; an operator that is
-nonzero outside the blocks is handled as one block holding every index.
+letter-count blocks of :func:`_letter_blocks`.  Each operator finds out once
+whether its matrix is zero outside those blocks (``_blocked``).  The
+projector build, matrix products of two blocked operators and the PSD test of
+a blocked one work one block at a time; Hilbert-Schmidt pairings with a
+blocked operand, and equality of two blocked operators, read only the entries
+inside the blocks (:func:`_block_support`).  An operator that is nonzero
+outside the blocks is handled as one block holding every index.
 
 Operators are immutable by convention: no operation mutates its inputs, and
 constructed operators can be shared freely across threads.
@@ -33,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from fractions import Fraction
 from functools import cache, lru_cache, partial
 from typing import Callable, Iterable, Sequence
@@ -101,19 +106,25 @@ def _letter_blocks(d: int, n: int) -> tuple[np.ndarray, ...]:
     return tuple(np.split(order, np.flatnonzero(np.diff(keys[order])) + 1))
 
 
-def _block_partition(d: int, n: int, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The letter blocks when every array is exactly zero outside them, else one block of all indices."""
+@cache
+def _block_support(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices ``i * d^n + j`` of the entries inside the letter blocks, and ``j * d^n + i`` for each.
+
+    Both arrays are read-only and list the same entries, block by block; the
+    support is symmetric, so the second is a reordering of the first.
+    """
+    dim = d**n
     blocks = _letter_blocks(d, n)
-    for arr in arrays:
-        if sum(np.count_nonzero(arr[np.ix_(w, w)]) for w in blocks) != np.count_nonzero(arr):
-            return (np.arange(d**n),)
-    return blocks
+    flat = np.concatenate([(w[:, None] * dim + w[None, :]).ravel() for w in blocks])
+    transposed = np.concatenate([(w[None, :] * dim + w[:, None]).ravel() for w in blocks])
+    flat.flags.writeable = transposed.flags.writeable = False
+    return flat, transposed
 
 
 class TensorOperator:
     """Dense exact-rational operator: ``scale`` times an integer matrix."""
 
-    __slots__ = ("d", "n", "scale", "_mat", "_amax")
+    __slots__ = ("d", "n", "scale", "_mat", "_amax", "_in_blocks")
 
     def __init__(self, d: int, n: int, scale: Fraction, mat: np.ndarray):
         _check_dense_size(d, n)
@@ -122,10 +133,13 @@ class TensorOperator:
             raise ValueError(f"matrix shape {mat.shape} does not match {dim}x{dim}")
         if mat.dtype != object and mat.dtype.kind not in "iu":
             raise ValueError(f"matrix dtype {mat.dtype} is not exact: pass integers or Python ints")
+        if mat.dtype == object and not all(issubclass(t, numbers.Integral) for t in set(map(type, mat.flat))):
+            raise ValueError("matrix entries are not all integers: fold fractions into the scale")
         self.d = d
         self.n = n
         self.scale = Fraction(scale)
         self._amax = None
+        self._in_blocks = None
         if not np.can_cast(mat.dtype, np.int64):
             mat = mat.astype(object, copy=False)
         try:
@@ -143,6 +157,13 @@ class TensorOperator:
         if self._amax is None:
             self._amax = _amax(self._mat)
         return self._amax
+
+    def _blocked(self) -> bool:
+        """Whether every nonzero entry lies inside a letter block of :func:`_letter_blocks`, computed once."""
+        if self._in_blocks is None:
+            flat, _ = _block_support(self.d, self.n)
+            self._in_blocks = bool(np.count_nonzero(self._mat.take(flat)) == np.count_nonzero(self._mat))
+        return self._in_blocks
 
     # -- constructors ------------------------------------------------------
 
@@ -178,10 +199,16 @@ class TensorOperator:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _scaled_pair(self, a: int, other: "TensorOperator", b: int) -> tuple[np.ndarray, np.ndarray]:
-        """a times this matrix and b times the other's, in int64 when |a| max|A| + |b| max|B| fits."""
+    def _scaled_pair(
+        self, a: int, other: "TensorOperator", b: int, flat: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """a times this matrix and b times the other's, in int64 when |a| max|A| + |b| max|B| fits.
+
+        With ``flat`` given, only the entries at those flat indices are scaled.
+        """
         bound = abs(a) * max(self._bound(), 1) + abs(b) * max(other._bound(), 1)
-        x, y = _exact(bound, self._mat, other._mat)
+        x, y = (self._mat, other._mat) if flat is None else (self._mat.take(flat), other._mat.take(flat))
+        x, y = _exact(bound, x, y)
         return a * x, b * y
 
     def _compatible(self, other: "TensorOperator") -> None:
@@ -217,14 +244,15 @@ class TensorOperator:
         return self.__rmul__(c)
 
     def __matmul__(self, other: "TensorOperator") -> "TensorOperator":
-        """Matrix product, block by block over :func:`_block_partition` of both matrices.
+        """Matrix product, block by block over the letter blocks when both operators are blocked.
 
-        Each block product runs in int64 when its own bound certifies no
-        overflow (see :func:`_int_matmul`) and in Python ints otherwise.
+        Otherwise the product is one block holding every index.  Each block
+        product runs in int64 when its own bound certifies no overflow (see
+        :func:`_int_matmul`) and in Python ints otherwise.
         """
         self._compatible(other)
         a, b = self._mat, other._mat
-        blocks = _block_partition(self.d, self.n, a, b)
+        blocks = _diagonal_blocks(self, other)
         parts = [_int_matmul(a[np.ix_(w, w)], b[np.ix_(w, w)]) for w in blocks]
         if len(parts) == 1:  # the one block holds every index in order
             product = parts[0]
@@ -239,10 +267,22 @@ class TensorOperator:
         return self.scale * sum(map(int, self._mat.diagonal()))
 
     def hs_product(self, other: "TensorOperator") -> Fraction:
-        """Hilbert-Schmidt pairing tr(self @ other) without forming the product."""
+        """Hilbert-Schmidt pairing tr(self @ other) without forming the product.
+
+        tr(AB) is the sum of A_ij B_ji.  When either operator is blocked every
+        nonzero term has (i, j) inside a letter block, so only the entries of
+        :func:`_block_support` are paired; otherwise the whole matrices are.
+        The sum runs in int64 when (number of terms) max|A| max|B| fits.
+        """
         self._compatible(other)
-        a, b = _exact(self._mat.size * self._bound() * other._bound(), self._mat, other._mat)
-        return self.scale * other.scale * int((a * b.T).sum())
+        a, b = self._mat, other._mat
+        if self._blocked() or other._blocked():
+            flat, transposed = _block_support(self.d, self.n)
+            a, b = a.take(flat), b.take(transposed)
+        else:
+            b = b.T
+        a, b = _exact(a.size * self._bound() * other._bound(), a, b)
+        return self.scale * other.scale * int((a * b).sum())
 
     def kron(self, other: "TensorOperator") -> "TensorOperator":
         if self.d != other.d:
@@ -258,7 +298,9 @@ class TensorOperator:
             return False
         a = self.scale.numerator * other.scale.denominator
         b = other.scale.numerator * self.scale.denominator
-        return bool(np.array_equal(*self._scaled_pair(a, other, b)))
+        # two blocked matrices are zero outside the blocks, so only the entries inside can differ
+        flat = _block_support(self.d, self.n)[0] if self._blocked() and other._blocked() else None
+        return bool(np.array_equal(*self._scaled_pair(a, other, b, flat)))
 
     # -- site-structure operations --------------------------------------------
 
@@ -283,6 +325,14 @@ class TensorOperator:
         m = n - len(sites)
         tensor = np.asarray(tensor, dtype=arr.dtype).reshape((d**m, d**m))
         return TensorOperator(d, m, self.scale, tensor)
+
+
+def _diagonal_blocks(*ops: TensorOperator) -> tuple[np.ndarray, ...]:
+    """The letter blocks when every operator is blocked, else one block holding every index in order."""
+    d, n = ops[0].d, ops[0].n
+    if all(op._blocked() for op in ops):
+        return _letter_blocks(d, n)
+    return (np.arange(d**n),)
 
 
 # -- permutation action --------------------------------------------------------
@@ -608,8 +658,8 @@ def is_positive_semidefinite(a: TensorOperator) -> bool:
 
     A positive scale does not change the verdict, a zero scale makes the
     matrix zero (PSD), and a negative one negates the integer matrix.  The
-    matrix is PSD exactly when each diagonal block of
-    :func:`_block_partition` is, so each block is tested on its own.
+    matrix of a blocked operator is PSD exactly when each of its letter blocks
+    is, so each block is tested on its own; any other matrix is one block.
 
     Each block runs symmetric Bareiss elimination on Python ints (Bareiss,
     Math. Comp. 22, 1968) with diagonal pivoting: a negative diagonal entry
@@ -632,9 +682,7 @@ def is_positive_semidefinite(a: TensorOperator) -> bool:
     if a.scale == 0:
         return True
     sign = 1 if a.scale > 0 else -1
-    return all(
-        _bareiss_psd(sign * arr[np.ix_(w, w)].astype(object)) for w in _block_partition(a.d, a.n, arr)
-    )
+    return all(_bareiss_psd(sign * arr[np.ix_(w, w)].astype(object)) for w in _diagonal_blocks(a))
 
 
 def _bareiss_psd(m: np.ndarray) -> bool:

@@ -520,11 +520,10 @@ def check_branching_table(sizes: list[tuple[int, int]]) -> CheckResult:
     return branching.result()
 
 
-def suite_oracle(cfg: RunConfig) -> list[CheckResult]:
-    rng = random.Random(cfg.seed)
-
+def check_projector_algebra(sizes: list[tuple[int, int]]) -> CheckResult:
+    """Each P_lam is a symmetric idempotent of trace dim F dim U; the family sums to 1, pairwise orthogonal."""
     algebra = _Collector("projector_algebra")
-    for d, n_cap in _dense_sizes(cfg):
+    for d, n_cap in sizes:
         for n in range(1, n_cap + 1):
             family = orc.isotypical_projectors(d, n)
             total = orc.TensorOperator.zero(d, n)
@@ -553,16 +552,19 @@ def suite_oracle(cfg: RunConfig) -> list[CheckResult]:
                         Fraction(0),
                         "d={} n={}: {} and {} not orthogonal", d, n, lam, lam_p,
                     )
+    return algebra.result()
 
+
+def check_permutation_representation(d_max: int, n: int, rng: random.Random) -> CheckResult:
+    """B(s)B(t) = B(st) on all of S_3 for 2 <= d <= d_max, and for six random pairs of S_n at d = 2."""
     rep = _Collector("permutation_representation")
-    for d in range(2, cfg.d_max + 1):
+    for d in range(2, d_max + 1):
         for s in enumerate_group(3):
             for t in enumerate_group(3):
                 rep.record(
                     orc.perm_operator(s, d) @ orc.perm_operator(t, d) == orc.perm_operator(s * t, d),
                     "d={}: B({})B({}) != B(product)", d, s.images, t.images,
                 )
-    n = min(cfg.n_max, 6)
     for _ in range(6):
         imgs = list(range(n))
         rng.shuffle(imgs)
@@ -573,10 +575,14 @@ def suite_oracle(cfg: RunConfig) -> list[CheckResult]:
             orc.perm_operator(s, 2) @ orc.perm_operator(t, 2) == orc.perm_operator(s * t, 2),
             "random pair at n={}", n,
         )
+    return rep.result()
 
+
+def check_projector_commutation(sizes: list[tuple[int, int]], rng: random.Random) -> CheckResult:
+    """B(tau) P_lam B(tau)^-1 = P_lam for 2 <= n <= n_max: every tau up to n = 4, eight random ones above."""
     commute = _Collector("projector_commutes_with_permutations")
-    for d, n_cap in _dense_sizes(cfg):
-        for n in range(2, min(n_cap, 6) + 1):
+    for d, n_max in sizes:
+        for n in range(2, n_max + 1):
             family = orc.isotypical_projectors(d, n)
             perms = list(enumerate_group(n)) if n <= 4 else []
             if not perms:
@@ -588,7 +594,11 @@ def suite_oracle(cfg: RunConfig) -> list[CheckResult]:
                         orc.conjugate_by_permutation(p, tau) == p,
                         "d={} n={} {}: fails for {}", d, n, lam, tau.images,
                     )
+    return commute.result()
 
+
+def check_partial_trace_properties(rng: random.Random) -> CheckResult:
+    """Partial traces keep the trace, on random d = 2 operators and on a maximally mixed padding."""
     reduction_checks = _Collector("partial_trace_properties")
     for _ in range(4):
         a = _random_operator(rng, 2, 3)
@@ -600,16 +610,13 @@ def suite_oracle(cfg: RunConfig) -> list[CheckResult]:
     reduction_checks.expect_equal(
         mixed.partial_trace([2, 3]).trace(), mixed.trace(), "mixed-padded trace"
     )
+    return reduction_checks.result()
 
-    branching = check_branching_table(
-        [(d, min(cfg.n_max, hard)) for d, hard in ((2, 6), (3, 5)) if d <= cfg.d_max]
-    )
 
+def check_twirl_properties(sizes: list[tuple[int, int]], rng: random.Random) -> CheckResult:
+    """The twirl keeps the trace and every projector pairing, is idempotent and fixes each P_lam, per (d, n)."""
     twirl_checks = _Collector("twirl_properties")
-    for d, hard in ((2, 6), (3, 4)):
-        if d > cfg.d_max:
-            continue
-        n = min(cfg.n_max, hard)
+    for d, n in sizes:
         family = orc.isotypical_projectors(d, n)
         a = _random_operator(rng, d, n)
         tw = orc.twirl(a)
@@ -620,12 +627,14 @@ def suite_oracle(cfg: RunConfig) -> list[CheckResult]:
             twirl_checks.expect_equal(
                 p.hs_product(tw), p.hs_product(a), "d={} {}: overlap changed by twirl", d, lam
             )
+    return twirl_checks.result()
 
+
+def check_twirl_pair_expansion(sizes: list[tuple[int, int]]) -> CheckResult:
+    """twirl(P_mu tensor P_gamma) = sum of paired-block weights times P_lam', for 2 <= n <= n_max."""
     pair_expansion = _Collector("twirl_pair_expansion")
-    for d, hard in ((2, 5), (3, 4)):
-        if d > cfg.d_max:
-            continue
-        for n in range(2, min(cfg.n_max, hard) + 1):
+    for d, n_max in sizes:
+        for n in range(2, n_max + 1):
             family = orc.isotypical_projectors(d, n)
             for l in range(0, n + 1):
                 k = n - l
@@ -642,12 +651,13 @@ def suite_oracle(cfg: RunConfig) -> list[CheckResult]:
                         pair_expansion.record(
                             literal == recon, "d={} mu={} gamma={} (n={})", d, mu, gamma, n
                         )
+    return pair_expansion.result()
 
+
+def check_channel_identities(sizes: list[tuple[int, int]], rng: random.Random) -> CheckResult:
+    """The channel at q = 0, 1 and on traces, PSD inputs and projectors (binomial twirl sum), per (d, n)."""
     channel = _Collector("depolarise_channel_identities")
-    for d, hard in ((2, 5), (3, 3)):
-        if d > cfg.d_max:
-            continue
-        n = min(cfg.n_max, hard)
+    for d, n in sizes:
         a = _random_operator(rng, d, n)
         channel.record(orc.depolarise_n(a, 0) == a, "d={}: q=0 not identity", d)
         channel.record(
@@ -678,12 +688,28 @@ def suite_oracle(cfg: RunConfig) -> list[CheckResult]:
                 channel.record(
                     literal == recon, "d={} lam={} q={}: channel != binomial twirl sum", d, lam, q
                 )
+    return channel.result()
+
+
+def suite_oracle(cfg: RunConfig) -> list[CheckResult]:
+    # One generator feeds the sampled checks in report order, so every draw is fixed by the seed.
+    rng = random.Random(cfg.seed)
+    dense = _dense_sizes(cfg)
+
+    def capped(hard: tuple[tuple[int, int], ...]) -> list[tuple[int, int]]:
+        return [(d, min(cfg.n_max, n)) for d, n in hard if d <= cfg.d_max]
 
     q_values = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
-    fast_path = check_fast_path_against_oracle(_dense_sizes(cfg), q_values)
     return [
-        algebra.result(), rep.result(), commute.result(), reduction_checks.result(), branching,
-        twirl_checks.result(), pair_expansion.result(), channel.result(), *fast_path,
+        check_projector_algebra(dense),
+        check_permutation_representation(cfg.d_max, min(cfg.n_max, 6), rng),
+        check_projector_commutation([(d, min(n, 6)) for d, n in dense], rng),
+        check_partial_trace_properties(rng),
+        check_branching_table(capped(((2, 6), (3, 5)))),
+        check_twirl_properties(capped(((2, 6), (3, 4))), rng),
+        check_twirl_pair_expansion(capped(((2, 5), (3, 4)))),
+        check_channel_identities(capped(((2, 5), (3, 3))), rng),
+        *check_fast_path_against_oracle(dense, q_values),
     ]
 
 

@@ -5,8 +5,9 @@ paths with the package beyond the YoungFrame container, frame enumeration and
 the character table for the projectors, and, for the channel, the oracle's
 partial trace and site insertion; the PSD reference eliminates the whole
 matrix in ``Fraction``, skew counts come from Aitken's determinant and the
-twirl from a sum over all n! permutations) so that agreement with the package
-is meaningful.
+twirl from a sum over all n! permutations, and the Hilbert-Schmidt pairing
+from every entry of the full matrices) so that agreement with the package is
+meaningful.
 """
 
 from __future__ import annotations
@@ -255,6 +256,11 @@ def partial_trace_by_sums(a: TensorOperator, sites: tuple[int, ...]) -> TensorOp
             col = sum(v[s] * d ** (len(keep) - 1 - t) for t, s in enumerate(keep))
             out[row, col] += int(mat[i, j])
     return TensorOperator(d, len(keep), a.scale, out)
+
+
+def hs_product_by_full_matrices(a: TensorOperator, b: TensorOperator) -> Fraction:
+    """tr(AB) as the sum of A_ij B_ji over every entry of the full Python-int matrices."""
+    return a.scale * b.scale * int((a.mat * b.mat.T).sum())
 
 
 def psd_by_fraction_ldl(a: TensorOperator) -> bool:

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from bruteforce import (
     depolarise_by_subsets,
+    hs_product_by_full_matrices,
     partial_trace_by_sums,
     projectors_by_characters,
     psd_by_fraction_ldl,
@@ -380,13 +381,17 @@ def test_matmul_matches_full_product(monkeypatch):
         perms = [orc.perm_operator(s, d) for s in enumerate_group(n)][:8]
         for ops in (family, perms):
             for a, b in itertools.product(ops, repeat=2):
-                assert len(orc._block_partition(d, n, a._mat, b._mat)) > 1
+                assert a._blocked() and b._blocked()
                 assert a @ b == full_product(a, b)
     # a random pair is nonzero outside the blocks, so it is one block of every index
     rng = random.Random(11)
     a, b = rand_op(rng, 2, 3), rand_op(rng, 2, 3)
-    assert len(orc._block_partition(2, 3, a.mat, b.mat)) == 1
+    assert not (a._blocked() and b._blocked())
     assert a @ b == full_product(a, b)
+    # so is a product with one blocked factor
+    p = orc.isotypical_projectors(2, 3)[frame(2, 1)]
+    assert p._blocked() and not a._blocked()
+    assert p @ a == full_product(p, a) and a @ p == full_product(a, p)
     # entries near 2**40 in the 6-word block of (2, 4) overflow int64 there only
     routes = []
     int_matmul = orc._int_matmul
@@ -432,6 +437,22 @@ def test_inexact_matrices_rejected():
             orc.TensorOperator(2, 1, Fraction(1), np.identity(2, dtype=dtype))
 
 
+def test_non_integer_entries_rejected():
+    # an object matrix holding a fraction or a float once had it truncated to an integer
+    with pytest.raises(ValueError):
+        orc.TensorOperator(2, 1, Fraction(1), np.array([[Fraction(1, 2), 0], [0, 0.75]], dtype=object))
+    for entry in (Fraction(1, 3), 0.75, Fraction(2), 2.0, "1"):
+        for big in (0, 2**64):  # the int64 route and the route for entries past int64
+            mat = np.array([[big, 0], [0, 1]], dtype=object)
+            mat[1, 0] = entry
+            with pytest.raises(ValueError):
+                orc.TensorOperator(2, 1, Fraction(1), mat)
+    # integers of any type are kept exactly
+    mat = np.array([[np.int64(3), True], [2**64, -1]], dtype=object)
+    a = orc.TensorOperator(2, 1, Fraction(1), mat)
+    assert [a.entry(i, j) for i in range(2) for j in range(2)] == [3, 1, 2**64, -1]
+
+
 def test_depolarise_preserves_psd():
     rng = random.Random(7)
     r = rand_op(rng, 2, 2)
@@ -469,6 +490,72 @@ def test_overlap_examples():
     padded = fam[frame(4, 0)].partial_trace([3]).kron(orc.TensorOperator.identity(2, 1))
     assert fam[frame(2, 2)].hs_product(padded) == 0
     assert fam[frame(3, 1)].hs_product(padded) != 0
+
+
+PAIRING_SIZES = [(1, 2), (2, 1), (2, 3), (3, 2), (2, 4)]
+
+
+@st.composite
+def operator_pairs(draw):
+    """(a, b) on one (d, n): each blocked or not, with entries near 2**40 in one block or not.
+
+    b is drawn on its own, or is a rescaled copy of a (an equal operator),
+    possibly with one entry changed, which may unblock it.
+    """
+    d, n = draw(st.sampled_from(PAIRING_SIZES))
+    dim = d**n
+    mask = block_mask(d, n)
+
+    def operator(blocked, big):
+        mat = np.array(draw(st.lists(st.integers(-3, 3), min_size=dim * dim, max_size=dim * dim)), dtype=object)
+        mat = mat.reshape(dim, dim)
+        if blocked:
+            mat = np.where(mask, mat, 0)
+        if big:
+            words = max(orc._letter_blocks(d, n), key=len)
+            mat[np.ix_(words, words)] *= 2**40
+            mat[words[0], words[0]] = 2**40 + 1
+        return orc.TensorOperator(d, n, Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 5))), mat)
+
+    a = operator(draw(st.booleans()), draw(st.booleans()))
+    relation = draw(st.sampled_from(["independent", "rescaled", "perturbed"]))
+    if relation == "independent":
+        return a, operator(draw(st.booleans()), draw(st.booleans()))
+    c = draw(st.sampled_from([1, 2, -3]))
+    mat = a.mat * c
+    if relation == "perturbed":
+        mat[draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))] += 1
+    return a, orc.TensorOperator(d, n, a.scale / c, mat)
+
+
+@given(operator_pairs())
+def test_pairing_and_equality_match_full_matrices(pair):
+    a, b = pair
+    mask = block_mask(a.d, a.n)
+    for op in (a, b):
+        assert op._blocked() == (not np.count_nonzero(op.mat[~mask]))
+    assert a.hs_product(b) == b.hs_product(a) == hs_product_by_full_matrices(a, b)
+    full_equal = np.array_equal(a.scale * a.mat, b.scale * b.mat)
+    assert (a == b) == (b == a) == full_equal
+
+
+def test_hs_product_int64_and_object_routes(exact_routes):
+    # with either operand blocked the pairing sums the 70 in-block terms of (2, 4), else
+    # all 256; it runs in int64 exactly when the number of terms times max|A| max|B| fits
+    mask = block_mask(2, 4)
+    assert len(orc._block_support(2, 4)[0]) == int(mask.sum()) == 70
+    for a_outside, b_outside in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        limit = (2**63 - 1) // (256 if a_outside and b_outside else 70)
+        for entry in (limit, limit + 1):
+            mat = np.where(mask, 1, a_outside).astype(object)
+            mat[0, 0] = entry
+            a = orc.TensorOperator(2, 4, Fraction(1, 3), mat)
+            b = orc.TensorOperator(2, 4, Fraction(-2), np.where(mask, 1, b_outside))
+            assert (a._blocked(), b._blocked()) == (not a_outside, not b_outside)
+            exact_routes.clear()
+            value = a.hs_product(b)
+            assert exact_routes == [np.int64 if entry == limit else object]
+            assert value == hs_product_by_full_matrices(a, b)
 
 
 def test_psd_checks():
@@ -519,7 +606,7 @@ def test_psd_matches_fraction_ldl(case):
     verdict = orc.is_positive_semidefinite(a)
     assert verdict == psd_by_fraction_ldl(a)
     if masked:
-        assert len(orc._block_partition(a.d, a.n, a._mat)) > 1
+        assert a._blocked()
     if a.scale == 0 or (kind == "gram" and a.scale > 0):
         assert verdict
     elif not masked and kind == "minus_eps" and a.scale > 0:
@@ -531,3 +618,7 @@ def test_scale_representation_equality():
     doubled = orc.TensorOperator(2, 1, Fraction(1, 2), 2 * np.identity(2, dtype=object))
     assert ident == doubled
     assert (Fraction(1, 3) * ident).reduced() == Fraction(1, 3) * ident
+    # a zero scale makes any matrix the zero operator, in the letter blocks or not
+    dense = orc.TensorOperator(2, 2, Fraction(0), np.ones((4, 4), dtype=np.int64))
+    assert not dense._blocked() and orc.TensorOperator.zero(2, 2)._blocked()
+    assert dense == orc.TensorOperator.zero(2, 2) == dense
