@@ -15,6 +15,7 @@ multiple threads (recomputation under the GIL is idempotent).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -119,6 +120,26 @@ def parse_frame(text: str) -> YoungFrame:
         if rows[pos] > rows[pos - 1]:
             raise ValueError(f"frame {text!r}: token {pos + 1} breaks weak decrease")
     return YoungFrame(tuple(rows))
+
+
+def exact_rational(x: Fraction | int | str) -> Fraction:
+    """``x`` as an exact ``Fraction``: a rational number, or its text such as "3/10" or "0.3".
+
+    Anything else is refused with ``ValueError``.  A float above all holds a
+    binary fraction, so 0.1 would become 3602879701896397/36028797018963968
+    rather than 1/10.
+    """
+    if not isinstance(x, (numbers.Rational, str)):
+        raise ValueError(f"{x!r} is not exact: pass a Fraction, an int or a string such as '0.3'")
+    return Fraction(x)
+
+
+def depolarising_weight(q: Fraction | int | str) -> Fraction:
+    """The replacement weight q of the depolarising channel as an exact ``Fraction`` in [0, 1]."""
+    q = exact_rational(q)
+    if not 0 <= q <= 1:
+        raise ValueError(f"depolarising weight must lie in [0, 1], got {q}")
+    return q
 
 
 def format_frame(lam: YoungFrame, d: int | None = None) -> str:

@@ -10,24 +10,31 @@ positive-semidefiniteness test (fraction-free Bareiss elimination).  The
 projectors use no LR coefficient, skew count or character, so the oracle
 stays independent of the fast path.
 
-A :class:`TensorOperator` stores an exact rational matrix as a global
-``Fraction`` scale times one dense integer matrix, so no rounding can ever
-occur.  The matrix is int64 when every entry fits and Python ints (object
-dtype) otherwise; ``mat`` gives a fresh Python-int copy.  Sums, equality,
-matrix and tensor products, Hilbert-Schmidt pairings, partial traces, the
-twirl and the channel bound the entries they will form and pass that bound
-to :func:`_exact`, which keeps int64 only when it certifies no overflow and
-falls back to arbitrary precision otherwise.
+A :class:`TensorOperator` is an exact rational matrix: a global ``Fraction``
+scale times integer entries, so no rounding can ever occur.  Permutations of
+the sites keep a word's letter histogram, so permutation operators,
+projectors, and their sums, products, partial traces, tensor products, twirls
+and channel outputs are block diagonal over the letter-count blocks of
+:func:`_letter_blocks`.  An operator stores only those blocks: one flat
+integer vector holding each block row-major after the previous one (a
+:class:`_Layout`).  The constructor takes a full matrix and keeps the
+letter-block layout when the matrix is zero outside the blocks, and the
+one-block layout (every word pair, row-major) otherwise; both are layouts of
+the same kind, so every operation has one code path.
 
-Permutations of the sites keep a word's letter histogram, so permutation
-operators, projectors and their sums and products are block diagonal over the
-letter-count blocks of :func:`_letter_blocks`.  Each operator finds out once
-whether its matrix is zero outside those blocks (``_blocked``).  The
-projector build, matrix products of two blocked operators and the PSD test of
-a blocked one work one block at a time; Hilbert-Schmidt pairings with a
-blocked operand, and equality of two blocked operators, read only the entries
-inside the blocks (:func:`_block_support`).  An operator that is nonzero
-outside the blocks is handled as one block holding every index.
+Every operation reads and writes the vector through index maps computed once
+from word digits and block offsets.  Sums, equality, traces and
+Hilbert-Schmidt pairings are whole-vector numpy calls.  Matrix products and
+the PSD test loop over reshaped block views.  Partial traces, tensor
+products, conjugation, the twirl and the channel gather entries through site
+maps.  No operation on a letter-block operator forms a d^n x d^n array; only
+``mat``, a fresh full Python-int copy, does.  An operation that mixes the two
+layouts moves the letter-block operand to the one-block layout.
+
+The vector is int64 when every entry fits and Python ints (object dtype)
+otherwise.  Each operation bounds the entries it will form and passes that
+bound to :func:`_exact`, which keeps int64 only when it certifies no overflow
+and falls back to arbitrary precision otherwise.
 
 Operators are immutable by convention: no operation mutates its inputs, and
 constructed operators can be shared freely across threads.
@@ -39,12 +46,12 @@ import itertools
 import math
 import numbers
 from fractions import Fraction
-from functools import cache, lru_cache, partial
+from functools import cache, cached_property, lru_cache, partial
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .frames import YoungFrame, enumerate_frames
+from .frames import YoungFrame, depolarising_weight, enumerate_frames, exact_rational
 from .symmetric_group import Permutation
 
 # Hard default caps: dense dimension d^n, and n for the projector family and for
@@ -63,7 +70,7 @@ def _check_dense_size(d: int, n: int) -> None:
 
 
 def _amax(a: np.ndarray) -> int:
-    """Largest entry modulus of an integer matrix (0 when empty)."""
+    """Largest entry modulus of an integer array (0 when empty)."""
     return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
@@ -76,6 +83,21 @@ def _exact(bound: int, *arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     if bound <= _INT64_MAX and all(a.dtype == np.int64 for a in arrays):
         return arrays
     return tuple(a.astype(object, copy=False) for a in arrays)
+
+
+def _stored(vec: np.ndarray) -> np.ndarray:
+    """An integer vector as int64 when every entry fits, else as Python ints."""
+    if not np.can_cast(vec.dtype, np.int64):
+        vec = vec.astype(object, copy=False)
+    try:
+        return vec.astype(np.int64, copy=False)
+    except OverflowError:  # some Python int needs more than 64 bits
+        return vec
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @cache
@@ -101,32 +123,84 @@ def _letter_blocks(d: int, n: int) -> tuple[np.ndarray, ...]:
     digits = _word_digits(d, n)
     counts = np.stack([(digits == a).sum(axis=1) for a in range(d)], axis=1)
     keys = counts @ (n + 1) ** np.arange(d)
-    order = np.argsort(keys, kind="stable")
-    order.flags.writeable = False
+    order = _read_only(np.argsort(keys, kind="stable"))
     return tuple(np.split(order, np.flatnonzero(np.diff(keys[order])) + 1))
 
 
-@cache
-def _block_support(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices ``i * d^n + j`` of the entries inside the letter blocks, and ``j * d^n + i`` for each.
+class _Layout:
+    """Where each stored entry of an operator on [d]^n sits in its flat vector.
 
-    Both arrays are read-only and list the same entries, block by block; the
-    support is symmetric, so the second is a reordering of the first.
+    The entry at the word pair (blocks[b][i], blocks[b][j]) sits at
+    ``spans[b][0] + i m + j``, m = len(blocks[b]); pairs outside the blocks
+    are zero and not stored.  The position of (x, y) is
+    ``row_base[x] + local[y]`` when ``block_of[x] == block_of[y]``.  Every
+    array is read-only; the per-entry maps are built on first use.
     """
-    dim = d**n
+
+    def __init__(self, d: int, n: int, blocks: tuple[np.ndarray, ...], blocked: bool):
+        self.d, self.n, self.blocks, self.blocked = d, n, blocks, blocked
+        ends = list(itertools.accumulate(len(w) ** 2 for w in blocks))
+        self.spans = [(end - len(w) ** 2, end, len(w)) for w, end in zip(blocks, ends)]
+        self.size = ends[-1]
+        dim = d**n
+        self.block_of, self.local, self.row_base = (np.empty(dim, dtype=np.int64) for _ in range(3))
+        for b, (words, (start, _, m)) in enumerate(zip(blocks, self.spans)):
+            self.block_of[words] = b
+            self.local[words] = np.arange(m)
+            self.row_base[words] = start + m * np.arange(m)
+        for a in (self.block_of, self.local, self.row_base):
+            _read_only(a)
+
+    def position(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Vector positions of the word pairs (x, y); the caller ensures each pair is stored."""
+        return self.row_base[x] + self.local[y]
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """Row word of every stored entry."""
+        return _read_only(np.concatenate([np.repeat(w, len(w)) for w in self.blocks]))
+
+    @cached_property
+    def cols(self) -> np.ndarray:
+        """Column word of every stored entry."""
+        return _read_only(np.concatenate([np.tile(w, len(w)) for w in self.blocks]))
+
+    @cached_property
+    def flat(self) -> np.ndarray:
+        """Flat index x d^n + y in the full matrix of every stored entry."""
+        dim = self.d**self.n
+        return _read_only(np.concatenate([(w[:, None] * dim + w[None, :]).ravel() for w in self.blocks]))
+
+    @cached_property
+    def transpose(self) -> np.ndarray:
+        """Position of the transposed entry (y, x) of every stored entry (x, y)."""
+        return _read_only(self.position(self.cols, self.rows))
+
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        """Position of the diagonal entry (x, x) of every word x, in word order."""
+        return _read_only(self.row_base + self.local)
+
+
+@cache
+def _layout(d: int, n: int, blocked: bool) -> _Layout:
+    """The letter-block layout of [d]^n, or the one-block layout of every word pair.
+
+    With a single letter block (d = 1 or n = 0) the two are the same object.
+    """
     blocks = _letter_blocks(d, n)
-    flat = np.concatenate([(w[:, None] * dim + w[None, :]).ravel() for w in blocks])
-    transposed = np.concatenate([(w[None, :] * dim + w[:, None]).ravel() for w in blocks])
-    flat.flags.writeable = transposed.flags.writeable = False
-    return flat, transposed
+    if len(blocks) == 1 and not blocked:
+        return _layout(d, n, True)
+    return _Layout(d, n, blocks if blocked else (np.arange(d**n),), blocked)
 
 
 class TensorOperator:
-    """Dense exact-rational operator: ``scale`` times an integer matrix."""
+    """Dense exact-rational operator: ``scale`` times integer entries stored in a :class:`_Layout`."""
 
-    __slots__ = ("d", "n", "scale", "_mat", "_amax", "_in_blocks")
+    __slots__ = ("d", "n", "scale", "_layout", "_vec", "_amax")
 
-    def __init__(self, d: int, n: int, scale: Fraction, mat: np.ndarray):
+    def __init__(self, d: int, n: int, scale: Fraction | int | str, mat: np.ndarray):
+        """The operator ``scale`` times ``mat``, a full d^n x d^n integer matrix (copied)."""
         _check_dense_size(d, n)
         dim = d**n
         if mat.shape != (dim, dim):
@@ -135,80 +209,112 @@ class TensorOperator:
             raise ValueError(f"matrix dtype {mat.dtype} is not exact: pass integers or Python ints")
         if mat.dtype == object and not all(issubclass(t, numbers.Integral) for t in set(map(type, mat.flat))):
             raise ValueError("matrix entries are not all integers: fold fractions into the scale")
-        self.d = d
-        self.n = n
-        self.scale = Fraction(scale)
+        flat = mat.reshape(-1)
+        layout = _layout(d, n, True)
+        vec = flat.take(layout.flat)
+        if np.count_nonzero(vec) != np.count_nonzero(flat):
+            layout = _layout(d, n, False)
+            vec = flat.take(layout.flat)
+        self._set(d, n, exact_rational(scale), layout, vec)
+
+    def _set(self, d: int, n: int, scale: Fraction, layout: _Layout, vec: np.ndarray) -> None:
+        self.d, self.n, self.scale, self._layout = d, n, scale, layout
+        self._vec = _stored(vec)
         self._amax = None
-        self._in_blocks = None
-        if not np.can_cast(mat.dtype, np.int64):
-            mat = mat.astype(object, copy=False)
-        try:
-            self._mat = mat.astype(np.int64, copy=False)
-        except OverflowError:  # some Python int needs more than 64 bits
-            self._mat = mat
+
+    @classmethod
+    def _of(cls, d: int, n: int, scale: Fraction, layout: _Layout, vec: np.ndarray) -> "TensorOperator":
+        """The operator with entries ``vec`` in ``layout``, as internal results are built."""
+        op = object.__new__(cls)
+        op._set(d, n, scale, layout, vec)
+        return op
 
     @property
     def mat(self) -> np.ndarray:
-        """A fresh copy of the integer matrix as Python ints (object dtype); not cached."""
-        return self._mat.astype(object)
+        """A fresh full d^n x d^n copy of the matrix as Python ints (object dtype); not cached."""
+        dim = self.d**self.n
+        out = np.zeros(dim * dim, dtype=object)
+        out[self._layout.flat] = self._vec.astype(object)
+        return out.reshape(dim, dim)
 
     def _bound(self) -> int:
-        """Largest entry modulus of the matrix, computed once."""
+        """Largest entry modulus, computed once."""
         if self._amax is None:
-            self._amax = _amax(self._mat)
+            self._amax = _amax(self._vec)
         return self._amax
 
-    def _blocked(self) -> bool:
-        """Whether every nonzero entry lies inside a letter block of :func:`_letter_blocks`, computed once."""
-        if self._in_blocks is None:
-            flat, _ = _block_support(self.d, self.n)
-            self._in_blocks = bool(np.count_nonzero(self._mat.take(flat)) == np.count_nonzero(self._mat))
-        return self._in_blocks
+    def _in(self, layout: _Layout) -> np.ndarray:
+        """The entries at the positions of ``layout``, the other layout of the same (d, n).
+
+        Moving to the smaller layout drops the entries outside it; callers do
+        so only where those entries cannot matter.
+        """
+        if layout is self._layout:
+            return self._vec
+        if layout.size < self._layout.size:
+            return self._vec.take(layout.flat)
+        out = np.zeros(layout.size, dtype=self._vec.dtype)
+        out[self._layout.flat] = self._vec
+        return out
+
+    def _union(self, other: "TensorOperator") -> _Layout:
+        """The layout holding every stored entry of both operators."""
+        self._compatible(other)
+        return max(self._layout, other._layout, key=lambda layout: layout.size)
+
+    def is_symmetric(self) -> bool:
+        """Whether the matrix equals its transpose, read on the stored entries."""
+        return bool(np.array_equal(self._vec, self._vec.take(self._layout.transpose)))
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, d: int, n: int) -> "TensorOperator":
-        dim = d**n
-        return cls(d, n, Fraction(0), np.zeros((dim, dim), dtype=np.int64))
+        _check_dense_size(d, n)
+        layout = _layout(d, n, True)
+        return cls._of(d, n, Fraction(0), layout, np.zeros(layout.size, dtype=np.int64))
 
     @classmethod
     def identity(cls, d: int, n: int) -> "TensorOperator":
-        dim = d**n
-        return cls(d, n, Fraction(1), np.identity(dim, dtype=np.int64))
+        _check_dense_size(d, n)
+        layout = _layout(d, n, True)
+        vec = np.zeros(layout.size, dtype=np.int64)
+        vec[layout.diagonal] = 1
+        return cls._of(d, n, Fraction(1), layout, vec)
 
     @classmethod
     def maximally_mixed(cls, d: int, n: int = 1) -> "TensorOperator":
-        dim = d**n
-        return cls(d, n, Fraction(1, dim), np.identity(dim, dtype=np.int64))
+        return cls.identity(d, n) * Fraction(1, d**n)
 
     # -- scalar structure ----------------------------------------------------
 
     def reduced(self) -> "TensorOperator":
-        """Fold the integer gcd of the matrix into the scale (canonical form)."""
-        src = self._mat
-        g = int(np.gcd.reduce(np.abs(src.ravel()))) if src.size else 0
+        """Fold the integer gcd of the entries into the scale (canonical form)."""
+        vec = self._vec
+        g = int(np.gcd.reduce(np.abs(vec))) if vec.size else 0
         if g == 0:
             return TensorOperator.zero(self.d, self.n)
         if g == 1:
             return self
-        return TensorOperator(self.d, self.n, self.scale * g, src // g)
+        return TensorOperator._of(self.d, self.n, self.scale * g, self._layout, vec // g)
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.scale * int(self._mat[i, j])
+        layout = self._layout
+        if layout.block_of[i] != layout.block_of[j]:
+            return Fraction(0)
+        return self.scale * int(self._vec[layout.position(i, j)])
 
     # -- arithmetic ----------------------------------------------------------
 
     def _scaled_pair(
-        self, a: int, other: "TensorOperator", b: int, flat: np.ndarray | None = None
+        self, a: int, other: "TensorOperator", b: int, layout: _Layout
     ) -> tuple[np.ndarray, np.ndarray]:
-        """a times this matrix and b times the other's, in int64 when |a| max|A| + |b| max|B| fits.
+        """a times this operator's entries and b times the other's in ``layout``.
 
-        With ``flat`` given, only the entries at those flat indices are scaled.
+        They stay int64 when |a| max|A| + |b| max|B| fits.
         """
         bound = abs(a) * max(self._bound(), 1) + abs(b) * max(other._bound(), 1)
-        x, y = (self._mat, other._mat) if flat is None else (self._mat.take(flat), other._mat.take(flat))
-        x, y = _exact(bound, x, y)
+        x, y = _exact(bound, self._in(layout), other._in(layout))
         return a * x, b * y
 
     def _compatible(self, other: "TensorOperator") -> None:
@@ -216,7 +322,7 @@ class TensorOperator:
             raise ValueError("operator shape mismatch")
 
     def __add__(self, other: "TensorOperator") -> "TensorOperator":
-        self._compatible(other)
+        layout = self._union(other)
         if self.scale == 0:
             return other
         if other.scale == 0:
@@ -228,68 +334,72 @@ class TensorOperator:
         )
         a = int(self.scale / s)
         b = int(other.scale / s)
-        x, y = self._scaled_pair(a, other, b)
-        return TensorOperator(self.d, self.n, s, x + y)
+        x, y = self._scaled_pair(a, other, b, layout)
+        return TensorOperator._of(self.d, self.n, s, layout, x + y)
 
     def __sub__(self, other: "TensorOperator") -> "TensorOperator":
         return self + (-1) * other
 
-    def __rmul__(self, c: int | Fraction) -> "TensorOperator":
-        c = Fraction(c)
+    def __rmul__(self, c: Fraction | int | str) -> "TensorOperator":
+        c = exact_rational(c)
         if c == 0:
             return TensorOperator.zero(self.d, self.n)
-        return TensorOperator(self.d, self.n, self.scale * c, self._mat)
+        return TensorOperator._of(self.d, self.n, self.scale * c, self._layout, self._vec)
 
-    def __mul__(self, c: int | Fraction) -> "TensorOperator":
+    def __mul__(self, c: Fraction | int | str) -> "TensorOperator":
         return self.__rmul__(c)
 
     def __matmul__(self, other: "TensorOperator") -> "TensorOperator":
-        """Matrix product, block by block over the letter blocks when both operators are blocked.
+        """Matrix product, one block of the common layout at a time.
 
-        Otherwise the product is one block holding every index.  Each block
-        product runs in int64 when its own bound certifies no overflow (see
-        :func:`_int_matmul`) and in Python ints otherwise.
+        Each block product runs in int64 when its own bound certifies no
+        overflow (see :func:`_int_matmul`) and in Python ints otherwise.
         """
-        self._compatible(other)
-        a, b = self._mat, other._mat
-        blocks = _diagonal_blocks(self, other)
-        parts = [_int_matmul(a[np.ix_(w, w)], b[np.ix_(w, w)]) for w in blocks]
-        if len(parts) == 1:  # the one block holds every index in order
-            product = parts[0]
-        else:
-            exact = np.int64 if all(p.dtype == np.int64 for p in parts) else object
-            product = np.zeros(a.shape, dtype=exact)
-            for w, part in zip(blocks, parts):
-                product[np.ix_(w, w)] = part
-        return TensorOperator(self.d, self.n, self.scale * other.scale, product)
+        layout = self._union(other)
+        a, b = self._in(layout), other._in(layout)
+        parts = [_int_matmul(a[lo:hi].reshape(m, m), b[lo:hi].reshape(m, m)) for lo, hi, m in layout.spans]
+        vec = np.concatenate([part.ravel() for part in parts])
+        return TensorOperator._of(self.d, self.n, self.scale * other.scale, layout, vec)
 
     def trace(self) -> Fraction:
-        return self.scale * sum(map(int, self._mat.diagonal()))
+        diagonal = self._layout.diagonal
+        (entries,) = _exact(len(diagonal) * self._bound(), self._vec.take(diagonal))
+        return self.scale * int(entries.sum())
 
     def hs_product(self, other: "TensorOperator") -> Fraction:
         """Hilbert-Schmidt pairing tr(self @ other) without forming the product.
 
-        tr(AB) is the sum of A_ij B_ji.  When either operator is blocked every
-        nonzero term has (i, j) inside a letter block, so only the entries of
-        :func:`_block_support` are paired; otherwise the whole matrices are.
-        The sum runs in int64 when (number of terms) max|A| max|B| fits.
+        tr(AB) is the sum of A_ij B_ji.  When either operator has the
+        letter-block layout every nonzero term has (i, j) inside a block, so
+        only the entries of that layout are paired, through its transpose
+        permutation.  The sum runs in int64 when (number of terms) max|A| max|B| fits.
         """
         self._compatible(other)
-        a, b = self._mat, other._mat
-        if self._blocked() or other._blocked():
-            flat, transposed = _block_support(self.d, self.n)
-            a, b = a.take(flat), b.take(transposed)
-        else:
-            b = b.T
-        a, b = _exact(a.size * self._bound() * other._bound(), a, b)
-        return self.scale * other.scale * int((a * b).sum())
+        layout = min(self._layout, other._layout, key=lambda layout: layout.size)
+        a, b = _exact(
+            layout.size * self._bound() * other._bound(),
+            self._in(layout),
+            other._in(layout).take(layout.transpose),
+        )
+        return self.scale * other.scale * int(np.dot(a, b))
 
     def kron(self, other: "TensorOperator") -> "TensorOperator":
+        """Tensor product, self on the first sites; letter-block when both operands are."""
         if self.d != other.d:
             raise ValueError("local dimensions differ")
-        _check_dense_size(self.d, self.n + other.n)
-        a, b = _exact(self._bound() * other._bound(), self._mat, other._mat)
-        return TensorOperator(self.d, self.n + other.n, self.scale * other.scale, np.kron(a, b))
+        d, n = self.d, self.n + other.n
+        _check_dense_size(d, n)
+        blocked = self._layout.blocked and other._layout.blocked
+        stored, left, right = _kron_maps(d, self.n, other.n, blocked)
+        a, b = _exact(
+            self._bound() * other._bound(),
+            self._in(_layout(d, self.n, blocked)),
+            other._in(_layout(d, other.n, blocked)),
+        )
+        layout = _layout(d, n, blocked)
+        vec = np.zeros(layout.size, dtype=a.dtype)
+        vec[stored] = a.take(left) * b.take(right)
+        return TensorOperator._of(d, n, self.scale * other.scale, layout, vec)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TensorOperator):
@@ -298,41 +408,80 @@ class TensorOperator:
             return False
         a = self.scale.numerator * other.scale.denominator
         b = other.scale.numerator * self.scale.denominator
-        # two blocked matrices are zero outside the blocks, so only the entries inside can differ
-        flat = _block_support(self.d, self.n)[0] if self._blocked() and other._blocked() else None
-        return bool(np.array_equal(*self._scaled_pair(a, other, b, flat)))
+        return bool(np.array_equal(*self._scaled_pair(a, other, b, self._union(other))))
 
     # -- site-structure operations --------------------------------------------
 
     def partial_trace(self, sites: Iterable[int]) -> "TensorOperator":
         """Trace out the given 0-based sites; remaining sites keep their order.
 
-        Each output entry sums d^(number of traced sites) input entries, so the
-        trace runs on the int64 matrix when max|entry| times that count fits.
+        Each output entry sums d^(number of traced sites) input entries, read
+        through :func:`_trace_maps`, so the sum runs in int64 when max|entry|
+        times that count fits.
         """
-        sites = sorted(set(sites))
+        sites = tuple(sorted(set(sites)))
         if any(s < 0 or s >= self.n for s in sites):
-            raise ValueError(f"sites {sites} outside range(0, {self.n})")
+            raise ValueError(f"sites {list(sites)} outside range(0, {self.n})")
         if not sites:
             return self
-        d, n = self.d, self.n
-        (arr,) = _exact(self._bound() * d ** len(sites), self._mat)
-        tensor = arr.reshape((d,) * (2 * n))
-        cur = n
-        for s in reversed(sites):
-            tensor = np.trace(tensor, axis1=s, axis2=cur + s)
-            cur -= 1
-        m = n - len(sites)
-        tensor = np.asarray(tensor, dtype=arr.dtype).reshape((d**m, d**m))
-        return TensorOperator(d, m, self.scale, tensor)
+        d, m, blocked = self.d, self.n - len(sites), self._layout.blocked
+        (vec,) = _exact(self._bound() * d ** len(sites), self._vec)
+        out = vec.take(_trace_maps(d, self.n, sites, blocked)).sum(axis=0)
+        return TensorOperator._of(d, m, self.scale, _layout(d, m, blocked), out)
 
 
-def _diagonal_blocks(*ops: TensorOperator) -> tuple[np.ndarray, ...]:
-    """The letter blocks when every operator is blocked, else one block holding every index in order."""
-    d, n = ops[0].d, ops[0].n
-    if all(op._blocked() for op in ops):
-        return _letter_blocks(d, n)
-    return (np.arange(d**n),)
+# -- site maps -------------------------------------------------------------------
+
+
+@lru_cache(maxsize=64)
+def _kron_maps(d: int, n_left: int, n_right: int, blocked: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where A kron B can be nonzero, and the positions of the A and B entries multiplied there.
+
+    The output entry at ((x, y), (x', y')) is A[x, x'] B[y, y'].  In the
+    letter-block layouts it is stored whenever xy and x'y' share a histogram,
+    but nonzero only when x and x' do too (and then so do y and y'); the
+    first array lists those positions of the output vector.
+    """
+    out, left, right = (_layout(d, m, blocked) for m in (n_left + n_right, n_left, n_right))
+    x, y = np.divmod(out.rows, d**n_right)
+    x_, y_ = np.divmod(out.cols, d**n_right)
+    stored = np.flatnonzero(left.block_of[x] == left.block_of[x_])
+    maps = stored, left.position(x[stored], x_[stored]), right.position(y[stored], y_[stored])
+    return tuple(map(_read_only, maps))
+
+
+@lru_cache(maxsize=64)
+def _trace_maps(d: int, n: int, sites: tuple[int, ...], blocked: bool) -> np.ndarray:
+    """Input positions summed into each output entry of the trace over ``sites``, shape (d^k, output size).
+
+    The output entry (x, x') sums the input entries at (x + z, x' + z) over
+    the d^k letter assignments z of the traced sites, x filling the other
+    sites in order.  Adding z to both words keeps them in one letter block.
+    """
+    source, out = _layout(d, n, blocked), _layout(d, n - len(sites), blocked)
+    powers = _index_powers(d, n)
+    kept = [s for s in range(n) if s not in sites]
+    spread = _word_digits(d, len(kept)) @ powers[kept]  # an output word as a word on n sites
+    traced = (_word_digits(d, len(sites)) @ powers[list(sites)])[:, None]
+    return _read_only(source.position(spread[out.rows] + traced, spread[out.cols] + traced))
+
+
+@lru_cache(maxsize=64)
+def _site_maps(d: int, n: int, site: int, blocked: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of tr_site(M) tensor 1 at ``site``: where it can be nonzero, and what each sums.
+
+    (tr_s M tensor 1)[x, x'] is zero unless x and x' agree at site s, and then
+    sums M over the d pairs with both letters at s set to each c; the second
+    array holds those positions, shape (d, number of such entries).
+    """
+    layout = _layout(d, n, blocked)
+    power = d ** (n - 1 - site)
+    row_letter, col_letter = layout.rows // power % d, layout.cols // power % d
+    agree = np.flatnonzero(row_letter == col_letter)
+    letters = np.arange(d)[:, None] * power
+    rows = (layout.rows - row_letter * power)[agree] + letters
+    cols = (layout.cols - col_letter * power)[agree] + letters
+    return _read_only(agree), _read_only(layout.position(rows, cols))
 
 
 # -- permutation action --------------------------------------------------------
@@ -351,10 +500,10 @@ def _word_map(images: tuple[int, ...], d: int) -> np.ndarray:
 def perm_operator(tau: Permutation, d: int) -> TensorOperator:
     """0/1 matrix moving the letter at site i to site tau(i); B(s)B(t) = B(st)."""
     _check_dense_size(d, tau.n)
-    dim = d**tau.n
-    mat = np.zeros((dim, dim), dtype=np.int64)
-    mat[_word_map(tau.images, d), np.arange(dim)] = 1
-    return TensorOperator(d, tau.n, Fraction(1), mat)
+    layout = _layout(d, tau.n, True)
+    vec = np.zeros(layout.size, dtype=np.int64)
+    vec[layout.position(_word_map(tau.images, d), np.arange(d**tau.n))] = 1
+    return TensorOperator._of(d, tau.n, Fraction(1), layout, vec)
 
 
 # -- isotypical projectors -------------------------------------------------------
@@ -453,7 +602,8 @@ def _dominates(lam: YoungFrame, part: tuple[int, ...]) -> bool:
     return all(a >= b for a, b in zip(itertools.accumulate(lam.padded(len(part))), itertools.accumulate(part)))
 
 
-@lru_cache(maxsize=4)
+# Every family a full verification run asks for, (2, 0..8) and (3, 0..6), stays cached.
+@lru_cache(maxsize=16)
 def _projector_family(d: int, n: int) -> dict[YoungFrame, TensorOperator]:
     """The family from central elements, one letter-count block at a time.
 
@@ -462,47 +612,47 @@ def _projector_family(d: int, n: int) -> dict[YoungFrame, TensorOperator]:
     lam dominates its sorted histogram (Kostka number > 0).  Relabelling the
     letters commutes with S_n, so the products are taken once per sorted
     histogram, on the block whose histogram is decreasing, and gathered onto
-    its relabellings.  Each P_lam is one int64 matrix over the lcm L of its
-    block denominators.  Its entries L P_ij have modulus at most L, as an
-    orthogonal projector's entries have modulus at most 1, and L divides n!,
-    as n! P_lam is an integer matrix, so they fit for every n the caps allow.
-    The gcd g of those entries is taken block by block, so the operator
-    g/L times (L P / g) is already in the canonical form ``reduced`` gives.
+    its relabellings, straight into the letter-block vector.  Each P_lam is
+    one int64 vector over the lcm L of its block denominators.  Its entries
+    L P_ij have modulus at most L, as an orthogonal projector's entries have
+    modulus at most 1, and L divides n!, as n! P_lam is an integer matrix, so
+    they fit for every n the caps allow.  The gcd g of those entries is taken
+    block by block, so the operator g/L times (L P / g) is already in the
+    canonical form ``reduced`` gives.
     """
-    dim = d**n
+    layout = _layout(d, n, True)
     digits = _word_digits(d, n)
-    blocks = _letter_blocks(d, n)
-    hists = [np.bincount(digits[words[0]], minlength=d) for words in blocks]
-    local = np.empty(dim, dtype=np.int64)
-    for words in blocks:
-        local[words] = np.arange(len(words))
+    hists = [np.bincount(digits[words[0]], minlength=d) for words in layout.blocks]
     cycle_maps = cache(partial(_cycle_class_maps, d, n))
 
     frames = enumerate_frames(d, n)
     canonical: dict[tuple[int, ...], dict[YoungFrame, tuple[np.ndarray, int]]] = {}
-    for words, hist in zip(blocks, hists):
+    for words, hist in zip(layout.blocks, hists):
         hist = tuple(map(int, hist))
         if list(hist) == sorted(hist, reverse=True):
             canonical[hist] = _block_projectors(
                 [lam for lam in frames if _dominates(lam, hist)],
-                lambda length: _class_block(cycle_maps(length), words, local),
+                lambda length: _class_block(cycle_maps(length), words, layout.local),
             )
 
-    pieces: dict[YoungFrame, list[tuple[np.ndarray, np.ndarray, int]]] = {lam: [] for lam in frames}
-    for words, hist in zip(blocks, hists):
+    # per frame, (span, gather, N, D): the block's span of the vector, its words in the
+    # canonical block's order, and P_lam = N / D on the canonical block
+    pieces: dict[YoungFrame, list[tuple[slice, tuple, np.ndarray, int]]] = {lam: [] for lam in frames}
+    for words, hist, (lo, hi, _) in zip(layout.blocks, hists, layout.spans):
         relabel = np.empty(d, dtype=np.int64)
         relabel[np.argsort(-hist, kind="stable")] = np.arange(d)
-        gather = local[relabel[digits[words]] @ _index_powers(d, n)]
+        order = layout.local[relabel[digits[words]] @ _index_powers(d, n)]
+        gather = np.ix_(order, order)
         for lam, (num, den) in canonical[tuple(sorted(map(int, hist), reverse=True))].items():
-            pieces[lam].append((words, num[np.ix_(gather, gather)], den))
+            pieces[lam].append((slice(lo, hi), gather, num, den))
     family: dict[YoungFrame, TensorOperator] = {}
     for lam, parts in pieces.items():
-        lcm = math.lcm(*(den for _, _, den in parts))
-        g = math.gcd(*(lcm // den * int(np.gcd.reduce(np.abs(num.ravel()))) for _, num, den in parts))
-        mat = np.zeros((dim, dim), dtype=np.int64)
-        for words, num, den in parts:
-            mat[np.ix_(words, words)] = num * (lcm // den) // g
-        family[lam] = TensorOperator(d, n, Fraction(g, lcm), mat)
+        lcm = math.lcm(*(den for *_, den in parts))
+        g = math.gcd(*(lcm // den * int(np.gcd.reduce(np.abs(num.ravel()))) for *_, num, den in parts))
+        vec = np.zeros(layout.size, dtype=np.int64)
+        for span, gather, num, den in parts:
+            vec[span] = (num * (lcm // den) // g)[gather].ravel()
+        family[lam] = TensorOperator._of(d, n, Fraction(g, lcm), layout, vec)
     return family
 
 
@@ -528,8 +678,8 @@ def isotypical_projectors(
 def clear_projector_cache() -> None:
     """Drop cached projector families.
 
-    A family holds one int64 matrix per frame and no Python-int copy; the
-    d=2 n=10 family holds 48 MB.
+    A family holds one int64 letter-block vector per frame; the d=2 n=10
+    family holds 8.9 MB, the d=3 n=8 family 173 MB.
     """
     _projector_family.cache_clear()
 
@@ -547,7 +697,8 @@ def tensor_with_maximally_mixed(a: TensorOperator, k: int) -> TensorOperator:
 def insert_maximally_mixed(a: TensorOperator, positions: Sequence[int], n: int) -> TensorOperator:
     """Extend ``a`` to ``n`` sites with maximally mixed states at ``positions``.
 
-    The sites of ``a`` fill the complementary positions in order.
+    The sites of ``a`` fill the complementary positions in order: the mixed
+    sites are appended, then every site moves to its place by conjugation.
     """
     positions = sorted(set(positions))
     k = len(positions)
@@ -557,45 +708,49 @@ def insert_maximally_mixed(a: TensorOperator, positions: Sequence[int], n: int) 
         raise ValueError(f"positions {positions} outside range(0, {n})")
     if k == 0:
         return a
-    d = a.d
-    _check_dense_size(d, n)
-    big = np.kron(a._mat, np.identity(d**k, dtype=a._mat.dtype))
+    _check_dense_size(a.d, n)
     remaining = [s for s in range(n) if s not in set(positions)]
-    source_site = remaining + positions  # axis s of `big` carries site source_site[s]
-    src_axis = {site: axis for axis, site in enumerate(source_site)}
-    axes = [src_axis[t] for t in range(n)] + [n + src_axis[t] for t in range(n)]
-    tensor = big.reshape((d,) * (2 * n)).transpose(axes)
-    return TensorOperator(d, n, a.scale * Fraction(1, d**k), tensor.reshape((d**n, d**n)))
+    appended = tensor_with_maximally_mixed(a, k)
+    return conjugate_by_permutation(appended, Permutation(tuple(remaining + positions)))
 
 
 def conjugate_by_permutation(a: TensorOperator, tau: Permutation) -> TensorOperator:
-    """B(tau) a B(tau)^{-1}, computed as an index gather (no matrix product)."""
+    """B(tau) a B(tau)^{-1}: the entry at (x, y) is a's entry at (g(x), g(y)), g the word map of tau^{-1}.
+
+    g keeps letter histograms, so the entries move within their blocks.
+    """
     if tau.n != a.n:
         raise ValueError("permutation size does not match operator sites")
     g = _word_map(tau.inverse().images, a.d)
-    return TensorOperator(a.d, a.n, a.scale, a._mat[np.ix_(g, g)])
+    layout = a._layout
+    moved = layout.row_base[g][layout.rows] + layout.local[g][layout.cols]  # position(g[rows], g[cols])
+    return TensorOperator._of(a.d, a.n, a.scale, layout, a._vec.take(moved))
 
 
-@lru_cache(maxsize=4)
-def _pair_orbits(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Orbit index of every word pair (x, y) under permuting the sites of x and y together.
+@lru_cache(maxsize=64)
+def _pair_orbits(d: int, n: int, blocked: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Orbits of the stored word pairs (x, y) under permuting the sites of x and y together.
 
-    Returns the (d^n, d^n) orbit index of each pair, orbits numbered from 0,
+    Returns the orbit index of every stored entry (orbits numbered from 0),
+    the entries sorted by orbit and the start of each orbit in that order,
     and n!/|orbit| for each orbit.  An orbit is labelled by the histogram of
     the letter pairs (x_i, y_i): the codes d x_i + y_i, sorted and read as a
-    base-d^2 number, which stays below d^(2n) <= DIMENSION_CAP^2.
+    base-d^2 number, which stays below d^(2n) <= DIMENSION_CAP^2.  Permuting
+    sites keeps letter histograms, so every orbit lies inside the layout.
     """
+    layout = _layout(d, n, blocked)
     digits = _word_digits(d, n)
-    dim = d**n
     powers = (d * d) ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    labels = np.empty((dim, dim), dtype=np.int64)
-    step = max(1, 2**22 // (dim * max(n, 1)))  # rows per slice: at most ~4M letter pairs
-    for start in range(0, dim, step):
-        pairs = digits[start:start + step, None, :] * d + digits[None, :, :]
-        pairs.sort(axis=2)
-        labels[start:start + step] = pairs @ powers
+    labels = np.empty(layout.size, dtype=np.int64)
+    step = max(1, 2**22 // max(n, 1))  # entries per slice: at most ~4M letter pairs
+    for start in range(0, layout.size, step):
+        pairs = digits[layout.rows[start : start + step]] * d + digits[layout.cols[start : start + step]]
+        pairs.sort(axis=1)
+        labels[start : start + step] = pairs @ powers
     _, orbit, sizes = np.unique(labels, return_inverse=True, return_counts=True)
-    return orbit.reshape(dim, dim), math.factorial(n) // sizes
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    by_orbit = np.argsort(orbit, kind="stable")
+    return _read_only(orbit), _read_only(by_orbit), _read_only(starts), _read_only(math.factorial(n) // sizes)
 
 
 def twirl(a: TensorOperator, *, factorial_cap: int = FACTORIAL_LOOP_CAP) -> TensorOperator:
@@ -613,41 +768,37 @@ def twirl(a: TensorOperator, *, factorial_cap: int = FACTORIAL_LOOP_CAP) -> Tens
     n, d = a.n, a.d
     if n > factorial_cap:
         raise ValueError(f"twirl over S_{n} exceeds factorial cap {factorial_cap}")
-    orbit, stabiliser = _pair_orbits(d, n)
-    arr, stabiliser = _exact(math.factorial(n) * a._bound(), a._mat, stabiliser)
-    sums = np.zeros(len(stabiliser), dtype=arr.dtype)
-    np.add.at(sums, orbit.ravel(), arr.ravel())
-    return TensorOperator(d, n, a.scale / math.factorial(n), (stabiliser * sums)[orbit])
+    orbit, by_orbit, starts, stabiliser = _pair_orbits(d, n, a._layout.blocked)
+    vec, stabiliser = _exact(math.factorial(n) * a._bound(), a._vec, stabiliser)
+    sums = np.add.reduceat(vec.take(by_orbit), starts)
+    return TensorOperator._of(d, n, a.scale / math.factorial(n), a._layout, (stabiliser * sums).take(orbit))
 
 
 def depolarise_n(a: TensorOperator, q: Fraction | int | str) -> TensorOperator:
     """Apply the depolarising channel with replacement weight ``q`` to every site.
 
     ``q`` is the probability that a single site is replaced by the maximally
-    mixed state (q=0 is the identity channel, q=1 full depolarisation).  The
-    n-fold channel is the product of its one-site channels, applied one site
-    at a time.  With q = a/b, site s maps the integer matrix M to
-    (b-a) d M + a (tr_s M tensor 1 at s) and divides the scale by b d.  Each
-    pass multiplies the largest entry by at most b d, so the passes run in
-    int64 when max(max|M|, 1) (b d)^n fits (the 1 keeps the scalars b d in
-    range on a zero matrix), and in Python ints otherwise.
+    mixed state (q=0 is the identity channel, q=1 full depolarisation); a
+    float is refused (see :func:`frames.depolarising_weight`).  The n-fold
+    channel is the product of its one-site channels, applied one site at a
+    time.  With q = a/b, site s maps the integer entries M to
+    (b-a) d M + a (tr_s M tensor 1 at s), read through :func:`_site_maps`, and
+    divides the scale by b d.  Each pass multiplies the largest entry by at
+    most b d, so the passes run in int64 when max(max|M|, 1) (b d)^n fits (the
+    1 keeps the scalars b d in range on a zero matrix), and in Python ints
+    otherwise.
     """
-    q = Fraction(q)
-    if not 0 <= q <= 1:
-        raise ValueError(f"depolarising weight must lie in [0, 1], got {q}")
+    q = depolarising_weight(q)
     d, n = a.d, a.n
     growth = q.denominator * d
-    (mat,) = _exact(max(a._bound(), 1) * growth**n, a._mat)
+    (vec,) = _exact(max(a._bound(), 1) * growth**n, a._vec)
     keep = (q.denominator - q.numerator) * d
     for site in range(n):
-        left, right = d**site, d ** (n - site - 1)
-        blocks = mat.reshape(left, d, right, left, d, right)
-        mixed = q.numerator * np.trace(blocks, axis1=1, axis2=4)  # axes (left, right, left, right)
-        out = keep * blocks
-        for i in range(d):
-            out[:, i, :, :, i, :] += mixed
-        mat = out.reshape(mat.shape)
-    return TensorOperator(d, n, a.scale / growth**n, mat).reduced()
+        agree, summed = _site_maps(d, n, site, a._layout.blocked)
+        mixed = vec.take(summed).sum(axis=0)
+        vec = keep * vec
+        vec[agree] += q.numerator * mixed
+    return TensorOperator._of(d, n, a.scale / growth**n, a._layout, vec).reduced()
 
 
 # -- exact positive-semidefiniteness test ------------------------------------------
@@ -657,9 +808,9 @@ def is_positive_semidefinite(a: TensorOperator) -> bool:
     """Exact PSD test for a symmetric rational matrix.
 
     A positive scale does not change the verdict, a zero scale makes the
-    matrix zero (PSD), and a negative one negates the integer matrix.  The
-    matrix of a blocked operator is PSD exactly when each of its letter blocks
-    is, so each block is tested on its own; any other matrix is one block.
+    matrix zero (PSD), and a negative one negates the integer entries.  The
+    matrix is PSD exactly when each block of its layout is, so each block is
+    tested on its own.
 
     Each block runs symmetric Bareiss elimination on Python ints (Bareiss,
     Math. Comp. 22, 1968) with diagonal pivoting: a negative diagonal entry
@@ -676,13 +827,13 @@ def is_positive_semidefinite(a: TensorOperator) -> bool:
     elimination: every sign that decides the verdict is kept, and no
     fraction is formed.
     """
-    arr = a._mat
-    if not np.array_equal(arr, arr.T):
+    if not a.is_symmetric():
         raise ValueError("PSD test expects a symmetric operator")
     if a.scale == 0:
         return True
     sign = 1 if a.scale > 0 else -1
-    return all(_bareiss_psd(sign * arr[np.ix_(w, w)].astype(object)) for w in _diagonal_blocks(a))
+    vec = a._vec
+    return all(_bareiss_psd(sign * vec[lo:hi].reshape(m, m).astype(object)) for lo, hi, m in a._layout.spans)
 
 
 def _bareiss_psd(m: np.ndarray) -> bool:

@@ -46,6 +46,7 @@ from .frames import (
     _dim_unitary,
     _skew_counts,
     binary_entropy,
+    depolarising_weight,
     dim_sym,
     dim_unitary,
     enumerate_frames,
@@ -212,13 +213,6 @@ def twirl_spectrum(lam: YoungFrame, k: int, d: int, *, normalized: bool = True) 
     )
 
 
-def _depolarising_weight(q: Fraction | int | str) -> Fraction:
-    q = Fraction(q)
-    if not 0 <= q <= 1:
-        raise ValueError(f"depolarising weight must lie in [0, 1], got {q}")
-    return q
-
-
 def channel_output_spectra(
     lam: YoungFrame, grid: Iterable[Fraction | int | str], d: int
 ) -> list[SpectralTable]:
@@ -232,7 +226,7 @@ def channel_output_spectra(
 
     turned into one ``Fraction`` per output frame.
     """
-    grid = [_depolarising_weight(q) for q in grid]
+    grid = [depolarising_weight(q) for q in grid]
     _check_source(lam, 0, d)
     n = lam.n
     twirls = _twirl_numerators(lam, d, range(n + 1))
@@ -264,14 +258,14 @@ def channel_output_spectrum(lam: YoungFrame, q: Fraction | int | str, d: int) ->
     return channel_output_spectra(lam, [q], d)[0]
 
 
-def tail_bound_exponent(lam: YoungFrame, lam_prime: YoungFrame, q: Fraction, n: int) -> float:
+def tail_bound_exponent(lam: YoungFrame, lam_prime: YoungFrame, q: Fraction | int | str, n: int) -> float:
     """log2 of :func:`channel_tail_bound` (handy for slack-free comparisons)."""
     for f in (lam, lam_prime):
         if not f.fits(2):
             raise ValueError(f"the tail bound holds for d=2 only; frame {f} has more than 2 rows")
         if f.n != n:
             raise ValueError(f"frame {f} has {f.n} boxes, not n={n}")
-    q = Fraction(q)
+    q = depolarising_weight(q)
     gap = abs(lam.row(0) - lam_prime.row(0))
     ratio = Fraction(gap, n)
     if ratio < q:
@@ -295,7 +289,7 @@ def channel_tail_bound(lam: YoungFrame, lam_prime: YoungFrame, q: Fraction | int
     value is >= 1 and carries no information; below that the function raises,
     as it does for a frame with more than 2 rows or with other than n boxes.
     """
-    return 2.0 ** tail_bound_exponent(lam, lam_prime, Fraction(q), n)
+    return 2.0 ** tail_bound_exponent(lam, lam_prime, q, n)
 
 
 @dataclass(frozen=True)
@@ -403,7 +397,7 @@ def sweep_to_csv(lam: YoungFrame, d: int, grid: list[Fraction], *, exact: bool =
     """
     if not grid:
         raise ValueError("q grid must be nonempty")
-    grid = [_depolarising_weight(q) for q in grid]
+    grid = [depolarising_weight(q) for q in grid]
     tables = channel_output_spectra(lam, grid, d)
     header = ["frame"] + [f"q={q.numerator}/{q.denominator}" for q in grid]
     lines = [",".join(header)]

@@ -39,6 +39,7 @@ from .frames import (
     ProbabilityPair,
     YoungFrame,
     binary_entropy,
+    depolarising_weight,
     dim_sym,
     dim_unitary,
     enumerate_frames,
@@ -85,8 +86,7 @@ class RunConfig:
             raise ValueError("d_max must be 2 or 3")
         if not 1 <= self.n_max <= TAIL_N_MAX:
             raise ValueError(f"n_max must lie in 1..{TAIL_N_MAX}")
-        if any(not 0 <= q <= 1 for q in self.q_grid):
-            raise ValueError("q grid values must lie in [0, 1]")
+        object.__setattr__(self, "q_grid", tuple(map(depolarising_weight, self.q_grid)))
 
     def to_json_obj(self) -> dict:
         return {
@@ -530,15 +530,12 @@ def check_projector_algebra(sizes: list[tuple[int, int]]) -> CheckResult:
             frames = list(family)
             for lam in frames:
                 p = family[lam]
-                mat = p.mat
                 total = total + p
                 algebra.record(p @ p == p, "d={} n={} {}: not idempotent", d, n, lam)
                 algebra.expect_equal(
                     p.trace(), dim_sym(lam) * dim_unitary(lam, d), "d={} n={} {}: trace", d, n, lam
                 )
-                algebra.record(
-                    np.array_equal(mat, mat.T), "d={} n={} {}: not symmetric", d, n, lam
-                )
+                algebra.record(p.is_symmetric(), "d={} n={} {}: not symmetric", d, n, lam)
             algebra.record(
                 total == orc.TensorOperator.identity(d, n),
                 "d={} n={}: projectors do not sum to identity", d, n,

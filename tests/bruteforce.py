@@ -2,11 +2,11 @@
 
 Everything here is deliberately naive (exhaustive enumeration, no shared code
 paths with the package beyond the YoungFrame container, frame enumeration and
-the character table for the projectors, and, for the channel, the oracle's
-partial trace and site insertion; the PSD reference eliminates the whole
-matrix in ``Fraction``, skew counts come from Aitken's determinant and the
-twirl from a sum over all n! permutations, and the Hilbert-Schmidt pairing
-from every entry of the full matrices) so that agreement with the package is
+the character table for the projectors; the PSD reference eliminates the whole
+matrix in ``Fraction``, skew counts come from Aitken's determinant, the twirl
+from a sum over all n! permutations, and the channel, conjugation, partial
+trace and Hilbert-Schmidt pairing from every entry of the full matrices that
+``TensorOperator.mat`` returns) so that agreement with the package is
 meaningful.
 """
 
@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from isotwirl.frames import YoungFrame, enumerate_frames
-from isotwirl.oracle import TensorOperator, insert_maximally_mixed
+from isotwirl.oracle import TensorOperator
 from isotwirl.symmetric_group import character
 
 
@@ -183,22 +183,52 @@ def is_lattice_word(word: list[int]) -> bool:
     return True
 
 
+def _words(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Digit rows of every word of [d]^n in lexicographic order, and the place value of each site."""
+    digits = np.array(list(itertools.product(range(d), repeat=n)), dtype=np.int64).reshape(d**n, n)
+    return digits, np.array([d ** (n - 1 - i) for i in range(n)], dtype=np.int64)
+
+
 def depolarise_by_subsets(a: TensorOperator, q: Fraction) -> TensorOperator:
-    """The n-fold depolarising channel as its literal 2^n subset decomposition.
+    """The n-fold depolarising channel as its literal 2^n subset decomposition, on the full matrix.
 
     Each subset S of sites is traced out and replaced by maximally mixed
-    states, weighted by q^|S| (1-q)^(n-|S|).
+    states, weighted by q^|S| (1-q)^(n-|S|): the term at the word pair (x, y)
+    is zero unless x and y agree on S, and then sums the entries at (x, y)
+    with the letters on S set to every z, divided by d^|S|.  With q = a/b
+    every term is an integer multiple of 1 / (b d)^n.
     """
     q = Fraction(q)
-    n = a.n
-    total = TensorOperator.zero(a.d, n)
+    d, n = a.d, a.n
+    digits, powers = _words(d, n)
+    mat = a.mat
+    total = np.zeros_like(mat)
     for k in range(n + 1):
-        w = q**k * (1 - q) ** (n - k)
-        if w == 0:
+        weight = q.numerator**k * (q.denominator - q.numerator) ** (n - k) * d ** (n - k)
+        if weight == 0:
             continue
         for subset in itertools.combinations(range(n), k):
-            total = total + w * insert_maximally_mixed(a.partial_trace(subset), subset, n)
-    return total.reduced()
+            cols = list(subset)
+            agree = (digits[:, None, cols] == digits[None, :, cols]).all(axis=2)
+            traced = np.zeros_like(mat)
+            for z in itertools.product(range(d), repeat=k):
+                moved = digits.copy()
+                moved[:, cols] = z
+                idx = moved @ powers
+                traced += mat[np.ix_(idx, idx)]
+            total += weight * np.where(agree, traced, 0)
+    return TensorOperator(d, n, a.scale / (q.denominator * d) ** n, total).reduced()
+
+
+def conjugate_by_full_matrices(a: TensorOperator, images: tuple[int, ...]) -> TensorOperator:
+    """B(tau) A B(tau)^T, with B(tau) the full 0/1 matrix moving the letter at site i to site tau(i)."""
+    d, n = a.d, a.n
+    digits, powers = _words(d, n)
+    moved = np.empty_like(digits)
+    moved[:, list(images)] = digits
+    b = np.zeros((d**n, d**n), dtype=object)
+    b[moved @ powers, np.arange(d**n)] = 1
+    return TensorOperator(d, n, a.scale, b @ a.mat @ b.T)
 
 
 def projectors_by_characters(d: int, n: int) -> dict[YoungFrame, TensorOperator]:

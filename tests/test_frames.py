@@ -8,9 +8,11 @@ from isotwirl.frames import (
     ProbabilityPair,
     YoungFrame,
     binary_entropy,
+    depolarising_weight,
     dim_sym,
     dim_unitary,
     enumerate_frames,
+    exact_rational,
     frame,
     format_frame,
     parse_frame,
@@ -158,3 +160,16 @@ def test_probability_pair_validation():
     p = ProbabilityPair(Fraction(1, 4))
     assert p.p1 == Fraction(3, 4)
     assert p[0] == Fraction(1, 4) and p[1] == Fraction(3, 4)
+
+
+def test_exact_rational_and_depolarising_weight():
+    cases = ((Fraction(3, 10), Fraction(3, 10)), (2, Fraction(2)), ("0.3", Fraction(3, 10)), ("-1/4", Fraction(-1, 4)))
+    for value, expect in cases:
+        assert exact_rational(value) == expect
+    for value in (0.1, 1.0, complex(1, 0), None):
+        with pytest.raises(ValueError):
+            exact_rational(value)
+    assert depolarising_weight("1/3") == Fraction(1, 3) and depolarising_weight(0) == 0
+    for value in (Fraction(-1, 3), "4/3", 0.25):
+        with pytest.raises(ValueError):
+            depolarising_weight(value)

@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -8,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bruteforce import (
+    conjugate_by_full_matrices,
     depolarise_by_subsets,
     hs_product_by_full_matrices,
     partial_trace_by_sums,
@@ -18,6 +18,7 @@ from bruteforce import (
 from isotwirl.frames import dim_sym, dim_unitary, enumerate_frames, frame
 from isotwirl.symmetric_group import Permutation, character, class_size, enumerate_group
 from isotwirl import oracle as orc
+from isotwirl import verify
 
 
 def rand_op(rng, d, n, den=7):
@@ -39,6 +40,11 @@ def block_mask(d, n):
 
 def full_product(a, b):
     return orc.TensorOperator(a.d, a.n, a.scale * b.scale, a.mat @ b.mat)
+
+
+def blocked(op):
+    """Whether ``op`` stores only its letter blocks, the layout kept for a matrix zero outside them."""
+    return op._layout is orc._layout(op.d, op.n, True)
 
 
 @pytest.fixture
@@ -94,37 +100,23 @@ def test_projectors_two_sites():
 
 
 def test_projector_family_properties():
+    # idempotent, symmetric, trace dim F dim U, summing to 1 and pairwise orthogonal
+    # (the check pairs them); orthogonality is also checked here as products
+    result = verify.check_projector_algebra([(2, 5), (3, 4)])
+    assert result.passed and result.checked, result.failures
     for d, n_max in ((2, 5), (3, 4)):
         for n in range(1, n_max + 1):
-            fam = orc.isotypical_projectors(d, n)
-            total = orc.TensorOperator.zero(d, n)
-            for lam, p in fam.items():
-                assert p @ p == p
-                assert p.trace() == dim_sym(lam) * dim_unitary(lam, d)
-                assert np.array_equal(p.mat, p.mat.T)
-                total = total + p
-            assert total == orc.TensorOperator.identity(d, n)
-            items = list(fam.values())
+            items = list(orc.isotypical_projectors(d, n).values())
             for i, p in enumerate(items):
                 for q in items[i + 1 :]:
                     assert p @ q == orc.TensorOperator.zero(d, n)
 
 
 def test_projector_family_properties_full_size():
-    # the largest dense sizes: idempotence via the guarded int64 matmul path,
+    # the largest dense sizes: idempotence via the guarded int64 block products,
     # pairwise orthogonality via tr(PQ) = ||PQ||_F^2 for symmetric idempotents
-    for d, n in ((2, 8), (3, 6)):
-        fam = orc.isotypical_projectors(d, n)
-        total = orc.TensorOperator.zero(d, n)
-        for lam, p in fam.items():
-            assert p @ p == p, (d, n, str(lam))
-            assert p.trace() == dim_sym(lam) * dim_unitary(lam, d)
-            total = total + p
-        assert total == orc.TensorOperator.identity(d, n)
-        items = list(fam.values())
-        for i, p in enumerate(items):
-            for q in items[i + 1 :]:
-                assert p.hs_product(q) == 0
+    result = verify.check_projector_algebra([(2, 8), (3, 6)])
+    assert result.passed and result.checked, result.failures
 
 
 def test_projector_family_matches_character_sum():
@@ -236,6 +228,16 @@ def test_insert_maximally_mixed_positions():
     assert mixed_last == orc.tensor_with_maximally_mixed(a, 1)
     assert mixed_first == orc.TensorOperator.maximally_mixed(2, 1).kron(a)
     assert mixed_first.partial_trace([0]) == a
+    # word pair by word pair: a's entry on the other sites, where the words agree at the insertions
+    for d, positions in ((2, (1, 3)), (3, (0, 2))):
+        b = rand_op(rng, d, 2)
+        words = list(itertools.product(range(d), repeat=4))
+        rest = [s for s in range(4) if s not in positions]
+        expect = np.zeros((d**4, d**4), dtype=object)
+        for (i, x), (j, y) in itertools.product(enumerate(words), repeat=2):
+            if all(x[s] == y[s] for s in positions):
+                expect[i, j] = b.mat[x[rest[0]] * d + x[rest[1]], y[rest[0]] * d + y[rest[1]]]
+        assert orc.insert_maximally_mixed(b, positions, 4) == orc.TensorOperator(d, 4, b.scale / d**2, expect)
 
 
 def test_twirl_properties():
@@ -340,9 +342,9 @@ def test_stored_matrix_is_int64_exactly_when_entries_fit():
     for entry, stored in ((2**63 - 1, np.int64), (-(2**63), np.int64), (2**63, object), (-(2**63) - 1, object)):
         mat = np.array([[entry, 0], [0, 1]], dtype=object)
         a = orc.TensorOperator(2, 1, Fraction(1), mat)
-        assert a._mat.dtype == stored and a.entry(0, 0) == entry
+        assert a._vec.dtype == stored and a.entry(0, 0) == entry
     a = orc.TensorOperator(2, 1, Fraction(1), np.array([[2**63, 0], [0, 1]], dtype=np.uint64))
-    assert a._mat.dtype == object and a.entry(0, 0) == 2**63
+    assert a._vec.dtype == object and a.entry(0, 0) == 2**63
     # ``mat`` is a fresh Python-int copy: writing to it leaves the operator alone
     copy = a.mat
     copy[1, 1] = 5
@@ -381,16 +383,16 @@ def test_matmul_matches_full_product(monkeypatch):
         perms = [orc.perm_operator(s, d) for s in enumerate_group(n)][:8]
         for ops in (family, perms):
             for a, b in itertools.product(ops, repeat=2):
-                assert a._blocked() and b._blocked()
+                assert blocked(a) and blocked(b)
                 assert a @ b == full_product(a, b)
     # a random pair is nonzero outside the blocks, so it is one block of every index
     rng = random.Random(11)
     a, b = rand_op(rng, 2, 3), rand_op(rng, 2, 3)
-    assert not (a._blocked() and b._blocked())
+    assert not (blocked(a) and blocked(b))
     assert a @ b == full_product(a, b)
     # so is a product with one blocked factor
     p = orc.isotypical_projectors(2, 3)[frame(2, 1)]
-    assert p._blocked() and not a._blocked()
+    assert blocked(p) and not blocked(a)
     assert p @ a == full_product(p, a) and a @ p == full_product(a, p)
     # entries near 2**40 in the 6-word block of (2, 4) overflow int64 there only
     routes = []
@@ -408,7 +410,7 @@ def test_matmul_matches_full_product(monkeypatch):
     a = orc.TensorOperator(2, 4, Fraction(1, 3), mat)
     product = a @ a
     assert routes == [np.int64, np.int64, object, np.int64, np.int64]
-    assert product._mat.dtype == object and product == full_product(a, a)
+    assert product._vec.dtype == object and product == full_product(a, a)
 
 
 def test_kron_int64_and_object_routes(exact_routes):
@@ -464,19 +466,8 @@ def test_depolarise_preserves_psd():
 def test_depolarise_binomial_twirl_decomposition():
     # On permutation-invariant input the channel collapses to binomial
     # weights times twirled contiguous reductions.
-    for d, n in ((2, 4), (3, 3)):
-        fam = orc.isotypical_projectors(d, n)
-        for lam, p in fam.items():
-            for q in (Fraction(1, 4), Fraction(2, 3)):
-                literal = orc.depolarise_n(p, q)
-                recon = orc.TensorOperator.zero(d, n)
-                for k in range(n + 1):
-                    w = math.comb(n, k) * q**k * (1 - q) ** (n - k)
-                    if w == 0:
-                        continue
-                    reduced = p.partial_trace(range(n - k, n))
-                    recon = recon + w * orc.twirl(orc.tensor_with_maximally_mixed(reduced, k))
-                assert literal == recon, (d, str(lam), q)
+    result = verify.check_channel_identities([(2, 4), (3, 3)], random.Random(0))
+    assert result.passed and result.checked, result.failures
 
 
 def test_overlap_examples():
@@ -533,17 +524,50 @@ def test_pairing_and_equality_match_full_matrices(pair):
     a, b = pair
     mask = block_mask(a.d, a.n)
     for op in (a, b):
-        assert op._blocked() == (not np.count_nonzero(op.mat[~mask]))
+        assert blocked(op) == (not np.count_nonzero(op.mat[~mask]))
     assert a.hs_product(b) == b.hs_product(a) == hs_product_by_full_matrices(a, b)
     full_equal = np.array_equal(a.scale * a.mat, b.scale * b.mat)
     assert (a == b) == (b == a) == full_equal
+
+
+def check_site_operations(op, data):
+    """Partial trace, conjugation, channel and twirl of ``op`` equal their full-matrix references.
+
+    The trace, conjugation and twirl keep the operand's layout; the channel
+    may fold a zero result into the letter-block zero.
+    """
+    n = op.n
+    sites = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1)))))
+    images = tuple(data.draw(st.permutations(range(n))))
+    q = data.draw(st.fractions(0, 1, max_denominator=6))
+    traced = op.partial_trace(sites)
+    conjugated = orc.conjugate_by_permutation(op, Permutation(images))
+    twirled = orc.twirl(op)
+    assert traced == partial_trace_by_sums(op, sites)
+    assert conjugated == conjugate_by_full_matrices(op, images)
+    assert twirled == twirl_by_permutations(op)
+    assert orc.depolarise_n(op, q) == depolarise_by_subsets(op, q)
+    for out in (traced, conjugated, twirled):
+        assert out._layout is orc._layout(out.d, out.n, blocked(op))
+
+
+@given(operator_pairs(), st.data())
+def test_operations_match_full_matrices(pair, data):
+    # blocked, one-block and mixed operands, with entries near 2**40 in one block or not
+    a, b = pair
+    assert a @ b == full_product(a, b) and b @ a == full_product(b, a)
+    product = a.kron(b)
+    assert product == orc.TensorOperator(a.d, 2 * a.n, a.scale * b.scale, np.kron(a.mat, b.mat))
+    assert blocked(product) == (blocked(a) and blocked(b))
+    for op in (a, b):
+        check_site_operations(op, data)
 
 
 def test_hs_product_int64_and_object_routes(exact_routes):
     # with either operand blocked the pairing sums the 70 in-block terms of (2, 4), else
     # all 256; it runs in int64 exactly when the number of terms times max|A| max|B| fits
     mask = block_mask(2, 4)
-    assert len(orc._block_support(2, 4)[0]) == int(mask.sum()) == 70
+    assert orc._layout(2, 4, True).size == int(mask.sum()) == 70
     for a_outside, b_outside in ((0, 0), (1, 0), (0, 1), (1, 1)):
         limit = (2**63 - 1) // (256 if a_outside and b_outside else 70)
         for entry in (limit, limit + 1):
@@ -551,7 +575,7 @@ def test_hs_product_int64_and_object_routes(exact_routes):
             mat[0, 0] = entry
             a = orc.TensorOperator(2, 4, Fraction(1, 3), mat)
             b = orc.TensorOperator(2, 4, Fraction(-2), np.where(mask, 1, b_outside))
-            assert (a._blocked(), b._blocked()) == (not a_outside, not b_outside)
+            assert (blocked(a), blocked(b)) == (not a_outside, not b_outside)
             exact_routes.clear()
             value = a.hs_product(b)
             assert exact_routes == [np.int64 if entry == limit else object]
@@ -600,13 +624,15 @@ def psd_cases(draw):
     return orc.TensorOperator(d, n, scale, mat), kind, masked
 
 
-@given(psd_cases())
-def test_psd_matches_fraction_ldl(case):
+@given(psd_cases(), st.data())
+def test_psd_matches_fraction_ldl(case, data):
     a, kind, masked = case
     verdict = orc.is_positive_semidefinite(a)
     assert verdict == psd_by_fraction_ldl(a)
+    assert a @ a == full_product(a, a)
+    check_site_operations(a, data)
     if masked:
-        assert a._blocked()
+        assert blocked(a)
     if a.scale == 0 or (kind == "gram" and a.scale > 0):
         assert verdict
     elif not masked and kind == "minus_eps" and a.scale > 0:
@@ -620,5 +646,5 @@ def test_scale_representation_equality():
     assert (Fraction(1, 3) * ident).reduced() == Fraction(1, 3) * ident
     # a zero scale makes any matrix the zero operator, in the letter blocks or not
     dense = orc.TensorOperator(2, 2, Fraction(0), np.ones((4, 4), dtype=np.int64))
-    assert not dense._blocked() and orc.TensorOperator.zero(2, 2)._blocked()
+    assert not blocked(dense) and blocked(orc.TensorOperator.zero(2, 2))
     assert dense == orc.TensorOperator.zero(2, 2) == dense

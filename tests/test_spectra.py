@@ -260,6 +260,32 @@ def test_channel_output_accepts_decimal_strings():
     assert a.entries == b.entries
 
 
+def test_float_weights_refused():
+    # 0.1 as a float is 3602879701896397/36028797018963968, not 1/10
+    lam = frame(2, 1)
+    for q in (0.1, 0.5, float(Fraction(1, 4))):
+        with pytest.raises(ValueError, match="not exact"):
+            channel_output_spectrum(lam, q, 2)
+        with pytest.raises(ValueError, match="not exact"):
+            orc.depolarise_n(orc.isotypical_projectors(2, 3)[lam], q)
+        with pytest.raises(ValueError, match="not exact"):
+            channel_tail_bound(frame(8, 0), frame(4, 4), q, 8)
+    with pytest.raises(ValueError, match="not exact"):
+        orc.TensorOperator(2, 1, 0.1, orc.TensorOperator.identity(2, 1).mat)
+    with pytest.raises(ValueError, match="not exact"):
+        0.5 * orc.TensorOperator.identity(2, 1)
+    with pytest.raises(ValueError, match="not exact"):
+        verify.RunConfig(q_grid=(Fraction(1, 2), 0.1))
+    assert verify.RunConfig(q_grid=("1/10", 1)).q_grid == (Fraction(1, 10), Fraction(1))
+    # a Fraction, an int or a decimal string still give the exact weight
+    tenth = channel_output_spectrum(lam, Fraction(1, 10), 2).entries
+    for q in ("0.1", "1/10"):
+        assert channel_output_spectrum(lam, q, 2).entries == tenth
+    assert channel_output_spectrum(lam, 1, 2).entries == channel_output_spectrum(lam, Fraction(1), 2).entries
+    op = orc.TensorOperator(2, 1, "1/3", orc.TensorOperator.identity(2, 1).mat)
+    assert op.scale == Fraction(1, 3) and orc.depolarise_n(op, "0.5") == orc.depolarise_n(op, Fraction(1, 2))
+
+
 def test_tail_bound_value_and_regime():
     bound = channel_tail_bound(frame(8, 0), frame(4, 4), Fraction(1, 4), 8)
     expect = 2.0 ** (-8 * ((2 / math.log(2)) * (0.5 - 0.25) ** 2 - math.log2(9) / 8))
