@@ -125,13 +125,16 @@ def parse_frame(text: str) -> YoungFrame:
 def exact_rational(x: Fraction | int | str) -> Fraction:
     """``x`` as an exact ``Fraction``: a rational number, or its text such as "3/10" or "0.3".
 
-    Anything else is refused with ``ValueError``.  A float above all holds a
-    binary fraction, so 0.1 would become 3602879701896397/36028797018963968
-    rather than 1/10.
+    Anything else, text such as "1/0" included, is refused with ``ValueError``.
+    A float above all holds a binary fraction, so 0.1 would become
+    3602879701896397/36028797018963968 rather than 1/10.
     """
     if not isinstance(x, (numbers.Rational, str)):
         raise ValueError(f"{x!r} is not exact: pass a Fraction, an int or a string such as '0.3'")
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{x!r} is not a rational number") from None
 
 
 def depolarising_weight(q: Fraction | int | str) -> Fraction:

@@ -59,6 +59,11 @@ from .symmetric_group import Permutation
 DIMENSION_CAP = 6561
 FACTORIAL_LOOP_CAP = 8
 
+# Largest n per d at which the verify suites sweep dense operators.  It stays
+# inside both caps, below the (3, 8) and (4, 6) they allow for time and memory
+# (the (3, 8) family alone holds 165 MiB).
+DENSE_SWEEP_N = {2: 8, 3: 6, 4: 5}
+
 _INT64_MAX = 2**63 - 1
 
 
@@ -602,8 +607,8 @@ def _dominates(lam: YoungFrame, part: tuple[int, ...]) -> bool:
     return all(a >= b for a, b in zip(itertools.accumulate(lam.padded(len(part))), itertools.accumulate(part)))
 
 
-# Every family a full verification run asks for, (2, 0..8) and (3, 0..6), stays cached.
-@lru_cache(maxsize=16)
+# Every family a dense sweep asks for, (d, 0..DENSE_SWEEP_N[d]) for each d, stays cached.
+@lru_cache(maxsize=sum(n + 1 for n in DENSE_SWEEP_N.values()))
 def _projector_family(d: int, n: int) -> dict[YoungFrame, TensorOperator]:
     """The family from central elements, one letter-count block at a time.
 
@@ -678,8 +683,10 @@ def isotypical_projectors(
 def clear_projector_cache() -> None:
     """Drop cached projector families.
 
-    A family holds one int64 letter-block vector per frame; the d=2 n=10
-    family holds 8.9 MB, the d=3 n=8 family 173 MB.
+    The cache holds as many families as a dense sweep up to
+    :data:`DENSE_SWEEP_N` asks for, (d, 0..n) for each d: 22.  A family holds one int64 letter-block
+    vector per frame; the d=2 n=10 family holds 8.9 MB, the d=3 n=8 family
+    173 MB, so a caller that builds larger families can free them here.
     """
     _projector_family.cache_clear()
 

@@ -388,7 +388,7 @@ def table_to_json_obj(table: SpectralTable) -> dict:
     }
 
 
-def sweep_to_csv(lam: YoungFrame, d: int, grid: list[Fraction], *, exact: bool = False) -> str:
+def sweep_to_csv(lam: YoungFrame, d: int, grid: list[Fraction | int | str], *, exact: bool = False) -> str:
     """Matrix CSV: one row per frame of YF_{d,n}, one column per grid value.
 
     Cells are floats by default; with ``exact`` they are "num/den" strings.

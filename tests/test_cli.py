@@ -172,7 +172,7 @@ def test_output_files_byte_identical(tmp_path: Path):
         (("spectrum", "4,0", "--k", "9"), 2),
         (("sweep", "2,1,1", "--grid", "0.5"), 2),
         (("sweep", "4,0", "--grid", ","), 2),
-        (("verify", "all", "--cap-n", "11"), 2),
+        (("verify", "all", "--cap-n", "65"), 2),
         (("spectrum", "4,0", "--q", "1/2", "--out", "{missing}/x.csv"), 2),
         (("char", "2,1", "3", "--out", "{missing}/y"), 2),
         (("verify", "tail", "--cap-n", "4", "--out", "{missing}/z.json"), 2),
@@ -185,9 +185,11 @@ def test_output_files_byte_identical(tmp_path: Path):
         (("sweep", "4,0", "--grid", "0.5", "--format", "json"), 2),
         (("spectrum", "4,0", "--k", "1", "--format", "text"), 2),
         (("lr", "3,1", "2", "1,1,1"), 0),
-        (("verify", "support", "--cap-n", "11"), 2),
+        (("verify", "tail", "--cap-n", "2", "--cap-d", "5"), 2),
         (("verify", "tail", "--cap-n", "65"), 2),
         (("spectrum", "65,64", "--q", "1/2"), 2),
+        (("verify", "tail", "--cap-n", "2", "--cap-d", "4"), 0),
+        (("verify", "tail", "--grid", ","), 2),
     ],
 )
 def test_exit_codes_without_traceback(tmp_path: Path, args, code):

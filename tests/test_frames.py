@@ -166,7 +166,7 @@ def test_exact_rational_and_depolarising_weight():
     cases = ((Fraction(3, 10), Fraction(3, 10)), (2, Fraction(2)), ("0.3", Fraction(3, 10)), ("-1/4", Fraction(-1, 4)))
     for value, expect in cases:
         assert exact_rational(value) == expect
-    for value in (0.1, 1.0, complex(1, 0), None):
+    for value in (0.1, 1.0, complex(1, 0), None, "1/0"):
         with pytest.raises(ValueError):
             exact_rational(value)
     assert depolarising_weight("1/3") == Fraction(1, 3) and depolarising_weight(0) == 0

@@ -15,7 +15,7 @@ from bruteforce import (
     psd_by_fraction_ldl,
     twirl_by_permutations,
 )
-from isotwirl.frames import dim_sym, dim_unitary, enumerate_frames, frame
+from isotwirl.frames import MAX_BOXES, dim_sym, dim_unitary, enumerate_frames, frame
 from isotwirl.symmetric_group import Permutation, character, class_size, enumerate_group
 from isotwirl import oracle as orc
 from isotwirl import verify
@@ -88,6 +88,29 @@ def test_dimension_cap():
         orc.isotypical_projectors(2, 9)  # factorial cap
 
 
+def test_size_table_within_hard_caps():
+    # dense rows inside the dense caps, fast-path rows inside MAX_BOXES, and a
+    # projector cache that holds every family the dense rows build, (d, 0..n)
+    top: dict[int, int] = {}
+    for row in verify.DENSE_ROWS.values():
+        for d, n in row.items():
+            assert d**n <= orc.DIMENSION_CAP and n <= orc.FACTORIAL_LOOP_CAP, (d, n)
+            top[d] = max(top.get(d, 0), n)
+    for row in verify.FAST_ROWS.values():
+        assert all(n <= MAX_BOXES[d] for d, n in row.items()), row
+    assert sum(n + 1 for n in top.values()) <= orc._projector_family.cache_info().maxsize
+
+
+def test_verify_all_at_d4_builds_each_projector_family_once():
+    # every dense row at its largest size, d = 4 included; a family evicted and
+    # rebuilt would count one more miss than the cache holds
+    orc.clear_projector_cache()
+    report = verify.run_suite("all", verify.RunConfig(d_max=4, n_max=8))
+    info = orc._projector_family.cache_info()
+    assert report.passed
+    assert info.misses == info.currsize == sum(n + 1 for n in orc.DENSE_SWEEP_N.values())
+
+
 def test_projectors_two_sites():
     fam = orc.isotypical_projectors(2, 2)
     sym, anti = fam[frame(2)], fam[frame(1, 1)]
@@ -115,7 +138,7 @@ def test_projector_family_properties():
 def test_projector_family_properties_full_size():
     # the largest dense sizes: idempotence via the guarded int64 block products,
     # pairwise orthogonality via tr(PQ) = ||PQ||_F^2 for symmetric idempotents
-    result = verify.check_projector_algebra([(2, 8), (3, 6)])
+    result = verify.check_projector_algebra(orc.DENSE_SWEEP_N.items())
     assert result.passed and result.checked, result.failures
 
 
