@@ -4,18 +4,20 @@
 cells in reading order, with lattice-word pruning), so every unit of the count
 comes with a checkable witness.  ``lr_via_characters`` recomputes the same
 number through the completely independent induced-character inner product and
-exists purely to cross-examine the tableau count.
+exists purely to cross-examine the tableau count.  It sums on Python ints over
+a table of class pairs built once per (l, k) (cycle types, merged cycle type,
+product of class sizes), reads the characters on reduced tuples, and ends with
+one exact division by l! k!.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 
 from .frames import YoungFrame, enumerate_frames
-from .symmetric_group import character, class_size, cycle_types
+from .symmetric_group import class_size, cycle_types, reduced_character
 
 # lr_via_characters iterates over pairs of character tables; keep it at desk scale.
 CHARACTER_ORACLE_CAP = 10
@@ -148,6 +150,20 @@ def lr_tableaux(lam: YoungFrame, mu: YoungFrame, nu: YoungFrame) -> list[LRTable
     return tabs
 
 
+@cache
+def _class_pairs(l: int, k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int], ...]:
+    """Every class pair of S_l x S_k: (c1, c2, their merged cycle type, |c1| |c2|), as reduced tuples.
+
+    The merged cycle type is the class of sigma x tau in S_{l+k}.
+    """
+    return tuple(
+        (c1.reduced, c2.reduced, tuple(sorted(c1.reduced + c2.reduced, reverse=True)),
+         class_size(c1) * class_size(c2))
+        for c1 in cycle_types(l)
+        for c2 in cycle_types(k)
+    )
+
+
 def lr_via_characters(
     lam: YoungFrame, mu: YoungFrame, nu: YoungFrame, *, cap: int = CHARACTER_ORACLE_CAP
 ) -> int:
@@ -155,22 +171,24 @@ def lr_via_characters(
 
     Evaluates (1/(l! k!)) * sum over sigma in S_l, tau in S_k of
     chi_mu(sigma) chi_nu(tau) chi_lam(sigma x tau), grouped by conjugacy
-    classes so each term is weighted by the product of class sizes.
+    classes so each term is weighted by the product of class sizes.  The sum
+    runs on Python ints over the cached class pairs of (l, k) and ends in one
+    exact division; a remainder or a negative quotient fails an assertion.
     """
     l, k = mu.n, nu.n
     if lam.n != l + k:
         return 0
     if lam.n > cap:
         raise ValueError(f"lr_via_characters: {lam.n} boxes exceeds cap {cap}")
-    total = Fraction(0)
-    for c1 in cycle_types(l):
-        for c2 in cycle_types(k):
-            combined = YoungFrame(tuple(sorted(c1.reduced + c2.reduced, reverse=True)))
-            weight = class_size(c1) * class_size(c2)
-            total += weight * character(mu, c1) * character(nu, c2) * character(lam, combined)
-    total /= math.factorial(l) * math.factorial(k)
-    assert total.denominator == 1 and total >= 0, f"non-integral character sum {total}"
-    return int(total)
+    lam_red, mu_red, nu_red = lam.reduced, mu.reduced, nu.reduced
+    total = 0
+    for c1, c2, merged, weight in _class_pairs(l, k):
+        total += (weight * reduced_character(mu_red, c1) * reduced_character(nu_red, c2)
+                  * reduced_character(lam_red, merged))
+    order = math.factorial(l) * math.factorial(k)
+    quotient, remainder = divmod(total, order)
+    assert remainder == 0 and quotient >= 0, f"non-integral character sum {total}/{order}"
+    return quotient
 
 
 def lr_nonzero_pairs(lam: YoungFrame, l: int, k: int, d: int) -> list[tuple[YoungFrame, YoungFrame]]:

@@ -2,11 +2,13 @@
 
 Characters are evaluated on cycle types (conjugacy-class labels), not on
 individual permutations, via the Murnaghan-Nakayama border-strip recursion in
-its beta-number form.  Values are memoized on (frame, cycle type); group-sized
-sums therefore pay for at most one character evaluation per class.  The memo
-tables live behind ``functools.cache``: under the GIL concurrent lookups are
-safe and a racing recomputation is idempotent, so no external locking is
-required.
+its beta-number form.  ``reduced_character`` is the one accessor: it takes the
+frame and the cycle type as plain reduced tuples and is memoized on that pair,
+so group-sized sums pay for at most one character evaluation per class, and a
+caller that already holds the tuples (the LR character oracle) builds no
+``YoungFrame``.  ``character`` is its checked form on frames.  The memo table
+lives behind ``functools.cache``: under the GIL concurrent lookups are safe and
+a racing recomputation is idempotent, so no external locking is required.
 """
 
 from __future__ import annotations
@@ -102,7 +104,11 @@ def class_size(ct: YoungFrame) -> int:
 
 
 @cache
-def _character(lam: tuple[int, ...], cycles: tuple[int, ...]) -> int:
+def reduced_character(lam: tuple[int, ...], cycles: tuple[int, ...]) -> int:
+    """chi_lam at the class of ``cycles``: both reduced tuples (no zero parts), cycles weakly decreasing.
+
+    Unchecked: a size mismatch reads 0.  :func:`character` is the checked form.
+    """
     # Murnaghan-Nakayama via beta numbers: with beta_i = lam_i + (m-1-i),
     # removing a border strip of length L corresponds to replacing some
     # beta_i by beta_i - L (when non-negative and not already present), with
@@ -123,7 +129,7 @@ def _character(lam: tuple[int, ...], cycles: tuple[int, ...]) -> int:
         new_lam = tuple(new_beta[i] - (m - 1 - i) for i in range(m))
         while new_lam and new_lam[-1] == 0:
             new_lam = new_lam[:-1]
-        term = _character(new_lam, rest)
+        term = reduced_character(new_lam, rest)
         total += -term if height % 2 else term
     return total
 
@@ -133,4 +139,4 @@ def character(lam: YoungFrame, ct: YoungFrame) -> int:
     if lam.n != ct.n:
         raise ValueError(f"size mismatch: frame has {lam.n} boxes, cycle type {ct.n}")
     cyc = tuple(sorted((c for c in ct.reduced), reverse=True))
-    return _character(lam.reduced, cyc)
+    return reduced_character(lam.reduced, cyc)

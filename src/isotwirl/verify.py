@@ -31,6 +31,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Iterable
 
 import numpy as np
@@ -461,29 +462,36 @@ def oracle_twirl_overlap(
     return reductions[lam_p][k].hs_product(reductions[lam][k]) / d**k
 
 
+@cache
+def _binomial_weights(n: int, q: Fraction) -> tuple[Fraction, ...]:
+    """C(n,k) q^k (1-q)^(n-k) for k = 0..n: the channel's weight on each number k of mixed sites."""
+    return tuple(math.comb(n, k) * q**k * (1 - q) ** (n - k) for k in range(n + 1))
+
+
 def _binomial_sum(q: Fraction, values: list[Fraction]) -> Fraction:
     """sum over k of C(n,k) q^k (1-q)^(n-k) values[k], with n = len(values) - 1."""
-    n = len(values) - 1
     return sum(
-        (math.comb(n, k) * q**k * (1 - q) ** (n - k) * v for k, v in enumerate(values)), Fraction(0)
+        (w * v for w, v in zip(_binomial_weights(len(values) - 1, q), values)), Fraction(0)
     )
 
 
 def oracle_channel_weights(
-    reductions: dict[YoungFrame, list[orc.TensorOperator]], source: YoungFrame, q: Fraction, d: int
-) -> dict[YoungFrame, Fraction]:
-    """Dense weight of each block in the depolarised flat state pi_source.
+    reductions: dict[YoungFrame, list[orc.TensorOperator]],
+    source: YoungFrame,
+    q_values: Iterable[Fraction],
+    d: int,
+) -> list[dict[YoungFrame, Fraction]]:
+    """Dense weight of each block in the depolarised flat state pi_source, one dict per q.
 
     ``reductions`` maps every frame of YF_{d,n} to its :func:`dense_reductions`.
+    The overlaps do not depend on q: each is paired once, then mixed per q.
     """
     norm = Fraction(dim_sym(source) * dim_unitary(source, d))
-    return {
-        lam_p: _binomial_sum(
-            q,
-            [oracle_twirl_overlap(reductions, source, k, lam_p, d) / norm for k in range(source.n + 1)],
-        )
+    overlaps = {
+        lam_p: [oracle_twirl_overlap(reductions, source, k, lam_p, d) / norm for k in range(source.n + 1)]
         for lam_p in reductions
     }
+    return [{lam_p: _binomial_sum(q, row) for lam_p, row in overlaps.items()} for q in q_values]
 
 
 def check_fast_path_against_oracle(
@@ -497,6 +505,13 @@ def check_fast_path_against_oracle(
         frames = enumerate_frames(d, n)
         family = orc.isotypical_projectors(d, n)
         reductions = {lam: dense_reductions(family[lam]) for lam in frames}
+        # tr(AB) = tr(BA): each unordered pair of frames is paired once, at every k.
+        pairings: dict[tuple[YoungFrame, YoungFrame], list[Fraction]] = {}
+        for i, lam in enumerate(frames):
+            for lam_p in frames[i:]:
+                pairings[lam, lam_p] = pairings[lam_p, lam] = [
+                    oracle_twirl_overlap(reductions, lam, k, lam_p, d) for k in range(n + 1)
+                ]
         for lam in frames:
             norm = Fraction(dim_sym(lam) * dim_unitary(lam, d))
             dense_w: dict[YoungFrame, list[Fraction]] = {lam_p: [] for lam_p in frames}  # per k
@@ -505,7 +520,8 @@ def check_fast_path_against_oracle(
                 table = twirl_spectrum(lam, k, d, normalized=False)
                 table_norm = twirl_spectrum(lam, k, d, normalized=True)
                 for lam_p in frames:
-                    paired = oracle_twirl_overlap(reductions, lam, k, lam_p, d)
+                    paired = pairings[lam, lam_p][k]
+                    normalized = paired / norm
                     route.expect_equal(
                         family[lam_p].hs_product(literal), paired, "d={} lam={} k={} lam'={}", d, lam, k, lam_p
                     )
@@ -514,10 +530,10 @@ def check_fast_path_against_oracle(
                     )
                     fast_twirl.expect_equal(
                         table_norm.weight(lam_p),
-                        paired / norm,
+                        normalized,
                         "normalized d={} lam={} k={} lam'={}", d, lam, k, lam_p,
                     )
-                    dense_w[lam_p].append(paired / norm)
+                    dense_w[lam_p].append(normalized)
             for q in q_values:
                 table = channel_output_spectrum(lam, q, d)
                 fast_channel.expect_equal(table.total(), Fraction(1), "total d={} {} q={}", d, lam, q)
@@ -696,9 +712,9 @@ def check_channel_identities(sizes: Iterable[tuple[int, int]], rng: random.Rando
             for q in (Fraction(1, 4), Fraction(2, 3)):
                 literal = orc.depolarise_n(p, q)
                 recon = orc.TensorOperator.zero(d, n)
+                weights = _binomial_weights(n, q)
                 for k, reduced in enumerate(reductions):
-                    w = math.comb(n, k) * q**k * (1 - q) ** (n - k)
-                    recon = recon + w * orc.twirl(orc.tensor_with_maximally_mixed(reduced, k))
+                    recon = recon + weights[k] * orc.twirl(orc.tensor_with_maximally_mixed(reduced, k))
                 channel.record(
                     literal == recon, "d={} lam={} q={}: channel != binomial twirl sum", d, lam, q
                 )
@@ -763,8 +779,7 @@ def check_output_mode(
     frames = enumerate_frames(2, n)
     family = orc.isotypical_projectors(2, n, factorial_cap=factorial_cap)
     reductions = {lam: dense_reductions(family[lam]) for lam in frames}
-    for q in q_grid:
-        oracle_weights = oracle_channel_weights(reductions, source, q, 2)
+    for q, oracle_weights in zip(q_grid, oracle_channel_weights(reductions, source, q_grid, 2)):
         oracle_mode = max(frames, key=lambda f: (oracle_weights[f], -frames.index(f)))
         engine_mode = channel_output_spectrum(source, q, 2).mode()
         concentration.expect_equal(

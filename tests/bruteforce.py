@@ -1,13 +1,14 @@
 """Independent brute-force oracles used only by the tests.
 
 Everything here is deliberately naive (exhaustive enumeration, no shared code
-paths with the package beyond the YoungFrame container, frame enumeration and
-the character table for the projectors; the PSD reference eliminates the whole
-matrix in ``Fraction``, skew counts come from Aitken's determinant, the twirl
-from a sum over all n! permutations, and the channel, conjugation, partial
-trace and Hilbert-Schmidt pairing from every entry of the full matrices that
-``TensorOperator.mat`` returns) so that agreement with the package is
-meaningful.
+paths with the package beyond the YoungFrame container, frame and group
+enumeration and the character table for the projectors and for the LR group
+sum, whose classes are tallied element by element; the PSD reference
+eliminates the whole matrix in ``Fraction``, skew counts come from Aitken's
+determinant, the twirl from a sum over all n! permutations, and the channel,
+conjugation, partial trace and Hilbert-Schmidt pairing from every entry of the
+full matrices that ``TensorOperator.mat`` returns) so that agreement with the
+package is meaningful.
 """
 
 from __future__ import annotations
@@ -15,12 +16,13 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
 from isotwirl.frames import YoungFrame, enumerate_frames
 from isotwirl.oracle import TensorOperator
-from isotwirl.symmetric_group import character
+from isotwirl.symmetric_group import character, enumerate_group
 
 
 def count_standard_tableaux(lam: YoungFrame) -> int:
@@ -167,6 +169,42 @@ def class_sizes_by_enumeration(n: int) -> dict[tuple[int, ...], int]:
         ct = cycle_type_of(images)
         sizes[ct] = sizes.get(ct, 0) + 1
     return sizes
+
+
+@cache
+def class_pairs_by_enumeration(l: int, k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], int], ...]:
+    """Every (cycle type of sigma, of tau, of sigma x tau, count) over all (sigma, tau) in S_l x S_k, sorted.
+
+    sigma x tau permutes l + k points, tau shifted past sigma's l; every cycle
+    type is read off a permutation, none is merged from two others, and each
+    count is a tally of group elements, not a class-size formula.
+    """
+    counts: dict[tuple[tuple[int, ...], ...], int] = {}
+    for sigma in enumerate_group(l):
+        for tau in enumerate_group(k):
+            both = sigma.images + tuple(l + t for t in tau.images)
+            key = (cycle_type_of(sigma.images), cycle_type_of(tau.images), cycle_type_of(both))
+            counts[key] = counts.get(key, 0) + 1
+    return tuple(sorted(key + (count,) for key, count in counts.items()))
+
+
+def lr_by_group_sum(lam: YoungFrame, mu: YoungFrame, nu: YoungFrame) -> Fraction:
+    """c^lam_{mu nu} as (1/(l! k!)) sum over every (sigma, tau) in S_l x S_k of chi_mu(sigma) chi_nu(tau) chi_lam(sigma x tau).
+
+    The elements are counted by :func:`class_pairs_by_enumeration`, so every
+    cycle type is read off a permutation: no class sizes, no merged cycle types.
+    """
+    l, k = mu.n, nu.n
+    if lam.n != l + k:
+        return Fraction(0)
+    total = sum(
+        count
+        * character(mu, YoungFrame(sigma))
+        * character(nu, YoungFrame(tau))
+        * character(lam, YoungFrame(both))
+        for sigma, tau, both, count in class_pairs_by_enumeration(l, k)
+    )
+    return Fraction(total, math.factorial(l) * math.factorial(k))
 
 
 def fixed_points_minus_one(ct: tuple[int, ...]) -> int:

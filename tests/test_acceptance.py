@@ -122,8 +122,8 @@ def test_c09_concentration_mode_matches_oracle():
         assert_passed(result)
         family = orc.isotypical_projectors(2, n, factorial_cap=n)
         reductions = {lam: verify.dense_reductions(p) for lam, p in family.items()}
-        for q in Q_TENTHS:
-            assert sum(verify.oracle_channel_weights(reductions, frame(n), q, 2).values()) == 1
+        per_q = verify.oracle_channel_weights(reductions, frame(n), Q_TENTHS, 2)
+        assert [sum(weights.values()) for weights in per_q] == [1] * len(Q_TENTHS)
         for mode in result.info["modes"]:
             lines.append(
                 f"n={n} q={mode['q']}: mode row1={mode['mode_row1']} "

@@ -2,16 +2,17 @@ from collections import Counter
 
 import pytest
 
-from bruteforce import is_lattice_word
+from bruteforce import class_pairs_by_enumeration, is_lattice_word, lr_by_group_sum
 from isotwirl.frames import frame
 from isotwirl.lr import (
     SkewShape,
+    _class_pairs,
     lr_coefficient,
     lr_nonzero_pairs,
     lr_tableaux,
     lr_via_characters,
 )
-from isotwirl.verify import check_lr_coefficients, check_two_row_multiplicity_free
+from isotwirl.verify import _lr_triples, check_lr_coefficients, check_two_row_multiplicity_free
 
 
 def test_pieri_examples():
@@ -37,6 +38,20 @@ def test_character_oracle_cap():
     with pytest.raises(ValueError):
         lr_via_characters(frame(6, 5), frame(6), frame(5))
     assert lr_via_characters(frame(6, 5), frame(6), frame(5), cap=11) == 1
+
+
+def test_character_oracle_matches_group_sum():
+    # n = 7 is the largest size at which the group sum stays under about 1 s
+    for lam, mu, nu in _lr_triples(3, 7):
+        assert lr_via_characters(lam, mu, nu) == lr_by_group_sum(lam, mu, nu), (lam, mu, nu)
+
+
+def test_class_pair_table_matches_group_enumeration():
+    # the merged cycle type is compared as stored, so an unsorted merge fails
+    # here even though the characters it reads are the same
+    for n in range(0, 8):
+        for l in range(0, n + 1):
+            assert sorted(_class_pairs(l, n - l)) == list(class_pairs_by_enumeration(l, n - l)), (l, n - l)
 
 
 def test_tableaux_vs_characters_exhaustive():
