@@ -18,7 +18,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from typing import Union
 
 Scalar = Union[int, float, Fraction]
@@ -252,7 +252,9 @@ def dim_unitary(lam: YoungFrame, d: int) -> int:
     return _dim_unitary(lam.reduced, d)
 
 
-@cache
+# Above the largest frame set one twirl spectrum reads (|YF(4, 24)| = 169), so a
+# spectrum's sweep over YF(d, n) never evicts an entry it still reads.
+@lru_cache(maxsize=256)
 def _skew_counts(outer: tuple[int, ...]) -> dict[tuple[int, ...], int]:
     """f^{outer/inner} for every frame inner inside outer, keyed by reduced rows.
 

@@ -77,7 +77,9 @@ def _search(lam: YoungFrame, mu: YoungFrame, nu: YoungFrame, collect: bool):
     Filling in reading order makes the lattice condition a prefix property:
     value v may be placed only while counts[v] < counts[v-1].  Row constraints
     compare against the right neighbour (already filled), column constraints
-    against the cell above (rows are completed top to bottom).
+    against the cell above (rows are completed top to bottom).  The search
+    keeps its position in a loop, not on the call stack, so its depth is not
+    bounded by the recursion limit.
     """
     if lam.n != mu.n + nu.n:
         return 0, []
@@ -96,9 +98,8 @@ def _search(lam: YoungFrame, mu: YoungFrame, nu: YoungFrame, collect: bool):
     counts = [0] * (nvals + 1)
     found = 0
     witnesses: list[LRTableau] = []
-
-    def place(pos: int) -> None:
-        nonlocal found
+    pos = 0  # the cell whose value is tried next; its grid entry holds the last value tried, 0 if none
+    while pos >= 0:
         if pos == len(cells):
             found += 1
             if collect:
@@ -107,26 +108,29 @@ def _search(lam: YoungFrame, mu: YoungFrame, nu: YoungFrame, collect: bool):
                     for i in range(len(outer))
                 )
                 witnesses.append(LRTableau(skew, filling))
-            return
+            pos -= 1
+            continue
         i, j = cells[pos]
+        v = grid[i][j]
+        if v:
+            counts[v] -= 1  # take back the value tried last
         lo = 1
         if i > 0 and j >= mu.row(i - 1):
             lo = grid[i - 1][j] + 1  # column strict below a filled skew cell
         hi = nvals
         if j + 1 < outer[i] and grid[i][j + 1]:
             hi = min(hi, grid[i][j + 1])  # row weakly increasing
-        for v in range(lo, hi + 1):
-            if counts[v] >= target[v - 1]:
-                continue
-            if v > 1 and counts[v] >= counts[v - 1]:
-                continue  # lattice word prefix condition
+        v = max(v + 1, lo)
+        # content bound, then the lattice word prefix condition
+        while v <= hi and (counts[v] >= target[v - 1] or (v > 1 and counts[v] >= counts[v - 1])):
+            v += 1
+        if v <= hi:
             grid[i][j] = v
             counts[v] += 1
-            place(pos + 1)
-            counts[v] -= 1
+            pos += 1
+        else:
             grid[i][j] = 0
-
-    place(0)
+            pos -= 1
     return found, witnesses
 
 

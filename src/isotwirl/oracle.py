@@ -610,54 +610,58 @@ def _dominates(lam: YoungFrame, part: tuple[int, ...]) -> bool:
 # Every family a dense sweep asks for, (d, 0..DENSE_SWEEP_N[d]) for each d, stays cached.
 @lru_cache(maxsize=sum(n + 1 for n in DENSE_SWEEP_N.values()))
 def _projector_family(d: int, n: int) -> dict[YoungFrame, TensorOperator]:
-    """The family from central elements, one letter-count block at a time.
+    """The family from central elements, one sorted letter histogram at a time.
 
     Permutations keep a word's letter histogram, so every P_lam is block
     diagonal over the histograms, and P_lam is nonzero on a block exactly when
     lam dominates its sorted histogram (Kostka number > 0).  Relabelling the
     letters commutes with S_n, so the products are taken once per sorted
-    histogram, on the block whose histogram is decreasing, and gathered onto
-    its relabellings, straight into the letter-block vector.  Each P_lam is
-    one int64 vector over the lcm L of its block denominators.  Its entries
-    L P_ij have modulus at most L, as an orthogonal projector's entries have
-    modulus at most 1, and L divides n!, as n! P_lam is an integer matrix, so
-    they fit for every n the caps allow.  The gcd g of those entries is taken
-    block by block, so the operator g/L times (L P / g) is already in the
-    canonical form ``reduced`` gives.
+    histogram, on the block whose histogram is decreasing, gathered onto its
+    relabellings, straight into the letter-block vector, and dropped.  The
+    largest blocks go first: their products, the largest temporaries, are
+    then taken while most of the zeroed vectors are still unwritten.  Every
+    block is written at the common scale n!: n! P_lam is an integer matrix,
+    so each block denominator divides n!, and its entries have modulus at most
+    n!, as an orthogonal projector's entries have modulus at most 1 (int64
+    for every n <= 20).  Dividing each vector in place by the gcd g of its
+    entries leaves g/n! times a primitive vector: the canonical form
+    ``reduced`` gives.
     """
     layout = _layout(d, n, True)
     digits = _word_digits(d, n)
-    hists = [np.bincount(digits[words[0]], minlength=d) for words in layout.blocks]
     cycle_maps = cache(partial(_cycle_class_maps, d, n))
+    fact = math.factorial(n)
+    dtype = np.int64 if fact <= _INT64_MAX else object
 
-    frames = enumerate_frames(d, n)
-    canonical: dict[tuple[int, ...], dict[YoungFrame, tuple[np.ndarray, int]]] = {}
-    for words, hist in zip(layout.blocks, hists):
-        hist = tuple(map(int, hist))
-        if list(hist) == sorted(hist, reverse=True):
-            canonical[hist] = _block_projectors(
-                [lam for lam in frames if _dominates(lam, hist)],
-                lambda length: _class_block(cycle_maps(length), words, layout.local),
-            )
-
-    # per frame, (span, gather, N, D): the block's span of the vector, its words in the
-    # canonical block's order, and P_lam = N / D on the canonical block
-    pieces: dict[YoungFrame, list[tuple[slice, tuple, np.ndarray, int]]] = {lam: [] for lam in frames}
-    for words, hist, (lo, hi, _) in zip(layout.blocks, hists, layout.spans):
+    # per sorted histogram, its decreasing block's words, and the span of each block with
+    # that sorted histogram and the gather of its words in the decreasing block's order
+    canonical: dict[tuple[int, ...], np.ndarray] = {}
+    gathers: dict[tuple[int, ...], list[tuple[slice, tuple]]] = {}
+    for words, (lo, hi, _) in zip(layout.blocks, layout.spans):
+        hist = np.bincount(digits[words[0]], minlength=d)
+        key = tuple(sorted(hist.tolist(), reverse=True))
+        if tuple(hist.tolist()) == key:
+            canonical[key] = words
         relabel = np.empty(d, dtype=np.int64)
         relabel[np.argsort(-hist, kind="stable")] = np.arange(d)
         order = layout.local[relabel[digits[words]] @ _index_powers(d, n)]
-        gather = np.ix_(order, order)
-        for lam, (num, den) in canonical[tuple(sorted(map(int, hist), reverse=True))].items():
-            pieces[lam].append((slice(lo, hi), gather, num, den))
+        gathers.setdefault(key, []).append((slice(lo, hi), np.ix_(order, order)))
+    frames = enumerate_frames(d, n)
+    vecs = {lam: np.zeros(layout.size, dtype=dtype) for lam in frames}
+    for key, words in sorted(canonical.items(), key=lambda item: -len(item[1])):
+        projectors = _block_projectors(
+            [lam for lam in frames if _dominates(lam, key)],
+            lambda length: _class_block(cycle_maps(length), words, layout.local),
+        )
+        for lam, (num, den) in projectors.items():
+            block = num.astype(dtype, copy=False) * (fact // den)
+            for span, gather in gathers[key]:
+                vecs[lam][span] = block[gather].ravel()
     family: dict[YoungFrame, TensorOperator] = {}
-    for lam, parts in pieces.items():
-        lcm = math.lcm(*(den for *_, den in parts))
-        g = math.gcd(*(lcm // den * int(np.gcd.reduce(np.abs(num.ravel()))) for *_, num, den in parts))
-        vec = np.zeros(layout.size, dtype=np.int64)
-        for span, gather, num, den in parts:
-            vec[span] = (num * (lcm // den) // g)[gather].ravel()
-        family[lam] = TensorOperator._of(d, n, Fraction(g, lcm), layout, vec)
+    for lam, vec in vecs.items():
+        g = int(np.gcd.reduce(vec))
+        vec //= g
+        family[lam] = TensorOperator._of(d, n, Fraction(g, fact), layout, vec)
     return family
 
 
@@ -684,9 +688,11 @@ def clear_projector_cache() -> None:
     """Drop cached projector families.
 
     The cache holds as many families as a dense sweep up to
-    :data:`DENSE_SWEEP_N` asks for, (d, 0..n) for each d: 22.  A family holds one int64 letter-block
-    vector per frame; the d=2 n=10 family holds 8.9 MB, the d=3 n=8 family
-    173 MB, so a caller that builds larger families can free them here.
+    :data:`DENSE_SWEEP_N` asks for, (d, 0..n) for each d: 22.  A family holds
+    one int64 letter-block vector per frame; the d=2 n=10 family holds 8.9 MB,
+    the d=3 n=8 family 173 MB (its build peaks about 15 MB above that, as it
+    holds one sorted histogram's products at a time), so a caller that builds
+    larger families can free them here.
     """
     _projector_family.cache_clear()
 

@@ -113,25 +113,27 @@ def reduced_character(lam: tuple[int, ...], cycles: tuple[int, ...]) -> int:
     # removing a border strip of length L corresponds to replacing some
     # beta_i by beta_i - L (when non-negative and not already present), with
     # sign (-1)**(number of beta entries strictly between the two values).
-    if not cycles:
-        return 1 if not lam else 0
-    length, rest = cycles[0], cycles[1:]
-    m = len(lam)
-    beta = [lam[i] + (m - 1 - i) for i in range(m)]
-    beta_set = set(beta)
-    total = 0
-    for b in beta:
-        nb = b - length
-        if nb < 0 or nb in beta_set:
-            continue
-        height = sum(1 for x in beta if nb < x < b)
-        new_beta = sorted((beta_set - {b}) | {nb}, reverse=True)
-        new_lam = tuple(new_beta[i] - (m - 1 - i) for i in range(m))
-        while new_lam and new_lam[-1] == 0:
-            new_lam = new_lam[:-1]
-        term = reduced_character(new_lam, rest)
-        total += -term if height % 2 else term
-    return total
+    # One level per cycle, as frames._skew_counts goes down Young's lattice:
+    # every frame left by the strips so far with its signed count, no recursion.
+    level = {lam: 1}
+    for length in cycles:
+        below: dict[tuple[int, ...], int] = {}
+        for shape, count in level.items():
+            m = len(shape)
+            beta = [shape[i] + (m - 1 - i) for i in range(m)]
+            beta_set = set(beta)
+            for b in beta:
+                nb = b - length
+                if nb < 0 or nb in beta_set:
+                    continue
+                height = sum(1 for x in beta if nb < x < b)
+                new_beta = sorted((beta_set - {b}) | {nb}, reverse=True)
+                new_lam = tuple(new_beta[i] - (m - 1 - i) for i in range(m))
+                while new_lam and new_lam[-1] == 0:
+                    new_lam = new_lam[:-1]
+                below[new_lam] = below.get(new_lam, 0) + (-count if height % 2 else count)
+        level = {shape: count for shape, count in below.items() if count}
+    return level.get((), 0)
 
 
 def character(lam: YoungFrame, ct: YoungFrame) -> int:

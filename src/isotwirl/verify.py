@@ -18,6 +18,11 @@ Five suites, each a list of named checks over a configurable size range:
 Every check is a ``check_*`` function that takes its sizes as arguments.  The
 suites run each at its row of :data:`SIZE_TABLE` (the largest n it honours for
 each d) clipped to :class:`RunConfig`; the tests call it at their own sizes.
+The dense checks of the paper's overlap tr{P_lam' (tr_{[k]} P_lam tensor
+pi_{[k]})} (the support window, the route and fast-path equalities and the
+output mode) all read it from :func:`dense_twirl_overlaps`, one cached table
+per (d, n) that holds it as the literal padded product and as the
+partial-trace pairing.
 
 Reports are deterministic: no timestamps, fixed iteration orders, failures
 truncated to the first five, and JSON dumped with sorted keys.  Two runs with
@@ -31,7 +36,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -337,23 +342,53 @@ def dense_reductions(proj: orc.TensorOperator) -> list[orc.TensorOperator]:
     return out
 
 
+# (lam, k, lam') -> (literal padded product, partial-trace pairing)
+Overlaps = dict[tuple[YoungFrame, int, YoungFrame], tuple[Fraction, Fraction]]
+
+
+def dense_twirl_overlaps(d: int, n: int, *, factorial_cap: int = orc.FACTORIAL_LOOP_CAP) -> Overlaps:
+    """The dense overlap tr{P_lam' (tr_{[k]} P_lam tensor pi_{[k]})} of every (lam, k, lam') of YF_{d,n}.
+
+    Each key maps to the same exact number computed two ways: the literal
+    padded product, and the partial-trace pairing tr{tr_B(P_lam') tr_B(P_lam)}
+    / d^k (adjointness of the partial trace).  Every dense check reads this
+    one table, built once per (d, n) and cached like the projector families;
+    ``factorial_cap`` refuses n as :func:`oracle.isotypical_projectors` does
+    and is not part of the cache key.
+    """
+    if n > factorial_cap:
+        raise ValueError(f"dense overlaps for n={n} exceed factorial cap {factorial_cap}")
+    return _twirl_overlaps(d, n)
+
+
+@lru_cache(maxsize=sum(n + 1 for n in orc.DENSE_SWEEP_N.values()))
+def _twirl_overlaps(d: int, n: int) -> Overlaps:
+    """The table of :func:`dense_twirl_overlaps`, ordered by lam, k, lam'.
+
+    tr(AB) = tr(BA): each unordered pair of frames is paired once, at every k.
+    """
+    frames = enumerate_frames(d, n)
+    family = orc.isotypical_projectors(d, n, factorial_cap=n)
+    reductions = {lam: dense_reductions(family[lam]) for lam in frames}
+    table: Overlaps = {}
+    for i, lam in enumerate(frames):
+        for k, reduced in enumerate(reductions[lam]):
+            padded = orc.tensor_with_maximally_mixed(reduced, k)
+            for j, lam_p in enumerate(frames):
+                paired = table[lam_p, k, lam][1] if j < i else reductions[lam_p][k].hs_product(reduced) / d**k
+                table[lam, k, lam_p] = (family[lam_p].hs_product(padded), paired)
+    return table
+
+
 def check_dense_overlap_outside_window(sizes: Iterable[tuple[int, int]]) -> CheckResult:
     """tr{P_lam' (tr_{[k]} P_lam tensor pi_{[k]})} = 0 outside the window, for each (d, n_max)."""
     dense = _Collector("dense_overlap_zero_outside_window")
     for d, n in _each_size(sizes):
-        frames = enumerate_frames(d, n)
-        family = orc.isotypical_projectors(d, n)
-        for lam in frames:
-            for k, reduced in enumerate(dense_reductions(family[lam])):
-                padded = orc.tensor_with_maximally_mixed(reduced, k)
-                for lam_p in frames:
-                    if within_support_window(lam, lam_p, d, k):
-                        continue
-                    value = family[lam_p].hs_product(padded)
-                    dense.record(
-                        value == 0,
-                        "d={} lam={} lam'={} k={}: overlap {} != 0", d, lam, lam_p, k, value,
-                    )
+        for (lam, k, lam_p), (literal, _) in dense_twirl_overlaps(d, n).items():
+            if not within_support_window(lam, lam_p, d, k):
+                dense.record(
+                    literal == 0, "d={} lam={} lam'={} k={}: overlap {} != 0", d, lam, lam_p, k, literal
+                )
     dense.info["outside_window_cases"] = dense.checked
     return dense.result()
 
@@ -444,54 +479,16 @@ def suite_support(cfg: RunConfig) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def oracle_twirl_overlap(
-    reductions: dict[YoungFrame, list[orc.TensorOperator]],
-    lam: YoungFrame,
-    k: int,
-    lam_p: YoungFrame,
-    d: int,
-) -> Fraction:
-    """Dense value of tr{P_lam' (tr_{[k]} P_lam tensor pi_{[k]})}.
-
-    ``reductions`` maps each frame to :func:`dense_reductions` of its
-    projector.  Evaluated through the partial-trace pairing
-    tr{tr_B(P_lam') tr_B(P_lam)}, which is the same exact number (adjointness
-    of the partial trace); the equality of this route with the literal padded
-    product is itself one of the oracle suite's checks.
-    """
-    return reductions[lam_p][k].hs_product(reductions[lam][k]) / d**k
-
-
 @cache
 def _binomial_weights(n: int, q: Fraction) -> tuple[Fraction, ...]:
     """C(n,k) q^k (1-q)^(n-k) for k = 0..n: the channel's weight on each number k of mixed sites."""
     return tuple(math.comb(n, k) * q**k * (1 - q) ** (n - k) for k in range(n + 1))
 
 
-def _binomial_sum(q: Fraction, values: list[Fraction]) -> Fraction:
-    """sum over k of C(n,k) q^k (1-q)^(n-k) values[k], with n = len(values) - 1."""
-    return sum(
-        (w * v for w, v in zip(_binomial_weights(len(values) - 1, q), values)), Fraction(0)
-    )
-
-
-def oracle_channel_weights(
-    reductions: dict[YoungFrame, list[orc.TensorOperator]],
-    source: YoungFrame,
-    q_values: Iterable[Fraction],
-    d: int,
-) -> list[dict[YoungFrame, Fraction]]:
-    """Dense weight of each block in the depolarised flat state pi_source, one dict per q.
-
-    ``reductions`` maps every frame of YF_{d,n} to its :func:`dense_reductions`.
-    The overlaps do not depend on q: each is paired once, then mixed per q.
-    """
-    norm = Fraction(dim_sym(source) * dim_unitary(source, d))
-    overlaps = {
-        lam_p: [oracle_twirl_overlap(reductions, source, k, lam_p, d) / norm for k in range(source.n + 1)]
-        for lam_p in reductions
-    }
-    return [{lam_p: _binomial_sum(q, row) for lam_p, row in overlaps.items()} for q in q_values]
+def _channel_weight(table: Overlaps, lam: YoungFrame, lam_p: YoungFrame, q: Fraction, d: int) -> Fraction:
+    """Dense weight of lam' in the depolarised flat state pi_lam: the pairings mixed binomially over k."""
+    mixed = sum((w * table[lam, k, lam_p][1] for k, w in enumerate(_binomial_weights(lam.n, q))), Fraction(0))
+    return mixed / (dim_sym(lam) * dim_unitary(lam, d))
 
 
 def check_fast_path_against_oracle(
@@ -503,44 +500,31 @@ def check_fast_path_against_oracle(
     fast_channel = _Collector("fast_path_equals_oracle_channel_spectra")
     for d, n in _each_size(sizes):
         frames = enumerate_frames(d, n)
-        family = orc.isotypical_projectors(d, n)
-        reductions = {lam: dense_reductions(family[lam]) for lam in frames}
-        # tr(AB) = tr(BA): each unordered pair of frames is paired once, at every k.
-        pairings: dict[tuple[YoungFrame, YoungFrame], list[Fraction]] = {}
-        for i, lam in enumerate(frames):
-            for lam_p in frames[i:]:
-                pairings[lam, lam_p] = pairings[lam_p, lam] = [
-                    oracle_twirl_overlap(reductions, lam, k, lam_p, d) for k in range(n + 1)
-                ]
+        dense = dense_twirl_overlaps(d, n)
         for lam in frames:
-            norm = Fraction(dim_sym(lam) * dim_unitary(lam, d))
-            dense_w: dict[YoungFrame, list[Fraction]] = {lam_p: [] for lam_p in frames}  # per k
+            norm = dim_sym(lam) * dim_unitary(lam, d)
             for k in range(n + 1):
-                literal = orc.tensor_with_maximally_mixed(reductions[lam][k], k)
                 table = twirl_spectrum(lam, k, d, normalized=False)
                 table_norm = twirl_spectrum(lam, k, d, normalized=True)
                 for lam_p in frames:
-                    paired = pairings[lam, lam_p][k]
-                    normalized = paired / norm
-                    route.expect_equal(
-                        family[lam_p].hs_product(literal), paired, "d={} lam={} k={} lam'={}", d, lam, k, lam_p
-                    )
+                    literal, paired = dense[lam, k, lam_p]
+                    route.expect_equal(literal, paired, "d={} lam={} k={} lam'={}", d, lam, k, lam_p)
                     fast_twirl.expect_equal(
                         table.weight(lam_p), paired, "d={} lam={} k={} lam'={}", d, lam, k, lam_p
                     )
                     fast_twirl.expect_equal(
                         table_norm.weight(lam_p),
-                        normalized,
+                        paired / norm,
                         "normalized d={} lam={} k={} lam'={}", d, lam, k, lam_p,
                     )
-                    dense_w[lam_p].append(normalized)
             for q in q_values:
                 table = channel_output_spectrum(lam, q, d)
                 fast_channel.expect_equal(table.total(), Fraction(1), "total d={} {} q={}", d, lam, q)
                 for lam_p in frames:
-                    expected = _binomial_sum(q, dense_w[lam_p])
                     fast_channel.expect_equal(
-                        table.weight(lam_p), expected, "d={} lam={} q={} lam'={}", d, lam, q, lam_p
+                        table.weight(lam_p),
+                        _channel_weight(dense, lam, lam_p, q, d),
+                        "d={} lam={} q={} lam'={}", d, lam, q, lam_p,
                     )
     return [route.result(), fast_twirl.result(), fast_channel.result()]
 
@@ -777,9 +761,9 @@ def check_output_mode(
     modes = []
     source = YoungFrame((n,))
     frames = enumerate_frames(2, n)
-    family = orc.isotypical_projectors(2, n, factorial_cap=factorial_cap)
-    reductions = {lam: dense_reductions(family[lam]) for lam in frames}
-    for q, oracle_weights in zip(q_grid, oracle_channel_weights(reductions, source, q_grid, 2)):
+    dense = dense_twirl_overlaps(2, n, factorial_cap=factorial_cap)
+    for q in q_grid:
+        oracle_weights = {lam_p: _channel_weight(dense, source, lam_p, q, 2) for lam_p in frames}
         oracle_mode = max(frames, key=lambda f: (oracle_weights[f], -frames.index(f)))
         engine_mode = channel_output_spectrum(source, q, 2).mode()
         concentration.expect_equal(

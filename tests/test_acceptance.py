@@ -120,10 +120,18 @@ def test_c09_concentration_mode_matches_oracle():
     for n in (8, 10):
         result = verify.check_output_mode(n, Q_TENTHS, factorial_cap=n)
         assert_passed(result)
-        family = orc.isotypical_projectors(2, n, factorial_cap=n)
-        reductions = {lam: verify.dense_reductions(p) for lam, p in family.items()}
-        per_q = verify.oracle_channel_weights(reductions, frame(n), Q_TENTHS, 2)
-        assert [sum(weights.values()) for weights in per_q] == [1] * len(Q_TENTHS)
+        # the dense weights of each q, mixed from the pairings the check read, total exactly 1
+        overlaps = verify.dense_twirl_overlaps(2, n, factorial_cap=n)
+        norm = dim_sym(frame(n)) * dim_unitary(frame(n), 2)
+        totals = [
+            sum(
+                math.comb(n, k) * q**k * (1 - q) ** (n - k) * overlaps[frame(n), k, lam_p][1]
+                for k in range(n + 1)
+                for lam_p in enumerate_frames(2, n)
+            ) / norm
+            for q in Q_TENTHS
+        ]
+        assert totals == [1] * len(Q_TENTHS)
         for mode in result.info["modes"]:
             lines.append(
                 f"n={n} q={mode['q']}: mode row1={mode['mode_row1']} "

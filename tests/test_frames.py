@@ -5,6 +5,7 @@ import pytest
 
 from bruteforce import count_semistandard_tableaux, count_standard_tableaux, partitions_of
 from isotwirl.frames import (
+    MAX_BOXES,
     ProbabilityPair,
     YoungFrame,
     binary_entropy,
@@ -17,6 +18,7 @@ from isotwirl.frames import (
     format_frame,
     parse_frame,
     rel_entropy,
+    _skew_counts,
 )
 from isotwirl.verify import check_dimension_identity, check_entropy_bounds
 
@@ -87,6 +89,13 @@ def test_enumerate_frames_caps():
             enumerate_frames(d, n)
     with pytest.raises(ValueError):
         enumerate_frames(0, 1)
+
+
+def test_skew_count_cache_holds_every_frame_set():
+    # one twirl spectrum reads the lattice counts of every frame of YF(d, n);
+    # a smaller cache would evict them within that sweep
+    largest = max(len(enumerate_frames(d, n)) for d, n in MAX_BOXES.items())
+    assert _skew_counts.cache_info().maxsize >= largest
 
 
 def test_dim_sym_examples():

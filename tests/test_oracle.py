@@ -102,13 +102,54 @@ def test_size_table_within_hard_caps():
 
 
 def test_verify_all_at_d4_builds_each_projector_family_once():
-    # every dense row at its largest size, d = 4 included; a family evicted and
-    # rebuilt would count one more miss than the cache holds
+    # every dense row at its largest size, d = 4 included; a family or an
+    # overlap table evicted and rebuilt would count one more miss than its cache holds
     orc.clear_projector_cache()
+    verify._twirl_overlaps.cache_clear()
     report = verify.run_suite("all", verify.RunConfig(d_max=4, n_max=8))
     info = orc._projector_family.cache_info()
+    tables = verify._twirl_overlaps.cache_info()
     assert report.passed
     assert info.misses == info.currsize == sum(n + 1 for n in orc.DENSE_SWEEP_N.values())
+    assert tables.misses == tables.currsize == sum(orc.DENSE_SWEEP_N.values())  # n = 1..N per d
+
+
+def test_dense_twirl_overlaps_match_full_matrices():
+    # both values of every table entry from full Python-int matrices: the trace
+    # over the last k sites summed entry by entry, its padding by np.kron
+    for d, n_max in ((2, 4), (3, 3)):
+        for n in range(1, n_max + 1):
+            family = orc.isotypical_projectors(d, n)
+            table = verify.dense_twirl_overlaps(d, n)
+            assert list(table) == [(lam, k, lam_p) for lam in family for k in range(n + 1) for lam_p in family]
+            reduced = {
+                (lam, k): partial_trace_by_sums(p, tuple(range(n - k, n)))
+                for lam, p in family.items()
+                for k in range(n + 1)
+            }
+            for lam, k, lam_p in table:
+                red = reduced[lam, k]
+                ones = np.identity(d**k, dtype=object)
+                padded = orc.TensorOperator(d, n, red.scale / d**k, np.kron(red.mat, ones))
+                literal = hs_product_by_full_matrices(family[lam_p], padded)
+                paired = hs_product_by_full_matrices(reduced[lam_p, k], red) / d**k
+                assert table[lam, k, lam_p] == (literal, paired), (d, str(lam), k, str(lam_p))
+
+
+def test_dense_twirl_overlaps_factorial_cap():
+    with pytest.raises(ValueError):
+        verify.dense_twirl_overlaps(2, 9)
+    assert verify.dense_twirl_overlaps(2, 3, factorial_cap=3) is verify.dense_twirl_overlaps(2, 3)
+
+
+def test_projector_families_in_canonical_form():
+    # == ignores the scale; the stored form is primitive int64 entries over the folded scale.
+    # At (1, 21) the common scale 21! exceeds int64, so the build runs on Python ints.
+    sizes = [(d, n) for d, n_max in orc.DENSE_SWEEP_N.items() for n in range(n_max + 1)] + [(2, 10), (1, 21)]
+    for d, n in sizes:
+        for lam, p in orc.isotypical_projectors(d, n, factorial_cap=n).items():
+            assert p.reduced() is p and p._vec.dtype == np.int64, (d, n, str(lam))
+    orc.clear_projector_cache()
 
 
 def test_projectors_two_sites():
