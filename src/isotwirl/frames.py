@@ -324,6 +324,19 @@ def binary_entropy(t: Scalar) -> float:
     return out
 
 
+def within_entropy_bound(x: int, b: int, k: int) -> bool:
+    """Whether x <= 2**(k h(b/k)), decided on integers.
+
+    With a = k - b, 2**(k h(b/k)) = k**k / (a**a b**b) (0**0 = 1), so the
+    bound holds exactly when x a**a b**b <= k**k: no float entropy and no
+    slack decides a case at equality.
+    """
+    if not 0 <= b <= k:
+        raise ValueError(f"entropy bound needs 0 <= b <= k, got b={b} k={k}")
+    a = k - b
+    return x * a**a * b**b <= k**k
+
+
 def rel_entropy(r: ProbabilityPair, s: ProbabilityPair) -> float:
     """Relative entropy D(r||s) in bits; +inf when s does not dominate r.
 

@@ -15,21 +15,33 @@ scale times integer entries, so no rounding can ever occur.  Permutations of
 the sites keep a word's letter histogram, so permutation operators,
 projectors, and their sums, products, partial traces, tensor products, twirls
 and channel outputs are block diagonal over the letter-count blocks of
-:func:`_letter_blocks`.  An operator stores only those blocks: one flat
-integer vector holding each block row-major after the previous one (a
-:class:`_Layout`).  The constructor takes a full matrix and keeps the
-letter-block layout when the matrix is zero outside the blocks, and the
-one-block layout (every word pair, row-major) otherwise; both are layouts of
-the same kind, so every operation has one code path.
+:func:`_letter_blocks`.  They also commute with relabelling the d letters on
+every site at once, which carries each block onto the block of the sorted
+histogram.  An operator stores one flat integer vector holding each stored
+block row-major after the previous one, in one of three layouts
+(:class:`_Layout`), each storing what the one before it stores and more:
+
+- sorted: only the blocks whose histogram is sorted in decreasing order, for
+  a matrix invariant under every relabelling; every other word reads its
+  image in such a block;
+- letter-block: every letter block, for a matrix zero outside them;
+- one-block: every word pair, row-major.
+
+The constructor takes a full matrix and picks the first layout that holds
+it: it tests invariance on the two generators of S_d, as matching each block
+with its sorted block alone does not imply it.  Projectors, permutation
+operators, the zero and the identity are built sorted.
 
 Every operation reads and writes the vector through index maps computed once
-from word digits and block offsets.  Sums, equality, traces and
-Hilbert-Schmidt pairings are whole-vector numpy calls.  Matrix products and
-the PSD test loop over reshaped block views.  Partial traces, tensor
-products, conjugation, the twirl and the channel gather entries through site
-maps.  No operation on a letter-block operator forms a d^n x d^n array; only
-``mat``, a fresh full Python-int copy, does.  An operation that mixes the two
-layouts moves the letter-block operand to the one-block layout.
+from word digits and block offsets, the same maps for every layout.  Sums,
+equality, traces and Hilbert-Schmidt pairings are whole-vector numpy calls.
+Matrix products and the PSD test loop over reshaped block views.  Partial
+traces, tensor products, conjugation, the twirl and the channel gather
+entries through site maps, and keep the layout of their operands.  No
+operation on a sorted or letter-block operator forms a d^n x d^n array;
+only ``mat``, a fresh full Python-int copy, does.  An operation whose
+operands differ in layout moves them to the larger one, expanding a sorted
+operand by one gather.
 
 The vector is int64 when every entry fits and Python ints (object dtype)
 otherwise.  Each operation bounds the entries it will form and passes that
@@ -61,7 +73,7 @@ FACTORIAL_LOOP_CAP = 8
 
 # Largest n per d at which the verify suites sweep dense operators.  It stays
 # inside both caps, below the (3, 8) and (4, 6) they allow for time and memory
-# (the (3, 8) family alone holds 165 MiB).
+# (the (3, 8) family alone holds 46 MiB and takes about 4 s to build).
 DENSE_SWEEP_N = {2: 8, 3: 6, 4: 5}
 
 _INT64_MAX = 2**63 - 1
@@ -119,40 +131,78 @@ def _index_powers(d: int, n: int) -> np.ndarray:
 
 
 @cache
+def _letter_counts(d: int, n: int) -> np.ndarray:
+    """The letter histogram of every word of [d]^n; shape (d^n, d)."""
+    digits = _word_digits(d, n)
+    return _read_only(np.stack([(digits == a).sum(axis=1) for a in range(d)], axis=1))
+
+
+@cache
 def _letter_blocks(d: int, n: int) -> tuple[np.ndarray, ...]:
     """Word indices of [d]^n grouped by letter histogram, one read-only array per block.
 
     Blocks are ordered by histogram and each lists its words in increasing
     order.  Every permutation operator maps a block to itself.
     """
-    digits = _word_digits(d, n)
-    counts = np.stack([(digits == a).sum(axis=1) for a in range(d)], axis=1)
-    keys = counts @ (n + 1) ** np.arange(d)
+    keys = _letter_counts(d, n) @ (n + 1) ** np.arange(d)
     order = _read_only(np.argsort(keys, kind="stable"))
     return tuple(np.split(order, np.flatnonzero(np.diff(keys[order])) + 1))
+
+
+def _sorted_images(d: int, n: int) -> np.ndarray:
+    """Each word relabelled by the stable sort of its histogram: its most frequent letter becomes 0, and so on.
+
+    The image's histogram is sorted in decreasing order, and a word whose
+    histogram already is maps to itself.
+    """
+    relabel = np.argsort(np.argsort(-_letter_counts(d, n), axis=1, kind="stable"), axis=1)
+    return np.take_along_axis(relabel, _word_digits(d, n), axis=1) @ _index_powers(d, n)
+
+
+# Layout kinds, each storing what the one before it stores and more: the
+# sorted-histogram blocks of a relabel-invariant operator, every letter block,
+# and the one block of every word pair.
+_SORTED, _LETTER, _WHOLE = range(3)
 
 
 class _Layout:
     """Where each stored entry of an operator on [d]^n sits in its flat vector.
 
     The entry at the word pair (blocks[b][i], blocks[b][j]) sits at
-    ``spans[b][0] + i m + j``, m = len(blocks[b]); pairs outside the blocks
-    are zero and not stored.  The position of (x, y) is
-    ``row_base[x] + local[y]`` when ``block_of[x] == block_of[y]``.  Every
-    array is read-only; the per-entry maps are built on first use.
+    ``spans[b][0] + i m + j``, m = len(blocks[b]).  The position of (x, y) is
+    ``row_base[x] + local[y]`` when ``block_of[x] == block_of[y]``; other pairs
+    are zero and not stored.  A letter-block or one-block layout stores every
+    such pair.  The sorted layout stores only the blocks whose histogram is
+    sorted in decreasing order, and maps each other word to its image in
+    such a block (:func:`_sorted_images`): an operator that commutes with
+    every relabelling of the letters has the same entry at both.  ``weights``
+    counts the letter blocks each stored block stands for (1 outside the
+    sorted layout), and ``block_of`` numbers every word's own letter block.
+    Every array is read-only; the per-entry maps are built on first use.
     """
 
-    def __init__(self, d: int, n: int, blocks: tuple[np.ndarray, ...], blocked: bool):
-        self.d, self.n, self.blocks, self.blocked = d, n, blocks, blocked
-        ends = list(itertools.accumulate(len(w) ** 2 for w in blocks))
-        self.spans = [(end - len(w) ** 2, end, len(w)) for w, end in zip(blocks, ends)]
-        self.size = ends[-1]
+    def __init__(self, d: int, n: int, kind: int):
+        self.d, self.n, self.kind = d, n, kind
         dim = d**n
+        letter = (np.arange(dim),) if kind == _WHOLE else _letter_blocks(d, n)
         self.block_of, self.local, self.row_base = (np.empty(dim, dtype=np.int64) for _ in range(3))
-        for b, (words, (start, _, m)) in enumerate(zip(blocks, self.spans)):
+        for b, words in enumerate(letter):
             self.block_of[words] = b
+        self.blocks, self.weights = letter, (1,) * len(letter)
+        if kind == _SORTED:
+            image = _sorted_images(d, n)
+            counts = np.bincount(self.block_of[image[[words[0] for words in letter]]], minlength=len(letter))
+            stored = np.flatnonzero(counts)  # every image lies in a sorted block, itself its own image
+            self.blocks, self.weights = tuple(letter[b] for b in stored), tuple(counts[stored].tolist())
+        ends = list(itertools.accumulate(len(w) ** 2 for w in self.blocks))
+        self.spans = [(end - len(w) ** 2, end, len(w)) for w, end in zip(self.blocks, ends)]
+        self.size = ends[-1]
+        self.terms = sum(w * (hi - lo) for w, (lo, hi, _) in zip(self.weights, self.spans))
+        for words, (start, _, m) in zip(self.blocks, self.spans):
             self.local[words] = np.arange(m)
             self.row_base[words] = start + m * np.arange(m)
+        if kind == _SORTED:
+            self.local, self.row_base = self.local[image], self.row_base[image]
         for a in (self.block_of, self.local, self.row_base):
             _read_only(a)
 
@@ -186,17 +236,38 @@ class _Layout:
         """Position of the diagonal entry (x, x) of every word x, in word order."""
         return _read_only(self.row_base + self.local)
 
+    @cached_property
+    def expand(self) -> np.ndarray:
+        """Position of every entry of the letter-block layout, read in this layout."""
+        letter = _layout(self.d, self.n, _LETTER)
+        return _read_only(self.position(letter.rows, letter.cols))
+
+    @cached_property
+    def relabellings(self) -> tuple[np.ndarray, ...]:
+        """Position of (g x, g y) for every stored (x, y), g each generator of the letter relabellings.
+
+        The generators of S_d are the swap of letters 0 and 1 and the d-cycle
+        a -> a + 1 (one permutation at d = 2, none at d = 1).  An operator
+        equal to each of its gathers is invariant under every relabelling.
+        """
+        d, n = self.d, self.n
+        generators = {(1, 0, *range(2, d)), (*range(1, d), 0)} if d > 1 else set()
+        moves = []
+        for g in generators:
+            words = np.array(g)[_word_digits(d, n)] @ _index_powers(d, n)
+            moves.append(_read_only(self.position(words[self.rows], words[self.cols])))
+        return tuple(moves)
+
 
 @cache
-def _layout(d: int, n: int, blocked: bool) -> _Layout:
-    """The letter-block layout of [d]^n, or the one-block layout of every word pair.
+def _layout(d: int, n: int, kind: int) -> _Layout:
+    """The layout of the given kind on [d]^n.
 
-    With a single letter block (d = 1 or n = 0) the two are the same object.
+    With a single letter block (d = 1 or n = 0) the three kinds are the same object.
     """
-    blocks = _letter_blocks(d, n)
-    if len(blocks) == 1 and not blocked:
-        return _layout(d, n, True)
-    return _Layout(d, n, blocks if blocked else (np.arange(d**n),), blocked)
+    if kind != _SORTED and len(_letter_blocks(d, n)) == 1:
+        return _layout(d, n, _SORTED)
+    return _Layout(d, n, kind)
 
 
 class TensorOperator:
@@ -215,12 +286,13 @@ class TensorOperator:
         if mat.dtype == object and not all(issubclass(t, numbers.Integral) for t in set(map(type, mat.flat))):
             raise ValueError("matrix entries are not all integers: fold fractions into the scale")
         flat = mat.reshape(-1)
-        layout = _layout(d, n, True)
+        layout = _layout(d, n, _LETTER)
         vec = flat.take(layout.flat)
         if np.count_nonzero(vec) != np.count_nonzero(flat):
-            layout = _layout(d, n, False)
-            vec = flat.take(layout.flat)
-        self._set(d, n, exact_rational(scale), layout, vec)
+            layout = _layout(d, n, _WHOLE)
+        elif all(np.array_equal(vec.take(moved), vec) for moved in layout.relabellings):
+            layout = _layout(d, n, _SORTED)
+        self._set(d, n, exact_rational(scale), layout, flat.take(layout.flat))
 
     def _set(self, d: int, n: int, scale: Fraction, layout: _Layout, vec: np.ndarray) -> None:
         self.d, self.n, self.scale, self._layout = d, n, scale, layout
@@ -238,8 +310,9 @@ class TensorOperator:
     def mat(self) -> np.ndarray:
         """A fresh full d^n x d^n copy of the matrix as Python ints (object dtype); not cached."""
         dim = self.d**self.n
+        layout = _layout(self.d, self.n, max(self._layout.kind, _LETTER))
         out = np.zeros(dim * dim, dtype=object)
-        out[self._layout.flat] = self._vec.astype(object)
+        out[layout.flat] = self._in(layout).astype(object)
         return out.reshape(dim, dim)
 
     def _bound(self) -> int:
@@ -249,23 +322,28 @@ class TensorOperator:
         return self._amax
 
     def _in(self, layout: _Layout) -> np.ndarray:
-        """The entries at the positions of ``layout``, the other layout of the same (d, n).
+        """The entries at the positions of ``layout``: its own, or a letter-block or one-block one of the same (d, n).
 
-        Moving to the smaller layout drops the entries outside it; callers do
-        so only where those entries cannot matter.
+        A sorted operand is first expanded to the letter blocks by one
+        gather.  Moving to the letter blocks from the one block drops the
+        entries outside them; callers do so only where those entries cannot
+        matter.
         """
-        if layout is self._layout:
-            return self._vec
-        if layout.size < self._layout.size:
-            return self._vec.take(layout.flat)
-        out = np.zeros(layout.size, dtype=self._vec.dtype)
-        out[self._layout.flat] = self._vec
+        vec, source = self._vec, self._layout
+        if source.kind == _SORTED and layout is not source:
+            vec, source = vec.take(source.expand), _layout(self.d, self.n, _LETTER)
+        if layout is source:
+            return vec
+        if layout.size < source.size:
+            return vec.take(layout.flat)
+        out = np.zeros(layout.size, dtype=vec.dtype)
+        out[source.flat] = vec
         return out
 
     def _union(self, other: "TensorOperator") -> _Layout:
-        """The layout holding every stored entry of both operators."""
+        """The layout holding every stored entry of both operators: sorted within letter blocks within one block."""
         self._compatible(other)
-        return max(self._layout, other._layout, key=lambda layout: layout.size)
+        return _layout(self.d, self.n, max(self._layout.kind, other._layout.kind))
 
     def is_symmetric(self) -> bool:
         """Whether the matrix equals its transpose, read on the stored entries."""
@@ -276,13 +354,13 @@ class TensorOperator:
     @classmethod
     def zero(cls, d: int, n: int) -> "TensorOperator":
         _check_dense_size(d, n)
-        layout = _layout(d, n, True)
+        layout = _layout(d, n, _SORTED)
         return cls._of(d, n, Fraction(0), layout, np.zeros(layout.size, dtype=np.int64))
 
     @classmethod
     def identity(cls, d: int, n: int) -> "TensorOperator":
         _check_dense_size(d, n)
-        layout = _layout(d, n, True)
+        layout = _layout(d, n, _SORTED)
         vec = np.zeros(layout.size, dtype=np.int64)
         vec[layout.diagonal] = 1
         return cls._of(d, n, Fraction(1), layout, vec)
@@ -374,34 +452,41 @@ class TensorOperator:
     def hs_product(self, other: "TensorOperator") -> Fraction:
         """Hilbert-Schmidt pairing tr(self @ other) without forming the product.
 
-        tr(AB) is the sum of A_ij B_ji.  When either operator has the
-        letter-block layout every nonzero term has (i, j) inside a block, so
-        only the entries of that layout are paired, through its transpose
-        permutation.  The sum runs in int64 when (number of terms) max|A| max|B| fits.
+        tr(AB) is the sum of A_ij B_ji.  When either operator stores only
+        letter blocks every nonzero term has (i, j) inside a block, so only the
+        entries of the letter-block layout are paired, through its transpose
+        permutation.  When both are sorted, each stored block is paired once
+        and counted for every letter block it stands for; when only one is,
+        it is expanded to the letter blocks, as the other need not be
+        invariant.  The sum runs in int64 when (number of terms) max|A| max|B|
+        fits, each stored term counted with its block's weight.
         """
         self._compatible(other)
-        layout = min(self._layout, other._layout, key=lambda layout: layout.size)
+        kinds = (self._layout.kind, other._layout.kind)
+        kind = _SORTED if max(kinds) == _SORTED else max(min(kinds), _LETTER)
+        layout = _layout(self.d, self.n, kind)
         a, b = _exact(
-            layout.size * self._bound() * other._bound(),
+            layout.terms * self._bound() * other._bound(),
             self._in(layout),
             other._in(layout).take(layout.transpose),
         )
-        return self.scale * other.scale * int(np.dot(a, b))
+        pairs = (w * int(np.dot(a[lo:hi], b[lo:hi])) for w, (lo, hi, _) in zip(layout.weights, layout.spans))
+        return self.scale * other.scale * sum(pairs)
 
     def kron(self, other: "TensorOperator") -> "TensorOperator":
-        """Tensor product, self on the first sites; letter-block when both operands are."""
+        """Tensor product, self on the first sites, in the larger of the operands' layout kinds."""
         if self.d != other.d:
             raise ValueError("local dimensions differ")
         d, n = self.d, self.n + other.n
         _check_dense_size(d, n)
-        blocked = self._layout.blocked and other._layout.blocked
-        stored, left, right = _kron_maps(d, self.n, other.n, blocked)
+        kind = max(self._layout.kind, other._layout.kind)
+        stored, left, right = _kron_maps(d, self.n, other.n, kind)
         a, b = _exact(
             self._bound() * other._bound(),
-            self._in(_layout(d, self.n, blocked)),
-            other._in(_layout(d, other.n, blocked)),
+            self._in(_layout(d, self.n, kind)),
+            other._in(_layout(d, other.n, kind)),
         )
-        layout = _layout(d, n, blocked)
+        layout = _layout(d, n, kind)
         vec = np.zeros(layout.size, dtype=a.dtype)
         vec[stored] = a.take(left) * b.take(right)
         return TensorOperator._of(d, n, self.scale * other.scale, layout, vec)
@@ -429,25 +514,25 @@ class TensorOperator:
             raise ValueError(f"sites {list(sites)} outside range(0, {self.n})")
         if not sites:
             return self
-        d, m, blocked = self.d, self.n - len(sites), self._layout.blocked
+        d, m, kind = self.d, self.n - len(sites), self._layout.kind
         (vec,) = _exact(self._bound() * d ** len(sites), self._vec)
-        out = vec.take(_trace_maps(d, self.n, sites, blocked)).sum(axis=0)
-        return TensorOperator._of(d, m, self.scale, _layout(d, m, blocked), out)
+        out = vec.take(_trace_maps(d, self.n, sites, kind)).sum(axis=0)
+        return TensorOperator._of(d, m, self.scale, _layout(d, m, kind), out)
 
 
 # -- site maps -------------------------------------------------------------------
 
 
 @lru_cache(maxsize=64)
-def _kron_maps(d: int, n_left: int, n_right: int, blocked: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _kron_maps(d: int, n_left: int, n_right: int, kind: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Where A kron B can be nonzero, and the positions of the A and B entries multiplied there.
 
     The output entry at ((x, y), (x', y')) is A[x, x'] B[y, y'].  In the
-    letter-block layouts it is stored whenever xy and x'y' share a histogram,
-    but nonzero only when x and x' do too (and then so do y and y'); the
-    first array lists those positions of the output vector.
+    sorted and letter-block layouts it is stored whenever xy and x'y' share a
+    histogram, but nonzero only when x and x' do too (and then so do y and
+    y'); the first array lists those positions of the output vector.
     """
-    out, left, right = (_layout(d, m, blocked) for m in (n_left + n_right, n_left, n_right))
+    out, left, right = (_layout(d, m, kind) for m in (n_left + n_right, n_left, n_right))
     x, y = np.divmod(out.rows, d**n_right)
     x_, y_ = np.divmod(out.cols, d**n_right)
     stored = np.flatnonzero(left.block_of[x] == left.block_of[x_])
@@ -456,14 +541,14 @@ def _kron_maps(d: int, n_left: int, n_right: int, blocked: bool) -> tuple[np.nda
 
 
 @lru_cache(maxsize=64)
-def _trace_maps(d: int, n: int, sites: tuple[int, ...], blocked: bool) -> np.ndarray:
+def _trace_maps(d: int, n: int, sites: tuple[int, ...], kind: int) -> np.ndarray:
     """Input positions summed into each output entry of the trace over ``sites``, shape (d^k, output size).
 
     The output entry (x, x') sums the input entries at (x + z, x' + z) over
     the d^k letter assignments z of the traced sites, x filling the other
     sites in order.  Adding z to both words keeps them in one letter block.
     """
-    source, out = _layout(d, n, blocked), _layout(d, n - len(sites), blocked)
+    source, out = _layout(d, n, kind), _layout(d, n - len(sites), kind)
     powers = _index_powers(d, n)
     kept = [s for s in range(n) if s not in sites]
     spread = _word_digits(d, len(kept)) @ powers[kept]  # an output word as a word on n sites
@@ -472,14 +557,14 @@ def _trace_maps(d: int, n: int, sites: tuple[int, ...], blocked: bool) -> np.nda
 
 
 @lru_cache(maxsize=64)
-def _site_maps(d: int, n: int, site: int, blocked: bool) -> tuple[np.ndarray, np.ndarray]:
+def _site_maps(d: int, n: int, site: int, kind: int) -> tuple[np.ndarray, np.ndarray]:
     """The entries of tr_site(M) tensor 1 at ``site``: where it can be nonzero, and what each sums.
 
     (tr_s M tensor 1)[x, x'] is zero unless x and x' agree at site s, and then
     sums M over the d pairs with both letters at s set to each c; the second
     array holds those positions, shape (d, number of such entries).
     """
-    layout = _layout(d, n, blocked)
+    layout = _layout(d, n, kind)
     power = d ** (n - 1 - site)
     row_letter, col_letter = layout.rows // power % d, layout.cols // power % d
     agree = np.flatnonzero(row_letter == col_letter)
@@ -505,7 +590,7 @@ def _word_map(images: tuple[int, ...], d: int) -> np.ndarray:
 def perm_operator(tau: Permutation, d: int) -> TensorOperator:
     """0/1 matrix moving the letter at site i to site tau(i); B(s)B(t) = B(st)."""
     _check_dense_size(d, tau.n)
-    layout = _layout(d, tau.n, True)
+    layout = _layout(d, tau.n, _SORTED)
     vec = np.zeros(layout.size, dtype=np.int64)
     vec[layout.position(_word_map(tau.images, d), np.arange(d**tau.n))] = 1
     return TensorOperator._of(d, tau.n, Fraction(1), layout, vec)
@@ -615,10 +700,10 @@ def _projector_family(d: int, n: int) -> dict[YoungFrame, TensorOperator]:
     Permutations keep a word's letter histogram, so every P_lam is block
     diagonal over the histograms, and P_lam is nonzero on a block exactly when
     lam dominates its sorted histogram (Kostka number > 0).  Relabelling the
-    letters commutes with S_n, so the products are taken once per sorted
-    histogram, on the block whose histogram is decreasing, gathered onto its
-    relabellings, straight into the letter-block vector, and dropped.  The
-    largest blocks go first: their products, the largest temporaries, are
+    letters commutes with S_n, so every P_lam is stored in the sorted layout:
+    the products are taken once per sorted histogram, on the block whose
+    histogram is decreasing, written straight into its span, and dropped.
+    The largest blocks go first: their products, the largest temporaries, are
     then taken while most of the zeroed vectors are still unwritten.  Every
     block is written at the common scale n!: n! P_lam is an integer matrix,
     so each block denominator divides n!, and its entries have modulus at most
@@ -627,36 +712,20 @@ def _projector_family(d: int, n: int) -> dict[YoungFrame, TensorOperator]:
     entries leaves g/n! times a primitive vector: the canonical form
     ``reduced`` gives.
     """
-    layout = _layout(d, n, True)
-    digits = _word_digits(d, n)
+    layout = _layout(d, n, _SORTED)
+    counts = _letter_counts(d, n)
     cycle_maps = cache(partial(_cycle_class_maps, d, n))
     fact = math.factorial(n)
     dtype = np.int64 if fact <= _INT64_MAX else object
-
-    # per sorted histogram, its decreasing block's words, and the span of each block with
-    # that sorted histogram and the gather of its words in the decreasing block's order
-    canonical: dict[tuple[int, ...], np.ndarray] = {}
-    gathers: dict[tuple[int, ...], list[tuple[slice, tuple]]] = {}
-    for words, (lo, hi, _) in zip(layout.blocks, layout.spans):
-        hist = np.bincount(digits[words[0]], minlength=d)
-        key = tuple(sorted(hist.tolist(), reverse=True))
-        if tuple(hist.tolist()) == key:
-            canonical[key] = words
-        relabel = np.empty(d, dtype=np.int64)
-        relabel[np.argsort(-hist, kind="stable")] = np.arange(d)
-        order = layout.local[relabel[digits[words]] @ _index_powers(d, n)]
-        gathers.setdefault(key, []).append((slice(lo, hi), np.ix_(order, order)))
     frames = enumerate_frames(d, n)
     vecs = {lam: np.zeros(layout.size, dtype=dtype) for lam in frames}
-    for key, words in sorted(canonical.items(), key=lambda item: -len(item[1])):
+    for words, (lo, hi, _) in sorted(zip(layout.blocks, layout.spans), key=lambda item: -len(item[0])):
         projectors = _block_projectors(
-            [lam for lam in frames if _dominates(lam, key)],
+            [lam for lam in frames if _dominates(lam, tuple(counts[words[0]].tolist()))],
             lambda length: _class_block(cycle_maps(length), words, layout.local),
         )
         for lam, (num, den) in projectors.items():
-            block = num.astype(dtype, copy=False) * (fact // den)
-            for span, gather in gathers[key]:
-                vecs[lam][span] = block[gather].ravel()
+            vecs[lam][lo:hi] = (num.astype(dtype, copy=False) * (fact // den)).ravel()
     family: dict[YoungFrame, TensorOperator] = {}
     for lam, vec in vecs.items():
         g = int(np.gcd.reduce(vec))
@@ -689,8 +758,8 @@ def clear_projector_cache() -> None:
 
     The cache holds as many families as a dense sweep up to
     :data:`DENSE_SWEEP_N` asks for, (d, 0..n) for each d: 22.  A family holds
-    one int64 letter-block vector per frame; the d=2 n=10 family holds 8.9 MB,
-    the d=3 n=8 family 173 MB (its build peaks about 15 MB above that, as it
+    one int64 sorted-layout vector per frame; the d=2 n=10 family holds 6.0 MB,
+    the d=3 n=8 family 48.7 MB (its build peaks about 40 MB above that, as it
     holds one sorted histogram's products at a time), so a caller that builds
     larger families can free them here.
     """
@@ -741,7 +810,7 @@ def conjugate_by_permutation(a: TensorOperator, tau: Permutation) -> TensorOpera
 
 
 @lru_cache(maxsize=64)
-def _pair_orbits(d: int, n: int, blocked: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _pair_orbits(d: int, n: int, kind: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Orbits of the stored word pairs (x, y) under permuting the sites of x and y together.
 
     Returns the orbit index of every stored entry (orbits numbered from 0),
@@ -751,7 +820,7 @@ def _pair_orbits(d: int, n: int, blocked: bool) -> tuple[np.ndarray, np.ndarray,
     base-d^2 number, which stays below d^(2n) <= DIMENSION_CAP^2.  Permuting
     sites keeps letter histograms, so every orbit lies inside the layout.
     """
-    layout = _layout(d, n, blocked)
+    layout = _layout(d, n, kind)
     digits = _word_digits(d, n)
     powers = (d * d) ** np.arange(n - 1, -1, -1, dtype=np.int64)
     labels = np.empty(layout.size, dtype=np.int64)
@@ -781,7 +850,7 @@ def twirl(a: TensorOperator, *, factorial_cap: int = FACTORIAL_LOOP_CAP) -> Tens
     n, d = a.n, a.d
     if n > factorial_cap:
         raise ValueError(f"twirl over S_{n} exceeds factorial cap {factorial_cap}")
-    orbit, by_orbit, starts, stabiliser = _pair_orbits(d, n, a._layout.blocked)
+    orbit, by_orbit, starts, stabiliser = _pair_orbits(d, n, a._layout.kind)
     vec, stabiliser = _exact(math.factorial(n) * a._bound(), a._vec, stabiliser)
     sums = np.add.reduceat(vec.take(by_orbit), starts)
     return TensorOperator._of(d, n, a.scale / math.factorial(n), a._layout, (stabiliser * sums).take(orbit))
@@ -807,7 +876,7 @@ def depolarise_n(a: TensorOperator, q: Fraction | int | str) -> TensorOperator:
     (vec,) = _exact(max(a._bound(), 1) * growth**n, a._vec)
     keep = (q.denominator - q.numerator) * d
     for site in range(n):
-        agree, summed = _site_maps(d, n, site, a._layout.blocked)
+        agree, summed = _site_maps(d, n, site, a._layout.kind)
         mixed = vec.take(summed).sum(axis=0)
         vec = keep * vec
         vec[agree] += q.numerator * mixed
@@ -822,7 +891,8 @@ def is_positive_semidefinite(a: TensorOperator) -> bool:
 
     A positive scale does not change the verdict, a zero scale makes the
     matrix zero (PSD), and a negative one negates the integer entries.  The
-    matrix is PSD exactly when each block of its layout is, so each block is
+    matrix is PSD exactly when each block of its layout is (a block the sorted
+    layout leaves out is a relabelled copy of a stored one), so each block is
     tested on its own.
 
     Each block runs symmetric Bareiss elimination on Python ints (Bareiss,

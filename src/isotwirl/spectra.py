@@ -51,6 +51,7 @@ from .frames import (
     dim_unitary,
     enumerate_frames,
     format_frame,
+    within_entropy_bound,
 )
 from .horn import check_split
 from .lr import lr_coefficient, lr_nonzero_pairs
@@ -342,9 +343,9 @@ def xy_entropy_bound(lam_prime: YoungFrame, k: int) -> XYBoundCheck:
     """Check X <= 2**(k*h(lam'_2/k)) for a single-row source frame (d = 2).
 
     The source is lam = (n) with n = |lam'|; when lam'_2 > k no connecting
-    chain exists at all, so the statement degenerates to X = 0.  The
-    comparison runs in log2 domain with 1e-12 slack to absorb float rounding
-    of the entropy (X is an exact integer).
+    chain exists at all, so the statement degenerates to X = 0.  The verdict
+    is decided on integers (:func:`frames.within_entropy_bound`); ``bound``
+    is the float value for reports.
     """
     n = lam_prime.n
     if not lam_prime.fits(2):
@@ -356,8 +357,7 @@ def xy_entropy_bound(lam_prime: YoungFrame, k: int) -> XYBoundCheck:
         return XYBoundCheck(0.0, x, x == 0)
     ratio = Fraction(second, k) if k else Fraction(0)
     bound = 2.0 ** (k * binary_entropy(ratio))
-    holds = x == 0 or math.log2(x) <= k * binary_entropy(ratio) + 1e-12
-    return XYBoundCheck(bound, x, holds)
+    return XYBoundCheck(bound, x, within_entropy_bound(x, second, k))
 
 
 # -- serialization -------------------------------------------------------------

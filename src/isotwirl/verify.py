@@ -46,7 +46,6 @@ from .frames import (
     MAX_BOXES,
     ProbabilityPair,
     YoungFrame,
-    binary_entropy,
     depolarising_weight,
     dim_sym,
     dim_unitary,
@@ -54,6 +53,7 @@ from .frames import (
     format_frame,
     l1_distance,
     rel_entropy,
+    within_entropy_bound,
 )
 from .horn import HornTriple, basic_horn_holds, branching_disjoint, horn_feasible, within_support_window
 from .lr import lr_coefficient, lr_via_characters
@@ -310,10 +310,8 @@ def check_entropy_bounds(pinsker_grid: tuple[Fraction, ...], k_max: int) -> Chec
             entropy.record(dv >= lhs - 1e-12, "Pinsker fails at r0={} s0={}", r0, s0)
     for k in range(1, k_max + 1):
         for gamma in enumerate_frames(2, k):
-            bound = 2.0 ** (k * binary_entropy(Fraction(gamma.row(0), k)))
             entropy.record(
-                dim_sym(gamma) <= bound * (1 + 1e-12),
-                "dim bound fails at {} k={}", gamma, k,
+                within_entropy_bound(dim_sym(gamma), gamma.row(0), k), "dim bound fails at {} k={}", gamma, k
             )
     return entropy.result()
 

@@ -19,6 +19,7 @@ from isotwirl.frames import (
     parse_frame,
     rel_entropy,
     _skew_counts,
+    within_entropy_bound,
 )
 from isotwirl.verify import check_dimension_identity, check_entropy_bounds
 
@@ -161,6 +162,20 @@ def test_dimension_entropy_bound():
     # dim F_gamma <= 2**(k*h(gamma_1/k)) for two-row frames with k boxes
     result = check_entropy_bounds((), 12)
     assert result.passed, result.failures
+
+
+def test_entropy_bound_decided_on_integers():
+    # X = 1 with a = 0 or b = 0 sits exactly at the bound 2**0 = 1
+    for k in range(9):
+        for b in (0, k):
+            assert within_entropy_bound(1, b, k) and not within_entropy_bound(2, b, k), (b, k)
+    # 2**(4 h(1/2)) = 16 and 2**(3 h(1/3)) = 27/4: at or just inside the bound, then just past it
+    assert within_entropy_bound(16, 2, 4) and not within_entropy_bound(17, 2, 4)
+    assert within_entropy_bound(6, 1, 3) and not within_entropy_bound(7, 1, 3)
+    assert within_entropy_bound(0, 3, 7)
+    for b, k in ((-1, 2), (3, 2)):
+        with pytest.raises(ValueError):
+            within_entropy_bound(1, b, k)
 
 
 def test_probability_pair_validation():

@@ -42,9 +42,39 @@ def full_product(a, b):
     return orc.TensorOperator(a.d, a.n, a.scale * b.scale, a.mat @ b.mat)
 
 
+def relabelled(mat, d, n):
+    """``mat`` with the letters relabelled by each of the d! permutations, on all sites at once."""
+    words = list(itertools.product(range(d), repeat=n))
+    index = {w: i for i, w in enumerate(words)}
+    for g in itertools.permutations(range(d)):
+        moved = [index[tuple(g[a] for a in w)] for w in words]
+        yield mat[np.ix_(moved, moved)]
+
+
+def expected_kind(op):
+    """The layout kind the constructor must pick for ``op``'s full matrix.
+
+    Sorted when the matrix is invariant under every relabelling of the
+    letters, letter-block when it is only zero outside the letter blocks,
+    one-block otherwise.
+    """
+    mat = op.mat
+    if np.count_nonzero(mat[~block_mask(op.d, op.n)]):
+        return orc._WHOLE
+    if all(np.array_equal(moved, mat) for moved in relabelled(mat, op.d, op.n)):
+        return orc._SORTED
+    return orc._LETTER
+
+
+def layout_kind(op):
+    """The kind of ``op``'s layout, checked to be the one layout of that kind for its (d, n)."""
+    assert op._layout is orc._layout(op.d, op.n, op._layout.kind)
+    return op._layout.kind
+
+
 def blocked(op):
-    """Whether ``op`` stores only its letter blocks, the layout kept for a matrix zero outside them."""
-    return op._layout is orc._layout(op.d, op.n, True)
+    """Whether ``op`` stores only letter blocks: all of them, or the sorted ones of an invariant operator."""
+    return layout_kind(op) in (orc._SORTED, orc._LETTER)
 
 
 @pytest.fixture
@@ -447,16 +477,16 @@ def test_matmul_matches_full_product(monkeypatch):
         perms = [orc.perm_operator(s, d) for s in enumerate_group(n)][:8]
         for ops in (family, perms):
             for a, b in itertools.product(ops, repeat=2):
-                assert blocked(a) and blocked(b)
+                assert layout_kind(a) == layout_kind(b) == orc._SORTED
                 assert a @ b == full_product(a, b)
     # a random pair is nonzero outside the blocks, so it is one block of every index
     rng = random.Random(11)
     a, b = rand_op(rng, 2, 3), rand_op(rng, 2, 3)
     assert not (blocked(a) and blocked(b))
     assert a @ b == full_product(a, b)
-    # so is a product with one blocked factor
+    # so is a product with one sorted factor
     p = orc.isotypical_projectors(2, 3)[frame(2, 1)]
-    assert blocked(p) and not blocked(a)
+    assert layout_kind(p) == orc._SORTED and layout_kind(a) == orc._WHOLE
     assert p @ a == full_product(p, a) and a @ p == full_product(a, p)
     # entries near 2**40 in the 6-word block of (2, 4) overflow int64 there only
     routes = []
@@ -472,6 +502,7 @@ def test_matmul_matches_full_product(monkeypatch):
     big = orc._letter_blocks(2, 4)[2]
     mat[np.ix_(big, big)] *= 2**40
     a = orc.TensorOperator(2, 4, Fraction(1, 3), mat)
+    assert layout_kind(a) == orc._LETTER
     product = a @ a
     assert routes == [np.int64, np.int64, object, np.int64, np.int64]
     assert product._vec.dtype == object and product == full_product(a, a)
@@ -550,32 +581,38 @@ def test_overlap_examples():
 PAIRING_SIZES = [(1, 2), (2, 1), (2, 3), (3, 2), (2, 4)]
 
 
+LAYOUT_KINDS = st.sampled_from([orc._SORTED, orc._LETTER, orc._WHOLE])
+
+
 @st.composite
 def operator_pairs(draw):
-    """(a, b) on one (d, n): each blocked or not, with entries near 2**40 in one block or not.
+    """(a, b) on one (d, n): each drawn for a layout kind, with entries near 2**40 in one block or not.
 
-    b is drawn on its own, or is a rescaled copy of a (an equal operator),
-    possibly with one entry changed, which may unblock it.
+    A sorted draw sums a letter-block draw over every relabelling of the
+    letters.  b is drawn on its own, or is a rescaled copy of a (an equal
+    operator), possibly with one entry changed, which may change its kind.
     """
     d, n = draw(st.sampled_from(PAIRING_SIZES))
     dim = d**n
     mask = block_mask(d, n)
 
-    def operator(blocked, big):
+    def operator(kind, big):
         mat = np.array(draw(st.lists(st.integers(-3, 3), min_size=dim * dim, max_size=dim * dim)), dtype=object)
         mat = mat.reshape(dim, dim)
-        if blocked:
+        if kind != orc._WHOLE:
             mat = np.where(mask, mat, 0)
         if big:
             words = max(orc._letter_blocks(d, n), key=len)
             mat[np.ix_(words, words)] *= 2**40
             mat[words[0], words[0]] = 2**40 + 1
+        if kind == orc._SORTED:
+            mat = sum(relabelled(mat, d, n))
         return orc.TensorOperator(d, n, Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 5))), mat)
 
-    a = operator(draw(st.booleans()), draw(st.booleans()))
+    a = operator(draw(LAYOUT_KINDS), draw(st.booleans()))
     relation = draw(st.sampled_from(["independent", "rescaled", "perturbed"]))
     if relation == "independent":
-        return a, operator(draw(st.booleans()), draw(st.booleans()))
+        return a, operator(draw(LAYOUT_KINDS), draw(st.booleans()))
     c = draw(st.sampled_from([1, 2, -3]))
     mat = a.mat * c
     if relation == "perturbed":
@@ -586,9 +623,8 @@ def operator_pairs(draw):
 @given(operator_pairs())
 def test_pairing_and_equality_match_full_matrices(pair):
     a, b = pair
-    mask = block_mask(a.d, a.n)
     for op in (a, b):
-        assert blocked(op) == (not np.count_nonzero(op.mat[~mask]))
+        assert layout_kind(op) == expected_kind(op)
     assert a.hs_product(b) == b.hs_product(a) == hs_product_by_full_matrices(a, b)
     full_equal = np.array_equal(a.scale * a.mat, b.scale * b.mat)
     assert (a == b) == (b == a) == full_equal
@@ -597,8 +633,8 @@ def test_pairing_and_equality_match_full_matrices(pair):
 def check_site_operations(op, data):
     """Partial trace, conjugation, channel and twirl of ``op`` equal their full-matrix references.
 
-    The trace, conjugation and twirl keep the operand's layout; the channel
-    may fold a zero result into the letter-block zero.
+    The trace, conjugation and twirl keep the operand's layout kind; the
+    channel may fold a zero result into the sorted zero.
     """
     n = op.n
     sites = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1)))))
@@ -612,38 +648,97 @@ def check_site_operations(op, data):
     assert twirled == twirl_by_permutations(op)
     assert orc.depolarise_n(op, q) == depolarise_by_subsets(op, q)
     for out in (traced, conjugated, twirled):
-        assert out._layout is orc._layout(out.d, out.n, blocked(op))
+        assert out._layout is orc._layout(out.d, out.n, layout_kind(op))
 
 
 @given(operator_pairs(), st.data())
 def test_operations_match_full_matrices(pair, data):
-    # blocked, one-block and mixed operands, with entries near 2**40 in one block or not
+    # sorted, letter-block, one-block and mixed operands, with entries near 2**40 in one block or not
     a, b = pair
     assert a @ b == full_product(a, b) and b @ a == full_product(b, a)
+    assert (a @ b)._layout is (b @ a)._layout is orc._layout(a.d, a.n, max(layout_kind(a), layout_kind(b)))
     product = a.kron(b)
     assert product == orc.TensorOperator(a.d, 2 * a.n, a.scale * b.scale, np.kron(a.mat, b.mat))
-    assert blocked(product) == (blocked(a) and blocked(b))
+    assert product._layout is orc._layout(a.d, 2 * a.n, max(layout_kind(a), layout_kind(b)))
     for op in (a, b):
         check_site_operations(op, data)
 
 
 def test_hs_product_int64_and_object_routes(exact_routes):
-    # with either operand blocked the pairing sums the 70 in-block terms of (2, 4), else
-    # all 256; it runs in int64 exactly when the number of terms times max|A| max|B| fits
+    # with either operand storing only letter blocks the pairing sums the 70 in-block
+    # terms of (2, 4), else all 256; two sorted operands pair the 53 sorted entries, each
+    # counted for the letter blocks it stands for, 70 terms in all.  It runs in int64
+    # exactly when the number of terms times max|A| max|B| fits
     mask = block_mask(2, 4)
-    assert orc._layout(2, 4, True).size == int(mask.sum()) == 70
+    assert orc._layout(2, 4, orc._LETTER).size == int(mask.sum()) == 70
+    assert orc._layout(2, 4, orc._SORTED).size == 1 + 16 + 36 and orc._layout(2, 4, orc._SORTED).terms == 70
     for a_outside, b_outside in ((0, 0), (1, 0), (0, 1), (1, 1)):
         limit = (2**63 - 1) // (256 if a_outside and b_outside else 70)
         for entry in (limit, limit + 1):
-            mat = np.where(mask, 1, a_outside).astype(object)
-            mat[0, 0] = entry
-            a = orc.TensorOperator(2, 4, Fraction(1, 3), mat)
-            b = orc.TensorOperator(2, 4, Fraction(-2), np.where(mask, 1, b_outside))
-            assert (blocked(a), blocked(b)) == (not a_outside, not b_outside)
-            exact_routes.clear()
-            value = a.hs_product(b)
-            assert exact_routes == [np.int64 if entry == limit else object]
-            assert value == hs_product_by_full_matrices(a, b)
+            for a_sorted in (False, True):  # entry on 0000 alone, or on 0000 and 1111
+                mat = np.where(mask, 1, a_outside).astype(object)
+                mat[0, 0] = entry
+                if a_sorted:
+                    mat[15, 15] = entry
+                a = orc.TensorOperator(2, 4, Fraction(1, 3), mat)
+                b = orc.TensorOperator(2, 4, Fraction(-2), np.where(mask, 1, b_outside))
+                kinds = [layout_kind(a), layout_kind(b)]
+                assert kinds == [expected_kind(a), expected_kind(b)]
+                assert kinds[0] == (orc._WHOLE if a_outside else orc._SORTED if a_sorted else orc._LETTER)
+                assert kinds[1] == (orc._WHOLE if b_outside else orc._SORTED)
+                exact_routes.clear()
+                value = a.hs_product(b)
+                assert exact_routes == [np.int64 if entry == limit else object]
+                assert value == hs_product_by_full_matrices(a, b)
+
+
+def test_sorted_operand_pairs_with_every_kind():
+    # a sorted operand against a non-invariant letter-block one and a one-block one:
+    # the pairing runs on the letter blocks, as the other operand's entries outside
+    # the sorted blocks differ from their relabelled images
+    rng = random.Random(13)
+    for d, n in ((2, 3), (3, 2), (3, 3)):
+        mask = block_mask(d, n)
+        sym = orc.isotypical_projectors(d, n)[enumerate_frames(d, n)[1]]
+        letter = orc.TensorOperator(d, n, Fraction(1, 3), np.where(mask, rand_op(rng, d, n).mat, 0))
+        whole = rand_op(rng, d, n)
+        assert [layout_kind(op) for op in (sym, letter, whole)] == [orc._SORTED, orc._LETTER, orc._WHOLE]
+        for other in (letter, whole):
+            assert sym.hs_product(other) == other.hs_product(sym) == hs_product_by_full_matrices(sym, other)
+            assert not (sym == other) and not (other == sym)
+            # an invariant operator held in the other's layout equals the sorted one
+            held = (other + sym) - other
+            assert held._layout is other._layout
+            assert sym == held and held == sym
+            assert held.hs_product(other) == sym.hs_product(other)
+
+
+def test_representative_match_is_not_invariance():
+    # each letter block of diag(5, 1, 2, 5) matches its sorted block's entry under the
+    # sorting relabelling, but swapping the letters moves 01 onto 10: not invariant
+    a = orc.TensorOperator(2, 2, Fraction(1), np.diag([5, 1, 2, 5]).astype(object))
+    assert layout_kind(a) == expected_kind(a) == orc._LETTER
+    assert a.partial_trace([1]) == orc.TensorOperator(2, 1, Fraction(1), np.diag([6, 7]).astype(object))
+    assert orc.TensorOperator(2, 2, Fraction(1), np.diag([5, 1, 1, 5])).hs_product(a) == 5 * 5 + 1 + 2 + 5 * 5
+    # at d = 3 a sum over the relabellings of one generator alone is not invariant either
+    rng = random.Random(14)
+    letter = np.where(block_mask(3, 2), rand_op(rng, 3, 2).mat, 0)
+    moves = list(relabelled(letter, 3, 2))  # identity, (1 2), (0 1), (0 1 2), (0 2 1), (0 2)
+    for group in ((0, 3, 4), (0, 2)):
+        b = orc.TensorOperator(3, 2, Fraction(1), sum(moves[i] for i in group))
+        assert layout_kind(b) == expected_kind(b) == orc._LETTER, group
+    assert layout_kind(orc.TensorOperator(3, 2, Fraction(1), sum(moves))) == orc._SORTED
+
+
+def test_sorted_layout_storage():
+    # the sum over sorted histograms of the squared multinomial, against every letter block
+    for (d, n), size, letter in (((3, 6), 13262, 35169), ((2, 8), 8885, 12870), ((4, 5), 5026, 31504)):
+        layout = orc._layout(d, n, orc._SORTED)
+        assert layout.size == size and layout.terms == orc._layout(d, n, orc._LETTER).size == letter
+        assert all(len(p._vec) == size for p in orc.isotypical_projectors(d, n).values())
+    # one object for every kind where there is one letter block
+    for d, n in ((1, 4), (3, 0)):
+        assert orc._layout(d, n, orc._SORTED) is orc._layout(d, n, orc._LETTER) is orc._layout(d, n, orc._WHOLE)
 
 
 def test_psd_checks():
@@ -695,6 +790,7 @@ def test_psd_matches_fraction_ldl(case, data):
     assert verdict == psd_by_fraction_ldl(a)
     assert a @ a == full_product(a, a)
     check_site_operations(a, data)
+    assert layout_kind(a) == expected_kind(a)
     if masked:
         assert blocked(a)
     if a.scale == 0 or (kind == "gram" and a.scale > 0):
@@ -710,5 +806,5 @@ def test_scale_representation_equality():
     assert (Fraction(1, 3) * ident).reduced() == Fraction(1, 3) * ident
     # a zero scale makes any matrix the zero operator, in the letter blocks or not
     dense = orc.TensorOperator(2, 2, Fraction(0), np.ones((4, 4), dtype=np.int64))
-    assert not blocked(dense) and blocked(orc.TensorOperator.zero(2, 2))
+    assert layout_kind(dense) == orc._WHOLE and layout_kind(orc.TensorOperator.zero(2, 2)) == orc._SORTED
     assert dense == orc.TensorOperator.zero(2, 2) == dense

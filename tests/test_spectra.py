@@ -352,6 +352,10 @@ def test_xy_entropy_bound_examples():
     assert chk.x == 0 and chk.holds
     chk = xy_entropy_bound(frame(4), 0)
     assert chk.x == 1 and chk.bound == 1.0 and chk.holds
+    # equality cases X = 1 with a = 0 or b = 0: the integer test holds them with no slack
+    for lam_p, k in ((frame(1, 0), 1), (frame(2, 0), 2), (frame(1, 1), 1)):
+        chk = xy_entropy_bound(lam_p, k)
+        assert chk.x == 1 and chk.bound == 1.0 and chk.holds
 
 
 def test_spectral_table_mode_and_order():
