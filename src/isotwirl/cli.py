@@ -3,6 +3,8 @@
 Subcommands: dims, lr, char, horn, spectrum, sweep, xy, verify.
 Exit codes: 0 ok, 1 verification failure, 2 usage, input or I/O error.
 ``--format`` is honoured or refused: a format a command does not write exits 2.
+An ``--out`` path whose directory is missing or not writable exits 2 before
+the command runs, so a long ``verify`` does not end in an I/O error.
 ``main`` is the one error boundary: every ``ValueError`` (``InputError``
 included) and ``OSError`` becomes a one-line ``error:`` message on stderr.
 Identical invocations produce byte-identical output files.
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .frames import dim_sym, dim_unitary, format_frame, parse_frame
@@ -35,6 +38,17 @@ TEXT_OR_JSON = ("text", "json")
 
 class InputError(ValueError):
     """Bad user input: reported on stderr, exit code 2."""
+
+
+def _check_out(path: str) -> None:
+    """Refuse an ``--out`` path that cannot be written, before any command runs; the file is not touched."""
+    directory = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        raise InputError(f"--out {path} is a directory")
+    if not os.path.isdir(directory):
+        raise InputError(f"--out {path}: directory {directory} does not exist")
+    if not os.access(directory, os.W_OK | os.X_OK):
+        raise InputError(f"--out {path}: directory {directory} is not writable")
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -306,6 +320,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.format not in (None, *args.formats):
             raise InputError(f"{args.command} writes {' or '.join(args.formats)}, not {args.format}")
+        if args.out:
+            _check_out(args.out)
         return args.fn(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

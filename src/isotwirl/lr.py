@@ -2,12 +2,18 @@
 
 ``lr_coefficient`` counts LR tableaux directly (backtracking over the skew
 cells in reading order, with lattice-word pruning), so every unit of the count
-comes with a checkable witness.  ``lr_via_characters`` recomputes the same
-number through the completely independent induced-character inner product and
-exists purely to cross-examine the tableau count.  It sums on Python ints over
-a table of class pairs built once per (l, k) (cycle types, merged cycle type,
-product of class sizes), reads the characters on reduced tuples, and ends with
-one exact division by l! k!.
+comes with a checkable witness.  The search runs on reduced row tuples: a
+triple whose sizes do not add up, or where mu or nu does not fit inside lam,
+counts 0 before anything is built, and the count builds no frame, skew shape
+or tableau object.  ``lr_tableaux`` runs the same search, keeping each
+filling, and wraps them as :class:`LRTableau`.
+
+``lr_via_characters`` recomputes the same number through the completely
+independent induced-character inner product and exists purely to
+cross-examine the tableau count.  It sums on Python ints over a table of
+class pairs built once per (l, k) (cycle types, merged cycle type, product of
+class sizes), reads the characters on reduced tuples, and ends with one exact
+division by l! k!.
 """
 
 from __future__ import annotations
@@ -21,6 +27,11 @@ from .symmetric_group import class_size, cycle_types, reduced_character
 
 # lr_via_characters iterates over pairs of character tables; keep it at desk scale.
 CHARACTER_ORACLE_CAP = 10
+
+
+def _reading_order(outer: tuple[int, ...], inner: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The cells of outer/inner row by row, right to left within each row; ``inner`` has len(outer) rows."""
+    return [(i, j) for i, (r, lo) in enumerate(zip(outer, inner)) for j in range(r - 1, lo - 1, -1)]
 
 
 @dataclass(frozen=True)
@@ -40,11 +51,8 @@ class SkewShape:
 
     def cells_reading_order(self) -> list[tuple[int, int]]:
         """Skew cells row by row, right to left within each row."""
-        cells = []
-        for i, r in enumerate(self.outer.reduced):
-            lo = self.inner.row(i)
-            cells.extend((i, j) for j in range(r - 1, lo - 1, -1))
-        return cells
+        outer = self.outer.reduced
+        return _reading_order(outer, self.inner.padded(len(outer)))
 
 
 @dataclass(frozen=True)
@@ -71,43 +79,42 @@ class LRTableau:
         return "\n".join(lines)
 
 
-def _search(lam: YoungFrame, mu: YoungFrame, nu: YoungFrame, collect: bool):
-    """Backtrack over the skew cells of lam/mu in reading order.
+def _fits(inner: tuple[int, ...], outer: tuple[int, ...]) -> bool:
+    """Whether the frame ``inner`` fits inside ``outer`` row by row (both reduced)."""
+    return len(inner) <= len(outer) and all(a <= b for a, b in zip(inner, outer))
 
-    Filling in reading order makes the lattice condition a prefix property:
-    value v may be placed only while counts[v] < counts[v-1].  Row constraints
-    compare against the right neighbour (already filled), column constraints
-    against the cell above (rows are completed top to bottom).  The search
-    keeps its position in a loop, not on the call stack, so its depth is not
-    bounded by the recursion limit.
+
+def _search(
+    lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...], collect: bool
+) -> tuple[int, list[tuple[tuple[int, ...], ...]]]:
+    """Count the LR fillings of lam/mu with content nu (reduced tuples), and list them when ``collect``.
+
+    A triple whose sizes do not add up, or where mu or nu does not fit inside
+    lam (c^lam_{mu nu} = c^lam_{nu mu}), counts 0 before anything is built.
+    Otherwise the search backtracks over the skew cells in reading order (row
+    by row, right to left): filling in that order makes the lattice condition
+    a prefix property, so value v may be placed only while counts[v] <
+    counts[v-1].  Row constraints compare against the right neighbour
+    (already filled), column constraints against the cell above (rows are
+    completed top to bottom).  The search keeps its position in a loop, not
+    on the call stack, so its depth is not bounded by the recursion limit.
+    A listed filling holds each row's skew entries left to right.
     """
-    if lam.n != mu.n + nu.n:
+    if sum(lam) != sum(mu) + sum(nu) or not _fits(mu, lam) or not _fits(nu, lam):
         return 0, []
-    if not all(mu.row(i) <= lam.row(i) for i in range(len(mu.rows))):
-        return 0, []
-    skew = SkewShape(lam, mu)
-    target = nu.reduced
-    nvals = len(target)
-    if skew.size == 0:
-        tab = LRTableau(skew, tuple(() for _ in lam.reduced))
-        return 1, ([tab] if collect else [])
-
-    outer = lam.reduced
-    grid: list[list[int]] = [[0] * r for r in outer]
-    cells = skew.cells_reading_order()
+    inner = mu + (0,) * (len(lam) - len(mu))
+    cells = _reading_order(lam, inner)
+    nvals = len(nu)
+    grid: list[list[int]] = [[0] * r for r in lam]
     counts = [0] * (nvals + 1)
     found = 0
-    witnesses: list[LRTableau] = []
+    fillings: list[tuple[tuple[int, ...], ...]] = []
     pos = 0  # the cell whose value is tried next; its grid entry holds the last value tried, 0 if none
     while pos >= 0:
         if pos == len(cells):
             found += 1
             if collect:
-                filling = tuple(
-                    tuple(grid[i][j] for j in range(mu.row(i), outer[i]))
-                    for i in range(len(outer))
-                )
-                witnesses.append(LRTableau(skew, filling))
+                fillings.append(tuple(tuple(row[lo:]) for row, lo in zip(grid, inner)))
             pos -= 1
             continue
         i, j = cells[pos]
@@ -115,14 +122,14 @@ def _search(lam: YoungFrame, mu: YoungFrame, nu: YoungFrame, collect: bool):
         if v:
             counts[v] -= 1  # take back the value tried last
         lo = 1
-        if i > 0 and j >= mu.row(i - 1):
+        if i > 0 and j >= inner[i - 1]:
             lo = grid[i - 1][j] + 1  # column strict below a filled skew cell
         hi = nvals
-        if j + 1 < outer[i] and grid[i][j + 1]:
+        if j + 1 < lam[i] and grid[i][j + 1]:
             hi = min(hi, grid[i][j + 1])  # row weakly increasing
         v = max(v + 1, lo)
         # content bound, then the lattice word prefix condition
-        while v <= hi and (counts[v] >= target[v - 1] or (v > 1 and counts[v] >= counts[v - 1])):
+        while v <= hi and (counts[v] >= nu[v - 1] or (v > 1 and counts[v] >= counts[v - 1])):
             v += 1
         if v <= hi:
             grid[i][j] = v
@@ -131,27 +138,29 @@ def _search(lam: YoungFrame, mu: YoungFrame, nu: YoungFrame, collect: bool):
         else:
             grid[i][j] = 0
             pos -= 1
-    return found, witnesses
+    return found, fillings
 
 
 @cache
-def _lr_count(lam_red: tuple[int, ...], mu_red: tuple[int, ...], nu_red: tuple[int, ...]) -> int:
-    count, _ = _search(YoungFrame(lam_red), YoungFrame(mu_red), YoungFrame(nu_red), collect=False)
-    return count
+def _lr_count(lam: tuple[int, ...], mu: tuple[int, ...], nu: tuple[int, ...]) -> int:
+    return _search(lam, mu, nu, collect=False)[0]
 
 
 def lr_coefficient(lam: YoungFrame, mu: YoungFrame, nu: YoungFrame) -> int:
     """c^lam_{mu nu}: the number of LR tableaux of shape lam/mu and content nu.
 
-    Zero whenever |lam| != |mu| + |nu| or mu does not fit inside lam.
+    Zero whenever |lam| != |mu| + |nu| or mu or nu does not fit inside lam.
     """
     return _lr_count(lam.reduced, mu.reduced, nu.reduced)
 
 
 def lr_tableaux(lam: YoungFrame, mu: YoungFrame, nu: YoungFrame) -> list[LRTableau]:
     """The witness tableaux counted by :func:`lr_coefficient`."""
-    _, tabs = _search(lam, mu, nu, collect=True)
-    return tabs
+    _, fillings = _search(lam.reduced, mu.reduced, nu.reduced, collect=True)
+    if not fillings:
+        return []
+    skew = SkewShape(lam, mu)
+    return [LRTableau(skew, filling) for filling in fillings]
 
 
 @cache

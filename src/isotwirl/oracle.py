@@ -34,7 +34,10 @@ operators, the zero and the identity are built sorted.
 
 Every operation reads and writes the vector through index maps computed once
 from word digits and block offsets, the same maps for every layout.  Sums,
-equality, traces and Hilbert-Schmidt pairings are whole-vector numpy calls.
+equality and traces are whole-vector numpy calls.  A Hilbert-Schmidt pairing
+is one dot product: the first operator's entries are transposed and weighted
+by the number of letter blocks each stored entry stands for, and that one
+vector pairs with any list of operators (:meth:`TensorOperator.pairings`).
 Matrix products and the PSD test loop over reshaped block views.  Partial
 traces, tensor products, conjugation, the twirl and the channel gather
 entries through site maps, and keep the layout of their operands.  No
@@ -206,6 +209,12 @@ class _Layout:
         for a in (self.block_of, self.local, self.row_base):
             _read_only(a)
 
+    @cached_property
+    def entry_weights(self) -> np.ndarray:
+        """The weight of every stored entry: the number of letter blocks its block stands for."""
+        sizes = [hi - lo for lo, hi, _ in self.spans]
+        return _read_only(np.repeat(np.array(self.weights, dtype=np.int64), sizes))
+
     def position(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Vector positions of the word pairs (x, y); the caller ensures each pair is stored."""
         return self.row_base[x] + self.local[y]
@@ -257,6 +266,11 @@ class _Layout:
             words = np.array(g)[_word_digits(d, n)] @ _index_powers(d, n)
             moves.append(_read_only(self.position(words[self.rows], words[self.cols])))
         return tuple(moves)
+
+
+def _pairing_kind(a: int, b: int) -> int:
+    """The layout kind two operators of kinds ``a`` and ``b`` are paired in: sorted only when both are."""
+    return _SORTED if max(a, b) == _SORTED else max(min(a, b), _LETTER)
 
 
 @cache
@@ -449,29 +463,42 @@ class TensorOperator:
         (entries,) = _exact(len(diagonal) * self._bound(), self._vec.take(diagonal))
         return self.scale * int(entries.sum())
 
-    def hs_product(self, other: "TensorOperator") -> Fraction:
-        """Hilbert-Schmidt pairing tr(self @ other) without forming the product.
+    def pairings(self, others: Sequence["TensorOperator"]) -> list[int]:
+        """The integer pairing sum of A_ij B_ji of this operator's entries with those of each of ``others``.
 
-        tr(AB) is the sum of A_ij B_ji.  When either operator stores only
-        letter blocks every nonzero term has (i, j) inside a block, so only the
-        entries of the letter-block layout are paired, through its transpose
-        permutation.  When both are sorted, each stored block is paired once
+        tr(self @ other) is ``self.scale * other.scale`` times the pairing.
+        When either operator stores only letter blocks every nonzero term has
+        (i, j) inside a block, so only the entries of the letter-block layout
+        are paired.  When both are sorted, each stored block is paired once
         and counted for every letter block it stands for; when only one is,
         it is expanded to the letter blocks, as the other need not be
-        invariant.  The sum runs in int64 when (number of terms) max|A| max|B|
-        fits, each stored term counted with its block's weight.
+        invariant.  All of ``others`` are read in the largest layout one of
+        them needs.  This operator is read once, transposed and weighted
+        entry by entry (:attr:`_Layout.entry_weights`), and each pairing is
+        one dot product with that vector.  The sums run in int64 when (number
+        of terms) max|A| max|B| fits, each stored term counted with its
+        block's weight, B ranging over ``others``.  A weighted entry then fits
+        too, being at most terms max|A|, except when every B is zero, and
+        then it multiplies only zeros.
         """
-        self._compatible(other)
-        kinds = (self._layout.kind, other._layout.kind)
-        kind = _SORTED if max(kinds) == _SORTED else max(min(kinds), _LETTER)
-        layout = _layout(self.d, self.n, kind)
-        a, b = _exact(
-            layout.terms * self._bound() * other._bound(),
-            self._in(layout),
-            other._in(layout).take(layout.transpose),
+        if not others:
+            return []
+        for other in others:
+            self._compatible(other)
+        layout = _layout(self.d, self.n, max(_pairing_kind(self._layout.kind, o._layout.kind) for o in others))
+        weights, transposed, *vecs = _exact(
+            layout.terms * self._bound() * max(o._bound() for o in others),
+            layout.entry_weights,
+            self._in(layout).take(layout.transpose),
+            *(o._in(layout) for o in others),
         )
-        pairs = (w * int(np.dot(a[lo:hi], b[lo:hi])) for w, (lo, hi, _) in zip(layout.weights, layout.spans))
-        return self.scale * other.scale * sum(pairs)
+        weighted = weights * transposed
+        return [int(np.dot(weighted, vec)) for vec in vecs]
+
+    def hs_product(self, other: "TensorOperator") -> Fraction:
+        """Hilbert-Schmidt pairing tr(self @ other) without forming the product (see :meth:`pairings`)."""
+        (pairing,) = self.pairings([other])
+        return self.scale * other.scale * pairing
 
     def kron(self, other: "TensorOperator") -> "TensorOperator":
         """Tensor product, self on the first sites, in the larger of the operands' layout kinds."""

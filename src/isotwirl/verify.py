@@ -21,8 +21,12 @@ each d) clipped to :class:`RunConfig`; the tests call it at their own sizes.
 The dense checks of the paper's overlap tr{P_lam' (tr_{[k]} P_lam tensor
 pi_{[k]})} (the support window, the route and fast-path equalities and the
 output mode) all read it from :func:`dense_twirl_overlaps`, one cached table
-per (d, n) that holds it as the literal padded product and as the
-partial-trace pairing.
+per (d, n) of integers: for each k, the literal padded product and the
+partial-trace pairing of every pair of frames, and each projector's scale.
+The fast path is read as integers too, one pass over k per frame
+(``spectra._twirl_numerators``, ``channel_output_spectra`` for every q at
+once).  Every fast-vs-dense equality is decided by cross-multiplication, and
+a ``Fraction`` is formed only to describe a reported failure.
 
 Reports are deterministic: no timestamps, fixed iteration orders, failures
 truncated to the first five, and JSON dumped with sorted keys.  Two runs with
@@ -31,13 +35,14 @@ the same configuration produce byte-identical reports.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -58,8 +63,8 @@ from .frames import (
 from .horn import HornTriple, basic_horn_holds, branching_disjoint, horn_feasible, within_support_window
 from .lr import lr_coefficient, lr_via_characters
 from .spectra import (
+    _twirl_numerators,
     channel_output_spectra,
-    channel_output_spectrum,
     paired_block_overlap,
     partial_trace_decomposition,
     tail_bound_exponent,
@@ -211,9 +216,41 @@ class _Collector:
         return CheckResult(self.name, not self.failures, self.checked, self.failures, self.info)
 
 
+class _Ratio:
+    """An exact rational kept as two ints, the denominator positive.
+
+    Equality with another ratio or a ``Fraction`` is decided by
+    cross-multiplication; a ``Fraction`` is built only when the ratio is
+    formatted into a reported failure, and renders as it does.
+    """
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int):
+        self.numerator, self.denominator = numerator, denominator
+
+    def __eq__(self, other) -> bool:
+        return self.numerator * other.denominator == other.numerator * self.denominator
+
+    def fraction(self) -> Fraction:
+        return Fraction(self.numerator, self.denominator)
+
+    def __format__(self, spec: str) -> str:
+        return format(self.fraction(), spec)
+
+
 def _each_size(sizes: Iterable[tuple[int, int]], first: int = 1) -> list[tuple[int, int]]:
     """Every (d, n) with first <= n <= n_max, for each (d, n_max) in ``sizes``, in that order."""
     return [(d, n) for d, n_max in sizes for n in range(first, n_max + 1)]
+
+
+def _window_starts(lam: YoungFrame, frames: Iterable[YoungFrame], d: int) -> list[int]:
+    """For each lam' of ``frames``, the least k whose (d-1)k window holds lam and lam'.
+
+    The window only grows with k, so lam' lies outside it exactly for the k
+    below that start; at k = n it holds every pair of frames of n boxes.
+    """
+    return [next(k for k in itertools.count() if within_support_window(lam, lam_p, d, k)) for lam_p in frames]
 
 
 def _random_int_matrix(rng: random.Random, dim: int, lo: int = -5, hi: int = 5) -> np.ndarray:
@@ -332,25 +369,58 @@ def suite_saturation(cfg: RunConfig) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def dense_reductions(proj: orc.TensorOperator) -> list[orc.TensorOperator]:
-    """tr over the last k sites of ``proj`` for k = 0..n, each traced from the previous."""
-    out = [proj]
+def dense_reductions(proj: orc.TensorOperator) -> Iterator[orc.TensorOperator]:
+    """tr over the last k sites of ``proj`` for k = 0..n, each traced from the previous and then dropped."""
+    reduced = proj
+    yield reduced
     for k in range(1, proj.n + 1):
-        out.append(out[-1].partial_trace([proj.n - k]))
-    return out
+        reduced = reduced.partial_trace([proj.n - k])
+        yield reduced
 
 
-# (lam, k, lam') -> (literal padded product, partial-trace pairing)
-Overlaps = dict[tuple[YoungFrame, int, YoungFrame], tuple[Fraction, Fraction]]
+@dataclass(frozen=True)
+class DenseOverlaps:
+    """The dense overlaps of every (lam, k, lam') of YF_{d,n}, as integer pairings.
+
+    The overlap of (frames[i], k, frames[j]) is s_i s_j / d^k times
+    ``literal[k][i][j]`` and times ``paired[k][i][j]``, s_i the scale of the
+    projector of frames[i] (``scales[i]``).  ``literal`` pairs P_lam' with
+    the padded product tr_{[k]} P_lam tensor 1_{[k]}, ``paired`` pairs the
+    two partial traces tr_B(P_lam') and tr_B(P_lam) (adjointness of the
+    partial trace): two routes to the same number.
+    """
+
+    d: int
+    n: int
+    frames: tuple[YoungFrame, ...]
+    scales: tuple[Fraction, ...]
+    literal: tuple[tuple[tuple[int, ...], ...], ...]
+    paired: tuple[tuple[tuple[int, ...], ...], ...]
+
+    def scale(self, i: int, j: int, k: int) -> _Ratio:
+        """s_i s_j / d^k, the factor turning the pairings of (frames[i], k, frames[j]) into overlaps."""
+        s, t = self.scales[i], self.scales[j]
+        return _Ratio(s.numerator * t.numerator, s.denominator * t.denominator * self.d**k)
+
+    def overlaps(self, i: int, k: int, j: int) -> tuple[_Ratio, _Ratio]:
+        """The overlap of (frames[i], k, frames[j]) by the literal product and by the partial-trace pairing."""
+        scale = self.scale(i, j, k)
+        return (_Ratio(scale.numerator * self.literal[k][i][j], scale.denominator),
+                _Ratio(scale.numerator * self.paired[k][i][j], scale.denominator))
+
+    def value(self, lam: YoungFrame, k: int, lam_p: YoungFrame) -> tuple[Fraction, Fraction]:
+        """:meth:`overlaps` of (lam, k, lam') as two ``Fraction`` values."""
+        literal, paired = self.overlaps(self.frames.index(lam), k, self.frames.index(lam_p))
+        return literal.fraction(), paired.fraction()
 
 
-def dense_twirl_overlaps(d: int, n: int, *, factorial_cap: int = orc.FACTORIAL_LOOP_CAP) -> Overlaps:
+def dense_twirl_overlaps(d: int, n: int, *, factorial_cap: int = orc.FACTORIAL_LOOP_CAP) -> DenseOverlaps:
     """The dense overlap tr{P_lam' (tr_{[k]} P_lam tensor pi_{[k]})} of every (lam, k, lam') of YF_{d,n}.
 
-    Each key maps to the same exact number computed two ways: the literal
-    padded product, and the partial-trace pairing tr{tr_B(P_lam') tr_B(P_lam)}
-    / d^k (adjointness of the partial trace).  Every dense check reads this
-    one table, built once per (d, n) and cached like the projector families;
+    Each overlap is held as two integer pairings, the literal padded product
+    and the partial-trace pairing, with the scales that turn them into the
+    exact number (:class:`DenseOverlaps`).  Every dense check reads this one
+    table, built once per (d, n) and cached like the projector families;
     ``factorial_cap`` refuses n as :func:`oracle.isotypical_projectors` does
     and is not part of the cache key.
     """
@@ -360,33 +430,43 @@ def dense_twirl_overlaps(d: int, n: int, *, factorial_cap: int = orc.FACTORIAL_L
 
 
 @lru_cache(maxsize=sum(n + 1 for n in orc.DENSE_SWEEP_N.values()))
-def _twirl_overlaps(d: int, n: int) -> Overlaps:
-    """The table of :func:`dense_twirl_overlaps`, ordered by lam, k, lam'.
+def _twirl_overlaps(d: int, n: int) -> DenseOverlaps:
+    """The table of :func:`dense_twirl_overlaps`, built one k at a time.
 
-    tr(AB) = tr(BA): each unordered pair of frames is paired once, at every k.
+    The reductions of all frames advance together (:func:`dense_reductions`),
+    so only one level of them is alive.  Each padded product is paired with the whole
+    family at once, and each partial trace with the partial traces of the
+    frames from its own on: tr(AB) = tr(BA).
     """
-    frames = enumerate_frames(d, n)
     family = orc.isotypical_projectors(d, n, factorial_cap=n)
-    reductions = {lam: dense_reductions(family[lam]) for lam in frames}
-    table: Overlaps = {}
-    for i, lam in enumerate(frames):
-        for k, reduced in enumerate(reductions[lam]):
-            padded = orc.tensor_with_maximally_mixed(reduced, k)
-            for j, lam_p in enumerate(frames):
-                paired = table[lam_p, k, lam][1] if j < i else reductions[lam_p][k].hs_product(reduced) / d**k
-                table[lam, k, lam_p] = (family[lam_p].hs_product(padded), paired)
-    return table
+    projectors = list(family.values())
+    literal, paired = [], []
+    for k, level in enumerate(zip(*map(dense_reductions, projectors))):
+        literal.append(tuple(
+            tuple(orc.tensor_with_maximally_mixed(reduced, k).pairings(projectors)) for reduced in level
+        ))
+        upper = [reduced.pairings(level[i:]) for i, reduced in enumerate(level)]
+        paired.append(tuple(
+            tuple(upper[min(i, j)][abs(j - i)] for j in range(len(level))) for i in range(len(level))
+        ))
+    return DenseOverlaps(d, n, tuple(family), tuple(p.scale for p in projectors), tuple(literal), tuple(paired))
 
 
 def check_dense_overlap_outside_window(sizes: Iterable[tuple[int, int]]) -> CheckResult:
     """tr{P_lam' (tr_{[k]} P_lam tensor pi_{[k]})} = 0 outside the window, for each (d, n_max)."""
     dense = _Collector("dense_overlap_zero_outside_window")
     for d, n in _each_size(sizes):
-        for (lam, k, lam_p), (literal, _) in dense_twirl_overlaps(d, n).items():
-            if not within_support_window(lam, lam_p, d, k):
-                dense.record(
-                    literal == 0, "d={} lam={} lam'={} k={}: overlap {} != 0", d, lam, lam_p, k, literal
-                )
+        table = dense_twirl_overlaps(d, n)
+        for i, lam in enumerate(table.frames):
+            starts = _window_starts(lam, table.frames, d)
+            for k in range(n + 1):
+                for j, lam_p in enumerate(table.frames):
+                    if k < starts[j]:
+                        literal, _ = table.overlaps(i, k, j)
+                        dense.record(
+                            literal.numerator == 0, "d={} lam={} lam'={} k={}: overlap {} != 0",
+                            d, lam, lam_p, k, literal,
+                        )
     dense.info["outside_window_cases"] = dense.checked
     return dense.result()
 
@@ -419,10 +499,8 @@ def check_chains_disjoint_outside_window(sizes: Iterable[tuple[int, int]]) -> Ch
     for d, n in _each_size(sizes):
         frames = enumerate_frames(d, n)
         for lam in frames:
-            for lam_p in frames:
-                for k in range(0, n + 1):
-                    if within_support_window(lam, lam_p, d, k):
-                        continue
+            for lam_p, start in zip(frames, _window_starts(lam, frames, d)):
+                for k in range(start):
                     chains.record(
                         branching_disjoint(lam, lam_p, n - k, k, d),
                         "d={} lam={} lam'={} k={}: common chain exists", d, lam, lam_p, k,
@@ -443,15 +521,13 @@ def check_twirl_support(sizes: Iterable[tuple[int, int]]) -> list[CheckResult]:
         frames = enumerate_frames(d, n)
         for lam in frames:
             prev: set | None = None
-            for k in range(0, n + 1):
-                table = twirl_spectrum(lam, k, d, normalized=False)
-                for lam_p in frames:
-                    if not within_support_window(lam, lam_p, d, k):
-                        engine.record(
-                            table.weight(lam_p) == 0,
-                            "d={} lam={} lam'={} k={}: engine weight nonzero", d, lam, lam_p, k,
-                        )
-                supp = set(table.support())
+            starts = _window_starts(lam, frames, d)
+            # the weight of lam' is its numerator times the positive dim U_lam / D
+            for k, (_, numerators) in enumerate(_twirl_numerators(lam, d, range(n + 1))):
+                for lam_p, num, start in zip(frames, numerators, starts):
+                    if k < start:
+                        engine.record(num == 0, "d={} lam={} lam'={} k={}: engine weight nonzero", d, lam, lam_p, k)
+                supp = {lam_p for lam_p, num in zip(frames, numerators) if num}
                 if prev is not None:
                     missing = len(prev - supp)
                     dropped.record(not missing, "d={} lam={} k={}: {} frames dropped", d, lam, k, missing)
@@ -478,51 +554,68 @@ def suite_support(cfg: RunConfig) -> list[CheckResult]:
 
 
 @cache
-def _binomial_weights(n: int, q: Fraction) -> tuple[Fraction, ...]:
-    """C(n,k) q^k (1-q)^(n-k) for k = 0..n: the channel's weight on each number k of mixed sites."""
-    return tuple(math.comb(n, k) * q**k * (1 - q) ** (n - k) for k in range(n + 1))
+def _binomial_weights(n: int, q: Fraction) -> tuple[int, ...]:
+    """C(n,k) a^k (b-a)^(n-k) for k = 0..n, q = a/b: b^n times the channel's weight on k mixed sites."""
+    a, b = q.numerator, q.denominator
+    return tuple(math.comb(n, k) * a**k * (b - a) ** (n - k) for k in range(n + 1))
 
 
-def _channel_weight(table: Overlaps, lam: YoungFrame, lam_p: YoungFrame, q: Fraction, d: int) -> Fraction:
-    """Dense weight of lam' in the depolarised flat state pi_lam: the pairings mixed binomially over k."""
-    mixed = sum((w * table[lam, k, lam_p][1] for k, w in enumerate(_binomial_weights(lam.n, q))), Fraction(0))
-    return mixed / (dim_sym(lam) * dim_unitary(lam, d))
+def _channel_weights(table: DenseOverlaps, i: int, q: Fraction) -> list[_Ratio]:
+    """Dense weight of every frame in the depolarised flat state pi_lam, lam = frames[i].
+
+    The pairings are mixed binomially over k and divided by the trace
+    f_lam dim U_lam of P_lam: with the scales s_i s_j / d^k of the table and
+    q = a/b, the weight of frames[j] is s_i s_j S_j / (f_lam dim U_lam b^n d^n),
+    S_j the sum over k of C(n,k) a^k (b-a)^(n-k) d^(n-k) paired[k][i][j].
+    """
+    d, n, lam = table.d, table.n, table.frames[i]
+    mixed = [w * d ** (n - k) for k, w in enumerate(_binomial_weights(n, q))]
+    norm = dim_sym(lam) * dim_unitary(lam, d) * q.denominator**n
+    out = []
+    for j in range(len(table.frames)):
+        scale = table.scale(i, j, n)
+        total = sum(w * paired[i][j] for w, paired in zip(mixed, table.paired))
+        out.append(_Ratio(scale.numerator * total, scale.denominator * norm))
+    return out
 
 
 def check_fast_path_against_oracle(
     sizes: Iterable[tuple[int, int]], q_values: tuple[Fraction, ...]
 ) -> list[CheckResult]:
-    """Twirl and channel spectra of the fast path equal the dense oracle, for each (d, n_max)."""
+    """Twirl and channel spectra of the fast path equal the dense oracle, for each (d, n_max).
+
+    The fast path gives integer numerators (one pass over k per frame) and
+    the public normalized twirl and channel spectra; the dense side is the
+    integer table of :func:`dense_twirl_overlaps`.  Each equality is decided
+    by cross-multiplication.
+    """
     route = _Collector("padded_product_equals_partial_trace_pairing")
     fast_twirl = _Collector("fast_path_equals_oracle_twirl_spectra")
     fast_channel = _Collector("fast_path_equals_oracle_channel_spectra")
     for d, n in _each_size(sizes):
-        frames = enumerate_frames(d, n)
         dense = dense_twirl_overlaps(d, n)
-        for lam in frames:
-            norm = dim_sym(lam) * dim_unitary(lam, d)
-            for k in range(n + 1):
-                table = twirl_spectrum(lam, k, d, normalized=False)
-                table_norm = twirl_spectrum(lam, k, d, normalized=True)
-                for lam_p in frames:
-                    literal, paired = dense[lam, k, lam_p]
+        frames = dense.frames
+        for i, lam in enumerate(frames):
+            unit = dim_unitary(lam, d)
+            norm = dim_sym(lam) * unit
+            for k, (den, numerators) in enumerate(_twirl_numerators(lam, d, range(n + 1))):
+                table_norm = twirl_spectrum(lam, k, d)
+                for j, lam_p in enumerate(frames):
+                    literal, paired = dense.overlaps(i, k, j)
                     route.expect_equal(literal, paired, "d={} lam={} k={} lam'={}", d, lam, k, lam_p)
                     fast_twirl.expect_equal(
-                        table.weight(lam_p), paired, "d={} lam={} k={} lam'={}", d, lam, k, lam_p
+                        _Ratio(numerators[j] * unit, den), paired, "d={} lam={} k={} lam'={}", d, lam, k, lam_p
                     )
                     fast_twirl.expect_equal(
                         table_norm.weight(lam_p),
-                        paired / norm,
+                        _Ratio(paired.numerator, paired.denominator * norm),
                         "normalized d={} lam={} k={} lam'={}", d, lam, k, lam_p,
                     )
-            for q in q_values:
-                table = channel_output_spectrum(lam, q, d)
+            for q, table in zip(q_values, channel_output_spectra(lam, q_values, d)):
                 fast_channel.expect_equal(table.total(), Fraction(1), "total d={} {} q={}", d, lam, q)
-                for lam_p in frames:
+                for lam_p, weight in zip(frames, _channel_weights(dense, i, q)):
                     fast_channel.expect_equal(
-                        table.weight(lam_p),
-                        _channel_weight(dense, lam, lam_p, q, d),
-                        "d={} lam={} q={} lam'={}", d, lam, q, lam_p,
+                        table.weight(lam_p), weight, "d={} lam={} q={} lam'={}", d, lam, q, lam_p
                     )
     return [route.result(), fast_twirl.result(), fast_channel.result()]
 
@@ -690,13 +783,14 @@ def check_channel_identities(sizes: Iterable[tuple[int, int]], rng: random.Rando
             "d={}: PSD input mapped outside PSD cone", d,
         )
         for lam, p in orc.isotypical_projectors(d, n).items():
-            reductions = dense_reductions(p)
+            reductions = list(dense_reductions(p))
             for q in (Fraction(1, 4), Fraction(2, 3)):
                 literal = orc.depolarise_n(p, q)
                 recon = orc.TensorOperator.zero(d, n)
                 weights = _binomial_weights(n, q)
                 for k, reduced in enumerate(reductions):
-                    recon = recon + weights[k] * orc.twirl(orc.tensor_with_maximally_mixed(reduced, k))
+                    weight = Fraction(weights[k], q.denominator**n)
+                    recon = recon + weight * orc.twirl(orc.tensor_with_maximally_mixed(reduced, k))
                 channel.record(
                     literal == recon, "d={} lam={} q={}: channel != binomial twirl sum", d, lam, q
                 )
@@ -760,10 +854,11 @@ def check_output_mode(
     source = YoungFrame((n,))
     frames = enumerate_frames(2, n)
     dense = dense_twirl_overlaps(2, n, factorial_cap=factorial_cap)
-    for q in q_grid:
-        oracle_weights = {lam_p: _channel_weight(dense, source, lam_p, q, 2) for lam_p in frames}
-        oracle_mode = max(frames, key=lambda f: (oracle_weights[f], -frames.index(f)))
-        engine_mode = channel_output_spectrum(source, q, 2).mode()
+    source_index = dense.frames.index(source)
+    for q, table in zip(q_grid, channel_output_spectra(source, q_grid, 2)):
+        oracle_weights = [w.fraction() for w in _channel_weights(dense, source_index, q)]
+        oracle_mode = frames[max(range(len(frames)), key=lambda j: (oracle_weights[j], -j))]
+        engine_mode = table.mode()
         concentration.expect_equal(
             format_frame(engine_mode, 2), format_frame(oracle_mode, 2), "mode at n={} q={}", n, q
         )

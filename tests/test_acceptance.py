@@ -125,7 +125,7 @@ def test_c09_concentration_mode_matches_oracle():
         norm = dim_sym(frame(n)) * dim_unitary(frame(n), 2)
         totals = [
             sum(
-                math.comb(n, k) * q**k * (1 - q) ** (n - k) * overlaps[frame(n), k, lam_p][1]
+                math.comb(n, k) * q**k * (1 - q) ** (n - k) * overlaps.value(frame(n), k, lam_p)[1]
                 for k in range(n + 1)
                 for lam_p in enumerate_frames(2, n)
             ) / norm

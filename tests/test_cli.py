@@ -144,6 +144,40 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     assert '"passed": false' in captured.out
 
 
+def test_out_path_checked_before_any_suite_runs(monkeypatch, capsys, tmp_path: Path):
+    import isotwirl.cli as cli
+
+    def refuse(name, cfg):
+        raise AssertionError("a suite ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_suite", refuse)
+    for out, reason in (
+        (tmp_path / "missing" / "x.json", "does not exist"),
+        (tmp_path, "is a directory"),
+    ):
+        assert cli.main(["verify", "all", "--cap-n", "10", "--cap-d", "4", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()] and err.startswith("error: ")
+        assert str(out) in err and reason in err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_out_file_untouched_until_written(monkeypatch, capsys, tmp_path: Path):
+    # a command that fails after the --out check leaves an existing file as it was
+    import isotwirl.cli as cli
+
+    out = tmp_path / "report.json"
+    out.write_text("kept\n")
+
+    def fail(name, cfg):
+        raise ValueError("suite stopped")
+
+    monkeypatch.setattr(cli, "run_suite", fail)
+    assert cli.main(["verify", "tail", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: suite stopped\n"
+    assert out.read_text() == "kept\n"
+
+
 def test_verify_deterministic(tmp_path: Path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):

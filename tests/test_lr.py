@@ -125,3 +125,32 @@ def test_higher_multiplicity_cases():
     assert lr_via_characters(frame(3, 2, 1), frame(2, 1), frame(2, 1)) == 2
     assert lr_coefficient(frame(4, 3, 2, 1), frame(3, 2, 1), frame(2, 1, 1)) == 3
     assert len(lr_tableaux(frame(4, 3, 2, 1), frame(3, 2, 1), frame(2, 1, 1))) == 3
+
+
+def test_count_witnesses_and_characters_agree_on_every_small_triple():
+    # every (lam, mu, nu) of YF(4, n <= 8) with |mu| + |nu| = n; its frames hold those of d <= 3
+    for lam, mu, nu in _lr_triples(4, 8):
+        c = lr_coefficient(lam, mu, nu)
+        assert len(lr_tableaux(lam, mu, nu)) == c == lr_via_characters(lam, mu, nu), (lam, mu, nu)
+
+
+def test_no_witness_for_triples_that_do_not_fit():
+    # sizes that do not add up, or mu or nu outside lam, count 0 without a skew shape
+    for lam, mu, nu in [
+        (frame(3), frame(1), frame(1)),
+        (frame(2, 2), frame(3), frame(1)),
+        (frame(2, 2), frame(1), frame(3)),
+        (frame(2, 1), frame(1, 1, 1), frame()),
+    ]:
+        assert lr_coefficient(lam, mu, nu) == 0 and lr_tableaux(lam, mu, nu) == []
+
+
+def test_large_single_queries(capsys):
+    # one targeted search each: a long horizontal strip and a four-row skew shape
+    from isotwirl.cli import main
+
+    for args in (("1000,1000", "1000", "1000"), ("60,45,30,15", "30,20,10,5", "30,25,20,10")):
+        lam, mu, nu = (frame(*map(int, a.split(","))) for a in args)
+        assert lr_coefficient(lam, mu, nu) == 1
+        assert main(["lr", *args]) == 0
+        assert capsys.readouterr().out.startswith("coefficient=1 ")

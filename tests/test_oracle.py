@@ -151,19 +151,21 @@ def test_dense_twirl_overlaps_match_full_matrices():
         for n in range(1, n_max + 1):
             family = orc.isotypical_projectors(d, n)
             table = verify.dense_twirl_overlaps(d, n)
-            assert list(table) == [(lam, k, lam_p) for lam in family for k in range(n + 1) for lam_p in family]
+            assert table.frames == tuple(family) and table.scales == tuple(p.scale for p in family.values())
+            for levels in (table.literal, table.paired):  # k = 0..n, each a square over the frames
+                assert [[len(row) for row in level] for level in levels] == [[len(family)] * len(family)] * (n + 1)
             reduced = {
                 (lam, k): partial_trace_by_sums(p, tuple(range(n - k, n)))
                 for lam, p in family.items()
                 for k in range(n + 1)
             }
-            for lam, k, lam_p in table:
+            for lam, k, lam_p in itertools.product(family, range(n + 1), family):
                 red = reduced[lam, k]
                 ones = np.identity(d**k, dtype=object)
                 padded = orc.TensorOperator(d, n, red.scale / d**k, np.kron(red.mat, ones))
                 literal = hs_product_by_full_matrices(family[lam_p], padded)
                 paired = hs_product_by_full_matrices(reduced[lam_p, k], red) / d**k
-                assert table[lam, k, lam_p] == (literal, paired), (d, str(lam), k, str(lam_p))
+                assert table.value(lam, k, lam_p) == (literal, paired), (d, str(lam), k, str(lam_p))
 
 
 def test_dense_twirl_overlaps_factorial_cap():
@@ -690,6 +692,29 @@ def test_hs_product_int64_and_object_routes(exact_routes):
                 value = a.hs_product(b)
                 assert exact_routes == [np.int64 if entry == limit else object]
                 assert value == hs_product_by_full_matrices(a, b)
+
+
+def test_pairings_against_a_list(exact_routes):
+    # one operator of each kind against operators of every kind at once: each integer
+    # pairing times the two scales is the full-matrix tr(AB), from one _exact call
+    rng = random.Random(15)
+    for d, n in ((2, 3), (3, 2)):
+        mask = block_mask(d, n)
+        ops = [
+            orc.isotypical_projectors(d, n)[enumerate_frames(d, n)[1]],
+            orc.TensorOperator(d, n, Fraction(1, 3), np.where(mask, rand_op(rng, d, n).mat, 0)),
+            rand_op(rng, d, n),
+        ]
+        assert [layout_kind(op) for op in ops] == [orc._SORTED, orc._LETTER, orc._WHOLE]
+        for a in ops:
+            for others in (ops[:1], ops[:2], ops, ops[::-1]):
+                exact_routes.clear()
+                pairings = a.pairings(others)
+                assert exact_routes == [np.int64]
+                assert [a.scale * b.scale * p for b, p in zip(others, pairings)] == [
+                    hs_product_by_full_matrices(a, b) for b in others
+                ]
+        assert ops[0].pairings([]) == []
 
 
 def test_sorted_operand_pairs_with_every_kind():

@@ -1,0 +1,159 @@
+"""The verify checks decide on integers: perturbed inputs, mutants of the cross-multiplication, report counts."""
+
+import dataclasses
+import inspect
+import json
+import sys
+import types
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from isotwirl import spectra, verify
+from isotwirl.frames import YoungFrame, enumerate_frames
+from isotwirl.horn import within_support_window
+
+Q_VALUES = (Fraction(1, 2), Fraction(1, 3))
+VERIFY_COUNTS = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "verify_counts.json"
+
+
+def frame(*rows):
+    return YoungFrame(tuple(rows))
+
+
+def failures(results):
+    return {r.name: r.failures for r in results if not r.passed}
+
+
+def run_checks(module=verify):
+    """The failures of every check that reads the (2, 4) overlap table or the fast-path numerators."""
+    return {
+        **failures([module.check_dense_overlap_outside_window([(2, 4)])]),
+        **failures(module.check_fast_path_against_oracle([(2, 4)], Q_VALUES)),
+        **failures(module.check_twirl_support([(2, 4)])),
+    }
+
+
+def bump_pairing(monkeypatch, field, lam, k, lam_p):
+    """Serve the (2, 4) table with one integer pairing of ``field`` raised by 1."""
+    table = verify.dense_twirl_overlaps(2, 4)
+    i, j = table.frames.index(lam), table.frames.index(lam_p)
+    levels = [[list(row) for row in level] for level in getattr(table, field)]
+    levels[k][i][j] += 1
+    bumped = dataclasses.replace(table, **{field: tuple(tuple(map(tuple, level)) for level in levels)})
+    original = verify.dense_twirl_overlaps
+    served = lambda d, n, **kw: bumped if (d, n) == (2, 4) else original(d, n, **kw)  # noqa: E731
+    monkeypatch.setattr(verify, "dense_twirl_overlaps", served)
+
+
+def test_perturbed_literal_pairing_fails_with_exact_text(monkeypatch):
+    # lam' = (2,2) lies outside the k = 1 window of lam = (4): one unit of the
+    # pairing is the overlap s_lam s_lam' / d^k = 1/144
+    bump_pairing(monkeypatch, "literal", frame(4), 1, frame(2, 2))
+    assert run_checks() == {
+        "dense_overlap_zero_outside_window": ["d=2 lam=4,0 lam'=2,2 k=1: overlap 1/144 != 0"],
+        "padded_product_equals_partial_trace_pairing": ["d=2 lam=4,0 k=1 lam'=2,2: 1/144 != 0"],
+    }
+
+
+def test_perturbed_paired_pairing_fails_with_exact_text(monkeypatch):
+    bump_pairing(monkeypatch, "paired", frame(3, 1), 1, frame(2, 2))
+    assert run_checks() == {
+        "padded_product_equals_partial_trace_pairing": ["d=2 lam=3,1 k=1 lam'=2,2: 3/2 != 73/48"],
+        "fast_path_equals_oracle_twirl_spectra": [
+            "d=2 lam=3,1 k=1 lam'=2,2: 3/2 != 73/48",
+            "normalized d=2 lam=3,1 k=1 lam'=2,2: 1/6 != 73/432",
+        ],
+        "fast_path_equals_oracle_channel_spectra": [
+            "d=2 lam=3,1 q=1/2 lam'=2,2: 17/128 != 461/3456",
+            "d=2 lam=3,1 q=1/3 lam'=2,2: 235/1944 != 2131/17496",
+        ],
+    }
+
+
+def test_perturbed_fast_path_numerator_fails_with_exact_text(monkeypatch):
+    # the numerator of lam' = (2,2) in the k = 1 twirl of lam = (4), wherever the fast path reads it
+    real = spectra._twirl_numerators
+
+    def bumped(lam, d, ks):
+        out = [(den, list(nums)) for den, nums in real(lam, d, ks)]
+        if (lam, d) == (frame(4), 2):
+            for (_, nums), k in zip(out, ks):
+                if k == 1:
+                    nums[2] += 1
+        return out
+
+    monkeypatch.setattr(spectra, "_twirl_numerators", bumped)
+    monkeypatch.setattr(verify, "_twirl_numerators", bumped)
+    assert run_checks() == {
+        "fast_path_equals_oracle_twirl_spectra": [
+            "d=2 lam=4,0 k=1 lam'=2,2: 5/8 != 0",
+            "normalized d=2 lam=4,0 k=1 lam'=2,2: 1/8 != 0",
+        ],
+        "fast_path_equals_oracle_channel_spectra": [
+            "total d=2 4,0 q=1/2: 33/32 != 1",
+            "d=2 lam=4,0 q=1/2 lam'=2,2: 13/128 != 9/128",
+            "total d=2 4,0 q=1/3: 85/81 != 1",
+            "d=2 lam=4,0 q=1/3 lam'=2,2: 19/216 != 25/648",
+        ],
+        "engine_weight_zero_outside_window": ["d=2 lam=4,0 lam'=2,2 k=1: engine weight nonzero"],
+    }
+
+
+def mutant(monkeypatch, module, old, new):
+    """A fresh copy of ``module`` with the one occurrence of ``old`` in its source replaced by ``new``."""
+    source = inspect.getsource(module)
+    assert source.count(old) == 1, old
+    name = f"{module.__name__}_mutant"
+    copy = types.ModuleType(name)
+    copy.__package__ = module.__package__
+    monkeypatch.setitem(sys.modules, name, copy)
+    exec(compile(source.replace(old, new), module.__file__, "exec"), copy.__dict__)
+    return copy
+
+
+FAST_PATH_CHECKS = {"fast_path_equals_oracle_twirl_spectra", "fast_path_equals_oracle_channel_spectra"}
+
+
+@pytest.mark.parametrize(
+    "module, old, new, failing",
+    [
+        # d^k left out of the dense scale s_i s_j / d^k: the two dense routes still
+        # agree with each other, not with the fast path
+        (verify, "s.denominator * t.denominator * self.d**k", "s.denominator * t.denominator", FAST_PATH_CHECKS),
+        # b^n left out of the dense channel weight's denominator
+        (verify, "dim_unitary(lam, d) * q.denominator**n", "dim_unitary(lam, d)",
+         {"fast_path_equals_oracle_channel_spectra"}),
+        # d^k left out of the fast path's common denominator
+        (spectra, "(common * d**k, numerators)", "(common, numerators)", FAST_PATH_CHECKS),
+    ],
+)
+def test_dropped_power_fails_a_check(monkeypatch, module, old, new, failing):
+    copy = mutant(monkeypatch, module, old, new)
+    if module is spectra:
+        for name in ("_twirl_numerators", "twirl_spectrum", "channel_output_spectra"):
+            monkeypatch.setattr(verify, name, getattr(copy, name))
+        copy = verify
+    assert set(run_checks(copy)) == failing
+
+
+def test_window_starts_match_the_window_at_every_k():
+    # lam' lies outside the (d-1)k window of lam exactly for the k below its start
+    for d in (2, 3, 4):
+        for n in range(0, 9):
+            frames = enumerate_frames(d, n)
+            for lam in frames:
+                for lam_p, start in zip(frames, verify._window_starts(lam, frames, d)):
+                    assert [k < start for k in range(n + 1)] == [
+                        not within_support_window(lam, lam_p, d, k) for k in range(n + 1)
+                    ], (d, lam, lam_p)
+
+
+def test_verify_all_counts_match_benchmark_reference():
+    # the per-check counts the benchmark's verify-all workload expects of `verify all --cap-n 6`
+    reference = json.loads(VERIFY_COUNTS.read_text())
+    report = verify.run_suite("all", verify.RunConfig(n_max=6))
+    assert report.passed
+    assert {c.name: c.checked for c in report.checks} == reference
+    assert sum(reference.values()) == 9708
