@@ -49,7 +49,16 @@ operand by one gather.
 The vector is int64 when every entry fits and Python ints (object dtype)
 otherwise.  Each operation bounds the entries it will form and passes that
 bound to :func:`_exact`, which keeps int64 only when it certifies no overflow
-and falls back to arbitrary precision otherwise.
+and falls back to arbitrary precision otherwise.  An integer matrix product
+(:func:`_int_matmul`: the block products, and the powers and splits of the
+projector construction) takes one of three routes by the certificate
+m max|A| max|B|, m the inner dimension, and the operand dtypes alone: float64
+BLAS up to 2^53, int64 up to 2^63 - 1, Python ints beyond, or whenever an
+operand already holds Python ints.  The float route is exact whatever the
+summation order, blocking, FMA or thread count: every partial sum is a sum
+of some of the m products, so it is an integer of modulus at most 2^53, which
+float64 holds exactly, and so is every input entry that meets a nonzero
+factor (a zero factor gives an exact zero).
 
 Operators are immutable by convention: no operation mutates its inputs, and
 constructed operators can be shared freely across threads.
@@ -75,11 +84,13 @@ DIMENSION_CAP = 6561
 FACTORIAL_LOOP_CAP = 8
 
 # Largest n per d at which the verify suites sweep dense operators.  It stays
-# inside both caps, below the (3, 8) and (4, 6) they allow for time and memory
-# (the (3, 8) family alone holds 46 MiB and takes about 4 s to build).
+# inside both caps, below the (3, 8) and (4, 6) they allow for memory: the
+# (3, 8) family alone holds 46 MiB, though it builds in about 0.3 s
+# single-threaded, and its overlap table peaks near 190 MB.
 DENSE_SWEEP_N = {2: 8, 3: 6, 4: 5}
 
 _INT64_MAX = 2**63 - 1
+_FLOAT_EXACT_MAX = 2**53  # every integer of modulus up to this is a float64
 
 
 def _check_dense_size(d: int, n: int) -> None:
@@ -449,8 +460,8 @@ class TensorOperator:
     def __matmul__(self, other: "TensorOperator") -> "TensorOperator":
         """Matrix product, one block of the common layout at a time.
 
-        Each block product runs in int64 when its own bound certifies no
-        overflow (see :func:`_int_matmul`) and in Python ints otherwise.
+        Each block product takes the route its own bound certifies (see
+        :func:`_int_matmul`): float64 BLAS, int64 or Python ints.
         """
         layout = self._union(other)
         a, b = self._in(layout), other._in(layout)
@@ -626,9 +637,36 @@ def perm_operator(tau: Permutation, d: int) -> TensorOperator:
 # -- isotypical projectors -------------------------------------------------------
 
 
+def _matmul_route(a: np.ndarray, b: np.ndarray) -> str:
+    """The route of :func:`_int_matmul` for ``a @ b``: "float", "int64" or "object".
+
+    With m the inner dimension, m max|a| max|b| bounds every partial sum of
+    every entry of the product.  Two int64 operands take float64 BLAS when
+    that bound is at most 2^53 and int64 when it fits int64; every other pair
+    takes Python ints.
+    """
+    if a.dtype != np.int64 or b.dtype != np.int64:
+        return "object"
+    bound = a.shape[1] * _amax(a) * _amax(b)
+    if bound <= _FLOAT_EXACT_MAX:
+        return "float"
+    return "int64" if bound <= _INT64_MAX else "object"
+
+
 def _int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact a @ b of integer matrices: int64 when m max|a| max|b| fits, else Python ints."""
-    a, b = _exact(a.shape[1] * _amax(a) * _amax(b), a, b)
+    """Exact a @ b of integer matrices, by the route of :func:`_matmul_route`.
+
+    The float route casts both operands to float64, multiplies them with
+    BLAS and casts back to int64; the bound makes every value it forms an
+    integer float64 holds exactly (see the module docstring).  The int64
+    route is numpy's integer product, and the object route multiplies
+    Python ints.
+    """
+    route = _matmul_route(a, b)
+    if route == "float":
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    if route == "object":
+        a, b = a.astype(object, copy=False), b.astype(object, copy=False)
     return a @ b
 
 
@@ -781,16 +819,21 @@ def isotypical_projectors(
 
 
 def clear_projector_cache() -> None:
-    """Drop cached projector families.
+    """Drop cached projector families and the site maps of the dense operations.
 
-    The cache holds as many families as a dense sweep up to
+    The family cache holds as many families as a dense sweep up to
     :data:`DENSE_SWEEP_N` asks for, (d, 0..n) for each d: 22.  A family holds
     one int64 sorted-layout vector per frame; the d=2 n=10 family holds 6.0 MB,
     the d=3 n=8 family 48.7 MB (its build peaks about 40 MB above that, as it
-    holds one sorted histogram's products at a time), so a caller that builds
-    larger families can free them here.
+    holds one sorted histogram's products at a time).  The maps of ``kron``,
+    ``partial_trace``, ``depolarise_n`` and ``twirl`` are cleared too: the
+    eight (3, 8) kron maps alone hold 39 MB.  So a caller that builds larger
+    families can free them here.  The cached layouts stay: operators compare
+    layouts by identity, so an operator built before the clear still combines
+    with one built after it.
     """
-    _projector_family.cache_clear()
+    for cached in (_projector_family, _kron_maps, _trace_maps, _site_maps, _pair_orbits):
+        cached.cache_clear()
 
 
 # -- channel building blocks ----------------------------------------------------

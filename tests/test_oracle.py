@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -490,24 +493,122 @@ def test_matmul_matches_full_product(monkeypatch):
     p = orc.isotypical_projectors(2, 3)[frame(2, 1)]
     assert layout_kind(p) == orc._SORTED and layout_kind(a) == orc._WHOLE
     assert p @ a == full_product(p, a) and a @ p == full_product(a, p)
-    # entries near 2**40 in the 6-word block of (2, 4) overflow int64 there only
+    # entries near 2**28 in the first 4-word block of (2, 4) pass 2**53 there
+    # only, and entries near 2**40 in the 6-word block overflow int64 there only
     routes = []
     int_matmul = orc._int_matmul
 
     def recorded(x, y):
         product = int_matmul(x, y)
-        routes.append(product.dtype)
+        routes.append((orc._matmul_route(x, y), product.dtype))
         return product
 
     monkeypatch.setattr(orc, "_int_matmul", recorded)
     mat = np.where(block_mask(2, 4), np.array([[rng.randint(-5, 5) for _ in range(16)] for _ in range(16)]), 0)
-    big = orc._letter_blocks(2, 4)[2]
+    _, middle, big, _, _ = orc._letter_blocks(2, 4)
+    assert np.count_nonzero(mat[np.ix_(middle, middle)])
+    mat[np.ix_(middle, middle)] *= 2**28
     mat[np.ix_(big, big)] *= 2**40
     a = orc.TensorOperator(2, 4, Fraction(1, 3), mat)
     assert layout_kind(a) == orc._LETTER
     product = a @ a
-    assert routes == [np.int64, np.int64, object, np.int64, np.int64]
+    floats = ("float", np.int64)
+    assert routes == [floats, ("int64", np.int64), ("object", object), floats, floats]
     assert product._vec.dtype == object and product == full_product(a, a)
+
+
+def test_int_matmul_routes():
+    # two int64 operands take float64 BLAS while m max|A| max|B| <= 2**53 and
+    # int64 while it fits int64; a larger bound or a Python-int operand takes
+    # Python ints; every route gives the exact product
+    def check(a, b, route):
+        a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
+        assert orc._matmul_route(a, b) == route, (a, b)
+        got = orc._int_matmul(a, b)
+        assert got.dtype == (object if route == "object" else np.int64)
+        assert got.tolist() == (a.astype(object) @ b.astype(object)).tolist(), (a, b)
+
+    check([[2**26, -(2**26)]], [[2**26], [-(2**26)]], "float")  # bound exactly 2**53
+    check([[2**25] * 4], [[2**26]] * 4, "float")  # product exactly 2**53
+    check([[2**26 + 1, 2**26]], [[2**26], [2**26]], "int64")  # bound just above 2**53
+    check([[2**52, 1]], [[2], [1]], "int64")  # 2**53 + 1: no float64 holds it
+    check([[1, 1]], [[2**53], [1]], "int64")  # 2**53 + 1 again, max|A| = 1
+    check([[7]], [[(2**63 - 1) // 7]], "int64")  # bound exactly 2**63 - 1
+    check([[2]], [[2**62]], "object")  # 2**63 overflows int64
+    check([[3, -3]], [[2**61], [-(2**61)]], "object")
+    # a zero factor gives an exact zero, whatever the other holds
+    zeros = np.zeros((2, 3), dtype=np.int64)
+    huge = np.full((3, 2), 2**63 - 1, dtype=np.int64)
+    check(zeros, huge, "float")
+    check(-huge.T, zeros.T, "float")
+    assert not orc._int_matmul(zeros, huge).any()
+    # a Python-int operand on either side takes Python ints
+    small = np.arange(4).reshape(2, 2)
+    for a, b in ((small.astype(object), small), (small, small.astype(object))):
+        assert orc._matmul_route(a, b) == "object"
+        assert orc._int_matmul(a, b).dtype == object
+        assert orc._int_matmul(a, b).tolist() == (small @ small).tolist()
+    assert orc._int_matmul(zeros.astype(object), np.full((3, 2), 2**100, dtype=object)).tolist() == [[0, 0]] * 2
+    # random products on both sides of 2**53 match the Python-int product
+    rng = random.Random(13)
+    for m in (1, 5, 40):
+        for bits in (20, 24, 26, 28, 31):
+            a = np.array([[rng.randint(-(2**bits), 2**bits) for _ in range(m)] for _ in range(3)], dtype=np.int64)
+            b = np.array([[rng.randint(-(2**bits), 2**bits) for _ in range(4)] for _ in range(m)], dtype=np.int64)
+            assert orc._int_matmul(a, b).tolist() == (a.astype(object) @ b.astype(object)).tolist()
+
+
+def test_family_independent_of_blas_threads():
+    # the (2, 10) family is built with one and with two BLAS threads, each in
+    # a fresh process, and in this one: its vectors hash the same every time
+    script = (
+        "import hashlib\n"
+        "from isotwirl import oracle\n"
+        "h = hashlib.sha256()\n"
+        "for lam, op in oracle.isotypical_projectors(2, 10, factorial_cap=10).items():\n"
+        "    h.update(repr((lam, op.scale, str(op._vec.dtype))).encode() + op._vec.tobytes())\n"
+        "digest = h.hexdigest()\n"
+    )
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+        out = subprocess.run([sys.executable, "-c", script + "print(digest)"], env=env, capture_output=True,
+                             text=True, check=True)
+        digests.append(out.stdout.strip())
+    here = {}
+    exec(script, here)
+    orc.clear_projector_cache()
+    assert len(here["digest"]) == 64 and digests == [here["digest"]] * 2
+
+
+def test_clear_projector_cache_keeps_layouts():
+    # operators built before a clear combine with operators built after it:
+    # the site maps are dropped and rebuilt, the layouts they index stay
+    def build():
+        rng = random.Random(14)
+        family = orc.isotypical_projectors(2, 3)
+        mat = np.where(block_mask(2, 3), np.array([[rng.randint(-5, 5) for _ in range(8)] for _ in range(8)]), 0)
+        return [family[frame(2, 1)], orc.TensorOperator(2, 3, Fraction(1, 3), mat), rand_op(rng, 2, 3)]
+
+    def derived(op):
+        return [op.kron(op), op.partial_trace([1]), orc.twirl(op), orc.depolarise_n(op, Fraction(1, 3))]
+
+    maps = (orc._kron_maps, orc._trace_maps, orc._site_maps, orc._pair_orbits)
+    before = build()
+    assert [layout_kind(op) for op in before] == [orc._SORTED, orc._LETTER, orc._WHOLE]
+    before_derived = [derived(op) for op in before]
+    assert all(cached.cache_info().currsize for cached in maps)
+    orc.clear_projector_cache()
+    assert [cached.cache_info().currsize for cached in maps] == [0] * 4
+    assert orc._projector_family.cache_info().currsize == 0
+    after = build()
+    for old, new, old_derived in zip(before, after, before_derived):
+        assert old._layout is new._layout
+        for x, y in ((old, new), (new, old)):
+            assert x == y and x + y == 2 * new and x @ y == new @ new
+            assert x.hs_product(y) == new.hs_product(new)
+            assert x.kron(y) == new.kron(new) == old_derived[0]
+        assert derived(old) == derived(new) == old_derived
 
 
 def test_kron_int64_and_object_routes(exact_routes):
