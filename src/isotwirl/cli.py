@@ -163,6 +163,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     lam = parse_frame(args.lam)
     if (args.q is None) == (args.k is None):
         raise InputError("provide exactly one of --q or --k")
+    if args.unnormalized and args.k is None:
+        raise InputError("--unnormalized applies to --k only")
     if args.q is not None:
         table = channel_output_spectrum(lam, args.q, args.d)
     else:
@@ -212,7 +214,7 @@ def cmd_xy(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     grid = (
         tuple(tok for tok in args.grid.split(",") if tok.strip())
-        if args.grid
+        if args.grid is not None
         else DEFAULT_Q_GRID
     )
     cfg = RunConfig(d_max=args.cap_d, n_max=args.cap_n, q_grid=grid, seed=args.seed)
@@ -291,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", default=None, help="depolarising weight (rational, e.g. 1/4 or 0.25)")
     p.add_argument("--k", type=int, default=None, help="number of maximally mixed sites instead of --q")
     p.add_argument("--unnormalized", action="store_true",
-                   help="weights for the unnormalized projector instead of the flat state")
+                   help="with --k: weights for the unnormalized projector instead of the flat state")
     p.set_defaults(fn=cmd_spectrum, formats=("csv", "json"))
 
     p = sub.add_parser("sweep", help="spectrum table for a grid of depolarising weights", parents=[common])

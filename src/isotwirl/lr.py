@@ -49,11 +49,6 @@ class SkewShape:
     def size(self) -> int:
         return self.outer.n - self.inner.n
 
-    def cells_reading_order(self) -> list[tuple[int, int]]:
-        """Skew cells row by row, right to left within each row."""
-        outer = self.outer.reduced
-        return _reading_order(outer, self.inner.padded(len(outer)))
-
 
 @dataclass(frozen=True)
 class LRTableau:
@@ -177,9 +172,7 @@ def _class_pairs(l: int, k: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...]
     )
 
 
-def lr_via_characters(
-    lam: YoungFrame, mu: YoungFrame, nu: YoungFrame, *, cap: int = CHARACTER_ORACLE_CAP
-) -> int:
+def lr_via_characters(lam: YoungFrame, mu: YoungFrame, nu: YoungFrame) -> int:
     """Independent oracle for c^lam_{mu nu} via the S_l x S_k character inner product.
 
     Evaluates (1/(l! k!)) * sum over sigma in S_l, tau in S_k of
@@ -191,8 +184,8 @@ def lr_via_characters(
     l, k = mu.n, nu.n
     if lam.n != l + k:
         return 0
-    if lam.n > cap:
-        raise ValueError(f"lr_via_characters: {lam.n} boxes exceeds cap {cap}")
+    if lam.n > CHARACTER_ORACLE_CAP:
+        raise ValueError(f"lr_via_characters: {lam.n} boxes exceeds cap {CHARACTER_ORACLE_CAP}")
     lam_red, mu_red, nu_red = lam.reduced, mu.reduced, nu.reduced
     total = 0
     for c1, c2, merged, weight in _class_pairs(l, k):

@@ -78,13 +78,14 @@ import numpy as np
 from .frames import YoungFrame, depolarising_weight, enumerate_frames, exact_rational
 from .symmetric_group import Permutation
 
-# Hard default caps: dense dimension d^n, and n for the projector family and for
-# loops over all n! permutations.
+# The one dense size limit: max(d, 2)^n <= DIMENSION_CAP, so n <= 12 at d <= 2,
+# n <= 8 at d = 3 and n <= 6 at d = 4.  No dense operation loops over S_n, so
+# nothing else bounds n; at d = 1, where every operator is 1 x 1, the limit
+# counts as if d were 2.
 DIMENSION_CAP = 6561
-FACTORIAL_LOOP_CAP = 8
 
 # Largest n per d at which the verify suites sweep dense operators.  It stays
-# inside both caps, below the (3, 8) and (4, 6) they allow for memory: the
+# below the (2, 12), (3, 8) and (4, 6) the size limit allows, for memory: the
 # (3, 8) family alone holds 46 MiB, though it builds in about 0.3 s
 # single-threaded, and its overlap table peaks near 190 MB.
 DENSE_SWEEP_N = {2: 8, 3: 6, 4: 5}
@@ -96,8 +97,8 @@ _FLOAT_EXACT_MAX = 2**53  # every integer of modulus up to this is a float64
 def _check_dense_size(d: int, n: int) -> None:
     if d < 1 or n < 0:
         raise ValueError(f"invalid local dimension/site count ({d}, {n})")
-    if d**n > DIMENSION_CAP:
-        raise ValueError(f"dense dimension {d}**{n} exceeds cap {DIMENSION_CAP}")
+    if max(d, 2) ** n > DIMENSION_CAP:
+        raise ValueError(f"dense size d={d}, n={n}: max(d, 2)**n exceeds cap {DIMENSION_CAP}")
 
 
 def _amax(a: np.ndarray) -> int:
@@ -734,7 +735,7 @@ def _block_projectors(
     product over content sums projects onto P_lam, or onto the sum of the P_mu
     sharing lam's content sum; a second product over the C3 eigenvalues splits
     such a collision.  The two eigenvalues together tell apart the frames of
-    every YF(d, n) the caps allow.
+    every YF(d, n) the size limit allows.
     """
     groups: dict[int, list[YoungFrame]] = {}
     for lam in frames:
@@ -772,25 +773,24 @@ def _projector_family(d: int, n: int) -> dict[YoungFrame, TensorOperator]:
     then taken while most of the zeroed vectors are still unwritten.  Every
     block is written at the common scale n!: n! P_lam is an integer matrix,
     so each block denominator divides n!, and its entries have modulus at most
-    n!, as an orthogonal projector's entries have modulus at most 1 (int64
-    for every n <= 20).  Dividing each vector in place by the gcd g of its
-    entries leaves g/n! times a primitive vector: the canonical form
-    ``reduced`` gives.
+    n!, as an orthogonal projector's entries have modulus at most 1: int64,
+    as the dense size limit keeps n <= 12.  Dividing each vector in place by
+    the gcd g of its entries leaves g/n! times a primitive vector: the
+    canonical form ``reduced`` gives.
     """
     layout = _layout(d, n, _SORTED)
     counts = _letter_counts(d, n)
     cycle_maps = cache(partial(_cycle_class_maps, d, n))
     fact = math.factorial(n)
-    dtype = np.int64 if fact <= _INT64_MAX else object
     frames = enumerate_frames(d, n)
-    vecs = {lam: np.zeros(layout.size, dtype=dtype) for lam in frames}
+    vecs = {lam: np.zeros(layout.size, dtype=np.int64) for lam in frames}
     for words, (lo, hi, _) in sorted(zip(layout.blocks, layout.spans), key=lambda item: -len(item[0])):
         projectors = _block_projectors(
             [lam for lam in frames if _dominates(lam, tuple(counts[words[0]].tolist()))],
             lambda length: _class_block(cycle_maps(length), words, layout.local),
         )
         for lam, (num, den) in projectors.items():
-            vecs[lam][lo:hi] = (num.astype(dtype, copy=False) * (fact // den)).ravel()
+            vecs[lam][lo:hi] = (num * (fact // den)).ravel()
     family: dict[YoungFrame, TensorOperator] = {}
     for lam, vec in vecs.items():
         g = int(np.gcd.reduce(vec))
@@ -799,9 +799,7 @@ def _projector_family(d: int, n: int) -> dict[YoungFrame, TensorOperator]:
     return family
 
 
-def isotypical_projectors(
-    d: int, n: int, *, factorial_cap: int = FACTORIAL_LOOP_CAP
-) -> dict[YoungFrame, TensorOperator]:
+def isotypical_projectors(d: int, n: int) -> dict[YoungFrame, TensorOperator]:
     """All isotypical projectors P_lam for lam in YF_{d,n}, in ``enumerate_frames`` order.
 
     T, the sum of all transpositions, acts on the lam block as the content sum
@@ -809,12 +807,10 @@ def isotypical_projectors(
     the product running over the frames present in a letter-count block.
     Where two frames share a content sum the 3-cycle class sum splits them
     (see :func:`central_eigenvalues`).  Building T takes n(n-1)/2 index
-    gathers, not a sweep over all n! permutations; the ``factorial_cap``
-    (default 8) still refuses larger n unless a caller raises it explicitly.
+    gathers, not a sweep over all n! permutations, so the dense size limit
+    alone bounds n.
     """
     _check_dense_size(d, n)
-    if n > factorial_cap:
-        raise ValueError(f"projector construction for n={n} exceeds factorial cap {factorial_cap}")
     return _projector_family(d, n)
 
 
@@ -887,8 +883,9 @@ def _pair_orbits(d: int, n: int, kind: int) -> tuple[np.ndarray, np.ndarray, np.
     the entries sorted by orbit and the start of each orbit in that order,
     and n!/|orbit| for each orbit.  An orbit is labelled by the histogram of
     the letter pairs (x_i, y_i): the codes d x_i + y_i, sorted and read as a
-    base-d^2 number, which stays below d^(2n) <= DIMENSION_CAP^2.  Permuting
-    sites keeps letter histograms, so every orbit lies inside the layout.
+    base-d^2 number, which stays below d^(2n) <= DIMENSION_CAP^2 under the
+    dense size limit.  Permuting sites keeps letter histograms, so every orbit
+    lies inside the layout.
     """
     layout = _layout(d, n, kind)
     digits = _word_digits(d, n)
@@ -905,7 +902,7 @@ def _pair_orbits(d: int, n: int, kind: int) -> tuple[np.ndarray, np.ndarray, np.
     return _read_only(orbit), _read_only(by_orbit), _read_only(starts), _read_only(math.factorial(n) // sizes)
 
 
-def twirl(a: TensorOperator, *, factorial_cap: int = FACTORIAL_LOOP_CAP) -> TensorOperator:
+def twirl(a: TensorOperator) -> TensorOperator:
     """Average of B(tau) a B(tau)^{-1} over all of S_n (the permutation twirl).
 
     Conjugating by every tau carries the entry at the word pair (x, y) over
@@ -913,13 +910,10 @@ def twirl(a: TensorOperator, *, factorial_cap: int = FACTORIAL_LOOP_CAP) -> Tens
     meets each member of the orbit n!/|orbit| times.  So the twirl at (x, y)
     is the mean of ``a`` over the orbit, stored as n!/|orbit| times the orbit
     sum with scale ``a.scale / n!``: the same integer matrix the sum over all
-    n! permutations gives.  The sums run in int64 when n! max|a| fits, else in
-    Python ints.  ``factorial_cap`` bounds n as for the other n!-sized
-    constructions.
+    n! permutations gives, with no loop over S_n.  The sums run in int64 when
+    n! max|a| fits, else in Python ints.
     """
     n, d = a.n, a.d
-    if n > factorial_cap:
-        raise ValueError(f"twirl over S_{n} exceeds factorial cap {factorial_cap}")
     orbit, by_orbit, starts, stabiliser = _pair_orbits(d, n, a._layout.kind)
     vec, stabiliser = _exact(math.factorial(n) * a._bound(), a._vec, stabiliser)
     sums = np.add.reduceat(vec.take(by_orbit), starts)

@@ -214,6 +214,12 @@ def twirl_spectrum(lam: YoungFrame, k: int, d: int, *, normalized: bool = True) 
     )
 
 
+def _binomial_weights(n: int, q: Fraction) -> list[int]:
+    """C(n,k) a^k (b-a)^(n-k) for k = 0..n, q = a/b: b^n times the channel's weight on k mixed sites."""
+    a, b = q.numerator, q.denominator
+    return [math.comb(n, k) * a**k * (b - a) ** (n - k) for k in range(n + 1)]
+
+
 def channel_output_spectra(
     lam: YoungFrame, grid: Iterable[Fraction | int | str], d: int
 ) -> list[SpectralTable]:
@@ -238,9 +244,8 @@ def channel_output_spectra(
     f_lam = dim_sym(lam)
     tables = []
     for q in grid:
-        a, b = q.numerator, q.denominator
-        weights = [math.comb(n, k) * a**k * (b - a) ** (n - k) for k in range(n + 1)]
-        denominator = common * b**n * f_lam
+        weights = _binomial_weights(n, q)
+        denominator = common * q.denominator**n * f_lam
         entries = {}
         for lam_p, column in zip(frames, columns):
             acc = sum(map(operator.mul, weights, column))

@@ -21,7 +21,7 @@ from typing import Iterator
 
 from .frames import YoungFrame
 
-# Default bound on the size of full-group iterations (n! elements).
+# Largest n whose full group (n! elements) enumerate_group iterates.
 GROUP_ENUMERATION_CAP = 10
 
 # A cycle type is a partition of n (weakly decreasing cycle lengths).  Unlike
@@ -62,12 +62,12 @@ class Permutation:
         return Permutation(tuple(inv))
 
 
-def enumerate_group(n: int, *, cap: int = GROUP_ENUMERATION_CAP) -> Iterator[Permutation]:
+def enumerate_group(n: int) -> Iterator[Permutation]:
     """All n! permutations, each exactly once, in lexicographic one-line order."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n > cap:
-        raise ValueError(f"enumerate_group(n={n}) exceeds cap {cap}")
+    if n > GROUP_ENUMERATION_CAP:
+        raise ValueError(f"enumerate_group(n={n}) exceeds cap {GROUP_ENUMERATION_CAP}")
     for images in itertools.permutations(range(n)):
         yield Permutation(images)
 

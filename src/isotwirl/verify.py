@@ -41,7 +41,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -63,6 +63,7 @@ from .frames import (
 from .horn import HornTriple, basic_horn_holds, branching_disjoint, horn_feasible, within_support_window
 from .lr import lr_coefficient, lr_via_characters
 from .spectra import (
+    _binomial_weights,
     _twirl_numerators,
     channel_output_spectra,
     paired_block_overlap,
@@ -408,37 +409,23 @@ class DenseOverlaps:
         return (_Ratio(scale.numerator * self.literal[k][i][j], scale.denominator),
                 _Ratio(scale.numerator * self.paired[k][i][j], scale.denominator))
 
-    def value(self, lam: YoungFrame, k: int, lam_p: YoungFrame) -> tuple[Fraction, Fraction]:
-        """:meth:`overlaps` of (lam, k, lam') as two ``Fraction`` values."""
-        literal, paired = self.overlaps(self.frames.index(lam), k, self.frames.index(lam_p))
-        return literal.fraction(), paired.fraction()
 
-
-def dense_twirl_overlaps(d: int, n: int, *, factorial_cap: int = orc.FACTORIAL_LOOP_CAP) -> DenseOverlaps:
+@lru_cache(maxsize=sum(n + 1 for n in orc.DENSE_SWEEP_N.values()))
+def dense_twirl_overlaps(d: int, n: int) -> DenseOverlaps:
     """The dense overlap tr{P_lam' (tr_{[k]} P_lam tensor pi_{[k]})} of every (lam, k, lam') of YF_{d,n}.
 
     Each overlap is held as two integer pairings, the literal padded product
     and the partial-trace pairing, with the scales that turn them into the
     exact number (:class:`DenseOverlaps`).  Every dense check reads this one
-    table, built once per (d, n) and cached like the projector families;
-    ``factorial_cap`` refuses n as :func:`oracle.isotypical_projectors` does
-    and is not part of the cache key.
+    table, built once per (d, n) and cached like the projector families; the
+    sizes are those :func:`oracle.isotypical_projectors` accepts.  The table
+    is built one k at a time: the reductions of all frames advance together
+    (:func:`dense_reductions`), so only one level of them is alive.  Each
+    padded product is paired with the whole family at once, and each partial
+    trace with the partial traces of the frames from its own on:
+    tr(AB) = tr(BA).
     """
-    if n > factorial_cap:
-        raise ValueError(f"dense overlaps for n={n} exceed factorial cap {factorial_cap}")
-    return _twirl_overlaps(d, n)
-
-
-@lru_cache(maxsize=sum(n + 1 for n in orc.DENSE_SWEEP_N.values()))
-def _twirl_overlaps(d: int, n: int) -> DenseOverlaps:
-    """The table of :func:`dense_twirl_overlaps`, built one k at a time.
-
-    The reductions of all frames advance together (:func:`dense_reductions`),
-    so only one level of them is alive.  Each padded product is paired with the whole
-    family at once, and each partial trace with the partial traces of the
-    frames from its own on: tr(AB) = tr(BA).
-    """
-    family = orc.isotypical_projectors(d, n, factorial_cap=n)
+    family = orc.isotypical_projectors(d, n)
     projectors = list(family.values())
     literal, paired = [], []
     for k, level in enumerate(zip(*map(dense_reductions, projectors))):
@@ -551,13 +538,6 @@ def suite_support(cfg: RunConfig) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 # oracle: dense self-consistency and fast path equality
 # ---------------------------------------------------------------------------
-
-
-@cache
-def _binomial_weights(n: int, q: Fraction) -> tuple[int, ...]:
-    """C(n,k) a^k (b-a)^(n-k) for k = 0..n, q = a/b: b^n times the channel's weight on k mixed sites."""
-    a, b = q.numerator, q.denominator
-    return tuple(math.comb(n, k) * a**k * (b - a) ** (n - k) for k in range(n + 1))
 
 
 def _channel_weights(table: DenseOverlaps, i: int, q: Fraction) -> list[_Ratio]:
@@ -695,10 +675,9 @@ def check_projector_commutation(sizes: Iterable[tuple[int, int]], rng: random.Ra
     commute = _Collector("projector_commutes_with_permutations")
     for d, n in _each_size(sizes, 2):
         family = orc.isotypical_projectors(d, n)
-        perms = list(enumerate_group(n)) if n <= 4 else []
-        if not perms:
-            pool = list(enumerate_group(min(n, 8), cap=8))
-            perms = [pool[rng.randrange(len(pool))] for _ in range(8)]
+        perms = list(enumerate_group(n))
+        if n > 4:
+            perms = [perms[rng.randrange(len(perms))] for _ in range(8)]
         for lam, p in family.items():
             for tau in perms:
                 commute.record(
@@ -845,15 +824,13 @@ def check_tail_bound(n_max: int, q_grid: tuple[Fraction, ...]) -> CheckResult:
     return bound_check.result()
 
 
-def check_output_mode(
-    n: int, q_grid: tuple[Fraction, ...], *, factorial_cap: int = orc.FACTORIAL_LOOP_CAP
-) -> CheckResult:
+def check_output_mode(n: int, q_grid: tuple[Fraction, ...]) -> CheckResult:
     """The most likely output block of pi_(n) is the same on the fast path and the oracle (d = 2)."""
     concentration = _Collector("output_mode_matches_oracle")
     modes = []
     source = YoungFrame((n,))
     frames = enumerate_frames(2, n)
-    dense = dense_twirl_overlaps(2, n, factorial_cap=factorial_cap)
+    dense = dense_twirl_overlaps(2, n)
     source_index = dense.frames.index(source)
     for q, table in zip(q_grid, channel_output_spectra(source, q_grid, 2)):
         oracle_weights = [w.fraction() for w in _channel_weights(dense, source_index, q)]

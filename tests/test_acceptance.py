@@ -118,16 +118,17 @@ def test_c08_projector_pair_domination_psd():
 def test_c09_concentration_mode_matches_oracle():
     lines = []
     for n in (8, 10):
-        result = verify.check_output_mode(n, Q_TENTHS, factorial_cap=n)
+        result = verify.check_output_mode(n, Q_TENTHS)
         assert_passed(result)
         # the dense weights of each q, mixed from the pairings the check read, total exactly 1
-        overlaps = verify.dense_twirl_overlaps(2, n, factorial_cap=n)
+        overlaps = verify.dense_twirl_overlaps(2, n)
+        source = overlaps.frames.index(frame(n))
         norm = dim_sym(frame(n)) * dim_unitary(frame(n), 2)
         totals = [
             sum(
-                math.comb(n, k) * q**k * (1 - q) ** (n - k) * overlaps.value(frame(n), k, lam_p)[1]
+                math.comb(n, k) * q**k * (1 - q) ** (n - k) * overlaps.overlaps(source, k, j)[1].fraction()
                 for k in range(n + 1)
-                for lam_p in enumerate_frames(2, n)
+                for j in range(len(overlaps.frames))
             ) / norm
             for q in Q_TENTHS
         ]

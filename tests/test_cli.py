@@ -237,6 +237,9 @@ ANSWERS = {
         # characters and LR coefficients whose recursion would outgrow the stack
         (("char", "500", ONES_500), 0),
         (("lr", "1000,1000", "1000", "1000"), 0),
+        # an empty q grid is refused, not read as the default; --unnormalized needs --k
+        (("verify", "tail", "--grid", ""), 2),
+        (("spectrum", "2,1", "--q", "1/3", "--unnormalized"), 2),
     ],
 )
 def test_exit_codes_without_traceback(tmp_path: Path, args, code):

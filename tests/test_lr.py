@@ -5,8 +5,10 @@ import pytest
 from bruteforce import class_pairs_by_enumeration, is_lattice_word, lr_by_group_sum
 from isotwirl.frames import frame
 from isotwirl.lr import (
+    CHARACTER_ORACLE_CAP,
     SkewShape,
     _class_pairs,
+    _reading_order,
     lr_coefficient,
     lr_nonzero_pairs,
     lr_tableaux,
@@ -35,9 +37,12 @@ def test_character_oracle_examples():
 
 
 def test_character_oracle_cap():
-    with pytest.raises(ValueError):
+    # 11 boxes are refused, 10 (the cap) are summed; the tableau count holds at both
+    assert CHARACTER_ORACLE_CAP == 10
+    with pytest.raises(ValueError, match="11 boxes exceeds cap 10"):
         lr_via_characters(frame(6, 5), frame(6), frame(5))
-    assert lr_via_characters(frame(6, 5), frame(6), frame(5), cap=11) == 1
+    assert lr_coefficient(frame(6, 5), frame(6), frame(5)) == 1
+    assert lr_via_characters(frame(5, 5), frame(5), frame(5)) == 1
 
 
 def test_character_oracle_matches_group_sum():
@@ -117,7 +122,7 @@ def test_skew_shape_validation():
         SkewShape(frame(2, 1), frame(3))
     shape = SkewShape(frame(3, 1), frame(2))
     assert shape.size == 2
-    assert shape.cells_reading_order() == [(0, 2), (1, 0)]
+    assert _reading_order(shape.outer.reduced, shape.inner.padded(2)) == [(0, 2), (1, 0)]
 
 
 def test_higher_multiplicity_cases():

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import os
 import random
@@ -20,6 +21,8 @@ from bruteforce import (
 )
 from isotwirl.frames import MAX_BOXES, dim_sym, dim_unitary, enumerate_frames, frame
 from isotwirl.symmetric_group import Permutation, character, class_size, enumerate_group
+import isotwirl
+from isotwirl import lr, symmetric_group
 from isotwirl import oracle as orc
 from isotwirl import verify
 
@@ -115,10 +118,37 @@ def test_perm_operator_is_representation():
 
 
 def test_dimension_cap():
+    # the one dense size limit, max(d, 2)**n <= 6561: the first n past it at each d
     with pytest.raises(ValueError):
         orc.perm_operator(Permutation(tuple(range(9))), 3)  # 3**9 > 6561
-    with pytest.raises(ValueError):
-        orc.isotypical_projectors(2, 9)  # factorial cap
+    for d, n in ((1, 13), (2, 13), (3, 9), (4, 7)):
+        for build in (orc.isotypical_projectors, verify.dense_twirl_overlaps, orc.TensorOperator.identity):
+            with pytest.raises(ValueError, match=rf"d={d}, n={n}: .* exceeds cap 6561"):
+                build(d, n)
+    assert orc.TensorOperator.identity(1, 12).trace() == 1
+    assert orc.TensorOperator.identity(4, 6).trace() == 4**6
+
+
+def test_d2_families_at_n9_and_n10():
+    # no dense operation loops over S_n, so the dense size limit alone bounds n
+    assert list(orc.isotypical_projectors(2, 9)) == enumerate_frames(2, 9)
+    assert list(orc.isotypical_projectors(2, 10)) == enumerate_frames(2, 10)
+    result = verify.check_projector_algebra([(2, 10)])
+    assert result.passed and result.checked > 0
+    orc.clear_projector_cache()
+
+
+def test_no_parameter_overrides_a_cap():
+    # size limits are module constants: no function of the public API or of the
+    # modules that hold a limit, methods included, takes a parameter named *cap
+    functions = [getattr(isotwirl, name) for name in isotwirl.__all__]
+    for module in (orc, verify, lr, symmetric_group):
+        functions += [f for f in vars(module).values() if callable(f) and f.__module__ == module.__name__]
+    functions += [m for cls in functions if isinstance(cls, type) for m in vars(cls).values() if callable(m)]
+    signatures = [inspect.signature(f) for f in functions]
+    assert len(signatures) > 100
+    for f, signature in zip(functions, signatures):
+        assert not [name for name in signature.parameters if name.endswith("cap")], f
 
 
 def test_size_table_within_hard_caps():
@@ -127,7 +157,7 @@ def test_size_table_within_hard_caps():
     top: dict[int, int] = {}
     for row in verify.DENSE_ROWS.values():
         for d, n in row.items():
-            assert d**n <= orc.DIMENSION_CAP and n <= orc.FACTORIAL_LOOP_CAP, (d, n)
+            orc._check_dense_size(d, n)
             top[d] = max(top.get(d, 0), n)
     for row in verify.FAST_ROWS.values():
         assert all(n <= MAX_BOXES[d] for d, n in row.items()), row
@@ -138,10 +168,10 @@ def test_verify_all_at_d4_builds_each_projector_family_once():
     # every dense row at its largest size, d = 4 included; a family or an
     # overlap table evicted and rebuilt would count one more miss than its cache holds
     orc.clear_projector_cache()
-    verify._twirl_overlaps.cache_clear()
+    verify.dense_twirl_overlaps.cache_clear()
     report = verify.run_suite("all", verify.RunConfig(d_max=4, n_max=8))
     info = orc._projector_family.cache_info()
-    tables = verify._twirl_overlaps.cache_info()
+    tables = verify.dense_twirl_overlaps.cache_info()
     assert report.passed
     assert info.misses == info.currsize == sum(n + 1 for n in orc.DENSE_SWEEP_N.values())
     assert tables.misses == tables.currsize == sum(orc.DENSE_SWEEP_N.values())  # n = 1..N per d
@@ -162,27 +192,34 @@ def test_dense_twirl_overlaps_match_full_matrices():
                 for lam, p in family.items()
                 for k in range(n + 1)
             }
-            for lam, k, lam_p in itertools.product(family, range(n + 1), family):
+            indexed = list(enumerate(family))
+            for (i, lam), k, (j, lam_p) in itertools.product(indexed, range(n + 1), indexed):
                 red = reduced[lam, k]
                 ones = np.identity(d**k, dtype=object)
                 padded = orc.TensorOperator(d, n, red.scale / d**k, np.kron(red.mat, ones))
                 literal = hs_product_by_full_matrices(family[lam_p], padded)
                 paired = hs_product_by_full_matrices(reduced[lam_p, k], red) / d**k
-                assert table.value(lam, k, lam_p) == (literal, paired), (d, str(lam), k, str(lam_p))
+                values = tuple(r.fraction() for r in table.overlaps(i, k, j))
+                assert values == (literal, paired), (d, str(lam), k, str(lam_p))
 
 
-def test_dense_twirl_overlaps_factorial_cap():
+def test_dense_twirl_overlaps_size_limit():
+    # (2, 9) lies inside the one dense size limit, (2, 13) past it; a table is built once per (d, n)
     with pytest.raises(ValueError):
-        verify.dense_twirl_overlaps(2, 9)
-    assert verify.dense_twirl_overlaps(2, 3, factorial_cap=3) is verify.dense_twirl_overlaps(2, 3)
+        verify.dense_twirl_overlaps(2, 13)
+    table = verify.dense_twirl_overlaps(2, 9)
+    assert table.frames == tuple(enumerate_frames(2, 9)) and len(table.paired) == 10
+    assert verify.dense_twirl_overlaps(2, 9) is table
+    verify.dense_twirl_overlaps.cache_clear()
+    orc.clear_projector_cache()
 
 
 def test_projector_families_in_canonical_form():
     # == ignores the scale; the stored form is primitive int64 entries over the folded scale.
-    # At (1, 21) the common scale 21! exceeds int64, so the build runs on Python ints.
-    sizes = [(d, n) for d, n_max in orc.DENSE_SWEEP_N.items() for n in range(n_max + 1)] + [(2, 10), (1, 21)]
+    # (1, 12) is the largest n the size limit allows, at the largest common scale 12!.
+    sizes = [(d, n) for d, n_max in orc.DENSE_SWEEP_N.items() for n in range(n_max + 1)] + [(2, 10), (1, 12)]
     for d, n in sizes:
-        for lam, p in orc.isotypical_projectors(d, n, factorial_cap=n).items():
+        for lam, p in orc.isotypical_projectors(d, n).items():
             assert p.reduced() is p and p._vec.dtype == np.int64, (d, n, str(lam))
     orc.clear_projector_cache()
 
@@ -350,8 +387,13 @@ def test_twirl_properties():
     assert tw.trace() == a.trace()
     for tau in enumerate_group(3):
         assert orc.conjugate_by_permutation(tw, tau) == tw
-    with pytest.raises(ValueError):
-        orc.twirl(rand_op(rng, 2, 4), factorial_cap=3)
+    # at n = 9 the twirl of a transposition is the mean of the 36 transpositions
+    transpositions = []
+    for i, j in itertools.combinations(range(9), 2):
+        images = list(range(9))
+        images[i], images[j] = j, i
+        transpositions.append(orc.perm_operator(Permutation(tuple(images)), 2))
+    assert orc.twirl(transpositions[0]) == Fraction(1, 36) * sum(transpositions[1:], transpositions[0])
 
 
 def test_twirl_equals_sum_over_all_permutations(exact_routes):
@@ -565,7 +607,7 @@ def test_family_independent_of_blas_threads():
         "import hashlib\n"
         "from isotwirl import oracle\n"
         "h = hashlib.sha256()\n"
-        "for lam, op in oracle.isotypical_projectors(2, 10, factorial_cap=10).items():\n"
+        "for lam, op in oracle.isotypical_projectors(2, 10).items():\n"
         "    h.update(repr((lam, op.scale, str(op._vec.dtype))).encode() + op._vec.tobytes())\n"
         "digest = h.hexdigest()\n"
     )

@@ -43,7 +43,7 @@ def bump_pairing(monkeypatch, field, lam, k, lam_p):
     levels[k][i][j] += 1
     bumped = dataclasses.replace(table, **{field: tuple(tuple(map(tuple, level)) for level in levels)})
     original = verify.dense_twirl_overlaps
-    served = lambda d, n, **kw: bumped if (d, n) == (2, 4) else original(d, n, **kw)  # noqa: E731
+    served = lambda d, n: bumped if (d, n) == (2, 4) else original(d, n)  # noqa: E731
     monkeypatch.setattr(verify, "dense_twirl_overlaps", served)
 
 
