@@ -3,10 +3,12 @@
 A Young frame with at most ``d`` rows and ``n`` boxes simultaneously labels an
 irreducible representation of the symmetric group S_n (of dimension
 :func:`dim_sym`) and a polynomial irreducible representation of U(d) (of
-dimension :func:`dim_unitary`).  Everything else in this package is built on
-these two dimension counts, the skew standard-tableau count :func:`dim_skew`
-(read from one pass down Young's lattice per outer frame) and the binary
-entropy / relative entropy helpers defined at the bottom.
+dimension :func:`dim_unitary`); both divide by one cached hook-length product.
+Everything else in this package is built on these two dimension counts, the
+skew standard-tableau count :func:`dim_skew` (read from one pass down Young's
+lattice per outer frame) and the binary entropy / relative entropy helpers
+defined at the bottom.  The frame enumerator is the one partition enumerator:
+the cycle types of S_n are its frames with n rows.
 
 All functions here are pure and the memoized ones are safe to call from
 multiple threads (recomputation under the GIL is idempotent).
@@ -202,16 +204,15 @@ def _enumerate_frames(d: int, n: int) -> tuple[YoungFrame, ...]:
 
 
 @cache
+def _hook_product(red: tuple[int, ...]) -> int:
+    """The product of the hook lengths of the frame ``red`` (reduced rows)."""
+    conj = [sum(1 for r in red if r > j) for j in range(red[0] if red else 0)]
+    return math.prod(r - j + conj[j] - i - 1 for i, r in enumerate(red) for j in range(r))
+
+
+@cache
 def _dim_sym(red: tuple[int, ...]) -> int:
-    if not red:
-        return 1
-    conj = tuple(sum(1 for r in red if r > j) for j in range(red[0]))
-    hooks = 1
-    for i, r in enumerate(red):
-        for j in range(r):
-            hooks *= (r - j) + (conj[j] - i) - 1
-    n = sum(red)
-    dim, rem = divmod(math.factorial(n), hooks)
+    dim, rem = divmod(math.factorial(sum(red)), _hook_product(red))
     assert rem == 0
     return dim
 
@@ -228,15 +229,8 @@ def dim_sym(lam: YoungFrame) -> int:
 def _dim_unitary(red: tuple[int, ...], d: int) -> int:
     if len(red) > d:
         return 0
-    if not red:
-        return 1
-    conj = tuple(sum(1 for r in red if r > j) for j in range(red[0]))
-    contents = hooks = 1
-    for i, r in enumerate(red):
-        for j in range(r):
-            contents *= d + j - i
-            hooks *= (r - j) + (conj[j] - i) - 1
-    dim, rem = divmod(contents, hooks)
+    contents = math.prod(d + j - i for i, r in enumerate(red) for j in range(r))
+    dim, rem = divmod(contents, _hook_product(red))
     assert rem == 0
     return dim
 

@@ -5,16 +5,16 @@ lam_{i+j-1} <= mu_i + nu_j (plus the trace identity) that a sum of two
 non-negative operators must satisfy.  ``horn_feasible`` decides exact
 feasibility for integer spectra through Littlewood-Richardson positivity,
 which for that case is an if-and-only-if.  ``within_support_window`` and
-``branching_disjoint`` express the combinatorial support statement the rest of
-the package verifies: once two frames differ by more than (d-1)*k in some row,
-no branching chain through a common middle frame can connect them.
+``branching_disjoint`` (on the LR support, ``lr_nonzero_pairs``) state what the
+package verifies: once two frames differ by more than (d-1)*k in some row, no
+branching chain through a common middle frame can connect them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from .frames import YoungFrame, enumerate_frames
-from .lr import lr_coefficient
+from .frames import YoungFrame
+from .lr import lr_coefficient, lr_nonzero_pairs
 
 
 @dataclass(frozen=True)
@@ -78,15 +78,10 @@ def check_split(lam: YoungFrame, lam_prime: YoungFrame, l: int, k: int, d: int) 
 def branching_disjoint(lam: YoungFrame, lam_prime: YoungFrame, l: int, k: int, d: int) -> bool:
     """True iff no (mu, nu, gamma) has c^lam_{mu nu} * c^lam'_{mu gamma} != 0.
 
-    mu runs over YF_{d,l}, nu and gamma over YF_{d,k}.  Whenever lam' falls
-    outside the support window of lam this must hold, and the verification
-    suites check exactly that implication.
+    mu runs over YF_{d,l}, nu and gamma over YF_{d,k}, as in :func:`lr_nonzero_pairs`.
+    Whenever lam' falls outside the support window of lam this must hold, and
+    the verification suites check exactly that implication.
     """
     check_split(lam, lam_prime, l, k, d)
-    k_frames = enumerate_frames(d, k)
-    for mu in enumerate_frames(d, l):
-        if not any(lr_coefficient(lam, mu, nu) for nu in k_frames):
-            continue
-        if any(lr_coefficient(lam_prime, mu, gamma) for gamma in k_frames):
-            return False
-    return True
+    middle = {mu for mu, _ in lr_nonzero_pairs(lam, l, k, d)}
+    return middle.isdisjoint(mu for mu, _ in lr_nonzero_pairs(lam_prime, l, k, d))

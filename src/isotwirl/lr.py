@@ -42,12 +42,8 @@ class SkewShape:
     inner: YoungFrame
 
     def __post_init__(self) -> None:
-        if not all(self.inner.row(i) <= self.outer.row(i) for i in range(len(self.inner.rows))):
+        if not _fits(self.inner.reduced, self.outer.reduced):
             raise ValueError(f"inner {self.inner} does not fit inside outer {self.outer}")
-
-    @property
-    def size(self) -> int:
-        return self.outer.n - self.inner.n
 
 
 @dataclass(frozen=True)

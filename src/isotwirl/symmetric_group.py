@@ -9,6 +9,9 @@ caller that already holds the tuples (the LR character oracle) builds no
 ``YoungFrame``.  ``character`` is its checked form on frames.  The memo table
 lives behind ``functools.cache``: under the GIL concurrent lookups are safe and
 a racing recomputation is idempotent, so no external locking is required.
+Cycle types are the frames of ``frames._enumerate_frames`` with n rows,
+unpadded.  A sampled permutation is unranked from its lexicographic position,
+so drawing one never lists the group.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Iterator
 
-from .frames import YoungFrame
+from .frames import YoungFrame, _enumerate_frames
 
 # Largest n whose full group (n! elements) enumerate_group iterates.
 GROUP_ENUMERATION_CAP = 10
@@ -72,21 +75,18 @@ def enumerate_group(n: int) -> Iterator[Permutation]:
         yield Permutation(images)
 
 
+def _unrank_permutation(n: int, rank: int) -> Permutation:
+    """The permutation at 0-based ``rank`` in the order of :func:`enumerate_group`, built without the group."""
+    left, images = list(range(n)), []
+    for i in reversed(range(n)):
+        pos, rank = divmod(rank, math.factorial(i))
+        images.append(left.pop(pos))
+    return Permutation(tuple(images))
+
+
 def cycle_types(n: int) -> list[YoungFrame]:
-    """All partitions of ``n`` (no row budget), decreasing lexicographic."""
-    out: list[YoungFrame] = []
-
-    def descend(prefix: list[int], remaining: int, max_part: int) -> None:
-        if remaining == 0:
-            out.append(YoungFrame(tuple(prefix)))
-            return
-        for p in range(min(max_part, remaining), 0, -1):
-            prefix.append(p)
-            descend(prefix, remaining - p, p)
-            prefix.pop()
-
-    descend([], n, n)
-    return out
+    """All partitions of ``n`` (no row budget), decreasing lexicographic, unpadded."""
+    return [YoungFrame(f.reduced) for f in _enumerate_frames(n, n)]
 
 
 def class_size(ct: YoungFrame) -> int:
@@ -140,5 +140,4 @@ def character(lam: YoungFrame, ct: YoungFrame) -> int:
     """Irreducible character of S_n at the class with cycle type ``ct``."""
     if lam.n != ct.n:
         raise ValueError(f"size mismatch: frame has {lam.n} boxes, cycle type {ct.n}")
-    cyc = tuple(sorted((c for c in ct.reduced), reverse=True))
-    return reduced_character(lam.reduced, cyc)
+    return reduced_character(lam.reduced, ct.reduced)

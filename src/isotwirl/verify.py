@@ -35,7 +35,6 @@ the same configuration produce byte-identical reports.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import random
@@ -60,8 +59,8 @@ from .frames import (
     rel_entropy,
     within_entropy_bound,
 )
-from .horn import HornTriple, basic_horn_holds, branching_disjoint, horn_feasible, within_support_window
-from .lr import lr_coefficient, lr_via_characters
+from .horn import HornTriple, basic_horn_holds, branching_disjoint, horn_feasible
+from .lr import lr_coefficient, lr_nonzero_pairs, lr_via_characters
 from .spectra import (
     _binomial_weights,
     _twirl_numerators,
@@ -73,7 +72,7 @@ from .spectra import (
     xy_entropy_bound,
     xy_optimize,
 )
-from .symmetric_group import Permutation, enumerate_group
+from .symmetric_group import Permutation, _unrank_permutation, enumerate_group
 
 MAX_FAILURES_REPORTED = 5
 
@@ -248,10 +247,12 @@ def _each_size(sizes: Iterable[tuple[int, int]], first: int = 1) -> list[tuple[i
 def _window_starts(lam: YoungFrame, frames: Iterable[YoungFrame], d: int) -> list[int]:
     """For each lam' of ``frames``, the least k whose (d-1)k window holds lam and lam'.
 
-    The window only grows with k, so lam' lies outside it exactly for the k
-    below that start; at k = n it holds every pair of frames of n boxes.
+    That is ceil(max_m |lam_m - lam'_m| / (d-1)) (d >= 2): the window only
+    grows with k, so lam' lies outside it exactly for the k below that start.
     """
-    return [next(k for k in itertools.count() if within_support_window(lam, lam_p, d, k)) for lam_p in frames]
+    a = lam.padded(d)
+    gaps = (max(abs(x - y) for x, y in zip(a, lam_p.padded(d))) for lam_p in frames)
+    return [-(-gap // (d - 1)) for gap in gaps]
 
 
 def _random_int_matrix(rng: random.Random, dim: int, lo: int = -5, hi: int = 5) -> np.ndarray:
@@ -468,10 +469,8 @@ def check_projector_domination(n_max: int) -> CheckResult:
             for l in range(0, n + 1):
                 k = n - l
                 dominating = orc.TensorOperator.zero(2, n)
-                for mu in enumerate_frames(2, l):
-                    for nu in enumerate_frames(2, k):
-                        if lr_coefficient(lam, mu, nu) > 0:
-                            dominating = dominating + small[l][mu].kron(small[k][nu])
+                for mu, nu in lr_nonzero_pairs(lam, l, k, 2):
+                    dominating = dominating + small[l][mu].kron(small[k][nu])
                 diff = dominating - family[lam]
                 psd.record(
                     orc.is_positive_semidefinite(diff),
@@ -675,9 +674,10 @@ def check_projector_commutation(sizes: Iterable[tuple[int, int]], rng: random.Ra
     commute = _Collector("projector_commutes_with_permutations")
     for d, n in _each_size(sizes, 2):
         family = orc.isotypical_projectors(d, n)
-        perms = list(enumerate_group(n))
         if n > 4:
-            perms = [perms[rng.randrange(len(perms))] for _ in range(8)]
+            perms = [_unrank_permutation(n, rng.randrange(math.factorial(n))) for _ in range(8)]
+        else:
+            perms = list(enumerate_group(n))
         for lam, p in family.items():
             for tau in perms:
                 commute.record(

@@ -10,6 +10,7 @@ single pass line on success.
 """
 
 import math
+import random
 import subprocess
 import sys
 import time
@@ -75,18 +76,7 @@ def test_c04_fast_path_equals_dense_oracle():
 
     # the literal channel equals the binomial sum of twirled reductions
     # (the identity that lets the full-size check below use dense reductions)
-    for d, n in ((2, 6), (3, 4)):
-        family = orc.isotypical_projectors(d, n)
-        for lam in enumerate_frames(d, n):
-            p = family[lam]
-            q = Fraction(1, 3)
-            literal = orc.depolarise_n(p, q)
-            recon = orc.TensorOperator.zero(d, n)
-            for k in range(n + 1):
-                w = math.comb(n, k) * q**k * (1 - q) ** (n - k)
-                reduced = p.partial_trace(range(n - k, n))
-                recon = recon + w * orc.twirl(orc.tensor_with_maximally_mixed(reduced, k))
-            assert literal == recon, (d, str(lam))
+    assert_passed(verify.check_channel_identities([(2, 6), (3, 4)], random.Random(0)))
 
     # full-size agreement of both spectra against literal dense overlaps
     assert_passed(*verify.check_fast_path_against_oracle(DENSE_SIZES, Q_ORACLE))

@@ -121,7 +121,6 @@ def test_skew_shape_validation():
     with pytest.raises(ValueError):
         SkewShape(frame(2, 1), frame(3))
     shape = SkewShape(frame(3, 1), frame(2))
-    assert shape.size == 2
     assert _reading_order(shape.outer.reduced, shape.inner.padded(2)) == [(0, 2), (1, 0)]
 
 

@@ -111,10 +111,8 @@ def test_perm_operator_examples():
 
 
 def test_perm_operator_is_representation():
-    for d in (2, 3):
-        for s in enumerate_group(3):
-            for t in enumerate_group(3):
-                assert orc.perm_operator(s, d) @ orc.perm_operator(t, d) == orc.perm_operator(s * t, d)
+    result = verify.check_permutation_representation(3, 3, random.Random(0))
+    assert result.passed and result.checked, result.failures
 
 
 def test_dimension_cap():
@@ -295,10 +293,11 @@ def test_central_elements_separate_frames():
 
 
 def test_projector_commutes_with_action():
-    fam = orc.isotypical_projectors(2, 4)
-    for tau in enumerate_group(4):
-        for p in fam.values():
-            assert orc.conjugate_by_permutation(p, tau) == p
+    result = verify.check_projector_commutation([(2, 4)], random.Random(0))
+    assert result.passed and result.checked, result.failures
+    # the sampled permutations are unranked, so n = 11 lists no group of 11! elements
+    result = verify.check_projector_commutation([(2, 11)], random.Random(0))
+    assert result.passed and result.checked == 352, result.failures
 
 
 def test_partial_trace_examples():

@@ -13,6 +13,7 @@ from bruteforce import (
 from isotwirl.frames import YoungFrame, dim_sym, frame
 from isotwirl.symmetric_group import (
     Permutation,
+    _unrank_permutation,
     character,
     class_size,
     cycle_types,
@@ -36,12 +37,15 @@ def test_enumerate_group():
     assert sum(1 for _ in enumerate_group(8)) == math.factorial(8)
     with pytest.raises(ValueError):
         next(iter(enumerate_group(11)))
+    for n in range(8):
+        assert [_unrank_permutation(n, r) for r in range(math.factorial(n))] == list(enumerate_group(n))
 
 
 def test_cycle_types_enumeration():
-    for n in range(1, 9):
+    for n in range(1, 13):
         assert [c.reduced for c in cycle_types(n)] == partitions_of(n)
     assert [c.reduced for c in cycle_types(0)] == [()]
+    assert str(cycle_types(3)[0]) == "3"  # unpadded
     # every permutation's cycle type appears
     got = {cycle_type_of(p.images) for p in enumerate_group(5)}
     assert got == set(partitions_of(5))

@@ -141,7 +141,7 @@ def test_dropped_power_fails_a_check(monkeypatch, module, old, new, failing):
 def test_window_starts_match_the_window_at_every_k():
     # lam' lies outside the (d-1)k window of lam exactly for the k below its start
     for d in (2, 3, 4):
-        for n in range(0, 9):
+        for n in range(0, 17):
             frames = enumerate_frames(d, n)
             for lam in frames:
                 for lam_p, start in zip(frames, verify._window_starts(lam, frames, d)):
