@@ -5,9 +5,10 @@ irreducible representation of the symmetric group S_n (of dimension
 :func:`dim_sym`) and a polynomial irreducible representation of U(d) (of
 dimension :func:`dim_unitary`); both divide by one cached hook-length product.
 Everything else in this package is built on these two dimension counts, the
-skew standard-tableau count :func:`dim_skew` (read from one pass down Young's
-lattice per outer frame) and the binary entropy / relative entropy helpers
-defined at the bottom.  The frame enumerator is the one partition enumerator:
+skew standard-tableau counts of :func:`_skew_counts` (one pass down Young's
+lattice per outer frame), the lattice levels of :func:`_lattice_level` (the
+fast path's push up the lattice) and the binary entropy / relative entropy
+helpers defined at the bottom.  The frame enumerator is the one partition enumerator:
 the cycle types of S_n are its frames with n rows.
 
 All functions here are pure and the memoized ones are safe to call from
@@ -159,15 +160,17 @@ def enumerate_frames(d: int, n: int) -> list[YoungFrame]:
     Deterministic decreasing lexicographic order on the zero-padded rows,
     e.g. (d=2, n=4) -> [(4,0), (3,1), (2,2)].  Each call returns a fresh list.
 
-    Enforced caps: d <= 4 and n <= MAX_BOXES[d].  For d = 3 and 4 that is
-    the largest n at which the exact channel output spectrum of every frame of
-    YF(d, n) takes about 5 s from cold caches; d = 2 stops at n = 128 at the
-    same cost.  Measured on a 2-vCPU VM (Python 3.11), q = 1/3:
+    Enforced caps: d <= 4 and n <= MAX_BOXES[d].  They were set where the
+    exact channel output spectrum of every frame of YF(d, n) took about 5 s
+    from cold caches when each output frame was its own sum over the skew
+    counts.  With one push up Young's lattice per source frame the same
+    sweep takes under 1 s.  Measured on a 2-vCPU VM (Python 3.11), q = 1/3,
+    one fresh process per cell, median of three:
 
         d  n cap  frames  every frame  middle frame alone  every frame, larger n
-        2   128     65       4.3 s         0.5-0.7 s        -
-        3    36    127       4.3 s         0.18 s           n = 40: 9.1 s
-        4    24    169       4.4 s         0.12 s           n = 28: 14.9 s
+        2   128     65       0.84 s        0.30 s           -
+        3    36    127       0.41 s        0.04 s           n = 40: 0.63 s
+        4    24    169       0.40 s        0.03 s           n = 28: 0.91 s
 
     d = 1 has a single frame at every n and shares the cap of d = 2.
     """
@@ -246,42 +249,71 @@ def dim_unitary(lam: YoungFrame, d: int) -> int:
     return _dim_unitary(lam.reduced, d)
 
 
-# Above the largest frame set one twirl spectrum reads (|YF(4, 24)| = 169), so a
-# spectrum's sweep over YF(d, n) never evicts an entry it still reads.
-@lru_cache(maxsize=256)
-def _skew_counts(outer: tuple[int, ...]) -> dict[tuple[int, ...], int]:
-    """f^{outer/inner} for every frame inner inside outer, keyed by reduced rows.
+def _below(rho: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The frames rho covers in Young's lattice: rho with one corner box removed, as reduced rows."""
+    return [
+        rho[:i] + (r - 1,) + rho[i + 1:] if r > 1 else rho[:i]
+        for i, r in enumerate(rho)
+        if i + 1 == len(rho) or rho[i + 1] < r
+    ]
+
+
+# A spectrum reads the counts of its source frame alone, and every caller
+# finishes with one source before it starts the next (verify's fast-path loops
+# go frame by frame; the CLI and the sweep read one source), so within one
+# sweep a single entry serves every repeat read.  Reuse across sweeps is what
+# the size buys: verify's checks sweep the same sources one after another, and
+# 64 entries hold all 52 frames of at most 4 rows and 1..8 boxes, so a run at
+# n <= 8 computes each source's counts once.  A larger sweep pays one miss per
+# source and check.
+@lru_cache(maxsize=64)
+def _skew_counts(outer: tuple[int, ...]) -> tuple[dict[tuple[int, ...], int], ...]:
+    """f^{outer/inner} for every frame inner inside outer: entry m maps each inner of m boxes, by reduced rows.
 
     One pass down Young's lattice from outer, removing one corner at a time:
     f^{outer/inner} counts the saturated chains from inner up to outer, so it
     is the sum of f^{outer/rho} over the rho inside outer that cover inner
-    (the branching rule; Stanley, EC2 §7.10).  Every frame of one size is
-    complete before the next size down starts, so the dict runs in
-    decreasing size.
+    (the branching rule; Stanley, EC2 §7.10).  The pass runs on the frame
+    indices of :func:`_lattice_level` with outer's row count as the budget,
+    and every frame of one size is complete before the next size down starts.
     """
-    counts = {outer: 1}
-    level = {outer: 1}
-    while level:
-        below: dict[tuple[int, ...], int] = {}
-        for rho, f in level.items():
-            for i, r in enumerate(rho):
-                if i + 1 < len(rho) and rho[i + 1] == r:
-                    continue  # not a corner
-                inner = rho[:i] + (r - 1,) + rho[i + 1:] if r > 1 else rho[:i]
-                below[inner] = below.get(inner, 0) + f
-        counts.update(below)
+    rows = max(len(outer), 1)
+    m = sum(outer)
+    level = {_lattice_level(rows, m)[0][outer]: 1}
+    levels = []
+    while True:
+        frames = _enumerate_frames(rows, m)
+        levels.append({frames[i].reduced: f for i, f in level.items()})
+        if m == 0:
+            return tuple(reversed(levels))
+        below: dict[int, int] = {}
+        for column in _lattice_level(rows, m)[1]:
+            for i, f in level.items():
+                j = column[i]
+                if j >= 0:
+                    below[j] = below.get(j, 0) + f
         level = below
-    return counts
+        m -= 1
 
 
-def dim_skew(outer: YoungFrame, inner: YoungFrame) -> int:
-    """Number of standard Young tableaux of the skew shape outer/inner.
+@cache
+def _lattice_level(d: int, m: int) -> tuple[dict[tuple[int, ...], int], tuple[tuple[int, ...], ...]]:
+    """YF(d, m) as a level of Young's lattice: each frame's index, and the indices of the frames it covers.
 
-    Read from the lattice counts :func:`_skew_counts` of outer; zero when
-    inner does not fit inside outer.  Equals sum over nu of c^outer_{inner nu}
-    dim F_nu.
+    The index follows :func:`enumerate_frames` and is keyed by reduced rows.
+    The covers come as columns: entry i of column c is the index in
+    YF(d, m-1) of the c-th frame that frame i covers, or -1 when frame i
+    covers fewer (at m = 0 there are no columns).
     """
-    return _skew_counts(outer.reduced).get(inner.reduced, 0)
+    frames = _enumerate_frames(d, m)
+    index = {f.reduced: i for i, f in enumerate(frames)}
+    if m == 0:
+        return index, ()
+    lower = _lattice_level(d, m - 1)[0]
+    covered = [[lower[rho] for rho in _below(f.reduced)] for f in frames]
+    return index, tuple(
+        tuple(row[c] if c < len(row) else -1 for row in covered) for c in range(max(map(len, covered)))
+    )
 
 
 @dataclass(frozen=True)

@@ -7,17 +7,21 @@ skew standard-tableau counts, scaling far beyond the oracle's caps:
 * :func:`twirl_spectrum` gives the exact weight of each block lam' after k
   sites of the lam block have been replaced by maximally mixed states, as a
   sum over mu of f_mu f^{lam/mu} f^{lam'/mu} / dim U_mu.  The skew counts
-  f^{lam/mu} come from one pass down Young's lattice per frame
-  (:func:`frames.dim_skew`, the branching rule) and stand in for the sum over
-  nu of c^lam_{mu nu} f_nu, so no Littlewood-Richardson (LR) coefficient is
-  on this path,
+  f^{lam/mu} of the source come from one pass down Young's lattice
+  (:func:`frames._skew_counts`, the branching rule) and stand in for the sum
+  over nu of c^lam_{mu nu} f_nu, so no Littlewood-Richardson (LR)
+  coefficient is on this path.  The sum over mu with f^{lam'/mu} is one
+  exact integer push up the lattice (:func:`_push`): the weighted mu are
+  injected at their level, and adding one box at a time carries them to
+  every lam' at once,
 * :func:`channel_output_spectrum` resums those over the binomial distribution
   of depolarised-site counts, yielding the full output distribution of the
-  site-wise depolarising channel on the flat state pi_lam.  The resummation
-  runs on integers over one common denominator per q, with one ``Fraction``
-  per output frame; :func:`channel_output_spectra` (behind
-  :func:`sweep_to_csv` and the tail-bound check) computes the n+1 twirl
-  spectra once and resums them for every q,
+  site-wise depolarising channel on the flat state pi_lam.  The binomial
+  weights ride along in the injections, so the resummation is the same
+  push, on integers over one common denominator per q, with one
+  ``Fraction`` per output frame; :func:`channel_output_spectra` (behind
+  :func:`sweep_to_csv` and the tail-bound check) packs every q of its grid
+  into one integer per frame and pushes once,
 * :func:`partial_trace_decomposition` and :func:`paired_block_overlap` are the
   LR route to the same numbers: the partial trace of an isotypical projector
   expanded over the smaller isotypical projectors, and its overlap with each
@@ -33,7 +37,6 @@ bounds and in serialized convenience columns.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -44,6 +47,7 @@ from .frames import (
     YoungFrame,
     _dim_sym,
     _dim_unitary,
+    _lattice_level,
     _skew_counts,
     binary_entropy,
     depolarising_weight,
@@ -154,35 +158,88 @@ class SpectralTable:
         return iter(self.entries.items())
 
 
+def _level_coefficients(lam: YoungFrame, d: int, m: int) -> tuple[int, dict[tuple[int, ...], int]]:
+    """(C, G) for the frames mu of m boxes inside lam: C the lcm of their dim U_mu, G(mu) = f_mu f^{lam/mu} C / dim U_mu.
+
+    The skew counts f^{lam/mu} are read from the lattice counts of lam alone.
+    """
+    level = _skew_counts(lam.reduced)[m]
+    units = [_dim_unitary(mu, d) for mu in level]
+    common = math.lcm(*units)
+    return common, {mu: _dim_sym(mu) * f * (common // u) for (mu, f), u in zip(level.items(), units)}
+
+
+def _push(
+    lam: YoungFrame, d: int, levels: dict[int, dict[tuple[int, ...], int]], fields: list[dict[int, int]]
+) -> tuple[int, list[int]]:
+    """One push up Young's lattice to the level of lam, every field packed into one integer per frame.
+
+    Field j injects fields[j][m] G(mu) at each mu of G = levels[m].  With A
+    the operator adding one box (at most d rows), (A^k delta_mu)(lam') =
+    f^{lam'/mu}, so v_m = A v_(m-1) + inject_m, run from the lowest injected
+    level up to n = |lam|, leaves in field j of every lam' of YF(d, n) the sum
+    over m of fields[j][m] sum_mu G(mu) f^{lam'/mu}, by additions alone.
+    Field j occupies bits [width j, width (j+1)) of each returned integer;
+    the integers follow the frame enumeration order (:func:`_unpack`).
+    """
+    n = lam.n
+    scaled = {m: sum(g.values()) * d ** (n - m) for m, g in levels.items()}
+    # Width certificate: every injected and pushed value is non-negative, and a
+    # frame with at most d rows is covered by at most d frames, so one push step
+    # at most multiplies a field's total mass by d.  Field j ends at most at
+    # sum_m fields[j][m] mass_m d^(n-m) on any frame, below 2^width: no field
+    # can spill into the next one.
+    width = max((sum(c * scaled[m] for m, c in field.items()) for field in fields), default=0).bit_length() + 1
+    packed = dict.fromkeys(levels, 0)
+    for j, field in enumerate(fields):
+        for m, c in field.items():
+            packed[m] += c << (width * j)
+    low = min((m for m, p in packed.items() if p), default=n)
+    values: list[int] = []
+    for m in range(low, n + 1):
+        index, covers = _lattice_level(d, m)
+        if m == low:
+            values = [0] * len(index)
+        else:
+            # A v_(m-1), one column of covered frames at a time; -1 reads the 0 appended here
+            values.append(0)
+            below = values.__getitem__
+            values = list(map(below, covers[0]))
+            for column in covers[1:]:
+                values = list(map(operator.add, values, map(below, column)))
+        if packed.get(m):
+            p = packed[m]
+            for mu, g in levels[m].items():
+                values[index[mu]] += g * p
+    return width, values
+
+
+def _unpack(width: int, fields: int, values: list[int]) -> list[list[int]]:
+    """Field j of every packed value, for j < ``fields``."""
+    mask = (1 << width) - 1
+    return [[(v >> (width * j)) & mask for v in values] for j in range(fields)]
+
+
 def _twirl_numerators(lam: YoungFrame, d: int, ks) -> list[tuple[int, list[int]]]:
     """Integer form (D, [N per frame of YF_{d,n}]) of the k-site twirl spectrum of lam, per k in ``ks``.
 
     The normalized weight of lam' is N / (f_lam D), the unnormalized one
     N dim U_lam / D.  The list follows the frame enumeration order and keeps
-    the zeros.  Every skew count is read from the lattice counts of lam and of
-    each lam'.
+    the zeros.  D = C d^k with C the lcm of the dim U_mu of the frames mu of
+    n-k boxes inside lam, and N = dim U_lam' sum_mu G(mu) f^{lam'/mu}
+    (:func:`_level_coefficients`).  One push up Young's lattice
+    (:func:`_push`) gives every k at once: k is field j, injected at level
+    n-k.
     """
     n = lam.n
     frames = enumerate_frames(d, n)
-    skews = [_skew_counts(lam_p.reduced) for lam_p in frames]
-    units = [dim_unitary(lam_p, d) for lam_p in frames]
-    by_size: dict[int, list[tuple[tuple[int, ...], int]]] = {}
-    for mu, f in _skew_counts(lam.reduced).items():
-        by_size.setdefault(sum(mu), []).append((mu, f))
-    out = []
-    for k in ks:
-        # f_mu f^{lam/mu} / dim U_mu, brought to the common denominator ``common``.
-        level = by_size[n - k]
-        mus = [mu for mu, _ in level]
-        mu_units = [_dim_unitary(mu, d) for mu in mus]
-        common = math.lcm(*mu_units)
-        coeffs = [_dim_sym(mu) * f * (common // u) for (mu, f), u in zip(level, mu_units)]
-        numerators = [
-            sum(map(operator.mul, coeffs, map(skew.get, mus, itertools.repeat(0)))) * u
-            for skew, u in zip(skews, units)
-        ]
-        out.append((common * d**k, numerators))
-    return out
+    levels = {n - k: _level_coefficients(lam, d, n - k) for k in ks}
+    width, values = _push(lam, d, {m: g for m, (_, g) in levels.items()}, [{n - k: 1} for k in ks])
+    units = [_dim_unitary(f.reduced, d) for f in frames]
+    return [
+        (levels[n - k][0] * d**k, list(map(operator.mul, field, units)))
+        for k, field in zip(ks, _unpack(width, len(ks), values))
+    ]
 
 
 def twirl_spectrum(lam: YoungFrame, k: int, d: int, *, normalized: bool = True) -> SpectralTable:
@@ -199,7 +256,8 @@ def twirl_spectrum(lam: YoungFrame, k: int, d: int, *, normalized: bool = True) 
         dim U_lam dim U_lam' / d^k * sum_mu f_mu f^{lam/mu} f^{lam'/mu} / dim U_mu
 
     over mu in YF_{d,n-k}, with f the (skew) standard-tableau counts; the
-    normalized weight divides by f_lam dim U_lam.
+    normalized weight divides by f_lam dim U_lam.  The sum over mu is one push
+    of k steps up Young's lattice from level n-k (:func:`_twirl_numerators`).
     """
     _check_source(lam, k, d)
     [(denominator, numerators)] = _twirl_numerators(lam, d, (k,))
@@ -223,34 +281,33 @@ def _binomial_weights(n: int, q: Fraction) -> list[int]:
 def channel_output_spectra(
     lam: YoungFrame, grid: Iterable[Fraction | int | str], d: int
 ) -> list[SpectralTable]:
-    """:func:`channel_output_spectrum` for every q in ``grid``, from one set of twirl spectra.
+    """:func:`channel_output_spectrum` for every q in ``grid``, from one push up Young's lattice.
 
-    The n+1 normalized twirl spectra N_k/D_k are computed once.  For q = a/b
-    each weight is one integer sum over the common denominator L b^n, with L
-    the lcm of the D_k:
+    With C_m and G_m(mu) the coefficients of level m (:func:`_level_coefficients`)
+    and L the lcm of the C_m, each q = a/b is one field of the push
+    (:func:`_push`).  Level m = n-k injects into it
 
-        sum over k of C(n,k) a^k (b-a)^(n-k) (L/D_k) N_k(lam'),
+        C(n,k) a^k (b-a)^(n-k) d^m (L / C_m) G_m(mu),
 
-    turned into one ``Fraction`` per output frame.
+    the binomial weight of k mixed sites over the twirl's 1/d^k, all brought
+    to the common denominator L b^n d^n.  The weight of lam' is its field
+    times dim U_lam' / (L b^n d^n f_lam), one ``Fraction`` per output frame.
     """
     grid = [depolarising_weight(q) for q in grid]
     _check_source(lam, 0, d)
     n = lam.n
-    twirls = _twirl_numerators(lam, d, range(n + 1))
-    common = math.lcm(*(den for den, _ in twirls))
-    # (L/D_k) N_k(lam') for every k, one tuple per output frame.
-    columns = list(zip(*([num * (common // den) for num in nums] for den, nums in twirls)))
     frames = enumerate_frames(d, n)
+    levels = [_level_coefficients(lam, d, m) for m in range(n + 1)]
+    common = math.lcm(*(c for c, _ in levels))
+    binomials = [_binomial_weights(n, q) for q in grid]
+    fields = [{m: row[n - m] * d**m * (common // c) for m, (c, _) in enumerate(levels)} for row in binomials]
+    width, values = _push(lam, d, {m: g for m, (_, g) in enumerate(levels)}, fields)
+    units = [_dim_unitary(f.reduced, d) for f in frames]
     f_lam = dim_sym(lam)
     tables = []
-    for q in grid:
-        weights = _binomial_weights(n, q)
-        denominator = common * q.denominator**n * f_lam
-        entries = {}
-        for lam_p, column in zip(frames, columns):
-            acc = sum(map(operator.mul, weights, column))
-            if acc:
-                entries[lam_p] = Fraction(acc, denominator)
+    for q, field in zip(grid, _unpack(width, len(grid), values)):
+        denominator = common * q.denominator**n * d**n * f_lam
+        entries = {lam_p: Fraction(v * u, denominator) for lam_p, v, u in zip(frames, field, units) if v}
         tables.append(SpectralTable(d, n, entries))
     return tables
 

@@ -23,10 +23,11 @@ pi_{[k]})} (the support window, the route and fast-path equalities and the
 output mode) all read it from :func:`dense_twirl_overlaps`, one cached table
 per (d, n) of integers: for each k, the literal padded product and the
 partial-trace pairing of every pair of frames, and each projector's scale.
-The fast path is read as integers too, one pass over k per frame
-(``spectra._twirl_numerators``, ``channel_output_spectra`` for every q at
-once).  Every fast-vs-dense equality is decided by cross-multiplication, and
-a ``Fraction`` is formed only to describe a reported failure.
+The fast path is read as integers too, one push up Young's lattice per source
+frame that carries every k (``spectra._twirl_numerators``) or every q
+(``channel_output_spectra``) packed into one integer per output frame.  Every
+fast-vs-dense equality is decided by cross-multiplication, and a ``Fraction``
+is formed only to describe a reported failure.
 
 Reports are deterministic: no timestamps, fixed iteration orders, failures
 truncated to the first five, and JSON dumped with sorted keys.  Two runs with
@@ -35,6 +36,7 @@ the same configuration produce byte-identical reports.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -505,6 +507,7 @@ def check_twirl_support(sizes: Iterable[tuple[int, int]]) -> list[CheckResult]:
     dropped = _Collector("support_growth_monotone_report")  # its failures are reported, not asserted
     for d, n in _each_size(sizes):
         frames = enumerate_frames(d, n)
+        indices = range(len(frames))
         for lam in frames:
             prev: set | None = None
             starts = _window_starts(lam, frames, d)
@@ -513,7 +516,7 @@ def check_twirl_support(sizes: Iterable[tuple[int, int]]) -> list[CheckResult]:
                 for lam_p, num, start in zip(frames, numerators, starts):
                     if k < start:
                         engine.record(num == 0, "d={} lam={} lam'={} k={}: engine weight nonzero", d, lam, lam_p, k)
-                supp = {lam_p for lam_p, num in zip(frames, numerators) if num}
+                supp = set(itertools.compress(indices, numerators))  # ints hash far faster than YoungFrames
                 if prev is not None:
                     missing = len(prev - supp)
                     dropped.record(not missing, "d={} lam={} k={}: {} frames dropped", d, lam, k, missing)
@@ -563,7 +566,7 @@ def check_fast_path_against_oracle(
 ) -> list[CheckResult]:
     """Twirl and channel spectra of the fast path equal the dense oracle, for each (d, n_max).
 
-    The fast path gives integer numerators (one pass over k per frame) and
+    The fast path gives integer numerators (one push per frame for every k) and
     the public normalized twirl and channel spectra; the dense side is the
     integer table of :func:`dense_twirl_overlaps`.  Each equality is decided
     by cross-multiplication.
@@ -809,8 +812,8 @@ def check_tail_bound(n_max: int, q_grid: tuple[Fraction, ...]) -> CheckResult:
         for i, q in enumerate(q_grid):
             for lam in frames:
                 for lam_p in frames:
-                    gap = abs(lam.row(0) - lam_p.row(0))
-                    if Fraction(gap, n) <= q:
+                    # the bound's regime |lam_1 - lam'_1| / n > q, decided on integers
+                    if abs(lam.row(0) - lam_p.row(0)) * q.denominator <= q.numerator * n:
                         continue
                     measured = spectra[lam][i].weight(lam_p)
                     exponent = tail_bound_exponent(lam, lam_p, q, n)

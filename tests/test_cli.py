@@ -193,6 +193,23 @@ def test_output_files_byte_identical(tmp_path: Path):
     assert a.read_bytes() == b.read_bytes()
 
 
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize(
+    "args, golden",
+    [
+        (("sweep", "8,4", "--d", "2", "--grid", "1/7,1/2,11/12", "--exact"), "sweep_8_4_d2_exact.csv"),
+        (("spectrum", "4,3,2", "--d", "3", "--q", "2/9"), "spectrum_4_3_2_d3_q2_9.csv"),
+    ],
+)
+def test_cli_output_matches_golden_file(args, golden):
+    # recorded from the per-frame dot-product fast path the lattice push replaced
+    res = subprocess.run([*CLI, *args], capture_output=True)
+    assert res.returncode == 0
+    assert res.stdout == (DATA / golden).read_bytes()
+
+
 ONES_500 = ",".join(["1"] * 500)
 # The answer a command gives where it succeeds on an edge case.
 ANSWERS = {

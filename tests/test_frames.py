@@ -5,7 +5,6 @@ import pytest
 
 from bruteforce import count_semistandard_tableaux, count_standard_tableaux, partitions_of
 from isotwirl.frames import (
-    MAX_BOXES,
     ProbabilityPair,
     YoungFrame,
     binary_entropy,
@@ -21,7 +20,14 @@ from isotwirl.frames import (
     _skew_counts,
     within_entropy_bound,
 )
-from isotwirl.verify import check_dimension_identity, check_entropy_bounds
+from isotwirl import spectra
+from isotwirl.verify import (
+    check_dimension_identity,
+    check_entropy_bounds,
+    check_fast_path_against_oracle,
+    check_tail_bound,
+    check_twirl_support,
+)
 
 
 def test_frame_identity_ignores_trailing_zeros():
@@ -92,11 +98,33 @@ def test_enumerate_frames_caps():
         enumerate_frames(0, 1)
 
 
-def test_skew_count_cache_holds_every_frame_set():
-    # one twirl spectrum reads the lattice counts of every frame of YF(d, n);
-    # a smaller cache would evict them within that sweep
-    largest = max(len(enumerate_frames(d, n)) for d, n in MAX_BOXES.items())
-    assert _skew_counts.cache_info().maxsize >= largest
+def test_skew_count_cache_serves_one_source_at_a_time():
+    # a spectrum reads the lattice counts of its source frame alone
+    grid = (Fraction(0), Fraction(1, 3), Fraction(1))
+    lam = frame(5, 3, 1)
+    _skew_counts.cache_clear()
+    spectra.channel_output_spectra(lam, grid, 3)
+    spectra._twirl_numerators(lam, 3, range(lam.n + 1))
+    for k in range(lam.n + 1):
+        spectra.twirl_spectrum(lam, k, 3)
+    assert _skew_counts.cache_info().misses == 1
+    # the verify loops finish one source before the next: a sweep over more
+    # sources than the cache holds still misses once per source
+    sources = lambda d, ns: len({f.reduced for n in ns for f in enumerate_frames(d, n)})  # noqa: E731
+    assert sources(2, range(1, 25)) > _skew_counts.cache_info().maxsize
+    for check, misses in (
+        (lambda: check_twirl_support([(2, 24)]), sources(2, range(1, 25))),
+        (lambda: check_tail_bound(24, grid), sources(2, range(2, 25))),
+    ):
+        _skew_counts.cache_clear()
+        check()
+        assert _skew_counts.cache_info().misses == misses
+    # the cache holds every source of a run at n <= 8, so the later checks compute none again
+    _skew_counts.cache_clear()
+    check_twirl_support([(4, 8)])
+    check_fast_path_against_oracle([(2, 4)], grid)
+    check_tail_bound(8, grid)
+    assert _skew_counts.cache_info().misses == sources(4, range(1, 9))
 
 
 def test_dim_sym_examples():

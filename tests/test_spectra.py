@@ -3,14 +3,16 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bruteforce import count_standard_skew_tableaux, partitions_of, skew_count_by_aitken
-from isotwirl.frames import YoungFrame, dim_skew, dim_sym, dim_unitary, enumerate_frames, frame
+from isotwirl.frames import YoungFrame, _skew_counts, dim_sym, dim_unitary, enumerate_frames, frame
 from isotwirl.horn import within_support_window
 from isotwirl import oracle as orc
 from isotwirl.lr import lr_coefficient
 from isotwirl.spectra import (
+    _twirl_numerators,
+    channel_output_spectra,
     channel_output_spectrum,
     channel_tail_bound,
     paired_block_overlap,
@@ -125,6 +127,13 @@ def test_twirl_spectrum_equals_lr_route_exhaustively():
                         assert table.support() == [f for f in frames if f in table.entries]
 
 
+def dim_skew(outer, inner):
+    """f^{outer/inner} as the package's lattice pass gives it; zero when inner does not fit inside outer."""
+    if inner.n > outer.n:
+        return 0
+    return _skew_counts(outer.reduced)[inner.n].get(inner.reduced, 0)
+
+
 def test_dim_skew_examples():
     assert dim_skew(frame(2, 1), frame()) == 2
     assert dim_skew(frame(2, 1), frame(1)) == 2
@@ -201,6 +210,45 @@ def test_lattice_twirl_equals_lr_route(case):
         assert twirl_spectrum(lam, k, d, normalized=normalized).entries == lr_route_twirl_spectrum(
             lam, k, d, normalized
         )
+
+
+@st.composite
+def push_cases(draw):
+    """A frame of YF(d, n) up to (2, 40), (3, 18), (4, 12) and a grid holding 0, 1 and q of denominator <= 97."""
+    d, n_max = draw(st.sampled_from(((2, 40), (3, 18), (4, 12))))
+    lam = draw(st.sampled_from(enumerate_frames(d, draw(st.integers(0, n_max)))))
+    inner = st.fractions(min_value=0, max_value=1, max_denominator=97)
+    grid = draw(st.permutations([Fraction(0), Fraction(1), *draw(st.lists(inner, min_size=1, max_size=3))]))
+    return lam, d, grid
+
+
+@settings(max_examples=30)
+@given(push_cases())
+def test_channel_push_is_the_binomial_mixture_of_twirl_spectra(case):
+    lam, d, grid = case
+    n = lam.n
+    twirls = [twirl_spectrum(lam, k, d) for k in range(n + 1)]
+    for q, table in zip(grid, channel_output_spectra(lam, grid, d)):
+        mixture = {}
+        for k, twirl in enumerate(twirls):
+            weight = math.comb(n, k) * q**k * (1 - q) ** (n - k)
+            for lam_p, w in twirl:
+                mixture[lam_p] = mixture.get(lam_p, 0) + weight * w
+        assert table.entries == {f: w for f, w in mixture.items() if w}, (lam, d, q)
+
+
+def test_packed_fields_do_not_bleed():
+    # every q of a grid (every k of a twirl) packed into one integer per frame
+    # gives what the same q (k) gives alone
+    grid = [Fraction(0), Fraction(1, 97), Fraction(1, 2), Fraction(96, 97), Fraction(1), Fraction(3, 7)]
+    for d, n in ((2, 40), (3, 18), (4, 12), (1, 6)):
+        frames = enumerate_frames(d, n)
+        for lam in (frames[0], frames[len(frames) // 2], frames[-1]):
+            together = channel_output_spectra(lam, grid, d)
+            for q, table in zip(grid, together):
+                assert list(table) == list(channel_output_spectrum(lam, q, d)), (lam, d, q)
+            ks = range(n, -1, -1)
+            assert _twirl_numerators(lam, d, ks) == [_twirl_numerators(lam, d, (k,))[0] for k in ks]
 
 
 def test_fast_path_rejects_frames_d_and_k_it_cannot_honour():

@@ -73,7 +73,8 @@ def test_perturbed_paired_pairing_fails_with_exact_text(monkeypatch):
 
 
 def test_perturbed_fast_path_numerator_fails_with_exact_text(monkeypatch):
-    # the numerator of lam' = (2,2) in the k = 1 twirl of lam = (4), wherever the fast path reads it
+    # the numerator of lam' = (2,2) in the k = 1 twirl of lam = (4), wherever the fast path reads it;
+    # the channel spectra push on their own route, so only the twirl and support checks see it
     real = spectra._twirl_numerators
 
     def bumped(lam, d, ks):
@@ -91,11 +92,29 @@ def test_perturbed_fast_path_numerator_fails_with_exact_text(monkeypatch):
             "d=2 lam=4,0 k=1 lam'=2,2: 5/8 != 0",
             "normalized d=2 lam=4,0 k=1 lam'=2,2: 1/8 != 0",
         ],
+        "engine_weight_zero_outside_window": ["d=2 lam=4,0 lam'=2,2 k=1: engine weight nonzero"],
+    }
+
+
+def test_bumped_packed_field_fails_only_its_own_k_and_q(monkeypatch):
+    # one unit in field 1 of lam' = (2,2) in every push from lam = (4): field 1 is k = 1 of the
+    # all-k twirl and q = 1/3 of the channel grid; field 0 (k = 0, q = 1/2) and the one-field
+    # single-k twirl stay exact, so nothing bleeds between fields
+    real = spectra._push
+
+    def bumped(lam, d, levels, fields):
+        width, values = real(lam, d, levels, fields)
+        if (lam, d) == (frame(4), 2):
+            values[2] += 1 << width
+        return width, values
+
+    monkeypatch.setattr(spectra, "_push", bumped)
+    assert run_checks() == {
+        "fast_path_equals_oracle_twirl_spectra": ["d=2 lam=4,0 k=1 lam'=2,2: 5/8 != 0"],
         "fast_path_equals_oracle_channel_spectra": [
-            "total d=2 4,0 q=1/2: 33/32 != 1",
-            "d=2 lam=4,0 q=1/2 lam'=2,2: 13/128 != 9/128",
-            "total d=2 4,0 q=1/3: 85/81 != 1",
-            "d=2 lam=4,0 q=1/3 lam'=2,2: 19/216 != 25/648",
+            # one unit of the field is 1 / (L b^n d^n f_lam) = 1 / (60 * 81 * 16)
+            "total d=2 4,0 q=1/3: 77761/77760 != 1",
+            "d=2 lam=4,0 q=1/3 lam'=2,2: 3001/77760 != 25/648",
         ],
         "engine_weight_zero_outside_window": ["d=2 lam=4,0 lam'=2,2 k=1: engine weight nonzero"],
     }
@@ -125,8 +144,11 @@ FAST_PATH_CHECKS = {"fast_path_equals_oracle_twirl_spectra", "fast_path_equals_o
         # b^n left out of the dense channel weight's denominator
         (verify, "dim_unitary(lam, d) * q.denominator**n", "dim_unitary(lam, d)",
          {"fast_path_equals_oracle_channel_spectra"}),
-        # d^k left out of the fast path's common denominator
-        (spectra, "(common * d**k, numerators)", "(common, numerators)", FAST_PATH_CHECKS),
+        # d^k left out of the twirl's common denominator: the channel push does not read it
+        (spectra, "(levels[n - k][0] * d**k,", "(levels[n - k][0],", {"fast_path_equals_oracle_twirl_spectra"}),
+        # d^m left out of the channel push's injection weight: the twirl does not read it
+        (spectra, "row[n - m] * d**m * (common // c)", "row[n - m] * (common // c)",
+         {"fast_path_equals_oracle_channel_spectra"}),
     ],
 )
 def test_dropped_power_fails_a_check(monkeypatch, module, old, new, failing):
