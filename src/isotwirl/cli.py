@@ -13,6 +13,7 @@ Identical invocations produce byte-identical output files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -254,7 +255,9 @@ def _add_global_flags(parser: argparse.ArgumentParser, *, suppress: bool) -> Non
     parser.add_argument("--seed", type=int, default=default(0), help="seed for sampled checks")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first :func:`main` call; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="isotwirl",
         description="Exact spectra of depolarised permutation-invariant states over isotypical blocks.",
@@ -317,8 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.format not in (None, *args.formats):
             raise InputError(f"{args.command} writes {' or '.join(args.formats)}, not {args.format}")

@@ -3,7 +3,8 @@
 A Young frame with at most ``d`` rows and ``n`` boxes simultaneously labels an
 irreducible representation of the symmetric group S_n (of dimension
 :func:`dim_sym`) and a polynomial irreducible representation of U(d) (of
-dimension :func:`dim_unitary`); both divide by one cached hook-length product.
+dimension :func:`dim_unitary`); both divide by one cached hook-length product,
+taken in Frobenius's form from one factorial per row (:func:`_hook_product`).
 Everything else in this package is built on these two dimension counts, the
 skew standard-tableau counts of :func:`_skew_counts` (one pass down Young's
 lattice per outer frame), the lattice levels of :func:`_lattice_level` (the
@@ -165,12 +166,12 @@ def enumerate_frames(d: int, n: int) -> list[YoungFrame]:
     from cold caches when each output frame was its own sum over the skew
     counts.  With one push up Young's lattice per source frame the same
     sweep takes under 1 s.  Measured on a 2-vCPU VM (Python 3.11), q = 1/3,
-    one fresh process per cell, median of three:
+    one fresh process per cell, after import, median of three:
 
         d  n cap  frames  every frame  middle frame alone  every frame, larger n
-        2   128     65       0.84 s        0.30 s           -
-        3    36    127       0.41 s        0.04 s           n = 40: 0.63 s
-        4    24    169       0.40 s        0.03 s           n = 28: 0.91 s
+        2   128     65       0.60 s        0.08 s           -
+        3    36    127       0.35 s        0.03 s           n = 40: 0.49 s
+        4    24    169       0.36 s        0.03 s           n = 28: 0.75 s
 
     d = 1 has a single frame at every n and shares the cap of d = 2.
     """
@@ -191,13 +192,10 @@ def _enumerate_frames(d: int, n: int) -> tuple[YoungFrame, ...]:
 
     def descend(prefix: list[int], remaining: int, slots: int, max_part: int) -> None:
         if slots == 0:
-            if remaining == 0:
-                out.append(YoungFrame(tuple(prefix)))
+            out.append(YoungFrame(tuple(prefix)))
             return
-        top = min(max_part, remaining)
-        for p in range(top, -1, -1):
-            if p == 0 and remaining > 0:
-                break
+        # a row below ceil(remaining / slots) leaves too many boxes for the rows under it
+        for p in range(min(max_part, remaining), -(-remaining // slots) - 1, -1):
             prefix.append(p)
             descend(prefix, remaining - p, slots - 1, p)
             prefix.pop()
@@ -208,9 +206,18 @@ def _enumerate_frames(d: int, n: int) -> tuple[YoungFrame, ...]:
 
 @cache
 def _hook_product(red: tuple[int, ...]) -> int:
-    """The product of the hook lengths of the frame ``red`` (reduced rows)."""
-    conj = [sum(1 for r in red if r > j) for j in range(red[0] if red else 0)]
-    return math.prod(r - j + conj[j] - i - 1 for i, r in enumerate(red) for j in range(r))
+    """The product of the hook lengths of the frame ``red`` (reduced rows).
+
+    Frobenius's form (Fulton and Harris, Representation Theory, (4.11)): with
+    k rows and the shifted lengths l_i = red_i + k - 1 - i, the hook product
+    is prod l_i! / prod_{i<j} (l_i - l_j), one factorial per row.
+    """
+    k = len(red)
+    shifted = [r + k - 1 - i for i, r in enumerate(red)]
+    gaps = math.prod(a - b for i, a in enumerate(shifted) for b in shifted[i + 1:])
+    product, rem = divmod(math.prod(map(math.factorial, shifted)), gaps)
+    assert rem == 0
+    return product
 
 
 @cache
@@ -232,7 +239,8 @@ def dim_sym(lam: YoungFrame) -> int:
 def _dim_unitary(red: tuple[int, ...], d: int) -> int:
     if len(red) > d:
         return 0
-    contents = math.prod(d + j - i for i, r in enumerate(red) for j in range(r))
+    # row i holds the contents d-i, ..., d-i+r-1: (d-i+r-1)! / (d-i-1)!
+    contents = math.prod(math.perm(d - i + r - 1, r) for i, r in enumerate(red))
     dim, rem = divmod(contents, _hook_product(red))
     assert rem == 0
     return dim

@@ -20,8 +20,10 @@ skew standard-tableau counts, scaling far beyond the oracle's caps:
   weights ride along in the injections, so the resummation is the same
   push, on integers over one common denominator per q, with one
   ``Fraction`` per output frame; :func:`channel_output_spectra` (behind
-  :func:`sweep_to_csv` and the tail-bound check) packs every q of its grid
-  into one integer per frame and pushes once,
+  the tail-bound check) packs every q of its grid into one integer per
+  frame and pushes once, and :func:`sweep_to_csv` writes its cells
+  straight from the same push integers (:func:`_channel_fields`), without
+  a ``Fraction`` table per q,
 * :func:`partial_trace_decomposition` and :func:`paired_block_overlap` are the
   LR route to the same numbers: the partial trace of an isotypical projector
   expanded over the smaller isotypical projectors, and its overlap with each
@@ -278,10 +280,10 @@ def _binomial_weights(n: int, q: Fraction) -> list[int]:
     return [math.comb(n, k) * a**k * (b - a) ** (n - k) for k in range(n + 1)]
 
 
-def channel_output_spectra(
-    lam: YoungFrame, grid: Iterable[Fraction | int | str], d: int
-) -> list[SpectralTable]:
-    """:func:`channel_output_spectrum` for every q in ``grid``, from one push up Young's lattice.
+def _channel_fields(
+    lam: YoungFrame, grid: list[Fraction], d: int
+) -> tuple[list[YoungFrame], list[int], list[tuple[int, list[int]]]]:
+    """The frames of YF_{d,n}, their dim U, and one (D, field) pair per q of the parsed ``grid``.
 
     With C_m and G_m(mu) the coefficients of level m (:func:`_level_coefficients`)
     and L the lcm of the C_m, each q = a/b is one field of the push
@@ -291,9 +293,8 @@ def channel_output_spectra(
 
     the binomial weight of k mixed sites over the twirl's 1/d^k, all brought
     to the common denominator L b^n d^n.  The weight of lam' is its field
-    times dim U_lam' / (L b^n d^n f_lam), one ``Fraction`` per output frame.
+    value v times dim U_lam' over D = L b^n d^n f_lam.
     """
-    grid = [depolarising_weight(q) for q in grid]
     _check_source(lam, 0, d)
     n = lam.n
     frames = enumerate_frames(d, n)
@@ -304,12 +305,26 @@ def channel_output_spectra(
     width, values = _push(lam, d, {m: g for m, (_, g) in enumerate(levels)}, fields)
     units = [_dim_unitary(f.reduced, d) for f in frames]
     f_lam = dim_sym(lam)
-    tables = []
-    for q, field in zip(grid, _unpack(width, len(grid), values)):
-        denominator = common * q.denominator**n * d**n * f_lam
-        entries = {lam_p: Fraction(v * u, denominator) for lam_p, v, u in zip(frames, field, units) if v}
-        tables.append(SpectralTable(d, n, entries))
-    return tables
+    return frames, units, [
+        (common * q.denominator**n * d**n * f_lam, field) for q, field in zip(grid, _unpack(width, len(grid), values))
+    ]
+
+
+def channel_output_spectra(
+    lam: YoungFrame, grid: Iterable[Fraction | int | str], d: int
+) -> list[SpectralTable]:
+    """:func:`channel_output_spectrum` for every q in ``grid``, from one push up Young's lattice.
+
+    Every q is one field of the same push (:func:`_channel_fields`), and each
+    output frame gets one ``Fraction``.
+    """
+    frames, units, columns = _channel_fields(lam, [depolarising_weight(q) for q in grid], d)
+    return [
+        SpectralTable(
+            d, lam.n, {lam_p: Fraction(v * u, denominator) for lam_p, v, u in zip(frames, field, units) if v}
+        )
+        for denominator, field in columns
+    ]
 
 
 def channel_output_spectrum(lam: YoungFrame, q: Fraction | int | str, d: int) -> SpectralTable:
@@ -335,6 +350,11 @@ def tail_bound_exponent(lam: YoungFrame, lam_prime: YoungFrame, q: Fraction | in
         raise ValueError(
             f"bound vacuous: |lam_1 - lam'_1|/n = {ratio} < q = {q} is outside the bound's regime"
         )
+    return _tail_exponent(ratio, q, n)
+
+
+def _tail_exponent(ratio: Fraction, q: Fraction, n: int) -> float:
+    """The exponent of :func:`tail_bound_exponent` at |lam_1 - lam'_1|/n = ``ratio``, for inputs already checked."""
     delta = math.log2(n + 1) / n
     return -n * ((2 / math.log(2)) * float(ratio - q) ** 2 - delta)
 
@@ -455,18 +475,25 @@ def sweep_to_csv(lam: YoungFrame, d: int, grid: list[Fraction | int | str], *, e
 
     Cells are floats by default; with ``exact`` they are "num/den" strings.
     Zero-weight cells are written as 0.0 (or "0/1") so every column has the
-    same full frame axis.
+    same full frame axis.  The cells are read straight from the push's
+    integers (:func:`_channel_fields`): the weight v/D is reduced by
+    gcd(v, D), and its float is the correctly rounded int division v / D,
+    equal to the float of the reduced ``Fraction``.
     """
     if not grid:
         raise ValueError("q grid must be nonempty")
     grid = [depolarising_weight(q) for q in grid]
-    tables = channel_output_spectra(lam, grid, d)
+    frames, units, columns = _channel_fields(lam, grid, d)
     header = ["frame"] + [f"q={q.numerator}/{q.denominator}" for q in grid]
     lines = [",".join(header)]
-    for lam_p in enumerate_frames(d, lam.n):
+    for i, (lam_p, u) in enumerate(zip(frames, units)):
         cells = [f'"{format_frame(lam_p, d)}"']
-        for table in tables:
-            w = table.weight(lam_p)
-            cells.append(f"{w.numerator}/{w.denominator}" if exact else repr(float(w)))
+        for denominator, field in columns:
+            v = field[i] * u
+            if exact:
+                g = math.gcd(v, denominator)
+                cells.append(f"{v // g}/{denominator // g}")
+            else:
+                cells.append(repr(v / denominator))
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"

@@ -65,11 +65,11 @@ from .horn import HornTriple, basic_horn_holds, branching_disjoint, horn_feasibl
 from .lr import lr_coefficient, lr_nonzero_pairs, lr_via_characters
 from .spectra import (
     _binomial_weights,
+    _tail_exponent,
     _twirl_numerators,
     channel_output_spectra,
     paired_block_overlap,
     partial_trace_decomposition,
-    tail_bound_exponent,
     twirl_spectrum,
     xy_entropy_bound,
     xy_optimize,
@@ -809,14 +809,16 @@ def check_tail_bound(n_max: int, q_grid: tuple[Fraction, ...]) -> CheckResult:
     for n in range(2, n_max + 1):
         frames = enumerate_frames(2, n)
         spectra = {lam: channel_output_spectra(lam, q_grid, 2) for lam in frames}
+        ratios = [Fraction(gap, n) for gap in range(n + 1)]
         for i, q in enumerate(q_grid):
             for lam in frames:
                 for lam_p in frames:
                     # the bound's regime |lam_1 - lam'_1| / n > q, decided on integers
-                    if abs(lam.row(0) - lam_p.row(0)) * q.denominator <= q.numerator * n:
+                    gap = abs(lam.row(0) - lam_p.row(0))
+                    if gap * q.denominator <= q.numerator * n:
                         continue
                     measured = spectra[lam][i].weight(lam_p)
-                    exponent = tail_bound_exponent(lam, lam_p, q, n)
+                    exponent = _tail_exponent(ratios[gap], q, n)
                     ok = measured == 0 or (
                         math.log2(measured.numerator) - math.log2(measured.denominator) <= exponent + 1e-12
                     )

@@ -3,7 +3,8 @@
 Everything here is deliberately naive (exhaustive enumeration, no shared code
 paths with the package beyond the YoungFrame container, frame and group
 enumeration and the character table for the projectors and for the LR group
-sum, whose classes are tallied element by element; the PSD reference
+sum, whose classes are tallied element by element; the hook and content
+products multiply box by box; the PSD reference
 eliminates the whole matrix in ``Fraction``, skew counts come from Aitken's
 determinant, the twirl from a sum over all n! permutations, and the channel,
 conjugation, partial trace and Hilbert-Schmidt pairing from every entry of the
@@ -89,6 +90,17 @@ def skew_count_by_aitken(outer: YoungFrame, inner: YoungFrame) -> int:
     val = math.factorial(outer.n - inner.n) * det
     assert val.denominator == 1 and val >= 0
     return val.numerator
+
+
+def hook_product_by_boxes(red: tuple[int, ...]) -> int:
+    """The product over every box (i, j) of its hook length r_i - j + conj_j - i - 1."""
+    conj = [sum(1 for r in red if r > j) for j in range(red[0] if red else 0)]
+    return math.prod(r - j + conj[j] - i - 1 for i, r in enumerate(red) for j in range(r))
+
+
+def content_product_by_boxes(red: tuple[int, ...], d: int) -> int:
+    """The product over every box (i, j) of d + j - i: zero when the frame has more than d rows."""
+    return math.prod(d + j - i for i, r in enumerate(red) for j in range(r))
 
 
 def count_semistandard_tableaux(lam: YoungFrame, d: int) -> int:

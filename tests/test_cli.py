@@ -194,20 +194,60 @@ def test_output_files_byte_identical(tmp_path: Path):
 
 
 DATA = Path(__file__).parent / "data"
+# 19 weights from 0 to 1, one of them written as a decimal
+GRID_19 = "0,1/12,1/9,1/7,1/5,2/9,1/4,0.3,1/3,2/5,1/2,4/7,3/5,2/3,3/4,4/5,7/8,11/12,1"
 
 
 @pytest.mark.parametrize(
     "args, golden",
     [
+        # recorded from the per-frame dot-product fast path the lattice push replaced
         (("sweep", "8,4", "--d", "2", "--grid", "1/7,1/2,11/12", "--exact"), "sweep_8_4_d2_exact.csv"),
         (("spectrum", "4,3,2", "--d", "3", "--q", "2/9"), "spectrum_4_3_2_d3_q2_9.csv"),
+        # recorded from the sweep that read its cells back from one Fraction table per q
+        (("sweep", "7,5,0", "--d", "3", "--grid", GRID_19, "--exact"), "sweep_7_5_0_d3_exact.csv"),
+        (("sweep", "7,5,0", "--d", "3", "--grid", GRID_19), "sweep_7_5_0_d3.csv"),
+        (("sweep", "5,5,0,0", "--d", "4", "--grid", GRID_19, "--exact"), "sweep_5_5_0_0_d4_exact.csv"),
+        (("sweep", "5,5,0,0", "--d", "4", "--grid", GRID_19), "sweep_5_5_0_0_d4.csv"),
     ],
 )
 def test_cli_output_matches_golden_file(args, golden):
-    # recorded from the per-frame dot-product fast path the lattice push replaced
     res = subprocess.run([*CLI, *args], capture_output=True)
     assert res.returncode == 0
     assert res.stdout == (DATA / golden).read_bytes()
+
+
+def test_main_reuses_one_parser_without_carrying_state(tmp_path: Path, capsys):
+    # one process, one parser: no flag of one call leaks into the next
+    from isotwirl import cli
+
+    out = tmp_path / "a.csv"
+    golden = lambda name: (DATA / name).read_text()  # noqa: E731
+    usage = run_cli("sweep")
+    cli.build_parser.cache_clear()
+    assert cli.main(["sweep", "7,5,0", "--d", "3", "--grid", GRID_19, "--exact", "--out", str(out)]) == 0
+    assert out.read_text() == golden("sweep_7_5_0_d3_exact.csv")
+    calls = [
+        (["sweep", "7,5,0", "--d", "3", "--grid", GRID_19], golden("sweep_7_5_0_d3.csv")),
+        (["--d", "4", "sweep", "5,5,0,0", "--grid", GRID_19], golden("sweep_5_5_0_0_d4.csv")),
+        (["sweep", "5,5,0,0", "--grid", GRID_19, "--exact", "--d", "4"], golden("sweep_5_5_0_0_d4_exact.csv")),
+        (["sweep", "8,4", "--grid", "1/7,1/2,11/12", "--exact"], golden("sweep_8_4_d2_exact.csv")),
+    ]
+    capsys.readouterr()
+    for argv, expected in calls:
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == expected
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["sweep"])
+    assert exit_info.value.code == usage.returncode == 2
+    assert capsys.readouterr().err == usage.stderr
+    refused = ["sweep", "4,0", "--grid", "0.5", "--format", "json"]
+    fresh = run_cli(*refused)
+    assert cli.main(refused) == fresh.returncode == 2
+    assert capsys.readouterr().err == fresh.stderr
+    assert cli.main(["spectrum", "4,3,2", "--d", "3", "--q", "2/9"]) == 0
+    assert capsys.readouterr().out == golden("spectrum_4_3_2_d3_q2_9.csv")
+    assert cli.build_parser.cache_info().misses == 1
 
 
 ONES_500 = ",".join(["1"] * 500)

@@ -3,8 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from bruteforce import count_semistandard_tableaux, count_standard_tableaux, partitions_of
+from bruteforce import (
+    content_product_by_boxes,
+    count_semistandard_tableaux,
+    count_standard_tableaux,
+    hook_product_by_boxes,
+    partitions_of,
+)
 from isotwirl.frames import (
+    MAX_BOXES,
     ProbabilityPair,
     YoungFrame,
     binary_entropy,
@@ -17,6 +24,9 @@ from isotwirl.frames import (
     format_frame,
     parse_frame,
     rel_entropy,
+    _dim_sym,
+    _dim_unitary,
+    _hook_product,
     _skew_counts,
     within_entropy_bound,
 )
@@ -73,7 +83,7 @@ def test_enumerate_frames_examples():
 
 def test_enumerate_frames_matches_bruteforce():
     for d in (1, 2, 3, 4):
-        for n in range(0, 9):
+        for n in range(0, 21):
             got = {f.reduced for f in enumerate_frames(d, n)}
             expect = set(partitions_of(n, max_rows=d))
             if n == 0:
@@ -154,6 +164,19 @@ def test_dim_unitary_matches_tableau_count():
         for n in range(0, 9):
             for lam in enumerate_frames(3, n):
                 assert dim_unitary(lam, d) == count_semistandard_tableaux(lam, d), (str(lam), d)
+
+
+def test_dimension_formulas_match_box_by_box_products():
+    # Frobenius's hook product and the row-by-row content product against the
+    # products over every box: each level up to the caps, and YF(n, n) for n <= 12
+    shapes = {f.reduced for d, cap in MAX_BOXES.items() for n in range(cap + 1) for f in enumerate_frames(d, n)}
+    shapes |= {parts for n in range(13) for parts in partitions_of(n)}
+    for red in shapes:
+        hooks = hook_product_by_boxes(red)
+        assert _hook_product(red) == hooks, red
+        assert _dim_sym(red) * hooks == math.factorial(sum(red)), red
+        for d in range(1, 7):
+            assert _dim_unitary(red, d) * hooks == content_product_by_boxes(red, d), (red, d)
 
 
 def test_schur_weyl_completeness():

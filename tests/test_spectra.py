@@ -356,12 +356,20 @@ def test_tail_bound_dominates_small_cases():
 
 
 def test_tail_bound_check_reads_each_weight_at_its_own_q(monkeypatch):
-    # A "bound" equal to the exact weight passes only when every weight is read at its own q.
-    def exact_exponent(lam, lam_p, q, n):
-        w = channel_output_spectrum(lam, q, 2).weight(lam_p)
+    # A "bound" equal to the largest exact weight at the pair's gap and q passes
+    # only when every weight is read at its own q.
+    def exact_exponent(ratio, q, n):
+        frames = enumerate_frames(2, n)
+        weights = [
+            channel_output_spectrum(lam, q, 2).weight(lam_p)
+            for lam in frames
+            for lam_p in frames
+            if Fraction(abs(lam.row(0) - lam_p.row(0)), n) == ratio
+        ]
+        w = max(weights)
         return math.log2(w.numerator) - math.log2(w.denominator) if w else -math.inf
 
-    monkeypatch.setattr(verify, "tail_bound_exponent", exact_exponent)
+    monkeypatch.setattr(verify, "_tail_exponent", exact_exponent)
     for grid in (DEFAULT_Q_GRID, DEFAULT_Q_GRID[::-1]):
         assert check_tail_bound(8, grid).passed
 
