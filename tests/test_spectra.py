@@ -355,23 +355,68 @@ def test_tail_bound_dominates_small_cases():
     assert result.passed, result.failures
 
 
-def test_tail_bound_check_reads_each_weight_at_its_own_q(monkeypatch):
-    # A "bound" equal to the largest exact weight at the pair's gap and q passes
-    # only when every weight is read at its own q.
-    def exact_exponent(ratio, q, n):
-        frames = enumerate_frames(2, n)
-        weights = [
-            channel_output_spectrum(lam, q, 2).weight(lam_p)
-            for lam in frames
-            for lam_p in frames
-            if Fraction(abs(lam.row(0) - lam_p.row(0)), n) == ratio
-        ]
-        w = max(weights)
-        return math.log2(w.numerator) - math.log2(w.denominator) if w else -math.inf
+def _log2(w):
+    return math.log2(w.numerator) - math.log2(w.denominator) if w else -math.inf
 
-    monkeypatch.setattr(verify, "_tail_exponent", exact_exponent)
+
+def test_tail_bound_check_reads_each_weight_at_its_own_q(monkeypatch):
+    # The check passes only (ratio, q, n) to the bound, so a fake bound can
+    # see the pair only through its gap.  Every exact weight, keyed by
+    # (n, gap / n, q), then by the (lam, lam') pair it belongs to:
+    n_max = 8
+    weights: dict = {}
+    for n in range(2, n_max + 1):
+        frames = enumerate_frames(2, n)
+        for q in DEFAULT_Q_GRID:
+            for lam in frames:
+                table = channel_output_spectrum(lam, q, 2)
+                for lam_p in frames:
+                    key = (n, Fraction(abs(lam.row(0) - lam_p.row(0)), n), q)
+                    weights.setdefault(key, {})[(lam, lam_p)] = table.weight(lam_p)
+    monkeypatch.setattr(verify, "MAX_FAILURES_REPORTED", 10**6)
+
+    # A bound equal to the largest weight at the gap and q passes only when
+    # every weight is read at its own q.
+    def largest(ratio, q, n):
+        return _log2(max(weights[n, ratio, q].values()))
+
+    monkeypatch.setattr(verify, "_tail_exponent", largest)
     for grid in (DEFAULT_Q_GRID, DEFAULT_Q_GRID[::-1]):
-        assert check_tail_bound(8, grid).passed
+        assert check_tail_bound(n_max, grid).passed
+
+    # A bound just below the (r+1)-th largest weight at the gap and q (halfway,
+    # in log2, to the next one) fails exactly the triples whose weight is among
+    # the r+1 largest.  Over every r this pins the weight each triple is read
+    # as, so it also fails a check that reads the weight of another pair at the
+    # same gap (the mirrored partner, or the swapped source): weights are not
+    # symmetric in (lam, lam').
+    def ranked(key):
+        return sorted(set(weights[key].values()) | {0}, reverse=True)
+
+    def below(rank):
+        def exponent(ratio, q, n):
+            values = ranked((n, ratio, q))
+            return (_log2(values[rank]) + _log2(values[rank + 1])) / 2 if rank + 1 < len(values) else -math.inf
+
+        return exponent
+
+    ranks = max(len(set(by_pair.values())) for by_pair in weights.values())
+    for rank in range(ranks):
+        expected = set()
+        for (n, ratio, q), by_pair in weights.items():
+            values = ranked((n, ratio, q))
+            cut = values[min(rank, len(values) - 1)]
+            expected |= {
+                f"n={n} q={q} lam={lam} lam'={lam_p}"
+                for (lam, lam_p), w in by_pair.items()
+                if ratio > q and w and w >= cut
+            }
+        assert expected
+        monkeypatch.setattr(verify, "_tail_exponent", below(rank))
+        for grid in (DEFAULT_Q_GRID, DEFAULT_Q_GRID[::-1]):
+            result = check_tail_bound(n_max, grid)
+            assert len(result.failures) == len(expected)
+            assert {f.rsplit(": ", 1)[0] for f in result.failures} == expected
 
 
 def test_xy_optimize_examples():
