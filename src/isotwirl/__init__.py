@@ -45,19 +45,17 @@ from .spectra import (
     SpectralTable,
     XYExtrema,
     channel_output_spectrum,
-    channel_tail_bound,
     paired_block_overlap,
     partial_trace_decomposition,
     twirl_spectrum,
     xy_entropy_bound,
     xy_optimize,
 )
-from .symmetric_group import CycleType, Permutation, character, cycle_types, enumerate_group
+from .symmetric_group import Permutation, character, cycle_types, enumerate_group
 from .verify import RunConfig, run_suite
 
 __all__ = [
     "BranchingTable",
-    "CycleType",
     "HornTriple",
     "LRTableau",
     "Permutation",
@@ -72,7 +70,6 @@ __all__ = [
     "binary_entropy",
     "branching_disjoint",
     "channel_output_spectrum",
-    "channel_tail_bound",
     "character",
     "cycle_types",
     "depolarise_n",

@@ -64,6 +64,11 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _grid(text: str) -> list[str]:
+    """The nonempty comma-separated tokens of ``--grid``, for ``sweep`` and ``verify``."""
+    return [tok for tok in text.split(",") if tok.strip()]
+
+
 def cmd_dims(args: argparse.Namespace) -> int:
     lam = parse_frame(args.frame)
     if not lam.fits(args.d):
@@ -177,8 +182,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    grid = [tok for tok in args.grid.split(",") if tok.strip()]
-    _emit(sweep_to_csv(parse_frame(args.lam), args.d, grid, exact=args.exact), args.out)
+    _emit(sweep_to_csv(parse_frame(args.lam), args.d, _grid(args.grid), exact=args.exact), args.out)
     return 0
 
 
@@ -213,11 +217,7 @@ def cmd_xy(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    grid = (
-        tuple(tok for tok in args.grid.split(",") if tok.strip())
-        if args.grid is not None
-        else DEFAULT_Q_GRID
-    )
+    grid = DEFAULT_Q_GRID if args.grid is None else _grid(args.grid)
     cfg = RunConfig(d_max=args.cap_d, n_max=args.cap_n, q_grid=grid, seed=args.seed)
     try:
         report = run_suite(args.suite, cfg)
@@ -228,7 +228,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         print(f"[{status}] {check.name} ({check.checked} checks)", file=sys.stderr)
-    _emit(report.to_json(), args.out)
+    _emit(_json_dump(report.to_json_obj()), args.out)
     return 0 if report.passed else VERIFY_FAILURE
 
 

@@ -7,12 +7,16 @@ feasibility for integer spectra through Littlewood-Richardson positivity,
 which for that case is an if-and-only-if.  ``within_support_window`` and
 ``branching_disjoint`` (on the LR support, ``lr_nonzero_pairs``) state what the
 package verifies: once two frames differ by more than (d-1)*k in some row, no
-branching chain through a common middle frame can connect them.
+branching chain through a common middle frame can connect them.  The window is
+read from one formula, the least k that holds a pair (``_window_starts``),
+which the ``verify`` window checks read too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
+
 from .frames import YoungFrame
 from .lr import lr_coefficient, lr_nonzero_pairs
 
@@ -55,11 +59,26 @@ def horn_feasible(t: HornTriple) -> bool:
     return lr_coefficient(t.lam, t.mu, t.nu) > 0
 
 
+def _window_starts(lam: YoungFrame, frames: Iterable[YoungFrame], d: int) -> list[int]:
+    """For each lam' of ``frames``, the least k whose (d-1)k window holds lam and lam'.
+
+    That is ceil(max_m |lam_m - lam'_m| / (d-1)): the window only grows with k,
+    so lam' lies outside it exactly for the k below that start.  At d = 1 the
+    one frame of YF(1, n) is (n), so every gap, and the start, is 0.
+    """
+    a = lam.padded(d)
+    step = max(d - 1, 1)
+    gaps = (max(abs(x - y) for x, y in zip(a, lam_p.padded(d))) for lam_p in frames)
+    return [-(-gap // step) for gap in gaps]
+
+
 def within_support_window(lam: YoungFrame, lam_prime: YoungFrame, d: int, k: int) -> bool:
-    """True iff |lam_m - lam'_m| <= (d-1)*k for every row index m in [d]."""
-    a, b = lam.padded(d), lam_prime.padded(d)
-    bound = (d - 1) * k
-    return all(abs(a[m] - b[m]) <= bound for m in range(d))
+    """True iff |lam_m - lam'_m| <= (d-1)*k for every row index m in [d], two frames of one YF(d, n)."""
+    if lam.n != lam_prime.n:
+        raise ValueError(f"frames {lam} and {lam_prime} have {lam.n} and {lam_prime.n} boxes, not one n")
+    if d < 1 or k < 0:
+        raise ValueError(f"the window needs d >= 1 and k >= 0, got d={d} k={k}")
+    return k >= _window_starts(lam, [lam_prime], d)[0]
 
 
 def check_split(lam: YoungFrame, lam_prime: YoungFrame, l: int, k: int, d: int) -> None:

@@ -28,8 +28,8 @@ skew standard-tableau counts, scaling far beyond the oracle's caps:
   LR route to the same numbers: the partial trace of an isotypical projector
   expanded over the smaller isotypical projectors, and its overlap with each
   block.  The tests and the oracle suite cross-check both routes,
-* :func:`channel_tail_bound` is the closed-form exponential upper bound on a
-  single far-away weight, and :func:`xy_optimize` /
+* :func:`tail_bound_exponent` is log2 of the closed-form exponential upper
+  bound on a single far-away weight (d = 2), and :func:`xy_optimize` /
   :func:`xy_entropy_bound` solve the extremal dimension-product problems that
   control it.
 
@@ -138,9 +138,6 @@ class SpectralTable:
 
     def weight(self, lam: YoungFrame) -> Fraction:
         return self.entries.get(lam, Fraction(0))
-
-    def support(self) -> list[YoungFrame]:
-        return list(self.entries)
 
     def total(self) -> Fraction:
         return sum(self.entries.values(), Fraction(0))
@@ -337,7 +334,21 @@ def channel_output_spectrum(lam: YoungFrame, q: Fraction | int | str, d: int) ->
 
 
 def tail_bound_exponent(lam: YoungFrame, lam_prime: YoungFrame, q: Fraction | int | str, n: int) -> float:
-    """log2 of :func:`channel_tail_bound` (handy for slack-free comparisons)."""
+    """log2 of the exponential upper bound on Pr[lam'] for the depolarised flat state pi_lam.
+
+    Valid for d = 2 in the regime |lam_1 - lam'_1|/n > q, where the bound is
+
+        2 ** (-n * ((2/ln 2) * (|lam_1 - lam'_1|/n - q)**2 - log2(n+1)/n))
+
+    The log2(n+1)/n term accounts for summing at most n+1 binomial weights,
+    each bounded through the relative-entropy estimate and the (correctly
+    oriented) quadratic lower bound on it.  At |lam_1 - lam'_1|/n = q the
+    exponent is >= 0 and carries no information; below that the function
+    raises, as it does for n < 1, a frame with more than 2 rows or with other
+    than n boxes.
+    """
+    if n < 1:
+        raise ValueError(f"the tail bound needs n >= 1 sites, got n={n}")
     for f in (lam, lam_prime):
         if not f.fits(2):
             raise ValueError(f"the tail bound holds for d=2 only; frame {f} has more than 2 rows")
@@ -357,22 +368,6 @@ def _tail_exponent(ratio: Fraction, q: Fraction, n: int) -> float:
     """The exponent of :func:`tail_bound_exponent` at |lam_1 - lam'_1|/n = ``ratio``, for inputs already checked."""
     delta = math.log2(n + 1) / n
     return -n * ((2 / math.log(2)) * float(ratio - q) ** 2 - delta)
-
-
-def channel_tail_bound(lam: YoungFrame, lam_prime: YoungFrame, q: Fraction | int | str, n: int) -> float:
-    """Exponential upper bound on Pr[lam'] for the depolarised flat state pi_lam.
-
-    Valid for d = 2 in the regime |lam_1 - lam'_1|/n > q:
-
-        2 ** (-n * ((2/ln 2) * (|lam_1 - lam'_1|/n - q)**2 - log2(n+1)/n))
-
-    The log2(n+1)/n term accounts for summing at most n+1 binomial weights,
-    each bounded through the relative-entropy estimate and the (correctly
-    oriented) quadratic lower bound on it.  At |lam_1 - lam'_1|/n = q the
-    value is >= 1 and carries no information; below that the function raises,
-    as it does for a frame with more than 2 rows or with other than n boxes.
-    """
-    return 2.0 ** tail_bound_exponent(lam, lam_prime, q, n)
 
 
 @dataclass(frozen=True)

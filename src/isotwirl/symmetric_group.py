@@ -27,11 +27,6 @@ from .frames import YoungFrame, _enumerate_frames
 # Largest n whose full group (n! elements) enumerate_group iterates.
 GROUP_ENUMERATION_CAP = 10
 
-# A cycle type is a partition of n (weakly decreasing cycle lengths).  Unlike
-# the enumerated YF_{d,n} sets it carries no row budget: the identity of S_n
-# has n parts.
-CycleType = YoungFrame
-
 
 @dataclass(frozen=True)
 class Permutation:
@@ -49,14 +44,11 @@ class Permutation:
     def n(self) -> int:
         return len(self.images)
 
-    def compose(self, other: "Permutation") -> "Permutation":
-        """Function composition self # other: i -> self(other(i))."""
+    def __mul__(self, other: "Permutation") -> "Permutation":
+        """Function composition self * other: i -> self(other(i))."""
         if self.n != other.n:
             raise ValueError("size mismatch")
         return Permutation(tuple(self.images[other.images[i]] for i in range(self.n)))
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        return self.compose(other)
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.n
@@ -85,7 +77,13 @@ def _unrank_permutation(n: int, rank: int) -> Permutation:
 
 
 def cycle_types(n: int) -> list[YoungFrame]:
-    """All partitions of ``n`` (no row budget), decreasing lexicographic, unpadded."""
+    """All partitions of ``n`` (no row budget), decreasing lexicographic, unpadded.
+
+    A cycle type is such a partition: unlike the YF_{d,n} sets it has no row
+    budget, since the identity of S_n has n parts.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     return [YoungFrame(f.reduced) for f in _enumerate_frames(n, n)]
 
 

@@ -29,15 +29,16 @@ frame that carries every k (``spectra._twirl_numerators``) or every q
 fast-vs-dense equality is decided by cross-multiplication, and a ``Fraction``
 is formed only to describe a reported failure.
 
-Reports are deterministic: no timestamps, fixed iteration orders, failures
-truncated to the first five, and JSON dumped with sorted keys.  Two runs with
-the same configuration produce byte-identical reports.
+Each check counts into one :class:`CheckResult`, which passes exactly when it
+holds no failure.  Reports are deterministic: no timestamps, fixed iteration
+orders and failures truncated to the first five; the CLI dumps
+:meth:`SuiteReport.to_json_obj` with sorted keys.  Two runs with the same
+configuration produce byte-identical reports.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -61,9 +62,10 @@ from .frames import (
     rel_entropy,
     within_entropy_bound,
 )
-from .horn import HornTriple, basic_horn_holds, branching_disjoint, horn_feasible
+from .horn import HornTriple, _window_starts, basic_horn_holds, branching_disjoint, horn_feasible
 from .lr import lr_coefficient, lr_nonzero_pairs, lr_via_characters
 from .spectra import (
+    SpectralTable,
     _binomial_weights,
     _tail_exponent,
     _twirl_numerators,
@@ -155,11 +157,32 @@ class RunConfig:
 
 @dataclass
 class CheckResult:
+    """One named check: the instances it counted, how many failed, and the first failures described."""
+
     name: str
-    passed: bool
-    checked: int
+    checked: int = 0
     failures: list[str] = field(default_factory=list)
     info: dict = field(default_factory=dict)
+    failed: int = field(default=0, init=False)
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
+    def record(self, ok: bool, template: str, *args) -> None:
+        """Count one instance; a failure is described as ``template.format(*args)``.
+
+        The description is formatted only for a reported failure, so a sweep
+        of passing instances does no string work.
+        """
+        self.checked += 1
+        if not ok:
+            self.failed += 1
+            if len(self.failures) < MAX_FAILURES_REPORTED:
+                self.failures.append(template.format(*args))
+
+    def expect_equal(self, a, b, template: str, *args) -> None:
+        self.record(a == b, template + ": {} != {}", *args, a, b)
 
     def to_json_obj(self) -> dict:
         obj = {"name": self.name, "passed": self.passed, "checked": self.checked,
@@ -179,43 +202,13 @@ class SuiteReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def to_json(self) -> str:
-        obj = {
+    def to_json_obj(self) -> dict:
+        return {
             "suite": self.suite,
             "config": self.config.to_json_obj(),
             "checks": [c.to_json_obj() for c in self.checks],
             "passed": self.passed,
         }
-        return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-class _Collector:
-    """Accumulates pass/fail instances for one named check."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.checked = 0
-        self.failed = 0
-        self.failures: list[str] = []
-        self.info: dict = {}
-
-    def record(self, ok: bool, template: str, *args) -> None:
-        """Count one instance; a failure is described as ``template.format(*args)``.
-
-        The description is formatted only for a reported failure, so a sweep
-        of passing instances does no string work.
-        """
-        self.checked += 1
-        if not ok:
-            self.failed += 1
-            if len(self.failures) < MAX_FAILURES_REPORTED:
-                self.failures.append(template.format(*args))
-
-    def expect_equal(self, a, b, template: str, *args) -> None:
-        self.record(a == b, template + ": {} != {}", *args, a, b)
-
-    def result(self) -> CheckResult:
-        return CheckResult(self.name, not self.failures, self.checked, self.failures, self.info)
 
 
 class _Ratio:
@@ -244,17 +237,6 @@ class _Ratio:
 def _each_size(sizes: Iterable[tuple[int, int]], first: int = 1) -> list[tuple[int, int]]:
     """Every (d, n) with first <= n <= n_max, for each (d, n_max) in ``sizes``, in that order."""
     return [(d, n) for d, n_max in sizes for n in range(first, n_max + 1)]
-
-
-def _window_starts(lam: YoungFrame, frames: Iterable[YoungFrame], d: int) -> list[int]:
-    """For each lam' of ``frames``, the least k whose (d-1)k window holds lam and lam'.
-
-    That is ceil(max_m |lam_m - lam'_m| / (d-1)) (d >= 2): the window only
-    grows with k, so lam' lies outside it exactly for the k below that start.
-    """
-    a = lam.padded(d)
-    gaps = (max(abs(x - y) for x, y in zip(a, lam_p.padded(d))) for lam_p in frames)
-    return [-(-gap // (d - 1)) for gap in gaps]
 
 
 def _random_int_matrix(rng: random.Random, dim: int, lo: int = -5, hi: int = 5) -> np.ndarray:
@@ -290,18 +272,18 @@ def _lr_triples(d: int, n_max: int):
 
 def check_dimension_identity(sizes: Iterable[tuple[int, int]]) -> CheckResult:
     """sum over lam of dim F_lam dim U_lam = d**n for each (d, n_max) and n <= n_max."""
-    dims = _Collector("schur_weyl_dimension_identity")
+    dims = CheckResult("schur_weyl_dimension_identity")
     for d, n in _each_size(sizes, 0):
         total = sum(dim_sym(f) * dim_unitary(f, d) for f in enumerate_frames(d, n))
         dims.expect_equal(total, d**n, "d={} n={}", d, n)
-    return dims.result()
+    return dims
 
 
 def check_lr_coefficients(d: int, n_max: int) -> list[CheckResult]:
     """Tableau count = character oracle, the restriction identity and c^lam_{mu nu} = c^lam_{nu mu}."""
-    cross = _Collector("lr_tableaux_vs_characters")
-    restrict = _Collector("lr_restriction_dimension_identity")
-    symmetry = _Collector("lr_symmetry")
+    cross = CheckResult("lr_tableaux_vs_characters")
+    restrict = CheckResult("lr_restriction_dimension_identity")
+    symmetry = CheckResult("lr_symmetry")
     totals: dict[tuple[YoungFrame, int], int] = {}
     for lam, mu, nu in _lr_triples(d, n_max):
         c = lr_coefficient(lam, mu, nu)
@@ -310,13 +292,13 @@ def check_lr_coefficients(d: int, n_max: int) -> list[CheckResult]:
         totals[(lam, mu.n)] = totals.get((lam, mu.n), 0) + c * dim_sym(mu) * dim_sym(nu)
     for (lam, l), total in totals.items():
         restrict.expect_equal(total, dim_sym(lam), "restriction {} split {}+{}", lam, l, lam.n - l)
-    return [cross.result(), restrict.result(), symmetry.result()]
+    return [cross, restrict, symmetry]
 
 
 def check_horn_inequalities(d: int, n_max: int) -> list[CheckResult]:
     """The basic inequalities are necessary, and feasibility is LR positivity."""
-    necessity = _Collector("horn_necessity_of_basic_inequalities")
-    feasibility = _Collector("horn_feasible_iff_lr_positive")
+    necessity = CheckResult("horn_necessity_of_basic_inequalities")
+    feasibility = CheckResult("horn_feasible_iff_lr_positive")
     for lam, mu, nu in _lr_triples(d, n_max):
         c = lr_coefficient(lam, mu, nu)
         triple = HornTriple(lam, mu, nu, d)
@@ -328,21 +310,21 @@ def check_horn_inequalities(d: int, n_max: int) -> list[CheckResult]:
             )
         elif not basic_horn_holds(triple):
             necessity.record(not feasible, "basic false but feasible: {}|{},{}", lam, mu, nu)
-    return [necessity.result(), feasibility.result()]
+    return [necessity, feasibility]
 
 
 def check_two_row_multiplicity_free(n_max: int) -> CheckResult:
     """c^lam_{mu nu} is 0 or 1 for every two-row triple with n <= n_max."""
-    tworow = _Collector("lr_two_row_multiplicity_free")
+    tworow = CheckResult("lr_two_row_multiplicity_free")
     for lam, mu, nu in _lr_triples(2, n_max):
         c = lr_coefficient(lam, mu, nu)
         tworow.record(c in (0, 1), "c^{}_{},{} = {}", lam, mu, nu, c)
-    return tworow.result()
+    return tworow
 
 
 def check_entropy_bounds(pinsker_grid: tuple[Fraction, ...], k_max: int) -> CheckResult:
     """Pinsker on all pairs of ``pinsker_grid``; dim F_gamma <= 2**(k h(gamma_1/k)) for two-row k <= k_max."""
-    entropy = _Collector("pinsker_and_dimension_entropy_bound")
+    entropy = CheckResult("pinsker_and_dimension_entropy_bound")
     for r0 in pinsker_grid:
         for s0 in pinsker_grid:
             r, s = ProbabilityPair(r0), ProbabilityPair(s0)
@@ -354,7 +336,7 @@ def check_entropy_bounds(pinsker_grid: tuple[Fraction, ...], k_max: int) -> Chec
             entropy.record(
                 within_entropy_bound(dim_sym(gamma), gamma.row(0), k), "dim bound fails at {} k={}", gamma, k
             )
-    return entropy.result()
+    return entropy
 
 
 def suite_saturation(cfg: RunConfig) -> list[CheckResult]:
@@ -444,7 +426,7 @@ def dense_twirl_overlaps(d: int, n: int) -> DenseOverlaps:
 
 def check_dense_overlap_outside_window(sizes: Iterable[tuple[int, int]]) -> CheckResult:
     """tr{P_lam' (tr_{[k]} P_lam tensor pi_{[k]})} = 0 outside the window, for each (d, n_max)."""
-    dense = _Collector("dense_overlap_zero_outside_window")
+    dense = CheckResult("dense_overlap_zero_outside_window")
     for d, n in _each_size(sizes):
         table = dense_twirl_overlaps(d, n)
         for i, lam in enumerate(table.frames):
@@ -458,12 +440,12 @@ def check_dense_overlap_outside_window(sizes: Iterable[tuple[int, int]]) -> Chec
                             d, lam, lam_p, k, literal,
                         )
     dense.info["outside_window_cases"] = dense.checked
-    return dense.result()
+    return dense
 
 
 def check_projector_domination(n_max: int) -> CheckResult:
     """sum of P_mu tensor P_nu over c^lam_{mu nu} > 0 dominates P_lam (d = 2, n <= n_max)."""
-    psd = _Collector("projector_pair_domination_psd")
+    psd = CheckResult("projector_pair_domination_psd")
     for n in range(1, n_max + 1):
         family = orc.isotypical_projectors(2, n)
         small = {m: orc.isotypical_projectors(2, m) for m in range(0, n + 1)}
@@ -478,12 +460,12 @@ def check_projector_domination(n_max: int) -> CheckResult:
                     orc.is_positive_semidefinite(diff),
                     "lam={} split {}+{}: domination difference not PSD", lam, l, k,
                 )
-    return psd.result()
+    return psd
 
 
 def check_chains_disjoint_outside_window(sizes: Iterable[tuple[int, int]]) -> CheckResult:
     """No branching chain joins lam to lam' outside the window, for each (d, n_max)."""
-    chains = _Collector("branching_chains_disjoint_outside_window")
+    chains = CheckResult("branching_chains_disjoint_outside_window")
     for d, n in _each_size(sizes):
         frames = enumerate_frames(d, n)
         for lam in frames:
@@ -493,7 +475,7 @@ def check_chains_disjoint_outside_window(sizes: Iterable[tuple[int, int]]) -> Ch
                         branching_disjoint(lam, lam_p, n - k, k, d),
                         "d={} lam={} lam'={} k={}: common chain exists", d, lam, lam_p, k,
                     )
-    return chains.result()
+    return chains
 
 
 def check_twirl_support(sizes: Iterable[tuple[int, int]]) -> list[CheckResult]:
@@ -503,8 +485,8 @@ def check_twirl_support(sizes: Iterable[tuple[int, int]]) -> list[CheckResult]:
     is an empirical observation, not a proven statement: violations are
     counted and reported, never asserted.
     """
-    engine = _Collector("engine_weight_zero_outside_window")
-    dropped = _Collector("support_growth_monotone_report")  # its failures are reported, not asserted
+    engine = CheckResult("engine_weight_zero_outside_window")
+    growth = CheckResult("support_growth_monotone_report")
     for d, n in _each_size(sizes):
         frames = enumerate_frames(d, n)
         indices = range(len(frames))
@@ -519,10 +501,12 @@ def check_twirl_support(sizes: Iterable[tuple[int, int]]) -> list[CheckResult]:
                 supp = set(itertools.compress(indices, numerators))  # ints hash far faster than YoungFrames
                 if prev is not None:
                     missing = len(prev - supp)
-                    dropped.record(not missing, "d={} lam={} k={}: {} frames dropped", d, lam, k, missing)
+                    growth.record(not missing, "d={} lam={} k={}: {} frames dropped", d, lam, k, missing)
                 prev = supp
-    info = {"violations": dropped.failures, "violation_count": dropped.failed}
-    return [engine.result(), CheckResult(dropped.name, True, dropped.checked, [], info)]
+    # reported, not asserted: the failures move into info and the record passes
+    growth.info = {"violations": growth.failures, "violation_count": growth.failed}
+    growth.failures = []
+    return [engine, growth]
 
 
 def suite_support(cfg: RunConfig) -> list[CheckResult]:
@@ -571,9 +555,9 @@ def check_fast_path_against_oracle(
     integer table of :func:`dense_twirl_overlaps`.  Each equality is decided
     by cross-multiplication.
     """
-    route = _Collector("padded_product_equals_partial_trace_pairing")
-    fast_twirl = _Collector("fast_path_equals_oracle_twirl_spectra")
-    fast_channel = _Collector("fast_path_equals_oracle_channel_spectra")
+    route = CheckResult("padded_product_equals_partial_trace_pairing")
+    fast_twirl = CheckResult("fast_path_equals_oracle_twirl_spectra")
+    fast_channel = CheckResult("fast_path_equals_oracle_channel_spectra")
     for d, n in _each_size(sizes):
         dense = dense_twirl_overlaps(d, n)
         frames = dense.frames
@@ -599,12 +583,12 @@ def check_fast_path_against_oracle(
                     fast_channel.expect_equal(
                         table.weight(lam_p), weight, "d={} lam={} q={} lam'={}", d, lam, q, lam_p
                     )
-    return [route.result(), fast_twirl.result(), fast_channel.result()]
+    return [route, fast_twirl, fast_channel]
 
 
 def check_branching_table(sizes: Iterable[tuple[int, int]]) -> CheckResult:
     """tr over the last k sites of P_lam equals its branching table's projector sum, for each (d, n_max)."""
-    branching = _Collector("branching_table_matches_dense_partial_trace")
+    branching = CheckResult("branching_table_matches_dense_partial_trace")
     for d, n in _each_size(sizes):
         family = orc.isotypical_projectors(d, n)
         small = {m: orc.isotypical_projectors(d, m) for m in range(0, n + 1)}
@@ -615,12 +599,12 @@ def check_branching_table(sizes: Iterable[tuple[int, int]]) -> CheckResult:
                 for mu, w in table.projector_weights().items():
                     recon = recon + w * small[n - k][mu]
                 branching.record(dense == recon, "d={} lam={} k={}", d, lam, k)
-    return branching.result()
+    return branching
 
 
 def check_projector_algebra(sizes: Iterable[tuple[int, int]]) -> CheckResult:
     """Each P_lam is a symmetric idempotent of trace dim F dim U; the family sums to 1, pairwise orthogonal."""
-    algebra = _Collector("projector_algebra")
+    algebra = CheckResult("projector_algebra")
     for d, n in _each_size(sizes):
         family = orc.isotypical_projectors(d, n)
         total = orc.TensorOperator.zero(d, n)
@@ -646,12 +630,12 @@ def check_projector_algebra(sizes: Iterable[tuple[int, int]]) -> CheckResult:
                     Fraction(0),
                     "d={} n={}: {} and {} not orthogonal", d, n, lam, lam_p,
                 )
-    return algebra.result()
+    return algebra
 
 
 def check_permutation_representation(d_max: int, n: int, rng: random.Random) -> CheckResult:
     """B(s)B(t) = B(st) on all of S_3 for 2 <= d <= d_max, and for six random pairs of S_n at d = 2."""
-    rep = _Collector("permutation_representation")
+    rep = CheckResult("permutation_representation")
     for d in range(2, d_max + 1):
         for s in enumerate_group(3):
             for t in enumerate_group(3):
@@ -669,12 +653,12 @@ def check_permutation_representation(d_max: int, n: int, rng: random.Random) -> 
             orc.perm_operator(s, 2) @ orc.perm_operator(t, 2) == orc.perm_operator(s * t, 2),
             "random pair at n={}", n,
         )
-    return rep.result()
+    return rep
 
 
 def check_projector_commutation(sizes: Iterable[tuple[int, int]], rng: random.Random) -> CheckResult:
     """B(tau) P_lam B(tau)^-1 = P_lam for 2 <= n <= n_max: every tau up to n = 4, eight random ones above."""
-    commute = _Collector("projector_commutes_with_permutations")
+    commute = CheckResult("projector_commutes_with_permutations")
     for d, n in _each_size(sizes, 2):
         family = orc.isotypical_projectors(d, n)
         if n > 4:
@@ -687,12 +671,12 @@ def check_projector_commutation(sizes: Iterable[tuple[int, int]], rng: random.Ra
                     orc.conjugate_by_permutation(p, tau) == p,
                     "d={} n={} {}: fails for {}", d, n, lam, tau.images,
                 )
-    return commute.result()
+    return commute
 
 
 def check_partial_trace_properties(rng: random.Random) -> CheckResult:
     """Partial traces keep the trace, on random d = 2 operators and on a maximally mixed padding."""
-    reduction_checks = _Collector("partial_trace_properties")
+    reduction_checks = CheckResult("partial_trace_properties")
     for _ in range(4):
         a = _random_operator(rng, 2, 3)
         reduction_checks.expect_equal(a.partial_trace([0, 2]).trace(), a.trace(), "trace preservation")
@@ -703,12 +687,12 @@ def check_partial_trace_properties(rng: random.Random) -> CheckResult:
     reduction_checks.expect_equal(
         mixed.partial_trace([2, 3]).trace(), mixed.trace(), "mixed-padded trace"
     )
-    return reduction_checks.result()
+    return reduction_checks
 
 
 def check_twirl_properties(sizes: Iterable[tuple[int, int]], rng: random.Random) -> CheckResult:
     """The twirl keeps the trace and every projector pairing, is idempotent and fixes each P_lam, per (d, n)."""
-    twirl_checks = _Collector("twirl_properties")
+    twirl_checks = CheckResult("twirl_properties")
     for d, n in sizes:
         family = orc.isotypical_projectors(d, n)
         a = _random_operator(rng, d, n)
@@ -720,12 +704,12 @@ def check_twirl_properties(sizes: Iterable[tuple[int, int]], rng: random.Random)
             twirl_checks.expect_equal(
                 p.hs_product(tw), p.hs_product(a), "d={} {}: overlap changed by twirl", d, lam
             )
-    return twirl_checks.result()
+    return twirl_checks
 
 
 def check_twirl_pair_expansion(sizes: Iterable[tuple[int, int]]) -> CheckResult:
     """twirl(P_mu tensor P_gamma) = sum of paired-block weights times P_lam', for 2 <= n <= n_max."""
-    pair_expansion = _Collector("twirl_pair_expansion")
+    pair_expansion = CheckResult("twirl_pair_expansion")
     for d, n in _each_size(sizes, 2):
         family = orc.isotypical_projectors(d, n)
         for l in range(0, n + 1):
@@ -743,12 +727,12 @@ def check_twirl_pair_expansion(sizes: Iterable[tuple[int, int]]) -> CheckResult:
                     pair_expansion.record(
                         literal == recon, "d={} mu={} gamma={} (n={})", d, mu, gamma, n
                     )
-    return pair_expansion.result()
+    return pair_expansion
 
 
 def check_channel_identities(sizes: Iterable[tuple[int, int]], rng: random.Random) -> CheckResult:
     """The channel at q = 0, 1 and on traces, PSD inputs and projectors (binomial twirl sum), per (d, n)."""
-    channel = _Collector("depolarise_channel_identities")
+    channel = CheckResult("depolarise_channel_identities")
     for d, n in sizes:
         a = _random_operator(rng, d, n)
         channel.record(orc.depolarise_n(a, 0) == a, "d={}: q=0 not identity", d)
@@ -776,7 +760,7 @@ def check_channel_identities(sizes: Iterable[tuple[int, int]], rng: random.Rando
                 channel.record(
                     literal == recon, "d={} lam={} q={}: channel != binomial twirl sum", d, lam, q
                 )
-    return channel.result()
+    return channel
 
 
 def suite_oracle(cfg: RunConfig) -> list[CheckResult]:
@@ -805,7 +789,7 @@ def suite_oracle(cfg: RunConfig) -> list[CheckResult]:
 
 def check_tail_bound(n_max: int, q_grid: tuple[Fraction, ...]) -> CheckResult:
     """The exponential bound dominates every far-away weight (d = 2, 2 <= n <= n_max)."""
-    bound_check = _Collector("tail_bound_dominates_measured_weight")
+    bound_check = CheckResult("tail_bound_dominates_measured_weight")
     for n in range(2, n_max + 1):
         frames = enumerate_frames(2, n)
         spectra = {lam: channel_output_spectra(lam, q_grid, 2) for lam in frames}
@@ -826,20 +810,19 @@ def check_tail_bound(n_max: int, q_grid: tuple[Fraction, ...]) -> CheckResult:
                         ok,
                         "n={} q={} lam={} lam'={}: {} > 2**{}", n, q, lam, lam_p, float(measured), exponent,
                     )
-    return bound_check.result()
+    return bound_check
 
 
 def check_output_mode(n: int, q_grid: tuple[Fraction, ...]) -> CheckResult:
     """The most likely output block of pi_(n) is the same on the fast path and the oracle (d = 2)."""
-    concentration = _Collector("output_mode_matches_oracle")
+    concentration = CheckResult("output_mode_matches_oracle")
     modes = []
     source = YoungFrame((n,))
-    frames = enumerate_frames(2, n)
     dense = dense_twirl_overlaps(2, n)
     source_index = dense.frames.index(source)
     for q, table in zip(q_grid, channel_output_spectra(source, q_grid, 2)):
-        oracle_weights = [w.fraction() for w in _channel_weights(dense, source_index, q)]
-        oracle_mode = frames[max(range(len(frames)), key=lambda j: (oracle_weights[j], -j))]
+        oracle_weights = zip(dense.frames, _channel_weights(dense, source_index, q))
+        oracle_mode = SpectralTable(2, n, {f: w.fraction() for f, w in oracle_weights if w.numerator}).mode()
         engine_mode = table.mode()
         concentration.expect_equal(
             format_frame(engine_mode, 2), format_frame(oracle_mode, 2), "mode at n={} q={}", n, q
@@ -854,7 +837,7 @@ def check_output_mode(n: int, q_grid: tuple[Fraction, ...]) -> CheckResult:
         )
     concentration.info["n"] = n
     concentration.info["modes"] = modes
-    return concentration.result()
+    return concentration
 
 
 def suite_tail(cfg: RunConfig) -> list[CheckResult]:
@@ -871,7 +854,7 @@ def suite_tail(cfg: RunConfig) -> list[CheckResult]:
 
 def check_xy_entropy_bound(n_max: int) -> CheckResult:
     """X <= 2**(k h(lam'_2/k)) for the source (n), and X = 0 beyond the window (n <= n_max)."""
-    bound = _Collector("xy_extrema_within_entropy_bound")
+    bound = CheckResult("xy_extrema_within_entropy_bound")
     for n in range(1, n_max + 1):
         for lam_p in enumerate_frames(2, n):
             for k in range(0, n + 1):
@@ -881,12 +864,12 @@ def check_xy_entropy_bound(n_max: int) -> CheckResult:
                 )
                 if lam_p.row(1) > k:
                     bound.record(chk.x == 0, "n={} lam'={} k={}: X nonzero beyond window", n, lam_p, k)
-    return bound.result()
+    return bound
 
 
 def check_xy_empty_iff_chains_disjoint(n_max: int) -> CheckResult:
     """X = 0 exactly when no branching chain joins lam to lam' (d = 2, n <= n_max)."""
-    consistency = _Collector("xy_empty_iff_chains_disjoint")
+    consistency = CheckResult("xy_empty_iff_chains_disjoint")
     for n in range(1, n_max + 1):
         frames = enumerate_frames(2, n)
         for lam in frames:
@@ -897,7 +880,7 @@ def check_xy_empty_iff_chains_disjoint(n_max: int) -> CheckResult:
                     consistency.expect_equal(
                         extrema.x == 0, disjoint, "n={} lam={} lam'={} k={}", n, lam, lam_p, k
                     )
-    return consistency.result()
+    return consistency
 
 
 def suite_xybound(cfg: RunConfig) -> list[CheckResult]:

@@ -103,6 +103,12 @@ def content_product_by_boxes(red: tuple[int, ...], d: int) -> int:
     return math.prod(d + j - i for i, r in enumerate(red) for j in range(r))
 
 
+def within_window_by_rows(lam: YoungFrame, lam_prime: YoungFrame, d: int, k: int) -> bool:
+    """The paper's support window read row by row: |lam_m - lam'_m| <= (d-1)k for every m < d."""
+    a, b = lam.padded(d), lam_prime.padded(d)
+    return all(abs(a[m] - b[m]) <= (d - 1) * k for m in range(d))
+
+
 def count_semistandard_tableaux(lam: YoungFrame, d: int) -> int:
     """Fillings with entries in 1..d, rows weakly and columns strictly increasing."""
     rows = lam.reduced

@@ -134,9 +134,9 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     import isotwirl.cli as cli
     from isotwirl.verify import CheckResult, RunConfig, SuiteReport
 
-    failing = SuiteReport(
-        "stub", RunConfig(), [CheckResult("broken", False, 1, ["example failure"])]
-    )
+    broken = CheckResult("broken")
+    broken.record(False, "example failure")
+    failing = SuiteReport("stub", RunConfig(), [broken])
     monkeypatch.setattr(cli, "run_suite", lambda name, cfg: failing)
     assert cli.main(["verify", "stub"]) == 1
     captured = capsys.readouterr()

@@ -47,6 +47,12 @@ def test_support_window_examples():
     # d=3, k=1 around (6,3,0): all |delta| <= 2
     assert within_support_window(frame(6, 3, 0), frame(4, 4, 1), 3, 1)
     assert not within_support_window(frame(6, 3, 0), frame(3, 3, 3), 3, 1)
+    # the window compares frames of one YF(d, n)
+    with pytest.raises(ValueError, match="boxes"):
+        within_support_window(frame(3, 1), frame(2, 1), 2, 1)
+    for d, k in ((0, 0), (2, -1)):
+        with pytest.raises(ValueError, match="d >= 1 and k >= 0"):
+            within_support_window(frame(), frame(), d, k)
 
 
 def test_branching_disjoint_examples():

@@ -149,6 +149,12 @@ def test_no_parameter_overrides_a_cap():
         assert not [name for name in signature.parameters if name.endswith("cap")], f
 
 
+def test_public_names_resolve_once():
+    # a name deleted from its module but left in __all__ fails here, not at a later star import
+    assert len(set(isotwirl.__all__)) == len(isotwirl.__all__)
+    assert [name for name in isotwirl.__all__ if not hasattr(isotwirl, name)] == []
+
+
 def test_size_table_within_hard_caps():
     # dense rows inside the dense caps, fast-path rows inside MAX_BOXES, and a
     # projector cache that holds every family the dense rows build, (d, 0..n)

@@ -14,7 +14,6 @@ from isotwirl.spectra import (
     _twirl_numerators,
     channel_output_spectra,
     channel_output_spectrum,
-    channel_tail_bound,
     paired_block_overlap,
     partial_trace_decomposition,
     sweep_to_csv,
@@ -70,13 +69,13 @@ def test_paired_block_overlap_is_dense_pair_trace():
 def test_twirl_spectrum_point_mass_at_k_zero():
     for lam in enumerate_frames(2, 5):
         table = twirl_spectrum(lam, 0, 2)
-        assert table.support() == [lam]
+        assert list(table.entries) == [lam]
         assert table.weight(lam) == 1
 
 
 def test_twirl_spectrum_example_support():
     table = twirl_spectrum(frame(4, 0), 1, 2)
-    assert table.support() == [frame(4, 0), frame(3, 1)]
+    assert list(table.entries) == [frame(4, 0), frame(3, 1)]
     assert table.total() == 1
 
 
@@ -124,7 +123,7 @@ def test_twirl_spectrum_equals_lr_route_exhaustively():
                     for normalized in (False, True):
                         table = twirl_spectrum(lam, k, d, normalized=normalized)
                         assert table.entries == lr_route_twirl_spectrum(lam, k, d, normalized)
-                        assert table.support() == [f for f in frames if f in table.entries]
+                        assert list(table.entries) == [f for f in frames if f in table.entries]
 
 
 def dim_skew(outer, inner):
@@ -283,7 +282,7 @@ def test_enumerate_frames_returns_a_fresh_list():
 
 def test_channel_output_edges():
     table = channel_output_spectrum(frame(4, 0), 0, 2)
-    assert table.support() == [frame(4, 0)] and table.weight(frame(4, 0)) == 1
+    assert list(table.entries) == [frame(4, 0)] and table.weight(frame(4, 0)) == 1
     table = channel_output_spectrum(frame(4, 0), 1, 2)
     for lam_p in enumerate_frames(2, 4):
         assert table.weight(lam_p) == Fraction(dim_sym(lam_p) * dim_unitary(lam_p, 2), 16)
@@ -317,7 +316,7 @@ def test_float_weights_refused():
         with pytest.raises(ValueError, match="not exact"):
             orc.depolarise_n(orc.isotypical_projectors(2, 3)[lam], q)
         with pytest.raises(ValueError, match="not exact"):
-            channel_tail_bound(frame(8, 0), frame(4, 4), q, 8)
+            tail_bound_exponent(frame(8, 0), frame(4, 4), q, 8)
     with pytest.raises(ValueError, match="not exact"):
         orc.TensorOperator(2, 1, 0.1, orc.TensorOperator.identity(2, 1).mat)
     with pytest.raises(ValueError, match="not exact"):
@@ -335,19 +334,21 @@ def test_float_weights_refused():
 
 
 def test_tail_bound_value_and_regime():
-    bound = channel_tail_bound(frame(8, 0), frame(4, 4), Fraction(1, 4), 8)
+    bound = 2.0 ** tail_bound_exponent(frame(8, 0), frame(4, 4), Fraction(1, 4), 8)
     expect = 2.0 ** (-8 * ((2 / math.log(2)) * (0.5 - 0.25) ** 2 - math.log2(9) / 8))
     assert abs(bound - expect) < 1e-14
-    # vacuous edge: ratio == q gives a bound >= 1
-    assert channel_tail_bound(frame(8, 0), frame(6, 2), Fraction(1, 4), 8) >= 1
+    # vacuous edge: ratio == q gives an exponent >= 0, a bound >= 1
+    assert tail_bound_exponent(frame(8, 0), frame(6, 2), Fraction(1, 4), 8) >= 0
     with pytest.raises(ValueError, match="vacuous"):
-        channel_tail_bound(frame(8, 0), frame(7, 1), Fraction(1, 4), 8)
+        tail_bound_exponent(frame(8, 0), frame(7, 1), Fraction(1, 4), 8)
     with pytest.raises(ValueError, match="more than 2 rows"):
-        channel_tail_bound(frame(6, 0, 0), frame(2, 2, 2), Fraction(1, 10), 6)
+        tail_bound_exponent(frame(6, 0, 0), frame(2, 2, 2), Fraction(1, 10), 6)
     with pytest.raises(ValueError, match="not n=4"):
-        channel_tail_bound(frame(6), frame(2, 2), Fraction(1, 10), 4)
+        tail_bound_exponent(frame(6), frame(2, 2), Fraction(1, 10), 4)
     with pytest.raises(ValueError, match="not n=6"):
         tail_bound_exponent(frame(6), frame(2, 2), Fraction(1, 10), 6)
+    with pytest.raises(ValueError, match="n >= 1"):
+        tail_bound_exponent(frame(), frame(), 0, 0)
 
 
 def test_tail_bound_dominates_small_cases():
@@ -461,8 +462,8 @@ def test_xy_entropy_bound_examples():
 
 def test_spectral_table_mode_and_order():
     table = channel_output_spectrum(frame(6, 0), Fraction(1, 2), 2)
-    assert [f.padded(2) for f in table.support()] == sorted(
-        (f.padded(2) for f in table.support()), reverse=True
+    assert [f.padded(2) for f in table.entries] == sorted(
+        (f.padded(2) for f in table.entries), reverse=True
     )
     mode = table.mode()
     assert table.weight(mode) == max(table.entries.values())

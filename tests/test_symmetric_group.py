@@ -46,6 +46,8 @@ def test_cycle_types_enumeration():
         assert [c.reduced for c in cycle_types(n)] == partitions_of(n)
     assert [c.reduced for c in cycle_types(0)] == [()]
     assert str(cycle_types(3)[0]) == "3"  # unpadded
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        cycle_types(-1)
     # every permutation's cycle type appears
     got = {cycle_type_of(p.images) for p in enumerate_group(5)}
     assert got == set(partitions_of(5))

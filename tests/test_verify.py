@@ -10,9 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from isotwirl import spectra, verify
+from bruteforce import within_window_by_rows
+from isotwirl import horn, spectra, verify
 from isotwirl.frames import YoungFrame, enumerate_frames
-from isotwirl.horn import within_support_window
 
 Q_VALUES = (Fraction(1, 2), Fraction(1, 3))
 VERIFY_COUNTS = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "verify_counts.json"
@@ -120,6 +120,39 @@ def test_bumped_packed_field_fails_only_its_own_k_and_q(monkeypatch):
     }
 
 
+def test_connected_chain_outside_window_fails_with_exact_text(monkeypatch):
+    # lam' = (2,2) lies outside the k = 1 window of lam = (4); a chain search that claims a
+    # common middle frame there fails the chain check and disagrees with the empty X
+    real = verify.branching_disjoint
+
+    def joined(lam, lam_p, l, k, d):
+        return False if (lam, lam_p, k, d) == (frame(4), frame(2, 2), 1, 2) else real(lam, lam_p, l, k, d)
+
+    monkeypatch.setattr(verify, "branching_disjoint", joined)
+    assert failures([verify.check_chains_disjoint_outside_window([(2, 4)])]) == {
+        "branching_chains_disjoint_outside_window": ["d=2 lam=4,0 lam'=2,2 k=1: common chain exists"],
+    }
+    assert failures([verify.check_xy_empty_iff_chains_disjoint(4)]) == {
+        "xy_empty_iff_chains_disjoint": ["n=4 lam=4,0 lam'=2,2 k=1: True != False"],
+    }
+
+
+def test_inflated_extremal_product_fails_with_exact_text(monkeypatch):
+    # X = 1 at lam' = (3,1), k = 2 from the source (4), under the bound 2**(2 h(1/2)) = 4;
+    # a hundredfold X breaks the bound but not the emptiness of X, which the iff check reads
+    real = spectra.xy_optimize
+
+    def inflated(lam, lam_p, l, k, d):
+        extrema = real(lam, lam_p, l, k, d)
+        return dataclasses.replace(extrema, x=100 * extrema.x) if (lam_p, k) == (frame(3, 1), 2) else extrema
+
+    monkeypatch.setattr(spectra, "xy_optimize", inflated)
+    assert failures([verify.check_xy_entropy_bound(4)]) == {
+        "xy_extrema_within_entropy_bound": ["n=4 lam'=3,1 k=2: X=100 bound=4.0"],
+    }
+    assert failures([verify.check_xy_empty_iff_chains_disjoint(4)]) == {}
+
+
 def mutant(monkeypatch, module, old, new):
     """A fresh copy of ``module`` with the one occurrence of ``old`` in its source replaced by ``new``."""
     source = inspect.getsource(module)
@@ -161,14 +194,14 @@ def test_dropped_power_fails_a_check(monkeypatch, module, old, new, failing):
 
 
 def test_window_starts_match_the_window_at_every_k():
-    # lam' lies outside the (d-1)k window of lam exactly for the k below its start
-    for d in (2, 3, 4):
+    # lam' lies outside the (d-1)k window of lam, read row by row, exactly for the k below its start
+    for d in (1, 2, 3, 4):
         for n in range(0, 17):
             frames = enumerate_frames(d, n)
             for lam in frames:
-                for lam_p, start in zip(frames, verify._window_starts(lam, frames, d)):
+                for lam_p, start in zip(frames, horn._window_starts(lam, frames, d)):
                     assert [k < start for k in range(n + 1)] == [
-                        not within_support_window(lam, lam_p, d, k) for k in range(n + 1)
+                        not within_window_by_rows(lam, lam_p, d, k) for k in range(n + 1)
                     ], (d, lam, lam_p)
 
 
