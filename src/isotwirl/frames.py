@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
@@ -31,6 +32,14 @@ Scalar = Union[int, float, Fraction]
 # The box cap depends on d; see enumerate_frames for the measured costs.
 MAX_ROW_BUDGET = 4
 MAX_BOXES = {1: 128, 2: 128, 3: 36, 4: 24}
+
+
+def _integers(values, what: str) -> tuple[int, ...]:
+    """``values`` as Python ints: ints, bools and numpy ints are read, floats, strings and fractions refused."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"{what} must be integers, got {values!r}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,7 +54,7 @@ class YoungFrame:
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        rows = tuple(int(r) for r in self.rows)
+        rows = _integers(self.rows, "row lengths")
         object.__setattr__(self, "rows", rows)
         if any(r < 0 for r in rows):
             raise ValueError(f"negative row length in {rows}")

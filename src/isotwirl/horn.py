@@ -31,6 +31,8 @@ class HornTriple:
     d: int
 
     def __post_init__(self) -> None:
+        if self.d < 1:
+            raise ValueError(f"a Horn triple needs d >= 1, got d={self.d}")
         for f in (self.lam, self.mu, self.nu):
             f.padded(self.d)  # raises when a frame needs more than d rows
 

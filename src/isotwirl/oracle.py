@@ -18,22 +18,24 @@ and channel outputs are block diagonal over the letter-count blocks of
 :func:`_letter_blocks`.  They also commute with relabelling the d letters on
 every site at once, which carries each block onto the block of the sorted
 histogram.  An operator stores one flat integer vector holding each stored
-block row-major after the previous one, in one of three layouts
-(:class:`_Layout`), each storing what the one before it stores and more:
+block row-major after the previous one, in one of two layouts
+(:class:`_Layout`):
 
 - sorted: only the blocks whose histogram is sorted in decreasing order, for
-  a matrix invariant under every relabelling; every other word reads its
-  image in such a block;
-- letter-block: every letter block, for a matrix zero outside them;
-- one-block: every word pair, row-major.
+  a matrix zero outside the letter blocks and invariant under every
+  relabelling; every other word reads its image in such a block;
+- one-block: every word pair, row-major, for every other matrix.
 
-The constructor takes a full matrix and picks the first layout that holds
-it: it tests invariance on the two generators of S_d, as matching each block
-with its sorted block alone does not imply it.  Projectors, permutation
+The constructor stores a matrix sorted when it is zero outside the letter
+blocks and unchanged under the two generators of S_d (matching each block
+with its sorted block alone does not imply invariance), and one-block
+otherwise.  So a matrix that is zero outside the letter blocks but not
+invariant holds all d^(2n) entries, and its products are not split by
+block; no operation of this package builds one.  Projectors, permutation
 operators, the zero and the identity are built sorted.
 
 Every operation reads and writes the vector through index maps computed once
-from word digits and block offsets, the same maps for every layout.  Sums,
+from word digits and block offsets, the same maps for both layouts.  Sums,
 equality and traces are whole-vector numpy calls.  A Hilbert-Schmidt pairing
 is one dot product: the first operator's entries are transposed and weighted
 by the number of letter blocks each stored entry stands for, and that one
@@ -41,10 +43,9 @@ vector pairs with any list of operators (:meth:`TensorOperator.pairings`).
 Matrix products and the PSD test loop over reshaped block views.  Partial
 traces, tensor products, conjugation, the twirl and the channel gather
 entries through site maps, and keep the layout of their operands.  No
-operation on a sorted or letter-block operator forms a d^n x d^n array;
-only ``mat``, a fresh full Python-int copy, does.  An operation whose
-operands differ in layout moves them to the larger one, expanding a sorted
-operand by one gather.
+operation on a sorted operator forms a d^n x d^n array; only ``mat``, a
+fresh full Python-int copy, does.  An operation whose operands differ in
+layout reads the sorted one in the one block, by one gather.
 
 The vector is int64 when every entry fits and Python ints (object dtype)
 otherwise.  Each operation bounds the entries it will form and passes that
@@ -174,10 +175,10 @@ def _sorted_images(d: int, n: int) -> np.ndarray:
     return np.take_along_axis(relabel, _word_digits(d, n), axis=1) @ _index_powers(d, n)
 
 
-# Layout kinds, each storing what the one before it stores and more: the
-# sorted-histogram blocks of a relabel-invariant operator, every letter block,
-# and the one block of every word pair.
-_SORTED, _LETTER, _WHOLE = range(3)
+# Layout kinds: the sorted-histogram blocks of an operator zero outside the
+# letter blocks and invariant under relabelling, and the one block of every
+# word pair.
+_SORTED, _WHOLE = range(2)
 
 
 class _Layout:
@@ -186,14 +187,14 @@ class _Layout:
     The entry at the word pair (blocks[b][i], blocks[b][j]) sits at
     ``spans[b][0] + i m + j``, m = len(blocks[b]).  The position of (x, y) is
     ``row_base[x] + local[y]`` when ``block_of[x] == block_of[y]``; other pairs
-    are zero and not stored.  A letter-block or one-block layout stores every
-    such pair.  The sorted layout stores only the blocks whose histogram is
-    sorted in decreasing order, and maps each other word to its image in
-    such a block (:func:`_sorted_images`): an operator that commutes with
-    every relabelling of the letters has the same entry at both.  ``weights``
-    counts the letter blocks each stored block stands for (1 outside the
-    sorted layout), and ``block_of`` numbers every word's own letter block.
-    Every array is read-only; the per-entry maps are built on first use.
+    are zero and not stored.  The one-block layout stores every pair.  The
+    sorted layout stores only the letter blocks whose histogram is sorted in
+    decreasing order, and maps each other word to its image in such a block
+    (:func:`_sorted_images`): an operator that commutes with every
+    relabelling of the letters has the same entry at both.  ``weights``
+    counts the letter blocks each stored block stands for (1 in the one
+    block), and ``block_of`` numbers every word's own letter block.  Every
+    array is read-only; the per-entry maps are built on first use.
     """
 
     def __init__(self, d: int, n: int, kind: int):
@@ -258,38 +259,18 @@ class _Layout:
         return _read_only(self.row_base + self.local)
 
     @cached_property
-    def expand(self) -> np.ndarray:
-        """Position of every entry of the letter-block layout, read in this layout."""
-        letter = _layout(self.d, self.n, _LETTER)
-        return _read_only(self.position(letter.rows, letter.cols))
-
-    @cached_property
-    def relabellings(self) -> tuple[np.ndarray, ...]:
-        """Position of (g x, g y) for every stored (x, y), g each generator of the letter relabellings.
-
-        The generators of S_d are the swap of letters 0 and 1 and the d-cycle
-        a -> a + 1 (one permutation at d = 2, none at d = 1).  An operator
-        equal to each of its gathers is invariant under every relabelling.
-        """
-        d, n = self.d, self.n
-        generators = {(1, 0, *range(2, d)), (*range(1, d), 0)} if d > 1 else set()
-        moves = []
-        for g in generators:
-            words = np.array(g)[_word_digits(d, n)] @ _index_powers(d, n)
-            moves.append(_read_only(self.position(words[self.rows], words[self.cols])))
-        return tuple(moves)
-
-
-def _pairing_kind(a: int, b: int) -> int:
-    """The layout kind two operators of kinds ``a`` and ``b`` are paired in: sorted only when both are."""
-    return _SORTED if max(a, b) == _SORTED else max(min(a, b), _LETTER)
+    def letter_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The flat index x d^n + y of every word pair (x, y) inside a letter block, and its position here."""
+        blocks = _letter_blocks(self.d, self.n)
+        rows, cols = (np.concatenate([spread(w, len(w)) for w in blocks]) for spread in (np.repeat, np.tile))
+        return _read_only(rows * self.d**self.n + cols), _read_only(self.position(rows, cols))
 
 
 @cache
 def _layout(d: int, n: int, kind: int) -> _Layout:
     """The layout of the given kind on [d]^n.
 
-    With a single letter block (d = 1 or n = 0) the three kinds are the same object.
+    With a single letter block (d = 1 or n = 0) both kinds are the same object.
     """
     if kind != _SORTED and len(_letter_blocks(d, n)) == 1:
         return _layout(d, n, _SORTED)
@@ -302,7 +283,11 @@ class TensorOperator:
     __slots__ = ("d", "n", "scale", "_layout", "_vec", "_amax")
 
     def __init__(self, d: int, n: int, scale: Fraction | int | str, mat: np.ndarray):
-        """The operator ``scale`` times ``mat``, a full d^n x d^n integer matrix (copied)."""
+        """The operator ``scale`` times ``mat``, a full d^n x d^n integer matrix (copied).
+
+        It is stored sorted when it is zero outside the letter blocks and
+        unchanged under relabelling the letters, else one-block.
+        """
         _check_dense_size(d, n)
         dim = d**n
         if mat.shape != (dim, dim):
@@ -312,12 +297,14 @@ class TensorOperator:
         if mat.dtype == object and not all(issubclass(t, numbers.Integral) for t in set(map(type, mat.flat))):
             raise ValueError("matrix entries are not all integers: fold fractions into the scale")
         flat = mat.reshape(-1)
-        layout = _layout(d, n, _LETTER)
-        vec = flat.take(layout.flat)
-        if np.count_nonzero(vec) != np.count_nonzero(flat):
+        layout = _layout(d, n, _SORTED)
+        # the generators of S_d: the swap of letters 0 and 1 and the d-cycle a -> a + 1
+        generators = {(1, 0, *range(2, d)), (*range(1, d), 0)} if d > 1 else set()
+        relabelled = (np.array(g)[_word_digits(d, n)] @ _index_powers(d, n) for g in generators)
+        if np.count_nonzero(flat.take(layout.letter_pairs[0])) != np.count_nonzero(flat) or not all(
+            np.array_equal(mat[np.ix_(words, words)], mat) for words in relabelled
+        ):
             layout = _layout(d, n, _WHOLE)
-        elif all(np.array_equal(vec.take(moved), vec) for moved in layout.relabellings):
-            layout = _layout(d, n, _SORTED)
         self._set(d, n, exact_rational(scale), layout, flat.take(layout.flat))
 
     def _set(self, d: int, n: int, scale: Fraction, layout: _Layout, vec: np.ndarray) -> None:
@@ -336,10 +323,7 @@ class TensorOperator:
     def mat(self) -> np.ndarray:
         """A fresh full d^n x d^n copy of the matrix as Python ints (object dtype); not cached."""
         dim = self.d**self.n
-        layout = _layout(self.d, self.n, max(self._layout.kind, _LETTER))
-        out = np.zeros(dim * dim, dtype=object)
-        out[layout.flat] = self._in(layout).astype(object)
-        return out.reshape(dim, dim)
+        return self._in(_layout(self.d, self.n, _WHOLE)).astype(object).reshape(dim, dim)
 
     def _bound(self) -> int:
         """Largest entry modulus, computed once."""
@@ -348,26 +332,20 @@ class TensorOperator:
         return self._amax
 
     def _in(self, layout: _Layout) -> np.ndarray:
-        """The entries at the positions of ``layout``: its own, or a letter-block or one-block one of the same (d, n).
+        """The entries at the positions of ``layout``: its own, or the one-block one of the same (d, n).
 
-        A sorted operand is first expanded to the letter blocks by one
-        gather.  Moving to the letter blocks from the one block drops the
-        entries outside them; callers do so only where those entries cannot
-        matter.
+        A sorted operator moves to the one block by one gather, with zeros
+        outside the letter blocks.
         """
-        vec, source = self._vec, self._layout
-        if source.kind == _SORTED and layout is not source:
-            vec, source = vec.take(source.expand), _layout(self.d, self.n, _LETTER)
-        if layout is source:
-            return vec
-        if layout.size < source.size:
-            return vec.take(layout.flat)
-        out = np.zeros(layout.size, dtype=vec.dtype)
-        out[source.flat] = vec
+        if layout is self._layout:
+            return self._vec
+        flat, position = self._layout.letter_pairs
+        out = np.zeros(layout.size, dtype=self._vec.dtype)
+        out[flat] = self._vec.take(position)
         return out
 
     def _union(self, other: "TensorOperator") -> _Layout:
-        """The layout holding every stored entry of both operators: sorted within letter blocks within one block."""
+        """The layout holding every stored entry of both operators: sorted when both are, else the one block."""
         self._compatible(other)
         return _layout(self.d, self.n, max(self._layout.kind, other._layout.kind))
 
@@ -479,25 +457,22 @@ class TensorOperator:
         """The integer pairing sum of A_ij B_ji of this operator's entries with those of each of ``others``.
 
         tr(self @ other) is ``self.scale * other.scale`` times the pairing.
-        When either operator stores only letter blocks every nonzero term has
-        (i, j) inside a block, so only the entries of the letter-block layout
-        are paired.  When both are sorted, each stored block is paired once
-        and counted for every letter block it stands for; when only one is,
-        it is expanded to the letter blocks, as the other need not be
-        invariant.  All of ``others`` are read in the largest layout one of
-        them needs.  This operator is read once, transposed and weighted
-        entry by entry (:attr:`_Layout.entry_weights`), and each pairing is
-        one dot product with that vector.  The sums run in int64 when (number
-        of terms) max|A| max|B| fits, each stored term counted with its
-        block's weight, B ranging over ``others``.  A weighted entry then fits
-        too, being at most terms max|A|, except when every B is zero, and
-        then it multiplies only zeros.
+        When every operator is sorted, each stored block is paired once and
+        counted for every letter block it stands for; otherwise all are read
+        in the one block, as a one-block operator need not be invariant.
+        This operator is read once, transposed and weighted entry by entry
+        (:attr:`_Layout.entry_weights`), and each pairing is one dot product
+        with that vector.  The sums run in int64 when (number of terms)
+        max|A| max|B| fits, each stored term counted with its block's weight,
+        B ranging over ``others``.  A weighted entry then fits too, being at
+        most terms max|A|, except when every B is zero, and then it
+        multiplies only zeros.
         """
         if not others:
             return []
         for other in others:
             self._compatible(other)
-        layout = _layout(self.d, self.n, max(_pairing_kind(self._layout.kind, o._layout.kind) for o in others))
+        layout = _layout(self.d, self.n, max(self._layout.kind, *(o._layout.kind for o in others)))
         weights, transposed, *vecs = _exact(
             layout.terms * self._bound() * max(o._bound() for o in others),
             layout.entry_weights,
@@ -567,9 +542,9 @@ def _kron_maps(d: int, n_left: int, n_right: int, kind: int) -> tuple[np.ndarray
     """Where A kron B can be nonzero, and the positions of the A and B entries multiplied there.
 
     The output entry at ((x, y), (x', y')) is A[x, x'] B[y, y'].  In the
-    sorted and letter-block layouts it is stored whenever xy and x'y' share a
-    histogram, but nonzero only when x and x' do too (and then so do y and
-    y'); the first array lists those positions of the output vector.
+    sorted layout it is stored whenever xy and x'y' share a histogram, but
+    nonzero only when x and x' do too (and then so do y and y'); the first
+    array lists those positions of the output vector.
     """
     out, left, right = (_layout(d, m, kind) for m in (n_left + n_right, n_left, n_right))
     x, y = np.divmod(out.rows, d**n_right)

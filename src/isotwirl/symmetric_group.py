@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Iterator
 
-from .frames import YoungFrame, _enumerate_frames
+from .frames import YoungFrame, _enumerate_frames, _integers
 
 # Largest n whose full group (n! elements) enumerate_group iterates.
 GROUP_ENUMERATION_CAP = 10
@@ -35,7 +35,7 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        images = tuple(int(i) for i in self.images)
+        images = _integers(self.images, "images")
         object.__setattr__(self, "images", images)
         if sorted(images) != list(range(len(images))):
             raise ValueError(f"not a permutation of 0..{len(images) - 1}: {images}")

@@ -66,6 +66,11 @@ def test_horn_command():
     assert res.stdout == "basic=False\n"
     res = run_cli("horn", "2,2", "2", "1,1", "--feasible")
     assert res.stdout == "feasible=False\n"
+    # no local dimension below 1: --d 0 once printed basic=True feasible=True
+    for d in ("0", "-3"):
+        res = run_cli("horn", "0", "0", "0", "--d", d)
+        assert res.returncode == 2 and res.stdout == ""
+        assert res.stderr == f"error: a Horn triple needs d >= 1, got d={d}\n"
 
 
 def test_spectrum_command(tmp_path: Path):

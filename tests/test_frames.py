@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bruteforce import (
@@ -52,6 +53,12 @@ def test_frame_validation():
         YoungFrame((1, 2))
     with pytest.raises(ValueError):
         YoungFrame((2, -1))
+    # a non-integer row length is refused, not truncated: (2.5, 1) once read as frame(2, 1)
+    for rows in ((2.5, 1), (2.0, 1), ("2", 1), (Fraction(2), 1), (np.float64(2), 1)):
+        with pytest.raises(ValueError, match="row lengths must be integers"):
+            YoungFrame(rows)
+    assert YoungFrame((np.int64(2), True)) == frame(2, 1)
+    assert [type(r) for r in YoungFrame((np.int64(2), True)).rows] == [int, int]
 
 
 def test_frame_padding_and_rows():

@@ -60,27 +60,20 @@ def relabelled(mat, d, n):
 def expected_kind(op):
     """The layout kind the constructor must pick for ``op``'s full matrix.
 
-    Sorted when the matrix is invariant under every relabelling of the
-    letters, letter-block when it is only zero outside the letter blocks,
-    one-block otherwise.
+    Sorted when the matrix is zero outside the letter blocks and invariant
+    under every relabelling of the letters, one-block otherwise.
     """
     mat = op.mat
     if np.count_nonzero(mat[~block_mask(op.d, op.n)]):
         return orc._WHOLE
-    if all(np.array_equal(moved, mat) for moved in relabelled(mat, op.d, op.n)):
-        return orc._SORTED
-    return orc._LETTER
+    invariant = all(np.array_equal(moved, mat) for moved in relabelled(mat, op.d, op.n))
+    return orc._SORTED if invariant else orc._WHOLE
 
 
 def layout_kind(op):
     """The kind of ``op``'s layout, checked to be the one layout of that kind for its (d, n)."""
     assert op._layout is orc._layout(op.d, op.n, op._layout.kind)
     return op._layout.kind
-
-
-def blocked(op):
-    """Whether ``op`` stores only letter blocks: all of them, or the sorted ones of an invariant operator."""
-    return layout_kind(op) in (orc._SORTED, orc._LETTER)
 
 
 @pytest.fixture
@@ -534,14 +527,16 @@ def test_matmul_matches_full_product(monkeypatch):
     # a random pair is nonzero outside the blocks, so it is one block of every index
     rng = random.Random(11)
     a, b = rand_op(rng, 2, 3), rand_op(rng, 2, 3)
-    assert not (blocked(a) and blocked(b))
+    assert layout_kind(a) == layout_kind(b) == orc._WHOLE
     assert a @ b == full_product(a, b)
     # so is a product with one sorted factor
     p = orc.isotypical_projectors(2, 3)[frame(2, 1)]
     assert layout_kind(p) == orc._SORTED and layout_kind(a) == orc._WHOLE
     assert p @ a == full_product(p, a) and a @ p == full_product(a, p)
-    # entries near 2**28 in the first 4-word block of (2, 4) pass 2**53 there
-    # only, and entries near 2**40 in the 6-word block overflow int64 there only
+    # a sorted operator on (2, 4) stores the blocks of 0000, of the (3, 1) and of the
+    # (2, 2) histograms: entries near 2**26 on the (3, 1) and (1, 3) blocks, summed over
+    # the relabellings, pass 2**53 in the 4-word block only, and entries near 2**40
+    # on the (2, 2) block overflow int64 in the 6-word block only
     routes = []
     int_matmul = orc._int_matmul
 
@@ -552,15 +547,13 @@ def test_matmul_matches_full_product(monkeypatch):
 
     monkeypatch.setattr(orc, "_int_matmul", recorded)
     mat = np.where(block_mask(2, 4), np.array([[rng.randint(-5, 5) for _ in range(16)] for _ in range(16)]), 0)
-    _, middle, big, _, _ = orc._letter_blocks(2, 4)
-    assert np.count_nonzero(mat[np.ix_(middle, middle)])
-    mat[np.ix_(middle, middle)] *= 2**28
-    mat[np.ix_(big, big)] *= 2**40
-    a = orc.TensorOperator(2, 4, Fraction(1, 3), mat)
-    assert layout_kind(a) == orc._LETTER
+    _, low, big, high, _ = orc._letter_blocks(2, 4)
+    for words, power in ((low, 26), (high, 26), (big, 40)):
+        mat[np.ix_(words, words)] *= 2**power
+    a = orc.TensorOperator(2, 4, Fraction(1, 3), sum(relabelled(mat, 2, 4)))
+    assert layout_kind(a) == orc._SORTED and [m for _, _, m in a._layout.spans] == [1, 4, 6]
     product = a @ a
-    floats = ("float", np.int64)
-    assert routes == [floats, ("int64", np.int64), ("object", object), floats, floats]
+    assert routes == [("float", np.int64), ("int64", np.int64), ("object", object)]
     assert product._vec.dtype == object and product == full_product(a, a)
 
 
@@ -630,7 +623,8 @@ def test_family_independent_of_blas_threads():
 
 def test_clear_projector_cache_keeps_layouts():
     # operators built before a clear combine with operators built after it:
-    # the site maps are dropped and rebuilt, the layouts they index stay
+    # the site maps are dropped and rebuilt, the layouts they index stay;
+    # the masked matrix is not relabel-invariant, so it is stored one-block
     def build():
         rng = random.Random(14)
         family = orc.isotypical_projectors(2, 3)
@@ -642,7 +636,7 @@ def test_clear_projector_cache_keeps_layouts():
 
     maps = (orc._kron_maps, orc._trace_maps, orc._site_maps, orc._pair_orbits)
     before = build()
-    assert [layout_kind(op) for op in before] == [orc._SORTED, orc._LETTER, orc._WHOLE]
+    assert [layout_kind(op) for op in before] == [orc._SORTED, orc._WHOLE, orc._WHOLE]
     before_derived = [derived(op) for op in before]
     assert all(cached.cache_info().currsize for cached in maps)
     orc.clear_projector_cache()
@@ -731,38 +725,40 @@ def test_overlap_examples():
 PAIRING_SIZES = [(1, 2), (2, 1), (2, 3), (3, 2), (2, 4)]
 
 
-LAYOUT_KINDS = st.sampled_from([orc._SORTED, orc._LETTER, orc._WHOLE])
+SHAPES = st.sampled_from(["sorted", "masked", "whole"])
 
 
 @st.composite
 def operator_pairs(draw):
-    """(a, b) on one (d, n): each drawn for a layout kind, with entries near 2**40 in one block or not.
+    """(a, b) on one (d, n): each drawn for a shape, with entries near 2**40 in one block or not.
 
-    A sorted draw sums a letter-block draw over every relabelling of the
-    letters.  b is drawn on its own, or is a rescaled copy of a (an equal
+    A masked draw is zero outside the letter blocks but in general not
+    invariant under relabelling the letters, so it is stored one-block: the
+    constructor's boundary case.  A sorted draw sums a masked draw over every
+    relabelling.  b is drawn on its own, or is a rescaled copy of a (an equal
     operator), possibly with one entry changed, which may change its kind.
     """
     d, n = draw(st.sampled_from(PAIRING_SIZES))
     dim = d**n
     mask = block_mask(d, n)
 
-    def operator(kind, big):
+    def operator(shape, big):
         mat = np.array(draw(st.lists(st.integers(-3, 3), min_size=dim * dim, max_size=dim * dim)), dtype=object)
         mat = mat.reshape(dim, dim)
-        if kind != orc._WHOLE:
+        if shape != "whole":
             mat = np.where(mask, mat, 0)
         if big:
             words = max(orc._letter_blocks(d, n), key=len)
             mat[np.ix_(words, words)] *= 2**40
             mat[words[0], words[0]] = 2**40 + 1
-        if kind == orc._SORTED:
+        if shape == "sorted":
             mat = sum(relabelled(mat, d, n))
         return orc.TensorOperator(d, n, Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 5))), mat)
 
-    a = operator(draw(LAYOUT_KINDS), draw(st.booleans()))
+    a = operator(draw(SHAPES), draw(st.booleans()))
     relation = draw(st.sampled_from(["independent", "rescaled", "perturbed"]))
     if relation == "independent":
-        return a, operator(draw(LAYOUT_KINDS), draw(st.booleans()))
+        return a, operator(draw(SHAPES), draw(st.booleans()))
     c = draw(st.sampled_from([1, 2, -3]))
     mat = a.mat * c
     if relation == "perturbed":
@@ -803,7 +799,7 @@ def check_site_operations(op, data):
 
 @given(operator_pairs(), st.data())
 def test_operations_match_full_matrices(pair, data):
-    # sorted, letter-block, one-block and mixed operands, with entries near 2**40 in one block or not
+    # sorted, masked, one-block and mixed operands, with entries near 2**40 in one block or not
     a, b = pair
     assert a @ b == full_product(a, b) and b @ a == full_product(b, a)
     assert (a @ b)._layout is (b @ a)._layout is orc._layout(a.d, a.n, max(layout_kind(a), layout_kind(b)))
@@ -815,17 +811,18 @@ def test_operations_match_full_matrices(pair, data):
 
 
 def test_hs_product_int64_and_object_routes(exact_routes):
-    # with either operand storing only letter blocks the pairing sums the 70 in-block
-    # terms of (2, 4), else all 256; two sorted operands pair the 53 sorted entries, each
-    # counted for the letter blocks it stands for, 70 terms in all.  It runs in int64
-    # exactly when the number of terms times max|A| max|B| fits
+    # two sorted operands pair the 53 sorted entries of (2, 4), each counted for the
+    # letter blocks it stands for, 70 terms in all; any other pair sums all 256 terms.
+    # It runs in int64 exactly when the number of terms times max|A| max|B| fits
     mask = block_mask(2, 4)
-    assert orc._layout(2, 4, orc._LETTER).size == int(mask.sum()) == 70
-    assert orc._layout(2, 4, orc._SORTED).size == 1 + 16 + 36 and orc._layout(2, 4, orc._SORTED).terms == 70
+    sorted_layout = orc._layout(2, 4, orc._SORTED)
+    assert sorted_layout.size == 1 + 16 + 36 and sorted_layout.terms == len(sorted_layout.letter_pairs[0]) == 70
+    assert orc._layout(2, 4, orc._WHOLE).terms == 256
     for a_outside, b_outside in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        limit = (2**63 - 1) // (256 if a_outside and b_outside else 70)
-        for entry in (limit, limit + 1):
-            for a_sorted in (False, True):  # entry on 0000 alone, or on 0000 and 1111
+        for a_sorted in (False, True):  # entry on 0000 alone, or on 0000 and 1111
+            both_sorted = a_sorted and not a_outside and not b_outside
+            limit = (2**63 - 1) // (70 if both_sorted else 256)
+            for entry in (limit, limit + 1):
                 mat = np.where(mask, 1, a_outside).astype(object)
                 mat[0, 0] = entry
                 if a_sorted:
@@ -834,7 +831,7 @@ def test_hs_product_int64_and_object_routes(exact_routes):
                 b = orc.TensorOperator(2, 4, Fraction(-2), np.where(mask, 1, b_outside))
                 kinds = [layout_kind(a), layout_kind(b)]
                 assert kinds == [expected_kind(a), expected_kind(b)]
-                assert kinds[0] == (orc._WHOLE if a_outside else orc._SORTED if a_sorted else orc._LETTER)
+                assert kinds[0] == (orc._SORTED if a_sorted and not a_outside else orc._WHOLE)
                 assert kinds[1] == (orc._WHOLE if b_outside else orc._SORTED)
                 exact_routes.clear()
                 value = a.hs_product(b)
@@ -853,7 +850,7 @@ def test_pairings_against_a_list(exact_routes):
             orc.TensorOperator(d, n, Fraction(1, 3), np.where(mask, rand_op(rng, d, n).mat, 0)),
             rand_op(rng, d, n),
         ]
-        assert [layout_kind(op) for op in ops] == [orc._SORTED, orc._LETTER, orc._WHOLE]
+        assert [layout_kind(op) for op in ops] == [orc._SORTED, orc._WHOLE, orc._WHOLE]
         for a in ops:
             for others in (ops[:1], ops[:2], ops, ops[::-1]):
                 exact_routes.clear()
@@ -866,17 +863,17 @@ def test_pairings_against_a_list(exact_routes):
 
 
 def test_sorted_operand_pairs_with_every_kind():
-    # a sorted operand against a non-invariant letter-block one and a one-block one:
-    # the pairing runs on the letter blocks, as the other operand's entries outside
-    # the sorted blocks differ from their relabelled images
+    # a sorted operand against a masked non-invariant one and a random one, both
+    # stored one-block: the pairing runs on the one block, as the other operand's
+    # entries outside the sorted blocks differ from their relabelled images
     rng = random.Random(13)
     for d, n in ((2, 3), (3, 2), (3, 3)):
         mask = block_mask(d, n)
         sym = orc.isotypical_projectors(d, n)[enumerate_frames(d, n)[1]]
-        letter = orc.TensorOperator(d, n, Fraction(1, 3), np.where(mask, rand_op(rng, d, n).mat, 0))
+        masked = orc.TensorOperator(d, n, Fraction(1, 3), np.where(mask, rand_op(rng, d, n).mat, 0))
         whole = rand_op(rng, d, n)
-        assert [layout_kind(op) for op in (sym, letter, whole)] == [orc._SORTED, orc._LETTER, orc._WHOLE]
-        for other in (letter, whole):
+        assert [layout_kind(op) for op in (sym, masked, whole)] == [orc._SORTED, orc._WHOLE, orc._WHOLE]
+        for other in (masked, whole):
             assert sym.hs_product(other) == other.hs_product(sym) == hs_product_by_full_matrices(sym, other)
             assert not (sym == other) and not (other == sym)
             # an invariant operator held in the other's layout equals the sorted one
@@ -888,9 +885,10 @@ def test_sorted_operand_pairs_with_every_kind():
 
 def test_representative_match_is_not_invariance():
     # each letter block of diag(5, 1, 2, 5) matches its sorted block's entry under the
-    # sorting relabelling, but swapping the letters moves 01 onto 10: not invariant
+    # sorting relabelling, but swapping the letters moves 01 onto 10: not invariant,
+    # so stored one-block
     a = orc.TensorOperator(2, 2, Fraction(1), np.diag([5, 1, 2, 5]).astype(object))
-    assert layout_kind(a) == expected_kind(a) == orc._LETTER
+    assert layout_kind(a) == expected_kind(a) == orc._WHOLE
     assert a.partial_trace([1]) == orc.TensorOperator(2, 1, Fraction(1), np.diag([6, 7]).astype(object))
     assert orc.TensorOperator(2, 2, Fraction(1), np.diag([5, 1, 1, 5])).hs_product(a) == 5 * 5 + 1 + 2 + 5 * 5
     # at d = 3 a sum over the relabellings of one generator alone is not invariant either
@@ -899,7 +897,7 @@ def test_representative_match_is_not_invariance():
     moves = list(relabelled(letter, 3, 2))  # identity, (1 2), (0 1), (0 1 2), (0 2 1), (0 2)
     for group in ((0, 3, 4), (0, 2)):
         b = orc.TensorOperator(3, 2, Fraction(1), sum(moves[i] for i in group))
-        assert layout_kind(b) == expected_kind(b) == orc._LETTER, group
+        assert layout_kind(b) == expected_kind(b) == orc._WHOLE, group
     assert layout_kind(orc.TensorOperator(3, 2, Fraction(1), sum(moves))) == orc._SORTED
 
 
@@ -907,11 +905,11 @@ def test_sorted_layout_storage():
     # the sum over sorted histograms of the squared multinomial, against every letter block
     for (d, n), size, letter in (((3, 6), 13262, 35169), ((2, 8), 8885, 12870), ((4, 5), 5026, 31504)):
         layout = orc._layout(d, n, orc._SORTED)
-        assert layout.size == size and layout.terms == orc._layout(d, n, orc._LETTER).size == letter
+        assert layout.size == size and layout.terms == len(layout.letter_pairs[0]) == letter
         assert all(len(p._vec) == size for p in orc.isotypical_projectors(d, n).values())
-    # one object for every kind where there is one letter block
+    # one object for both kinds where there is one letter block
     for d, n in ((1, 4), (3, 0)):
-        assert orc._layout(d, n, orc._SORTED) is orc._layout(d, n, orc._LETTER) is orc._layout(d, n, orc._WHOLE)
+        assert orc._layout(d, n, orc._SORTED) is orc._layout(d, n, orc._WHOLE)
 
 
 def test_psd_checks():
@@ -932,15 +930,22 @@ PSD_SIZES = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
 
 @st.composite
 def psd_cases(draw):
-    """(operator, kind, masked): a rank-deficient Gram matrix, minus eps I, or with a zero-diagonal row."""
+    """(operator, kind, shape): a rank-deficient Gram matrix, minus eps I, or with a zero-diagonal row.
+
+    The Gram matrix is kept whole, masked to the letter blocks (still PSD) or
+    masked and summed over every relabelling of the letters (PSD and sorted).
+    """
     d, n = draw(st.sampled_from(PSD_SIZES))
     dim = d**n
     rank = draw(st.integers(0, dim - 1))
     r = np.array(draw(st.lists(st.integers(-3, 3), min_size=rank * dim, max_size=rank * dim)), dtype=object)
     mat = r.reshape(rank, dim).T @ r.reshape(rank, dim) if rank else np.zeros((dim, dim), dtype=object)
-    masked = draw(st.booleans())
+    shape = draw(SHAPES)
+    masked = shape != "whole"
     if masked:
         mat = np.where(block_mask(d, n), mat, 0)
+    if shape == "sorted":
+        mat = sum(relabelled(mat, d, n))
     kind = draw(st.sampled_from(["gram", "minus_eps", "zero_diag"]))
     den = draw(st.integers(1, 40))
     if kind == "minus_eps":
@@ -953,22 +958,22 @@ def psd_cases(draw):
             row = np.where(block_mask(d, n)[i], row, 0)
         mat[i, :] = mat[:, i] = row
     scale = Fraction(draw(st.integers(-2, 2)), den)
-    return orc.TensorOperator(d, n, scale, mat), kind, masked
+    return orc.TensorOperator(d, n, scale, mat), kind, shape
 
 
 @given(psd_cases(), st.data())
 def test_psd_matches_fraction_ldl(case, data):
-    a, kind, masked = case
+    a, kind, shape = case
     verdict = orc.is_positive_semidefinite(a)
     assert verdict == psd_by_fraction_ldl(a)
     assert a @ a == full_product(a, a)
     check_site_operations(a, data)
     assert layout_kind(a) == expected_kind(a)
-    if masked:
-        assert blocked(a)
+    if shape == "sorted" and kind != "zero_diag":
+        assert layout_kind(a) == orc._SORTED  # Bareiss elimination runs block by block
     if a.scale == 0 or (kind == "gram" and a.scale > 0):
         assert verdict
-    elif not masked and kind == "minus_eps" and a.scale > 0:
+    elif shape == "whole" and kind == "minus_eps" and a.scale > 0:
         assert not verdict  # the Gram matrix has a null vector
 
 

@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bruteforce import (
@@ -24,6 +26,11 @@ from isotwirl.symmetric_group import (
 def test_permutation_validation_and_algebra():
     with pytest.raises(ValueError):
         Permutation((0, 0, 1))
+    # a non-integer image is refused, not truncated: (0.0, 1.7) once read as the identity
+    for images in ((0.0, 1.7), (0.0, 1.0), ("0", 1), (Fraction(0), 1)):
+        with pytest.raises(ValueError, match="images must be integers"):
+            Permutation(images)
+    assert Permutation((np.int64(1), False)).images == (1, 0)
     s = Permutation((1, 2, 0))
     t = Permutation((1, 0, 2))
     assert (s * t).images == tuple(s.images[t.images[i]] for i in range(3))

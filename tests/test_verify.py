@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from bruteforce import within_window_by_rows
-from isotwirl import horn, spectra, verify
+from isotwirl import horn, oracle, spectra, verify
 from isotwirl.frames import YoungFrame, enumerate_frames
 
 Q_VALUES = (Fraction(1, 2), Fraction(1, 3))
@@ -151,6 +151,40 @@ def test_inflated_extremal_product_fails_with_exact_text(monkeypatch):
         "xy_extrema_within_entropy_bound": ["n=4 lam'=3,1 k=2: X=100 bound=4.0"],
     }
     assert failures([verify.check_xy_empty_iff_chains_disjoint(4)]) == {}
+
+
+def test_dropped_dominating_pair_fails_with_exact_text(monkeypatch):
+    # (2) x (1) is one of the two pairs whose projectors dominate P_(2,1) at the split
+    # 2 + 1; without it the sum misses part of the range of P_(2,1), so the
+    # difference has a negative direction and only that split fails
+    real = verify.lr_nonzero_pairs
+
+    def dropped(lam, l, k, d):
+        pairs = real(lam, l, k, d)
+        if (lam, l, k, d) == (frame(2, 1), 2, 1, 2):
+            assert (frame(2), frame(1)) in pairs
+            pairs = [pair for pair in pairs if pair != (frame(2), frame(1))]
+        return pairs
+
+    monkeypatch.setattr(verify, "lr_nonzero_pairs", dropped)
+    assert failures([verify.check_projector_domination(3)]) == {
+        "projector_pair_domination_psd": ["lam=2,1 split 2+1: domination difference not PSD"],
+    }
+
+
+def test_wrong_projector_square_fails_with_exact_text(monkeypatch):
+    # the product P_(2,1) @ P_(2,1) at (2, 3) comes back doubled; the trace, symmetry,
+    # sum and orthogonality records read no product, so only idempotence fails
+    p = oracle.isotypical_projectors(2, 3)[frame(2, 1)]
+    real = oracle.TensorOperator.__matmul__
+
+    def doubled(a, b):
+        return 2 * real(a, b) if a is p and b is p else real(a, b)
+
+    monkeypatch.setattr(oracle.TensorOperator, "__matmul__", doubled)
+    assert failures([verify.check_projector_algebra([(2, 3)])]) == {
+        "projector_algebra": ["d=2 n=3 2,1: not idempotent"],
+    }
 
 
 def mutant(monkeypatch, module, old, new):
