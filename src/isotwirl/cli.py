@@ -7,6 +7,7 @@ An ``--out`` path whose directory is missing or not writable exits 2 before
 the command runs, so a long ``verify`` does not end in an I/O error.
 ``main`` is the one error boundary: every ``ValueError`` (``InputError``
 included) and ``OSError`` becomes a one-line ``error:`` message on stderr.
+A ``--d`` below 1 is refused there for every command, before it runs.
 Identical invocations produce byte-identical output files.
 """
 
@@ -240,7 +241,8 @@ def _add_global_flags(parser: argparse.ArgumentParser, *, suppress: bool) -> Non
         return argparse.SUPPRESS if suppress else value
 
     parser.add_argument("--d", type=int, default=default(2),
-                        help="local dimension / frame row budget (default 2)")
+                        help="local dimension / frame row budget of dims, horn, spectrum, sweep and xy, "
+                             "at least 1 (default 2)")
     parser.add_argument("--format", choices=["text", "csv", "json"], default=default(None),
                         help="output format: text or json; csv or json for spectrum; csv for "
                              "sweep; json for verify (default: the first); others exit 2")
@@ -322,6 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.d < 1:
+            raise InputError(f"--d must be >= 1, got d={args.d}")
         if args.format not in (None, *args.formats):
             raise InputError(f"{args.command} writes {' or '.join(args.formats)}, not {args.format}")
         if args.out:

@@ -17,35 +17,25 @@ projectors, and their sums, products, partial traces, tensor products, twirls
 and channel outputs are block diagonal over the letter-count blocks of
 :func:`_letter_blocks`.  They also commute with relabelling the d letters on
 every site at once, which carries each block onto the block of the sorted
-histogram.  An operator stores one flat integer vector holding each stored
-block row-major after the previous one, in one of two layouts
-(:class:`_Layout`):
-
-- sorted: only the blocks whose histogram is sorted in decreasing order, for
-  a matrix zero outside the letter blocks and invariant under every
-  relabelling; every other word reads its image in such a block;
-- one-block: every word pair, row-major, for every other matrix.
-
-The constructor stores a matrix sorted when it is zero outside the letter
-blocks and unchanged under the two generators of S_d (matching each block
-with its sorted block alone does not imply invariance), and one-block
-otherwise.  So a matrix that is zero outside the letter blocks but not
-invariant holds all d^(2n) entries, and its products are not split by
-block; no operation of this package builds one.  Projectors, permutation
-operators, the zero and the identity are built sorted.
+histogram.  These are the only operators held here: the constructor refuses
+a matrix that is nonzero outside the letter blocks or changed by the two
+generators of S_d (matching each block with its sorted block alone does not
+imply invariance), and every operation maps such operators to such
+operators.  An operator stores one flat integer vector holding only the
+blocks whose histogram is sorted in decreasing order, each row-major after
+the previous one (:class:`_Layout`); every other word reads its image in such
+a block.
 
 Every operation reads and writes the vector through index maps computed once
-from word digits and block offsets, the same maps for both layouts.  Sums,
-equality and traces are whole-vector numpy calls.  A Hilbert-Schmidt pairing
-is one dot product: the first operator's entries are transposed and weighted
-by the number of letter blocks each stored entry stands for, and that one
-vector pairs with any list of operators (:meth:`TensorOperator.pairings`).
-Matrix products and the PSD test loop over reshaped block views.  Partial
-traces, tensor products, conjugation, the twirl and the channel gather
-entries through site maps, and keep the layout of their operands.  No
-operation on a sorted operator forms a d^n x d^n array; only ``mat``, a
-fresh full Python-int copy, does.  An operation whose operands differ in
-layout reads the sorted one in the one block, by one gather.
+from word digits and block offsets.  Sums, equality and traces are
+whole-vector numpy calls.  A Hilbert-Schmidt pairing is one dot product: the
+first operator's entries are transposed and weighted by the number of letter
+blocks each stored entry stands for, and that one vector pairs with any list
+of operators (:meth:`TensorOperator.pairings`).  Matrix products and the PSD
+test loop over reshaped block views.  Partial traces, tensor products,
+conjugation, the twirl and the channel gather entries through site maps.  No
+operation forms a d^n x d^n array; only ``mat``, a fresh full Python-int
+copy, does.
 
 The vector is int64 when every entry fits and Python ints (object dtype)
 otherwise.  Each operation bounds the entries it will form and passes that
@@ -175,41 +165,32 @@ def _sorted_images(d: int, n: int) -> np.ndarray:
     return np.take_along_axis(relabel, _word_digits(d, n), axis=1) @ _index_powers(d, n)
 
 
-# Layout kinds: the sorted-histogram blocks of an operator zero outside the
-# letter blocks and invariant under relabelling, and the one block of every
-# word pair.
-_SORTED, _WHOLE = range(2)
-
-
 class _Layout:
     """Where each stored entry of an operator on [d]^n sits in its flat vector.
 
-    The entry at the word pair (blocks[b][i], blocks[b][j]) sits at
-    ``spans[b][0] + i m + j``, m = len(blocks[b]).  The position of (x, y) is
-    ``row_base[x] + local[y]`` when ``block_of[x] == block_of[y]``; other pairs
-    are zero and not stored.  The one-block layout stores every pair.  The
-    sorted layout stores only the letter blocks whose histogram is sorted in
-    decreasing order, and maps each other word to its image in such a block
-    (:func:`_sorted_images`): an operator that commutes with every
-    relabelling of the letters has the same entry at both.  ``weights``
-    counts the letter blocks each stored block stands for (1 in the one
-    block), and ``block_of`` numbers every word's own letter block.  Every
-    array is read-only; the per-entry maps are built on first use.
+    Only the letter blocks whose histogram is sorted in decreasing order are
+    stored.  The entry at the word pair (blocks[b][i], blocks[b][j]) sits at
+    ``spans[b][0] + i m + j``, m = len(blocks[b]).  Every other word is mapped
+    to its image in such a block (:func:`_sorted_images`): an operator that
+    commutes with every relabelling of the letters has the same entry at both.
+    So the position of (x, y) is ``row_base[x] + local[y]`` when
+    ``block_of[x] == block_of[y]``; other pairs are zero and not stored.
+    ``weights`` counts the letter blocks each stored block stands for, and
+    ``block_of`` numbers every word's own letter block.  Every array is
+    read-only; the per-entry maps are built on first use.
     """
 
-    def __init__(self, d: int, n: int, kind: int):
-        self.d, self.n, self.kind = d, n, kind
+    def __init__(self, d: int, n: int):
+        self.d, self.n = d, n
         dim = d**n
-        letter = (np.arange(dim),) if kind == _WHOLE else _letter_blocks(d, n)
+        letter = _letter_blocks(d, n)
         self.block_of, self.local, self.row_base = (np.empty(dim, dtype=np.int64) for _ in range(3))
         for b, words in enumerate(letter):
             self.block_of[words] = b
-        self.blocks, self.weights = letter, (1,) * len(letter)
-        if kind == _SORTED:
-            image = _sorted_images(d, n)
-            counts = np.bincount(self.block_of[image[[words[0] for words in letter]]], minlength=len(letter))
-            stored = np.flatnonzero(counts)  # every image lies in a sorted block, itself its own image
-            self.blocks, self.weights = tuple(letter[b] for b in stored), tuple(counts[stored].tolist())
+        image = _sorted_images(d, n)
+        counts = np.bincount(self.block_of[image[[words[0] for words in letter]]], minlength=len(letter))
+        stored = np.flatnonzero(counts)  # every image lies in a sorted block, itself its own image
+        self.blocks, self.weights = tuple(letter[b] for b in stored), tuple(counts[stored].tolist())
         ends = list(itertools.accumulate(len(w) ** 2 for w in self.blocks))
         self.spans = [(end - len(w) ** 2, end, len(w)) for w, end in zip(self.blocks, ends)]
         self.size = ends[-1]
@@ -217,8 +198,7 @@ class _Layout:
         for words, (start, _, m) in zip(self.blocks, self.spans):
             self.local[words] = np.arange(m)
             self.row_base[words] = start + m * np.arange(m)
-        if kind == _SORTED:
-            self.local, self.row_base = self.local[image], self.row_base[image]
+        self.local, self.row_base = self.local[image], self.row_base[image]
         for a in (self.block_of, self.local, self.row_base):
             _read_only(a)
 
@@ -243,12 +223,6 @@ class _Layout:
         return _read_only(np.concatenate([np.tile(w, len(w)) for w in self.blocks]))
 
     @cached_property
-    def flat(self) -> np.ndarray:
-        """Flat index x d^n + y in the full matrix of every stored entry."""
-        dim = self.d**self.n
-        return _read_only(np.concatenate([(w[:, None] * dim + w[None, :]).ravel() for w in self.blocks]))
-
-    @cached_property
     def transpose(self) -> np.ndarray:
         """Position of the transposed entry (y, x) of every stored entry (x, y)."""
         return _read_only(self.position(self.cols, self.rows))
@@ -267,14 +241,9 @@ class _Layout:
 
 
 @cache
-def _layout(d: int, n: int, kind: int) -> _Layout:
-    """The layout of the given kind on [d]^n.
-
-    With a single letter block (d = 1 or n = 0) both kinds are the same object.
-    """
-    if kind != _SORTED and len(_letter_blocks(d, n)) == 1:
-        return _layout(d, n, _SORTED)
-    return _Layout(d, n, kind)
+def _layout(d: int, n: int) -> _Layout:
+    """The one layout of operators on [d]^n, shared by all of them."""
+    return _Layout(d, n)
 
 
 class TensorOperator:
@@ -285,8 +254,8 @@ class TensorOperator:
     def __init__(self, d: int, n: int, scale: Fraction | int | str, mat: np.ndarray):
         """The operator ``scale`` times ``mat``, a full d^n x d^n integer matrix (copied).
 
-        It is stored sorted when it is zero outside the letter blocks and
-        unchanged under relabelling the letters, else one-block.
+        ``mat`` must be zero outside the letter blocks and unchanged under
+        relabelling the letters; any other matrix raises ``ValueError``.
         """
         _check_dense_size(d, n)
         dim = d**n
@@ -297,15 +266,20 @@ class TensorOperator:
         if mat.dtype == object and not all(issubclass(t, numbers.Integral) for t in set(map(type, mat.flat))):
             raise ValueError("matrix entries are not all integers: fold fractions into the scale")
         flat = mat.reshape(-1)
-        layout = _layout(d, n, _SORTED)
+        layout = _layout(d, n)
+        pairs, position = layout.letter_pairs
+        inside = flat.take(pairs)
+        if np.count_nonzero(inside) != np.count_nonzero(flat):
+            raise ValueError("matrix is nonzero outside the letter-count blocks")
         # the generators of S_d: the swap of letters 0 and 1 and the d-cycle a -> a + 1
         generators = {(1, 0, *range(2, d)), (*range(1, d), 0)} if d > 1 else set()
-        relabelled = (np.array(g)[_word_digits(d, n)] @ _index_powers(d, n) for g in generators)
-        if np.count_nonzero(flat.take(layout.letter_pairs[0])) != np.count_nonzero(flat) or not all(
-            np.array_equal(mat[np.ix_(words, words)], mat) for words in relabelled
-        ):
-            layout = _layout(d, n, _WHOLE)
-        self._set(d, n, exact_rational(scale), layout, flat.take(layout.flat))
+        for g in generators:
+            words = np.array(g)[_word_digits(d, n)] @ _index_powers(d, n)
+            if not np.array_equal(mat[np.ix_(words, words)], mat):
+                raise ValueError("matrix is not invariant under relabelling the letters")
+        vec = np.zeros(layout.size, dtype=flat.dtype)
+        vec[position] = inside  # each stored entry, written once per word pair of its orbit
+        self._set(d, n, exact_rational(scale), layout, vec)
 
     def _set(self, d: int, n: int, scale: Fraction, layout: _Layout, vec: np.ndarray) -> None:
         self.d, self.n, self.scale, self._layout = d, n, scale, layout
@@ -323,31 +297,16 @@ class TensorOperator:
     def mat(self) -> np.ndarray:
         """A fresh full d^n x d^n copy of the matrix as Python ints (object dtype); not cached."""
         dim = self.d**self.n
-        return self._in(_layout(self.d, self.n, _WHOLE)).astype(object).reshape(dim, dim)
+        pairs, position = self._layout.letter_pairs
+        out = np.zeros(dim * dim, dtype=object)
+        out[pairs] = self._vec.take(position).astype(object)
+        return out.reshape(dim, dim)
 
     def _bound(self) -> int:
         """Largest entry modulus, computed once."""
         if self._amax is None:
             self._amax = _amax(self._vec)
         return self._amax
-
-    def _in(self, layout: _Layout) -> np.ndarray:
-        """The entries at the positions of ``layout``: its own, or the one-block one of the same (d, n).
-
-        A sorted operator moves to the one block by one gather, with zeros
-        outside the letter blocks.
-        """
-        if layout is self._layout:
-            return self._vec
-        flat, position = self._layout.letter_pairs
-        out = np.zeros(layout.size, dtype=self._vec.dtype)
-        out[flat] = self._vec.take(position)
-        return out
-
-    def _union(self, other: "TensorOperator") -> _Layout:
-        """The layout holding every stored entry of both operators: sorted when both are, else the one block."""
-        self._compatible(other)
-        return _layout(self.d, self.n, max(self._layout.kind, other._layout.kind))
 
     def is_symmetric(self) -> bool:
         """Whether the matrix equals its transpose, read on the stored entries."""
@@ -358,13 +317,13 @@ class TensorOperator:
     @classmethod
     def zero(cls, d: int, n: int) -> "TensorOperator":
         _check_dense_size(d, n)
-        layout = _layout(d, n, _SORTED)
+        layout = _layout(d, n)
         return cls._of(d, n, Fraction(0), layout, np.zeros(layout.size, dtype=np.int64))
 
     @classmethod
     def identity(cls, d: int, n: int) -> "TensorOperator":
         _check_dense_size(d, n)
-        layout = _layout(d, n, _SORTED)
+        layout = _layout(d, n)
         vec = np.zeros(layout.size, dtype=np.int64)
         vec[layout.diagonal] = 1
         return cls._of(d, n, Fraction(1), layout, vec)
@@ -393,15 +352,13 @@ class TensorOperator:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def _scaled_pair(
-        self, a: int, other: "TensorOperator", b: int, layout: _Layout
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """a times this operator's entries and b times the other's in ``layout``.
+    def _scaled_pair(self, a: int, other: "TensorOperator", b: int) -> tuple[np.ndarray, np.ndarray]:
+        """a times this operator's entries and b times the other's.
 
         They stay int64 when |a| max|A| + |b| max|B| fits.
         """
         bound = abs(a) * max(self._bound(), 1) + abs(b) * max(other._bound(), 1)
-        x, y = _exact(bound, self._in(layout), other._in(layout))
+        x, y = _exact(bound, self._vec, other._vec)
         return a * x, b * y
 
     def _compatible(self, other: "TensorOperator") -> None:
@@ -409,7 +366,7 @@ class TensorOperator:
             raise ValueError("operator shape mismatch")
 
     def __add__(self, other: "TensorOperator") -> "TensorOperator":
-        layout = self._union(other)
+        self._compatible(other)
         if self.scale == 0:
             return other
         if other.scale == 0:
@@ -421,8 +378,8 @@ class TensorOperator:
         )
         a = int(self.scale / s)
         b = int(other.scale / s)
-        x, y = self._scaled_pair(a, other, b, layout)
-        return TensorOperator._of(self.d, self.n, s, layout, x + y)
+        x, y = self._scaled_pair(a, other, b)
+        return TensorOperator._of(self.d, self.n, s, self._layout, x + y)
 
     def __sub__(self, other: "TensorOperator") -> "TensorOperator":
         return self + (-1) * other
@@ -437,13 +394,13 @@ class TensorOperator:
         return self.__rmul__(c)
 
     def __matmul__(self, other: "TensorOperator") -> "TensorOperator":
-        """Matrix product, one block of the common layout at a time.
+        """Matrix product, one stored block at a time.
 
         Each block product takes the route its own bound certifies (see
         :func:`_int_matmul`): float64 BLAS, int64 or Python ints.
         """
-        layout = self._union(other)
-        a, b = self._in(layout), other._in(layout)
+        self._compatible(other)
+        layout, a, b = self._layout, self._vec, other._vec
         parts = [_int_matmul(a[lo:hi].reshape(m, m), b[lo:hi].reshape(m, m)) for lo, hi, m in layout.spans]
         vec = np.concatenate([part.ravel() for part in parts])
         return TensorOperator._of(self.d, self.n, self.scale * other.scale, layout, vec)
@@ -457,10 +414,8 @@ class TensorOperator:
         """The integer pairing sum of A_ij B_ji of this operator's entries with those of each of ``others``.
 
         tr(self @ other) is ``self.scale * other.scale`` times the pairing.
-        When every operator is sorted, each stored block is paired once and
-        counted for every letter block it stands for; otherwise all are read
-        in the one block, as a one-block operator need not be invariant.
-        This operator is read once, transposed and weighted entry by entry
+        Each stored block is paired once and counted for every letter block
+        it stands for.  This operator is read once, transposed and weighted entry by entry
         (:attr:`_Layout.entry_weights`), and each pairing is one dot product
         with that vector.  The sums run in int64 when (number of terms)
         max|A| max|B| fits, each stored term counted with its block's weight,
@@ -472,12 +427,12 @@ class TensorOperator:
             return []
         for other in others:
             self._compatible(other)
-        layout = _layout(self.d, self.n, max(self._layout.kind, *(o._layout.kind for o in others)))
+        layout = self._layout
         weights, transposed, *vecs = _exact(
             layout.terms * self._bound() * max(o._bound() for o in others),
             layout.entry_weights,
-            self._in(layout).take(layout.transpose),
-            *(o._in(layout) for o in others),
+            self._vec.take(layout.transpose),
+            *(o._vec for o in others),
         )
         weighted = weights * transposed
         return [int(np.dot(weighted, vec)) for vec in vecs]
@@ -488,19 +443,14 @@ class TensorOperator:
         return self.scale * other.scale * pairing
 
     def kron(self, other: "TensorOperator") -> "TensorOperator":
-        """Tensor product, self on the first sites, in the larger of the operands' layout kinds."""
+        """Tensor product, self on the first sites."""
         if self.d != other.d:
             raise ValueError("local dimensions differ")
         d, n = self.d, self.n + other.n
         _check_dense_size(d, n)
-        kind = max(self._layout.kind, other._layout.kind)
-        stored, left, right = _kron_maps(d, self.n, other.n, kind)
-        a, b = _exact(
-            self._bound() * other._bound(),
-            self._in(_layout(d, self.n, kind)),
-            other._in(_layout(d, other.n, kind)),
-        )
-        layout = _layout(d, n, kind)
+        stored, left, right = _kron_maps(d, self.n, other.n)
+        a, b = _exact(self._bound() * other._bound(), self._vec, other._vec)
+        layout = _layout(d, n)
         vec = np.zeros(layout.size, dtype=a.dtype)
         vec[stored] = a.take(left) * b.take(right)
         return TensorOperator._of(d, n, self.scale * other.scale, layout, vec)
@@ -512,7 +462,7 @@ class TensorOperator:
             return False
         a = self.scale.numerator * other.scale.denominator
         b = other.scale.numerator * self.scale.denominator
-        return bool(np.array_equal(*self._scaled_pair(a, other, b, self._union(other))))
+        return bool(np.array_equal(*self._scaled_pair(a, other, b)))
 
     # -- site-structure operations --------------------------------------------
 
@@ -528,25 +478,25 @@ class TensorOperator:
             raise ValueError(f"sites {list(sites)} outside range(0, {self.n})")
         if not sites:
             return self
-        d, m, kind = self.d, self.n - len(sites), self._layout.kind
+        d, m = self.d, self.n - len(sites)
         (vec,) = _exact(self._bound() * d ** len(sites), self._vec)
-        out = vec.take(_trace_maps(d, self.n, sites, kind)).sum(axis=0)
-        return TensorOperator._of(d, m, self.scale, _layout(d, m, kind), out)
+        out = vec.take(_trace_maps(d, self.n, sites)).sum(axis=0)
+        return TensorOperator._of(d, m, self.scale, _layout(d, m), out)
 
 
 # -- site maps -------------------------------------------------------------------
 
 
 @lru_cache(maxsize=64)
-def _kron_maps(d: int, n_left: int, n_right: int, kind: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _kron_maps(d: int, n_left: int, n_right: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Where A kron B can be nonzero, and the positions of the A and B entries multiplied there.
 
-    The output entry at ((x, y), (x', y')) is A[x, x'] B[y, y'].  In the
-    sorted layout it is stored whenever xy and x'y' share a histogram, but
+    The output entry at ((x, y), (x', y')) is A[x, x'] B[y, y'].  It is
+    stored whenever xy and x'y' share a histogram, but
     nonzero only when x and x' do too (and then so do y and y'); the first
     array lists those positions of the output vector.
     """
-    out, left, right = (_layout(d, m, kind) for m in (n_left + n_right, n_left, n_right))
+    out, left, right = (_layout(d, m) for m in (n_left + n_right, n_left, n_right))
     x, y = np.divmod(out.rows, d**n_right)
     x_, y_ = np.divmod(out.cols, d**n_right)
     stored = np.flatnonzero(left.block_of[x] == left.block_of[x_])
@@ -555,14 +505,14 @@ def _kron_maps(d: int, n_left: int, n_right: int, kind: int) -> tuple[np.ndarray
 
 
 @lru_cache(maxsize=64)
-def _trace_maps(d: int, n: int, sites: tuple[int, ...], kind: int) -> np.ndarray:
+def _trace_maps(d: int, n: int, sites: tuple[int, ...]) -> np.ndarray:
     """Input positions summed into each output entry of the trace over ``sites``, shape (d^k, output size).
 
     The output entry (x, x') sums the input entries at (x + z, x' + z) over
     the d^k letter assignments z of the traced sites, x filling the other
     sites in order.  Adding z to both words keeps them in one letter block.
     """
-    source, out = _layout(d, n, kind), _layout(d, n - len(sites), kind)
+    source, out = _layout(d, n), _layout(d, n - len(sites))
     powers = _index_powers(d, n)
     kept = [s for s in range(n) if s not in sites]
     spread = _word_digits(d, len(kept)) @ powers[kept]  # an output word as a word on n sites
@@ -571,14 +521,14 @@ def _trace_maps(d: int, n: int, sites: tuple[int, ...], kind: int) -> np.ndarray
 
 
 @lru_cache(maxsize=64)
-def _site_maps(d: int, n: int, site: int, kind: int) -> tuple[np.ndarray, np.ndarray]:
+def _site_maps(d: int, n: int, site: int) -> tuple[np.ndarray, np.ndarray]:
     """The entries of tr_site(M) tensor 1 at ``site``: where it can be nonzero, and what each sums.
 
     (tr_s M tensor 1)[x, x'] is zero unless x and x' agree at site s, and then
     sums M over the d pairs with both letters at s set to each c; the second
     array holds those positions, shape (d, number of such entries).
     """
-    layout = _layout(d, n, kind)
+    layout = _layout(d, n)
     power = d ** (n - 1 - site)
     row_letter, col_letter = layout.rows // power % d, layout.cols // power % d
     agree = np.flatnonzero(row_letter == col_letter)
@@ -604,7 +554,7 @@ def _word_map(images: tuple[int, ...], d: int) -> np.ndarray:
 def perm_operator(tau: Permutation, d: int) -> TensorOperator:
     """0/1 matrix moving the letter at site i to site tau(i); B(s)B(t) = B(st)."""
     _check_dense_size(d, tau.n)
-    layout = _layout(d, tau.n, _SORTED)
+    layout = _layout(d, tau.n)
     vec = np.zeros(layout.size, dtype=np.int64)
     vec[layout.position(_word_map(tau.images, d), np.arange(d**tau.n))] = 1
     return TensorOperator._of(d, tau.n, Fraction(1), layout, vec)
@@ -753,7 +703,7 @@ def _projector_family(d: int, n: int) -> dict[YoungFrame, TensorOperator]:
     the gcd g of its entries leaves g/n! times a primitive vector: the
     canonical form ``reduced`` gives.
     """
-    layout = _layout(d, n, _SORTED)
+    layout = _layout(d, n)
     counts = _letter_counts(d, n)
     cycle_maps = cache(partial(_cycle_class_maps, d, n))
     fact = math.factorial(n)
@@ -794,14 +744,13 @@ def clear_projector_cache() -> None:
 
     The family cache holds as many families as a dense sweep up to
     :data:`DENSE_SWEEP_N` asks for, (d, 0..n) for each d: 22.  A family holds
-    one int64 sorted-layout vector per frame; the d=2 n=10 family holds 6.0 MB,
+    one int64 vector per frame; the d=2 n=10 family holds 6.0 MB,
     the d=3 n=8 family 48.7 MB (its build peaks about 40 MB above that, as it
     holds one sorted histogram's products at a time).  The maps of ``kron``,
     ``partial_trace``, ``depolarise_n`` and ``twirl`` are cleared too: the
     eight (3, 8) kron maps alone hold 39 MB.  So a caller that builds larger
-    families can free them here.  The cached layouts stay: operators compare
-    layouts by identity, so an operator built before the clear still combines
-    with one built after it.
+    families can free them here.  The cached layouts stay, so an operator
+    built before the clear shares its layout with one built after it.
     """
     for cached in (_projector_family, _kron_maps, _trace_maps, _site_maps, _pair_orbits):
         cached.cache_clear()
@@ -851,7 +800,7 @@ def conjugate_by_permutation(a: TensorOperator, tau: Permutation) -> TensorOpera
 
 
 @lru_cache(maxsize=64)
-def _pair_orbits(d: int, n: int, kind: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _pair_orbits(d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Orbits of the stored word pairs (x, y) under permuting the sites of x and y together.
 
     Returns the orbit index of every stored entry (orbits numbered from 0),
@@ -862,7 +811,7 @@ def _pair_orbits(d: int, n: int, kind: int) -> tuple[np.ndarray, np.ndarray, np.
     dense size limit.  Permuting sites keeps letter histograms, so every orbit
     lies inside the layout.
     """
-    layout = _layout(d, n, kind)
+    layout = _layout(d, n)
     digits = _word_digits(d, n)
     powers = (d * d) ** np.arange(n - 1, -1, -1, dtype=np.int64)
     labels = np.empty(layout.size, dtype=np.int64)
@@ -889,7 +838,7 @@ def twirl(a: TensorOperator) -> TensorOperator:
     n! max|a| fits, else in Python ints.
     """
     n, d = a.n, a.d
-    orbit, by_orbit, starts, stabiliser = _pair_orbits(d, n, a._layout.kind)
+    orbit, by_orbit, starts, stabiliser = _pair_orbits(d, n)
     vec, stabiliser = _exact(math.factorial(n) * a._bound(), a._vec, stabiliser)
     sums = np.add.reduceat(vec.take(by_orbit), starts)
     return TensorOperator._of(d, n, a.scale / math.factorial(n), a._layout, (stabiliser * sums).take(orbit))
@@ -915,7 +864,7 @@ def depolarise_n(a: TensorOperator, q: Fraction | int | str) -> TensorOperator:
     (vec,) = _exact(max(a._bound(), 1) * growth**n, a._vec)
     keep = (q.denominator - q.numerator) * d
     for site in range(n):
-        agree, summed = _site_maps(d, n, site, a._layout.kind)
+        agree, summed = _site_maps(d, n, site)
         mixed = vec.take(summed).sum(axis=0)
         vec = keep * vec
         vec[agree] += q.numerator * mixed
@@ -930,9 +879,9 @@ def is_positive_semidefinite(a: TensorOperator) -> bool:
 
     A positive scale does not change the verdict, a zero scale makes the
     matrix zero (PSD), and a negative one negates the integer entries.  The
-    matrix is PSD exactly when each block of its layout is (a block the sorted
-    layout leaves out is a relabelled copy of a stored one), so each block is
-    tested on its own.
+    matrix is PSD exactly when each stored block is (a block the layout leaves
+    out is a relabelled copy of a stored one), so each block is tested on its
+    own.
 
     Each block runs symmetric Bareiss elimination on Python ints (Bareiss,
     Math. Comp. 22, 1968) with diagonal pivoting: a negative diagonal entry

@@ -86,7 +86,8 @@ DEFAULT_Q_GRID = tuple(Fraction(i, 10) for i in range(1, 10))
 # are the sizes the checks ran at before d = 4 was served.
 # Dense rows stay within oracle.DENSE_SWEEP_N, so inside the dense caps and the
 # projector cache; at d = 4 each runs in under 1 s.  The two checks on random
-# full matrices stop at (4, 4): at (4, 5) each holds about 150 MB.
+# operators stop at (4, 4): at (4, 5) each draws a 1024 x 1024 matrix of Python
+# ints, which takes about 1.5 s and 30 MB.
 DENSE_ROWS = {
     "dense_overlap_zero_outside_window": orc.DENSE_SWEEP_N,
     "projector_pair_domination_psd": {2: 6},
@@ -242,13 +243,30 @@ def _random_int_matrix(rng: random.Random, dim: int, lo: int = -5, hi: int = 5) 
     return np.array([[rng.randint(lo, hi) for _ in range(dim)] for _ in range(dim)], dtype=object)
 
 
+def _relabel_invariant(mat: np.ndarray, d: int, n: int) -> np.ndarray:
+    """``mat`` zeroed outside the letter blocks and summed over the d! relabellings of the letters.
+
+    The result is a matrix the dense oracle holds (see :class:`oracle.TensorOperator`).
+    It stays PSD when ``mat`` is: each letter block is a principal submatrix, and
+    a relabelling is a congruence by a permutation matrix.
+    """
+    block = orc._layout(d, n).block_of
+    masked = np.where(block[:, None] == block[None, :], mat, 0)
+    total = np.zeros_like(masked)
+    for g in enumerate_group(d):
+        words = np.array(g.images)[orc._word_digits(d, n)] @ orc._index_powers(d, n)
+        total += masked[np.ix_(words, words)]
+    return total
+
+
 def _random_operator(rng: random.Random, d: int, n: int) -> orc.TensorOperator:
-    return orc.TensorOperator(d, n, Fraction(1, rng.randint(1, 9)), _random_int_matrix(rng, d**n))
+    scale = Fraction(1, rng.randint(1, 9))  # drawn before the matrix, as the seeded reports expect
+    return orc.TensorOperator(d, n, scale, _relabel_invariant(_random_int_matrix(rng, d**n), d, n))
 
 
 def _random_psd_operator(rng: random.Random, d: int, n: int) -> orc.TensorOperator:
     r = _random_int_matrix(rng, d**n, -3, 3)
-    return orc.TensorOperator(d, n, Fraction(1, rng.randint(1, 9)), r.T @ r)
+    return orc.TensorOperator(d, n, Fraction(1, rng.randint(1, 9)), _relabel_invariant(r.T @ r, d, n))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -70,7 +71,36 @@ def test_horn_command():
     for d in ("0", "-3"):
         res = run_cli("horn", "0", "0", "0", "--d", d)
         assert res.returncode == 2 and res.stdout == ""
-        assert res.stderr == f"error: a Horn triple needs d >= 1, got d={d}\n"
+        assert res.stderr == f"error: --d must be >= 1, got d={d}\n"
+
+
+# one call of every subcommand, valid at every --d >= 1
+SUBCOMMAND_ARGS = {
+    "dims": ("3",),
+    "lr": ("2", "1", "1"),
+    "char": ("2,1", "3"),
+    "horn": ("2", "1", "1"),
+    "spectrum": ("4", "--q", "1/2"),
+    "sweep": ("4", "--grid", "0.5"),
+    "xy": ("4", "4", "2", "2"),
+    "verify": ("tail", "--cap-n", "2"),
+}
+
+
+@pytest.mark.parametrize("command", SUBCOMMAND_ARGS)
+def test_d_below_one_refused_by_every_subcommand(command, capsys):
+    # lr, char and verify read no --d, yet once exited 0 on --d -1; dims --d -3 blamed the frame
+    from isotwirl import cli
+
+    subcommands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(SUBCOMMAND_ARGS) == set(subcommands.choices)
+    call = [command, *SUBCOMMAND_ARGS[command]]
+    for d in ("0", "-3"):
+        for args in ([*call, "--d", d], ["--d", d, *call]):
+            assert cli.main(args) == 2
+            assert capsys.readouterr() == ("", f"error: --d must be >= 1, got d={d}\n")
+    assert cli.main([*call, "--d", "1"]) == 0
+    assert "error" not in capsys.readouterr().err
 
 
 def test_spectrum_command(tmp_path: Path):

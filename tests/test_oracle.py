@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import math
 import os
 import random
 import subprocess
@@ -27,15 +28,6 @@ from isotwirl import oracle as orc
 from isotwirl import verify
 
 
-def rand_op(rng, d, n, den=7):
-    dim = d**n
-    mat = np.empty((dim, dim), dtype=object)
-    for i in range(dim):
-        for j in range(dim):
-            mat[i, j] = rng.randint(-5, 5)
-    return orc.TensorOperator(d, n, Fraction(1, den), mat)
-
-
 def block_mask(d, n):
     """True exactly on the word pairs inside one letter-count block."""
     mask = np.zeros((d**n, d**n), dtype=bool)
@@ -48,32 +40,43 @@ def full_product(a, b):
     return orc.TensorOperator(a.d, a.n, a.scale * b.scale, a.mat @ b.mat)
 
 
-def relabelled(mat, d, n):
-    """``mat`` with the letters relabelled by each of the d! permutations, on all sites at once."""
+def relabellings(d, n):
+    """The word maps of the d! relabellings of the letters, on all sites at once."""
     words = list(itertools.product(range(d), repeat=n))
     index = {w: i for i, w in enumerate(words)}
-    for g in itertools.permutations(range(d)):
-        moved = [index[tuple(g[a] for a in w)] for w in words]
+    return [[index[tuple(g[a] for a in w)] for w in words] for g in itertools.permutations(range(d))]
+
+
+def relabelled(mat, d, n):
+    """``mat`` with the letters relabelled by each of the d! permutations, on all sites at once."""
+    for moved in relabellings(d, n):
         yield mat[np.ix_(moved, moved)]
 
 
-def expected_kind(op):
-    """The layout kind the constructor must pick for ``op``'s full matrix.
-
-    Sorted when the matrix is zero outside the letter blocks and invariant
-    under every relabelling of the letters, one-block otherwise.
-    """
-    mat = op.mat
-    if np.count_nonzero(mat[~block_mask(op.d, op.n)]):
-        return orc._WHOLE
-    invariant = all(np.array_equal(moved, mat) for moved in relabelled(mat, op.d, op.n))
-    return orc._SORTED if invariant else orc._WHOLE
+def invariant(mat, d, n):
+    """``mat`` zeroed outside the letter blocks and summed over every relabelling: a matrix the oracle holds."""
+    return sum(relabelled(np.where(block_mask(d, n), mat, 0), d, n))
 
 
-def layout_kind(op):
-    """The kind of ``op``'s layout, checked to be the one layout of that kind for its (d, n)."""
-    assert op._layout is orc._layout(op.d, op.n, op._layout.kind)
-    return op._layout.kind
+def holds(mat, d, n):
+    """Whether the constructor must take ``mat``: zero outside the letter blocks and relabel-invariant."""
+    if np.count_nonzero(mat[~block_mask(d, n)]):
+        return False
+    return all(np.array_equal(moved, mat) for moved in relabelled(mat, d, n))
+
+
+def rand_matrix(rng, d, n, bound=5):
+    dim = d**n
+    return np.array([[rng.randint(-bound, bound) for _ in range(dim)] for _ in range(dim)], dtype=object)
+
+
+def rand_invariant(rng, d, n, bound=5):
+    """A random matrix the oracle holds: draws in [-bound, bound] made invariant, so entries up to d! bound."""
+    return invariant(rand_matrix(rng, d, n, bound), d, n)
+
+
+def rand_op(rng, d, n, den=7):
+    return orc.TensorOperator(d, n, Fraction(1, den), rand_invariant(rng, d, n))
 
 
 @pytest.fixture
@@ -318,8 +321,7 @@ def test_partial_trace_int64_and_object_routes(exact_routes):
     rng = random.Random(10)
     for d, n in ((2, 4), (3, 3)):
         for bound in (5, 2**60, 2**62):
-            mat = np.array([[rng.randint(-bound, bound) for _ in range(d**n)] for _ in range(d**n)],
-                           dtype=object)
+            mat = rand_invariant(rng, d, n, bound // math.factorial(d))
             amax = max(abs(x) for x in mat.ravel())
             for stored in (mat, mat.astype(np.int64)):
                 a = orc.TensorOperator(d, n, Fraction(1, 3), stored)
@@ -336,12 +338,12 @@ def test_partial_trace_site_order():
     fam = orc.isotypical_projectors(2, 3)
     p = fam[frame(2, 1)]
     assert p.partial_trace([0]) == p.partial_trace([1]) == p.partial_trace([2])
-    # non-invariant: product operator traces to the matching factors
+    # not permutation-invariant: a product operator traces to the matching factors
     rng = random.Random(2)
-    a, b = rand_op(rng, 2, 1), rand_op(rng, 2, 1)
+    a, b = rand_op(rng, 2, 2), rand_op(rng, 2, 2)
     ab = a.kron(b)
-    assert ab.partial_trace([1]) == b.trace() * a
-    assert ab.partial_trace([0]) == a.trace() * b
+    assert ab.partial_trace([2, 3]) == b.trace() * a
+    assert ab.partial_trace([0, 1]) == a.trace() * b
 
 
 def test_tensor_with_maximally_mixed():
@@ -356,9 +358,9 @@ def test_tensor_with_maximally_mixed():
 
 def test_insert_maximally_mixed_positions():
     rng = random.Random(4)
-    a = rand_op(rng, 2, 1)
-    mixed_first = orc.insert_maximally_mixed(a, [0], 2)
-    mixed_last = orc.insert_maximally_mixed(a, [1], 2)
+    a = rand_op(rng, 2, 2)
+    mixed_first = orc.insert_maximally_mixed(a, [0], 3)
+    mixed_last = orc.insert_maximally_mixed(a, [2], 3)
     assert mixed_last == orc.tensor_with_maximally_mixed(a, 1)
     assert mixed_first == orc.TensorOperator.maximally_mixed(2, 1).kron(a)
     assert mixed_first.partial_trace([0]) == a
@@ -398,14 +400,14 @@ def test_twirl_equals_sum_over_all_permutations(exact_routes):
     rng = np.random.default_rng(11)
     cases = [(2, n) for n in range(0, 7)] + [(3, n) for n in range(0, 5)]
     for d, n in cases:
-        a = orc.TensorOperator(d, n, Fraction(3, 7), rng.integers(-9, 10, size=(d**n, d**n)))
+        a = orc.TensorOperator(d, n, Fraction(3, 7), invariant(rng.integers(-9, 10, size=(d**n, d**n)), d, n))
         exact_routes.clear()
         got, ref = orc.twirl(a), twirl_by_permutations(a)
         assert got.scale == ref.scale and np.array_equal(got.mat, ref.mat), (d, n)
         assert exact_routes == [np.int64]
     # Entries fit int64 but 4! max|a| does not: the orbit sums run on Python ints
-    mat = rng.integers(-3, 4, size=(16, 16)) * 2**59
-    mat[0, 0] = 3 * 2**59  # the orbit of (0000, 0000) has one member, met 4! times
+    mat = invariant(rng.integers(-3, 4, size=(16, 16)), 2, 4) * 2**59
+    mat[0, 0] = mat[15, 15] = 3 * 2**59  # the orbit of (0000, 0000) has one member, met 4! times
     a = orc.TensorOperator(2, 4, Fraction(1, 5), mat)
     exact_routes.clear()
     got, ref = orc.twirl(a), twirl_by_permutations(a)
@@ -414,22 +416,35 @@ def test_twirl_equals_sum_over_all_permutations(exact_routes):
 
 
 def test_twirl_two_term_example():
-    mat = np.zeros((4, 4), dtype=object)
-    mat[1, 1] = 1  # |01><01|
-    out = orc.twirl(orc.TensorOperator(2, 2, Fraction(1), mat))
-    expect = np.zeros((4, 4), dtype=object)
-    expect[1, 1] = expect[2, 2] = 1
-    assert out == orc.TensorOperator(2, 2, Fraction(1, 2), expect)
+    # |001><001| + |110><110| is unchanged by swapping the letters; the twirl spreads each
+    # term over its orbit, 001, 010, 100 and 110, 101, 011, a third on each word
+    mat = np.zeros((8, 8), dtype=object)
+    mat[1, 1] = mat[6, 6] = 1
+    out = orc.twirl(orc.TensorOperator(2, 3, Fraction(1), mat))
+    expect = np.zeros((8, 8), dtype=object)
+    for w in (1, 2, 4, 6, 5, 3):
+        expect[w, w] = 1
+    assert out == orc.TensorOperator(2, 3, Fraction(1, 3), expect)
+    # |001><001| alone is refused: swapping the letters moves it onto |110><110|
+    mat[6, 6] = 0
+    with pytest.raises(ValueError, match="not invariant"):
+        orc.TensorOperator(2, 3, Fraction(1), mat)
 
 
 def test_depolarise_single_site():
+    # on one site only multiples of the identity are relabel-invariant, and the channel fixes them
+    ident = orc.TensorOperator.identity(2, 1)
+    assert orc.depolarise_n(ident, Fraction(1, 2)) == ident
     mat = np.zeros((2, 2), dtype=object)
     mat[0, 0] = 1
-    rho = orc.TensorOperator(2, 1, Fraction(1), mat)
-    out = orc.depolarise_n(rho, Fraction(1, 2))
-    assert out.entry(0, 0) == Fraction(3, 4)
-    assert out.entry(1, 1) == Fraction(1, 4)
-    assert out.entry(0, 1) == 0
+    with pytest.raises(ValueError, match="not invariant"):
+        orc.TensorOperator(2, 1, Fraction(1), mat)
+    # |00><00| + |11><11| at q = 1/2: each site keeps its letter with weight 3/4
+    mat = np.zeros((4, 4), dtype=object)
+    mat[0, 0] = mat[3, 3] = 1
+    out = orc.depolarise_n(orc.TensorOperator(2, 2, Fraction(1), mat), Fraction(1, 2))
+    assert [out.entry(i, i) for i in range(4)] == [Fraction(5, 8), Fraction(3, 8), Fraction(3, 8), Fraction(5, 8)]
+    assert out.entry(1, 2) == 0
 
 
 def test_depolarise_edges_and_trace():
@@ -451,9 +466,7 @@ def test_depolarise_matches_subset_sum(exact_routes):
     for d, n_max in ((2, 5), (3, 3), (4, 2)):
         for n in range(1, n_max + 1):
             for bound in (5, 10**15, 2**62):
-                dim = d**n
-                mat = np.array([[rng.randint(-bound, bound) for _ in range(dim)] for _ in range(dim)],
-                               dtype=object)
+                mat = rand_invariant(rng, d, n, bound)
                 amax = max(abs(x) for x in mat.ravel())
                 a = orc.TensorOperator(d, n, Fraction(1, rng.randint(1, 9)), mat)
                 for q in qs:
@@ -478,14 +491,21 @@ def test_exact_route_boundary():
 
 
 def test_stored_matrix_is_int64_exactly_when_entries_fit():
+    # diag(entry, 1, 1, entry) on two qubits is relabel-invariant
+    def diagonal(entry, dtype=object):
+        mat = np.zeros((4, 4), dtype=object)
+        mat[0, 0] = mat[3, 3] = entry
+        mat[1, 1] = mat[2, 2] = 1
+        return mat.astype(dtype)
+
     for entry, stored in ((2**63 - 1, np.int64), (-(2**63), np.int64), (2**63, object), (-(2**63) - 1, object)):
-        mat = np.array([[entry, 0], [0, 1]], dtype=object)
-        a = orc.TensorOperator(2, 1, Fraction(1), mat)
-        assert a._vec.dtype == stored and a.entry(0, 0) == entry
-    a = orc.TensorOperator(2, 1, Fraction(1), np.array([[2**63, 0], [0, 1]], dtype=np.uint64))
+        a = orc.TensorOperator(2, 2, Fraction(1), diagonal(entry))
+        assert a._vec.dtype == stored and a.entry(0, 0) == a.entry(3, 3) == entry
+    a = orc.TensorOperator(2, 2, Fraction(1), diagonal(2**63, np.uint64))
     assert a._vec.dtype == object and a.entry(0, 0) == 2**63
     # ``mat`` is a fresh Python-int copy: writing to it leaves the operator alone
     copy = a.mat
+    assert all(type(v) is int for v in copy.ravel())
     copy[1, 1] = 5
     assert a.mat is not copy and a.entry(1, 1) == 1
 
@@ -493,7 +513,7 @@ def test_stored_matrix_is_int64_exactly_when_entries_fit():
 def test_int64_and_object_matrices_agree():
     rng = random.Random(9)
     for bound in (5, 2**62):
-        obj = np.array([[rng.randint(-bound, bound) for _ in range(8)] for _ in range(8)], dtype=object)
+        obj = rand_invariant(rng, 2, 3, bound // 2)
         from_obj = orc.TensorOperator(2, 3, Fraction(2, 3), obj)
         from_i64 = orc.TensorOperator(2, 3, Fraction(2, 3), obj.astype(np.int64))
         assert from_obj == from_i64
@@ -522,18 +542,14 @@ def test_matmul_matches_full_product(monkeypatch):
         perms = [orc.perm_operator(s, d) for s in enumerate_group(n)][:8]
         for ops in (family, perms):
             for a, b in itertools.product(ops, repeat=2):
-                assert layout_kind(a) == layout_kind(b) == orc._SORTED
                 assert a @ b == full_product(a, b)
-    # a random pair is nonzero outside the blocks, so it is one block of every index
+    # a random pair, and a product with one projector factor
     rng = random.Random(11)
     a, b = rand_op(rng, 2, 3), rand_op(rng, 2, 3)
-    assert layout_kind(a) == layout_kind(b) == orc._WHOLE
     assert a @ b == full_product(a, b)
-    # so is a product with one sorted factor
     p = orc.isotypical_projectors(2, 3)[frame(2, 1)]
-    assert layout_kind(p) == orc._SORTED and layout_kind(a) == orc._WHOLE
     assert p @ a == full_product(p, a) and a @ p == full_product(a, p)
-    # a sorted operator on (2, 4) stores the blocks of 0000, of the (3, 1) and of the
+    # an operator on (2, 4) stores the blocks of 0000, of the (3, 1) and of the
     # (2, 2) histograms: entries near 2**26 on the (3, 1) and (1, 3) blocks, summed over
     # the relabellings, pass 2**53 in the 4-word block only, and entries near 2**40
     # on the (2, 2) block overflow int64 in the 6-word block only
@@ -546,12 +562,12 @@ def test_matmul_matches_full_product(monkeypatch):
         return product
 
     monkeypatch.setattr(orc, "_int_matmul", recorded)
-    mat = np.where(block_mask(2, 4), np.array([[rng.randint(-5, 5) for _ in range(16)] for _ in range(16)]), 0)
+    mat = np.where(block_mask(2, 4), rand_matrix(rng, 2, 4).astype(np.int64), 0)
     _, low, big, high, _ = orc._letter_blocks(2, 4)
     for words, power in ((low, 26), (high, 26), (big, 40)):
         mat[np.ix_(words, words)] *= 2**power
     a = orc.TensorOperator(2, 4, Fraction(1, 3), sum(relabelled(mat, 2, 4)))
-    assert layout_kind(a) == orc._SORTED and [m for _, _, m in a._layout.spans] == [1, 4, 6]
+    assert [m for _, _, m in a._layout.spans] == [1, 4, 6]
     product = a @ a
     assert routes == [("float", np.int64), ("int64", np.int64), ("object", object)]
     assert product._vec.dtype == object and product == full_product(a, a)
@@ -623,20 +639,17 @@ def test_family_independent_of_blas_threads():
 
 def test_clear_projector_cache_keeps_layouts():
     # operators built before a clear combine with operators built after it:
-    # the site maps are dropped and rebuilt, the layouts they index stay;
-    # the masked matrix is not relabel-invariant, so it is stored one-block
+    # the site maps are dropped and rebuilt, the layouts they index stay
     def build():
         rng = random.Random(14)
         family = orc.isotypical_projectors(2, 3)
-        mat = np.where(block_mask(2, 3), np.array([[rng.randint(-5, 5) for _ in range(8)] for _ in range(8)]), 0)
-        return [family[frame(2, 1)], orc.TensorOperator(2, 3, Fraction(1, 3), mat), rand_op(rng, 2, 3)]
+        return [family[frame(2, 1)], rand_op(rng, 2, 3, den=3), rand_op(rng, 2, 3)]
 
     def derived(op):
         return [op.kron(op), op.partial_trace([1]), orc.twirl(op), orc.depolarise_n(op, Fraction(1, 3))]
 
     maps = (orc._kron_maps, orc._trace_maps, orc._site_maps, orc._pair_orbits)
     before = build()
-    assert [layout_kind(op) for op in before] == [orc._SORTED, orc._WHOLE, orc._WHOLE]
     before_derived = [derived(op) for op in before]
     assert all(cached.cache_info().currsize for cached in maps)
     orc.clear_projector_cache()
@@ -657,17 +670,17 @@ def test_kron_int64_and_object_routes(exact_routes):
     rng = random.Random(12)
     for bound_a, bound_b, fits in ((5, 5, True), (2**31, 2**31, True), (2**62, 1, True), (2**62, 2, False)):
         mats = []
-        for dim, bound in ((2, bound_a), (4, bound_b)):
-            mat = np.array([[rng.randint(-bound, bound) for _ in range(dim)] for _ in range(dim)], dtype=object)
-            mat[0, 0] = bound
+        for bound in (bound_a, bound_b):
+            mat = rand_invariant(rng, 2, 2, bound // 2)
+            mat[0, 0] = mat[3, 3] = bound
             mats.append(mat)
         for stored in (mats, [m.astype(np.int64) for m in mats]):
-            a = orc.TensorOperator(2, 1, Fraction(1, 3), stored[0])
+            a = orc.TensorOperator(2, 2, Fraction(1, 3), stored[0])
             b = orc.TensorOperator(2, 2, Fraction(2, 5), stored[1])
             exact_routes.clear()
             out = a.kron(b)
             assert exact_routes == [np.int64 if fits else object]
-            assert out == orc.TensorOperator(2, 3, Fraction(2, 15), np.kron(a.mat, b.mat))
+            assert out == orc.TensorOperator(2, 4, Fraction(2, 15), np.kron(a.mat, b.mat))
 
 
 def test_inexact_matrices_rejected():
@@ -680,18 +693,21 @@ def test_inexact_matrices_rejected():
 
 def test_non_integer_entries_rejected():
     # an object matrix holding a fraction or a float once had it truncated to an integer
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not all integers"):
         orc.TensorOperator(2, 1, Fraction(1), np.array([[Fraction(1, 2), 0], [0, 0.75]], dtype=object))
     for entry in (Fraction(1, 3), 0.75, Fraction(2), 2.0, "1"):
         for big in (0, 2**64):  # the int64 route and the route for entries past int64
             mat = np.array([[big, 0], [0, 1]], dtype=object)
             mat[1, 0] = entry
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match="not all integers"):
                 orc.TensorOperator(2, 1, Fraction(1), mat)
     # integers of any type are kept exactly
-    mat = np.array([[np.int64(3), True], [2**64, -1]], dtype=object)
-    a = orc.TensorOperator(2, 1, Fraction(1), mat)
-    assert [a.entry(i, j) for i in range(2) for j in range(2)] == [3, 1, 2**64, -1]
+    mat = np.zeros((4, 4), dtype=object)
+    mat[0, 0], mat[3, 3] = np.int64(3), 3
+    mat[1, 1] = mat[2, 2] = 2**64
+    mat[1, 2], mat[2, 1] = True, np.int8(1)
+    a = orc.TensorOperator(2, 2, Fraction(1), mat)
+    assert [a.entry(i, j) for i, j in ((0, 0), (3, 3), (1, 1), (1, 2), (2, 1))] == [3, 3, 2**64, 1, 1]
 
 
 def test_depolarise_preserves_psd():
@@ -725,132 +741,130 @@ def test_overlap_examples():
 PAIRING_SIZES = [(1, 2), (2, 1), (2, 3), (3, 2), (2, 4)]
 
 
-SHAPES = st.sampled_from(["sorted", "masked", "whole"])
-
-
 @st.composite
 def operator_pairs(draw):
-    """(a, b) on one (d, n): each drawn for a shape, with entries near 2**40 in one block or not.
+    """(a, b) on one (d, n): each drawn invariant, with entries near 2**40 in one block or not.
 
-    A masked draw is zero outside the letter blocks but in general not
-    invariant under relabelling the letters, so it is stored one-block: the
-    constructor's boundary case.  A sorted draw sums a masked draw over every
-    relabelling.  b is drawn on its own, or is a rescaled copy of a (an equal
-    operator), possibly with one entry changed, which may change its kind.
+    A draw zeroes a random matrix outside the letter blocks and sums it over
+    every relabelling of the letters.  b is drawn on its own, or is a
+    rescaled copy of a (an equal operator), possibly with one orbit of
+    entries changed.
     """
     d, n = draw(st.sampled_from(PAIRING_SIZES))
     dim = d**n
-    mask = block_mask(d, n)
 
-    def operator(shape, big):
+    def operator(big):
         mat = np.array(draw(st.lists(st.integers(-3, 3), min_size=dim * dim, max_size=dim * dim)), dtype=object)
-        mat = mat.reshape(dim, dim)
-        if shape != "whole":
-            mat = np.where(mask, mat, 0)
+        mat = np.where(block_mask(d, n), mat.reshape(dim, dim), 0)
         if big:
             words = max(orc._letter_blocks(d, n), key=len)
             mat[np.ix_(words, words)] *= 2**40
             mat[words[0], words[0]] = 2**40 + 1
-        if shape == "sorted":
-            mat = sum(relabelled(mat, d, n))
-        return orc.TensorOperator(d, n, Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 5))), mat)
+        return orc.TensorOperator(d, n, Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 5))),
+                                  sum(relabelled(mat, d, n)))
 
-    a = operator(draw(SHAPES), draw(st.booleans()))
+    a = operator(draw(st.booleans()))
     relation = draw(st.sampled_from(["independent", "rescaled", "perturbed"]))
     if relation == "independent":
-        return a, operator(draw(SHAPES), draw(st.booleans()))
+        return a, operator(draw(st.booleans()))
     c = draw(st.sampled_from([1, 2, -3]))
     mat = a.mat * c
     if relation == "perturbed":
-        mat[draw(st.integers(0, dim - 1)), draw(st.integers(0, dim - 1))] += 1
+        words = draw(st.sampled_from(orc._letter_blocks(d, n)))
+        bump = np.zeros((dim, dim), dtype=object)
+        bump[draw(st.sampled_from(words)), draw(st.sampled_from(words))] = 1
+        mat += invariant(bump, d, n)
     return a, orc.TensorOperator(d, n, a.scale / c, mat)
 
 
-@given(operator_pairs())
-def test_pairing_and_equality_match_full_matrices(pair):
+@given(operator_pairs(), st.data())
+def test_pairing_and_equality_match_full_matrices(pair, data):
     a, b = pair
-    for op in (a, b):
-        assert layout_kind(op) == expected_kind(op)
     assert a.hs_product(b) == b.hs_product(a) == hs_product_by_full_matrices(a, b)
     full_equal = np.array_equal(a.scale * a.mat, b.scale * b.mat)
     assert (a == b) == (b == a) == full_equal
+    # a random matrix, whole or masked to the letter blocks, is taken exactly when it is
+    # zero outside the blocks and relabel-invariant, and refused otherwise
+    d, n, dim = a.d, a.n, a.d**a.n
+    raw = np.array(data.draw(st.lists(st.integers(-1, 1), min_size=dim * dim, max_size=dim * dim)), dtype=object)
+    raw = raw.reshape(dim, dim)
+    if data.draw(st.booleans()):
+        raw = np.where(block_mask(d, n), raw, 0)
+    if holds(raw, d, n):
+        assert np.array_equal(orc.TensorOperator(d, n, Fraction(1), raw).mat, raw)
+    else:
+        with pytest.raises(ValueError, match="outside the letter-count blocks|not invariant"):
+            orc.TensorOperator(d, n, Fraction(1), raw)
 
 
 def check_site_operations(op, data):
-    """Partial trace, conjugation, channel and twirl of ``op`` equal their full-matrix references.
-
-    The trace, conjugation and twirl keep the operand's layout kind; the
-    channel may fold a zero result into the sorted zero.
-    """
+    """Partial trace, conjugation, channel and twirl of ``op`` equal their full-matrix references; returns them."""
     n = op.n
     sites = tuple(sorted(data.draw(st.sets(st.integers(0, n - 1)))))
     images = tuple(data.draw(st.permutations(range(n))))
     q = data.draw(st.fractions(0, 1, max_denominator=6))
-    traced = op.partial_trace(sites)
-    conjugated = orc.conjugate_by_permutation(op, Permutation(images))
-    twirled = orc.twirl(op)
-    assert traced == partial_trace_by_sums(op, sites)
-    assert conjugated == conjugate_by_full_matrices(op, images)
-    assert twirled == twirl_by_permutations(op)
-    assert orc.depolarise_n(op, q) == depolarise_by_subsets(op, q)
-    for out in (traced, conjugated, twirled):
-        assert out._layout is orc._layout(out.d, out.n, layout_kind(op))
+    outputs = [
+        op.partial_trace(sites),
+        orc.conjugate_by_permutation(op, Permutation(images)),
+        orc.twirl(op),
+        orc.depolarise_n(op, q),
+    ]
+    references = [
+        partial_trace_by_sums(op, sites),
+        conjugate_by_full_matrices(op, images),
+        twirl_by_permutations(op),
+        depolarise_by_subsets(op, q),
+    ]
+    assert outputs == references
+    return outputs
 
 
 @given(operator_pairs(), st.data())
 def test_operations_match_full_matrices(pair, data):
-    # sorted, masked, one-block and mixed operands, with entries near 2**40 in one block or not
+    # operands with entries near 2**40 in one block or not
     a, b = pair
     assert a @ b == full_product(a, b) and b @ a == full_product(b, a)
-    assert (a @ b)._layout is (b @ a)._layout is orc._layout(a.d, a.n, max(layout_kind(a), layout_kind(b)))
     product = a.kron(b)
     assert product == orc.TensorOperator(a.d, 2 * a.n, a.scale * b.scale, np.kron(a.mat, b.mat))
-    assert product._layout is orc._layout(a.d, 2 * a.n, max(layout_kind(a), layout_kind(b)))
+    outputs = [a + b, a @ b, b @ a, product, orc.tensor_with_maximally_mixed(a, 1)]
     for op in (a, b):
-        check_site_operations(op, data)
+        outputs += check_site_operations(op, data)
+    # every operation maps operators the constructor takes to operators it takes
+    for out in outputs:
+        assert orc.TensorOperator(out.d, out.n, out.scale, out.mat) == out
 
 
 def test_hs_product_int64_and_object_routes(exact_routes):
-    # two sorted operands pair the 53 sorted entries of (2, 4), each counted for the
-    # letter blocks it stands for, 70 terms in all; any other pair sums all 256 terms.
-    # It runs in int64 exactly when the number of terms times max|A| max|B| fits
+    # the 53 stored entries of (2, 4), each counted for the letter blocks it stands for:
+    # 70 terms, one per word pair inside a letter block.  The pairing runs in int64
+    # exactly when 70 max|A| max|B| fits
     mask = block_mask(2, 4)
-    sorted_layout = orc._layout(2, 4, orc._SORTED)
-    assert sorted_layout.size == 1 + 16 + 36 and sorted_layout.terms == len(sorted_layout.letter_pairs[0]) == 70
-    assert orc._layout(2, 4, orc._WHOLE).terms == 256
-    for a_outside, b_outside in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        for a_sorted in (False, True):  # entry on 0000 alone, or on 0000 and 1111
-            both_sorted = a_sorted and not a_outside and not b_outside
-            limit = (2**63 - 1) // (70 if both_sorted else 256)
-            for entry in (limit, limit + 1):
-                mat = np.where(mask, 1, a_outside).astype(object)
-                mat[0, 0] = entry
-                if a_sorted:
-                    mat[15, 15] = entry
-                a = orc.TensorOperator(2, 4, Fraction(1, 3), mat)
-                b = orc.TensorOperator(2, 4, Fraction(-2), np.where(mask, 1, b_outside))
-                kinds = [layout_kind(a), layout_kind(b)]
-                assert kinds == [expected_kind(a), expected_kind(b)]
-                assert kinds[0] == (orc._SORTED if a_sorted and not a_outside else orc._WHOLE)
-                assert kinds[1] == (orc._WHOLE if b_outside else orc._SORTED)
-                exact_routes.clear()
-                value = a.hs_product(b)
-                assert exact_routes == [np.int64 if entry == limit else object]
-                assert value == hs_product_by_full_matrices(a, b)
+    layout = orc._layout(2, 4)
+    assert layout.size == 1 + 16 + 36 and layout.terms == len(layout.letter_pairs[0]) == mask.sum() == 70
+    b = orc.TensorOperator(2, 4, Fraction(-2), np.where(mask, 1, 0))
+    limit = (2**63 - 1) // 70
+    for entry in (limit, limit + 1):
+        mat = np.where(mask, 1, 0).astype(object)
+        mat[0, 0] = mat[15, 15] = entry  # on 0000 and 1111
+        a = orc.TensorOperator(2, 4, Fraction(1, 3), mat)
+        exact_routes.clear()
+        value = a.hs_product(b)
+        assert exact_routes == [np.int64 if entry == limit else object]
+        assert value == hs_product_by_full_matrices(a, b)
+        # the entry on 0000 alone is not relabel-invariant, and ones outside the blocks are not held
+        mat[15, 15] = 1
+        with pytest.raises(ValueError, match="not invariant"):
+            orc.TensorOperator(2, 4, Fraction(1, 3), mat)
+        with pytest.raises(ValueError, match="outside the letter-count blocks"):
+            orc.TensorOperator(2, 4, Fraction(1, 3), np.where(mask, mat, 1))
 
 
 def test_pairings_against_a_list(exact_routes):
-    # one operator of each kind against operators of every kind at once: each integer
-    # pairing times the two scales is the full-matrix tr(AB), from one _exact call
+    # one operator against lists of operators at once: each integer pairing times the
+    # two scales is the full-matrix tr(AB), from one _exact call
     rng = random.Random(15)
     for d, n in ((2, 3), (3, 2)):
-        mask = block_mask(d, n)
-        ops = [
-            orc.isotypical_projectors(d, n)[enumerate_frames(d, n)[1]],
-            orc.TensorOperator(d, n, Fraction(1, 3), np.where(mask, rand_op(rng, d, n).mat, 0)),
-            rand_op(rng, d, n),
-        ]
-        assert [layout_kind(op) for op in ops] == [orc._SORTED, orc._WHOLE, orc._WHOLE]
+        ops = [orc.isotypical_projectors(d, n)[enumerate_frames(d, n)[1]], rand_op(rng, d, n, den=3), rand_op(rng, d, n)]
         for a in ops:
             for others in (ops[:1], ops[:2], ops, ops[::-1]):
                 exact_routes.clear()
@@ -863,53 +877,59 @@ def test_pairings_against_a_list(exact_routes):
 
 
 def test_sorted_operand_pairs_with_every_kind():
-    # a sorted operand against a masked non-invariant one and a random one, both
-    # stored one-block: the pairing runs on the one block, as the other operand's
-    # entries outside the sorted blocks differ from their relabelled images
+    # a projector against random operators: a random full matrix is refused, and so is its
+    # masked draw, which is zero outside the letter blocks but not relabel-invariant; summed
+    # over the relabellings it is taken
     rng = random.Random(13)
     for d, n in ((2, 3), (3, 2), (3, 3)):
-        mask = block_mask(d, n)
         sym = orc.isotypical_projectors(d, n)[enumerate_frames(d, n)[1]]
-        masked = orc.TensorOperator(d, n, Fraction(1, 3), np.where(mask, rand_op(rng, d, n).mat, 0))
-        whole = rand_op(rng, d, n)
-        assert [layout_kind(op) for op in (sym, masked, whole)] == [orc._SORTED, orc._WHOLE, orc._WHOLE]
-        for other in (masked, whole):
+        whole = rand_matrix(rng, d, n)
+        with pytest.raises(ValueError, match="outside the letter-count blocks"):
+            orc.TensorOperator(d, n, Fraction(1, 3), whole)
+        with pytest.raises(ValueError, match="not invariant"):
+            orc.TensorOperator(d, n, Fraction(1, 3), np.where(block_mask(d, n), whole, 0))
+        for other in (orc.TensorOperator(d, n, Fraction(1, 3), invariant(whole, d, n)), rand_op(rng, d, n)):
             assert sym.hs_product(other) == other.hs_product(sym) == hs_product_by_full_matrices(sym, other)
             assert not (sym == other) and not (other == sym)
-            # an invariant operator held in the other's layout equals the sorted one
             held = (other + sym) - other
-            assert held._layout is other._layout
             assert sym == held and held == sym
             assert held.hs_product(other) == sym.hs_product(other)
 
 
 def test_representative_match_is_not_invariance():
     # each letter block of diag(5, 1, 2, 5) matches its sorted block's entry under the
-    # sorting relabelling, but swapping the letters moves 01 onto 10: not invariant,
-    # so stored one-block
-    a = orc.TensorOperator(2, 2, Fraction(1), np.diag([5, 1, 2, 5]).astype(object))
-    assert layout_kind(a) == expected_kind(a) == orc._WHOLE
-    assert a.partial_trace([1]) == orc.TensorOperator(2, 1, Fraction(1), np.diag([6, 7]).astype(object))
-    assert orc.TensorOperator(2, 2, Fraction(1), np.diag([5, 1, 1, 5])).hs_product(a) == 5 * 5 + 1 + 2 + 5 * 5
+    # sorting relabelling, but swapping the letters moves 01 onto 10: refused
+    with pytest.raises(ValueError, match="not invariant"):
+        orc.TensorOperator(2, 2, Fraction(1), np.diag([5, 1, 2, 5]).astype(object))
+    a = orc.TensorOperator(2, 2, Fraction(1), np.diag([5, 2, 2, 5]).astype(object))
+    assert a.partial_trace([1]) == orc.TensorOperator(2, 1, Fraction(1), np.diag([7, 7]).astype(object))
+    assert orc.TensorOperator(2, 2, Fraction(1), np.diag([5, 1, 1, 5])).hs_product(a) == 5 * 5 + 2 + 2 + 5 * 5
+    # the (2, 2) block of (2, 4) is its own sorted block, so it matches it whatever it
+    # holds; one entry there that swapping the letters moves (0011 onto 1100) is refused
+    rng = random.Random(16)
+    mat = rand_invariant(rng, 2, 4)
+    orc.TensorOperator(2, 4, Fraction(1), mat)
+    mat[3, 3] += 1
+    with pytest.raises(ValueError, match="not invariant"):
+        orc.TensorOperator(2, 4, Fraction(1), mat)
     # at d = 3 a sum over the relabellings of one generator alone is not invariant either
-    rng = random.Random(14)
-    letter = np.where(block_mask(3, 2), rand_op(rng, 3, 2).mat, 0)
+    letter = np.where(block_mask(3, 2), rand_matrix(rng, 3, 2), 0)
     moves = list(relabelled(letter, 3, 2))  # identity, (1 2), (0 1), (0 1 2), (0 2 1), (0 2)
     for group in ((0, 3, 4), (0, 2)):
-        b = orc.TensorOperator(3, 2, Fraction(1), sum(moves[i] for i in group))
-        assert layout_kind(b) == expected_kind(b) == orc._WHOLE, group
-    assert layout_kind(orc.TensorOperator(3, 2, Fraction(1), sum(moves))) == orc._SORTED
+        with pytest.raises(ValueError, match="not invariant"):
+            orc.TensorOperator(3, 2, Fraction(1), sum(moves[i] for i in group))
+    assert orc.TensorOperator(3, 2, Fraction(1), sum(moves)).mat.tolist() == sum(moves).tolist()
 
 
 def test_sorted_layout_storage():
     # the sum over sorted histograms of the squared multinomial, against every letter block
     for (d, n), size, letter in (((3, 6), 13262, 35169), ((2, 8), 8885, 12870), ((4, 5), 5026, 31504)):
-        layout = orc._layout(d, n, orc._SORTED)
+        layout = orc._layout(d, n)
         assert layout.size == size and layout.terms == len(layout.letter_pairs[0]) == letter
         assert all(len(p._vec) == size for p in orc.isotypical_projectors(d, n).values())
-    # one object for both kinds where there is one letter block
+    # one letter block, one stored entry, where there is one word
     for d, n in ((1, 4), (3, 0)):
-        assert orc._layout(d, n, orc._SORTED) is orc._layout(d, n, orc._WHOLE)
+        assert orc._layout(d, n).spans == [(0, 1, 1)] and orc._layout(d, n).terms == 1
 
 
 def test_psd_checks():
@@ -918,10 +938,10 @@ def test_psd_checks():
         assert orc.is_positive_semidefinite(p)
     sym, anti = fam[frame(3)], fam[frame(2, 1)]
     assert not orc.is_positive_semidefinite(sym - anti)
-    # zero diagonal with nonzero off-diagonal entry
-    mat = np.zeros((2, 2), dtype=object)
-    mat[0, 1] = mat[1, 0] = 1
-    assert not orc.is_positive_semidefinite(orc.TensorOperator(2, 1, Fraction(1), mat))
+    # zero diagonal with nonzero off-diagonal entry, between 01 and 10
+    mat = np.zeros((4, 4), dtype=object)
+    mat[1, 2] = mat[2, 1] = 1
+    assert not orc.is_positive_semidefinite(orc.TensorOperator(2, 2, Fraction(1), mat))
     assert orc.is_positive_semidefinite(orc.TensorOperator.zero(2, 2))
 
 
@@ -930,50 +950,55 @@ PSD_SIZES = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
 
 @st.composite
 def psd_cases(draw):
-    """(operator, kind, shape): a rank-deficient Gram matrix, minus eps I, or with a zero-diagonal row.
+    """(operator, kind, singular): a Gram matrix, minus eps I, or with a zero-diagonal row.
 
-    The Gram matrix is kept whole, masked to the letter blocks (still PSD) or
-    masked and summed over every relabelling of the letters (PSD and sorted).
+    The Gram matrix is masked to the letter blocks and summed over every
+    relabelling of the letters, which keeps it PSD.  When ``singular``, the
+    last column of each letter block of the drawn factor is minus the sum of
+    the others, so every block's indicator vector is a null vector of each
+    term of that sum.
     """
     d, n = draw(st.sampled_from(PSD_SIZES))
     dim = d**n
     rank = draw(st.integers(0, dim - 1))
     r = np.array(draw(st.lists(st.integers(-3, 3), min_size=rank * dim, max_size=rank * dim)), dtype=object)
-    mat = r.reshape(rank, dim).T @ r.reshape(rank, dim) if rank else np.zeros((dim, dim), dtype=object)
-    shape = draw(SHAPES)
-    masked = shape != "whole"
-    if masked:
-        mat = np.where(block_mask(d, n), mat, 0)
-    if shape == "sorted":
-        mat = sum(relabelled(mat, d, n))
+    r = r.reshape(rank, dim)
+    singular = draw(st.booleans())
+    if singular:
+        for words in orc._letter_blocks(d, n):
+            r[:, words[-1]] = -r[:, words[:-1]].sum(axis=1)
+    mat = invariant(r.T @ r if rank else np.zeros((dim, dim), dtype=object), d, n)
     kind = draw(st.sampled_from(["gram", "minus_eps", "zero_diag"]))
     den = draw(st.integers(1, 40))
     if kind == "minus_eps":
         mat = den * mat - np.identity(dim, dtype=object)
     elif kind == "zero_diag":
+        # clear the rows and columns of a word's orbit, then join it to another word of its block
         i = draw(st.integers(0, dim - 1))
-        row = np.array(draw(st.lists(st.integers(-3, 3), min_size=dim, max_size=dim)), dtype=object)
-        row[i], row[(i + 1) % dim] = 0, draw(st.sampled_from([-2, -1, 1, 2]))
-        if masked:
-            row = np.where(block_mask(d, n)[i], row, 0)
-        mat[i, :] = mat[:, i] = row
+        orbit = sorted({moved[i] for moved in relabellings(d, n)})
+        mat[orbit, :] = 0
+        mat[:, orbit] = 0
+        partners = [j for j in np.flatnonzero(block_mask(d, n)[i]) if j != i]
+        if partners:
+            bump = np.zeros((dim, dim), dtype=object)
+            j = draw(st.sampled_from(partners))
+            bump[i, j] = bump[j, i] = draw(st.sampled_from([-2, -1, 1, 2]))
+            mat = mat + invariant(bump, d, n)
     scale = Fraction(draw(st.integers(-2, 2)), den)
-    return orc.TensorOperator(d, n, scale, mat), kind, shape
+    return orc.TensorOperator(d, n, scale, mat), kind, singular
 
 
 @given(psd_cases(), st.data())
 def test_psd_matches_fraction_ldl(case, data):
-    a, kind, shape = case
+    # Bareiss elimination runs block by block, each stored block standing for its relabelled copies
+    a, kind, singular = case
     verdict = orc.is_positive_semidefinite(a)
     assert verdict == psd_by_fraction_ldl(a)
     assert a @ a == full_product(a, a)
     check_site_operations(a, data)
-    assert layout_kind(a) == expected_kind(a)
-    if shape == "sorted" and kind != "zero_diag":
-        assert layout_kind(a) == orc._SORTED  # Bareiss elimination runs block by block
     if a.scale == 0 or (kind == "gram" and a.scale > 0):
         assert verdict
-    elif shape == "whole" and kind == "minus_eps" and a.scale > 0:
+    elif singular and kind == "minus_eps" and a.scale > 0:
         assert not verdict  # the Gram matrix has a null vector
 
 
@@ -982,7 +1007,9 @@ def test_scale_representation_equality():
     doubled = orc.TensorOperator(2, 1, Fraction(1, 2), 2 * np.identity(2, dtype=object))
     assert ident == doubled
     assert (Fraction(1, 3) * ident).reduced() == Fraction(1, 3) * ident
-    # a zero scale makes any matrix the zero operator, in the letter blocks or not
-    dense = orc.TensorOperator(2, 2, Fraction(0), np.ones((4, 4), dtype=np.int64))
-    assert layout_kind(dense) == orc._WHOLE and layout_kind(orc.TensorOperator.zero(2, 2)) == orc._SORTED
+    # a zero scale makes any matrix it takes the zero operator; a matrix outside the
+    # letter blocks is refused whatever the scale
+    dense = orc.TensorOperator(2, 2, Fraction(0), np.where(block_mask(2, 2), 1, 0))
     assert dense == orc.TensorOperator.zero(2, 2) == dense
+    with pytest.raises(ValueError, match="outside the letter-count blocks"):
+        orc.TensorOperator(2, 2, Fraction(0), np.ones((4, 4), dtype=np.int64))

@@ -187,6 +187,36 @@ def test_wrong_projector_square_fails_with_exact_text(monkeypatch):
     }
 
 
+def test_shrunk_relative_entropy_fails_pinsker_with_exact_text(monkeypatch):
+    # D(r||s) at 0.6 of its value drops below l1^2 / (2 ln 2) at 48 of the 81 pairs of
+    # eighths; the 48 dimension bounds read no entropy and all pass
+    real = verify.rel_entropy
+    monkeypatch.setattr(verify, "rel_entropy", lambda r, s: 0.6 * real(r, s))
+    result = verify.check_entropy_bounds(tuple(Fraction(i, 8) for i in range(9)), 12)
+    assert (result.checked, result.failed) == (129, 48)
+    assert result.failures == [
+        "Pinsker fails at r0=0 s0=1/2",
+        "Pinsker fails at r0=0 s0=5/8",
+        "Pinsker fails at r0=0 s0=3/4",
+        "Pinsker fails at r0=0 s0=7/8",
+        "Pinsker fails at r0=1/8 s0=1/4",
+    ]
+
+
+def test_lowered_tail_exponent_fails_with_exact_text(monkeypatch):
+    # three bits off the exponent put the bound below the weight of lam' = (2,0) from (1,1)
+    # at n = 2 for three q; every other far pair up to n = 12 has more margin than that
+    real = verify._tail_exponent
+    monkeypatch.setattr(verify, "_tail_exponent", lambda ratio, q, n: real(ratio, q, n) - 3)
+    result = verify.check_tail_bound(12, verify.DEFAULT_Q_GRID)
+    assert (result.checked, result.failed) == (316, 3)
+    assert result.failures == [
+        "n=2 q=1/5 lam=1,1 lam'=2,0: 0.27 > 2**-1.9344077139988707",
+        "n=2 q=3/10 lam=1,1 lam'=2,0: 0.3825 > 2**-1.6458687058210781",
+        "n=2 q=2/5 lam=1,1 lam'=2,0: 0.48 > 2**-1.4727453009144025",
+    ]
+
+
 def mutant(monkeypatch, module, old, new):
     """A fresh copy of ``module`` with the one occurrence of ``old`` in its source replaced by ``new``."""
     source = inspect.getsource(module)
