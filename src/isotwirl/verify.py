@@ -15,9 +15,11 @@ Five suites, each a list of named checks over a configurable size range:
   far-away weight, and the output mode matches between fast path and oracle.
 * ``xybound``    - the entropy bound on the extremal dimension products.
 
-Every check is a ``check_*`` function that takes its sizes as arguments.  The
-suites run each at its row of :data:`SIZE_TABLE` (the largest n it honours for
-each d) clipped to :class:`RunConfig`; the tests call it at their own sizes.
+Every check is a ``check_*`` function that takes its sizes as arguments.
+:data:`CHECKS` declares each report once, with its suite, its size row (the
+largest n it honours for each d) and its call; a suite runs its records in
+order, each at its row clipped to :class:`RunConfig`.  The tests call the
+``check_*`` functions at their own sizes.
 The dense checks of the paper's overlap tr{P_lam' (tr_{[k]} P_lam tensor
 pi_{[k]})} (the support window, the route and fast-path equalities and the
 output mode) all read it from :func:`dense_twirl_overlaps`, one cached table
@@ -42,8 +44,8 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Iterator
+from functools import lru_cache, partial
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -81,47 +83,6 @@ MAX_FAILURES_REPORTED = 5
 
 DEFAULT_Q_GRID = tuple(Fraction(i, 10) for i in range(1, 10))
 
-# The size table: each check, keyed by its report name (the first, for a check
-# that reports several), maps d to the largest n it honours.  The d <= 3 entries
-# are the sizes the checks ran at before d = 4 was served.
-# Dense rows stay within oracle.DENSE_SWEEP_N, so inside the dense caps and the
-# projector cache; at d = 4 each runs in under 1 s.  The two checks on random
-# operators stop at (4, 4): at (4, 5) each draws a 1024 x 1024 matrix of Python
-# ints, which takes about 1.5 s and 30 MB.
-DENSE_ROWS = {
-    "dense_overlap_zero_outside_window": orc.DENSE_SWEEP_N,
-    "projector_pair_domination_psd": {2: 6},
-    "projector_algebra": orc.DENSE_SWEEP_N,
-    "permutation_representation": {2: 6},  # random pairs of S_n; all of S_3 at every d
-    "projector_commutes_with_permutations": {2: 6, 3: 6, 4: 5},
-    "branching_table_matches_dense_partial_trace": {2: 6, 3: 5, 4: 5},
-    "twirl_properties": {2: 6, 3: 4, 4: 4},
-    "twirl_pair_expansion": {2: 5, 3: 4, 4: 5},
-    "depolarise_channel_identities": {2: 5, 3: 3, 4: 4},
-    "padded_product_equals_partial_trace_pairing": orc.DENSE_SWEEP_N,
-    "output_mode_matches_oracle": {2: 8},
-}
-# LR and chain rows: the cost of enumerating every triple.
-COMBINATORIAL_ROWS = {
-    # These two run at d = d_max alone: its triples contain every triple of a smaller d.
-    "lr_tableaux_vs_characters": {2: 10, 3: 10, 4: 10},
-    "horn_necessity_of_basic_inequalities": {2: 10, 3: 10, 4: 10},
-    # Runs to min(n_max + 4, 10): two-row triples are few enough to go past the cap.
-    "lr_two_row_multiplicity_free": {2: 10},
-    "branching_chains_disjoint_outside_window": {2: 7, 3: 7, 4: 7},
-    "xy_extrema_within_entropy_bound": {2: 10},
-    "xy_empty_iff_chains_disjoint": {2: 8},
-}
-# Fast-path rows: frames.MAX_BOXES, never above 64.
-_FAST = {d: min(MAX_BOXES[d], 64) for d in (2, 3, 4)}
-FAST_ROWS = {
-    "schur_weyl_dimension_identity": _FAST,
-    "engine_weight_zero_outside_window": _FAST,
-    "tail_bound_dominates_measured_weight": {2: _FAST[2]},
-}
-SIZE_TABLE = {**DENSE_ROWS, **COMBINATORIAL_ROWS, **FAST_ROWS}
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Size and determinism knobs for the verification suites."""
@@ -132,8 +93,8 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        d_top = max(d for row in SIZE_TABLE.values() for d in row)
-        n_top = max(n for row in SIZE_TABLE.values() for n in row.values())
+        d_top = max(d for check in CHECKS for d in check.row)
+        n_top = max(n for check in CHECKS for n in check.row.values())
         if not 2 <= self.d_max <= d_top:
             raise ValueError(f"d_max must lie in 2..{d_top}")
         if not 1 <= self.n_max <= n_top:
@@ -141,10 +102,6 @@ class RunConfig:
         if not self.q_grid:
             raise ValueError("q grid must be nonempty")
         object.__setattr__(self, "q_grid", tuple(map(depolarising_weight, self.q_grid)))
-
-    def sizes(self, check: str) -> dict[int, int]:
-        """The table row of ``check`` clipped to this run: d -> min(n, n_max) for each d <= d_max."""
-        return {d: min(n, self.n_max) for d, n in SIZE_TABLE[check].items() if d <= self.d_max}
 
     def to_json_obj(self) -> dict:
         return {
@@ -356,17 +313,6 @@ def check_entropy_bounds(pinsker_grid: tuple[Fraction, ...], k_max: int) -> Chec
     return entropy
 
 
-def suite_saturation(cfg: RunConfig) -> list[CheckResult]:
-    d = cfg.d_max
-    return [
-        check_dimension_identity(cfg.sizes("schur_weyl_dimension_identity").items()),
-        *check_lr_coefficients(d, cfg.sizes("lr_tableaux_vs_characters")[d]),
-        *check_horn_inequalities(d, cfg.sizes("horn_necessity_of_basic_inequalities")[d]),
-        check_two_row_multiplicity_free(min(cfg.n_max + 4, SIZE_TABLE["lr_two_row_multiplicity_free"][2])),
-        check_entropy_bounds(tuple(Fraction(i, 8) for i in range(0, 9)), 12),
-    ]
-
-
 # ---------------------------------------------------------------------------
 # support: zero weight outside the (d-1)*k window
 # ---------------------------------------------------------------------------
@@ -521,18 +467,6 @@ def check_twirl_support(sizes: Iterable[tuple[int, int]]) -> list[CheckResult]:
     growth.info = {"violations": growth.failures, "violation_count": growth.failed}
     growth.failures = []
     return [engine, growth]
-
-
-def suite_support(cfg: RunConfig) -> list[CheckResult]:
-    dense = check_dense_overlap_outside_window(cfg.sizes("dense_overlap_zero_outside_window").items())
-    engine, growth = check_twirl_support(cfg.sizes("engine_weight_zero_outside_window").items())
-    return [
-        dense,
-        engine,
-        check_chains_disjoint_outside_window(cfg.sizes("branching_chains_disjoint_outside_window").items()),
-        growth,
-        check_projector_domination(cfg.sizes("projector_pair_domination_psd")[2]),
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -777,25 +711,6 @@ def check_channel_identities(sizes: Iterable[tuple[int, int]], rng: random.Rando
     return channel
 
 
-def suite_oracle(cfg: RunConfig) -> list[CheckResult]:
-    # One generator feeds the sampled checks in report order, so every draw is fixed by the seed.
-    rng = random.Random(cfg.seed)
-    q_values = (Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1))
-    return [
-        check_projector_algebra(cfg.sizes("projector_algebra").items()),
-        check_permutation_representation(cfg.d_max, cfg.sizes("permutation_representation")[2], rng),
-        check_projector_commutation(cfg.sizes("projector_commutes_with_permutations").items(), rng),
-        check_partial_trace_properties(rng),
-        check_branching_table(cfg.sizes("branching_table_matches_dense_partial_trace").items()),
-        check_twirl_properties(cfg.sizes("twirl_properties").items(), rng),
-        check_twirl_pair_expansion(cfg.sizes("twirl_pair_expansion").items()),
-        check_channel_identities(cfg.sizes("depolarise_channel_identities").items(), rng),
-        *check_fast_path_against_oracle(
-            cfg.sizes("padded_product_equals_partial_trace_pairing").items(), q_values
-        ),
-    ]
-
-
 # ---------------------------------------------------------------------------
 # tail: exponential bound and output concentration
 # ---------------------------------------------------------------------------
@@ -854,13 +769,6 @@ def check_output_mode(n: int, q_grid: tuple[Fraction, ...]) -> CheckResult:
     return concentration
 
 
-def suite_tail(cfg: RunConfig) -> list[CheckResult]:
-    return [
-        check_tail_bound(cfg.sizes("tail_bound_dominates_measured_weight")[2], cfg.q_grid),
-        check_output_mode(cfg.sizes("output_mode_matches_oracle")[2], cfg.q_grid),
-    ]
-
-
 # ---------------------------------------------------------------------------
 # xybound: extremal dimension products against the entropy bound
 # ---------------------------------------------------------------------------
@@ -897,25 +805,115 @@ def check_xy_empty_iff_chains_disjoint(n_max: int) -> CheckResult:
     return consistency
 
 
-def suite_xybound(cfg: RunConfig) -> list[CheckResult]:
-    return [
-        check_xy_entropy_bound(cfg.sizes("xy_extrema_within_entropy_bound")[2]),
-        check_xy_empty_iff_chains_disjoint(cfg.sizes("xy_empty_iff_chains_disjoint")[2]),
-    ]
-
-
 # ---------------------------------------------------------------------------
-# suite registry
+# the registry: one record per report, in report order
 # ---------------------------------------------------------------------------
 
 
-SUITES = {
-    "saturation": suite_saturation,
-    "support": suite_support,
-    "oracle": suite_oracle,
-    "tail": suite_tail,
-    "xybound": suite_xybound,
-}
+@dataclass(frozen=True)
+class Check:
+    """One report of a suite: its name, its row (d -> the largest n it honours) and the call that makes it.
+
+    The call takes the :class:`RunConfig`, the row clipped to it and the
+    suite's random generator.  Records that share a call share its row and
+    report from one run of it.
+    """
+
+    suite: str
+    name: str
+    row: dict[int, int]
+    call: Callable[[RunConfig, dict[int, int], random.Random], CheckResult | list[CheckResult]]
+
+    def sizes(self, cfg: RunConfig) -> dict[int, int]:
+        """The row clipped to ``cfg``: d -> min(n, n_max) for each d <= d_max."""
+        return {d: min(n, cfg.n_max) for d, n in self.row.items() if d <= cfg.d_max}
+
+
+def _checks(suite: str, row: dict[int, int], call, *names: str) -> tuple[Check, ...]:
+    return tuple(Check(suite, name, row, call) for name in names)
+
+
+def _twirl_support(cfg: RunConfig, row: dict[int, int], rng: random.Random) -> list[CheckResult]:
+    return check_twirl_support(row.items())
+
+
+# Fast-path rows: frames.MAX_BOXES, never above 64.
+_FAST = {d: min(MAX_BOXES[d], 64) for d in (2, 3, 4)}
+# LR and Horn rows: the cost of enumerating every triple.  Both run at d = d_max
+# alone: its triples contain every triple of a smaller d.
+_LR = {2: 10, 3: 10, 4: 10}
+# Dense rows stay within oracle.DENSE_SWEEP_N, so inside the dense caps and the
+# projector cache; at d = 4 each runs in under 1 s.  The two checks on random
+# operators stop at (4, 4): at (4, 5) each draws a 1024 x 1024 matrix of Python
+# ints, which takes about 1.5 s and 30 MB.
+CHECKS = (
+    Check("saturation", "schur_weyl_dimension_identity", _FAST,
+          lambda cfg, row, rng: check_dimension_identity(row.items())),
+    *_checks("saturation", _LR, lambda cfg, row, rng: check_lr_coefficients(cfg.d_max, row[cfg.d_max]),
+             "lr_tableaux_vs_characters", "lr_restriction_dimension_identity", "lr_symmetry"),
+    *_checks("saturation", _LR, lambda cfg, row, rng: check_horn_inequalities(cfg.d_max, row[cfg.d_max]),
+             "horn_necessity_of_basic_inequalities", "horn_feasible_iff_lr_positive"),
+    # runs to min(n_max + 4, 10): two-row triples are few enough to go past the cap
+    Check("saturation", "lr_two_row_multiplicity_free", {2: 10},
+          lambda cfg, row, rng: check_two_row_multiplicity_free(min(cfg.n_max + 4, 10))),
+    # fixed sizes, whatever the caps: Pinsker on the grid i/8, two-row frames to k = 12
+    Check("saturation", "pinsker_and_dimension_entropy_bound", {2: 12},
+          lambda cfg, row, rng: check_entropy_bounds(tuple(Fraction(i, 8) for i in range(9)), 12)),
+    Check("support", "dense_overlap_zero_outside_window", orc.DENSE_SWEEP_N,
+          lambda cfg, row, rng: check_dense_overlap_outside_window(row.items())),
+    Check("support", "engine_weight_zero_outside_window", _FAST, _twirl_support),
+    Check("support", "branching_chains_disjoint_outside_window", {2: 7, 3: 7, 4: 7},
+          lambda cfg, row, rng: check_chains_disjoint_outside_window(row.items())),
+    Check("support", "support_growth_monotone_report", _FAST, _twirl_support),
+    Check("support", "projector_pair_domination_psd", {2: 6},
+          lambda cfg, row, rng: check_projector_domination(row[2])),
+    Check("oracle", "projector_algebra", orc.DENSE_SWEEP_N,
+          lambda cfg, row, rng: check_projector_algebra(row.items())),
+    # random pairs of S_n at d = 2; all of S_3 at every d
+    Check("oracle", "permutation_representation", {2: 6},
+          lambda cfg, row, rng: check_permutation_representation(cfg.d_max, row[2], rng)),
+    Check("oracle", "projector_commutes_with_permutations", {2: 6, 3: 6, 4: 5},
+          lambda cfg, row, rng: check_projector_commutation(row.items(), rng)),
+    # fixed sizes, whatever the caps: operators on 3 sites, and on 2 padded to 4
+    Check("oracle", "partial_trace_properties", {2: 4},
+          lambda cfg, row, rng: check_partial_trace_properties(rng)),
+    Check("oracle", "branching_table_matches_dense_partial_trace", {2: 6, 3: 5, 4: 5},
+          lambda cfg, row, rng: check_branching_table(row.items())),
+    Check("oracle", "twirl_properties", {2: 6, 3: 4, 4: 4},
+          lambda cfg, row, rng: check_twirl_properties(row.items(), rng)),
+    Check("oracle", "twirl_pair_expansion", {2: 5, 3: 4, 4: 5},
+          lambda cfg, row, rng: check_twirl_pair_expansion(row.items())),
+    Check("oracle", "depolarise_channel_identities", {2: 5, 3: 3, 4: 4},
+          lambda cfg, row, rng: check_channel_identities(row.items(), rng)),
+    *_checks("oracle", orc.DENSE_SWEEP_N,
+             lambda cfg, row, rng: check_fast_path_against_oracle(
+                 row.items(), tuple(Fraction(i, 4) for i in range(5))),
+             "padded_product_equals_partial_trace_pairing", "fast_path_equals_oracle_twirl_spectra",
+             "fast_path_equals_oracle_channel_spectra"),
+    Check("tail", "tail_bound_dominates_measured_weight", {2: _FAST[2]},
+          lambda cfg, row, rng: check_tail_bound(row[2], cfg.q_grid)),
+    Check("tail", "output_mode_matches_oracle", {2: 8},
+          lambda cfg, row, rng: check_output_mode(row[2], cfg.q_grid)),
+    Check("xybound", "xy_extrema_within_entropy_bound", {2: 10},
+          lambda cfg, row, rng: check_xy_entropy_bound(row[2])),
+    Check("xybound", "xy_empty_iff_chains_disjoint", {2: 8},
+          lambda cfg, row, rng: check_xy_empty_iff_chains_disjoint(row[2])),
+)
+
+
+def _run(suite: str, cfg: RunConfig) -> list[CheckResult]:
+    """The reports of ``suite``, one per record in order; a call shared by several records runs once."""
+    # One generator feeds the sampled checks in report order, so every draw is fixed by the seed.
+    rng = random.Random(cfg.seed)
+    made: dict[str, CheckResult] = {}
+    for check in CHECKS:
+        if check.suite == suite and check.name not in made:
+            out = check.call(cfg, check.sizes(cfg), rng)
+            made.update((r.name, r) for r in ([out] if isinstance(out, CheckResult) else out))
+    return [made[check.name] for check in CHECKS if check.suite == suite]
+
+
+SUITES = {suite: partial(_run, suite) for suite in dict.fromkeys(check.suite for check in CHECKS)}
 
 
 def run_suite(name: str, cfg: RunConfig | None = None) -> SuiteReport:

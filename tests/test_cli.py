@@ -165,15 +165,29 @@ def test_verify_unknown_suite():
     assert res.returncode == 2 and "unknown suite" in res.stderr
 
 
+def test_verify_keyerror_inside_a_check_is_not_an_unknown_suite(monkeypatch, capsys):
+    # the suite name is refused before any check runs; a check's own KeyError propagates
+    import isotwirl.cli as cli
+    from isotwirl import verify
+
+    def broken(n_max):
+        raise KeyError("inside a check")
+
+    monkeypatch.setattr(verify, "check_xy_entropy_bound", broken)
+    with pytest.raises(KeyError, match="inside a check"):
+        cli.main(["verify", "xybound", "--cap-n", "3"])
+    assert "unknown suite" not in capsys.readouterr().err
+
+
 def test_verify_failure_exit_code(monkeypatch, capsys):
     import isotwirl.cli as cli
     from isotwirl.verify import CheckResult, RunConfig, SuiteReport
 
     broken = CheckResult("broken")
     broken.record(False, "example failure")
-    failing = SuiteReport("stub", RunConfig(), [broken])
+    failing = SuiteReport("tail", RunConfig(), [broken])
     monkeypatch.setattr(cli, "run_suite", lambda name, cfg: failing)
-    assert cli.main(["verify", "stub"]) == 1
+    assert cli.main(["verify", "tail"]) == 1
     captured = capsys.readouterr()
     assert "[FAIL] broken" in captured.err
     assert '"passed": false' in captured.out

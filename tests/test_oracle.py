@@ -151,16 +151,27 @@ def test_public_names_resolve_once():
     assert [name for name in isotwirl.__all__ if not hasattr(isotwirl, name)] == []
 
 
-def test_size_table_within_hard_caps():
-    # dense rows inside the dense caps, fast-path rows inside MAX_BOXES, and a
-    # projector cache that holds every family the dense rows build, (d, 0..n)
+def test_size_table_within_hard_caps(monkeypatch):
+    # every row of the registry inside MAX_BOXES and 64; a check that builds a
+    # dense operator at the smallest run (caches cleared) keeps its row inside
+    # the dense sweep, and the projector cache holds every family those rows
+    # build, (d, 0..n)
+    for check in verify.CHECKS:
+        assert all(d in MAX_BOXES and n <= min(MAX_BOXES[d], 64) for d, n in check.row.items()), check.name
+    dense_sizes = []
+    check_size = orc._check_dense_size
+    monkeypatch.setattr(orc, "_check_dense_size", lambda d, n: (dense_sizes.append((d, n)), check_size(d, n)))
+    cfg = verify.RunConfig(d_max=4, n_max=2)
     top: dict[int, int] = {}
-    for row in verify.DENSE_ROWS.values():
-        for d, n in row.items():
-            orc._check_dense_size(d, n)
-            top[d] = max(top.get(d, 0), n)
-    for row in verify.FAST_ROWS.values():
-        assert all(n <= MAX_BOXES[d] for d, n in row.items()), row
+    for check in verify.CHECKS:
+        orc.clear_projector_cache()
+        verify.dense_twirl_overlaps.cache_clear()
+        dense_sizes.clear()
+        check.call(cfg, check.sizes(cfg), random.Random(0))
+        if dense_sizes:
+            assert all(n <= orc.DENSE_SWEEP_N[d] for d, n in check.row.items()), check.name
+            top.update((d, max(top.get(d, 0), n)) for d, n in check.row.items())
+    assert top == orc.DENSE_SWEEP_N
     assert sum(n + 1 for n in top.values()) <= orc._projector_family.cache_info().maxsize
 
 

@@ -16,6 +16,7 @@ from isotwirl.frames import YoungFrame, enumerate_frames
 
 Q_VALUES = (Fraction(1, 2), Fraction(1, 3))
 VERIFY_COUNTS = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "verify_counts.json"
+GOLDEN_REPORT = Path(__file__).resolve().parent / "data" / "verify_all_cap5.json"
 
 
 def frame(*rows):
@@ -276,3 +277,20 @@ def test_verify_all_counts_match_benchmark_reference():
     assert report.passed
     assert {c.name: c.checked for c in report.checks} == reference
     assert sum(reference.values()) == 9708
+
+
+def test_registry_lists_every_report_without_running_it():
+    # the report names of `verify all`, in order, read from the records alone
+    golden = [check["name"] for check in json.loads(GOLDEN_REPORT.read_text())["checks"]]
+    names = [f"{check.suite}/{check.name}" for check in verify.CHECKS]
+    assert names == golden and len(set(names)) == len(names) == 28
+    assert list(verify.SUITES) == ["saturation", "support", "oracle", "tail", "xybound"]
+    for a in verify.CHECKS:
+        assert all(a.row is b.row for b in verify.CHECKS if a.call is b.call), a.name
+    # the RunConfig bounds are the extent of the rows
+    for field, bad, good in (("d_max", (1, 5), (2, 4)), ("n_max", (0, 65), (1, 64))):
+        for value in bad:
+            with pytest.raises(ValueError, match=f"{field} must lie in {good[0]}..{good[1]}"):
+                verify.RunConfig(**{field: value})
+        for value in good:
+            assert getattr(verify.RunConfig(**{field: value}), field) == value
