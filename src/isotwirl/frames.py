@@ -7,10 +7,11 @@ dimension :func:`dim_unitary`); both divide by one cached hook-length product,
 taken in Frobenius's form from one factorial per row (:func:`_hook_product`).
 Everything else in this package is built on these two dimension counts, the
 skew standard-tableau counts of :func:`_skew_counts` (one pass down Young's
-lattice per outer frame), the lattice levels of :func:`_lattice_level` (the
-fast path's push up the lattice) and the binary entropy / relative entropy
-helpers defined at the bottom.  The frame enumerator is the one partition enumerator:
-the cycle types of S_n are its frames with n rows.
+lattice per outer frame), the lattice levels of :func:`_lattice_level` (each
+frame's position, covers, f and dim U, which the fast path reads by position)
+and the binary entropy / relative entropy helpers defined at the bottom.  The
+frame enumerator is the one partition enumerator: the cycle types of S_n are
+its frames with n rows, and the lattice levels read its rows.
 
 All functions here are pure and the memoized ones are safe to call from
 multiple threads (recomputation under the GIL is idempotent).
@@ -22,9 +23,10 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
-from typing import Union
+from typing import Callable, Union
 
 Scalar = Union[int, float, Fraction]
 
@@ -150,12 +152,27 @@ def exact_rational(x: Fraction | int | str) -> Fraction:
         raise ValueError(f"{x!r} is not a rational number") from None
 
 
-def depolarising_weight(q: Fraction | int | str) -> Fraction:
-    """The replacement weight q of the depolarising channel as an exact ``Fraction`` in [0, 1]."""
-    q = exact_rational(q)
+def depolarising_weight(x: Fraction | int | str) -> Fraction:
+    """The depolarising channel's weight q as an exact ``Fraction`` in [0, 1]; a refusal quotes ``x``, cut short."""
+    q = exact_rational(x)
     if not 0 <= q <= 1:
-        raise ValueError(f"depolarising weight must lie in [0, 1], got {q}")
+        shown = x if isinstance(x, str) else rational_text(q)
+        shown = shown if len(shown) <= 40 else f"{shown[:40]}... ({len(shown)} characters)"
+        raise ValueError(f"depolarising weight must lie in [0, 1], got {shown}")
     return q
+
+
+def integer_text(i: int) -> str:
+    """``str(i)``, also past the interpreter's int-to-str digit limit, which ``decimal.Decimal`` does not have."""
+    try:
+        return str(i)
+    except ValueError:
+        return str(Decimal(i))
+
+
+def rational_text(x: Fraction) -> str:
+    """``x`` as "num/den", every digit written (:func:`integer_text`)."""
+    return f"{integer_text(x.numerator)}/{integer_text(x.denominator)}"
 
 
 def format_frame(lam: YoungFrame, d: int | None = None) -> str:
@@ -197,11 +214,16 @@ def enumerate_frames(d: int, n: int) -> list[YoungFrame]:
 
 @cache
 def _enumerate_frames(d: int, n: int) -> tuple[YoungFrame, ...]:
-    out: list[YoungFrame] = []
+    return tuple(map(YoungFrame, _frame_rows(d, n)))
+
+
+def _frame_rows(d: int, n: int) -> list[tuple[int, ...]]:
+    """The rows of every frame of YF(d, n), zero-padded to d, in the order of :func:`enumerate_frames`."""
+    out: list[tuple[int, ...]] = []
 
     def descend(prefix: list[int], remaining: int, slots: int, max_part: int) -> None:
         if slots == 0:
-            out.append(YoungFrame(tuple(prefix)))
+            out.append(tuple(prefix))
             return
         # a row below ceil(remaining / slots) leaves too many boxes for the rows under it
         for p in range(min(max_part, remaining), -(-remaining // slots) - 1, -1):
@@ -210,7 +232,7 @@ def _enumerate_frames(d: int, n: int) -> tuple[YoungFrame, ...]:
             prefix.pop()
 
     descend([], n, d, n)
-    return tuple(out)
+    return out
 
 
 @cache
@@ -244,13 +266,17 @@ def dim_sym(lam: YoungFrame) -> int:
     return _dim_sym(lam.reduced)
 
 
+def _contents(red: tuple[int, ...], d: int) -> int:
+    """The product of d + c over the boxes of ``red`` (c a box's content), for ``red`` of at most d rows."""
+    # row i holds the contents d-i, ..., d-i+r-1: (d-i+r-1)! / (d-i-1)!
+    return math.prod(math.perm(d - i + r - 1, r) for i, r in enumerate(red))
+
+
 @cache
 def _dim_unitary(red: tuple[int, ...], d: int) -> int:
     if len(red) > d:
         return 0
-    # row i holds the contents d-i, ..., d-i+r-1: (d-i+r-1)! / (d-i-1)!
-    contents = math.prod(math.perm(d - i + r - 1, r) for i, r in enumerate(red))
-    dim, rem = divmod(contents, _hook_product(red))
+    dim, rem = divmod(_contents(red, d), _hook_product(red))
     assert rem == 0
     return dim
 
@@ -282,55 +308,80 @@ def _below(rho: tuple[int, ...]) -> list[tuple[int, ...]]:
 # the size buys: verify's checks sweep the same sources one after another, and
 # 64 entries hold all 52 frames of at most 4 rows and 1..8 boxes, so a run at
 # n <= 8 computes each source's counts once.  A larger sweep pays one miss per
-# source and check.
+# source and check.  Keyed by lattice position, the counts serve every d.
 @lru_cache(maxsize=64)
-def _skew_counts(outer: tuple[int, ...]) -> tuple[dict[tuple[int, ...], int], ...]:
-    """f^{outer/inner} for every frame inner inside outer: entry m maps each inner of m boxes, by reduced rows.
+def _skew_counts(outer: tuple[int, ...]) -> tuple[dict[int, int], ...]:
+    """f^{outer/inner} for every inner inside outer: entry m maps each inner of m boxes, by position in YF(r, m).
 
-    One pass down Young's lattice from outer, removing one corner at a time:
-    f^{outer/inner} counts the saturated chains from inner up to outer, so it
-    is the sum of f^{outer/rho} over the rho inside outer that cover inner
-    (the branching rule; Stanley, EC2 §7.10).  The pass runs on the frame
-    indices of :func:`_lattice_level` with outer's row count as the budget,
-    and every frame of one size is complete before the next size down starts.
+    r is the row count of outer (at least 1); ``_lattice_level(d, m).fits[r]``
+    carries a position into YF(d, m).  One pass down Young's lattice from
+    outer, removing one corner at a time: f^{outer/inner} counts the saturated
+    chains from inner up to outer, so it is the sum of f^{outer/rho} over the
+    rho inside outer that cover inner (the branching rule; Stanley, EC2 §7.10).
     """
     rows = max(len(outer), 1)
-    m = sum(outer)
-    level = {_lattice_level(rows, m)[0][outer]: 1}
-    levels = []
-    while True:
-        frames = _enumerate_frames(rows, m)
-        levels.append({frames[i].reduced: f for i, f in level.items()})
-        if m == 0:
-            return tuple(reversed(levels))
-        below: dict[int, int] = {}
-        for column in _lattice_level(rows, m)[1]:
-            for i, f in level.items():
-                j = column[i]
-                if j >= 0:
-                    below[j] = below.get(j, 0) + f
-        level = below
-        m -= 1
+    levels = [{_lattice_level(rows, sum(outer)).index[outer]: 1}]
+    for m in range(sum(outer), 0, -1):
+        lower: dict[int, int] = {}
+        covers = _lattice_level(rows, m).covers
+        for i, f in levels[-1].items():
+            for j in covers[i]:
+                lower[j] = lower.get(j, 0) + f
+        levels.append(lower)
+    return tuple(reversed(levels))
 
 
-@cache
-def _lattice_level(d: int, m: int) -> tuple[dict[tuple[int, ...], int], tuple[tuple[int, ...], ...]]:
-    """YF(d, m) as a level of Young's lattice: each frame's index, and the indices of the frames it covers.
+class _Level:
+    """YF(d, m) as a level of Young's lattice; every tuple follows :func:`enumerate_frames`.
 
-    The index follows :func:`enumerate_frames` and is keyed by reduced rows.
-    The covers come as columns: entry i of column c is the index in
-    YF(d, m-1) of the c-th frame that frame i covers, or -1 when frame i
-    covers fewer (at m = 0 there are no columns).
+    ``index`` gives each frame's position, keyed by reduced rows, and
+    ``covers[i]`` the positions in YF(d, m-1) of the frames that frame i
+    covers: all that the pass down the lattice reads.  What the push back up
+    reads is built on its first read, so a level that only a pass down uses
+    (one with fewer rows than the push's d) never computes it.
     """
-    frames = _enumerate_frames(d, m)
-    index = {f.reduced: i for i, f in enumerate(frames)}
-    if m == 0:
-        return index, ()
-    lower = _lattice_level(d, m - 1)[0]
-    covered = [[lower[rho] for rho in _below(f.reduced)] for f in frames]
-    return index, tuple(
-        tuple(row[c] if c < len(row) else -1 for row in covered) for c in range(max(map(len, covered)))
-    )
+
+    def __init__(self, d: int, m: int):
+        self.d, self.m = d, m
+        self.reduced = [tuple(filter(None, rows)) for rows in _frame_rows(d, m)]  # no frame objects
+        self.index = {red: i for i, red in enumerate(self.reduced)}
+        lower = _lattice_level(d, m - 1).index if m else {}
+        self.covers = tuple(tuple(lower[rho] for rho in _below(red)) for red in self.reduced)
+
+    @cached_property
+    def gather(self) -> tuple[Callable[[list[int]], tuple[int, ...]], ...]:
+        """Getters on a list over YF(d, m-1) that ends in one extra 0.
+
+        ``gather[c]`` gives, for each frame, the entry of its c-th covered
+        frame (the extra 0 when it covers fewer), then the extra 0 again.
+        """
+        width = max(map(len, self.covers))
+        return tuple(
+            operator.itemgetter(*(row[c] if c < len(row) else -1 for row in self.covers), -1) for c in range(width)
+        )
+
+    @cached_property
+    def sym(self) -> tuple[int, ...]:
+        """f of each frame by the branching rule, the sum of f over the frames it covers (closed form: ``_dim_sym``)."""
+        if not self.m:
+            return (1,)
+        lower = _lattice_level(self.d, self.m - 1).sym.__getitem__
+        return tuple(sum(map(lower, row)) for row in self.covers)
+
+    @cached_property
+    def unitary(self) -> tuple[int, ...]:
+        """dim U of each frame at d: f times its content product over m! (the hook content formula)."""
+        boxes = math.factorial(self.m)
+        return tuple(f * _contents(red, self.d) // boxes for f, red in zip(self.sym, self.reduced))
+
+    @cached_property
+    def fits(self) -> tuple[tuple[int, ...], ...]:
+        """``fits[r]``: the positions of the frames of YF(r, m), for r = 0..d."""
+        return tuple(tuple(i for i, red in enumerate(self.reduced) if len(red) <= r) for r in range(self.d + 1))
+
+
+# YF(d, m) as a level of Young's lattice, built once per (d, m)
+_lattice_level = cache(_Level)
 
 
 @dataclass(frozen=True)

@@ -5,25 +5,21 @@ compute the same exact rational numbers purely from dimension counts and
 skew standard-tableau counts, scaling far beyond the oracle's caps:
 
 * :func:`twirl_spectrum` gives the exact weight of each block lam' after k
-  sites of the lam block have been replaced by maximally mixed states, as a
-  sum over mu of f_mu f^{lam/mu} f^{lam'/mu} / dim U_mu.  The skew counts
-  f^{lam/mu} of the source come from one pass down Young's lattice
-  (:func:`frames._skew_counts`, the branching rule) and stand in for the sum
-  over nu of c^lam_{mu nu} f_nu, so no Littlewood-Richardson (LR)
-  coefficient is on this path.  The sum over mu with f^{lam'/mu} is one
-  exact integer push up the lattice (:func:`_push`): the weighted mu are
-  injected at their level, and adding one box at a time carries them to
+  sites of the lam block are replaced by maximally mixed states, a sum over
+  mu of f_mu f^{lam/mu} f^{lam'/mu} / dim U_mu.  It runs on lattice positions
+  throughout: one pass down Young's lattice (:func:`frames._skew_counts`, the
+  branching rule) gives f^{lam/mu} by position, in place of the LR sum over
+  nu of c^lam_{mu nu} f_nu; f_mu and dim U_mu are read off the level of
+  :func:`frames._lattice_level` at the same position (:func:`_levels`), and
+  one exact integer push back up (:func:`_push`) carries the weighted mu to
   every lam' at once,
 * :func:`channel_output_spectrum` resums those over the binomial distribution
-  of depolarised-site counts, yielding the full output distribution of the
-  site-wise depolarising channel on the flat state pi_lam.  The binomial
-  weights ride along in the injections, so the resummation is the same
-  push, on integers over one common denominator per q, with one
-  ``Fraction`` per output frame; :func:`channel_output_spectra` (behind
-  the tail-bound check) packs every q of its grid into one integer per
-  frame and pushes once, and :func:`sweep_to_csv` writes its cells
-  straight from the same push integers (:func:`_channel_fields`), without
-  a ``Fraction`` table per q,
+  of depolarised-site counts.  The binomial weights ride along in the
+  injections, so this is the same push over one common denominator per q,
+  with one ``Fraction`` per output frame; :func:`channel_output_spectra`
+  packs every q of a grid into one integer per frame, and
+  :func:`sweep_to_csv` writes its cells straight from those integers
+  (:func:`_channel_fields`),
 * :func:`partial_trace_decomposition` and :func:`paired_block_overlap` are the
   LR route to the same numbers: the partial trace of an isotypical projector
   expanded over the smaller isotypical projectors, and its overlap with each
@@ -47,8 +43,6 @@ from typing import Iterable, Iterator
 
 from .frames import (
     YoungFrame,
-    _dim_sym,
-    _dim_unitary,
     _lattice_level,
     _skew_counts,
     binary_entropy,
@@ -57,6 +51,8 @@ from .frames import (
     dim_unitary,
     enumerate_frames,
     format_frame,
+    integer_text,
+    rational_text,
     within_entropy_bound,
 )
 from .horn import check_split
@@ -157,59 +153,68 @@ class SpectralTable:
         return iter(self.entries.items())
 
 
-def _level_coefficients(lam: YoungFrame, d: int, m: int) -> tuple[int, dict[tuple[int, ...], int]]:
-    """(C, G) for the frames mu of m boxes inside lam: C the lcm of their dim U_mu, G(mu) = f_mu f^{lam/mu} C / dim U_mu.
+_Levels = dict[int, tuple[int, list[int], list[int], list[int]]]
 
-    The skew counts f^{lam/mu} are read from the lattice counts of lam alone.
+
+def _levels(lam: YoungFrame, d: int, ms: Iterable[int]) -> _Levels:
+    """(C, positions in YF(d, m), f_mu f^{lam/mu}, dim U_mu) per level m in ``ms``, over the mu inside lam of m boxes.
+
+    C is the lcm of their dim U_mu, so G(mu) = f_mu f^{lam/mu} C / dim U_mu
+    is an integer.  The skew counts are the lattice counts of lam alone.
     """
-    level = _skew_counts(lam.reduced)[m]
-    units = [_dim_unitary(mu, d) for mu in level]
-    common = math.lcm(*units)
-    return common, {mu: _dim_sym(mu) * f * (common // u) for (mu, f), u in zip(level.items(), units)}
+    counts = _skew_counts(lam.reduced)
+    rows = max(lam.num_rows, 1)
+    out = {}
+    for m in ms:
+        level = _lattice_level(d, m)
+        sym, unitary, at = level.sym, level.unitary, level.fits[rows]
+        positions, weights, units = [], [], []
+        for i, f in counts[m].items():
+            j = at[i]
+            positions.append(j)
+            weights.append(sym[j] * f)
+            units.append(unitary[j])
+        out[m] = math.lcm(*units), positions, weights, units
+    return out
 
 
-def _push(
-    lam: YoungFrame, d: int, levels: dict[int, dict[tuple[int, ...], int]], fields: list[dict[int, int]]
-) -> tuple[int, list[int]]:
+def _push(lam: YoungFrame, d: int, levels: _Levels, fields: list[tuple[int, dict[int, int]]]) -> tuple[int, list[int]]:
     """One push up Young's lattice to the level of lam, every field packed into one integer per frame.
 
-    Field j injects fields[j][m] G(mu) at each mu of G = levels[m].  With A
-    the operator adding one box (at most d rows), (A^k delta_mu)(lam') =
-    f^{lam'/mu}, so v_m = A v_(m-1) + inject_m, run from the lowest injected
-    level up to n = |lam|, leaves in field j of every lam' of YF(d, n) the sum
-    over m of fields[j][m] sum_mu G(mu) f^{lam'/mu}, by additions alone.
-    Field j occupies bits [width j, width (j+1)) of each returned integer;
-    the integers follow the frame enumeration order (:func:`_unpack`).
+    Field j is a pair (bound, {m: c}): it injects c G(mu) at each mu of level
+    m of ``levels`` (:func:`_levels`), and no frame ends it above ``bound``.
+    With A the operator adding one box (at most d rows), (A^k delta_mu)(lam')
+    = f^{lam'/mu}, so v_m = A v_(m-1) + inject_m, run from the lowest
+    injected level up to n = |lam|, leaves in field j of every lam' of
+    YF(d, n) the sum over m of c sum_mu G(mu) f^{lam'/mu}, by additions alone.
+    Field j occupies bits [width j, width (j+1)) of each returned integer,
+    with 2^width above every bound, so no field spills into the next; the
+    integers follow the frame enumeration order (:func:`_unpack`).
     """
     n = lam.n
-    scaled = {m: sum(g.values()) * d ** (n - m) for m, g in levels.items()}
-    # Width certificate: every injected and pushed value is non-negative, and a
-    # frame with at most d rows is covered by at most d frames, so one push step
-    # at most multiplies a field's total mass by d.  Field j ends at most at
-    # sum_m fields[j][m] mass_m d^(n-m) on any frame, below 2^width: no field
-    # can spill into the next one.
-    width = max((sum(c * scaled[m] for m, c in field.items()) for field in fields), default=0).bit_length() + 1
-    packed = dict.fromkeys(levels, 0)
-    for j, field in enumerate(fields):
+    width = max((bound for bound, _ in fields), default=0).bit_length() + 1
+    packed: dict[int, int] = {}
+    for j, (_, field) in enumerate(fields):
         for m, c in field.items():
-            packed[m] += c << (width * j)
-    low = min((m for m, p in packed.items() if p), default=n)
-    values: list[int] = []
+            if c:
+                packed[m] = packed.get(m, 0) + (c << (width * j))
+    low = min(packed, default=n)
+    # one 0 past the last frame, which the getters of the next level read and carry on
+    values = [0] * (len(_lattice_level(d, low).covers) + 1)
     for m in range(low, n + 1):
-        index, covers = _lattice_level(d, m)
-        if m == low:
-            values = [0] * len(index)
-        else:
-            # A v_(m-1), one column of covered frames at a time; -1 reads the 0 appended here
-            values.append(0)
-            below = values.__getitem__
-            values = list(map(below, covers[0]))
-            for column in covers[1:]:
-                values = list(map(operator.add, values, map(below, column)))
-        if packed.get(m):
+        if m > low:
+            # A v_(m-1), one column of covered frames at a time
+            first, *rest = _lattice_level(d, m).gather
+            total = first(values)
+            for get in rest:
+                total = map(operator.add, total, get(values))
+            values = list(total)
+        if m in packed:
             p = packed[m]
-            for mu, g in levels[m].items():
-                values[index[mu]] += g * p
+            common, positions, weights, units = levels[m]
+            for j, w, u in zip(positions, weights, units):
+                values[j] += w * (common // u) * p
+    values.pop()
     return width, values
 
 
@@ -226,15 +231,15 @@ def _twirl_numerators(lam: YoungFrame, d: int, ks) -> list[tuple[int, list[int]]
     N dim U_lam / D.  The list follows the frame enumeration order and keeps
     the zeros.  D = C d^k with C the lcm of the dim U_mu of the frames mu of
     n-k boxes inside lam, and N = dim U_lam' sum_mu G(mu) f^{lam'/mu}
-    (:func:`_level_coefficients`).  One push up Young's lattice
-    (:func:`_push`) gives every k at once: k is field j, injected at level
-    n-k.
+    (:func:`_levels`).  One push up Young's lattice (:func:`_push`) gives
+    every k at once: k is field j, injected at level n-k.
     """
     n = lam.n
-    frames = enumerate_frames(d, n)
-    levels = {n - k: _level_coefficients(lam, d, n - k) for k in ks}
-    width, values = _push(lam, d, {m: g for m, (_, g) in levels.items()}, [{n - k: 1} for k in ks])
-    units = [_dim_unitary(f.reduced, d) for f in frames]
+    levels = _levels(lam, d, [n - k for k in ks])
+    # the normalized weights N / (f_lam D) of field k sum to 1, so no value exceeds f_lam D
+    f_lam = dim_sym(lam)
+    width, values = _push(lam, d, levels, [(f_lam * levels[n - k][0] * d**k, {n - k: 1}) for k in ks])
+    units = _lattice_level(d, n).unitary
     return [
         (levels[n - k][0] * d**k, list(map(operator.mul, field, units)))
         for k, field in zip(ks, _unpack(width, len(ks), values))
@@ -259,13 +264,13 @@ def twirl_spectrum(lam: YoungFrame, k: int, d: int, *, normalized: bool = True) 
     of k steps up Young's lattice from level n-k (:func:`_twirl_numerators`).
     """
     _check_source(lam, k, d)
+    frames = enumerate_frames(d, lam.n)
     [(denominator, numerators)] = _twirl_numerators(lam, d, (k,))
     if normalized:
         denominator *= dim_sym(lam)
         source = 1
     else:
         source = dim_unitary(lam, d)
-    frames = enumerate_frames(d, lam.n)
     return SpectralTable(
         d, lam.n, {f: Fraction(num * source, denominator) for f, num in zip(frames, numerators) if num}
     )
@@ -279,12 +284,12 @@ def _binomial_weights(n: int, q: Fraction) -> list[int]:
 
 def _channel_fields(
     lam: YoungFrame, grid: list[Fraction], d: int
-) -> tuple[list[YoungFrame], list[int], list[tuple[int, list[int]]]]:
+) -> tuple[list[YoungFrame], tuple[int, ...], list[tuple[int, list[int]]]]:
     """The frames of YF_{d,n}, their dim U, and one (D, field) pair per q of the parsed ``grid``.
 
-    With C_m and G_m(mu) the coefficients of level m (:func:`_level_coefficients`)
-    and L the lcm of the C_m, each q = a/b is one field of the push
-    (:func:`_push`).  Level m = n-k injects into it
+    With C_m and G_m(mu) the coefficients of level m (:func:`_levels`) and L
+    the lcm of the C_m, each q = a/b is one field of the push (:func:`_push`).
+    Level m = n-k injects into it
 
         C(n,k) a^k (b-a)^(n-k) d^m (L / C_m) G_m(mu),
 
@@ -295,16 +300,17 @@ def _channel_fields(
     _check_source(lam, 0, d)
     n = lam.n
     frames = enumerate_frames(d, n)
-    levels = [_level_coefficients(lam, d, m) for m in range(n + 1)]
-    common = math.lcm(*(c for c, _ in levels))
-    binomials = [_binomial_weights(n, q) for q in grid]
-    fields = [{m: row[n - m] * d**m * (common // c) for m, (c, _) in enumerate(levels)} for row in binomials]
-    width, values = _push(lam, d, {m: g for m, (_, g) in enumerate(levels)}, fields)
-    units = [_dim_unitary(f.reduced, d) for f in frames]
+    levels = _levels(lam, d, range(n + 1))
+    common = math.lcm(*(c for c, _, _, _ in levels.values()))
     f_lam = dim_sym(lam)
-    return frames, units, [
-        (common * q.denominator**n * d**n * f_lam, field) for q, field in zip(grid, _unpack(width, len(grid), values))
+    denominators = [common * q.denominator**n * d**n * f_lam for q in grid]
+    # the weights v dim U_lam' / D of a field sum to 1, so no value v exceeds D
+    fields = [
+        (denominator, {m: row[n - m] * d**m * (common // c) for m, (c, _, _, _) in levels.items()})
+        for denominator, row in zip(denominators, (_binomial_weights(n, q) for q in grid))
     ]
+    width, values = _push(lam, d, levels, fields)
+    return frames, _lattice_level(d, n).unitary, list(zip(denominators, _unpack(width, len(grid), values)))
 
 
 def channel_output_spectra(
@@ -445,7 +451,7 @@ def table_to_csv(table: SpectralTable) -> str:
     lines = ["frame,weight_numerator,weight_denominator,weight_float"]
     for lam, w in table:
         cell = format_frame(lam, table.d)
-        lines.append(f'"{cell}",{w.numerator},{w.denominator},{float(w)!r}')
+        lines.append(f'"{cell}",{integer_text(w.numerator)},{integer_text(w.denominator)},{float(w)!r}')
     return "\n".join(lines) + "\n"
 
 
@@ -457,7 +463,7 @@ def table_to_json_obj(table: SpectralTable) -> dict:
         "entries": [
             {
                 "frame": format_frame(lam, table.d),
-                "weight": f"{w.numerator}/{w.denominator}",
+                "weight": rational_text(w),
                 "weight_float": float(w),
             }
             for lam, w in table
@@ -479,7 +485,7 @@ def sweep_to_csv(lam: YoungFrame, d: int, grid: list[Fraction | int | str], *, e
         raise ValueError("q grid must be nonempty")
     grid = [depolarising_weight(q) for q in grid]
     frames, units, columns = _channel_fields(lam, grid, d)
-    header = ["frame"] + [f"q={q.numerator}/{q.denominator}" for q in grid]
+    header = ["frame"] + [f"q={rational_text(q)}" for q in grid]
     lines = [",".join(header)]
     for i, (lam_p, u) in enumerate(zip(frames, units)):
         cells = [f'"{format_frame(lam_p, d)}"']
@@ -487,7 +493,7 @@ def sweep_to_csv(lam: YoungFrame, d: int, grid: list[Fraction | int | str], *, e
             v = field[i] * u
             if exact:
                 g = math.gcd(v, denominator)
-                cells.append(f"{v // g}/{denominator // g}")
+                cells.append(f"{integer_text(v // g)}/{integer_text(denominator // g)}")
             else:
                 cells.append(repr(v / denominator))
         lines.append(",".join(cells))

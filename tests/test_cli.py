@@ -103,6 +103,59 @@ def test_d_below_one_refused_by_every_subcommand(command, capsys):
     assert "error" not in capsys.readouterr().err
 
 
+LONG_Q = "0.12345678901234567890123456789012345678901"
+
+
+@pytest.fixture
+def default_digit_limit():
+    """The interpreter's default limit on int-to-str conversion (4300 digits) for one test; restored after."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+def test_exact_weights_past_the_int_digit_limit(default_digit_limit, capsys):
+    # at n = 128 the weights of a q with 41 decimals run to about 5200 digits; spectrum (csv and json)
+    # and sweep --exact once exited 2 on str(int).  The limit is not lifted for the caller
+    from isotwirl import cli
+    from isotwirl.frames import format_frame, parse_frame
+    from isotwirl.spectra import channel_output_spectrum
+
+    table = channel_output_spectrum(parse_frame("64,64"), LONG_Q, 2)
+    sys.set_int_max_str_digits(0)
+    expected = {format_frame(f, 2): (str(w.numerator), str(w.denominator)) for f, w in table}
+    sys.set_int_max_str_digits(4300)
+    assert max(len(den) for _, den in expected.values()) > 4300
+    assert cli.main(["spectrum", "64,64", "--q", LONG_Q]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert {",".join(row[:2]).strip('"'): (row[2], row[3]) for row in rows} == expected
+    assert cli.main(["spectrum", "64,64", "--q", LONG_Q, "--format", "json"]) == 0
+    entries = json.loads(capsys.readouterr().out)["entries"]
+    assert {e["frame"]: tuple(e["weight"].split("/")) for e in entries} == expected
+    assert cli.main(["sweep", "64,64", "--grid", LONG_Q, "--exact"]) == 0
+    header, *cells = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+    assert header == ["frame", "q=12345678901234567890123456789012345678901/" + "1" + "0" * 41]
+    swept = {",".join(row[:2]).strip('"'): tuple(row[2].split("/")) for row in cells}
+    assert {f: v for f, v in swept.items() if v != ("0", "1")} == expected
+    assert sys.get_int_max_str_digits() == 4300
+
+
+def test_out_of_range_weight_quotes_its_input(default_digit_limit, capsys):
+    # the parsed Fraction of 1e5000 has 5001 digits: formatting it once raised the digit-limit error
+    from isotwirl import cli
+
+    long_text = "2" + "0" * 100
+    for args, shown in (
+        (["spectrum", "3,1", "--q", "1e5000"], "1e5000"),
+        (["spectrum", "3,1", "--q", "1.5"], "1.5"),
+        (["spectrum", "3,1", "--q", long_text], "2" + "0" * 39 + "... (101 characters)"),
+        (["sweep", "3,1", "--grid", f"0.5,{long_text}"], "2" + "0" * 39 + "... (101 characters)"),
+    ):
+        assert cli.main(args) == 2
+        assert capsys.readouterr() == ("", f"error: depolarising weight must lie in [0, 1], got {shown}\n")
+
+
 def test_spectrum_command(tmp_path: Path):
     res = run_cli("spectrum", "4,0", "--q", "0")
     lines = res.stdout.strip().split("\n")

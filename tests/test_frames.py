@@ -28,6 +28,7 @@ from isotwirl.frames import (
     _dim_sym,
     _dim_unitary,
     _hook_product,
+    _lattice_level,
     _skew_counts,
     within_entropy_bound,
 )
@@ -142,6 +143,18 @@ def test_skew_count_cache_serves_one_source_at_a_time():
     check_fast_path_against_oracle([(2, 4)], grid)
     check_tail_bound(8, grid)
     assert _skew_counts.cache_info().misses == sources(4, range(1, 9))
+
+
+def test_lattice_levels_carry_the_closed_form_dimensions():
+    # a level's f comes by the branching rule and its dim U from f and the box contents;
+    # both equal the hook-length closed forms, frame by frame, in enumeration order
+    for d, m_max in ((1, 24), (2, 40), (3, 24), (4, 18)):
+        for m in range(m_max + 1):
+            level = _lattice_level(d, m)
+            frames = [f.reduced for f in enumerate_frames(d, m)]
+            assert list(level.index) == frames, (d, m)
+            assert level.sym == tuple(map(_dim_sym, frames)), (d, m)
+            assert level.unitary == tuple(_dim_unitary(red, d) for red in frames), (d, m)
 
 
 def test_dim_sym_examples():

@@ -1,12 +1,22 @@
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bruteforce import count_standard_skew_tableaux, partitions_of, skew_count_by_aitken
-from isotwirl.frames import YoungFrame, _skew_counts, dim_sym, dim_unitary, enumerate_frames, frame
+from isotwirl.frames import (
+    YoungFrame,
+    _lattice_level,
+    _skew_counts,
+    dim_sym,
+    dim_unitary,
+    enumerate_frames,
+    format_frame,
+    frame,
+)
 from isotwirl.horn import within_support_window
 from isotwirl import oracle as orc
 from isotwirl.lr import lr_coefficient
@@ -130,7 +140,8 @@ def dim_skew(outer, inner):
     """f^{outer/inner} as the package's lattice pass gives it; zero when inner does not fit inside outer."""
     if inner.n > outer.n:
         return 0
-    return _skew_counts(outer.reduced)[inner.n].get(inner.reduced, 0)
+    position = _lattice_level(max(outer.num_rows, 1), inner.n).index.get(inner.reduced)
+    return _skew_counts(outer.reduced)[inner.n].get(position, 0)
 
 
 def test_dim_skew_examples():
@@ -234,6 +245,34 @@ def test_channel_push_is_the_binomial_mixture_of_twirl_spectra(case):
             for lam_p, w in twirl:
                 mixture[lam_p] = mixture.get(lam_p, 0) + weight * w
         assert table.entries == {f: w for f, w in mixture.items() if w}, (lam, d, q)
+
+
+BENCHMARK_SPECTRA = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "twirl_spectra.json"
+
+
+def test_benchmark_frames_match_their_recorded_spectra():
+    # the benchmark checks its fast-path outputs against this file only after a timed run;
+    # here every normalised twirl spectrum of its three frame sets, and the channel at two q
+    reference = json.loads(BENCHMARK_SPECTRA.read_text())
+    assert list(reference) == ["2,16", "3,12", "4,10"]
+    for key, block in reference.items():
+        d, n = map(int, key.split(","))
+        frames = enumerate_frames(d, n)
+        assert block["frames"] == [format_frame(lam, d) for lam in frames]
+        for lam in frames:
+            recorded = [{f: Fraction(w) for f, w in by_k.items()} for by_k in block["twirl"][format_frame(lam, d)]]
+            assert len(recorded) == n + 1
+            for k, expected in enumerate(recorded):
+                table = twirl_spectrum(lam, k, d)
+                assert {format_frame(f, d): w for f, w in table} == expected, (d, lam, k)
+            for q in (Fraction(2, 7), Fraction(11, 12)):
+                mixture = {}
+                for k, expected in enumerate(recorded):
+                    weight = math.comb(n, k) * q**k * (1 - q) ** (n - k)
+                    for f, w in expected.items():
+                        mixture[f] = mixture.get(f, 0) + weight * w
+                table = channel_output_spectrum(lam, q, d)
+                assert {format_frame(f, d): w for f, w in table} == {f: w for f, w in mixture.items() if w}, (d, lam, q)
 
 
 def test_packed_fields_do_not_bleed():

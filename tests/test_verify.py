@@ -1,5 +1,6 @@
 """The verify checks decide on integers: perturbed inputs, mutants of the cross-multiplication, report counts."""
 
+import copy
 import dataclasses
 import inspect
 import json
@@ -215,6 +216,38 @@ def test_lowered_tail_exponent_fails_with_exact_text(monkeypatch):
         "n=2 q=1/5 lam=1,1 lam'=2,0: 0.27 > 2**-1.9344077139988707",
         "n=2 q=3/10 lam=1,1 lam'=2,0: 0.3825 > 2**-1.6458687058210781",
         "n=2 q=2/5 lam=1,1 lam'=2,0: 0.48 > 2**-1.4727453009144025",
+    ]
+
+
+def test_raised_unitary_dimension_fails_the_dimension_identity(monkeypatch):
+    # dim U of (2,1) at d = 3 one too high, as verify reads it: f_(2,1) = 2 extra on d^3 = 27,
+    # and only the size that holds that frame fails
+    real = verify.dim_unitary
+    monkeypatch.setattr(verify, "dim_unitary", lambda lam, d: real(lam, d) + ((lam, d) == (frame(2, 1), 3)))
+    result = verify.check_dimension_identity([(2, 6), (3, 6), (4, 6)])
+    assert (result.checked, result.failures) == (21, ["d=3 n=3: 29 != 27"])
+
+
+def test_tripled_lattice_dimension_moves_the_fast_path_mode(monkeypatch):
+    # dim U of (3,1) at (2, 4) tripled in the lattice level the fast path reads: the engine's
+    # weight of (3,1) triples and overtakes (4) at three q; the oracle still reads (4)
+    real = spectra._lattice_level
+
+    def tripled(d, m):
+        level = real(d, m)
+        if (d, m) != (2, 4):
+            return level
+        bumped = copy.copy(level)
+        unitary = list(level.unitary)
+        unitary[level.index[(3, 1)]] *= 3
+        bumped.unitary = tuple(unitary)
+        return bumped
+
+    monkeypatch.setattr(spectra, "_lattice_level", tripled)
+    assert verify.check_output_mode(4, verify.DEFAULT_Q_GRID).failures == [
+        "mode at n=4 q=3/10: 3,1 != 4,0",
+        "mode at n=4 q=2/5: 3,1 != 4,0",
+        "mode at n=4 q=1/2: 3,1 != 4,0",
     ]
 
 
