@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+import re
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -142,14 +143,29 @@ def exact_rational(x: Fraction | int | str) -> Fraction:
 
     Anything else, text such as "1/0" included, is refused with ``ValueError``.
     A float above all holds a binary fraction, so 0.1 would become
-    3602879701896397/36028797018963968 rather than 1/10.
+    3602879701896397/36028797018963968 rather than 1/10.  Text is read as
+    ``Fraction`` reads it, also past the interpreter's limit on the digits
+    ``int`` reads from a string: there each side of "a/b" is read through
+    ``decimal.Decimal``, which has no such limit.
     """
     if not isinstance(x, (numbers.Rational, str)):
         raise ValueError(f"{x!r} is not exact: pass a Fraction, an int or a string such as '0.3'")
     try:
-        return Fraction(x)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"{x!r} is not a rational number") from None
+        try:
+            return Fraction(x)
+        except ValueError:  # only text gets here
+            # with each run of digits cut to one digit, the text is read whole, and
+            # Fraction's grammar accepts it exactly when it accepts x
+            Fraction(re.sub(r"\d+", "1", x))
+            numerator, _, denominator = x.partition("/")
+            return Fraction(Decimal(numerator)) / Fraction(Decimal(denominator or "1"))
+    except (ValueError, ArithmeticError):  # ArithmeticError: a zero denominator, decimal's refusals
+        raise ValueError(f"{_quoted(x, repr)} is not a rational number") from None
+
+
+def _quoted(text: str, form=str) -> str:
+    """``form(text)`` for an error message; past 40 characters, ``form`` of the first 40 and the length."""
+    return form(text) if len(text) <= 40 else f"{form(text[:40])}... ({len(text)} characters)"
 
 
 def depolarising_weight(x: Fraction | int | str) -> Fraction:
@@ -157,8 +173,7 @@ def depolarising_weight(x: Fraction | int | str) -> Fraction:
     q = exact_rational(x)
     if not 0 <= q <= 1:
         shown = x if isinstance(x, str) else rational_text(q)
-        shown = shown if len(shown) <= 40 else f"{shown[:40]}... ({len(shown)} characters)"
-        raise ValueError(f"depolarising weight must lie in [0, 1], got {shown}")
+        raise ValueError(f"depolarising weight must lie in [0, 1], got {_quoted(shown)}")
     return q
 
 

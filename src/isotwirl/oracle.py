@@ -42,14 +42,14 @@ otherwise.  Each operation bounds the entries it will form and passes that
 bound to :func:`_exact`, which keeps int64 only when it certifies no overflow
 and falls back to arbitrary precision otherwise.  An integer matrix product
 (:func:`_int_matmul`: the block products, and the powers and splits of the
-projector construction) takes one of three routes by the certificate
+projector construction) takes one of two routes by the certificate
 m max|A| max|B|, m the inner dimension, and the operand dtypes alone: float64
-BLAS up to 2^53, int64 up to 2^63 - 1, Python ints beyond, or whenever an
-operand already holds Python ints.  The float route is exact whatever the
-summation order, blocking, FMA or thread count: every partial sum is a sum
-of some of the m products, so it is an integer of modulus at most 2^53, which
-float64 holds exactly, and so is every input entry that meets a nonzero
-factor (a zero factor gives an exact zero).
+BLAS up to 2^53, Python ints beyond, or whenever an operand already holds
+Python ints.  The float route is exact whatever the summation order,
+blocking, FMA or thread count: every partial sum is a sum of some of the m
+products, so it is an integer of modulus at most 2^53, which float64 holds
+exactly, and so is every input entry that meets a nonzero factor (a zero
+factor gives an exact zero).
 
 Operators are immutable by convention: no operation mutates its inputs, and
 constructed operators can be shared freely across threads.
@@ -397,7 +397,7 @@ class TensorOperator:
         """Matrix product, one stored block at a time.
 
         Each block product takes the route its own bound certifies (see
-        :func:`_int_matmul`): float64 BLAS, int64 or Python ints.
+        :func:`_int_matmul`): float64 BLAS or Python ints.
         """
         self._compatible(other)
         layout, a, b = self._layout, self._vec, other._vec
@@ -564,19 +564,15 @@ def perm_operator(tau: Permutation, d: int) -> TensorOperator:
 
 
 def _matmul_route(a: np.ndarray, b: np.ndarray) -> str:
-    """The route of :func:`_int_matmul` for ``a @ b``: "float", "int64" or "object".
+    """The route of :func:`_int_matmul` for ``a @ b``: "float" or "object".
 
     With m the inner dimension, m max|a| max|b| bounds every partial sum of
     every entry of the product.  Two int64 operands take float64 BLAS when
-    that bound is at most 2^53 and int64 when it fits int64; every other pair
-    takes Python ints.
+    that bound is at most 2^53; every other pair takes Python ints.
     """
     if a.dtype != np.int64 or b.dtype != np.int64:
         return "object"
-    bound = a.shape[1] * _amax(a) * _amax(b)
-    if bound <= _FLOAT_EXACT_MAX:
-        return "float"
-    return "int64" if bound <= _INT64_MAX else "object"
+    return "float" if a.shape[1] * _amax(a) * _amax(b) <= _FLOAT_EXACT_MAX else "object"
 
 
 def _int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -584,16 +580,12 @@ def _int_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     The float route casts both operands to float64, multiplies them with
     BLAS and casts back to int64; the bound makes every value it forms an
-    integer float64 holds exactly (see the module docstring).  The int64
-    route is numpy's integer product, and the object route multiplies
-    Python ints.
+    integer float64 holds exactly (see the module docstring).  The object
+    route multiplies Python ints.
     """
-    route = _matmul_route(a, b)
-    if route == "float":
+    if _matmul_route(a, b) == "float":
         return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
-    if route == "object":
-        a, b = a.astype(object, copy=False), b.astype(object, copy=False)
-    return a @ b
+    return a.astype(object, copy=False) @ b.astype(object, copy=False)
 
 
 def central_eigenvalues(lam: YoungFrame) -> tuple[int, int]:

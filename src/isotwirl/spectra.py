@@ -15,11 +15,9 @@ skew standard-tableau counts, scaling far beyond the oracle's caps:
   every lam' at once,
 * :func:`channel_output_spectrum` resums those over the binomial distribution
   of depolarised-site counts.  The binomial weights ride along in the
-  injections, so this is the same push over one common denominator per q,
-  with one ``Fraction`` per output frame; :func:`channel_output_spectra`
-  packs every q of a grid into one integer per frame, and
-  :func:`sweep_to_csv` writes its cells straight from those integers
-  (:func:`_channel_fields`),
+  injections, so this is the same push over one common denominator per q;
+  :func:`channel_output_spectra` packs every q of a grid into one integer per
+  frame, as :func:`twirl_spectra` packs every k,
 * :func:`partial_trace_decomposition` and :func:`paired_block_overlap` are the
   LR route to the same numbers: the partial trace of an isotypical projector
   expanded over the smaller isotypical projectors, and its overlap with each
@@ -29,8 +27,11 @@ skew standard-tableau counts, scaling far beyond the oracle's caps:
   :func:`xy_entropy_bound` solve the extremal dimension-product problems that
   control it.
 
-All spectra are exact ``Fraction`` tables; floats appear only in the entropy
-bounds and in serialized convenience columns.
+Every spectrum is a :class:`SpectralTable`, the push's integers over one
+denominator; the verify suites compare it with the dense oracle's tables by
+cross-multiplication, and the three writers read every cell from it through
+one helper (:func:`_weight_texts`).  Floats appear only in the entropy bounds
+and in serialized convenience columns.
 """
 
 from __future__ import annotations
@@ -122,35 +123,40 @@ def paired_block_overlap(lam_prime: YoungFrame, mu: YoungFrame, gamma: YoungFram
 
 @dataclass
 class SpectralTable:
-    """Exact weights over the frames of YF_{d,n}; only nonzero entries stored.
+    """Exact weights over the frames of YF_{d,n}, as integers over one denominator.
 
-    Entries are kept in the decreasing-lex frame enumeration order, so
-    iteration and serialization are byte-reproducible.
+    Frame i of :func:`frames.enumerate_frames` weighs ``numerators[i] /
+    denominator``.  Zeros are kept, so the numerators follow the whole
+    enumeration order and iteration and serialization are byte-reproducible.
+    This is the push's own form (:func:`_push`): a ``Fraction`` is formed
+    only when a weight is read.
     """
 
     d: int
     n: int
-    entries: dict[YoungFrame, Fraction]
+    denominator: int
+    numerators: list[int]
 
     def weight(self, lam: YoungFrame) -> Fraction:
-        return self.entries.get(lam, Fraction(0))
+        """The weight of ``lam``; 0 for a frame outside YF_{d,n}."""
+        i = _lattice_level(self.d, self.n).index.get(lam.reduced)
+        return Fraction(0) if i is None else Fraction(self.numerators[i], self.denominator)
 
     def total(self) -> Fraction:
-        return sum(self.entries.values(), Fraction(0))
+        return Fraction(sum(self.numerators), self.denominator)
 
     def mode(self) -> YoungFrame:
         """Frame of maximal weight; ties resolve to the enumeration-first frame."""
-        if not self.entries:
+        if not any(self.numerators):
             raise ValueError("empty table has no mode")
-        best = None
-        best_w = None
-        for lam, w in self.entries.items():
-            if best_w is None or w > best_w:
-                best, best_w = lam, w
-        return best
+        best = max(range(len(self.numerators)), key=self.numerators.__getitem__)
+        return enumerate_frames(self.d, self.n)[best]
 
     def __iter__(self) -> Iterator[tuple[YoungFrame, Fraction]]:
-        return iter(self.entries.items())
+        """The nonzero (frame, weight) pairs, in enumeration order."""
+        for lam, v in zip(enumerate_frames(self.d, self.n), self.numerators):
+            if v:
+                yield lam, Fraction(v, self.denominator)
 
 
 _Levels = dict[int, tuple[int, list[int], list[int], list[int]]]
@@ -246,6 +252,19 @@ def _twirl_numerators(lam: YoungFrame, d: int, ks) -> list[tuple[int, list[int]]
     ]
 
 
+def twirl_spectra(lam: YoungFrame, ks: Iterable[int], d: int) -> list[SpectralTable]:
+    """The unnormalized :func:`twirl_spectrum` for every k in ``ks``, from one push up Young's lattice.
+
+    The weight of lam' is N dim U_lam / D with (D, N) from :func:`_twirl_numerators`.
+    """
+    ks = list(ks)
+    for k in [0, *ks]:  # k = 0 checks the source alone, also for an empty ks
+        _check_source(lam, k, d)
+    enumerate_frames(d, lam.n)  # refuses a size past the caps
+    unit = dim_unitary(lam, d)
+    return [SpectralTable(d, lam.n, den, [v * unit for v in nums]) for den, nums in _twirl_numerators(lam, d, ks)]
+
+
 def twirl_spectrum(lam: YoungFrame, k: int, d: int, *, normalized: bool = True) -> SpectralTable:
     """Weight of every block lam' after k of the n sites are maximally mixed.
 
@@ -263,17 +282,10 @@ def twirl_spectrum(lam: YoungFrame, k: int, d: int, *, normalized: bool = True) 
     normalized weight divides by f_lam dim U_lam.  The sum over mu is one push
     of k steps up Young's lattice from level n-k (:func:`_twirl_numerators`).
     """
-    _check_source(lam, k, d)
-    frames = enumerate_frames(d, lam.n)
-    [(denominator, numerators)] = _twirl_numerators(lam, d, (k,))
-    if normalized:
-        denominator *= dim_sym(lam)
-        source = 1
-    else:
-        source = dim_unitary(lam, d)
-    return SpectralTable(
-        d, lam.n, {f: Fraction(num * source, denominator) for f, num in zip(frames, numerators) if num}
-    )
+    [table] = twirl_spectra(lam, (k,), d)
+    if normalized:  # pi_lam is P_lam over its trace f_lam dim U_lam
+        table.denominator *= dim_sym(lam) * dim_unitary(lam, d)
+    return table
 
 
 def _binomial_weights(n: int, q: Fraction) -> list[int]:
@@ -282,10 +294,15 @@ def _binomial_weights(n: int, q: Fraction) -> list[int]:
     return [math.comb(n, k) * a**k * (b - a) ** (n - k) for k in range(n + 1)]
 
 
-def _channel_fields(
-    lam: YoungFrame, grid: list[Fraction], d: int
-) -> tuple[list[YoungFrame], tuple[int, ...], list[tuple[int, list[int]]]]:
-    """The frames of YF_{d,n}, their dim U, and one (D, field) pair per q of the parsed ``grid``.
+def channel_output_spectra(
+    lam: YoungFrame, grid: Iterable[Fraction | int | str], d: int
+) -> list[SpectralTable]:
+    """:func:`channel_output_spectrum` for every q in ``grid``, from one push up Young's lattice."""
+    return _channel_spectra(lam, [depolarising_weight(q) for q in grid], d)
+
+
+def _channel_spectra(lam: YoungFrame, grid: list[Fraction], d: int) -> list[SpectralTable]:
+    """The tables of :func:`channel_output_spectra` for a grid already parsed.
 
     With C_m and G_m(mu) the coefficients of level m (:func:`_levels`) and L
     the lcm of the C_m, each q = a/b is one field of the push (:func:`_push`).
@@ -295,11 +312,12 @@ def _channel_fields(
 
     the binomial weight of k mixed sites over the twirl's 1/d^k, all brought
     to the common denominator L b^n d^n.  The weight of lam' is its field
-    value v times dim U_lam' over D = L b^n d^n f_lam.
+    value times dim U_lam' over D = L b^n d^n f_lam: the table holds those
+    integers as they are.
     """
     _check_source(lam, 0, d)
     n = lam.n
-    frames = enumerate_frames(d, n)
+    enumerate_frames(d, n)  # refuses a size past the caps
     levels = _levels(lam, d, range(n + 1))
     common = math.lcm(*(c for c, _, _, _ in levels.values()))
     f_lam = dim_sym(lam)
@@ -310,23 +328,10 @@ def _channel_fields(
         for denominator, row in zip(denominators, (_binomial_weights(n, q) for q in grid))
     ]
     width, values = _push(lam, d, levels, fields)
-    return frames, _lattice_level(d, n).unitary, list(zip(denominators, _unpack(width, len(grid), values)))
-
-
-def channel_output_spectra(
-    lam: YoungFrame, grid: Iterable[Fraction | int | str], d: int
-) -> list[SpectralTable]:
-    """:func:`channel_output_spectrum` for every q in ``grid``, from one push up Young's lattice.
-
-    Every q is one field of the same push (:func:`_channel_fields`), and each
-    output frame gets one ``Fraction``.
-    """
-    frames, units, columns = _channel_fields(lam, [depolarising_weight(q) for q in grid], d)
+    units = _lattice_level(d, n).unitary
     return [
-        SpectralTable(
-            d, lam.n, {lam_p: Fraction(v * u, denominator) for lam_p, v, u in zip(frames, field, units) if v}
-        )
-        for denominator, field in columns
+        SpectralTable(d, n, denominator, list(map(operator.mul, field, units)))
+        for denominator, field in zip(denominators, _unpack(width, len(grid), values))
     ]
 
 
@@ -446,27 +451,35 @@ def xy_entropy_bound(lam_prime: YoungFrame, k: int) -> XYBoundCheck:
 # -- serialization -------------------------------------------------------------
 
 
+def _weight_texts(table: SpectralTable) -> list[tuple[str, str]]:
+    """Numerator and denominator of every weight of ``table`` in lowest terms, every digit written.
+
+    A weight's float is v / denominator: int division is correctly rounded, as is ``float`` of the ``Fraction``.
+    """
+    den = table.denominator
+    return [(integer_text(v // (g := math.gcd(v, den))), integer_text(den // g)) for v in table.numerators]
+
+
 def table_to_csv(table: SpectralTable) -> str:
-    """CSV with header frame,weight_numerator,weight_denominator,weight_float."""
+    """CSV with header frame,weight_numerator,weight_denominator,weight_float; nonzero weights only."""
     lines = ["frame,weight_numerator,weight_denominator,weight_float"]
-    for lam, w in table:
-        cell = format_frame(lam, table.d)
-        lines.append(f'"{cell}",{integer_text(w.numerator)},{integer_text(w.denominator)},{float(w)!r}')
+    rows = zip(enumerate_frames(table.d, table.n), table.numerators, _weight_texts(table))
+    for lam, v, (num, den) in rows:
+        if v:
+            lines.append(f'"{format_frame(lam, table.d)}",{num},{den},{v / table.denominator!r}')
     return "\n".join(lines) + "\n"
 
 
 def table_to_json_obj(table: SpectralTable) -> dict:
     """JSON mirror of the CSV with exact "num/den" strings for the rationals."""
+    rows = zip(enumerate_frames(table.d, table.n), table.numerators, _weight_texts(table))
     return {
         "d": table.d,
         "n": table.n,
         "entries": [
-            {
-                "frame": format_frame(lam, table.d),
-                "weight": rational_text(w),
-                "weight_float": float(w),
-            }
-            for lam, w in table
+            {"frame": format_frame(lam, table.d), "weight": f"{num}/{den}", "weight_float": v / table.denominator}
+            for lam, v, (num, den) in rows
+            if v
         ],
     }
 
@@ -476,25 +489,18 @@ def sweep_to_csv(lam: YoungFrame, d: int, grid: list[Fraction | int | str], *, e
 
     Cells are floats by default; with ``exact`` they are "num/den" strings.
     Zero-weight cells are written as 0.0 (or "0/1") so every column has the
-    same full frame axis.  The cells are read straight from the push's
-    integers (:func:`_channel_fields`): the weight v/D is reduced by
-    gcd(v, D), and its float is the correctly rounded int division v / D,
-    equal to the float of the reduced ``Fraction``.
+    same full frame axis.  Column j is the table of q_j
+    (:func:`channel_output_spectra`), read by position.
     """
     if not grid:
         raise ValueError("q grid must be nonempty")
     grid = [depolarising_weight(q) for q in grid]
-    frames, units, columns = _channel_fields(lam, grid, d)
-    header = ["frame"] + [f"q={rational_text(q)}" for q in grid]
-    lines = [",".join(header)]
-    for i, (lam_p, u) in enumerate(zip(frames, units)):
-        cells = [f'"{format_frame(lam_p, d)}"']
-        for denominator, field in columns:
-            v = field[i] * u
-            if exact:
-                g = math.gcd(v, denominator)
-                cells.append(f"{integer_text(v // g)}/{integer_text(denominator // g)}")
-            else:
-                cells.append(repr(v / denominator))
-        lines.append(",".join(cells))
+    columns = [
+        [f"{num}/{den}" for num, den in _weight_texts(table)] if exact
+        else [repr(v / table.denominator) for v in table.numerators]
+        for table in _channel_spectra(lam, grid, d)
+    ]
+    names = [f'"{format_frame(lam_p, d)}"' for lam_p in enumerate_frames(d, lam.n)]
+    lines = [",".join(["frame"] + [f"q={rational_text(q)}" for q in grid])]
+    lines += [",".join(row) for row in zip(names, *columns)]
     return "\n".join(lines) + "\n"

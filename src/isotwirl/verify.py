@@ -24,12 +24,16 @@ The dense checks of the paper's overlap tr{P_lam' (tr_{[k]} P_lam tensor
 pi_{[k]})} (the support window, the route and fast-path equalities and the
 output mode) all read it from :func:`dense_twirl_overlaps`, one cached table
 per (d, n) of integers: for each k, the literal padded product and the
-partial-trace pairing of every pair of frames, and each projector's scale.
-The fast path is read as integers too, one push up Young's lattice per source
-frame that carries every k (``spectra._twirl_numerators``) or every q
-(``channel_output_spectra``) packed into one integer per output frame.  Every
-fast-vs-dense equality is decided by cross-multiplication, and a ``Fraction``
-is formed only to describe a reported failure.
+partial-trace pairing of every pair of frames, and each projector's scale as
+an integer over n!.  Both routes give their spectra in one form,
+``spectra.SpectralTable``, integers over one denominator: the fast path from
+one push up Young's lattice per source frame that carries every k
+(``twirl_spectra``) or every q (``channel_output_spectra``), the dense side
+from :meth:`DenseOverlaps.twirl` and :meth:`DenseOverlaps.channel`.  Every
+fast-vs-dense equality is one cross-multiplication of two table entries
+(:meth:`CheckResult.expect_same_weight`), both modes come from one
+``SpectralTable.mode``, and a ``Fraction`` is formed only to describe a
+reported failure.
 
 Each check counts into one :class:`CheckResult`, which passes exactly when it
 holds no failure.  Reports are deterministic: no timestamps, fixed iteration
@@ -60,6 +64,7 @@ from .frames import (
     enumerate_frames,
     format_frame,
     l1_distance,
+    rational_text,
     rel_entropy,
     within_entropy_bound,
 )
@@ -69,10 +74,10 @@ from .spectra import (
     SpectralTable,
     _binomial_weights,
     _tail_exponent,
-    _twirl_numerators,
     channel_output_spectra,
     paired_block_overlap,
     partial_trace_decomposition,
+    twirl_spectra,
     twirl_spectrum,
     xy_entropy_bound,
     xy_optimize,
@@ -107,7 +112,7 @@ class RunConfig:
         return {
             "d_max": self.d_max,
             "n_max": self.n_max,
-            "q_grid": [f"{q.numerator}/{q.denominator}" for q in self.q_grid],
+            "q_grid": [rational_text(q) for q in self.q_grid],
             "seed": self.seed,
         }
 
@@ -141,6 +146,14 @@ class CheckResult:
     def expect_equal(self, a, b, template: str, *args) -> None:
         self.record(a == b, template + ": {} != {}", *args, a, b)
 
+    def expect_same_weight(self, a: SpectralTable, b: SpectralTable, j: int, template: str, *args) -> None:
+        """Entry j of ``a`` equals entry j of ``b``, by one cross-multiplication; ``Fraction``s describe a failure."""
+        x, y = a.numerators[j], b.numerators[j]
+        if x * b.denominator == y * a.denominator:
+            self.checked += 1
+        else:
+            self.expect_equal(Fraction(x, a.denominator), Fraction(y, b.denominator), template, *args)
+
     def to_json_obj(self) -> dict:
         obj = {"name": self.name, "passed": self.passed, "checked": self.checked,
                "failures": self.failures}
@@ -166,29 +179,6 @@ class SuiteReport:
             "checks": [c.to_json_obj() for c in self.checks],
             "passed": self.passed,
         }
-
-
-class _Ratio:
-    """An exact rational kept as two ints, the denominator positive.
-
-    Equality with another ratio or a ``Fraction`` is decided by
-    cross-multiplication; a ``Fraction`` is built only when the ratio is
-    formatted into a reported failure, and renders as it does.
-    """
-
-    __slots__ = ("numerator", "denominator")
-
-    def __init__(self, numerator: int, denominator: int):
-        self.numerator, self.denominator = numerator, denominator
-
-    def __eq__(self, other) -> bool:
-        return self.numerator * other.denominator == other.numerator * self.denominator
-
-    def fraction(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
-
-    def __format__(self, spec: str) -> str:
-        return format(self.fraction(), spec)
 
 
 def _each_size(sizes: Iterable[tuple[int, int]], first: int = 1) -> list[tuple[int, int]]:
@@ -331,9 +321,10 @@ def dense_reductions(proj: orc.TensorOperator) -> Iterator[orc.TensorOperator]:
 class DenseOverlaps:
     """The dense overlaps of every (lam, k, lam') of YF_{d,n}, as integer pairings.
 
-    The overlap of (frames[i], k, frames[j]) is s_i s_j / d^k times
-    ``literal[k][i][j]`` and times ``paired[k][i][j]``, s_i the scale of the
-    projector of frames[i] (``scales[i]``).  ``literal`` pairs P_lam' with
+    The projector of frames[i] is c_i / n! times integer entries, c_i =
+    ``scales[i]``, so the overlap of (frames[i], k, frames[j]) is
+    c_i c_j / (n!^2 d^k) times ``literal[k][i][j]`` and times
+    ``paired[k][i][j]``: one denominator per k.  ``literal`` pairs P_lam' with
     the padded product tr_{[k]} P_lam tensor 1_{[k]}, ``paired`` pairs the
     two partial traces tr_B(P_lam') and tr_B(P_lam) (adjointness of the
     partial trace): two routes to the same number.
@@ -342,20 +333,35 @@ class DenseOverlaps:
     d: int
     n: int
     frames: tuple[YoungFrame, ...]
-    scales: tuple[Fraction, ...]
+    scales: tuple[int, ...]
     literal: tuple[tuple[tuple[int, ...], ...], ...]
     paired: tuple[tuple[tuple[int, ...], ...], ...]
 
-    def scale(self, i: int, j: int, k: int) -> _Ratio:
-        """s_i s_j / d^k, the factor turning the pairings of (frames[i], k, frames[j]) into overlaps."""
-        s, t = self.scales[i], self.scales[j]
-        return _Ratio(s.numerator * t.numerator, s.denominator * t.denominator * self.d**k)
+    def _weights(self, i: int, pairings: Iterable[int], k: int, norm: int = 1) -> SpectralTable:
+        """c_i c_j x_j / (n!^2 d^k norm) for every frames[j], x = ``pairings``."""
+        c = self.scales[i]
+        return SpectralTable(
+            self.d, self.n, math.factorial(self.n) ** 2 * self.d**k * norm,
+            [c * c_j * x for c_j, x in zip(self.scales, pairings)],
+        )
 
-    def overlaps(self, i: int, k: int, j: int) -> tuple[_Ratio, _Ratio]:
-        """The overlap of (frames[i], k, frames[j]) by the literal product and by the partial-trace pairing."""
-        scale = self.scale(i, j, k)
-        return (_Ratio(scale.numerator * self.literal[k][i][j], scale.denominator),
-                _Ratio(scale.numerator * self.paired[k][i][j], scale.denominator))
+    def twirl(self, i: int, k: int) -> tuple[SpectralTable, SpectralTable]:
+        """The overlaps of (frames[i], k, lam') for every lam': by the literal product, by the partial-trace pairing."""
+        return self._weights(i, self.literal[k][i], k), self._weights(i, self.paired[k][i], k)
+
+    def channel(self, i: int, q: Fraction) -> SpectralTable:
+        """Dense weight of every frame in the depolarised flat state pi_lam, lam = frames[i].
+
+        The pairings are mixed binomially over k and divided by the trace
+        f_lam dim U_lam of P_lam: with q = a/b, the weight of frames[j] is
+        c_i c_j S_j / (n!^2 d^n f_lam dim U_lam b^n), S_j the sum over k of
+        C(n,k) a^k (b-a)^(n-k) d^(n-k) paired[k][i][j].
+        """
+        d, n, lam = self.d, self.n, self.frames[i]
+        mixed = [w * d ** (n - k) for k, w in enumerate(_binomial_weights(n, q))]
+        rows = [paired[i] for paired in self.paired]
+        sums = [sum(w * x for w, x in zip(mixed, column)) for column in zip(*rows)]
+        return self._weights(i, sums, n, dim_sym(lam) * dim_unitary(lam, d) * q.denominator**n)
 
 
 @lru_cache(maxsize=sum(n + 1 for n in orc.DENSE_SWEEP_N.values()))
@@ -384,7 +390,10 @@ def dense_twirl_overlaps(d: int, n: int) -> DenseOverlaps:
         paired.append(tuple(
             tuple(upper[min(i, j)][abs(j - i)] for j in range(len(level))) for i in range(len(level))
         ))
-    return DenseOverlaps(d, n, tuple(family), tuple(p.scale for p in projectors), tuple(literal), tuple(paired))
+    # each projector is written at the common scale n! (oracle._projector_family)
+    scales = [p.scale * math.factorial(n) for p in projectors]
+    assert all(c.denominator == 1 for c in scales)
+    return DenseOverlaps(d, n, tuple(family), tuple(c.numerator for c in scales), tuple(literal), tuple(paired))
 
 
 def check_dense_overlap_outside_window(sizes: Iterable[tuple[int, int]]) -> CheckResult:
@@ -395,12 +404,14 @@ def check_dense_overlap_outside_window(sizes: Iterable[tuple[int, int]]) -> Chec
         for i, lam in enumerate(table.frames):
             starts = _window_starts(lam, table.frames, d)
             for k in range(n + 1):
+                literal, _ = table.twirl(i, k)
                 for j, lam_p in enumerate(table.frames):
                     if k < starts[j]:
-                        literal, _ = table.overlaps(i, k, j)
+                        v = literal.numerators[j]
+                        # the weight is read only for a failure
                         dense.record(
-                            literal.numerator == 0, "d={} lam={} lam'={} k={}: overlap {} != 0",
-                            d, lam, lam_p, k, literal,
+                            not v, "d={} lam={} lam'={} k={}: overlap {} != 0",
+                            d, lam, lam_p, k, v and literal.weight(lam_p),
                         )
     dense.info["outside_window_cases"] = dense.checked
     return dense
@@ -454,8 +465,7 @@ def check_twirl_support(sizes: Iterable[tuple[int, int]]) -> list[CheckResult]:
         frames = enumerate_frames(d, n)
         for lam in frames:
             starts = _window_starts(lam, frames, d)
-            # the weight of lam' is its numerator times the positive dim U_lam / D
-            for k, (_, numerators) in enumerate(_twirl_numerators(lam, d, range(n + 1))):
+            for k, numerators in enumerate(t.numerators for t in twirl_spectra(lam, range(n + 1), d)):
                 for lam_p, num, start in zip(frames, numerators, starts):
                     if k < start:
                         engine.record(num == 0, "d={} lam={} lam'={} k={}: engine weight nonzero", d, lam, lam_p, k)
@@ -474,34 +484,15 @@ def check_twirl_support(sizes: Iterable[tuple[int, int]]) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 
-def _channel_weights(table: DenseOverlaps, i: int, q: Fraction) -> list[_Ratio]:
-    """Dense weight of every frame in the depolarised flat state pi_lam, lam = frames[i].
-
-    The pairings are mixed binomially over k and divided by the trace
-    f_lam dim U_lam of P_lam: with the scales s_i s_j / d^k of the table and
-    q = a/b, the weight of frames[j] is s_i s_j S_j / (f_lam dim U_lam b^n d^n),
-    S_j the sum over k of C(n,k) a^k (b-a)^(n-k) d^(n-k) paired[k][i][j].
-    """
-    d, n, lam = table.d, table.n, table.frames[i]
-    mixed = [w * d ** (n - k) for k, w in enumerate(_binomial_weights(n, q))]
-    norm = dim_sym(lam) * dim_unitary(lam, d) * q.denominator**n
-    out = []
-    for j in range(len(table.frames)):
-        scale = table.scale(i, j, n)
-        total = sum(w * paired[i][j] for w, paired in zip(mixed, table.paired))
-        out.append(_Ratio(scale.numerator * total, scale.denominator * norm))
-    return out
-
-
 def check_fast_path_against_oracle(
     sizes: Iterable[tuple[int, int]], q_values: tuple[Fraction, ...]
 ) -> list[CheckResult]:
     """Twirl and channel spectra of the fast path equal the dense oracle, for each (d, n_max).
 
-    The fast path gives integer numerators (one push per frame for every k) and
-    the public normalized twirl and channel spectra; the dense side is the
-    integer table of :func:`dense_twirl_overlaps`.  Each equality is decided
-    by cross-multiplication.
+    The fast path gives the twirl spectra of every k from one push per frame,
+    the public normalized twirl spectra and the channel spectra; the dense
+    side gives the same tables from :func:`dense_twirl_overlaps`.  Each
+    equality is one cross-multiplication of two table entries.
     """
     route = CheckResult("padded_product_equals_partial_trace_pairing")
     fast_twirl = CheckResult("fast_path_equals_oracle_twirl_spectra")
@@ -510,27 +501,22 @@ def check_fast_path_against_oracle(
         dense = dense_twirl_overlaps(d, n)
         frames = dense.frames
         for i, lam in enumerate(frames):
-            unit = dim_unitary(lam, d)
-            norm = dim_sym(lam) * unit
-            for k, (den, numerators) in enumerate(_twirl_numerators(lam, d, range(n + 1))):
-                table_norm = twirl_spectrum(lam, k, d)
+            norm = dim_sym(lam) * dim_unitary(lam, d)
+            for k, fast in enumerate(twirl_spectra(lam, range(n + 1), d)):
+                fast_norm = twirl_spectrum(lam, k, d)
+                literal, paired = dense.twirl(i, k)
+                paired_norm = SpectralTable(d, n, paired.denominator * norm, paired.numerators)
                 for j, lam_p in enumerate(frames):
-                    literal, paired = dense.overlaps(i, k, j)
-                    route.expect_equal(literal, paired, "d={} lam={} k={} lam'={}", d, lam, k, lam_p)
-                    fast_twirl.expect_equal(
-                        _Ratio(numerators[j] * unit, den), paired, "d={} lam={} k={} lam'={}", d, lam, k, lam_p
-                    )
-                    fast_twirl.expect_equal(
-                        table_norm.weight(lam_p),
-                        _Ratio(paired.numerator, paired.denominator * norm),
-                        "normalized d={} lam={} k={} lam'={}", d, lam, k, lam_p,
+                    route.expect_same_weight(literal, paired, j, "d={} lam={} k={} lam'={}", d, lam, k, lam_p)
+                    fast_twirl.expect_same_weight(fast, paired, j, "d={} lam={} k={} lam'={}", d, lam, k, lam_p)
+                    fast_twirl.expect_same_weight(
+                        fast_norm, paired_norm, j, "normalized d={} lam={} k={} lam'={}", d, lam, k, lam_p
                     )
             for q, table in zip(q_values, channel_output_spectra(lam, q_values, d)):
                 fast_channel.expect_equal(table.total(), Fraction(1), "total d={} {} q={}", d, lam, q)
-                for lam_p, weight in zip(frames, _channel_weights(dense, i, q)):
-                    fast_channel.expect_equal(
-                        table.weight(lam_p), weight, "d={} lam={} q={} lam'={}", d, lam, q, lam_p
-                    )
+                oracle = dense.channel(i, q)
+                for j, lam_p in enumerate(frames):
+                    fast_channel.expect_same_weight(table, oracle, j, "d={} lam={} q={} lam'={}", d, lam, q, lam_p)
     return [route, fast_twirl, fast_channel]
 
 
@@ -750,15 +736,14 @@ def check_output_mode(n: int, q_grid: tuple[Fraction, ...]) -> CheckResult:
     dense = dense_twirl_overlaps(2, n)
     source_index = dense.frames.index(source)
     for q, table in zip(q_grid, channel_output_spectra(source, q_grid, 2)):
-        oracle_weights = zip(dense.frames, _channel_weights(dense, source_index, q))
-        oracle_mode = SpectralTable(2, n, {f: w.fraction() for f, w in oracle_weights if w.numerator}).mode()
         engine_mode = table.mode()
+        oracle_mode = dense.channel(source_index, q).mode()
         concentration.expect_equal(
             format_frame(engine_mode, 2), format_frame(oracle_mode, 2), "mode at n={} q={}", n, q
         )
         modes.append(
             {
-                "q": f"{q.numerator}/{q.denominator}",
+                "q": rational_text(q),
                 "mode_row1": engine_mode.row(0),
                 "half_weight_reference": float(n * q / 2),
                 "complement_reference": float(n * (1 - q / 2)),

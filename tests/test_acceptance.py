@@ -116,9 +116,8 @@ def test_c09_concentration_mode_matches_oracle():
         norm = dim_sym(frame(n)) * dim_unitary(frame(n), 2)
         totals = [
             sum(
-                math.comb(n, k) * q**k * (1 - q) ** (n - k) * overlaps.overlaps(source, k, j)[1].fraction()
+                math.comb(n, k) * q**k * (1 - q) ** (n - k) * overlaps.twirl(source, k)[1].total()
                 for k in range(n + 1)
-                for j in range(len(overlaps.frames))
             ) / norm
             for q in Q_TENTHS
         ]

@@ -2,6 +2,7 @@ import argparse
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -154,6 +155,37 @@ def test_out_of_range_weight_quotes_its_input(default_digit_limit, capsys):
     ):
         assert cli.main(args) == 2
         assert capsys.readouterr() == ("", f"error: depolarising weight must lie in [0, 1], got {shown}\n")
+
+
+# 5000 decimals: Fraction(str) reads them through int(), past the interpreter's default digit limit
+LONG_DECIMAL = "0." + "1" * 5000
+LONG_DECIMAL_VALUE = Fraction((10**5000 - 1) // 9, 10**5000)
+
+
+def test_decimal_past_the_digit_limit_is_read_exactly(default_digit_limit, capsys):
+    # spectrum --q, sweep --grid and verify --grid once refused it as "not a rational number"
+    from isotwirl import cli
+    from isotwirl.frames import parse_frame, rational_text
+    from isotwirl.spectra import channel_output_spectrum, sweep_to_csv, table_to_csv
+
+    lam = parse_frame("3,1")
+    assert cli.main(["spectrum", "3,1", "--q", LONG_DECIMAL]) == 0
+    assert capsys.readouterr().out == table_to_csv(channel_output_spectrum(lam, LONG_DECIMAL_VALUE, 2))
+    assert cli.main(["sweep", "3,1", "--grid", f"1/2,{LONG_DECIMAL}", "--exact"]) == 0
+    assert capsys.readouterr().out == sweep_to_csv(lam, 2, [Fraction(1, 2), LONG_DECIMAL_VALUE], exact=True)
+    # the report writes q through rational_text, in the config and in the output-mode info
+    assert cli.main(["verify", "tail", "--cap-n", "2", "--grid", LONG_DECIMAL]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["config"]["q_grid"] == [rational_text(LONG_DECIMAL_VALUE)]
+    mode_check = next(c for c in report["checks"] if c["name"] == "output_mode_matches_oracle")
+    assert [m["q"] for m in mode_check["info"]["modes"]] == [rational_text(LONG_DECIMAL_VALUE)]
+    # a long number outside [0, 1] is named as such, in one short line
+    assert cli.main(["spectrum", "3,1", "--q", "1" + "0" * 5000]) == 2
+    assert capsys.readouterr() == (
+        "", "error: depolarising weight must lie in [0, 1], got " + "1" + "0" * 39 + "... (5001 characters)\n"
+    )
+    assert cli.main(["spectrum", "3,1", "--q", LONG_DECIMAL + "x"]) == 2
+    assert capsys.readouterr().err == "error: '0." + "1" * 38 + "'... (5003 characters) is not a rational number\n"
 
 
 def test_spectrum_command(tmp_path: Path):
@@ -311,6 +343,10 @@ GRID_19 = "0,1/12,1/9,1/7,1/5,2/9,1/4,0.3,1/3,2/5,1/2,4/7,3/5,2/3,3/4,4/5,7/8,11
         (("sweep", "7,5,0", "--d", "3", "--grid", GRID_19), "sweep_7_5_0_d3.csv"),
         (("sweep", "5,5,0,0", "--d", "4", "--grid", GRID_19, "--exact"), "sweep_5_5_0_0_d4_exact.csv"),
         (("sweep", "5,5,0,0", "--d", "4", "--grid", GRID_19), "sweep_5_5_0_0_d4.csv"),
+        # recorded from the writers that read one Fraction table per spectrum
+        (("spectrum", "4,3,2", "--d", "3", "--q", "2/9", "--format", "json"), "spectrum_4_3_2_d3_q2_9.json"),
+        (("spectrum", "4,3,2", "--d", "3", "--k", "2"), "spectrum_4_3_2_d3_k2.csv"),
+        (("spectrum", "4,3,2", "--d", "3", "--k", "2", "--unnormalized"), "spectrum_4_3_2_d3_k2_unnormalized.csv"),
     ],
 )
 def test_cli_output_matches_golden_file(args, golden):

@@ -195,7 +195,8 @@ def test_dense_twirl_overlaps_match_full_matrices():
         for n in range(1, n_max + 1):
             family = orc.isotypical_projectors(d, n)
             table = verify.dense_twirl_overlaps(d, n)
-            assert table.frames == tuple(family) and table.scales == tuple(p.scale for p in family.values())
+            assert table.frames == tuple(family)
+            assert table.scales == tuple(p.scale * math.factorial(n) for p in family.values())
             for levels in (table.literal, table.paired):  # k = 0..n, each a square over the frames
                 assert [[len(row) for row in level] for level in levels] == [[len(family)] * len(family)] * (n + 1)
             reduced = {
@@ -210,7 +211,7 @@ def test_dense_twirl_overlaps_match_full_matrices():
                 padded = orc.TensorOperator(d, n, red.scale / d**k, np.kron(red.mat, ones))
                 literal = hs_product_by_full_matrices(family[lam_p], padded)
                 paired = hs_product_by_full_matrices(reduced[lam_p, k], red) / d**k
-                values = tuple(r.fraction() for r in table.overlaps(i, k, j))
+                values = tuple(t.weight(lam_p) for t in table.twirl(i, k))
                 assert values == (literal, paired), (d, str(lam), k, str(lam_p))
 
 
@@ -563,7 +564,8 @@ def test_matmul_matches_full_product(monkeypatch):
     # an operator on (2, 4) stores the blocks of 0000, of the (3, 1) and of the
     # (2, 2) histograms: entries near 2**26 on the (3, 1) and (1, 3) blocks, summed over
     # the relabellings, pass 2**53 in the 4-word block only, and entries near 2**40
-    # on the (2, 2) block overflow int64 in the 6-word block only
+    # on the (2, 2) block overflow int64 in the 6-word block only: both of these
+    # products take Python ints
     routes = []
     int_matmul = orc._int_matmul
 
@@ -580,14 +582,14 @@ def test_matmul_matches_full_product(monkeypatch):
     a = orc.TensorOperator(2, 4, Fraction(1, 3), sum(relabelled(mat, 2, 4)))
     assert [m for _, _, m in a._layout.spans] == [1, 4, 6]
     product = a @ a
-    assert routes == [("float", np.int64), ("int64", np.int64), ("object", object)]
+    assert routes == [("float", np.int64), ("object", object), ("object", object)]
     assert product._vec.dtype == object and product == full_product(a, a)
 
 
 def test_int_matmul_routes():
-    # two int64 operands take float64 BLAS while m max|A| max|B| <= 2**53 and
-    # int64 while it fits int64; a larger bound or a Python-int operand takes
-    # Python ints; every route gives the exact product
+    # two int64 operands take float64 BLAS while m max|A| max|B| <= 2**53; a
+    # larger bound or a Python-int operand takes Python ints; every route gives
+    # the exact product
     def check(a, b, route):
         a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
         assert orc._matmul_route(a, b) == route, (a, b)
@@ -597,10 +599,10 @@ def test_int_matmul_routes():
 
     check([[2**26, -(2**26)]], [[2**26], [-(2**26)]], "float")  # bound exactly 2**53
     check([[2**25] * 4], [[2**26]] * 4, "float")  # product exactly 2**53
-    check([[2**26 + 1, 2**26]], [[2**26], [2**26]], "int64")  # bound just above 2**53
-    check([[2**52, 1]], [[2], [1]], "int64")  # 2**53 + 1: no float64 holds it
-    check([[1, 1]], [[2**53], [1]], "int64")  # 2**53 + 1 again, max|A| = 1
-    check([[7]], [[(2**63 - 1) // 7]], "int64")  # bound exactly 2**63 - 1
+    check([[2**26 + 1, 2**26]], [[2**26], [2**26]], "object")  # bound just above 2**53
+    check([[2**52, 1]], [[2], [1]], "object")  # 2**53 + 1: no float64 holds it
+    check([[1, 1]], [[2**53], [1]], "object")  # 2**53 + 1 again, max|A| = 1
+    check([[7]], [[(2**63 - 1) // 7]], "object")  # bound exactly 2**63 - 1
     check([[2]], [[2**62]], "object")  # 2**63 overflows int64
     check([[3, -3]], [[2**61], [-(2**61)]], "object")
     # a zero factor gives an exact zero, whatever the other holds

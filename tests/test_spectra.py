@@ -79,13 +79,13 @@ def test_paired_block_overlap_is_dense_pair_trace():
 def test_twirl_spectrum_point_mass_at_k_zero():
     for lam in enumerate_frames(2, 5):
         table = twirl_spectrum(lam, 0, 2)
-        assert list(table.entries) == [lam]
+        assert list(dict(table)) == [lam]
         assert table.weight(lam) == 1
 
 
 def test_twirl_spectrum_example_support():
     table = twirl_spectrum(frame(4, 0), 1, 2)
-    assert list(table.entries) == [frame(4, 0), frame(3, 1)]
+    assert list(dict(table)) == [frame(4, 0), frame(3, 1)]
     assert table.total() == 1
 
 
@@ -132,8 +132,8 @@ def test_twirl_spectrum_equals_lr_route_exhaustively():
                 for k in range(n + 1):
                     for normalized in (False, True):
                         table = twirl_spectrum(lam, k, d, normalized=normalized)
-                        assert table.entries == lr_route_twirl_spectrum(lam, k, d, normalized)
-                        assert list(table.entries) == [f for f in frames if f in table.entries]
+                        assert dict(table) == lr_route_twirl_spectrum(lam, k, d, normalized)
+                        assert list(dict(table)) == [f for f in frames if f in dict(table)]
 
 
 def dim_skew(outer, inner):
@@ -217,7 +217,7 @@ def test_engine_weights_vanish_outside_support_window(case):
 def test_lattice_twirl_equals_lr_route(case):
     lam, d, k, _q = case
     for normalized in (False, True):
-        assert twirl_spectrum(lam, k, d, normalized=normalized).entries == lr_route_twirl_spectrum(
+        assert dict(twirl_spectrum(lam, k, d, normalized=normalized)) == lr_route_twirl_spectrum(
             lam, k, d, normalized
         )
 
@@ -244,7 +244,7 @@ def test_channel_push_is_the_binomial_mixture_of_twirl_spectra(case):
             weight = math.comb(n, k) * q**k * (1 - q) ** (n - k)
             for lam_p, w in twirl:
                 mixture[lam_p] = mixture.get(lam_p, 0) + weight * w
-        assert table.entries == {f: w for f, w in mixture.items() if w}, (lam, d, q)
+        assert dict(table) == {f: w for f, w in mixture.items() if w}, (lam, d, q)
 
 
 BENCHMARK_SPECTRA = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "twirl_spectra.json"
@@ -321,7 +321,7 @@ def test_enumerate_frames_returns_a_fresh_list():
 
 def test_channel_output_edges():
     table = channel_output_spectrum(frame(4, 0), 0, 2)
-    assert list(table.entries) == [frame(4, 0)] and table.weight(frame(4, 0)) == 1
+    assert list(dict(table)) == [frame(4, 0)] and table.weight(frame(4, 0)) == 1
     table = channel_output_spectrum(frame(4, 0), 1, 2)
     for lam_p in enumerate_frames(2, 4):
         assert table.weight(lam_p) == Fraction(dim_sym(lam_p) * dim_unitary(lam_p, 2), 16)
@@ -343,7 +343,7 @@ def test_channel_output_matches_dense_channel():
 def test_channel_output_accepts_decimal_strings():
     a = channel_output_spectrum(frame(6, 0), "0.3", 2)
     b = channel_output_spectrum(frame(6, 0), Fraction(3, 10), 2)
-    assert a.entries == b.entries
+    assert dict(a) == dict(b)
 
 
 def test_float_weights_refused():
@@ -364,10 +364,10 @@ def test_float_weights_refused():
         verify.RunConfig(q_grid=(Fraction(1, 2), 0.1))
     assert verify.RunConfig(q_grid=("1/10", 1)).q_grid == (Fraction(1, 10), Fraction(1))
     # a Fraction, an int or a decimal string still give the exact weight
-    tenth = channel_output_spectrum(lam, Fraction(1, 10), 2).entries
+    tenth = dict(channel_output_spectrum(lam, Fraction(1, 10), 2))
     for q in ("0.1", "1/10"):
-        assert channel_output_spectrum(lam, q, 2).entries == tenth
-    assert channel_output_spectrum(lam, 1, 2).entries == channel_output_spectrum(lam, Fraction(1), 2).entries
+        assert dict(channel_output_spectrum(lam, q, 2)) == tenth
+    assert dict(channel_output_spectrum(lam, 1, 2)) == dict(channel_output_spectrum(lam, Fraction(1), 2))
     op = orc.TensorOperator(2, 1, "1/3", orc.TensorOperator.identity(2, 1).mat)
     assert op.scale == Fraction(1, 3) and orc.depolarise_n(op, "0.5") == orc.depolarise_n(op, Fraction(1, 2))
 
@@ -501,11 +501,11 @@ def test_xy_entropy_bound_examples():
 
 def test_spectral_table_mode_and_order():
     table = channel_output_spectrum(frame(6, 0), Fraction(1, 2), 2)
-    assert [f.padded(2) for f in table.entries] == sorted(
-        (f.padded(2) for f in table.entries), reverse=True
+    assert [f.padded(2) for f in dict(table)] == sorted(
+        (f.padded(2) for f in dict(table)), reverse=True
     )
     mode = table.mode()
-    assert table.weight(mode) == max(table.entries.values())
+    assert table.weight(mode) == max(dict(table).values())
 
 
 def test_csv_and_json_serialization():

@@ -88,7 +88,6 @@ def test_perturbed_fast_path_numerator_fails_with_exact_text(monkeypatch):
         return out
 
     monkeypatch.setattr(spectra, "_twirl_numerators", bumped)
-    monkeypatch.setattr(verify, "_twirl_numerators", bumped)
     assert run_checks() == {
         "fast_path_equals_oracle_twirl_spectra": [
             "d=2 lam=4,0 k=1 lam'=2,2: 5/8 != 0",
@@ -251,6 +250,28 @@ def test_tripled_lattice_dimension_moves_the_fast_path_mode(monkeypatch):
     ]
 
 
+def test_raised_lr_coefficient_fails_both_lr_route_checks(monkeypatch):
+    # c^(2,1)_{(1),(1,1)} = 1 raised to 2 where spectra reads it: the branching table of (2,1) at
+    # k = 2 and the pair expansion of (1) x (1,1) each gain a term the dense operators lack, at
+    # every d; the reversed triple c^(2,1)_{(1,1),(1)} is left alone, so k = 1 passes
+    real = spectra.lr_coefficient
+    raised = (frame(2, 1), frame(1), frame(1, 1))
+    monkeypatch.setattr(spectra, "lr_coefficient", lambda lam, mu, nu: real(lam, mu, nu) + ((lam, mu, nu) == raised))
+    sizes = [(2, 3), (3, 3), (4, 3)]
+    assert failures([verify.check_branching_table(sizes), verify.check_twirl_pair_expansion(sizes)]) == {
+        "branching_table_matches_dense_partial_trace": [
+            "d=2 lam=2,1 k=2",
+            "d=3 lam=2,1,0 k=2",
+            "d=4 lam=2,1,0,0 k=2",
+        ],
+        "twirl_pair_expansion": [
+            "d=2 mu=1,0 gamma=1,1 (n=3)",
+            "d=3 mu=1,0,0 gamma=1,1,0 (n=3)",
+            "d=4 mu=1,0,0,0 gamma=1,1,0,0 (n=3)",
+        ],
+    }
+
+
 def mutant(monkeypatch, module, old, new):
     """A fresh copy of ``module`` with the one occurrence of ``old`` in its source replaced by ``new``."""
     source = inspect.getsource(module)
@@ -271,7 +292,7 @@ FAST_PATH_CHECKS = {"fast_path_equals_oracle_twirl_spectra", "fast_path_equals_o
     [
         # d^k left out of the dense scale s_i s_j / d^k: the two dense routes still
         # agree with each other, not with the fast path
-        (verify, "s.denominator * t.denominator * self.d**k", "s.denominator * t.denominator", FAST_PATH_CHECKS),
+        (verify, "math.factorial(self.n) ** 2 * self.d**k", "math.factorial(self.n) ** 2", FAST_PATH_CHECKS),
         # b^n left out of the dense channel weight's denominator
         (verify, "dim_unitary(lam, d) * q.denominator**n", "dim_unitary(lam, d)",
          {"fast_path_equals_oracle_channel_spectra"}),
@@ -285,7 +306,7 @@ FAST_PATH_CHECKS = {"fast_path_equals_oracle_twirl_spectra", "fast_path_equals_o
 def test_dropped_power_fails_a_check(monkeypatch, module, old, new, failing):
     copy = mutant(monkeypatch, module, old, new)
     if module is spectra:
-        for name in ("_twirl_numerators", "twirl_spectrum", "channel_output_spectra"):
+        for name in ("twirl_spectra", "twirl_spectrum", "channel_output_spectra"):
             monkeypatch.setattr(verify, name, getattr(copy, name))
         copy = verify
     assert set(run_checks(copy)) == failing
