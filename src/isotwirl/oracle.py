@@ -24,7 +24,8 @@ imply invariance), and every operation maps such operators to such
 operators.  An operator stores one flat integer vector holding only the
 blocks whose histogram is sorted in decreasing order, each row-major after
 the previous one (:class:`_Layout`); every other word reads its image in such
-a block.
+a block.  Random operators are drawn in this layout too, invariant by
+construction (:func:`random_invariant`), so no full matrix is drawn.
 
 Every operation reads and writes the vector through index maps computed once
 from word digits and block offsets.  Sums, equality and traces are
@@ -60,6 +61,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import random
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache, partial
 from typing import Callable, Iterable, Sequence
@@ -153,6 +155,11 @@ def _letter_blocks(d: int, n: int) -> tuple[np.ndarray, ...]:
     keys = _letter_counts(d, n) @ (n + 1) ** np.arange(d)
     order = _read_only(np.argsort(keys, kind="stable"))
     return tuple(np.split(order, np.flatnonzero(np.diff(keys[order])) + 1))
+
+
+def _relabelled_words(g: Sequence[int], d: int, n: int) -> np.ndarray:
+    """Index map w -> index of w with every letter a replaced by g[a], on all sites at once."""
+    return np.array(g, dtype=np.int64)[_word_digits(d, n)] @ _index_powers(d, n)
 
 
 def _sorted_images(d: int, n: int) -> np.ndarray:
@@ -274,7 +281,7 @@ class TensorOperator:
         # the generators of S_d: the swap of letters 0 and 1 and the d-cycle a -> a + 1
         generators = {(1, 0, *range(2, d)), (*range(1, d), 0)} if d > 1 else set()
         for g in generators:
-            words = np.array(g)[_word_digits(d, n)] @ _index_powers(d, n)
+            words = _relabelled_words(g, d, n)
             if not np.array_equal(mat[np.ix_(words, words)], mat):
                 raise ValueError("matrix is not invariant under relabelling the letters")
         vec = np.zeros(layout.size, dtype=flat.dtype)
@@ -307,6 +314,10 @@ class TensorOperator:
         if self._amax is None:
             self._amax = _amax(self._vec)
         return self._amax
+
+    def transpose(self) -> "TensorOperator":
+        """The transposed operator: each stored entry read at its transposed position."""
+        return TensorOperator._of(self.d, self.n, self.scale, self._layout, self._vec.take(self._layout.transpose))
 
     def is_symmetric(self) -> bool:
         """Whether the matrix equals its transpose, read on the stored entries."""
@@ -536,6 +547,21 @@ def _site_maps(d: int, n: int, site: int) -> tuple[np.ndarray, np.ndarray]:
     rows = (layout.rows - row_letter * power)[agree] + letters
     cols = (layout.cols - col_letter * power)[agree] + letters
     return _read_only(agree), _read_only(layout.position(rows, cols))
+
+
+def random_invariant(rng: random.Random, d: int, n: int, lo: int, hi: int) -> TensorOperator:
+    """A random operator at scale 1: one ``rng.randint(lo, hi)`` per stored entry, summed over the d! relabellings.
+
+    The entry at (x, y) sums the draws stored for (g x, g y) over every g.  A g
+    that moves the sorted histogram h of x lands, through the sorted images, on
+    one that fixes h, so every stored block is invariant by construction.
+    """
+    _check_dense_size(d, n)
+    layout = _layout(d, n)
+    drawn = np.array([rng.randint(lo, hi) for _ in range(layout.size)], dtype=object)
+    moved = (_relabelled_words(g, d, n) for g in itertools.permutations(range(d)))
+    vec = sum(drawn.take(layout.position(words[layout.rows], words[layout.cols])) for words in moved)
+    return TensorOperator._of(d, n, Fraction(1), layout, vec)
 
 
 # -- permutation action --------------------------------------------------------

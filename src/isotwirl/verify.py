@@ -33,7 +33,8 @@ from :meth:`DenseOverlaps.twirl` and :meth:`DenseOverlaps.channel`.  Every
 fast-vs-dense equality is one cross-multiplication of two table entries
 (:meth:`CheckResult.expect_same_weight`), both modes come from one
 ``SpectralTable.mode``, and a ``Fraction`` is formed only to describe a
-reported failure.
+reported failure.  The random operators of the oracle suite are drawn from
+its one seeded generator in the oracle's stored layout (:func:`oracle.random_invariant`).
 
 Each check counts into one :class:`CheckResult`, which passes exactly when it
 holds no failure.  Reports are deterministic: no timestamps, fixed iteration
@@ -51,8 +52,6 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator
 
-import numpy as np
-
 from . import oracle as orc
 from .frames import (
     MAX_BOXES,
@@ -63,6 +62,7 @@ from .frames import (
     dim_unitary,
     enumerate_frames,
     format_frame,
+    integer_text,
     l1_distance,
     rational_text,
     rel_entropy,
@@ -117,6 +117,13 @@ class RunConfig:
         }
 
 
+def _text(arg):
+    """An int or ``Fraction`` as ``str`` writes it, through :func:`frames.integer_text`; other arguments unchanged."""
+    if isinstance(arg, Fraction):
+        return rational_text(arg) if arg.denominator != 1 else integer_text(arg.numerator)
+    return integer_text(arg) if isinstance(arg, int) else arg
+
+
 @dataclass
 class CheckResult:
     """One named check: the instances it counted, how many failed, and the first failures described."""
@@ -135,13 +142,14 @@ class CheckResult:
         """Count one instance; a failure is described as ``template.format(*args)``.
 
         The description is formatted only for a reported failure, so a sweep
-        of passing instances does no string work.
+        of passing instances does no string work, and ints and ``Fraction``s
+        are written past the int-to-str digit limit too (:func:`_text`).
         """
         self.checked += 1
         if not ok:
             self.failed += 1
             if len(self.failures) < MAX_FAILURES_REPORTED:
-                self.failures.append(template.format(*args))
+                self.failures.append(template.format(*map(_text, args)))
 
     def expect_equal(self, a, b, template: str, *args) -> None:
         self.record(a == b, template + ": {} != {}", *args, a, b)
@@ -186,34 +194,10 @@ def _each_size(sizes: Iterable[tuple[int, int]], first: int = 1) -> list[tuple[i
     return [(d, n) for d, n_max in sizes for n in range(first, n_max + 1)]
 
 
-def _random_int_matrix(rng: random.Random, dim: int, lo: int = -5, hi: int = 5) -> np.ndarray:
-    return np.array([[rng.randint(lo, hi) for _ in range(dim)] for _ in range(dim)], dtype=object)
-
-
-def _relabel_invariant(mat: np.ndarray, d: int, n: int) -> np.ndarray:
-    """``mat`` zeroed outside the letter blocks and summed over the d! relabellings of the letters.
-
-    The result is a matrix the dense oracle holds (see :class:`oracle.TensorOperator`).
-    It stays PSD when ``mat`` is: each letter block is a principal submatrix, and
-    a relabelling is a congruence by a permutation matrix.
-    """
-    block = orc._layout(d, n).block_of
-    masked = np.where(block[:, None] == block[None, :], mat, 0)
-    total = np.zeros_like(masked)
-    for g in enumerate_group(d):
-        words = np.array(g.images)[orc._word_digits(d, n)] @ orc._index_powers(d, n)
-        total += masked[np.ix_(words, words)]
-    return total
-
-
-def _random_operator(rng: random.Random, d: int, n: int) -> orc.TensorOperator:
-    scale = Fraction(1, rng.randint(1, 9))  # drawn before the matrix, as the seeded reports expect
-    return orc.TensorOperator(d, n, scale, _relabel_invariant(_random_int_matrix(rng, d**n), d, n))
-
-
-def _random_psd_operator(rng: random.Random, d: int, n: int) -> orc.TensorOperator:
-    r = _random_int_matrix(rng, d**n, -3, 3)
-    return orc.TensorOperator(d, n, Fraction(1, rng.randint(1, 9)), _relabel_invariant(r.T @ r, d, n))
+def _random_operator(rng: random.Random, d: int, n: int, bound: int = 5) -> orc.TensorOperator:
+    """1/s times :func:`oracle.random_invariant` with draws in [-bound, bound], s drawn first from 1..9."""
+    scale = Fraction(1, rng.randint(1, 9))
+    return scale * orc.random_invariant(rng, d, n, -bound, bound)
 
 
 # ---------------------------------------------------------------------------
@@ -677,11 +661,9 @@ def check_channel_identities(sizes: Iterable[tuple[int, int]], rng: random.Rando
         for q in (Fraction(1, 3), Fraction(1, 2)):
             out = orc.depolarise_n(a, q)
             channel.expect_equal(out.trace(), a.trace(), "d={} q={}: trace not preserved", d, q)
-        psd_in = _random_psd_operator(rng, d, min(n, 3))
-        channel.record(
-            orc.is_positive_semidefinite(orc.depolarise_n(psd_in, Fraction(2, 5))),
-            "d={}: PSD input mapped outside PSD cone", d,
-        )
+        r = _random_operator(rng, d, n, 3)
+        psd_out = orc.depolarise_n(r.transpose() @ r, Fraction(2, 5))  # R^T R is PSD
+        channel.record(orc.is_positive_semidefinite(psd_out), "d={}: PSD input mapped outside PSD cone", d)
         for lam, p in orc.isotypical_projectors(d, n).items():
             reductions = list(dense_reductions(p))
             for q in (Fraction(1, 4), Fraction(2, 3)):
@@ -829,8 +811,8 @@ _FAST = {d: min(MAX_BOXES[d], 64) for d in (2, 3, 4)}
 _LR = {2: 10, 3: 10, 4: 10}
 # Dense rows stay within oracle.DENSE_SWEEP_N, so inside the dense caps and the
 # projector cache; at d = 4 each runs in under 1 s.  The two checks on random
-# operators stop at (4, 4): at (4, 5) each draws a 1024 x 1024 matrix of Python
-# ints, which takes about 1.5 s and 30 MB.
+# operators stop at (4, 4); at (4, 5) they take about 0.01 s (twirl) and 0.2 s
+# (channel) on a 2-vCPU VM, but raising them changes report counts.
 CHECKS = (
     Check("saturation", "schur_weyl_dimension_identity", _FAST,
           lambda cfg, row, rng: check_dimension_identity(row.items())),

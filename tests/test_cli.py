@@ -107,15 +107,6 @@ def test_d_below_one_refused_by_every_subcommand(command, capsys):
 LONG_Q = "0.12345678901234567890123456789012345678901"
 
 
-@pytest.fixture
-def default_digit_limit():
-    """The interpreter's default limit on int-to-str conversion (4300 digits) for one test; restored after."""
-    before = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield
-    sys.set_int_max_str_digits(before)
-
-
 def test_exact_weights_past_the_int_digit_limit(default_digit_limit, capsys):
     # at n = 128 the weights of a q with 41 decimals run to about 5200 digits; spectrum (csv and json)
     # and sweep --exact once exited 2 on str(int).  The limit is not lifted for the caller

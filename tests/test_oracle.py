@@ -1,3 +1,4 @@
+import ast
 import inspect
 import itertools
 import math
@@ -6,6 +7,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -932,6 +934,62 @@ def test_representative_match_is_not_invariance():
         with pytest.raises(ValueError, match="not invariant"):
             orc.TensorOperator(3, 2, Fraction(1), sum(moves[i] for i in group))
     assert orc.TensorOperator(3, 2, Fraction(1), sum(moves)).mat.tolist() == sum(moves).tolist()
+
+
+def random_operator_rows():
+    """Every (d, n) at which verify draws random operators.
+
+    The partial-trace check draws at (2, 3) and (2, 2); the twirl and channel checks at their rows.
+    """
+    rows = {(2, 3), (2, 2)}
+    for check in verify.CHECKS:
+        if check.name in ("twirl_properties", "depolarise_channel_identities"):
+            rows.update(check.row.items())
+    return sorted(rows)
+
+
+def test_random_draws_are_held_nonzero_and_seeded():
+    # the seeds the CLI runs use; the 1 x 1 block of the histogram (n) is d! times one draw
+    # in [-5, 5], so one seed in eleven or so leaves that block zero
+    for seed in (0, 7):
+        for d, n in random_operator_rows():
+            op = verify._random_operator(random.Random(seed), d, n)
+            mat = op.mat
+            assert orc.TensorOperator(d, n, op.scale, mat) == op
+            assert all(mat[np.ix_(words, words)].any() for words in orc._layout(d, n).blocks), (seed, d, n)
+            assert verify._random_operator(random.Random(seed), d, n) == op
+            assert op.transpose().mat.tolist() == mat.T.tolist()
+            # the channel check's PSD input
+            r = verify._random_operator(random.Random(seed), d, n, 3)
+            psd = r.transpose() @ r
+            assert psd.is_symmetric() and orc.is_positive_semidefinite(psd)
+    # scale 1 and entries at most d! max(|lo|, |hi|); draws past int64 keep Python ints
+    drawn = orc.random_invariant(random.Random(0), 3, 3, -2**70, 2**70)
+    assert drawn.scale == 1 and drawn._vec.dtype == object and 0 < drawn._bound() <= 6 * 2**70
+    assert orc.random_invariant(random.Random(0), 3, 3, -5, 5)._vec.dtype == np.int64
+
+
+def test_no_module_but_oracle_reads_an_oracle_private():
+    # the layout, the word maps and the relabellings stay behind the oracle's public names
+    package = Path(isotwirl.__file__).parent
+    reads = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "oracle":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        names = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module in ("oracle", "isotwirl.oracle"):
+                reads += [f"{path.name}:{node.lineno} {a.name}" for a in node.names if a.name.startswith("_")]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names |= {a.asname or a.name for a in node.names if a.name in ("oracle", "isotwirl.oracle")}
+        reads += [
+            f"{path.name}:{node.lineno} {node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id in names and node.attr.startswith("_")
+        ]
+    assert reads == []
 
 
 def test_sorted_layout_storage():

@@ -4,6 +4,7 @@ import copy
 import dataclasses
 import inspect
 import json
+import random
 import sys
 import types
 from fractions import Fraction
@@ -270,6 +271,95 @@ def test_raised_lr_coefficient_fails_both_lr_route_checks(monkeypatch):
             "d=4 mu=1,0,0,0 gamma=1,1,0,0 (n=3)",
         ],
     }
+
+
+def test_doubled_trace_term_fails_partial_trace_properties(monkeypatch):
+    # the trace over sites 0 and 2 of three sites reads the z = 0 terms in place of z = 3;
+    # three of the four seeded draws change trace, the fourth happens to keep it, and
+    # the full trace and the padded trace read other maps
+    real = oracle._trace_maps
+
+    def doubled(d, n, sites):
+        maps = real(d, n, sites)
+        if (d, n, sites) == (2, 3, (0, 2)):
+            maps = maps.copy()
+            maps[-1] = maps[0]
+        return maps
+
+    monkeypatch.setattr(oracle, "_trace_maps", doubled)
+    result = verify.check_partial_trace_properties(random.Random(0))
+    assert (result.checked, result.failures) == (13, [
+        "trace preservation: 0 != 1",
+        "trace preservation: -48/5 != -4",
+        "trace preservation: 9 != 1",
+    ])
+
+
+def test_raised_orbit_factor_fails_twirl_properties(monkeypatch):
+    # orbit 0 of (2, 3) is the pair (000, 000) alone, met n!/1 = 6 times by the group sum; met 7
+    # times, it moves the trace of the draw, breaks idempotence and moves P_(3), the one
+    # projector nonzero there, and its pairing; (3, 3) is left alone and passes
+    real = oracle._pair_orbits
+
+    def raised(d, n):
+        orbit, by_orbit, starts, stabiliser = real(d, n)
+        if (d, n) == (2, 3):
+            assert stabiliser[0] == 6 and list(orbit).count(0) == 1
+            stabiliser = stabiliser.copy()
+            stabiliser[0] += 1
+        return orbit, by_orbit, starts, stabiliser
+
+    monkeypatch.setattr(oracle, "_pair_orbits", raised)
+    assert failures([verify.check_twirl_properties([(2, 3), (3, 3)], random.Random(0))]) == {
+        "twirl_properties": [
+            "d=2: twirl trace: 2/3 != 4/7",
+            "d=2: twirl not idempotent",
+            "d=2 3,0: projector not twirl-invariant",
+            "d=2 3,0: overlap changed by twirl: 34/21 != 32/21",
+        ],
+    }
+
+
+def test_wrong_site_sum_fails_channel_identities(monkeypatch):
+    # the channel at site 1 of (2, 3) sums the letter-0 entries twice and the letter-1 entries
+    # never: q = 0 never reads the sum and the PSD record still holds; the other seven records
+    # at d = 2 fail (five reported), and (3, 3) is left alone and passes
+    real = oracle._site_maps
+
+    def wrong(d, n, site):
+        agree, summed = real(d, n, site)
+        if (d, n, site) == (2, 3, 1):
+            summed = summed.copy()
+            summed[1] = summed[0]
+        return agree, summed
+
+    monkeypatch.setattr(oracle, "_site_maps", wrong)
+    result = verify.check_channel_identities([(2, 3), (3, 3)], random.Random(0))
+    assert (result.checked, result.failed) == (20, 7)
+    assert result.failures == [
+        "d=2: q=1 not fully mixing",
+        "d=2 q=1/3: trace not preserved: 6/7 != 4/7",
+        "d=2 q=1/2: trace not preserved: 17/14 != 4/7",
+        "d=2 lam=3,0 q=1/4: channel != binomial twirl sum",
+        "d=2 lam=3,0 q=2/3: channel != binomial twirl sum",
+    ]
+
+
+def test_failure_past_the_digit_limit_is_recorded(default_digit_limit, monkeypatch):
+    # q = 0.1...1 with 5000 ones: numerator and denominator pass the interpreter's 4300-digit
+    # int-to-str limit, so a failure that names q is written through frames.integer_text
+    q = Fraction((10**5000 - 1) // 9, 10**5000)
+    digits = "1" * 5000 + "/1" + "0" * 5000
+    result = verify.CheckResult("x")
+    result.expect_equal(q, Fraction(0), "q={}", q)
+    result.expect_equal(Fraction(58, 2), 27, "whole")
+    assert result.failures == [f"q={digits}: {digits} != 0", "whole: 29 != 27"]
+    real = verify._tail_exponent
+    monkeypatch.setattr(verify, "_tail_exponent", lambda ratio, q, n: real(ratio, q, n) - 30)
+    tail = verify.check_tail_bound(3, (q,))
+    # the four far pairs of n = 2 and 3 all fail, each described with every digit of q
+    assert tail.checked == tail.failed == 4
+    assert [text.split(" lam=")[0] for text in tail.failures] == [f"n={n} q={digits}" for n in (2, 2, 3, 3)]
 
 
 def mutant(monkeypatch, module, old, new):
