@@ -31,7 +31,7 @@ from .spectra import (
     xy_optimize,
 )
 from .symmetric_group import character
-from .verify import DEFAULT_Q_GRID, SUITES, RunConfig, run_suite
+from .verify import D_MAX_RANGE, N_MAX_RANGE, SUITES, RunConfig, run_suite
 
 USAGE_ERROR = 2
 VERIFY_FAILURE = 1
@@ -218,8 +218,8 @@ def cmd_xy(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    grid = DEFAULT_Q_GRID if args.grid is None else _grid(args.grid)
-    cfg = RunConfig(d_max=args.cap_d, n_max=args.cap_n, q_grid=grid, seed=args.seed)
+    grid = {} if args.grid is None else {"q_grid": _grid(args.grid)}
+    cfg = RunConfig(d_max=args.cap_d, n_max=args.cap_n, seed=args.seed, **grid)
     suites = [*SUITES, "all"]
     if args.suite not in suites:
         raise InputError(f"unknown suite {args.suite!r}; choose from {', '.join(suites)}")
@@ -245,14 +245,14 @@ def _add_global_flags(parser: argparse.ArgumentParser, *, suppress: bool) -> Non
                         help="output format: text or json; csv or json for spectrum; csv for "
                              "sweep; json for verify (default: the first); others exit 2")
     parser.add_argument("--out", default=default(None), help="output file (default stdout)")
-    parser.add_argument("--cap-n", type=int, default=default(6),
-                        help="size cap for verification sweeps, 1..64; each check runs at "
-                             "min(its own largest n, cap)")
-    parser.add_argument("--cap-d", type=int, default=default(3),
-                        help="dimension cap for verification sweeps, 2..4")
+    parser.add_argument("--cap-n", type=int, default=default(RunConfig.n_max),
+                        help=f"size cap for verification sweeps, {N_MAX_RANGE[0]}..{N_MAX_RANGE[-1]}; "
+                             "each check runs at min(its own largest n, cap)")
+    parser.add_argument("--cap-d", type=int, default=default(RunConfig.d_max),
+                        help=f"dimension cap for verification sweeps, {D_MAX_RANGE[0]}..{D_MAX_RANGE[-1]}")
     parser.add_argument("--exact", action="store_const", const=True, default=default(False),
                         help="emit exact rationals in sweep cells")
-    parser.add_argument("--seed", type=int, default=default(0), help="seed for sampled checks")
+    parser.add_argument("--seed", type=int, default=default(RunConfig.seed), help="seed for sampled checks")
 
 
 @functools.cache

@@ -23,6 +23,7 @@ import math
 import numbers
 import operator
 import re
+import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -90,10 +91,12 @@ class YoungFrame:
         return self.num_rows <= d
 
     def padded(self, d: int) -> tuple[int, ...]:
-        """Rows zero-padded to exactly ``d`` entries."""
+        """Rows zero-padded to exactly ``d`` entries; a ``d`` past ``sys.maxsize``, which no tuple holds, is refused."""
         red = self.reduced
         if len(red) > d:
             raise ValueError(f"frame {red} has more than {d} rows")
+        if d > sys.maxsize:
+            raise ValueError(f"frame {red} cannot be padded to {d} rows")
         return red + (0,) * (d - len(red))
 
     def __eq__(self, other: object) -> bool:

@@ -554,11 +554,16 @@ def random_invariant(rng: random.Random, d: int, n: int, lo: int, hi: int) -> Te
 
     The entry at (x, y) sums the draws stored for (g x, g y) over every g.  A g
     that moves the sorted histogram h of x lands, through the sorted images, on
-    one that fixes h, so every stored block is invariant by construction.
+    one that fixes h, so every stored block is invariant by construction.  The
+    1 x 1 block of the histogram (n) is d! times its one draw, so that draw
+    skips 0: it is drawn from one value fewer, and moved up by one from 0 on.
     """
     _check_dense_size(d, n)
     layout = _layout(d, n)
-    drawn = np.array([rng.randint(lo, hi) for _ in range(layout.size)], dtype=object)
+    corner, skip = int(layout.position(0, 0)), lo <= 0 <= hi
+    draws = [rng.randint(lo, hi - skip) if i == corner else rng.randint(lo, hi) for i in range(layout.size)]
+    draws[corner] += skip and draws[corner] >= 0
+    drawn = np.array(draws, dtype=object)
     moved = (_relabelled_words(g, d, n) for g in itertools.permutations(range(d)))
     vec = sum(drawn.take(layout.position(words[layout.rows], words[layout.cols])) for words in moved)
     return TensorOperator._of(d, n, Fraction(1), layout, vec)

@@ -69,7 +69,7 @@ from .frames import (
     within_entropy_bound,
 )
 from .horn import HornTriple, _window_starts, basic_horn_holds, branching_disjoint, horn_feasible
-from .lr import lr_coefficient, lr_nonzero_pairs, lr_via_characters
+from .lr import CHARACTER_ORACLE_CAP, lr_coefficient, lr_nonzero_pairs, lr_via_characters
 from .spectra import (
     SpectralTable,
     _binomial_weights,
@@ -90,7 +90,11 @@ DEFAULT_Q_GRID = tuple(Fraction(i, 10) for i in range(1, 10))
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Size and determinism knobs for the verification suites."""
+    """Size and determinism knobs for the verification suites.
+
+    The defaults here are the CLI's defaults too; ``d_max`` must lie in
+    :data:`D_MAX_RANGE` and ``n_max`` in :data:`N_MAX_RANGE`.
+    """
 
     d_max: int = 3
     n_max: int = 6
@@ -98,12 +102,10 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        d_top = max(d for check in CHECKS for d in check.row)
-        n_top = max(n for check in CHECKS for n in check.row.values())
-        if not 2 <= self.d_max <= d_top:
-            raise ValueError(f"d_max must lie in 2..{d_top}")
-        if not 1 <= self.n_max <= n_top:
-            raise ValueError(f"n_max must lie in 1..{n_top}")
+        if self.d_max not in D_MAX_RANGE:
+            raise ValueError(f"d_max must lie in {D_MAX_RANGE[0]}..{D_MAX_RANGE[-1]}")
+        if self.n_max not in N_MAX_RANGE:
+            raise ValueError(f"n_max must lie in {N_MAX_RANGE[0]}..{N_MAX_RANGE[-1]}")
         if not self.q_grid:
             raise ValueError("q grid must be nonempty")
         object.__setattr__(self, "q_grid", tuple(map(depolarising_weight, self.q_grid)))
@@ -592,18 +594,18 @@ def check_projector_commutation(sizes: Iterable[tuple[int, int]], rng: random.Ra
     return commute
 
 
-def check_partial_trace_properties(rng: random.Random) -> CheckResult:
-    """Partial traces keep the trace, on random d = 2 operators and on a maximally mixed padding."""
+def check_partial_trace_properties(n: int, rng: random.Random) -> CheckResult:
+    """Partial traces keep the trace: of random d = 2 operators on n - 1 sites, and of one on n - 2 padded to n."""
     reduction_checks = CheckResult("partial_trace_properties")
     for _ in range(4):
-        a = _random_operator(rng, 2, 3)
-        reduction_checks.expect_equal(a.partial_trace([0, 2]).trace(), a.trace(), "trace preservation")
+        a = _random_operator(rng, 2, n - 1)
+        reduction_checks.expect_equal(a.partial_trace(range(0, n - 1, 2)).trace(), a.trace(), "trace preservation")
         reduction_checks.expect_equal(a.partial_trace([]).trace(), a.trace(), "empty site set")
-        full = a.partial_trace(range(3))
+        full = a.partial_trace(range(n - 1))
         reduction_checks.expect_equal(full.entry(0, 0), a.trace(), "full trace")
-    mixed = orc.tensor_with_maximally_mixed(_random_operator(rng, 2, 2), 2)
+    mixed = orc.tensor_with_maximally_mixed(_random_operator(rng, 2, n - 2), 2)
     reduction_checks.expect_equal(
-        mixed.partial_trace([2, 3]).trace(), mixed.trace(), "mixed-padded trace"
+        mixed.partial_trace([n - 2, n - 1]).trace(), mixed.trace(), "mixed-padded trace"
     )
     return reduction_checks
 
@@ -806,9 +808,14 @@ def _twirl_support(cfg: RunConfig, row: dict[int, int], rng: random.Random) -> l
 
 # Fast-path rows: frames.MAX_BOXES, never above 64.
 _FAST = {d: min(MAX_BOXES[d], 64) for d in (2, 3, 4)}
-# LR and Horn rows: the cost of enumerating every triple.  Both run at d = d_max
-# alone: its triples contain every triple of a smaller d.
-_LR = {2: 10, 3: 10, 4: 10}
+# LR and Horn rows: the character cross-check refuses any n past its cap.  Both
+# run at d = d_max alone: its triples contain every triple of a smaller d.
+_LR = dict.fromkeys((2, 3, 4), CHARACTER_ORACLE_CAP)
+# Fixed sizes, whatever the caps; the row and the call of each record read the same one.
+# Two-row triples are few enough that their check runs past the cap, to min(n_max + 4, _TWO_ROW_N).
+_TWO_ROW_N = 10
+_ENTROPY_K = 12
+_PARTIAL_TRACE_N = 4
 # Dense rows stay within oracle.DENSE_SWEEP_N, so inside the dense caps and the
 # projector cache; at d = 4 each runs in under 1 s.  The two checks on random
 # operators stop at (4, 4); at (4, 5) they take about 0.01 s (twirl) and 0.2 s
@@ -820,12 +827,11 @@ CHECKS = (
              "lr_tableaux_vs_characters", "lr_restriction_dimension_identity", "lr_symmetry"),
     *_checks("saturation", _LR, lambda cfg, row, rng: check_horn_inequalities(cfg.d_max, row[cfg.d_max]),
              "horn_necessity_of_basic_inequalities", "horn_feasible_iff_lr_positive"),
-    # runs to min(n_max + 4, 10): two-row triples are few enough to go past the cap
-    Check("saturation", "lr_two_row_multiplicity_free", {2: 10},
-          lambda cfg, row, rng: check_two_row_multiplicity_free(min(cfg.n_max + 4, 10))),
-    # fixed sizes, whatever the caps: Pinsker on the grid i/8, two-row frames to k = 12
-    Check("saturation", "pinsker_and_dimension_entropy_bound", {2: 12},
-          lambda cfg, row, rng: check_entropy_bounds(tuple(Fraction(i, 8) for i in range(9)), 12)),
+    Check("saturation", "lr_two_row_multiplicity_free", {2: _TWO_ROW_N},
+          lambda cfg, row, rng: check_two_row_multiplicity_free(min(cfg.n_max + 4, _TWO_ROW_N))),
+    # Pinsker on the grid i/8, the dimension bound on two-row frames to k = _ENTROPY_K
+    Check("saturation", "pinsker_and_dimension_entropy_bound", {2: _ENTROPY_K},
+          lambda cfg, row, rng: check_entropy_bounds(tuple(Fraction(i, 8) for i in range(9)), _ENTROPY_K)),
     Check("support", "dense_overlap_zero_outside_window", orc.DENSE_SWEEP_N,
           lambda cfg, row, rng: check_dense_overlap_outside_window(row.items())),
     Check("support", "engine_weight_zero_outside_window", _FAST, _twirl_support),
@@ -841,9 +847,8 @@ CHECKS = (
           lambda cfg, row, rng: check_permutation_representation(cfg.d_max, row[2], rng)),
     Check("oracle", "projector_commutes_with_permutations", {2: 6, 3: 6, 4: 5},
           lambda cfg, row, rng: check_projector_commutation(row.items(), rng)),
-    # fixed sizes, whatever the caps: operators on 3 sites, and on 2 padded to 4
-    Check("oracle", "partial_trace_properties", {2: 4},
-          lambda cfg, row, rng: check_partial_trace_properties(rng)),
+    Check("oracle", "partial_trace_properties", {2: _PARTIAL_TRACE_N},
+          lambda cfg, row, rng: check_partial_trace_properties(_PARTIAL_TRACE_N, rng)),
     Check("oracle", "branching_table_matches_dense_partial_trace", {2: 6, 3: 5, 4: 5},
           lambda cfg, row, rng: check_branching_table(row.items())),
     Check("oracle", "twirl_properties", {2: 6, 3: 4, 4: 4},
@@ -866,6 +871,10 @@ CHECKS = (
     Check("xybound", "xy_empty_iff_chains_disjoint", {2: 8},
           lambda cfg, row, rng: check_xy_empty_iff_chains_disjoint(row[2])),
 )
+
+# The caps RunConfig accepts: from the least d and n a suite runs at to the extent of the rows.
+D_MAX_RANGE = range(2, max(d for check in CHECKS for d in check.row) + 1)
+N_MAX_RANGE = range(1, max(n for check in CHECKS for n in check.row.values()) + 1)
 
 
 def _run(suite: str, cfg: RunConfig) -> list[CheckResult]:

@@ -949,8 +949,11 @@ def random_operator_rows():
 
 
 def test_random_draws_are_held_nonzero_and_seeded():
-    # the seeds the CLI runs use; the 1 x 1 block of the histogram (n) is d! times one draw
-    # in [-5, 5], so one seed in eleven or so leaves that block zero
+    # the 1 x 1 block of the histogram (n) is d! times one draw, taken without 0: from [-5, 5]
+    # with 0 allowed, seeds 7 and 16 of these left it zero at (2, 3)
+    for seed in range(20):
+        assert orc.random_invariant(random.Random(seed), 2, 3, -5, 5).entry(0, 0) != 0, seed
+    # the seeds the CLI runs use
     for seed in (0, 7):
         for d, n in random_operator_rows():
             op = verify._random_operator(random.Random(seed), d, n)

@@ -15,6 +15,7 @@ import pytest
 from bruteforce import within_window_by_rows
 from isotwirl import horn, oracle, spectra, verify
 from isotwirl.frames import YoungFrame, enumerate_frames
+from isotwirl.symmetric_group import Permutation
 
 Q_VALUES = (Fraction(1, 2), Fraction(1, 3))
 VERIFY_COUNTS = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "verify_counts.json"
@@ -287,11 +288,11 @@ def test_doubled_trace_term_fails_partial_trace_properties(monkeypatch):
         return maps
 
     monkeypatch.setattr(oracle, "_trace_maps", doubled)
-    result = verify.check_partial_trace_properties(random.Random(0))
+    result = verify.check_partial_trace_properties(4, random.Random(0))
     assert (result.checked, result.failures) == (13, [
-        "trace preservation: 0 != 1",
+        "trace preservation: 12/7 != 8/7",
         "trace preservation: -48/5 != -4",
-        "trace preservation: 9 != 1",
+        "trace preservation: 11 != 2",
     ])
 
 
@@ -312,10 +313,10 @@ def test_raised_orbit_factor_fails_twirl_properties(monkeypatch):
     monkeypatch.setattr(oracle, "_pair_orbits", raised)
     assert failures([verify.check_twirl_properties([(2, 3), (3, 3)], random.Random(0))]) == {
         "twirl_properties": [
-            "d=2: twirl trace: 2/3 != 4/7",
+            "d=2: twirl trace: 4/3 != 8/7",
             "d=2: twirl not idempotent",
             "d=2 3,0: projector not twirl-invariant",
-            "d=2 3,0: overlap changed by twirl: 34/21 != 32/21",
+            "d=2 3,0: overlap changed by twirl: 16/7 != 44/21",
         ],
     }
 
@@ -338,11 +339,55 @@ def test_wrong_site_sum_fails_channel_identities(monkeypatch):
     assert (result.checked, result.failed) == (20, 7)
     assert result.failures == [
         "d=2: q=1 not fully mixing",
-        "d=2 q=1/3: trace not preserved: 6/7 != 4/7",
-        "d=2 q=1/2: trace not preserved: 17/14 != 4/7",
+        "d=2 q=1/3: trace not preserved: 100/63 != 8/7",
+        "d=2 q=1/2: trace not preserved: 2 != 8/7",
         "d=2 lam=3,0 q=1/4: channel != binomial twirl sum",
         "d=2 lam=3,0 q=2/3: channel != binomial twirl sum",
     ]
+
+
+def test_transposition_read_as_identity_fails_permutation_representation(monkeypatch):
+    # the word map behind B((1,0,2)) at d = 2 is the identity's: a pair of S_3 fails when
+    # exactly one of s, t and st is that transposition (12 of 36); d = 3 and the random
+    # pairs at n = 4 read other maps and pass
+    real = oracle._word_map
+
+    def as_identity(images, d):
+        return real((0, 1, 2) if (images, d) == ((1, 0, 2), 2) else images, d)
+
+    monkeypatch.setattr(oracle, "_word_map", as_identity)
+    result = verify.check_permutation_representation(3, 4, random.Random(0))
+    assert (result.checked, result.failed) == (78, 12)
+    assert result.failures == [
+        "d=2: B((0, 2, 1))B((1, 0, 2)) != B(product)",
+        "d=2: B((0, 2, 1))B((2, 0, 1)) != B(product)",
+        "d=2: B((1, 0, 2))B((0, 2, 1)) != B(product)",
+        "d=2: B((1, 0, 2))B((1, 2, 0)) != B(product)",
+        "d=2: B((1, 0, 2))B((2, 0, 1)) != B(product)",
+    ]
+
+
+def test_projector_plus_a_transposition_fails_projector_commutation(monkeypatch):
+    # P_(2,1) of (2, 3) is served with B((1,0,2)) added: conjugating by tau moves that term to
+    # B(tau (1,0,2) tau^-1), so the four tau that do not commute with it fail; (3, 3) passes
+    real = oracle.isotypical_projectors
+
+    def perturbed(d, n):
+        family = real(d, n)
+        if (d, n) == (2, 3):
+            family = dict(family)
+            family[frame(2, 1)] = family[frame(2, 1)] + oracle.perm_operator(Permutation((1, 0, 2)), 2)
+        return family
+
+    monkeypatch.setattr(oracle, "isotypical_projectors", perturbed)
+    assert failures([verify.check_projector_commutation([(2, 3), (3, 3)], random.Random(0))]) == {
+        "projector_commutes_with_permutations": [
+            "d=2 n=3 2,1: fails for (0, 2, 1)",
+            "d=2 n=3 2,1: fails for (1, 2, 0)",
+            "d=2 n=3 2,1: fails for (2, 0, 1)",
+            "d=2 n=3 2,1: fails for (2, 1, 0)",
+        ],
+    }
 
 
 def test_failure_past_the_digit_limit_is_recorded(default_digit_limit, monkeypatch):
