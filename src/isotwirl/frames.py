@@ -6,12 +6,13 @@ irreducible representation of the symmetric group S_n (of dimension
 dimension :func:`dim_unitary`); both divide by one cached hook-length product,
 taken in Frobenius's form from one factorial per row (:func:`_hook_product`).
 Everything else in this package is built on these two dimension counts, the
-skew standard-tableau counts of :func:`_skew_counts` (one pass down Young's
-lattice per outer frame), the lattice levels of :func:`_lattice_level` (each
-frame's position, covers, f and dim U, which the fast path reads by position)
-and the binary entropy / relative entropy helpers defined at the bottom.  The
-frame enumerator is the one partition enumerator: the cycle types of S_n are
-its frames with n rows, and the lattice levels read its rows.
+skew standard-tableau counts of :func:`_skew_counts` (one pass down the
+lattice YF(d, .) per outer frame, by position), the lattice levels of
+:func:`_lattice_level` (each frame's position, covers, f and dim U, which the
+pass down and the fast path's push read on one lattice per d) and the binary
+entropy / relative entropy helpers defined at the bottom.  The frame
+enumerator is the one partition enumerator: the cycle types of S_n are its
+frames with n rows, and the lattice levels read its rows.
 
 All functions here are pure and the memoized ones are safe to call from
 multiple threads (recomputation under the GIL is idempotent).
@@ -23,11 +24,10 @@ import math
 import numbers
 import operator
 import re
-import sys
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from functools import cache, cached_property, lru_cache
+from functools import cache, cached_property
 from typing import Callable, Union
 
 Scalar = Union[int, float, Fraction]
@@ -91,13 +91,14 @@ class YoungFrame:
         return self.num_rows <= d
 
     def padded(self, d: int) -> tuple[int, ...]:
-        """Rows zero-padded to exactly ``d`` entries; a ``d`` past ``sys.maxsize``, which no tuple holds, is refused."""
+        """Rows zero-padded to exactly ``d`` entries; a ``d`` past ``sys.maxsize`` or past memory is refused."""
         red = self.reduced
         if len(red) > d:
             raise ValueError(f"frame {red} has more than {d} rows")
-        if d > sys.maxsize:
-            raise ValueError(f"frame {red} cannot be padded to {d} rows")
-        return red + (0,) * (d - len(red))
+        try:
+            return red + (0,) * (d - len(red))
+        except (OverflowError, MemoryError):
+            raise ValueError(f"frame {red} cannot be padded to {d} rows") from None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, YoungFrame):
@@ -319,29 +320,19 @@ def _below(rho: tuple[int, ...]) -> list[tuple[int, ...]]:
     ]
 
 
-# A spectrum reads the counts of its source frame alone, and every caller
-# finishes with one source before it starts the next (verify's fast-path loops
-# go frame by frame; the CLI and the sweep read one source), so within one
-# sweep a single entry serves every repeat read.  Reuse across sweeps is what
-# the size buys: verify's checks sweep the same sources one after another, and
-# 64 entries hold all 52 frames of at most 4 rows and 1..8 boxes, so a run at
-# n <= 8 computes each source's counts once.  A larger sweep pays one miss per
-# source and check.  Keyed by lattice position, the counts serve every d.
-@lru_cache(maxsize=64)
-def _skew_counts(outer: tuple[int, ...]) -> tuple[dict[int, int], ...]:
-    """f^{outer/inner} for every inner inside outer: entry m maps each inner of m boxes, by position in YF(r, m).
+def _skew_counts(outer: tuple[int, ...], d: int) -> tuple[dict[int, int], ...]:
+    """f^{outer/inner} for every inner inside outer: entry m maps each inner of m boxes, by position in YF(d, m).
 
-    r is the row count of outer (at least 1); ``_lattice_level(d, m).fits[r]``
-    carries a position into YF(d, m).  One pass down Young's lattice from
-    outer, removing one corner at a time: f^{outer/inner} counts the saturated
-    chains from inner up to outer, so it is the sum of f^{outer/rho} over the
-    rho inside outer that cover inner (the branching rule; Stanley, EC2 §7.10).
+    ``outer`` (reduced rows) has at most d rows.  One pass down Young's lattice
+    from outer, removing one corner at a time: f^{outer/inner} counts the
+    saturated chains from inner up to outer, so it is the sum of f^{outer/rho}
+    over the rho inside outer that cover inner (the branching rule; Stanley,
+    EC2 §7.10).
     """
-    rows = max(len(outer), 1)
-    levels = [{_lattice_level(rows, sum(outer)).index[outer]: 1}]
+    levels = [{_lattice_level(d, sum(outer)).index[outer]: 1}]
     for m in range(sum(outer), 0, -1):
         lower: dict[int, int] = {}
-        covers = _lattice_level(rows, m).covers
+        covers = _lattice_level(d, m).covers
         for i, f in levels[-1].items():
             for j in covers[i]:
                 lower[j] = lower.get(j, 0) + f
@@ -355,8 +346,8 @@ class _Level:
     ``index`` gives each frame's position, keyed by reduced rows, and
     ``covers[i]`` the positions in YF(d, m-1) of the frames that frame i
     covers: all that the pass down the lattice reads.  What the push back up
-    reads is built on its first read, so a level that only a pass down uses
-    (one with fewer rows than the push's d) never computes it.
+    reads is built on its first read, so a level below the lowest one a push
+    injects into never builds its getters or its dim U.
     """
 
     def __init__(self, d: int, m: int):
@@ -391,11 +382,6 @@ class _Level:
         """dim U of each frame at d: f times its content product over m! (the hook content formula)."""
         boxes = math.factorial(self.m)
         return tuple(f * _contents(red, self.d) // boxes for f, red in zip(self.sym, self.reduced))
-
-    @cached_property
-    def fits(self) -> tuple[tuple[int, ...], ...]:
-        """``fits[r]``: the positions of the frames of YF(r, m), for r = 0..d."""
-        return tuple(tuple(i for i, red in enumerate(self.reduced) if len(red) <= r) for r in range(self.d + 1))
 
 
 # YF(d, m) as a level of Young's lattice, built once per (d, m)

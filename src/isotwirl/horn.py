@@ -41,19 +41,16 @@ def basic_horn_holds(t: HornTriple) -> bool:
     """Trace identity plus lam_{i+j-1} <= mu_i + nu_j for all i, j with i+j-1 <= d.
 
     A necessary condition for feasibility; with only this m = i+j-1 family it
-    is not claimed sufficient.
+    is not claimed sufficient.  Past lam's row count an inequality reads
+    0 <= mu_i + nu_j and holds, so only m up to that count is tested, at a
+    cost that does not grow with d.
     """
-    lam, mu, nu = t.lam.padded(t.d), t.mu.padded(t.d), t.nu.padded(t.d)
-    if sum(lam) != sum(mu) + sum(nu):
+    lam, mu, nu = t.lam, t.mu, t.nu
+    if lam.n != mu.n + nu.n:
         return False
-    for i in range(1, t.d + 1):
-        for j in range(1, t.d + 1):
-            m = i + j - 1
-            if m > t.d:
-                continue
-            if lam[m - 1] > mu[i - 1] + nu[j - 1]:
-                return False
-    return True
+    return all(
+        lam.row(m - 1) <= mu.row(i - 1) + nu.row(m - i) for m in range(1, lam.num_rows + 1) for i in range(1, m + 1)
+    )
 
 
 def horn_feasible(t: HornTriple) -> bool:

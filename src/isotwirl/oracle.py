@@ -145,7 +145,6 @@ def _letter_counts(d: int, n: int) -> np.ndarray:
     return _read_only(np.stack([(digits == a).sum(axis=1) for a in range(d)], axis=1))
 
 
-@cache
 def _letter_blocks(d: int, n: int) -> tuple[np.ndarray, ...]:
     """Word indices of [d]^n grouped by letter histogram, one read-only array per block.
 

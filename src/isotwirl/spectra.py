@@ -7,12 +7,13 @@ skew standard-tableau counts, scaling far beyond the oracle's caps:
 * :func:`twirl_spectrum` gives the exact weight of each block lam' after k
   sites of the lam block are replaced by maximally mixed states, a sum over
   mu of f_mu f^{lam/mu} f^{lam'/mu} / dim U_mu.  It runs on lattice positions
-  throughout: one pass down Young's lattice (:func:`frames._skew_counts`, the
-  branching rule) gives f^{lam/mu} by position, in place of the LR sum over
-  nu of c^lam_{mu nu} f_nu; f_mu and dim U_mu are read off the level of
-  :func:`frames._lattice_level` at the same position (:func:`_levels`), and
-  one exact integer push back up (:func:`_push`) carries the weighted mu to
-  every lam' at once,
+  throughout, on the one lattice YF(d, .): one pass down it
+  (:func:`frames._skew_counts`, the branching rule) gives f^{lam/mu} by
+  position, in place of the LR sum over nu of c^lam_{mu nu} f_nu; f_mu and
+  dim U_mu are read off the level of :func:`frames._lattice_level` at the
+  same position, which forms one integer per mu to inject (:func:`_levels`),
+  and one exact integer push back up (:func:`_push`) carries the injected mu
+  to every lam' at once,
 * :func:`channel_output_spectrum` resums those over the binomial distribution
   of depolarised-site counts.  The binomial weights ride along in the
   injections, so this is the same push over one common denominator per q;
@@ -159,28 +160,22 @@ class SpectralTable:
                 yield lam, Fraction(v, self.denominator)
 
 
-_Levels = dict[int, tuple[int, list[int], list[int], list[int]]]
+_Levels = dict[int, tuple[int, list[int], list[int]]]
 
 
 def _levels(lam: YoungFrame, d: int, ms: Iterable[int]) -> _Levels:
-    """(C, positions in YF(d, m), f_mu f^{lam/mu}, dim U_mu) per level m in ``ms``, over the mu inside lam of m boxes.
+    """(C, positions in YF(d, m), G) per level m in ``ms``, over the mu inside lam of m boxes.
 
-    C is the lcm of their dim U_mu, so G(mu) = f_mu f^{lam/mu} C / dim U_mu
-    is an integer.  The skew counts are the lattice counts of lam alone.
+    C is the lcm of their dim U_mu and G(mu) = f_mu f^{lam/mu} C / dim U_mu,
+    an integer.  The skew counts are the lattice counts of lam alone.
     """
-    counts = _skew_counts(lam.reduced)
-    rows = max(lam.num_rows, 1)
+    counts = _skew_counts(lam.reduced, d)
     out = {}
     for m in ms:
         level = _lattice_level(d, m)
-        sym, unitary, at = level.sym, level.unitary, level.fits[rows]
-        positions, weights, units = [], [], []
-        for i, f in counts[m].items():
-            j = at[i]
-            positions.append(j)
-            weights.append(sym[j] * f)
-            units.append(unitary[j])
-        out[m] = math.lcm(*units), positions, weights, units
+        sym, unitary = level.sym, level.unitary
+        common = math.lcm(*(unitary[j] for j in counts[m]))
+        out[m] = common, list(counts[m]), [sym[j] * f * (common // unitary[j]) for j, f in counts[m].items()]
     return out
 
 
@@ -217,9 +212,9 @@ def _push(lam: YoungFrame, d: int, levels: _Levels, fields: list[tuple[int, dict
             values = list(total)
         if m in packed:
             p = packed[m]
-            common, positions, weights, units = levels[m]
-            for j, w, u in zip(positions, weights, units):
-                values[j] += w * (common // u) * p
+            _, positions, injected = levels[m]
+            for j, g in zip(positions, injected):
+                values[j] += g * p
     values.pop()
     return width, values
 
@@ -297,12 +292,7 @@ def _binomial_weights(n: int, q: Fraction) -> list[int]:
 def channel_output_spectra(
     lam: YoungFrame, grid: Iterable[Fraction | int | str], d: int
 ) -> list[SpectralTable]:
-    """:func:`channel_output_spectrum` for every q in ``grid``, from one push up Young's lattice."""
-    return _channel_spectra(lam, [depolarising_weight(q) for q in grid], d)
-
-
-def _channel_spectra(lam: YoungFrame, grid: list[Fraction], d: int) -> list[SpectralTable]:
-    """The tables of :func:`channel_output_spectra` for a grid already parsed.
+    """:func:`channel_output_spectrum` for every q in ``grid``, from one push up Young's lattice.
 
     With C_m and G_m(mu) the coefficients of level m (:func:`_levels`) and L
     the lcm of the C_m, each q = a/b is one field of the push (:func:`_push`).
@@ -315,16 +305,17 @@ def _channel_spectra(lam: YoungFrame, grid: list[Fraction], d: int) -> list[Spec
     value times dim U_lam' over D = L b^n d^n f_lam: the table holds those
     integers as they are.
     """
+    grid = [depolarising_weight(q) for q in grid]
     _check_source(lam, 0, d)
     n = lam.n
     enumerate_frames(d, n)  # refuses a size past the caps
     levels = _levels(lam, d, range(n + 1))
-    common = math.lcm(*(c for c, _, _, _ in levels.values()))
+    common = math.lcm(*(c for c, _, _ in levels.values()))
     f_lam = dim_sym(lam)
     denominators = [common * q.denominator**n * d**n * f_lam for q in grid]
     # the weights v dim U_lam' / D of a field sum to 1, so no value v exceeds D
     fields = [
-        (denominator, {m: row[n - m] * d**m * (common // c) for m, (c, _, _, _) in levels.items()})
+        (denominator, {m: row[n - m] * d**m * (common // c) for m, (c, _, _) in levels.items()})
         for denominator, row in zip(denominators, (_binomial_weights(n, q) for q in grid))
     ]
     width, values = _push(lam, d, levels, fields)
@@ -498,7 +489,7 @@ def sweep_to_csv(lam: YoungFrame, d: int, grid: list[Fraction | int | str], *, e
     columns = [
         [f"{num}/{den}" for num, den in _weight_texts(table)] if exact
         else [repr(v / table.denominator) for v in table.numerators]
-        for table in _channel_spectra(lam, grid, d)
+        for table in channel_output_spectra(lam, grid, d)
     ]
     names = [f'"{format_frame(lam_p, d)}"' for lam_p in enumerate_frames(d, lam.n)]
     lines = [",".join(["frame"] + [f"q={rational_text(q)}" for q in grid])]

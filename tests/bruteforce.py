@@ -109,6 +109,14 @@ def within_window_by_rows(lam: YoungFrame, lam_prime: YoungFrame, d: int, k: int
     return all(abs(a[m] - b[m]) <= (d - 1) * k for m in range(d))
 
 
+def basic_horn_by_full_loop(lam: YoungFrame, mu: YoungFrame, nu: YoungFrame, d: int) -> bool:
+    """The trace identity and lam_{i+j-1} <= mu_i + nu_j over every i, j <= d with i+j-1 <= d, rows padded to d."""
+    a, b, c = lam.padded(d), mu.padded(d), nu.padded(d)
+    if sum(a) != sum(b) + sum(c):
+        return False
+    return all(a[i + j - 2] <= b[i - 1] + c[j - 1] for i in range(1, d + 1) for j in range(1, d + 2 - i))
+
+
 def count_semistandard_tableaux(lam: YoungFrame, d: int) -> int:
     """Fillings with entries in 1..d, rows weakly and columns strictly increasing."""
     rows = lam.reduced

@@ -79,6 +79,12 @@ def test_horn_command():
         assert res.stderr == f"error: --d must be >= 1, got d={d}\n"
 
 
+def test_horn_cost_does_not_grow_with_d():
+    # the basic inequalities once looped over every i, j <= d: about 25 minutes at this d
+    res = subprocess.run([*CLI, "--d", "100000", "horn", "2,1", "1", "1,1"], capture_output=True, text=True, timeout=10)
+    assert res.returncode == 0 and res.stdout == "basic=True feasible=True\n"
+
+
 # one call of every subcommand, valid at every --d >= 1
 SUBCOMMAND_ARGS = {
     "dims": ("3",),
@@ -448,6 +454,9 @@ ANSWERS = {
         # a --d past sys.maxsize: padding the frame to d rows once raised OverflowError
         (("--d", "99999999999999999999", "dims", "65"), 2),
         (("--d", "99999999999999999999", "horn", "2,1", "1", "1,1"), 2),
+        # a --d below sys.maxsize whose padding no memory holds: it once raised MemoryError
+        (("--d", "1000000000000000000", "dims", "65"), 2),
+        (("--d", "1000000000000000000", "horn", "2,1", "1", "1,1"), 2),
     ],
 )
 def test_exit_codes_without_traceback(tmp_path: Path, args, code):

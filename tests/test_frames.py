@@ -33,13 +33,7 @@ from isotwirl.frames import (
     within_entropy_bound,
 )
 from isotwirl import spectra
-from isotwirl.verify import (
-    check_dimension_identity,
-    check_entropy_bounds,
-    check_fast_path_against_oracle,
-    check_tail_bound,
-    check_twirl_support,
-)
+from isotwirl.verify import check_dimension_identity, check_entropy_bounds
 
 
 def test_frame_identity_ignores_trailing_zeros():
@@ -116,33 +110,27 @@ def test_enumerate_frames_caps():
         enumerate_frames(0, 1)
 
 
-def test_skew_count_cache_serves_one_source_at_a_time():
-    # a spectrum reads the lattice counts of its source frame alone
-    grid = (Fraction(0), Fraction(1, 3), Fraction(1))
+def test_each_spectrum_call_makes_one_pass_down_the_lattice(monkeypatch):
+    # a spectrum reads the lattice counts of its source frame alone, in one pass down YF(d, .)
+    calls = []
+    real = spectra._skew_counts
+    monkeypatch.setattr(spectra, "_skew_counts", lambda outer, d: calls.append((outer, d)) or real(outer, d))
     lam = frame(5, 3, 1)
-    _skew_counts.cache_clear()
-    spectra.channel_output_spectra(lam, grid, 3)
+    spectra.channel_output_spectra(lam, (Fraction(0), Fraction(1, 3), Fraction(1)), 3)
     spectra._twirl_numerators(lam, 3, range(lam.n + 1))
     for k in range(lam.n + 1):
         spectra.twirl_spectrum(lam, k, 3)
-    assert _skew_counts.cache_info().misses == 1
-    # the verify loops finish one source before the next: a sweep over more
-    # sources than the cache holds still misses once per source
-    sources = lambda d, ns: len({f.reduced for n in ns for f in enumerate_frames(d, n)})  # noqa: E731
-    assert sources(2, range(1, 25)) > _skew_counts.cache_info().maxsize
-    for check, misses in (
-        (lambda: check_twirl_support([(2, 24)]), sources(2, range(1, 25))),
-        (lambda: check_tail_bound(24, grid), sources(2, range(2, 25))),
-    ):
-        _skew_counts.cache_clear()
-        check()
-        assert _skew_counts.cache_info().misses == misses
-    # the cache holds every source of a run at n <= 8, so the later checks compute none again
-    _skew_counts.cache_clear()
-    check_twirl_support([(4, 8)])
-    check_fast_path_against_oracle([(2, 4)], grid)
-    check_tail_bound(8, grid)
-    assert _skew_counts.cache_info().misses == sources(4, range(1, 9))
+    assert calls == [((5, 3, 1), 3)] * (lam.n + 3)
+
+
+def test_skew_counts_are_keyed_by_position_in_the_callers_lattice():
+    # one outer frame passed down YF(3, .) and YF(4, .): the same counts, each by its own lattice's positions
+    def by_rows(d):
+        counts = _skew_counts((4, 2, 1), d)
+        return [{_lattice_level(d, m).reduced[i]: f for i, f in level.items()} for m, level in enumerate(counts)]
+
+    assert by_rows(3) == by_rows(4)
+    assert by_rows(3)[0] == {(): dim_sym(frame(4, 2, 1))}
 
 
 def test_lattice_levels_carry_the_closed_form_dimensions():

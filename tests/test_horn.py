@@ -1,6 +1,7 @@
 import pytest
 
-from isotwirl.frames import frame
+from bruteforce import basic_horn_by_full_loop, partitions_of
+from isotwirl.frames import YoungFrame, frame
 from isotwirl.horn import (
     HornTriple,
     basic_horn_holds,
@@ -17,6 +18,25 @@ def test_basic_horn_examples():
     assert not basic_horn_holds(HornTriple(frame(2, 2), frame(2, 0), frame(1, 1), 2))
     # trace mismatch
     assert not basic_horn_holds(HornTriple(frame(3, 0), frame(1, 0), frame(1, 0), 2))
+
+
+def test_basic_horn_reads_only_lams_rows_and_agrees_with_the_full_loop():
+    # every triple of at most d rows and n <= 7 boxes, trace mismatches included, stored padded to d rows
+    # and checked at d and d + 2: an inequality past lam's row count always holds, so skipping it changes no verdict
+    verdicts = set()
+    for d in range(1, 5):
+        by_size = [[YoungFrame(rows + (0,) * (d - len(rows))) for rows in partitions_of(n, d)] for n in range(8)]
+        for n in range(8):
+            for lam in by_size[n]:
+                for a in range(n + 1):
+                    for b in {n - a, max(n - a - 1, 0)}:
+                        for mu in by_size[a]:
+                            for nu in by_size[b]:
+                                for budget in (d, d + 2):
+                                    verdict = basic_horn_holds(HornTriple(lam, mu, nu, budget))
+                                    assert verdict == basic_horn_by_full_loop(lam, mu, nu, budget), (lam, mu, nu, budget)
+                                    verdicts.add(verdict)
+    assert verdicts == {False, True}
 
 
 def test_horn_triple_validation():

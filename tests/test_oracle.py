@@ -347,6 +347,15 @@ def test_partial_trace_int64_and_object_routes(exact_routes):
                         assert out == partial_trace_by_sums(a, sites), (d, n, bound, sites)
 
 
+def test_sum_at_the_int64_edge_leaves_int64(exact_routes):
+    # stored entries of 2**62: A + A needs 2**63, one past int64, so the pair is handed back as Python ints
+    a = orc.random_invariant(random.Random(0), 2, 2, 2**61, 2**61)
+    assert a._bound() == 2**62 and a._vec.dtype == np.int64
+    total = a + a
+    assert exact_routes == [object]
+    assert np.array_equal(total.mat, 2 * a.mat)
+
+
 def test_partial_trace_site_order():
     # tracing different single sites of a permutation-invariant operator agrees
     fam = orc.isotypical_projectors(2, 3)

@@ -140,8 +140,9 @@ def dim_skew(outer, inner):
     """f^{outer/inner} as the package's lattice pass gives it; zero when inner does not fit inside outer."""
     if inner.n > outer.n:
         return 0
-    position = _lattice_level(max(outer.num_rows, 1), inner.n).index.get(inner.reduced)
-    return _skew_counts(outer.reduced)[inner.n].get(position, 0)
+    d = max(outer.num_rows, 1)
+    position = _lattice_level(d, inner.n).index.get(inner.reduced)
+    return _skew_counts(outer.reduced, d)[inner.n].get(position, 0)
 
 
 def test_dim_skew_examples():

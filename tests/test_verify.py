@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import functools
 import inspect
 import json
 import random
@@ -9,11 +10,12 @@ import sys
 import types
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from bruteforce import within_window_by_rows
-from isotwirl import horn, oracle, spectra, verify
+from isotwirl import horn, lr, oracle, spectra, verify
 from isotwirl.frames import YoungFrame, enumerate_frames
 from isotwirl.symmetric_group import Permutation
 
@@ -28,6 +30,40 @@ def frame(*rows):
 
 def failures(results):
     return {r.name: r.failures for r in results if not r.passed}
+
+
+# the report names that a test below makes fail by perturbing a route its check reads
+PERTURBED: set[str] = set()
+# the report names no perturbation test can make fail, each with the reason
+UNPERTURBED = {
+    "horn_feasible_iff_lr_positive": "both of its sides read lr_coefficient, so any route it reads moves both;"
+    " it can fail once horn_feasible decides by Horn's full inequalities",
+    "support_growth_monotone_report": "it only reports its violations, and asserts nothing to fail",
+}
+
+
+def perturbs(*names):
+    """Register a perturbation test of the named reports; each of them must record a failure while it runs."""
+
+    def register(test):
+        @functools.wraps(test)
+        def run(*args, **kwargs):
+            failed = set()
+            record = verify.CheckResult.record
+
+            def recording(result, ok, *rest):
+                if not ok:
+                    failed.add(result.name)
+                return record(result, ok, *rest)
+
+            with mock.patch.object(verify.CheckResult, "record", recording):
+                test(*args, **kwargs)
+            assert failed >= set(names), set(names) - failed
+
+        PERTURBED.update(names)
+        return run
+
+    return register
 
 
 def run_checks(module=verify):
@@ -51,6 +87,7 @@ def bump_pairing(monkeypatch, field, lam, k, lam_p):
     monkeypatch.setattr(verify, "dense_twirl_overlaps", served)
 
 
+@perturbs("dense_overlap_zero_outside_window", "padded_product_equals_partial_trace_pairing")
 def test_perturbed_literal_pairing_fails_with_exact_text(monkeypatch):
     # lam' = (2,2) lies outside the k = 1 window of lam = (4): one unit of the
     # pairing is the overlap s_lam s_lam' / d^k = 1/144
@@ -61,6 +98,11 @@ def test_perturbed_literal_pairing_fails_with_exact_text(monkeypatch):
     }
 
 
+@perturbs(
+    "padded_product_equals_partial_trace_pairing",
+    "fast_path_equals_oracle_twirl_spectra",
+    "fast_path_equals_oracle_channel_spectra",
+)
 def test_perturbed_paired_pairing_fails_with_exact_text(monkeypatch):
     bump_pairing(monkeypatch, "paired", frame(3, 1), 1, frame(2, 2))
     assert run_checks() == {
@@ -76,6 +118,7 @@ def test_perturbed_paired_pairing_fails_with_exact_text(monkeypatch):
     }
 
 
+@perturbs("fast_path_equals_oracle_twirl_spectra", "engine_weight_zero_outside_window")
 def test_perturbed_fast_path_numerator_fails_with_exact_text(monkeypatch):
     # the numerator of lam' = (2,2) in the k = 1 twirl of lam = (4), wherever the fast path reads it;
     # the channel spectra push on their own route, so only the twirl and support checks see it
@@ -99,6 +142,11 @@ def test_perturbed_fast_path_numerator_fails_with_exact_text(monkeypatch):
     }
 
 
+@perturbs(
+    "fast_path_equals_oracle_twirl_spectra",
+    "fast_path_equals_oracle_channel_spectra",
+    "engine_weight_zero_outside_window",
+)
 def test_bumped_packed_field_fails_only_its_own_k_and_q(monkeypatch):
     # one unit in field 1 of lam' = (2,2) in every push from lam = (4): field 1 is k = 1 of the
     # all-k twirl and q = 1/3 of the channel grid; field 0 (k = 0, q = 1/2) and the one-field
@@ -123,6 +171,7 @@ def test_bumped_packed_field_fails_only_its_own_k_and_q(monkeypatch):
     }
 
 
+@perturbs("branching_chains_disjoint_outside_window", "xy_empty_iff_chains_disjoint")
 def test_connected_chain_outside_window_fails_with_exact_text(monkeypatch):
     # lam' = (2,2) lies outside the k = 1 window of lam = (4); a chain search that claims a
     # common middle frame there fails the chain check and disagrees with the empty X
@@ -140,6 +189,7 @@ def test_connected_chain_outside_window_fails_with_exact_text(monkeypatch):
     }
 
 
+@perturbs("xy_extrema_within_entropy_bound")
 def test_inflated_extremal_product_fails_with_exact_text(monkeypatch):
     # X = 1 at lam' = (3,1), k = 2 from the source (4), under the bound 2**(2 h(1/2)) = 4;
     # a hundredfold X breaks the bound but not the emptiness of X, which the iff check reads
@@ -156,6 +206,7 @@ def test_inflated_extremal_product_fails_with_exact_text(monkeypatch):
     assert failures([verify.check_xy_empty_iff_chains_disjoint(4)]) == {}
 
 
+@perturbs("projector_pair_domination_psd")
 def test_dropped_dominating_pair_fails_with_exact_text(monkeypatch):
     # (2) x (1) is one of the two pairs whose projectors dominate P_(2,1) at the split
     # 2 + 1; without it the sum misses part of the range of P_(2,1), so the
@@ -175,6 +226,7 @@ def test_dropped_dominating_pair_fails_with_exact_text(monkeypatch):
     }
 
 
+@perturbs("projector_algebra")
 def test_wrong_projector_square_fails_with_exact_text(monkeypatch):
     # the product P_(2,1) @ P_(2,1) at (2, 3) comes back doubled; the trace, symmetry,
     # sum and orthogonality records read no product, so only idempotence fails
@@ -190,6 +242,7 @@ def test_wrong_projector_square_fails_with_exact_text(monkeypatch):
     }
 
 
+@perturbs("pinsker_and_dimension_entropy_bound")
 def test_shrunk_relative_entropy_fails_pinsker_with_exact_text(monkeypatch):
     # D(r||s) at 0.6 of its value drops below l1^2 / (2 ln 2) at 48 of the 81 pairs of
     # eighths; the 48 dimension bounds read no entropy and all pass
@@ -206,6 +259,7 @@ def test_shrunk_relative_entropy_fails_pinsker_with_exact_text(monkeypatch):
     ]
 
 
+@perturbs("tail_bound_dominates_measured_weight")
 def test_lowered_tail_exponent_fails_with_exact_text(monkeypatch):
     # three bits off the exponent put the bound below the weight of lam' = (2,0) from (1,1)
     # at n = 2 for three q; every other far pair up to n = 12 has more margin than that
@@ -220,6 +274,7 @@ def test_lowered_tail_exponent_fails_with_exact_text(monkeypatch):
     ]
 
 
+@perturbs("schur_weyl_dimension_identity")
 def test_raised_unitary_dimension_fails_the_dimension_identity(monkeypatch):
     # dim U of (2,1) at d = 3 one too high, as verify reads it: f_(2,1) = 2 extra on d^3 = 27,
     # and only the size that holds that frame fails
@@ -229,6 +284,7 @@ def test_raised_unitary_dimension_fails_the_dimension_identity(monkeypatch):
     assert (result.checked, result.failures) == (21, ["d=3 n=3: 29 != 27"])
 
 
+@perturbs("output_mode_matches_oracle")
 def test_tripled_lattice_dimension_moves_the_fast_path_mode(monkeypatch):
     # dim U of (3,1) at (2, 4) tripled in the lattice level the fast path reads: the engine's
     # weight of (3,1) triples and overtakes (4) at three q; the oracle still reads (4)
@@ -252,6 +308,7 @@ def test_tripled_lattice_dimension_moves_the_fast_path_mode(monkeypatch):
     ]
 
 
+@perturbs("branching_table_matches_dense_partial_trace", "twirl_pair_expansion")
 def test_raised_lr_coefficient_fails_both_lr_route_checks(monkeypatch):
     # c^(2,1)_{(1),(1,1)} = 1 raised to 2 where spectra reads it: the branching table of (2,1) at
     # k = 2 and the pair expansion of (1) x (1,1) each gain a term the dense operators lack, at
@@ -274,6 +331,63 @@ def test_raised_lr_coefficient_fails_both_lr_route_checks(monkeypatch):
     }
 
 
+@perturbs("lr_tableaux_vs_characters")
+def test_raised_class_weight_fails_the_character_cross_check(monkeypatch):
+    # S_1 x S_1 has one class pair, of weight 1; at 2 the character route doubles both
+    # c^lam_{(1),(1)} of n = 2, and the checks that read no characters pass
+    real = lr._class_pairs
+
+    def raised(l, k):
+        pairs = real(l, k)
+        if (l, k) == (1, 1):
+            [(c1, c2, merged, weight)] = pairs
+            pairs = ((c1, c2, merged, weight + 1),)
+        return pairs
+
+    monkeypatch.setattr(lr, "_class_pairs", raised)
+    assert failures(verify.check_lr_coefficients(2, 3)) == {
+        "lr_tableaux_vs_characters": ["c^2,0_1,0,1,0: 1 != 2", "c^1,1_1,0,1,0: 1 != 2"],
+    }
+
+
+@perturbs("lr_tableaux_vs_characters", "lr_restriction_dimension_identity", "lr_symmetry")
+def test_raised_ordered_lr_coefficient_fails_the_lr_checks(monkeypatch):
+    # c^(2,1)_{(1),(1,1)} = 1 raised to 2 where verify reads it, the reversed triple left alone:
+    # the characters disagree once, symmetry at both orders, and the restriction of (2,1) to
+    # 1 + 2 gains f_(1) f_(1,1) = 1; feasibility reads only c > 0 and passes
+    real = verify.lr_coefficient
+    raised = (frame(2, 1), frame(1), frame(1, 1))
+    monkeypatch.setattr(verify, "lr_coefficient", lambda lam, mu, nu: real(lam, mu, nu) + ((lam, mu, nu) == raised))
+    assert failures([*verify.check_lr_coefficients(2, 3), *verify.check_horn_inequalities(2, 3)]) == {
+        "lr_tableaux_vs_characters": ["c^2,1_1,0,1,1: 2 != 1"],
+        "lr_restriction_dimension_identity": ["restriction 2,1 split 1+2: 3 != 2"],
+        "lr_symmetry": ["symmetry 2,1|1,0,1,1: 2 != 1", "symmetry 2,1|1,1,1,0: 1 != 2"],
+    }
+
+
+@perturbs("lr_two_row_multiplicity_free")
+def test_coefficient_of_two_fails_the_two_row_check(monkeypatch):
+    # the same ordered triple raised to 2 is the one two-row coefficient above 1 up to n = 4
+    real = verify.lr_coefficient
+    raised = (frame(2, 1), frame(1), frame(1, 1))
+    monkeypatch.setattr(verify, "lr_coefficient", lambda lam, mu, nu: real(lam, mu, nu) + ((lam, mu, nu) == raised))
+    result = verify.check_two_row_multiplicity_free(4)
+    assert (result.checked, result.failures) == (71, ["c^2,1_1,0,1,1 = 2"])
+
+
+@perturbs("horn_necessity_of_basic_inequalities")
+def test_basic_inequalities_refused_on_a_feasible_triple_fail_necessity(monkeypatch):
+    # c^(2,1)_{(1),(1,1)} = 1 > 0, yet the basic inequalities are read as failing there;
+    # feasibility reads no inequality and passes
+    real = verify.basic_horn_holds
+    refused = (frame(2, 1), frame(1), frame(1, 1))
+    monkeypatch.setattr(verify, "basic_horn_holds", lambda t: (t.lam, t.mu, t.nu) != refused and real(t))
+    assert failures(verify.check_horn_inequalities(2, 3)) == {
+        "horn_necessity_of_basic_inequalities": ["c>0 but basic inequalities fail: 2,1|1,0,1,1"],
+    }
+
+
+@perturbs("partial_trace_properties")
 def test_doubled_trace_term_fails_partial_trace_properties(monkeypatch):
     # the trace over sites 0 and 2 of three sites reads the z = 0 terms in place of z = 3;
     # three of the four seeded draws change trace, the fourth happens to keep it, and
@@ -296,6 +410,7 @@ def test_doubled_trace_term_fails_partial_trace_properties(monkeypatch):
     ])
 
 
+@perturbs("twirl_properties")
 def test_raised_orbit_factor_fails_twirl_properties(monkeypatch):
     # orbit 0 of (2, 3) is the pair (000, 000) alone, met n!/1 = 6 times by the group sum; met 7
     # times, it moves the trace of the draw, breaks idempotence and moves P_(3), the one
@@ -321,6 +436,7 @@ def test_raised_orbit_factor_fails_twirl_properties(monkeypatch):
     }
 
 
+@perturbs("depolarise_channel_identities")
 def test_wrong_site_sum_fails_channel_identities(monkeypatch):
     # the channel at site 1 of (2, 3) sums the letter-0 entries twice and the letter-1 entries
     # never: q = 0 never reads the sum and the PSD record still holds; the other seven records
@@ -346,6 +462,7 @@ def test_wrong_site_sum_fails_channel_identities(monkeypatch):
     ]
 
 
+@perturbs("permutation_representation")
 def test_transposition_read_as_identity_fails_permutation_representation(monkeypatch):
     # the word map behind B((1,0,2)) at d = 2 is the identity's: a pair of S_3 fails when
     # exactly one of s, t and st is that transposition (12 of 36); d = 3 and the random
@@ -367,6 +484,7 @@ def test_transposition_read_as_identity_fails_permutation_representation(monkeyp
     ]
 
 
+@perturbs("projector_commutes_with_permutations")
 def test_projector_plus_a_transposition_fails_projector_commutation(monkeypatch):
     # P_(2,1) of (2, 3) is served with B((1,0,2)) added: conjugating by tau moves that term to
     # B(tau (1,0,2) tau^-1), so the four tau that do not commute with it fail; (3, 3) passes
@@ -466,6 +584,13 @@ def test_verify_all_counts_match_benchmark_reference():
     assert report.passed
     assert {c.name: c.checked for c in report.checks} == reference
     assert sum(reference.values()) == 9708
+
+
+def test_every_report_has_a_perturbation_test():
+    # every report name of the registry has a test above that makes its check fail, or a stated reason why none can
+    names = {check.name for check in verify.CHECKS}
+    assert PERTURBED.isdisjoint(UNPERTURBED)
+    assert PERTURBED | set(UNPERTURBED) == names, names - PERTURBED - set(UNPERTURBED)
 
 
 def test_registry_lists_every_report_without_running_it():
