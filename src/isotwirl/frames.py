@@ -10,9 +10,11 @@ skew standard-tableau counts of :func:`_skew_counts` (one pass down the
 lattice YF(d, .) per outer frame, by position), the lattice levels of
 :func:`_lattice_level` (each frame's position, covers, f and dim U, which the
 pass down and the fast path's push read on one lattice per d) and the binary
-entropy / relative entropy helpers defined at the bottom.  The frame
-enumerator is the one partition enumerator: the cycle types of S_n are its
-frames with n rows, and the lattice levels read its rows.
+entropy / relative entropy helpers defined at the bottom.  Each lattice level
+is built from the level below by adding one box, and reads nothing else.  The
+frame enumerator stays the one lister of a single level with no levels below
+it: the cycle types of S_n are its frames with n rows, and the size caps are
+checked through it.
 
 All functions here are pure and the memoized ones are safe to call from
 multiple threads (recomputation under the GIL is idempotent).
@@ -152,6 +154,8 @@ def exact_rational(x: Fraction | int | str) -> Fraction:
     ``int`` reads from a string: there each side of "a/b" is read through
     ``decimal.Decimal``, which has no such limit.
     """
+    if type(x) is Fraction:  # immutable, so the caller's own value serves
+        return x
     if not isinstance(x, (numbers.Rational, str)):
         raise ValueError(f"{x!r} is not exact: pass a Fraction, an int or a string such as '0.3'")
     try:
@@ -210,13 +214,14 @@ def enumerate_frames(d: int, n: int) -> list[YoungFrame]:
     exact channel output spectrum of every frame of YF(d, n) took about 5 s
     from cold caches when each output frame was its own sum over the skew
     counts.  With one push up Young's lattice per source frame the same
-    sweep takes under 1 s.  Measured on a 2-vCPU VM (Python 3.11), q = 1/3,
-    one fresh process per cell, after import, median of three:
+    sweep takes well under 1 s.  Measured on a 2-vCPU Intel Xeon VM (Python
+    3.11.7), q = 1/3, one fresh process per cell, timed after import from
+    the first enumeration on, median of three:
 
         d  n cap  frames  every frame  middle frame alone  every frame, larger n
-        2   128     65       0.60 s        0.08 s           -
-        3    36    127       0.35 s        0.03 s           n = 40: 0.49 s
-        4    24    169       0.36 s        0.03 s           n = 28: 0.75 s
+        2   128     65       0.32 s        0.03 s           -
+        3    36    127       0.14 s        0.01 s           n = 40: 0.30 s
+        4    24    169       0.19 s        0.01 s           n = 28: 0.34 s
 
     d = 1 has a single frame at every n and shares the cap of d = 2.
     """
@@ -311,15 +316,6 @@ def dim_unitary(lam: YoungFrame, d: int) -> int:
     return _dim_unitary(lam.reduced, d)
 
 
-def _below(rho: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """The frames rho covers in Young's lattice: rho with one corner box removed, as reduced rows."""
-    return [
-        rho[:i] + (r - 1,) + rho[i + 1:] if r > 1 else rho[:i]
-        for i, r in enumerate(rho)
-        if i + 1 == len(rho) or rho[i + 1] < r
-    ]
-
-
 def _skew_counts(outer: tuple[int, ...], d: int) -> tuple[dict[int, int], ...]:
     """f^{outer/inner} for every inner inside outer: entry m maps each inner of m boxes, by position in YF(d, m).
 
@@ -341,21 +337,43 @@ def _skew_counts(outer: tuple[int, ...], d: int) -> tuple[dict[int, int], ...]:
 
 
 class _Level:
-    """YF(d, m) as a level of Young's lattice; every tuple follows :func:`enumerate_frames`.
+    """YF(d, m) as a level of Young's lattice, built from YF(d, m-1); every tuple follows :func:`enumerate_frames`.
 
-    ``index`` gives each frame's position, keyed by reduced rows, and
-    ``covers[i]`` the positions in YF(d, m-1) of the frames that frame i
-    covers: all that the pass down the lattice reads.  What the push back up
-    reads is built on its first read, so a level below the lowest one a push
-    injects into never builds its getters or its dim U.
+    Each frame mu of the level below gains one box in each row that can take
+    it (at most d rows), and every frame so reached records mu's position as
+    one it covers.  ``reduced`` lists the reached frames in decreasing order,
+    which is the enumeration order, ``index`` gives each one's position, keyed
+    by reduced rows, and ``covers[i]`` the positions in YF(d, m-1) of the
+    frames that frame i covers, its top corner removed first: all that the
+    pass down the lattice reads.  ``contents`` holds each frame's product of
+    d + c over its boxes (c a box's content), carried up from the first frame
+    it covers.  What the push back up reads is built on its first read, so a
+    level below the lowest one a push injects into never builds its getters
+    or its dim U.
     """
 
     def __init__(self, d: int, m: int):
         self.d, self.m = d, m
-        self.reduced = [tuple(filter(None, rows)) for rows in _frame_rows(d, m)]  # no frame objects
+        reached: dict[tuple[int, ...], list[int]] = {} if m else {(): []}
+        contents = {} if m else {(): 1}
+        if m:
+            below = _lattice_level(d, m - 1)
+            for j, (mu, product) in enumerate(zip(below.reduced, below.contents)):
+                for i, r in enumerate(mu + (0,) if len(mu) < d else mu):
+                    if i and mu[i - 1] == r:
+                        continue  # row i is as long as the row above it
+                    lam = mu[:i] + (r + 1,) + mu[i + 1:]
+                    positions = reached.get(lam)
+                    if positions is None:
+                        reached[lam] = [j]
+                        contents[lam] = product * (d + r - i)  # the added box has content r - i
+                    else:
+                        positions.append(j)
+        self.reduced = sorted(reached, reverse=True)
         self.index = {red: i for i, red in enumerate(self.reduced)}
-        lower = _lattice_level(d, m - 1).index if m else {}
-        self.covers = tuple(tuple(lower[rho] for rho in _below(red)) for red in self.reduced)
+        # mu comes later in YF(d, m-1) the higher the row its box was added to, so reverse the discovery
+        self.covers = tuple(tuple(reversed(reached[red])) for red in self.reduced)
+        self.contents = tuple(contents[red] for red in self.reduced)
 
     @cached_property
     def gather(self) -> tuple[Callable[[list[int]], tuple[int, ...]], ...]:
@@ -381,7 +399,7 @@ class _Level:
     def unitary(self) -> tuple[int, ...]:
         """dim U of each frame at d: f times its content product over m! (the hook content formula)."""
         boxes = math.factorial(self.m)
-        return tuple(f * _contents(red, self.d) // boxes for f, red in zip(self.sym, self.reduced))
+        return tuple(f * c // boxes for f, c in zip(self.sym, self.contents))
 
 
 # YF(d, m) as a level of Young's lattice, built once per (d, m)

@@ -39,8 +39,10 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, repeat
 from typing import Iterable, Iterator
 
 from .frames import (
@@ -283,12 +285,6 @@ def twirl_spectrum(lam: YoungFrame, k: int, d: int, *, normalized: bool = True) 
     return table
 
 
-def _binomial_weights(n: int, q: Fraction) -> list[int]:
-    """C(n,k) a^k (b-a)^(n-k) for k = 0..n, q = a/b: b^n times the channel's weight on k mixed sites."""
-    a, b = q.numerator, q.denominator
-    return [math.comb(n, k) * a**k * (b - a) ** (n - k) for k in range(n + 1)]
-
-
 def channel_output_spectra(
     lam: YoungFrame, grid: Iterable[Fraction | int | str], d: int
 ) -> list[SpectralTable]:
@@ -301,7 +297,9 @@ def channel_output_spectra(
         C(n,k) a^k (b-a)^(n-k) d^m (L / C_m) G_m(mu),
 
     the binomial weight of k mixed sites over the twirl's 1/d^k, all brought
-    to the common denominator L b^n d^n.  The weight of lam' is its field
+    to the common denominator L b^n d^n.  The factor C(n,m) d^m (L / C_m)
+    does not depend on q and is formed once per call; each q adds only its
+    powers a^0..a^n and (b-a)^0..(b-a)^n.  The weight of lam' is its field
     value times dim U_lam' over D = L b^n d^n f_lam: the table holds those
     integers as they are.
     """
@@ -312,12 +310,15 @@ def channel_output_spectra(
     levels = _levels(lam, d, range(n + 1))
     common = math.lcm(*(c for c, _, _ in levels.values()))
     f_lam = dim_sym(lam)
-    denominators = [common * q.denominator**n * d**n * f_lam for q in grid]
-    # the weights v dim U_lam' / D of a field sum to 1, so no value v exceeds D
-    fields = [
-        (denominator, {m: row[n - m] * d**m * (common // c) for m, (c, _, _) in levels.items()})
-        for denominator, row in zip(denominators, (_binomial_weights(n, q) for q in grid))
-    ]
+    fixed = [math.comb(n, m) * d**m * (common // levels[m][0]) for m in range(n + 1)]
+    denominators, fields = [], []
+    for q in grid:
+        a, b = q.numerator, q.denominator
+        # a^j and (b-a)^j for j = 0..n: j sites mixed, j sites kept
+        mixed, kept = (list(accumulate(repeat(x, n), operator.mul, initial=1)) for x in (a, b - a))
+        denominators.append(common * b**n * d**n * f_lam)
+        # the weights v dim U_lam' / D of a field sum to 1, so no value v exceeds D
+        fields.append((denominators[-1], {m: g * mixed[n - m] * kept[m] for m, g in enumerate(fixed)}))
     width, values = _push(lam, d, levels, fields)
     units = _lattice_level(d, n).unitary
     return [
@@ -442,13 +443,23 @@ def xy_entropy_bound(lam_prime: YoungFrame, k: int) -> XYBoundCheck:
 # -- serialization -------------------------------------------------------------
 
 
+# A table whose integers all lie below this has none that ``str`` can refuse, at any digit limit
+_PLAIN_TEXT_BELOW = 10 ** (sys.int_info.str_digits_check_threshold - 1)
+
+
 def _weight_texts(table: SpectralTable) -> list[tuple[str, str]]:
     """Numerator and denominator of every weight of ``table`` in lowest terms, every digit written.
 
-    A weight's float is v / denominator: int division is correctly rounded, as is ``float`` of the ``Fraction``.
+    Plain ``str`` writes them when the largest numerator and the denominator
+    are below :data:`_PLAIN_TEXT_BELOW` (numerators of an unnormalized table
+    can exceed the denominator), :func:`frames.integer_text` otherwise.  A
+    weight's float is v / denominator: int division is correctly rounded, as
+    is ``float`` of the ``Fraction``.
     """
     den = table.denominator
-    return [(integer_text(v // (g := math.gcd(v, den))), integer_text(den // g)) for v in table.numerators]
+    plain = max(table.numerators, default=0) < _PLAIN_TEXT_BELOW and den < _PLAIN_TEXT_BELOW
+    text = str if plain else integer_text
+    return [(text(v // (g := math.gcd(v, den))), text(den // g)) for v in table.numerators]
 
 
 def table_to_csv(table: SpectralTable) -> str:

@@ -72,7 +72,6 @@ from .horn import HornTriple, _window_starts, basic_horn_holds, branching_disjoi
 from .lr import CHARACTER_ORACLE_CAP, lr_coefficient, lr_nonzero_pairs, lr_via_characters
 from .spectra import (
     SpectralTable,
-    _binomial_weights,
     _tail_exponent,
     channel_output_spectra,
     paired_block_overlap,
@@ -117,6 +116,12 @@ class RunConfig:
             "q_grid": [rational_text(q) for q in self.q_grid],
             "seed": self.seed,
         }
+
+
+def _binomial_weights(n: int, q: Fraction) -> list[int]:
+    """C(n,k) a^k (b-a)^(n-k) for k = 0..n, q = a/b: b^n times the channel's weight on k mixed sites."""
+    a, b = q.numerator, q.denominator
+    return [math.comb(n, k) * a**k * (b - a) ** (n - k) for k in range(n + 1)]
 
 
 def _text(arg):

@@ -92,6 +92,20 @@ def skew_count_by_aitken(outer: YoungFrame, inner: YoungFrame) -> int:
     return val.numerator
 
 
+def covers_by_removing_a_box(red: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The frames that ``red`` (reduced rows) covers in Young's lattice, as reduced rows, top row first.
+
+    Each row in turn loses its last box; the result counts when its rows still decrease weakly.
+    """
+    out = []
+    for i in range(len(red)):
+        rows = list(red)
+        rows[i] -= 1
+        if all(a >= b for a, b in zip(rows, rows[1:])):
+            out.append(tuple(r for r in rows if r))
+    return out
+
+
 def hook_product_by_boxes(red: tuple[int, ...]) -> int:
     """The product over every box (i, j) of its hook length r_i - j + conj_j - i - 1."""
     conj = [sum(1 for r in red if r > j) for j in range(red[0] if red else 0)]

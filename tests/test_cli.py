@@ -152,6 +152,7 @@ def test_out_of_range_weight_quotes_its_input(default_digit_limit, capsys):
         (["spectrum", "3,1", "--q", "1e5000"], "1e5000"),
         (["spectrum", "3,1", "--q", "1.5"], "1.5"),
         (["spectrum", "3,1", "--q", long_text], "2" + "0" * 39 + "... (101 characters)"),
+        (["spectrum", "3,1", "--q", long_text[:40]], long_text[:40]),  # 40 characters are quoted whole
         (["sweep", "3,1", "--grid", f"0.5,{long_text}"], "2" + "0" * 39 + "... (101 characters)"),
     ):
         assert cli.main(args) == 2

@@ -6,6 +6,7 @@ import pytest
 
 from bruteforce import (
     content_product_by_boxes,
+    covers_by_removing_a_box,
     count_semistandard_tableaux,
     count_standard_tableaux,
     hook_product_by_boxes,
@@ -32,7 +33,7 @@ from isotwirl.frames import (
     _skew_counts,
     within_entropy_bound,
 )
-from isotwirl import spectra
+from isotwirl import frames as frames_module, spectra
 from isotwirl.verify import check_dimension_identity, check_entropy_bounds
 
 
@@ -143,6 +144,31 @@ def test_lattice_levels_carry_the_closed_form_dimensions():
             assert list(level.index) == frames, (d, m)
             assert level.sym == tuple(map(_dim_sym, frames)), (d, m)
             assert level.unitary == tuple(_dim_unitary(red, d) for red in frames), (d, m)
+
+
+def test_lattice_covers_are_the_corner_removals():
+    # covers[i] lists, by position one level down, frame i with one corner removed, top row first
+    assert _lattice_level(3, 0).covers == ((),)
+    for d, m_max in ((1, 24), (2, 40), (3, 24), (4, 18)):
+        for m in range(1, m_max + 1):
+            level, below = _lattice_level(d, m), _lattice_level(d, m - 1)
+            for red, covered in zip(level.reduced, level.covers):
+                assert [below.reduced[j] for j in covered] == covers_by_removing_a_box(red), (d, red)
+
+
+def test_a_lattice_level_is_built_from_the_level_below_alone(monkeypatch):
+    # the levels never read the enumerator's rows: with those refused, YF(4, 10) still builds, in enumeration order
+    expected = [f.reduced for f in enumerate_frames(4, 10)]
+
+    def refuse(d, n):
+        raise AssertionError(f"the lattice read the rows of YF({d}, {n})")
+
+    _lattice_level.cache_clear()
+    monkeypatch.setattr(frames_module, "_frame_rows", refuse)
+    try:
+        assert _lattice_level(4, 10).reduced == expected
+    finally:
+        _lattice_level.cache_clear()
 
 
 def test_dim_sym_examples():
@@ -256,3 +282,12 @@ def test_exact_rational_and_depolarising_weight():
     for value in (Fraction(-1, 3), "4/3", 0.25):
         with pytest.raises(ValueError):
             depolarising_weight(value)
+
+
+def test_exact_rational_reads_a_ratio_past_the_digit_limit(default_digit_limit):
+    # each side of "a/b" has 5000 digits, past the 4300 that int() reads from text: decimal reads them,
+    # and the value is their ratio; a Fraction is returned as it is
+    ones, threes = (10**5000 - 1) // 9, (10**5000 - 1) // 3
+    q = exact_rational("1" * 5000 + "/" + "3" * 5000)
+    assert q == Fraction(ones, threes) == Fraction(1, 3)
+    assert exact_rational(q) is q

@@ -552,7 +552,7 @@ FAST_PATH_CHECKS = {"fast_path_equals_oracle_twirl_spectra", "fast_path_equals_o
         # d^k left out of the twirl's common denominator: the channel push does not read it
         (spectra, "(levels[n - k][0] * d**k,", "(levels[n - k][0],", {"fast_path_equals_oracle_twirl_spectra"}),
         # d^m left out of the channel push's injection weight: the twirl does not read it
-        (spectra, "row[n - m] * d**m * (common // c)", "row[n - m] * (common // c)",
+        (spectra, "math.comb(n, m) * d**m * (common", "math.comb(n, m) * (common",
          {"fast_path_equals_oracle_channel_spectra"}),
     ],
 )
@@ -584,6 +584,26 @@ def test_verify_all_counts_match_benchmark_reference():
     assert report.passed
     assert {c.name: c.checked for c in report.checks} == reference
     assert sum(reference.values()) == 9708
+
+
+def test_size_rows_above_the_default_cap_run_to_their_ends():
+    # no reference pins a count past --cap-n 6: these two runs reach the ends of the chain row
+    # {2: 7, 3: 7, 4: 7} and the xy row {2: 10}, so raising either row changes a count here
+    support = verify.run_suite("support", verify.RunConfig(n_max=8, d_max=4))
+    assert support.passed
+    assert {c.name: c.checked for c in support.checks} == {
+        "dense_overlap_zero_outside_window": 250,
+        "engine_weight_zero_outside_window": 870,
+        "branching_chains_disjoint_outside_window": 474,
+        "support_growth_monotone_report": 678,
+        "projector_pair_domination_psd": 77,
+    }
+    xybound = verify.run_suite("xybound", verify.RunConfig(n_max=11, d_max=2))
+    assert xybound.passed
+    assert {c.name: c.checked for c in xybound.checks} == {
+        "xy_extrema_within_entropy_bound": 325,
+        "xy_empty_iff_chains_disjoint": 594,
+    }
 
 
 def test_every_report_has_a_perturbation_test():
