@@ -238,16 +238,11 @@ def enumerate_frames(d: int, n: int) -> list[YoungFrame]:
 
 @cache
 def _enumerate_frames(d: int, n: int) -> tuple[YoungFrame, ...]:
-    return tuple(map(YoungFrame, _frame_rows(d, n)))
-
-
-def _frame_rows(d: int, n: int) -> list[tuple[int, ...]]:
-    """The rows of every frame of YF(d, n), zero-padded to d, in the order of :func:`enumerate_frames`."""
-    out: list[tuple[int, ...]] = []
+    out: list[YoungFrame] = []
 
     def descend(prefix: list[int], remaining: int, slots: int, max_part: int) -> None:
         if slots == 0:
-            out.append(tuple(prefix))
+            out.append(YoungFrame(tuple(prefix)))
             return
         # a row below ceil(remaining / slots) leaves too many boxes for the rows under it
         for p in range(min(max_part, remaining), -(-remaining // slots) - 1, -1):
@@ -256,7 +251,7 @@ def _frame_rows(d: int, n: int) -> list[tuple[int, ...]]:
             prefix.pop()
 
     descend([], n, d, n)
-    return out
+    return tuple(out)
 
 
 @cache

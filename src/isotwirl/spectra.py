@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
@@ -443,23 +442,13 @@ def xy_entropy_bound(lam_prime: YoungFrame, k: int) -> XYBoundCheck:
 # -- serialization -------------------------------------------------------------
 
 
-# A table whose integers all lie below this has none that ``str`` can refuse, at any digit limit
-_PLAIN_TEXT_BELOW = 10 ** (sys.int_info.str_digits_check_threshold - 1)
-
-
 def _weight_texts(table: SpectralTable) -> list[tuple[str, str]]:
     """Numerator and denominator of every weight of ``table`` in lowest terms, every digit written.
 
-    Plain ``str`` writes them when the largest numerator and the denominator
-    are below :data:`_PLAIN_TEXT_BELOW` (numerators of an unnormalized table
-    can exceed the denominator), :func:`frames.integer_text` otherwise.  A
-    weight's float is v / denominator: int division is correctly rounded, as
-    is ``float`` of the ``Fraction``.
+    A weight's float is v / denominator: int division is correctly rounded, as is ``float`` of the ``Fraction``.
     """
     den = table.denominator
-    plain = max(table.numerators, default=0) < _PLAIN_TEXT_BELOW and den < _PLAIN_TEXT_BELOW
-    text = str if plain else integer_text
-    return [(text(v // (g := math.gcd(v, den))), text(den // g)) for v in table.numerators]
+    return [(integer_text(v // (g := math.gcd(v, den))), integer_text(den // g)) for v in table.numerators]
 
 
 def table_to_csv(table: SpectralTable) -> str:

@@ -37,6 +37,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "isotwirl"
+TIMEOUT_S = 900  # a run of the selection that takes longer counts as killed
 
 SWAPS = {
     ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="), ast.GtE: (">=", ">"),
@@ -121,7 +122,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="modules of src/isotwirl to mutate (default: frames spectra)")
     parser.add_argument("--sample", type=int, default=10, help="mutants drawn per module (default 10)")
     parser.add_argument("--seed", type=int, default=0, help="seed of the draw (default 0)")
-    parser.add_argument("--timeout", type=float, default=900, help="seconds before a run counts as killed")
     parser.add_argument("selection", nargs="*", default=["tests"], help="pytest arguments (default: tests)")
     args = parser.parse_args(argv)
 
@@ -147,7 +147,7 @@ def main(argv: list[str] | None = None) -> int:
             try:
                 run = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
                                       *args.selection], cwd=tree, env=env, capture_output=True,
-                                     timeout=args.timeout)
+                                     timeout=TIMEOUT_S)
                 verdict = "SURVIVED" if run.returncode == 0 else "killed"
             except subprocess.TimeoutExpired:
                 verdict = "killed (timeout)"

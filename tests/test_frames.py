@@ -157,14 +157,14 @@ def test_lattice_covers_are_the_corner_removals():
 
 
 def test_a_lattice_level_is_built_from_the_level_below_alone(monkeypatch):
-    # the levels never read the enumerator's rows: with those refused, YF(4, 10) still builds, in enumeration order
+    # the levels never read the enumerator: with it refused, YF(4, 10) still builds, in enumeration order
     expected = [f.reduced for f in enumerate_frames(4, 10)]
 
     def refuse(d, n):
-        raise AssertionError(f"the lattice read the rows of YF({d}, {n})")
+        raise AssertionError(f"the lattice enumerated YF({d}, {n})")
 
     _lattice_level.cache_clear()
-    monkeypatch.setattr(frames_module, "_frame_rows", refuse)
+    monkeypatch.setattr(frames_module, "_enumerate_frames", refuse)
     try:
         assert _lattice_level(4, 10).reduced == expected
     finally:

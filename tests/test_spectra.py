@@ -1,6 +1,5 @@
 import json
 import math
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,14 +16,11 @@ from isotwirl.frames import (
     enumerate_frames,
     format_frame,
     frame,
-    integer_text,
 )
 from isotwirl.horn import within_support_window
 from isotwirl import oracle as orc
 from isotwirl.lr import lr_coefficient
-from isotwirl import spectra
 from isotwirl.spectra import (
-    SpectralTable,
     _twirl_numerators,
     channel_output_spectra,
     channel_output_spectrum,
@@ -534,37 +530,6 @@ def test_csv_and_json_serialization():
         assert f"{num}/{den}" == entry["weight"]
     # round-trip through json keeps the exact strings
     assert json.loads(json.dumps(obj)) == obj
-
-
-@pytest.mark.parametrize("limit", [4300, 640])
-def test_cells_read_the_same_on_both_sides_of_the_plain_text_threshold(default_digit_limit, monkeypatch, limit):
-    # a table is written by plain str only when its integers have fewer than 640 digits; tables just
-    # below and just above that, at the default digit limit and at its lowest setting, read cell for
-    # cell as integer_text writes them, through the CSV and JSON writers and the exact sweep
-    sys.set_int_max_str_digits(limit)
-    lam, big = frame(2, 1), 10**639
-    twirl = twirl_spectrum(lam, 1, 2, normalized=False)
-    assert max(twirl.numerators) > twirl.denominator
-    tables = [
-        SpectralTable(2, 3, big - 1, [big - 2, 1]),
-        SpectralTable(2, 3, 10 * big + 1, [10 * big, 1]),
-        # an unnormalized twirl table, rescaled so that its numerators pass the threshold and its denominator does not
-        SpectralTable(2, 3, twirl.denominator * (big // 1000 + 1), [v * (10 * big + 3) for v in twirl.numerators]),
-    ]
-    for table, digits in zip(tables, ((639, 639), (641, 641), (641, 637))):
-        den = table.denominator
-        cells = [(integer_text(v // math.gcd(v, den)), integer_text(den // math.gcd(v, den))) for v in table.numerators]
-        assert tuple(max(map(len, texts)) for texts in zip(*cells)) == digits
-        names = [format_frame(f, 2) for f in enumerate_frames(2, 3)]
-        rows = [(name, v, cell) for name, v, cell in zip(names, table.numerators, cells) if v]
-        assert table_to_csv(table) == "\n".join(
-            ["frame,weight_numerator,weight_denominator,weight_float"]
-            + [f'"{name}",{num},{d},{v / den!r}' for name, v, (num, d) in rows]
-        ) + "\n"
-        assert [e["weight"] for e in table_to_json_obj(table)["entries"]] == [f"{num}/{d}" for _, _, (num, d) in rows]
-        monkeypatch.setattr(spectra, "channel_output_spectra", lambda lam, grid, d: [table for _ in grid])
-        swept = sweep_to_csv(lam, 2, [Fraction(1, 2)], exact=True).splitlines()[1:]
-        assert swept == [f'"{name}",{num}/{d}' for name, (num, d) in zip(names, cells)]
 
 
 def test_serialization_deterministic():
