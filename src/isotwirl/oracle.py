@@ -34,9 +34,10 @@ first operator's entries are transposed and weighted by the number of letter
 blocks each stored entry stands for, and that one vector pairs with any list
 of operators (:meth:`TensorOperator.pairings`).  Matrix products and the PSD
 test loop over reshaped block views.  Partial traces, tensor products,
-conjugation, the twirl and the channel gather entries through site maps.  No
-operation forms a d^n x d^n array; only ``mat``, a fresh full Python-int
-copy, does.
+conjugation and the twirl gather entries through site maps; the channel reads
+two, the last site's map and the cyclic shift of the sites, and mixes each
+site in turn at the last position.  No operation forms a d^n x d^n array;
+only ``mat``, a fresh full Python-int copy, does.
 
 The vector is int64 when every entry fits and Python ints (object dtype)
 otherwise.  Each operation bounds the entries it will form and passes that
@@ -128,9 +129,7 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 @cache
 def _word_digits(d: int, n: int) -> np.ndarray:
     """All words of [d]^n as digit rows, lexicographic; shape (d^n, n)."""
-    if n == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    return np.array(list(itertools.product(range(d), repeat=n)), dtype=np.int64)
+    return np.arange(d**n, dtype=np.int64)[:, None] // _index_powers(d, n) % d
 
 
 @cache
@@ -531,21 +530,27 @@ def _trace_maps(d: int, n: int, sites: tuple[int, ...]) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _site_maps(d: int, n: int, site: int) -> tuple[np.ndarray, np.ndarray]:
-    """The entries of tr_site(M) tensor 1 at ``site``: where it can be nonzero, and what each sums.
+def _site_maps(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of tr_s(M) tensor 1 at the last site s: where it can be nonzero, and what each sums.
 
     (tr_s M tensor 1)[x, x'] is zero unless x and x' agree at site s, and then
     sums M over the d pairs with both letters at s set to each c; the second
-    array holds those positions, shape (d, number of such entries).
+    array holds those positions, shape (d, number of such entries).  The
+    letter at the last site is the word index mod d.
     """
     layout = _layout(d, n)
-    power = d ** (n - 1 - site)
-    row_letter, col_letter = layout.rows // power % d, layout.cols // power % d
+    row_letter, col_letter = layout.rows % d, layout.cols % d
     agree = np.flatnonzero(row_letter == col_letter)
-    letters = np.arange(d)[:, None] * power
-    rows = (layout.rows - row_letter * power)[agree] + letters
-    cols = (layout.cols - col_letter * power)[agree] + letters
+    letters = np.arange(d)[:, None]
+    rows = (layout.rows - row_letter)[agree] + letters
+    cols = (layout.cols - col_letter)[agree] + letters
     return _read_only(agree), _read_only(layout.position(rows, cols))
+
+
+@lru_cache(maxsize=64)
+def _shift_map(d: int, n: int) -> np.ndarray:
+    """The positions :func:`conjugate_by_permutation` reads for the cyclic shift i -> i + 1 mod n."""
+    return _read_only(_conjugated_positions(Permutation(tuple((i + 1) % n for i in range(n))), d))
 
 
 def random_invariant(rng: random.Random, d: int, n: int, lo: int, hi: int) -> TensorOperator:
@@ -572,13 +577,13 @@ def random_invariant(rng: random.Random, d: int, n: int, lo: int, hi: int) -> Te
 
 
 def _word_map(images: tuple[int, ...], d: int) -> np.ndarray:
-    """Index map w -> index of the word y with y[tau(i)] = w[i], for tau = images."""
+    """Index map w -> index of the word y with y[tau(i)] = w[i], for tau = images.
+
+    The index of y is the sum of w[i] d^(n-1-tau(i)): the digits times the
+    place values read in the order of ``images``.
+    """
     n = len(images)
-    inv = [0] * n
-    for i, j in enumerate(images):
-        inv[j] = i
-    digits = _word_digits(d, n)
-    return digits[:, inv] @ _index_powers(d, n)
+    return _word_digits(d, n) @ _index_powers(d, n)[list(images)]
 
 
 def perm_operator(tau: Permutation, d: int) -> TensorOperator:
@@ -632,16 +637,21 @@ def central_eigenvalues(lam: YoungFrame) -> tuple[int, int]:
 
 
 def _cycle_class_maps(d: int, n: int, length: int) -> np.ndarray:
-    """Word maps of every cycle of the given length on n sites, one row each."""
-    maps = []
+    """Word maps of every cycle of the given length on n sites, one row each (see :func:`_word_map`).
+
+    One product of the cycles' place values with the digit table, on the float
+    route of :func:`_int_matmul`: its bound n (d-1) d^(n-1) is far below 2^53.
+    """
+    images = []
     for sites in itertools.combinations(range(n), length):
         for rest in itertools.permutations(sites[1:]):
-            images = list(range(n))
+            row = list(range(n))
             cycle = (sites[0],) + rest
             for i, j in zip(cycle, cycle[1:] + cycle[:1]):
-                images[i] = j
-            maps.append(_word_map(tuple(images), d))
-    return np.array(maps, dtype=np.int64).reshape(-1, d**n)
+                row[i] = j
+            images.append(row)
+    places = _index_powers(d, n)[np.array(images, dtype=np.int64).reshape(len(images), n)]
+    return _int_matmul(places, _word_digits(d, n).T)
 
 
 def _class_block(maps: np.ndarray, words: np.ndarray, local: np.ndarray) -> np.ndarray:
@@ -762,19 +772,20 @@ def isotypical_projectors(d: int, n: int) -> dict[YoungFrame, TensorOperator]:
 
 
 def clear_projector_cache() -> None:
-    """Drop cached projector families and the site maps of the dense operations.
+    """Drop cached projector families and the index maps of the dense operations.
 
     The family cache holds as many families as a dense sweep up to
     :data:`DENSE_SWEEP_N` asks for, (d, 0..n) for each d: 22.  A family holds
     one int64 vector per frame; the d=2 n=10 family holds 6.0 MB,
     the d=3 n=8 family 48.7 MB (its build peaks about 40 MB above that, as it
     holds one sorted histogram's products at a time).  The maps of ``kron``,
-    ``partial_trace``, ``depolarise_n`` and ``twirl`` are cleared too: the
-    eight (3, 8) kron maps alone hold 39 MB.  So a caller that builds larger
+    ``partial_trace``, ``twirl`` and ``depolarise_n`` (its last-site map and
+    its cyclic shift) are cleared too: the eight (3, 8) kron maps alone hold
+    39 MB.  So a caller that builds larger
     families can free them here.  The cached layouts stay, so an operator
     built before the clear shares its layout with one built after it.
     """
-    for cached in (_projector_family, _kron_maps, _trace_maps, _site_maps, _pair_orbits):
+    for cached in (_projector_family, _kron_maps, _trace_maps, _site_maps, _shift_map, _pair_orbits):
         cached.cache_clear()
 
 
@@ -815,10 +826,14 @@ def conjugate_by_permutation(a: TensorOperator, tau: Permutation) -> TensorOpera
     """
     if tau.n != a.n:
         raise ValueError("permutation size does not match operator sites")
-    g = _word_map(tau.inverse().images, a.d)
-    layout = a._layout
-    moved = layout.row_base[g][layout.rows] + layout.local[g][layout.cols]  # position(g[rows], g[cols])
-    return TensorOperator._of(a.d, a.n, a.scale, layout, a._vec.take(moved))
+    return TensorOperator._of(a.d, a.n, a.scale, a._layout, a._vec.take(_conjugated_positions(tau, a.d)))
+
+
+def _conjugated_positions(tau: Permutation, d: int) -> np.ndarray:
+    """The position each stored entry of B(tau) a B(tau)^{-1} reads in a: position(g[rows], g[cols])."""
+    g = _word_map(tau.inverse().images, d)
+    layout = _layout(d, tau.n)
+    return layout.row_base[g][layout.rows] + layout.local[g][layout.cols]
 
 
 @lru_cache(maxsize=64)
@@ -872,23 +887,28 @@ def depolarise_n(a: TensorOperator, q: Fraction | int | str) -> TensorOperator:
     ``q`` is the probability that a single site is replaced by the maximally
     mixed state (q=0 is the identity channel, q=1 full depolarisation); a
     float is refused (see :func:`frames.depolarising_weight`).  The n-fold
-    channel is the product of its one-site channels, applied one site at a
-    time.  With q = a/b, site s maps the integer entries M to
-    (b-a) d M + a (tr_s M tensor 1 at s), read through :func:`_site_maps`, and
-    divides the scale by b d.  Each pass multiplies the largest entry by at
-    most b d, so the passes run in int64 when max(max|M|, 1) (b d)^n fits (the
-    1 keeps the scalars b d in range on a zero matrix), and in Python ints
-    otherwise.
+    channel is the product of its one-site channels, which commute, applied
+    one site at a time, always at the last site s: each of the n passes
+    rotates the sites by i -> i + 1 mod n (:func:`_shift_map`), then, with
+    q = a/b, maps the integer entries M to (b-a) d M + a (tr_s M tensor 1 at
+    s), read through :func:`_site_maps`.  After n passes every site has been
+    mixed once and the sites are back in order, so the integers are those of
+    the site-by-site product, and the scale is divided by (b d)^n.  A
+    rotation only permutes the entries and each pass multiplies the largest
+    entry by at most b d, so the passes run in int64 when
+    max(max|M|, 1) (b d)^n fits (the 1 keeps the scalars b d in range on a
+    zero matrix), and in Python ints otherwise.
     """
     q = depolarising_weight(q)
     d, n = a.d, a.n
     growth = q.denominator * d
     (vec,) = _exact(max(a._bound(), 1) * growth**n, a._vec)
     keep = (q.denominator - q.numerator) * d
-    for site in range(n):
-        agree, summed = _site_maps(d, n, site)
+    for _ in range(n):
+        agree, summed = _site_maps(d, n)
+        vec = vec.take(_shift_map(d, n))  # a fresh vector, so the pass writes it in place
         mixed = vec.take(summed).sum(axis=0)
-        vec = keep * vec
+        vec *= keep
         vec[agree] += q.numerator * mixed
     return TensorOperator._of(d, n, a.scale / growth**n, a._layout, vec).reduced()
 

@@ -8,8 +8,9 @@ products multiply box by box; the PSD reference
 eliminates the whole matrix in ``Fraction``, skew counts come from Aitken's
 determinant, the twirl from a sum over all n! permutations, and the channel,
 conjugation, partial trace and Hilbert-Schmidt pairing from every entry of the
-full matrices that ``TensorOperator.mat`` returns) so that agreement with the
-package is meaningful.
+full matrices that ``TensorOperator.mat`` returns, word digits from
+``itertools.product`` and word maps by inverting the permutation, one cycle at
+a time) so that agreement with the package is meaningful.
 """
 
 from __future__ import annotations
@@ -261,10 +262,36 @@ def is_lattice_word(word: list[int]) -> bool:
     return True
 
 
-def _words(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Digit rows of every word of [d]^n in lexicographic order, and the place value of each site."""
+@cache
+def words_by_product(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Digit rows of every word of [d]^n in lexicographic order, and the place value of each site; read-only."""
     digits = np.array(list(itertools.product(range(d), repeat=n)), dtype=np.int64).reshape(d**n, n)
-    return digits, np.array([d ** (n - 1 - i) for i in range(n)], dtype=np.int64)
+    powers = np.array([d ** (n - 1 - i) for i in range(n)], dtype=np.int64)
+    digits.flags.writeable = powers.flags.writeable = False
+    return digits, powers
+
+
+def word_map_by_inverse(images: tuple[int, ...], d: int) -> np.ndarray:
+    """Index map w -> index of the word y with y[tau(i)] = w[i]: y[j] = w[tau^-1(j)], read by inverting tau."""
+    n = len(images)
+    inverse = [0] * n
+    for i, j in enumerate(images):
+        inverse[j] = i
+    digits, powers = words_by_product(d, n)
+    return digits[:, inverse] @ powers
+
+
+def cycle_class_maps_one_at_a_time(d: int, n: int, length: int) -> np.ndarray:
+    """The word map of every cycle of the given length on n sites, one cycle at a time, one row each."""
+    maps = []
+    for sites in itertools.combinations(range(n), length):
+        for rest in itertools.permutations(sites[1:]):
+            images = list(range(n))
+            cycle = (sites[0],) + rest
+            for i, j in zip(cycle, cycle[1:] + cycle[:1]):
+                images[i] = j
+            maps.append(word_map_by_inverse(tuple(images), d))
+    return np.array(maps, dtype=np.int64).reshape(-1, d**n)
 
 
 def depolarise_by_subsets(a: TensorOperator, q: Fraction) -> TensorOperator:
@@ -278,7 +305,7 @@ def depolarise_by_subsets(a: TensorOperator, q: Fraction) -> TensorOperator:
     """
     q = Fraction(q)
     d, n = a.d, a.n
-    digits, powers = _words(d, n)
+    digits, powers = words_by_product(d, n)
     mat = a.mat
     total = np.zeros_like(mat)
     for k in range(n + 1):
@@ -301,7 +328,7 @@ def depolarise_by_subsets(a: TensorOperator, q: Fraction) -> TensorOperator:
 def conjugate_by_full_matrices(a: TensorOperator, images: tuple[int, ...]) -> TensorOperator:
     """B(tau) A B(tau)^T, with B(tau) the full 0/1 matrix moving the letter at site i to site tau(i)."""
     d, n = a.d, a.n
-    digits, powers = _words(d, n)
+    digits, powers = words_by_product(d, n)
     moved = np.empty_like(digits)
     moved[:, list(images)] = digits
     b = np.zeros((d**n, d**n), dtype=object)

@@ -15,12 +15,15 @@ from hypothesis import given, strategies as st
 
 from bruteforce import (
     conjugate_by_full_matrices,
+    cycle_class_maps_one_at_a_time,
     depolarise_by_subsets,
     hs_product_by_full_matrices,
     partial_trace_by_sums,
     projectors_by_characters,
     psd_by_fraction_ldl,
     twirl_by_permutations,
+    word_map_by_inverse,
+    words_by_product,
 )
 from isotwirl.frames import MAX_BOXES, dim_sym, dim_unitary, enumerate_frames, frame
 from isotwirl.symmetric_group import Permutation, character, class_size, enumerate_group
@@ -498,6 +501,13 @@ def test_depolarise_matches_subset_sum(exact_routes):
                     fits = max(amax, 1) * (q.denominator * d) ** n <= 2**63 - 1
                     assert exact_routes == [np.int64 if fits else object], (d, n, bound, q)
                     assert got == depolarise_by_subsets(a, q), (d, n, bound, q)
+    # on no sites the channel is the identity and builds no map
+    maps = orc._site_maps.cache_info().currsize, orc._shift_map.cache_info().currsize
+    for d in (1, 2, 3):
+        a = orc.TensorOperator(d, 0, Fraction(2, 3), np.array([[6]]))
+        for q in qs:
+            assert orc.depolarise_n(a, q) == depolarise_by_subsets(a, q) == a, (d, q)
+    assert (orc._site_maps.cache_info().currsize, orc._shift_map.cache_info().currsize) == maps
 
 
 def test_exact_route_boundary():
@@ -556,6 +566,47 @@ def test_letter_blocks_partition_words():
         assert all(len(h) == 1 for h in hists) and len(set.union(*hists)) == len(blocks)
         # a lone block lists every word in order, so its product needs no scatter
         assert len(blocks) > 1 or blocks[0].tolist() == list(range(d**n))
+
+
+def dense_sizes():
+    """Every (d, n) with d <= 4 that the dense size limit allows."""
+    return [(d, n) for d in range(1, 5) for n in range(13) if max(d, 2) ** n <= orc.DIMENSION_CAP]
+
+
+def test_word_maps_match_their_references():
+    # the digit table, every 2- and 3-cycle class map (none when n < length) and sampled word
+    # maps, at every size the dense limit allows, against product digits and inverted maps
+    rng = random.Random(15)
+    for d, n in dense_sizes():
+        digits = orc._word_digits(d, n)
+        assert digits.dtype == np.int64 and np.array_equal(digits, words_by_product(d, n)[0]), (d, n)
+        for length in (2, 3):
+            maps = orc._cycle_class_maps(d, n, length)
+            assert maps.dtype == np.int64 and maps.shape == (math.perm(n, length) // length, d**n), (d, n, length)
+            assert np.array_equal(maps, cycle_class_maps_one_at_a_time(d, n, length)), (d, n, length)
+        for _ in range(5):
+            images = tuple(rng.sample(range(n), n))
+            assert np.array_equal(orc._word_map(images, d), word_map_by_inverse(images, d)), (d, n, images)
+
+
+def test_shift_map_is_the_cyclic_shift():
+    # one read through the map conjugates by i -> i + 1 mod n, and n reads put every entry back
+    rng = random.Random(16)
+    for d, n in dense_sizes():
+        if n == 0:
+            continue
+        shift = orc._shift_map(d, n)
+        moved = np.arange(len(shift))
+        for _ in range(n):
+            moved = moved.take(shift)
+        assert np.array_equal(moved, np.arange(len(shift))), (d, n)
+        if d**n <= 64:
+            images = tuple((i + 1) % n for i in range(n))
+            a = rand_op(rng, d, n)
+            shifted = orc.TensorOperator._of(d, n, a.scale, a._layout, a._vec.take(shift))
+            assert shifted == orc.conjugate_by_permutation(a, Permutation(images)), (d, n)
+            assert shifted == conjugate_by_full_matrices(a, images), (d, n)
+    orc.clear_projector_cache()
 
 
 def test_matmul_matches_full_product(monkeypatch):
@@ -672,12 +723,12 @@ def test_clear_projector_cache_keeps_layouts():
     def derived(op):
         return [op.kron(op), op.partial_trace([1]), orc.twirl(op), orc.depolarise_n(op, Fraction(1, 3))]
 
-    maps = (orc._kron_maps, orc._trace_maps, orc._site_maps, orc._pair_orbits)
+    maps = (orc._kron_maps, orc._trace_maps, orc._site_maps, orc._shift_map, orc._pair_orbits)
     before = build()
     before_derived = [derived(op) for op in before]
     assert all(cached.cache_info().currsize for cached in maps)
     orc.clear_projector_cache()
-    assert [cached.cache_info().currsize for cached in maps] == [0] * 4
+    assert [cached.cache_info().currsize for cached in maps] == [0] * 5
     assert orc._projector_family.cache_info().currsize == 0
     after = build()
     for old, new, old_derived in zip(before, after, before_derived):

@@ -438,14 +438,15 @@ def test_raised_orbit_factor_fails_twirl_properties(monkeypatch):
 
 @perturbs("depolarise_channel_identities")
 def test_wrong_site_sum_fails_channel_identities(monkeypatch):
-    # the channel at site 1 of (2, 3) sums the letter-0 entries twice and the letter-1 entries
-    # never: q = 0 never reads the sum and the PSD record still holds; the other seven records
-    # at d = 2 fail (five reported), and (3, 3) is left alone and passes
+    # the one site map of (2, 3), which every pass of the channel reads, sums the letter-0
+    # entries twice and the letter-1 entries never: q = 0 never reads the sum and the PSD record
+    # still holds; the other seven records at d = 2 fail (five reported), and (3, 3) is left
+    # alone and passes
     real = oracle._site_maps
 
-    def wrong(d, n, site):
-        agree, summed = real(d, n, site)
-        if (d, n, site) == (2, 3, 1):
+    def wrong(d, n):
+        agree, summed = real(d, n)
+        if (d, n) == (2, 3):
             summed = summed.copy()
             summed[1] = summed[0]
         return agree, summed
@@ -455,8 +456,8 @@ def test_wrong_site_sum_fails_channel_identities(monkeypatch):
     assert (result.checked, result.failed) == (20, 7)
     assert result.failures == [
         "d=2: q=1 not fully mixing",
-        "d=2 q=1/3: trace not preserved: 100/63 != 8/7",
-        "d=2 q=1/2: trace not preserved: 2 != 8/7",
+        "d=2 q=1/3: trace not preserved: 16/7 != 8/7",
+        "d=2 q=1/2: trace not preserved: 20/7 != 8/7",
         "d=2 lam=3,0 q=1/4: channel != binomial twirl sum",
         "d=2 lam=3,0 q=2/3: channel != binomial twirl sum",
     ]
