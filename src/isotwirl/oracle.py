@@ -69,7 +69,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .frames import YoungFrame, depolarising_weight, enumerate_frames, exact_rational
+from .frames import YoungFrame, _integers, depolarising_weight, enumerate_frames, exact_rational
 from .symmetric_group import Permutation
 
 # The one dense size limit: max(d, 2)^n <= DIMENSION_CAP, so n <= 12 at d <= 2,
@@ -354,6 +354,10 @@ class TensorOperator:
         return TensorOperator._of(self.d, self.n, self.scale * g, self._layout, vec // g)
 
     def entry(self, i: int, j: int) -> Fraction:
+        i, j = _integers((i, j), "indices")
+        dim = self.d**self.n
+        if not (0 <= i < dim and 0 <= j < dim):
+            raise ValueError(f"entry ({i}, {j}) outside 0..{dim - 1}")
         layout = self._layout
         if layout.block_of[i] != layout.block_of[j]:
             return Fraction(0)
@@ -482,7 +486,7 @@ class TensorOperator:
         through :func:`_trace_maps`, so the sum runs in int64 when max|entry|
         times that count fits.
         """
-        sites = tuple(sorted(set(sites)))
+        sites = tuple(sorted(set(_integers(sites, "sites"))))
         if any(s < 0 or s >= self.n for s in sites):
             raise ValueError(f"sites {list(sites)} outside range(0, {self.n})")
         if not sites:

@@ -46,6 +46,7 @@ from typing import Iterable, Iterator
 
 from .frames import (
     YoungFrame,
+    _integers,
     _lattice_level,
     _skew_counts,
     binary_entropy,
@@ -84,19 +85,21 @@ class BranchingTable:
         return out
 
 
-def _check_source(lam: YoungFrame, k: int, d: int) -> None:
-    """Reject a source block or site count the fast path cannot honour."""
+def _check_source(lam: YoungFrame, k: int, d: int) -> tuple[int, int]:
+    """Refuse a source block or site count the fast path cannot honour; k and d come back as ints."""
+    k, d = _integers((k, d), "k and d")
     if d < 1:
         raise ValueError(f"row budget d must be >= 1, got {d}")
     if not lam.fits(d):
         raise ValueError(f"frame {lam} has more than d={d} rows")
     if not 0 <= k <= lam.n:
         raise ValueError(f"k={k} outside 0..{lam.n}")
+    return k, d
 
 
 def partial_trace_decomposition(lam: YoungFrame, k: int, d: int) -> BranchingTable:
     """Exact coefficients of tr_{[k]} P_lam over the P_mu with mu in YF_{d, n-k}."""
-    _check_source(lam, k, d)
+    k, d = _check_source(lam, k, d)
     n = lam.n
     l = n - k
     du_lam = dim_unitary(lam, d)
@@ -253,9 +256,8 @@ def twirl_spectra(lam: YoungFrame, ks: Iterable[int], d: int) -> list[SpectralTa
 
     The weight of lam' is N dim U_lam / D with (D, N) from :func:`_twirl_numerators`.
     """
-    ks = list(ks)
-    for k in [0, *ks]:  # k = 0 checks the source alone, also for an empty ks
-        _check_source(lam, k, d)
+    _, d = _check_source(lam, 0, d)  # k = 0 checks the source alone, also for an empty ks
+    ks = [_check_source(lam, k, d)[0] for k in ks]
     enumerate_frames(d, lam.n)  # refuses a size past the caps
     unit = dim_unitary(lam, d)
     return [SpectralTable(d, lam.n, den, [v * unit for v in nums]) for den, nums in _twirl_numerators(lam, d, ks)]
@@ -303,7 +305,7 @@ def channel_output_spectra(
     integers as they are.
     """
     grid = [depolarising_weight(q) for q in grid]
-    _check_source(lam, 0, d)
+    _, d = _check_source(lam, 0, d)
     n = lam.n
     enumerate_frames(d, n)  # refuses a size past the caps
     levels = _levels(lam, d, range(n + 1))

@@ -9,9 +9,9 @@ caller that already holds the tuples (the LR character oracle) builds no
 ``YoungFrame``.  ``character`` is its checked form on frames.  The memo table
 lives behind ``functools.cache``: under the GIL concurrent lookups are safe and
 a racing recomputation is idempotent, so no external locking is required.
-Cycle types are the frames of ``frames._enumerate_frames`` with n rows,
-unpadded.  A sampled permutation is unranked from its lexicographic position,
-so drawing one never lists the group.
+Cycle types are the frames of the level YF(n, n) of Young's lattice
+(``frames._lattice_level``), unpadded.  A sampled permutation is unranked
+from its lexicographic position, so drawing one never lists the group.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Iterator
 
-from .frames import YoungFrame, _enumerate_frames, _integers
+from .frames import YoungFrame, _integers, _lattice_level
 
 # Largest n whose full group (n! elements) enumerate_group iterates.
 GROUP_ENUMERATION_CAP = 10
@@ -80,11 +80,12 @@ def cycle_types(n: int) -> list[YoungFrame]:
     """All partitions of ``n`` (no row budget), decreasing lexicographic, unpadded.
 
     A cycle type is such a partition: unlike the YF_{d,n} sets it has no row
-    budget, since the identity of S_n has n parts.
+    budget, since the identity of S_n has n parts.  ``n`` is read by ``_integers``.
     """
+    (n,) = _integers((n,), "n")
     if n < 0:
         raise ValueError("n must be >= 0")
-    return [YoungFrame(f.reduced) for f in _enumerate_frames(n, n)]
+    return [YoungFrame(red) for red in _lattice_level(n, n).reduced]
 
 
 def class_size(ct: YoungFrame) -> int:

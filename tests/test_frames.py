@@ -1,3 +1,4 @@
+import contextlib
 import math
 from fractions import Fraction
 
@@ -33,7 +34,8 @@ from isotwirl.frames import (
     _skew_counts,
     within_entropy_bound,
 )
-from isotwirl import frames as frames_module, spectra
+from isotwirl import spectra
+from isotwirl.symmetric_group import cycle_types
 from isotwirl.verify import check_dimension_identity, check_entropy_bounds
 
 
@@ -140,7 +142,7 @@ def test_lattice_levels_carry_the_closed_form_dimensions():
     for d, m_max in ((1, 24), (2, 40), (3, 24), (4, 18)):
         for m in range(m_max + 1):
             level = _lattice_level(d, m)
-            frames = [f.reduced for f in enumerate_frames(d, m)]
+            frames = sorted(partitions_of(m, max_rows=d), reverse=True)
             assert list(level.index) == frames, (d, m)
             assert level.sym == tuple(map(_dim_sym, frames)), (d, m)
             assert level.unitary == tuple(_dim_unitary(red, d) for red in frames), (d, m)
@@ -156,17 +158,52 @@ def test_lattice_covers_are_the_corner_removals():
                 assert [below.reduced[j] for j in covered] == covers_by_removing_a_box(red), (d, red)
 
 
-def test_a_lattice_level_is_built_from_the_level_below_alone(monkeypatch):
-    # the levels never read the enumerator: with it refused, YF(4, 10) still builds, in enumeration order
-    expected = [f.reduced for f in enumerate_frames(4, 10)]
+def test_the_lattice_decides_the_order_of_every_frame_list():
+    # enumerate_frames and cycle_types list levels of Young's lattice: decreasing lexicographic order,
+    # frames zero-padded to d rows and cycle types unpadded
+    for d, n_max in ((1, 40), (2, 40), (3, 24), (4, 24)):
+        for n in range(n_max + 1):
+            expected = [red + (0,) * (d - len(red)) for red in sorted(partitions_of(n, max_rows=d), reverse=True)]
+            assert [f.rows for f in enumerate_frames(d, n)] == expected, (d, n)
+    for n in range(13):
+        assert [c.rows for c in cycle_types(n)] == sorted(partitions_of(n), reverse=True), n
 
-    def refuse(d, n):
-        raise AssertionError(f"the lattice enumerated YF({d}, {n})")
+
+def _non_integer_size_calls():
+    return (
+        lambda: enumerate_frames(2, 3.0),
+        lambda: enumerate_frames(2.5, 3),
+        lambda: cycle_types(3.0),
+        lambda: spectra.channel_output_spectrum(frame(3, 1), "1/2", 2.0),
+        lambda: spectra.twirl_spectrum(frame(3, 1), 1.0, 2),
+    )
+
+
+def test_non_integer_sizes_are_refused():
+    # a float d, n or k is refused, not read as the integer it equals; a numpy int or a bool is read as an int
+    for call in _non_integer_size_calls():
+        with pytest.raises(ValueError, match="must be integers"):
+            call()
+    assert enumerate_frames(np.int64(2), True) == enumerate_frames(2, 1)
+    assert cycle_types(np.int64(3)) == cycle_types(3)
+    assert spectra.twirl_spectrum(frame(3, 1), np.int64(1), np.int64(2)) == spectra.twirl_spectrum(frame(3, 1), 1, 2)
+
+
+def test_a_refused_size_leaves_no_level_behind():
+    # enumerate_frames(2, 3.0) once cached a level under a key equal to (2, 3), and a later
+    # channel_output_spectrum(frame(3, 1), "1/2", 2) raised TypeError on its float entries
+    def values():
+        table = spectra.channel_output_spectrum(frame(3, 1), "1/2", 2)
+        return enumerate_frames(2, 3), table.denominator, table.numerators
 
     _lattice_level.cache_clear()
-    monkeypatch.setattr(frames_module, "_enumerate_frames", refuse)
+    fresh = values()
+    _lattice_level.cache_clear()
     try:
-        assert _lattice_level(4, 10).reduced == expected
+        for call in _non_integer_size_calls():
+            with contextlib.suppress(Exception):  # whatever a refused call raises, it caches nothing
+                call()
+        assert values() == fresh
     finally:
         _lattice_level.cache_clear()
 

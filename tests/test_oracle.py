@@ -328,8 +328,24 @@ def test_partial_trace_examples():
     assert a.partial_trace([]) is a
     assert a.partial_trace([0, 1, 2]).entry(0, 0) == a.trace()
     assert a.partial_trace([0, 2]).trace() == a.trace()
-    with pytest.raises(ValueError):
-        a.partial_trace([3])
+    # integer-like sites are read as ints; partial_trace([0.5]) once raised numpy's IndexError
+    assert a.partial_trace([np.int64(2), True]) == partial_trace_by_sums(a, (1, 2))
+    assert a.partial_trace((False,)).mat.tolist() == partial_trace_by_sums(a, (0,)).mat.tolist()
+    for sites in ([3], [-1], [0.5], [1.0], ["1"], [Fraction(1)]):
+        with pytest.raises(ValueError):
+            a.partial_trace(sites)
+
+
+def test_entry_refuses_indices_outside_the_matrix():
+    # entry(-1, -1) once read the last word's entry and entry(d^n, 0) raised IndexError;
+    # integer-like indices are read as ints
+    a = rand_op(random.Random(3), 2, 3)
+    mat, dim = a.mat, 2**3
+    assert [[a.entry(i, j) for j in range(dim)] for i in range(dim)] == (a.scale * mat).tolist()
+    assert a.entry(np.int64(dim - 1), True) == a.scale * mat[dim - 1, 1]
+    for i, j in ((-1, -1), (dim, 0), (0, dim), (0, -dim), (1.0, 0), (0, "1"), (Fraction(1), 0)):
+        with pytest.raises(ValueError):
+            a.entry(i, j)
 
 
 def test_partial_trace_int64_and_object_routes(exact_routes):

@@ -42,6 +42,7 @@ def test_enumerate_group():
     elems = list(enumerate_group(3))
     assert len(elems) == 6 and len(set(e.images for e in elems)) == 6
     assert sum(1 for _ in enumerate_group(8)) == math.factorial(8)
+    assert next(iter(enumerate_group(10))) == Permutation(tuple(range(10)))  # the cap itself is served
     with pytest.raises(ValueError):
         next(iter(enumerate_group(11)))
     for n in range(8):
