@@ -41,7 +41,6 @@ from .oracle import (
     twirl,
 )
 from .spectra import (
-    BranchingTable,
     SpectralTable,
     XYExtrema,
     channel_output_spectrum,
@@ -55,7 +54,6 @@ from .symmetric_group import Permutation, character, cycle_types, enumerate_grou
 from .verify import RunConfig, run_suite
 
 __all__ = [
-    "BranchingTable",
     "HornTriple",
     "LRTableau",
     "Permutation",

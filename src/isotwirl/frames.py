@@ -228,6 +228,11 @@ def enumerate_frames(d: int, n: int) -> list[YoungFrame]:
 
     d = 1 has a single frame at every n and shares the cap of d = 2.
     """
+    return list(_checked_level(d, n).frames)
+
+
+def _checked_level(d: int, n: int) -> _Level:
+    """The level YF(d, n) of :func:`_lattice_level`, ``d`` and ``n`` read by :func:`_integers` and held to the caps."""
     d, n = _integers((d, n), "d and n")
     if d < 1:
         raise ValueError("row budget d must be >= 1")
@@ -237,7 +242,7 @@ def enumerate_frames(d: int, n: int) -> list[YoungFrame]:
         raise ValueError(
             f"enumerate_frames(d={d}, n={n}) outside supported range (0 <= n <= {MAX_BOXES[d]} for d={d})"
         )
-    return list(_lattice_level(d, n).frames)
+    return _lattice_level(d, n)
 
 
 @cache
@@ -432,8 +437,10 @@ def within_entropy_bound(x: int, b: int, k: int) -> bool:
 
     With a = k - b, 2**(k h(b/k)) = k**k / (a**a b**b) (0**0 = 1), so the
     bound holds exactly when x a**a b**b <= k**k: no float entropy and no
-    slack decides a case at equality.
+    slack decides a case at equality.  ``x``, ``b`` and ``k`` are read by
+    :func:`_integers`.
     """
+    x, b, k = _integers((x, b, k), "x, b and k")
     if not 0 <= b <= k:
         raise ValueError(f"entropy bound needs 0 <= b <= k, got b={b} k={k}")
     a = k - b

@@ -88,11 +88,14 @@ _INT64_MAX = 2**63 - 1
 _FLOAT_EXACT_MAX = 2**53  # every integer of modulus up to this is a float64
 
 
-def _check_dense_size(d: int, n: int) -> None:
+def _check_dense_size(d: int, n: int) -> tuple[int, int]:
+    """Refuse a dense size past the limit, before any cache sees it; d and n come back as ints (:func:`frames._integers`)."""
+    d, n = _integers((d, n), "d and n")
     if d < 1 or n < 0:
         raise ValueError(f"invalid local dimension/site count ({d}, {n})")
     if max(d, 2) ** n > DIMENSION_CAP:
         raise ValueError(f"dense size d={d}, n={n}: max(d, 2)**n exceeds cap {DIMENSION_CAP}")
+    return d, n
 
 
 def _amax(a: np.ndarray) -> int:
@@ -262,7 +265,7 @@ class TensorOperator:
         ``mat`` must be zero outside the letter blocks and unchanged under
         relabelling the letters; any other matrix raises ``ValueError``.
         """
-        _check_dense_size(d, n)
+        d, n = _check_dense_size(d, n)
         dim = d**n
         if mat.shape != (dim, dim):
             raise ValueError(f"matrix shape {mat.shape} does not match {dim}x{dim}")
@@ -325,13 +328,13 @@ class TensorOperator:
 
     @classmethod
     def zero(cls, d: int, n: int) -> "TensorOperator":
-        _check_dense_size(d, n)
+        d, n = _check_dense_size(d, n)
         layout = _layout(d, n)
         return cls._of(d, n, Fraction(0), layout, np.zeros(layout.size, dtype=np.int64))
 
     @classmethod
     def identity(cls, d: int, n: int) -> "TensorOperator":
-        _check_dense_size(d, n)
+        d, n = _check_dense_size(d, n)
         layout = _layout(d, n)
         vec = np.zeros(layout.size, dtype=np.int64)
         vec[layout.diagonal] = 1
@@ -566,7 +569,7 @@ def random_invariant(rng: random.Random, d: int, n: int, lo: int, hi: int) -> Te
     1 x 1 block of the histogram (n) is d! times its one draw, so that draw
     skips 0: it is drawn from one value fewer, and moved up by one from 0 on.
     """
-    _check_dense_size(d, n)
+    d, n = _check_dense_size(d, n)
     layout = _layout(d, n)
     corner, skip = int(layout.position(0, 0)), lo <= 0 <= hi
     draws = [rng.randint(lo, hi - skip) if i == corner else rng.randint(lo, hi) for i in range(layout.size)]
@@ -592,7 +595,7 @@ def _word_map(images: tuple[int, ...], d: int) -> np.ndarray:
 
 def perm_operator(tau: Permutation, d: int) -> TensorOperator:
     """0/1 matrix moving the letter at site i to site tau(i); B(s)B(t) = B(st)."""
-    _check_dense_size(d, tau.n)
+    d, _ = _check_dense_size(d, tau.n)
     layout = _layout(d, tau.n)
     vec = np.zeros(layout.size, dtype=np.int64)
     vec[layout.position(_word_map(tau.images, d), np.arange(d**tau.n))] = 1
@@ -771,8 +774,7 @@ def isotypical_projectors(d: int, n: int) -> dict[YoungFrame, TensorOperator]:
     gathers, not a sweep over all n! permutations, so the dense size limit
     alone bounds n.
     """
-    _check_dense_size(d, n)
-    return _projector_family(d, n)
+    return _projector_family(*_check_dense_size(d, n))
 
 
 def clear_projector_cache() -> None:

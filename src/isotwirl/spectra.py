@@ -22,30 +22,33 @@ skew standard-tableau counts, scaling far beyond the oracle's caps:
 * :func:`partial_trace_decomposition` and :func:`paired_block_overlap` are the
   LR route to the same numbers: the partial trace of an isotypical projector
   expanded over the smaller isotypical projectors, and its overlap with each
-  block.  The tests and the oracle suite cross-check both routes,
+  block.  The tests and the oracle suite cross-check it against the push,
 * :func:`tail_bound_exponent` is log2 of the closed-form exponential upper
   bound on a single far-away weight (d = 2), and :func:`xy_optimize` /
   :func:`xy_entropy_bound` solve the extremal dimension-product problems that
   control it.
 
-Every spectrum is a :class:`SpectralTable`, the push's integers over one
-denominator; the verify suites compare it with the dense oracle's tables by
-cross-multiplication, and the three writers read every cell from it through
-one helper (:func:`_weight_texts`).  Floats appear only in the entropy bounds
-and in serialized convenience columns.
+All three routes give their spectra in one form, a :class:`SpectralTable`
+of integers over one denominator: the push's, the LR route's projector
+coefficients and the dense oracle's tables.  The verify suites compare the
+push's with the dense oracle's by cross-multiplication, and the three writers
+read every cell from a table through one helper (:func:`_weight_texts`).
+Floats appear only in the entropy bounds and in serialized convenience columns.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate, repeat
 from typing import Iterable, Iterator
 
 from .frames import (
     YoungFrame,
+    _Level,
+    _checked_level,
     _integers,
     _lattice_level,
     _skew_counts,
@@ -63,51 +66,36 @@ from .horn import check_split
 from .lr import lr_coefficient, lr_nonzero_pairs
 
 
-@dataclass
-class BranchingTable:
-    """Expansion of tr over k sites of P_lam into projectors on l = n-k sites.
-
-    ``entries[(mu, nu)]`` holds dim U_lam * c^lam_{mu nu} * dim F_nu / dim U_mu;
-    summing the entries over nu gives the coefficient of P_mu.
-    """
-
-    source: YoungFrame
-    l: int
-    k: int
-    d: int
-    entries: dict[tuple[YoungFrame, YoungFrame], Fraction]
-
-    def projector_weights(self) -> dict[YoungFrame, Fraction]:
-        """Total weight of each P_mu: sum of entries over nu."""
-        out: dict[YoungFrame, Fraction] = {}
-        for (mu, _nu), c in self.entries.items():
-            out[mu] = out.get(mu, Fraction(0)) + c
-        return out
-
-
-def _check_source(lam: YoungFrame, k: int, d: int) -> tuple[int, int]:
-    """Refuse a source block or site count the fast path cannot honour; k and d come back as ints."""
-    k, d = _integers((k, d), "k and d")
+def _check_source(lam: YoungFrame, ks: Iterable[int], d: int) -> tuple[list[int], int]:
+    """Refuse a source block or site counts the fast path cannot honour; ``ks`` and d come back as ints."""
+    *ks, d = _integers((*ks, d), "k and d")
     if d < 1:
         raise ValueError(f"row budget d must be >= 1, got {d}")
     if not lam.fits(d):
         raise ValueError(f"frame {lam} has more than d={d} rows")
-    if not 0 <= k <= lam.n:
-        raise ValueError(f"k={k} outside 0..{lam.n}")
-    return k, d
+    for k in ks:
+        if not 0 <= k <= lam.n:
+            raise ValueError(f"k={k} outside 0..{lam.n}")
+    return ks, d
 
 
-def partial_trace_decomposition(lam: YoungFrame, k: int, d: int) -> BranchingTable:
-    """Exact coefficients of tr_{[k]} P_lam over the P_mu with mu in YF_{d, n-k}."""
-    k, d = _check_source(lam, k, d)
-    n = lam.n
-    l = n - k
-    du_lam = dim_unitary(lam, d)
-    entries: dict[tuple[YoungFrame, YoungFrame], Fraction] = {}
+def partial_trace_decomposition(lam: YoungFrame, k: int, d: int) -> SpectralTable:
+    """Exact coefficients of tr_{[k]} P_lam over the P_mu, as a table over mu in YF_{d, n-k}: the LR route.
+
+    The coefficient of P_mu is dim U_lam sum_nu c^lam_{mu nu} f_nu / dim U_mu,
+    every one on the lcm of the dim U_mu it divides by.  It reads no skew
+    count, so it checks the push independently.
+    """
+    [k], d = _check_source(lam, (k,), d)
+    l = lam.n - k
+    level = _checked_level(d, l)
+    sums = [0] * len(level.reduced)  # sum_nu c^lam_{mu nu} f_nu, by position of mu
     for mu, nu in lr_nonzero_pairs(lam, l, k, d):
-        c = lr_coefficient(lam, mu, nu)
-        entries[(mu, nu)] = Fraction(du_lam * c * dim_sym(nu), dim_unitary(mu, d))
-    return BranchingTable(lam, l, k, d, entries)
+        sums[level.index[mu.reduced]] += lr_coefficient(lam, mu, nu) * dim_sym(nu)
+    units = [dim_unitary(mu, d) for mu in level.frames]
+    common = math.lcm(*(u for u, s in zip(units, sums) if s))
+    du_lam = dim_unitary(lam, d)
+    return SpectralTable(d, l, common, [du_lam * s * (common // u) for u, s in zip(units, sums)])
 
 
 def paired_block_overlap(lam_prime: YoungFrame, mu: YoungFrame, gamma: YoungFrame, d: int) -> Fraction:
@@ -134,17 +122,28 @@ class SpectralTable:
     denominator``.  Zeros are kept, so the numerators follow the whole
     enumeration order and iteration and serialization are byte-reproducible.
     This is the push's own form (:func:`_push`): a ``Fraction`` is formed
-    only when a weight is read.
+    only when a weight is read.  A table reads its size as
+    :func:`frames.enumerate_frames` does, needs a positive denominator and one
+    numerator per frame, and keeps the level whose frames it is over.
     """
 
     d: int
     n: int
     denominator: int
     numerators: list[int]
+    _level: _Level = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._level = _checked_level(self.d, self.n)
+        self.d, self.n = self._level.d, self._level.m
+        (self.denominator,) = _integers((self.denominator,), "the denominator")
+        if self.denominator < 1 or len(self.numerators) != len(self._level.reduced):
+            raise ValueError(f"a table over YF({self.d}, {self.n}) needs a positive denominator and "
+                             f"{len(self._level.reduced)} numerators, got {self.denominator} and {len(self.numerators)}")
 
     def weight(self, lam: YoungFrame) -> Fraction:
         """The weight of ``lam``; 0 for a frame outside YF_{d,n}."""
-        i = _lattice_level(self.d, self.n).index.get(lam.reduced)
+        i = self._level.index.get(lam.reduced)
         return Fraction(0) if i is None else Fraction(self.numerators[i], self.denominator)
 
     def total(self) -> Fraction:
@@ -155,11 +154,11 @@ class SpectralTable:
         if not any(self.numerators):
             raise ValueError("empty table has no mode")
         best = max(range(len(self.numerators)), key=self.numerators.__getitem__)
-        return enumerate_frames(self.d, self.n)[best]
+        return self._level.frames[best]
 
     def __iter__(self) -> Iterator[tuple[YoungFrame, Fraction]]:
         """The nonzero (frame, weight) pairs, in enumeration order."""
-        for lam, v in zip(enumerate_frames(self.d, self.n), self.numerators):
+        for lam, v in zip(self._level.frames, self.numerators):
             if v:
                 yield lam, Fraction(v, self.denominator)
 
@@ -229,38 +228,28 @@ def _unpack(width: int, fields: int, values: list[int]) -> list[list[int]]:
     return [[(v >> (width * j)) & mask for v in values] for j in range(fields)]
 
 
-def _twirl_numerators(lam: YoungFrame, d: int, ks) -> list[tuple[int, list[int]]]:
-    """Integer form (D, [N per frame of YF_{d,n}]) of the k-site twirl spectrum of lam, per k in ``ks``.
-
-    The normalized weight of lam' is N / (f_lam D), the unnormalized one
-    N dim U_lam / D.  The list follows the frame enumeration order and keeps
-    the zeros.  D = C d^k with C the lcm of the dim U_mu of the frames mu of
-    n-k boxes inside lam, and N = dim U_lam' sum_mu G(mu) f^{lam'/mu}
-    (:func:`_levels`).  One push up Young's lattice (:func:`_push`) gives
-    every k at once: k is field j, injected at level n-k.
-    """
-    n = lam.n
-    levels = _levels(lam, d, [n - k for k in ks])
-    # the normalized weights N / (f_lam D) of field k sum to 1, so no value exceeds f_lam D
-    f_lam = dim_sym(lam)
-    width, values = _push(lam, d, levels, [(f_lam * levels[n - k][0] * d**k, {n - k: 1}) for k in ks])
-    units = _lattice_level(d, n).unitary
-    return [
-        (levels[n - k][0] * d**k, list(map(operator.mul, field, units)))
-        for k, field in zip(ks, _unpack(width, len(ks), values))
-    ]
-
-
 def twirl_spectra(lam: YoungFrame, ks: Iterable[int], d: int) -> list[SpectralTable]:
     """The unnormalized :func:`twirl_spectrum` for every k in ``ks``, from one push up Young's lattice.
 
-    The weight of lam' is N dim U_lam / D with (D, N) from :func:`_twirl_numerators`.
+    The weight of lam' at k is N dim U_lam' dim U_lam / D, with D = C d^k, C
+    the lcm of the dim U_mu of the frames mu of n-k boxes inside lam, and N =
+    sum_mu G(mu) f^{lam'/mu} (:func:`_levels`).  One push (:func:`_push`)
+    gives every k at once: k is field j, injected at level n-k.  The
+    normalized weight divides by f_lam dim U_lam.
     """
-    _, d = _check_source(lam, 0, d)  # k = 0 checks the source alone, also for an empty ks
-    ks = [_check_source(lam, k, d)[0] for k in ks]
-    enumerate_frames(d, lam.n)  # refuses a size past the caps
+    ks, d = _check_source(lam, ks, d)
+    n = lam.n
+    level = _checked_level(d, n)
+    levels = _levels(lam, d, [n - k for k in ks])
+    # the normalized weights N dim U_lam' / (f_lam D) of field k sum to 1, so no value exceeds f_lam D
+    f_lam = dim_sym(lam)
+    width, values = _push(lam, d, levels, [(f_lam * levels[n - k][0] * d**k, {n - k: 1}) for k in ks])
     unit = dim_unitary(lam, d)
-    return [SpectralTable(d, lam.n, den, [v * unit for v in nums]) for den, nums in _twirl_numerators(lam, d, ks)]
+    units = [u * unit for u in level.unitary]
+    return [
+        SpectralTable(d, n, levels[n - k][0] * d**k, list(map(operator.mul, field, units)))
+        for k, field in zip(ks, _unpack(width, len(ks), values))
+    ]
 
 
 def twirl_spectrum(lam: YoungFrame, k: int, d: int, *, normalized: bool = True) -> SpectralTable:
@@ -278,7 +267,7 @@ def twirl_spectrum(lam: YoungFrame, k: int, d: int, *, normalized: bool = True) 
 
     over mu in YF_{d,n-k}, with f the (skew) standard-tableau counts; the
     normalized weight divides by f_lam dim U_lam.  The sum over mu is one push
-    of k steps up Young's lattice from level n-k (:func:`_twirl_numerators`).
+    of k steps up Young's lattice from level n-k (:func:`twirl_spectra`).
     """
     [table] = twirl_spectra(lam, (k,), d)
     if normalized:  # pi_lam is P_lam over its trace f_lam dim U_lam
@@ -305,9 +294,9 @@ def channel_output_spectra(
     integers as they are.
     """
     grid = [depolarising_weight(q) for q in grid]
-    _, d = _check_source(lam, 0, d)
+    _, d = _check_source(lam, (), d)
     n = lam.n
-    enumerate_frames(d, n)  # refuses a size past the caps
+    units = _checked_level(d, n).unitary
     levels = _levels(lam, d, range(n + 1))
     common = math.lcm(*(c for c, _, _ in levels.values()))
     f_lam = dim_sym(lam)
@@ -321,7 +310,6 @@ def channel_output_spectra(
         # the weights v dim U_lam' / D of a field sum to 1, so no value v exceeds D
         fields.append((denominators[-1], {m: g * mixed[n - m] * kept[m] for m, g in enumerate(fixed)}))
     width, values = _push(lam, d, levels, fields)
-    units = _lattice_level(d, n).unitary
     return [
         SpectralTable(d, n, denominator, list(map(operator.mul, field, units)))
         for denominator, field in zip(denominators, _unpack(width, len(grid), values))
@@ -456,7 +444,7 @@ def _weight_texts(table: SpectralTable) -> list[tuple[str, str]]:
 def table_to_csv(table: SpectralTable) -> str:
     """CSV with header frame,weight_numerator,weight_denominator,weight_float; nonzero weights only."""
     lines = ["frame,weight_numerator,weight_denominator,weight_float"]
-    rows = zip(enumerate_frames(table.d, table.n), table.numerators, _weight_texts(table))
+    rows = zip(table._level.frames, table.numerators, _weight_texts(table))
     for lam, v, (num, den) in rows:
         if v:
             lines.append(f'"{format_frame(lam, table.d)}",{num},{den},{v / table.denominator!r}')
@@ -465,7 +453,7 @@ def table_to_csv(table: SpectralTable) -> str:
 
 def table_to_json_obj(table: SpectralTable) -> dict:
     """JSON mirror of the CSV with exact "num/den" strings for the rationals."""
-    rows = zip(enumerate_frames(table.d, table.n), table.numerators, _weight_texts(table))
+    rows = zip(table._level.frames, table.numerators, _weight_texts(table))
     return {
         "d": table.d,
         "n": table.n,
@@ -488,12 +476,13 @@ def sweep_to_csv(lam: YoungFrame, d: int, grid: list[Fraction | int | str], *, e
     if not grid:
         raise ValueError("q grid must be nonempty")
     grid = [depolarising_weight(q) for q in grid]
+    tables = channel_output_spectra(lam, grid, d)
     columns = [
         [f"{num}/{den}" for num, den in _weight_texts(table)] if exact
         else [repr(v / table.denominator) for v in table.numerators]
-        for table in channel_output_spectra(lam, grid, d)
+        for table in tables
     ]
-    names = [f'"{format_frame(lam_p, d)}"' for lam_p in enumerate_frames(d, lam.n)]
+    names = [f'"{format_frame(lam_p, d)}"' for lam_p in tables[0]._level.frames]
     lines = [",".join(["frame"] + [f"q={rational_text(q)}" for q in grid])]
     lines += [",".join(row) for row in zip(names, *columns)]
     return "\n".join(lines) + "\n"

@@ -25,10 +25,11 @@ pi_{[k]})} (the support window, the route and fast-path equalities and the
 output mode) all read it from :func:`dense_twirl_overlaps`, one cached table
 per (d, n) of integers: for each k, the literal padded product and the
 partial-trace pairing of every pair of frames, and each projector's scale as
-an integer over n!.  Both routes give their spectra in one form,
+an integer over n!.  All three routes give their spectra in one form,
 ``spectra.SpectralTable``, integers over one denominator: the fast path from
 one push up Young's lattice per source frame that carries every k
-(``twirl_spectra``) or every q (``channel_output_spectra``), the dense side
+(``twirl_spectra``) or every q (``channel_output_spectra``), the LR route's
+projector coefficients from ``partial_trace_decomposition``, the dense side
 from :meth:`DenseOverlaps.twirl` and :meth:`DenseOverlaps.channel`.  Every
 fast-vs-dense equality is one cross-multiplication of two table entries
 (:meth:`CheckResult.expect_same_weight`), both modes come from one
@@ -512,16 +513,15 @@ def check_fast_path_against_oracle(
 
 
 def check_branching_table(sizes: Iterable[tuple[int, int]]) -> CheckResult:
-    """tr over the last k sites of P_lam equals its branching table's projector sum, for each (d, n_max)."""
+    """tr over the last k sites of P_lam equals the projector sum of its LR table, for each (d, n_max)."""
     branching = CheckResult("branching_table_matches_dense_partial_trace")
     for d, n in _each_size(sizes):
         family = orc.isotypical_projectors(d, n)
         small = {m: orc.isotypical_projectors(d, m) for m in range(0, n + 1)}
         for lam in enumerate_frames(d, n):
             for k, dense in enumerate(dense_reductions(family[lam])):
-                table = partial_trace_decomposition(lam, k, d)
                 recon = orc.TensorOperator.zero(d, n - k)
-                for mu, w in table.projector_weights().items():
+                for mu, w in partial_trace_decomposition(lam, k, d):
                     recon = recon + w * small[n - k][mu]
                 branching.record(dense == recon, "d={} lam={} k={}", d, lam, k)
     return branching

@@ -16,6 +16,8 @@ theirs).  For each
 module ``--sample`` mutants are drawn with ``--seed``.  Every mutant runs the
 selection (default ``tests``) with ``pytest -x`` in one scratch copy of the
 tree; a run that passes is a survivor, and the survivors are listed at the end.
+The survivors known to change no output are kept, each with its reason, in
+``tests/mutants_survivors.md``.
 A full tier-1 run takes about a minute, so a mutant that survives costs that much.
 """
 

@@ -120,7 +120,7 @@ def test_each_spectrum_call_makes_one_pass_down_the_lattice(monkeypatch):
     monkeypatch.setattr(spectra, "_skew_counts", lambda outer, d: calls.append((outer, d)) or real(outer, d))
     lam = frame(5, 3, 1)
     spectra.channel_output_spectra(lam, (Fraction(0), Fraction(1, 3), Fraction(1)), 3)
-    spectra._twirl_numerators(lam, 3, range(lam.n + 1))
+    spectra.twirl_spectra(lam, range(lam.n + 1), 3)
     for k in range(lam.n + 1):
         spectra.twirl_spectrum(lam, k, 3)
     assert calls == [((5, 3, 1), 3)] * (lam.n + 3)
@@ -176,6 +176,8 @@ def _non_integer_size_calls():
         lambda: cycle_types(3.0),
         lambda: spectra.channel_output_spectrum(frame(3, 1), "1/2", 2.0),
         lambda: spectra.twirl_spectrum(frame(3, 1), 1.0, 2),
+        lambda: spectra.SpectralTable(2.0, 3, 4, [1, 2]).weight(frame(3)),
+        lambda: within_entropy_bound(1.0, 2, 3),
     )
 
 

@@ -165,7 +165,7 @@ def test_size_table_within_hard_caps(monkeypatch):
         assert all(d in MAX_BOXES and n <= min(MAX_BOXES[d], 64) for d, n in check.row.items()), check.name
     dense_sizes = []
     check_size = orc._check_dense_size
-    monkeypatch.setattr(orc, "_check_dense_size", lambda d, n: (dense_sizes.append((d, n)), check_size(d, n)))
+    monkeypatch.setattr(orc, "_check_dense_size", lambda d, n: dense_sizes.append((d, n)) or check_size(d, n))
     cfg = verify.RunConfig(d_max=4, n_max=2)
     top: dict[int, int] = {}
     for check in verify.CHECKS:
@@ -726,6 +726,46 @@ def test_family_independent_of_blas_threads():
     exec(script, here)
     orc.clear_projector_cache()
     assert len(here["digest"]) == 64 and digests == [here["digest"]] * 2
+
+
+def _non_integer_dense_calls():
+    return (
+        lambda: orc.isotypical_projectors(2.0, 3),
+        lambda: orc.isotypical_projectors(2, 3.0),
+        lambda: orc.TensorOperator.identity(2.0, 2),
+        lambda: orc.TensorOperator.maximally_mixed(2.0, 2),
+        lambda: orc.TensorOperator.zero(2, 2.0),
+        lambda: orc.tensor_with_maximally_mixed(orc.TensorOperator.identity(2, 1), 1.0),
+    )
+
+
+def test_a_refused_dense_size_leaves_no_cache_behind():
+    # isotypical_projectors(2.0, 3) and TensorOperator.identity(2.0, 2) once cached a float layout
+    # under a key equal to (2, n), and every later dense call at that size raised IndexError
+    def values():
+        return (
+            orc.isotypical_projectors(2, 3),
+            orc.TensorOperator.identity(2, 2),
+            orc.TensorOperator.maximally_mixed(2, 2),
+            orc.TensorOperator.zero(2, 2),
+        )
+
+    def clear():  # every cache of the dense side, the layouts included, so a refused call finds them empty
+        for cached in vars(orc).values():
+            if hasattr(cached, "cache_clear"):
+                cached.cache_clear()
+
+    clear()
+    fresh = values()
+    clear()
+    try:
+        for call in _non_integer_dense_calls():
+            with pytest.raises(ValueError, match="must be integers"):
+                call()
+        assert values() == fresh
+        assert orc.TensorOperator.identity(np.int64(2), True) == orc.TensorOperator.identity(2, 1)
+    finally:
+        clear()
 
 
 def test_clear_projector_cache_keeps_layouts():

@@ -3,6 +3,7 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,7 +22,7 @@ from isotwirl.horn import within_support_window
 from isotwirl import oracle as orc
 from isotwirl.lr import lr_coefficient
 from isotwirl.spectra import (
-    _twirl_numerators,
+    SpectralTable,
     channel_output_spectra,
     channel_output_spectrum,
     paired_block_overlap,
@@ -30,6 +31,7 @@ from isotwirl.spectra import (
     table_to_csv,
     table_to_json_obj,
     tail_bound_exponent,
+    twirl_spectra,
     twirl_spectrum,
     xy_entropy_bound,
     xy_optimize,
@@ -39,14 +41,26 @@ from isotwirl.verify import DEFAULT_Q_GRID, check_branching_table, check_tail_bo
 
 
 def test_branching_examples():
+    # the coefficient of each P_mu in tr over k sites of P_lam
     table = partial_trace_decomposition(frame(2), 1, 2)
-    assert table.entries == {(frame(1), frame(1)): Fraction(3, 2)}
+    assert dict(table) == {frame(1): Fraction(3, 2)}
     table = partial_trace_decomposition(frame(4, 0), 1, 2)
-    assert table.entries[(frame(3), frame(1))] == Fraction(5, 4)
+    assert dict(table) == {frame(3): Fraction(5, 4)}
     table = partial_trace_decomposition(frame(3, 1), 0, 2)
-    assert table.entries == {(frame(3, 1), frame()): Fraction(1)}
+    assert dict(table) == {frame(3, 1): Fraction(1)}
     with pytest.raises(ValueError):
         partial_trace_decomposition(frame(3, 1), 5, 2)
+
+
+def test_a_table_holds_one_numerator_per_frame_over_a_positive_denominator():
+    with pytest.raises(ValueError, match=r"YF\(2, 3\) needs a positive denominator and 2 numerators, got 0 and 2"):
+        SpectralTable(2, 3, 0, [1, 2])
+    with pytest.raises(ValueError, match="needs a positive denominator and 2 numerators, got 4 and 3"):
+        SpectralTable(2, 3, 4, [0, 1, 5])
+    with pytest.raises(ValueError, match="must be integers"):
+        SpectralTable(2, 3, 4.0, [1, 2])
+    table = SpectralTable(np.int64(2), 3, 4, [1, 2])
+    assert (table.d, table.total(), table.mode()) == (2, Fraction(3, 4), frame(2, 1))
 
 
 def test_branching_matches_dense_partial_trace():
@@ -113,7 +127,7 @@ def lr_route_twirl_spectrum(lam, k, d, normalized):
     weights = {}
     for lam_p in enumerate_frames(d, lam.n):
         acc = Fraction(0)
-        for (mu, _nu), bcoeff in branching.entries.items():
+        for mu, bcoeff in branching:
             for gamma in enumerate_frames(d, k):
                 acc += bcoeff * paired_block_overlap(lam_p, mu, gamma, d) * dim_sym(lam_p)
         if acc:
@@ -287,7 +301,7 @@ def test_packed_fields_do_not_bleed():
             for q, table in zip(grid, together):
                 assert list(table) == list(channel_output_spectrum(lam, q, d)), (lam, d, q)
             ks = range(n, -1, -1)
-            assert _twirl_numerators(lam, d, ks) == [_twirl_numerators(lam, d, (k,))[0] for k in ks]
+            assert twirl_spectra(lam, ks, d) == [twirl_spectra(lam, (k,), d)[0] for k in ks]
 
 
 def test_fast_path_rejects_frames_d_and_k_it_cannot_honour():

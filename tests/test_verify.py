@@ -16,7 +16,7 @@ import pytest
 
 from bruteforce import within_window_by_rows
 from isotwirl import horn, lr, oracle, spectra, verify
-from isotwirl.frames import YoungFrame, enumerate_frames
+from isotwirl.frames import YoungFrame, dim_unitary, enumerate_frames
 from isotwirl.symmetric_group import Permutation
 
 Q_VALUES = (Fraction(1, 2), Fraction(1, 3))
@@ -122,17 +122,19 @@ def test_perturbed_paired_pairing_fails_with_exact_text(monkeypatch):
 def test_perturbed_fast_path_numerator_fails_with_exact_text(monkeypatch):
     # the numerator of lam' = (2,2) in the k = 1 twirl of lam = (4), wherever the fast path reads it;
     # the channel spectra push on their own route, so only the twirl and support checks see it
-    real = spectra._twirl_numerators
+    real = spectra.twirl_spectra
 
-    def bumped(lam, d, ks):
-        out = [(den, list(nums)) for den, nums in real(lam, d, ks)]
+    def bumped(lam, ks, d):
+        ks = list(ks)
+        out = real(lam, ks, d)
         if (lam, d) == (frame(4), 2):
-            for (_, nums), k in zip(out, ks):
+            for table, k in zip(out, ks):
                 if k == 1:
-                    nums[2] += 1
+                    table.numerators[2] += dim_unitary(lam, d)  # one more in the sum over mu
         return out
 
-    monkeypatch.setattr(spectra, "_twirl_numerators", bumped)
+    monkeypatch.setattr(spectra, "twirl_spectra", bumped)
+    monkeypatch.setattr(verify, "twirl_spectra", bumped)
     assert run_checks() == {
         "fast_path_equals_oracle_twirl_spectra": [
             "d=2 lam=4,0 k=1 lam'=2,2: 5/8 != 0",
@@ -288,7 +290,7 @@ def test_raised_unitary_dimension_fails_the_dimension_identity(monkeypatch):
 def test_tripled_lattice_dimension_moves_the_fast_path_mode(monkeypatch):
     # dim U of (3,1) at (2, 4) tripled in the lattice level the fast path reads: the engine's
     # weight of (3,1) triples and overtakes (4) at three q; the oracle still reads (4)
-    real = spectra._lattice_level
+    real = spectra._checked_level
 
     def tripled(d, m):
         level = real(d, m)
@@ -300,7 +302,7 @@ def test_tripled_lattice_dimension_moves_the_fast_path_mode(monkeypatch):
         bumped.unitary = tuple(unitary)
         return bumped
 
-    monkeypatch.setattr(spectra, "_lattice_level", tripled)
+    monkeypatch.setattr(spectra, "_checked_level", tripled)
     assert verify.check_output_mode(4, verify.DEFAULT_Q_GRID).failures == [
         "mode at n=4 q=3/10: 3,1 != 4,0",
         "mode at n=4 q=2/5: 3,1 != 4,0",
@@ -551,7 +553,7 @@ FAST_PATH_CHECKS = {"fast_path_equals_oracle_twirl_spectra", "fast_path_equals_o
         (verify, "dim_unitary(lam, d) * q.denominator**n", "dim_unitary(lam, d)",
          {"fast_path_equals_oracle_channel_spectra"}),
         # d^k left out of the twirl's common denominator: the channel push does not read it
-        (spectra, "(levels[n - k][0] * d**k,", "(levels[n - k][0],", {"fast_path_equals_oracle_twirl_spectra"}),
+        (spectra, "levels[n - k][0] * d**k, list(", "levels[n - k][0], list(", {"fast_path_equals_oracle_twirl_spectra"}),
         # d^m left out of the channel push's injection weight: the twirl does not read it
         (spectra, "math.comb(n, m) * d**m * (common", "math.comb(n, m) * (common",
          {"fast_path_equals_oracle_channel_spectra"}),
