@@ -72,24 +72,10 @@ def _grid(text: str) -> list[str]:
 
 def cmd_dims(args: argparse.Namespace) -> int:
     lam = parse_frame(args.frame)
-    if not lam.fits(args.d):
-        raise InputError(f"frame {args.frame} has more than {args.d} rows")
+    shown = format_frame(lam, args.d)  # refuses a frame of more than d rows
     ds, du = dim_sym(lam), dim_unitary(lam, args.d)
-    if args.format == "json":
-        text = _json_dump(
-            {
-                "frame": format_frame(lam, args.d),
-                "d": args.d,
-                "dim_sym": ds,
-                "dim_unitary": du,
-                "projector_trace": ds * du,
-            }
-        )
-    else:
-        text = (
-            f"frame={format_frame(lam, args.d)} d={args.d} "
-            f"dim_sym={ds} dim_unitary={du} projector_trace={ds * du}\n"
-        )
+    fields = {"frame": shown, "d": args.d, "dim_sym": ds, "dim_unitary": du, "projector_trace": ds * du}
+    text = _json_dump(fields) if args.format == "json" else " ".join(f"{k}={v}" for k, v in fields.items()) + "\n"
     _emit(text, args.out)
     return 0
 

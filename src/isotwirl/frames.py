@@ -40,12 +40,20 @@ MAX_ROW_BUDGET = 4
 MAX_BOXES = {1: 128, 2: 128, 3: 36, 4: 24}
 
 
-def _integers(values, what: str) -> tuple[int, ...]:
-    """``values`` as Python ints: ints, bools and numpy ints are read, floats, strings and fractions refused."""
+def _integers(values, what: str, least: tuple[int, ...] = ()) -> tuple[int, ...]:
+    """``values`` as Python ints, the one reader of every size; what it cannot read is refused with ``ValueError``.
+
+    Ints, bools and numpy ints are read, floats, strings and fractions refused.  ``least[i]`` bounds value i
+    from below, and ``what`` names the values in order, as in "d and n" or "l, k and d".
+    """
     try:
-        return tuple(map(operator.index, values))
+        ints = tuple(map(operator.index, values))
     except TypeError:
         raise ValueError(f"{what} must be integers, got {values!r}") from None
+    if any(map(operator.lt, ints, least)):
+        name, low, i = next((name, low, i) for name, low, i in zip(re.split(", | and ", what), least, ints) if i < low)
+        raise ValueError(f"{name} must be >= {low}, got {name}={i}")
+    return ints
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,10 +101,9 @@ class YoungFrame:
         return self.num_rows <= d
 
     def padded(self, d: int) -> tuple[int, ...]:
-        """Rows zero-padded to exactly ``d`` entries; a ``d`` past ``sys.maxsize`` or past memory is refused."""
+        """Rows zero-padded to ``d`` entries (an int), held to :func:`_check_fits`; a ``d`` past memory is refused."""
+        _check_fits(d, self)
         red = self.reduced
-        if len(red) > d:
-            raise ValueError(f"frame {red} has more than {d} rows")
         try:
             return red + (0,) * (d - len(red))
         except (OverflowError, MemoryError):
@@ -115,6 +122,13 @@ class YoungFrame:
 
     def __repr__(self) -> str:
         return f"YoungFrame({self.rows!r})"
+
+
+def _check_fits(d: int, *frames: YoungFrame) -> None:
+    """The one rule holding frames to ``d`` rows (``d`` an int already read): a frame with more is refused."""
+    for f in frames:
+        if len(f.reduced) > d:  # f.fits(d), inlined: padded calls this on every pad
+            raise ValueError(f"frame {format_frame(f)} has more than {d} rows")
 
 
 def frame(*parts: int) -> YoungFrame:
@@ -199,8 +213,8 @@ def rational_text(x: Fraction) -> str:
 
 
 def format_frame(lam: YoungFrame, d: int | None = None) -> str:
-    """Frame text, zero-padded to ``d`` rows when given (e.g. "4,0" for d=2)."""
-    rows = lam.padded(d) if d is not None else (lam.reduced or (0,))
+    """Frame text, zero-padded to ``d`` rows when given (e.g. "4,0" for d=2); ``d`` is read by :func:`_integers`."""
+    rows = lam.padded(*_integers((d,), "d", (1,))) if d is not None else (lam.reduced or (0,))
     return ",".join(str(r) for r in rows)
 
 
@@ -228,17 +242,14 @@ def enumerate_frames(d: int, n: int) -> list[YoungFrame]:
 
     d = 1 has a single frame at every n and shares the cap of d = 2.
     """
-    return list(_checked_level(d, n).frames)
+    return list(_checked_level(*_integers((d, n), "d and n", (1, 0))).frames)
 
 
 def _checked_level(d: int, n: int) -> _Level:
-    """The level YF(d, n) of :func:`_lattice_level`, ``d`` and ``n`` read by :func:`_integers` and held to the caps."""
-    d, n = _integers((d, n), "d and n")
-    if d < 1:
-        raise ValueError("row budget d must be >= 1")
+    """The level YF(d, n) of :func:`_lattice_level` held to the caps, for ``d`` and ``n`` read by :func:`_integers`."""
     if d > MAX_ROW_BUDGET:
         raise ValueError(f"enumerate_frames(d={d}, n={n}) outside supported range (d <= {MAX_ROW_BUDGET})")
-    if not 0 <= n <= MAX_BOXES[d]:
+    if n > MAX_BOXES[d]:
         raise ValueError(
             f"enumerate_frames(d={d}, n={n}) outside supported range (0 <= n <= {MAX_BOXES[d]} for d={d})"
         )
@@ -297,8 +308,7 @@ def dim_unitary(lam: YoungFrame, d: int) -> int:
     Equals the number of semistandard Young tableaux of that shape with
     entries in 1..d; zero when the frame has more than ``d`` rows.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    (d,) = _integers((d,), "d", (1,))
     return _dim_unitary(lam.reduced, d)
 
 

@@ -15,15 +15,16 @@ which the ``verify`` window checks read too.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Iterable
 
-from .frames import YoungFrame
+from .frames import YoungFrame, _check_fits, _integers
 from .lr import lr_coefficient, lr_nonzero_pairs
 
 
 @dataclass(frozen=True)
 class HornTriple:
-    """Candidate spectra (lam for the sum, mu and nu for the parts), padded to d rows."""
+    """Candidate spectra (lam for the sum, mu and nu for the parts), padded to d rows; ``d`` is read as an int."""
 
     lam: YoungFrame
     mu: YoungFrame
@@ -31,10 +32,10 @@ class HornTriple:
     d: int
 
     def __post_init__(self) -> None:
-        if self.d < 1:
-            raise ValueError(f"a Horn triple needs d >= 1, got d={self.d}")
+        (d,) = _integers((self.d,), "d", (1,))
+        object.__setattr__(self, "d", d)
         for f in (self.lam, self.mu, self.nu):
-            f.padded(self.d)  # raises when a frame needs more than d rows
+            f.padded(d)  # refuses a frame of more than d rows, and a d no memory holds
 
 
 def basic_horn_holds(t: HornTriple) -> bool:
@@ -59,38 +60,39 @@ def horn_feasible(t: HornTriple) -> bool:
 
 
 def _window_starts(lam: YoungFrame, frames: Iterable[YoungFrame], d: int) -> list[int]:
-    """For each lam' of ``frames``, the least k whose (d-1)k window holds lam and lam'.
+    """For each lam' of ``frames``, the least k whose (d-1)k window holds lam and lam', all of at most d rows.
 
     That is ceil(max_m |lam_m - lam'_m| / (d-1)): the window only grows with k,
-    so lam' lies outside it exactly for the k below that start.  At d = 1 the
-    one frame of YF(1, n) is (n), so every gap, and the start, is 0.
+    so lam' lies outside it exactly for the k below that start.  Rows past
+    both frames' last row add gaps of 0, so only the reduced rows are read.
+    At d = 1 the one frame of YF(1, n) is (n), so every gap, and the start, is 0.
     """
-    a = lam.padded(d)
+    a = lam.reduced
     step = max(d - 1, 1)
-    gaps = (max(abs(x - y) for x, y in zip(a, lam_p.padded(d))) for lam_p in frames)
+    gaps = (max((abs(x - y) for x, y in zip_longest(a, lam_p.reduced, fillvalue=0)), default=0) for lam_p in frames)
     return [-(-gap // step) for gap in gaps]
 
 
 def within_support_window(lam: YoungFrame, lam_prime: YoungFrame, d: int, k: int) -> bool:
     """True iff |lam_m - lam'_m| <= (d-1)*k for every row index m in [d], two frames of one YF(d, n)."""
+    d, k = _integers((d, k), "d and k", (1, 0))
     if lam.n != lam_prime.n:
         raise ValueError(f"frames {lam} and {lam_prime} have {lam.n} and {lam_prime.n} boxes, not one n")
-    if d < 1 or k < 0:
-        raise ValueError(f"the window needs d >= 1 and k >= 0, got d={d} k={k}")
+    _check_fits(d, lam, lam_prime)
     return k >= _window_starts(lam, [lam_prime], d)[0]
 
 
-def check_split(lam: YoungFrame, lam_prime: YoungFrame, l: int, k: int, d: int) -> None:
-    """Reject a split l + k or a pair of frames that no YF_d branching chain can join.
+def check_split(lam: YoungFrame, lam_prime: YoungFrame, l: int, k: int, d: int) -> tuple[int, int, int]:
+    """Reject a split l + k or a pair of frames that no YF_d branching chain can join; l, k and d come back as ints.
 
     Shared input contract of the chain searches :func:`branching_disjoint`
     and :func:`isotwirl.spectra.xy_optimize`.
     """
+    l, k, d = _integers((l, k, d), "l, k and d", (0, 0, 1))
     if l + k != lam.n or lam.n != lam_prime.n:
         raise ValueError(f"split {l}+{k} does not match frames with {lam.n} and {lam_prime.n} boxes")
-    for f in (lam, lam_prime):
-        if not f.fits(d):
-            raise ValueError(f"frame {f} has more than d={d} rows")
+    _check_fits(d, lam, lam_prime)
+    return l, k, d
 
 
 def branching_disjoint(lam: YoungFrame, lam_prime: YoungFrame, l: int, k: int, d: int) -> bool:
@@ -100,6 +102,6 @@ def branching_disjoint(lam: YoungFrame, lam_prime: YoungFrame, l: int, k: int, d
     Whenever lam' falls outside the support window of lam this must hold, and
     the verification suites check exactly that implication.
     """
-    check_split(lam, lam_prime, l, k, d)
+    l, k, d = check_split(lam, lam_prime, l, k, d)
     middle = {mu for mu, _ in lr_nonzero_pairs(lam, l, k, d)}
     return middle.isdisjoint(mu for mu, _ in lr_nonzero_pairs(lam_prime, l, k, d))

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from functools import cache
 
-from .frames import YoungFrame, enumerate_frames
+from .frames import YoungFrame, _integers, enumerate_frames
 from .symmetric_group import class_size, cycle_types, reduced_character
 
 # lr_via_characters iterates over pairs of character tables; keep it at desk scale.
@@ -195,11 +195,8 @@ def lr_via_characters(lam: YoungFrame, mu: YoungFrame, nu: YoungFrame) -> int:
 
 def lr_nonzero_pairs(lam: YoungFrame, l: int, k: int, d: int) -> list[tuple[YoungFrame, YoungFrame]]:
     """All (mu, nu) in YF_{d,l} x YF_{d,k} with c^lam_{mu nu} != 0, enumeration order."""
+    l, k, d = _integers((l, k, d), "l, k and d", (0, 0, 1))
     if l + k != lam.n:
         raise ValueError(f"split {l}+{k} does not match {lam.n} boxes")
-    return [
-        (mu, nu)
-        for mu in enumerate_frames(d, l)
-        for nu in enumerate_frames(d, k)
-        if lr_coefficient(lam, mu, nu) > 0
-    ]
+    nus = enumerate_frames(d, k)
+    return [(mu, nu) for mu in enumerate_frames(d, l) for nu in nus if lr_coefficient(lam, mu, nu) > 0]

@@ -90,9 +90,7 @@ _FLOAT_EXACT_MAX = 2**53  # every integer of modulus up to this is a float64
 
 def _check_dense_size(d: int, n: int) -> tuple[int, int]:
     """Refuse a dense size past the limit, before any cache sees it; d and n come back as ints (:func:`frames._integers`)."""
-    d, n = _integers((d, n), "d and n")
-    if d < 1 or n < 0:
-        raise ValueError(f"invalid local dimension/site count ({d}, {n})")
+    d, n = _integers((d, n), "d and n", (1, 0))
     if max(d, 2) ** n > DIMENSION_CAP:
         raise ValueError(f"dense size d={d}, n={n}: max(d, 2)**n exceeds cap {DIMENSION_CAP}")
     return d, n
@@ -800,6 +798,7 @@ def clear_projector_cache() -> None:
 
 def tensor_with_maximally_mixed(a: TensorOperator, k: int) -> TensorOperator:
     """a tensored with k maximally mixed sites appended on the right."""
+    (k,) = _integers((k,), "k", (0,))
     if k == 0:
         return a
     return a.kron(TensorOperator.maximally_mixed(a.d, k))
@@ -811,7 +810,8 @@ def insert_maximally_mixed(a: TensorOperator, positions: Sequence[int], n: int) 
     The sites of ``a`` fill the complementary positions in order: the mixed
     sites are appended, then every site moves to its place by conjugation.
     """
-    positions = sorted(set(positions))
+    _, n = _check_dense_size(a.d, n)
+    positions = sorted(set(_integers(positions, "positions")))
     k = len(positions)
     if a.n + k != n:
         raise ValueError(f"{a.n} sites plus {k} insertions do not give {n}")
@@ -819,7 +819,6 @@ def insert_maximally_mixed(a: TensorOperator, positions: Sequence[int], n: int) 
         raise ValueError(f"positions {positions} outside range(0, {n})")
     if k == 0:
         return a
-    _check_dense_size(a.d, n)
     remaining = [s for s in range(n) if s not in set(positions)]
     appended = tensor_with_maximally_mixed(a, k)
     return conjugate_by_permutation(appended, Permutation(tuple(remaining + positions)))

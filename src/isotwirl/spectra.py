@@ -48,7 +48,9 @@ from typing import Iterable, Iterator
 from .frames import (
     YoungFrame,
     _Level,
+    _check_fits,
     _checked_level,
+    _dim_unitary,
     _integers,
     _lattice_level,
     _skew_counts,
@@ -68,11 +70,8 @@ from .lr import lr_coefficient, lr_nonzero_pairs
 
 def _check_source(lam: YoungFrame, ks: Iterable[int], d: int) -> tuple[list[int], int]:
     """Refuse a source block or site counts the fast path cannot honour; ``ks`` and d come back as ints."""
-    *ks, d = _integers((*ks, d), "k and d")
-    if d < 1:
-        raise ValueError(f"row budget d must be >= 1, got {d}")
-    if not lam.fits(d):
-        raise ValueError(f"frame {lam} has more than d={d} rows")
+    d, *ks = _integers((d, *ks), "d and k", (1,))
+    _check_fits(d, lam)
     for k in ks:
         if not 0 <= k <= lam.n:
             raise ValueError(f"k={k} outside 0..{lam.n}")
@@ -92,9 +91,9 @@ def partial_trace_decomposition(lam: YoungFrame, k: int, d: int) -> SpectralTabl
     sums = [0] * len(level.reduced)  # sum_nu c^lam_{mu nu} f_nu, by position of mu
     for mu, nu in lr_nonzero_pairs(lam, l, k, d):
         sums[level.index[mu.reduced]] += lr_coefficient(lam, mu, nu) * dim_sym(nu)
-    units = [dim_unitary(mu, d) for mu in level.frames]
+    units = [_dim_unitary(mu, d) for mu in level.reduced]
     common = math.lcm(*(u for u, s in zip(units, sums) if s))
-    du_lam = dim_unitary(lam, d)
+    du_lam = _dim_unitary(lam.reduced, d)
     return SpectralTable(d, l, common, [du_lam * s * (common // u) for u, s in zip(units, sums)])
 
 
@@ -106,12 +105,11 @@ def paired_block_overlap(lam_prime: YoungFrame, mu: YoungFrame, gamma: YoungFram
     """
     if mu.n + gamma.n != lam_prime.n:
         raise ValueError("box counts do not add up")
+    unitary = dim_unitary(lam_prime, d)  # reads d before any cache
     c = lr_coefficient(lam_prime, mu, gamma)
     if c == 0:
         return Fraction(0)
-    return Fraction(
-        c * dim_sym(mu) * dim_sym(gamma) * dim_unitary(lam_prime, d), dim_sym(lam_prime)
-    )
+    return Fraction(c * dim_sym(mu) * dim_sym(gamma) * unitary, dim_sym(lam_prime))
 
 
 @dataclass
@@ -122,9 +120,9 @@ class SpectralTable:
     denominator``.  Zeros are kept, so the numerators follow the whole
     enumeration order and iteration and serialization are byte-reproducible.
     This is the push's own form (:func:`_push`): a ``Fraction`` is formed
-    only when a weight is read.  A table reads its size as
-    :func:`frames.enumerate_frames` does, needs a positive denominator and one
-    numerator per frame, and keeps the level whose frames it is over.
+    only when a weight is read.  A table reads its size, denominator and
+    numerators by :func:`frames._integers`, the denominator at least 1, needs
+    one numerator per frame, and keeps the level whose frames it is over.
     """
 
     d: int
@@ -134,12 +132,13 @@ class SpectralTable:
     _level: _Level = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        sizes = self.d, self.n, self.denominator
+        self.d, self.n, self.denominator = _integers(sizes, "d, n and denominator", (1, 0, 1))
+        self.numerators = list(_integers(self.numerators, "numerators"))
         self._level = _checked_level(self.d, self.n)
-        self.d, self.n = self._level.d, self._level.m
-        (self.denominator,) = _integers((self.denominator,), "the denominator")
-        if self.denominator < 1 or len(self.numerators) != len(self._level.reduced):
-            raise ValueError(f"a table over YF({self.d}, {self.n}) needs a positive denominator and "
-                             f"{len(self._level.reduced)} numerators, got {self.denominator} and {len(self.numerators)}")
+        if len(self.numerators) != len(self._level.reduced):
+            raise ValueError(f"a table over YF({self.d}, {self.n}) needs {len(self._level.reduced)} numerators, "
+                             f"got {len(self.numerators)}")
 
     def weight(self, lam: YoungFrame) -> Fraction:
         """The weight of ``lam``; 0 for a frame outside YF_{d,n}."""
@@ -244,7 +243,7 @@ def twirl_spectra(lam: YoungFrame, ks: Iterable[int], d: int) -> list[SpectralTa
     # the normalized weights N dim U_lam' / (f_lam D) of field k sum to 1, so no value exceeds f_lam D
     f_lam = dim_sym(lam)
     width, values = _push(lam, d, levels, [(f_lam * levels[n - k][0] * d**k, {n - k: 1}) for k in ks])
-    unit = dim_unitary(lam, d)
+    unit = _dim_unitary(lam.reduced, d)
     units = [u * unit for u in level.unitary]
     return [
         SpectralTable(d, n, levels[n - k][0] * d**k, list(map(operator.mul, field, units)))
@@ -271,7 +270,7 @@ def twirl_spectrum(lam: YoungFrame, k: int, d: int, *, normalized: bool = True) 
     """
     [table] = twirl_spectra(lam, (k,), d)
     if normalized:  # pi_lam is P_lam over its trace f_lam dim U_lam
-        table.denominator *= dim_sym(lam) * dim_unitary(lam, d)
+        table.denominator *= dim_sym(lam) * _dim_unitary(lam.reduced, table.d)
     return table
 
 
@@ -337,10 +336,9 @@ def tail_bound_exponent(lam: YoungFrame, lam_prime: YoungFrame, q: Fraction | in
     oriented) quadratic lower bound on it.  At |lam_1 - lam'_1|/n = q the
     exponent is >= 0 and carries no information; below that the function
     raises, as it does for n < 1, a frame with more than 2 rows or with other
-    than n boxes.
+    than n boxes.  ``n`` is read by :func:`frames._integers`.
     """
-    if n < 1:
-        raise ValueError(f"the tail bound needs n >= 1 sites, got n={n}")
+    (n,) = _integers((n,), "n", (1,))
     for f in (lam, lam_prime):
         if not f.fits(2):
             raise ValueError(f"the tail bound holds for d=2 only; frame {f} has more than 2 rows")
@@ -379,7 +377,7 @@ class XYExtrema:
 
 def xy_optimize(lam: YoungFrame, lam_prime: YoungFrame, l: int, k: int, d: int) -> XYExtrema:
     """Exhaustive search of the feasible (mu, nu, gamma) triples for X and Y."""
-    check_split(lam, lam_prime, l, k, d)
+    l, k, d = check_split(lam, lam_prime, l, k, d)
     best_max = best_min = 0
     argmax = argmin = None
     k_frames = enumerate_frames(d, k)
@@ -414,11 +412,12 @@ def xy_entropy_bound(lam_prime: YoungFrame, k: int) -> XYBoundCheck:
     The source is lam = (n) with n = |lam'|; when lam'_2 > k no connecting
     chain exists at all, so the statement degenerates to X = 0.  The verdict
     is decided on integers (:func:`frames.within_entropy_bound`); ``bound``
-    is the float value for reports.
+    is the float value for reports.  ``k`` is held to 0..n as the fast path holds it.
     """
     n = lam_prime.n
     if not lam_prime.fits(2):
         raise ValueError("single-row bound only covers two-row frames")
+    [k], _ = _check_source(lam_prime, (k,), 2)
     extrema = xy_optimize(YoungFrame((n,)), lam_prime, n - k, k, 2)
     x = extrema.x
     second = lam_prime.row(1)

@@ -58,13 +58,11 @@ class Permutation:
 
 
 def enumerate_group(n: int) -> Iterator[Permutation]:
-    """All n! permutations, each exactly once, in lexicographic one-line order."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    """All n! permutations, each exactly once, in lexicographic one-line order; ``n`` is read when called."""
+    (n,) = _integers((n,), "n", (0,))
     if n > GROUP_ENUMERATION_CAP:
         raise ValueError(f"enumerate_group(n={n}) exceeds cap {GROUP_ENUMERATION_CAP}")
-    for images in itertools.permutations(range(n)):
-        yield Permutation(images)
+    return map(Permutation, itertools.permutations(range(n)))
 
 
 def _unrank_permutation(n: int, rank: int) -> Permutation:
@@ -82,9 +80,7 @@ def cycle_types(n: int) -> list[YoungFrame]:
     A cycle type is such a partition: unlike the YF_{d,n} sets it has no row
     budget, since the identity of S_n has n parts.  ``n`` is read by ``_integers``.
     """
-    (n,) = _integers((n,), "n")
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    (n,) = _integers((n,), "n", (0,))
     return [YoungFrame(red) for red in _lattice_level(n, n).reduced]
 
 

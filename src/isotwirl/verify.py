@@ -58,6 +58,7 @@ from .frames import (
     MAX_BOXES,
     ProbabilityPair,
     YoungFrame,
+    _integers,
     depolarising_weight,
     dim_sym,
     dim_unitary,
@@ -92,8 +93,9 @@ DEFAULT_Q_GRID = tuple(Fraction(i, 10) for i in range(1, 10))
 class RunConfig:
     """Size and determinism knobs for the verification suites.
 
-    The defaults here are the CLI's defaults too; ``d_max`` must lie in
-    :data:`D_MAX_RANGE` and ``n_max`` in :data:`N_MAX_RANGE`.
+    The defaults here are the CLI's defaults too; ``d_max``, ``n_max`` and
+    ``seed`` are read as ints (:func:`frames._integers`), ``d_max`` must lie
+    in :data:`D_MAX_RANGE` and ``n_max`` in :data:`N_MAX_RANGE`.
     """
 
     d_max: int = 3
@@ -102,10 +104,11 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.d_max not in D_MAX_RANGE:
-            raise ValueError(f"d_max must lie in {D_MAX_RANGE[0]}..{D_MAX_RANGE[-1]}")
-        if self.n_max not in N_MAX_RANGE:
-            raise ValueError(f"n_max must lie in {N_MAX_RANGE[0]}..{N_MAX_RANGE[-1]}")
+        sizes = _integers((self.d_max, self.n_max, self.seed), "d_max, n_max and seed")
+        for name, value, allowed in zip(("d_max", "n_max", "seed"), sizes, (D_MAX_RANGE, N_MAX_RANGE, None)):
+            object.__setattr__(self, name, value)
+            if allowed and value not in allowed:
+                raise ValueError(f"{name} must lie in {allowed[0]}..{allowed[-1]}")
         if not self.q_grid:
             raise ValueError("q grid must be nonempty")
         object.__setattr__(self, "q_grid", tuple(map(depolarising_weight, self.q_grid)))
@@ -219,10 +222,11 @@ def _lr_triples(d: int, n_max: int):
     Ordered by n, lam, |mu|, mu, nu: the order every LR sweep reports in.
     """
     for n in range(0, n_max + 1):
-        for lam in enumerate_frames(d, n):
+        levels = [enumerate_frames(d, m) for m in range(n + 1)]  # each level read once, not once per frame
+        for lam in levels[n]:
             for l in range(0, n + 1):
-                for mu in enumerate_frames(d, l):
-                    for nu in enumerate_frames(d, n - l):
+                for mu in levels[l]:
+                    for nu in levels[n - l]:
                         yield lam, mu, nu
 
 

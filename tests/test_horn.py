@@ -70,8 +70,8 @@ def test_support_window_examples():
     # the window compares frames of one YF(d, n)
     with pytest.raises(ValueError, match="boxes"):
         within_support_window(frame(3, 1), frame(2, 1), 2, 1)
-    for d, k in ((0, 0), (2, -1)):
-        with pytest.raises(ValueError, match="d >= 1 and k >= 0"):
+    for d, k, message in ((0, 0, "d must be >= 1, got d=0"), (2, -1, "k must be >= 0, got k=-1")):
+        with pytest.raises(ValueError, match=message):
             within_support_window(frame(), frame(), d, k)
 
 
@@ -84,9 +84,9 @@ def test_branching_disjoint_examples():
             assert not branching_disjoint(lam, lam, 4 - k, k, 2)
     with pytest.raises(ValueError, match="split 1\\+1"):
         branching_disjoint(frame(3, 1), frame(2, 2), 1, 1, 2)
-    with pytest.raises(ValueError, match="more than d=1 rows"):
+    with pytest.raises(ValueError, match="frame 3,1 has more than 1 rows"):
         branching_disjoint(frame(4), frame(3, 1), 2, 2, 1)
-    with pytest.raises(ValueError, match="more than d=2 rows"):
+    with pytest.raises(ValueError, match="frame 2,1,1 has more than 2 rows"):
         branching_disjoint(frame(2, 1, 1), frame(4), 2, 2, 2)
 
 
