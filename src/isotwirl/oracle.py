@@ -43,8 +43,8 @@ The vector is int64 when every entry fits and Python ints (object dtype)
 otherwise.  Each operation bounds the entries it will form and passes that
 bound to :func:`_exact`, which keeps int64 only when it certifies no overflow
 and falls back to arbitrary precision otherwise.  An integer matrix product
-(:func:`_int_matmul`: the block products, and the powers and splits of the
-projector construction) takes one of two routes by the certificate
+(:func:`_int_matmul`: the block products, and the coefficient products and
+spread maps of the projector construction) takes one of two routes by the certificate
 m max|A| max|B|, m the inner dimension, and the operand dtypes alone: float64
 BLAS up to 2^53, Python ints beyond, or whenever an operand already holds
 Python ints.  The float route is exact whatever the summation order,
@@ -80,7 +80,7 @@ DIMENSION_CAP = 6561
 
 # Largest n per d at which the verify suites sweep dense operators.  It stays
 # below the (2, 12), (3, 8) and (4, 6) the size limit allows, for memory: the
-# (3, 8) family alone holds 46 MiB, though it builds in about 0.3 s
+# (3, 8) family alone holds 46 MiB, though it builds in about 0.05 s
 # single-threaded, and its overlap table peaks near 190 MB.
 DENSE_SWEEP_N = {2: 8, 3: 6, 4: 5}
 
@@ -659,60 +659,76 @@ def _cycle_class_maps(d: int, n: int, length: int) -> np.ndarray:
     return _int_matmul(places, _word_digits(d, n).T)
 
 
-def _class_block(maps: np.ndarray, words: np.ndarray, local: np.ndarray) -> np.ndarray:
-    """The class sum restricted to a letter-count block; ``local`` numbers its words 0..m-1."""
-    m = len(words)
-    rows = local[maps[:, words]]
-    return np.bincount((rows * m + np.arange(m)).ravel(), minlength=m * m).reshape(m, m)
+def _sorting_spread(words: np.ndarray, local: np.ndarray, d: int, n: int) -> np.ndarray:
+    """Local index of sigma_i w_j for every word pair (w_i, w_j) of a letter block, shape (m, m).
 
-
-def _lagrange_idempotents(mat: np.ndarray, values: list[int]) -> list[tuple[np.ndarray, int]]:
-    """(N_i, D_i) with N_i / D_i = prod over j != i of (mat - v_j) / (v_i - v_j).
-
-    For a diagonalisable ``mat`` whose eigenvalues lie in the distinct
-    ``values``, N_i / D_i projects onto the v_i eigenspace.  Each N_i is a
-    polynomial in ``mat``, summed from its powers, which are computed once.
+    sigma_i is the stable sort of w_i's sites, so sigma_i w_i is the block's
+    sorted word w0 = ``words[0]``.  An operator that commutes with every site
+    permutation has the same entry at (w_i, w_j) as at (w0, sigma_i w_j), so
+    its block is its w0 row read through this map.  The index of sigma_i w
+    sums w[s] d^(n-1-r) over the sites s, r the place of s in the sort: one
+    product of the (m x n) place values with the (n x m) digit table, on the
+    float route of :func:`_int_matmul` (every entry is below d^n).  ``local``
+    numbers the block's words 0..m-1.
     """
-    powers = [np.identity(mat.shape[0], dtype=np.int64), mat][: len(values)]
-    for _ in range(len(values) - 2):
-        powers.append(_int_matmul(powers[-1], mat))
-    bounds = [max(_amax(p), 1) for p in powers]
-    out = []
+    digits = _word_digits(d, n)[words]
+    places = _index_powers(d, n)[np.argsort(np.argsort(digits, axis=1, kind="stable"), axis=1)]
+    return local[_int_matmul(places, digits.T)]
+
+
+def _lagrange_rows(start: np.ndarray, steps: np.ndarray, values: list[int]) -> list[tuple[np.ndarray, int]]:
+    """(N_i, D_i) with N_i / D_i = ``start`` times prod over j != i of (M - v_j) / (v_i - v_j).
+
+    M is a class sum on one letter block, given by ``steps``: the local index
+    of the word each of its permutations maps every word to, one row per
+    permutation, so a row times M is one gather and one sum over those rows.
+    For a diagonalisable M whose eigenvalues lie in the distinct ``values``,
+    the product projects onto the v_i eigenspace.  The rows start M^j are
+    formed once: M >= 0 and its columns sum to the class size c, so
+    |start M^j| <= max|start| c^j entrywise, and they run in int64 when that
+    bound fits.  The numerators are one product of the coefficient matrix with
+    those rows (:func:`_int_matmul`).
+    """
+    (row,) = _exact(max(_amax(start), 1) * len(steps) ** (len(values) - 1), start)
+    powers = [row]
+    for _ in range(len(values) - 1):
+        powers.append(powers[-1].take(steps).sum(axis=0))
+    coeffs, dens = [], []
     for i, v in enumerate(values):
-        coeffs, den = [1], 1  # coefficients of prod (x - u), lowest degree first
+        poly, den = [1], 1  # coefficients of prod (x - u), lowest degree first
         for u in values[:i] + values[i + 1 :]:
-            coeffs = [a - u * b for a, b in zip([0] + coeffs, coeffs + [0])]
+            poly = [a - u * b for a, b in zip([0] + poly, poly + [0])]
             den *= v - u
-        terms = _exact(sum(abs(c) * b for c, b in zip(coeffs, bounds)), *powers)
-        out.append((sum(c * p for c, p in zip(coeffs, terms)), den))
-    return out
+        coeffs.append(poly)
+        dens.append(den)
+    return list(zip(_int_matmul(_stored(np.array(coeffs, dtype=object)), np.stack(powers)), dens))
 
 
 def _block_projectors(
-    frames: list[YoungFrame], block: Callable[[int], np.ndarray]
+    frames: list[YoungFrame], m: int, steps: Callable[[int], np.ndarray]
 ) -> dict[YoungFrame, tuple[np.ndarray, int]]:
-    """Lowest-terms (N, D) with P_lam = N / D on one letter-count block, for the frames in it.
+    """(N, D) with N / D the sorted word's row of P_lam on one letter block of m words, for the frames in it.
 
-    ``block(2)`` and ``block(3)`` give T and C3 on the block.  The Lagrange
-    product over content sums projects onto P_lam, or onto the sum of the P_mu
-    sharing lam's content sum; a second product over the C3 eigenvalues splits
-    such a collision.  The two eigenvalues together tell apart the frames of
-    every YF(d, n) the size limit allows.
+    ``steps(2)`` and ``steps(3)`` give T and C3 on the block (see
+    :func:`_lagrange_rows`).  The Lagrange product over content sums projects
+    onto P_lam, or onto the sum of the P_mu sharing lam's content sum; a
+    second product over the C3 eigenvalues splits such a collision, applied to
+    the first one's row since T and C3 commute.  The two eigenvalues together
+    tell apart the frames of every YF(d, n) the size limit allows.
     """
     groups: dict[int, list[YoungFrame]] = {}
     for lam in frames:
         groups.setdefault(central_eigenvalues(lam)[0], []).append(lam)
+    first = np.zeros(m, dtype=np.int64)
+    first[0] = 1
     out = {}
-    for (num, den), group in zip(_lagrange_idempotents(block(2), list(groups)), groups.values()):
+    for (num, den), group in zip(_lagrange_rows(first, steps(2), list(groups)), groups.values()):
         if len(group) == 1:
             out[group[0]] = (num, den)
             continue
         split = [central_eigenvalues(lam)[1] for lam in group]
-        for lam, (snum, sden) in zip(group, _lagrange_idempotents(block(3), split)):
-            out[lam] = (_int_matmul(num, snum), den * sden)
-    for lam, (num, den) in out.items():
-        g = math.gcd(int(np.gcd.reduce(np.abs(num.ravel()))), den) * (1 if den > 0 else -1)
-        out[lam] = (num // g, den // g)
+        for lam, (snum, sden) in zip(group, _lagrange_rows(num, steps(3), split)):
+            out[lam] = (snum, den * sden)
     return out
 
 
@@ -723,21 +739,25 @@ def _dominates(lam: YoungFrame, part: tuple[int, ...]) -> bool:
 # Every family a dense sweep asks for, (d, 0..DENSE_SWEEP_N[d]) for each d, stays cached.
 @lru_cache(maxsize=sum(n + 1 for n in DENSE_SWEEP_N.values()))
 def _projector_family(d: int, n: int) -> dict[YoungFrame, TensorOperator]:
-    """The family from central elements, one sorted letter histogram at a time.
+    """The family from central elements, one row per sorted letter histogram.
 
     Permutations keep a word's letter histogram, so every P_lam is block
     diagonal over the histograms, and P_lam is nonzero on a block exactly when
     lam dominates its sorted histogram (Kostka number > 0).  Relabelling the
-    letters commutes with S_n, so every P_lam is stored in the sorted layout:
-    the products are taken once per sorted histogram, on the block whose
-    histogram is decreasing, written straight into its span, and dropped.
-    The largest blocks go first: their products, the largest temporaries, are
-    then taken while most of the zeroed vectors are still unwritten.  Every
-    block is written at the common scale n!: n! P_lam is an integer matrix,
-    so each block denominator divides n!, and its entries have modulus at most
-    n!, as an orthogonal projector's entries have modulus at most 1: int64,
-    as the dense size limit keeps n <= 12.  Dividing each vector in place by
-    the gcd g of its entries leaves g/n! times a primitive vector: the
+    letters commutes with S_n, so every P_lam is stored in the sorted layout,
+    one block per sorted histogram.  P_lam commutes with every site
+    permutation too, and those act transitively on a block, so the block is
+    fixed by its sorted word's row: the rows are built from powers of T on
+    that one row (:func:`_block_projectors`), and each is spread over its span
+    by :func:`_sorting_spread`.  The largest blocks go first: their spread
+    maps, the largest temporaries, are then formed while most of the zeroed
+    vectors are still unwritten.  Every block is written at the common scale
+    n!: n! P_lam is an integer matrix, so each block denominator divides n!,
+    and its entries have modulus at most n!, as an orthogonal projector's
+    entries have modulus at most 1: int64, as the dense size limit keeps
+    n <= 12.  Every row of a block is its first row permuted, so the gcd g of
+    a vector's entries is the gcd of its rows' gcds: the rows are divided by g
+    before they are spread, which leaves g/n! times a primitive vector, the
     canonical form ``reduced`` gives.
     """
     layout = _layout(d, n)
@@ -745,20 +765,22 @@ def _projector_family(d: int, n: int) -> dict[YoungFrame, TensorOperator]:
     cycle_maps = cache(partial(_cycle_class_maps, d, n))
     fact = math.factorial(n)
     frames = enumerate_frames(d, n)
-    vecs = {lam: np.zeros(layout.size, dtype=np.int64) for lam in frames}
-    for words, (lo, hi, _) in sorted(zip(layout.blocks, layout.spans), key=lambda item: -len(item[0])):
-        projectors = _block_projectors(
+    blocks = sorted(zip(layout.blocks, layout.spans), key=lambda item: -len(item[0]))
+    rows = []  # each block's rows, at the common scale n!
+    for words, (_, _, m) in blocks:
+        rows_of = _block_projectors(
             [lam for lam in frames if _dominates(lam, tuple(counts[words[0]].tolist()))],
-            lambda length: _class_block(cycle_maps(length), words, layout.local),
+            m,
+            lambda length: layout.local[cycle_maps(length)[:, words]],
         )
-        for lam, (num, den) in projectors.items():
-            vecs[lam][lo:hi] = (num * (fact // den)).ravel()
-    family: dict[YoungFrame, TensorOperator] = {}
-    for lam, vec in vecs.items():
-        g = int(np.gcd.reduce(vec))
-        vec //= g
-        family[lam] = TensorOperator._of(d, n, Fraction(g, fact), layout, vec)
-    return family
+        rows.append({lam: (num.astype(object) * fact // den).astype(np.int64) for lam, (num, den) in rows_of.items()})
+    gcds = {lam: math.gcd(*(int(np.gcd.reduce(block[lam])) for block in rows if lam in block)) for lam in frames}
+    vecs = {lam: np.zeros(layout.size, dtype=np.int64) for lam in frames}
+    for (words, (lo, hi, m)), block in zip(blocks, rows):
+        spread = _sorting_spread(words, layout.local, d, n)
+        for lam, row in block.items():
+            np.take(row // gcds[lam], spread, out=vecs[lam][lo:hi].reshape(m, m))
+    return {lam: TensorOperator._of(d, n, Fraction(gcds[lam], fact), layout, vec) for lam, vec in vecs.items()}
 
 
 def isotypical_projectors(d: int, n: int) -> dict[YoungFrame, TensorOperator]:
@@ -768,9 +790,9 @@ def isotypical_projectors(d: int, n: int) -> dict[YoungFrame, TensorOperator]:
     c(lam), so P_lam = prod over mu != lam of (T - c(mu)) / (c(lam) - c(mu)),
     the product running over the frames present in a letter-count block.
     Where two frames share a content sum the 3-cycle class sum splits them
-    (see :func:`central_eigenvalues`).  Building T takes n(n-1)/2 index
-    gathers, not a sweep over all n! permutations, so the dense size limit
-    alone bounds n.
+    (see :func:`central_eigenvalues`).  Each block is built from one row: a
+    row times T takes n(n-1)/2 index gathers, not a sweep over all n!
+    permutations, so the dense size limit alone bounds n.
     """
     return _projector_family(*_check_dense_size(d, n))
 
@@ -781,8 +803,8 @@ def clear_projector_cache() -> None:
     The family cache holds as many families as a dense sweep up to
     :data:`DENSE_SWEEP_N` asks for, (d, 0..n) for each d: 22.  A family holds
     one int64 vector per frame; the d=2 n=10 family holds 6.0 MB,
-    the d=3 n=8 family 48.7 MB (its build peaks about 40 MB above that, as it
-    holds one sorted histogram's products at a time).  The maps of ``kron``,
+    the d=3 n=8 family 48.7 MB (its build peaks about 7 MB above that, as it
+    holds one sorted histogram's spread map at a time).  The maps of ``kron``,
     ``partial_trace``, ``twirl`` and ``depolarise_n`` (its last-site map and
     its cyclic shift) are cleared too: the eight (3, 8) kron maps alone hold
     39 MB.  So a caller that builds larger

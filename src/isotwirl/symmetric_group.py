@@ -27,6 +27,11 @@ from .frames import YoungFrame, _integers, _lattice_level
 # Largest n whose full group (n! elements) enumerate_group iterates.
 GROUP_ENUMERATION_CAP = 10
 
+# Largest n whose 627 cycle types cycle_types lists: every level of YF(n, .)
+# up to n is built, and the cost grows about 3x per 5 boxes past it.  Its one
+# caller in the package, lr_via_characters, stays at n <= 10.
+CYCLE_TYPE_CAP = 20
+
 
 @dataclass(frozen=True)
 class Permutation:
@@ -78,9 +83,12 @@ def cycle_types(n: int) -> list[YoungFrame]:
     """All partitions of ``n`` (no row budget), decreasing lexicographic, unpadded.
 
     A cycle type is such a partition: unlike the YF_{d,n} sets it has no row
-    budget, since the identity of S_n has n parts.  ``n`` is read by ``_integers``.
+    budget, since the identity of S_n has n parts.  ``n`` is read by ``_integers``
+    and refused past :data:`CYCLE_TYPE_CAP` before any level is built.
     """
     (n,) = _integers((n,), "n", (0,))
+    if n > CYCLE_TYPE_CAP:
+        raise ValueError(f"cycle_types(n={n}) exceeds cap {CYCLE_TYPE_CAP}")
     return [YoungFrame(red) for red in _lattice_level(n, n).reduced]
 
 

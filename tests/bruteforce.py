@@ -10,7 +10,10 @@ determinant, the twirl from a sum over all n! permutations, and the channel,
 conjugation, partial trace and Hilbert-Schmidt pairing from every entry of the
 full matrices that ``TensorOperator.mat`` returns, word digits from
 ``itertools.product`` and word maps by inverting the permutation, one cycle at
-a time) so that agreement with the package is meaningful.
+a time) so that agreement with the package is meaningful.  One reference
+shares more: the full-block projectors use the package's layout, content sums
+and exact integer product, and stand against the build that spreads one row
+per block, at sizes past the reach of the character sums.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from functools import cache
 import numpy as np
 
 from isotwirl.frames import YoungFrame, enumerate_frames
+from isotwirl import oracle as orc
 from isotwirl.oracle import TensorOperator
 from isotwirl.symmetric_group import character, enumerate_group
 
@@ -358,6 +362,70 @@ def projectors_by_characters(d: int, n: int) -> dict[YoungFrame, TensorOperator]
         acc = sum(character(lam, YoungFrame(key)) * mat for key, mat in sums.items())
         family[lam] = TensorOperator(d, n, Fraction(count_standard_tableaux(lam), math.factorial(n)), acc)
     return family
+
+
+def _class_sum_block(d: int, n: int, length: int, words: np.ndarray) -> np.ndarray:
+    """The sum of all cycles of the given length, as the full m x m matrix on one letter block (words increasing)."""
+    m = len(words)
+    images = np.searchsorted(words, cycle_class_maps_one_at_a_time(d, n, length)[:, words])
+    mat = np.zeros((m, m), dtype=np.int64)
+    np.add.at(mat, (images, np.broadcast_to(np.arange(m), images.shape)), 1)
+    return mat
+
+
+def _lagrange_blocks(mat: np.ndarray, values: list[int]) -> list[tuple[np.ndarray, int]]:
+    """(N_i, D_i) with N_i / D_i = prod over j != i of (mat - v_j) / (v_i - v_j), each a full m x m matrix."""
+    powers = [np.identity(mat.shape[0], dtype=np.int64), mat][: len(values)]
+    for _ in range(len(values) - 2):
+        powers.append(orc._int_matmul(powers[-1], mat))
+    bounds = [max(orc._amax(p), 1) for p in powers]
+    out = []
+    for i, v in enumerate(values):
+        coeffs, den = [1], 1  # coefficients of prod (x - u), lowest degree first
+        for u in values[:i] + values[i + 1 :]:
+            coeffs = [a - u * b for a, b in zip([0] + coeffs, coeffs + [0])]
+            den *= v - u
+        terms = orc._exact(sum(abs(c) * b for c, b in zip(coeffs, bounds)), *powers)
+        out.append((sum(c * p for c, p in zip(coeffs, terms)), den))
+    return out
+
+
+def projectors_by_full_blocks(d: int, n: int) -> dict[YoungFrame, TensorOperator]:
+    """Isotypical projectors as Lagrange polynomials in the full m x m blocks of T and C3, every entry computed.
+
+    On each stored letter block, P_lam is prod over the other content sums
+    c(mu) present of (T - c(mu)) / (c(lam) - c(mu)), T the sum of all
+    transpositions, times the same product in C3, the sum of all 3-cycles,
+    over the C3 eigenvalues of the frames sharing lam's content sum.  The
+    matrix powers and products run on the package's exact integer product, so
+    no row is spread by a site permutation; the frames present are those that
+    dominate the block's histogram.
+    """
+    layout = orc._layout(d, n)
+    fact = math.factorial(n)
+    frames = enumerate_frames(d, n)
+    vecs = {lam: np.zeros(layout.size, dtype=object) for lam in frames}
+    for words, (lo, hi, _) in zip(layout.blocks, layout.spans):
+        hist = np.bincount(words_by_product(d, n)[0][words[0]], minlength=d)
+        present = [
+            lam for lam in frames
+            if all(a >= b for a, b in zip(itertools.accumulate(lam.padded(d)), itertools.accumulate(hist)))
+        ]
+        groups: dict[int, list[YoungFrame]] = {}
+        for lam in present:
+            groups.setdefault(orc.central_eigenvalues(lam)[0], []).append(lam)
+        blocks = {}
+        for (num, den), group in zip(_lagrange_blocks(_class_sum_block(d, n, 2, words), list(groups)), groups.values()):
+            if len(group) == 1:
+                blocks[group[0]] = (num, den)
+                continue
+            split = [orc.central_eigenvalues(lam)[1] for lam in group]
+            for lam, (snum, sden) in zip(group, _lagrange_blocks(_class_sum_block(d, n, 3, words), split)):
+                blocks[lam] = (orc._int_matmul(num, snum), den * sden)
+        for lam, (num, den) in blocks.items():
+            g = math.gcd(int(np.gcd.reduce(np.abs(num.ravel()))), den) * (1 if den > 0 else -1)
+            vecs[lam][lo:hi] = (num // g * (fact // (den // g))).ravel()
+    return {lam: TensorOperator._of(d, n, Fraction(1, fact), layout, vec).reduced() for lam, vec in vecs.items()}
 
 
 def twirl_by_permutations(a: TensorOperator) -> TensorOperator:

@@ -30,7 +30,7 @@ from isotwirl.spectra import (
     twirl_spectrum,
     xy_entropy_bound,
 )
-from isotwirl.symmetric_group import GROUP_ENUMERATION_CAP, Permutation, enumerate_group
+from isotwirl.symmetric_group import CYCLE_TYPE_CAP, GROUP_ENUMERATION_CAP, Permutation, enumerate_group
 from isotwirl.verify import RunConfig
 
 MODULES = (cli, frames, horn, lr, oracle, spectra, symmetric_group, verify)
@@ -54,6 +54,7 @@ def _refused_calls():
         lambda: dim_unitary(frame(3, 1), 2.0),
         lambda: paired_block_overlap(frame(2, 1), frame(1), frame(1, 1), 2.0),
         lambda: enumerate_group(3.0),
+        lambda: symmetric_group.cycle_types(CYCLE_TYPE_CAP + 1),
         lambda: HornTriple(frame(2, 1), frame(1), frame(1, 1), 2.0),
         lambda: within_support_window(frame(4), frame(2, 2), 2.0, 1),
         lambda: within_support_window(frame(4), frame(2, 2), 2, 0.5),
@@ -198,7 +199,7 @@ SIZED_CALLS = {
     "SpectralTable": (lambda d, n, den, a, b: SpectralTable(d, n, den, [a, b]).total(), D, N, SMALL, SMALL, SMALL),
     "xy_entropy_bound": (lambda k: xy_entropy_bound(frame(2, 1), k), SMALL),
     "enumerate_frames": (enumerate_frames, D, N),
-    "cycle_types": (symmetric_group.cycle_types, SMALL),
+    "cycle_types": (symmetric_group.cycle_types, sizes(CYCLE_TYPE_CAP + 1)),
     "channel_output_spectrum": (lambda d: channel_output_spectrum(frame(2, 1), "1/3", d), D),
     "twirl_spectrum": (lambda k, d: twirl_spectrum(frame(2, 1), k, d), SMALL, D),
     "partial_trace_decomposition": (lambda k, d: spectra.partial_trace_decomposition(frame(2, 1), k, d), SMALL, D),

@@ -20,6 +20,7 @@ from bruteforce import (
     hs_product_by_full_matrices,
     partial_trace_by_sums,
     projectors_by_characters,
+    projectors_by_full_blocks,
     psd_by_fraction_ldl,
     twirl_by_permutations,
     word_map_by_inverse,
@@ -274,14 +275,42 @@ def test_projector_family_properties_full_size():
 
 def test_projector_family_matches_character_sum():
     # every dense size with d <= 4 and n <= 6 but (4, 6), whose reference holds
-    # eleven 4096 x 4096 class sums (test_central_elements_separate_frames
-    # checks the (4, 6) family's sum and traces instead)
+    # eleven 4096 x 4096 class sums (test_projector_family_matches_full_blocks
+    # checks that family vector for vector, test_central_elements_separate_frames its sum and traces)
     sizes = [(d, n) for d in range(1, 5) for n in range(7) if (d, n) != (4, 6)] + [(2, 7), (2, 8)]
     for d, n in sizes:
         fam, ref = orc.isotypical_projectors(d, n), projectors_by_characters(d, n)
         assert list(fam) == list(ref), (d, n)
         for lam, p in ref.items():
             assert fam[lam] == p, (d, n, str(lam))
+
+
+def test_projector_family_matches_full_blocks():
+    # past the character sums' reach: every size up to (2, 10), (3, 7) and (4, 6) (and d = 1 to n = 12),
+    # each family against the Lagrange polynomials in the full class-sum blocks, vector for vector
+    for d, n_max in ((1, 12), (2, 10), (3, 7), (4, 6)):
+        for n in range(n_max + 1):
+            fam, ref = orc.isotypical_projectors(d, n), projectors_by_full_blocks(d, n)
+            assert list(fam) == list(ref), (d, n)
+            for lam, p in ref.items():
+                got = fam[lam]
+                assert (got.scale, got._vec.dtype) == (p.scale, p._vec.dtype), (d, n, str(lam))
+                assert np.array_equal(got._vec, p._vec), (d, n, str(lam))
+    orc.clear_projector_cache()
+
+
+def test_sorting_spread_rebuilds_invariant_blocks():
+    # a twirl commutes with every site permutation by the orbit route, so each stored block
+    # of it is its sorted word's row read through the spread map
+    rng = random.Random(38)
+    for d, n in ((2, 8), (3, 6), (4, 5)):
+        op = orc.twirl(orc.random_invariant(rng, d, n, -5, 5))
+        layout = op._layout
+        for words, (lo, hi, m) in zip(layout.blocks, layout.spans):
+            spread = orc._sorting_spread(words, layout.local, d, n)
+            assert spread.shape == (m, m) and np.array_equal(spread[0], np.arange(m)), (d, n, m)
+            assert np.array_equal(op._vec[lo : lo + m].take(spread), op._vec[lo:hi].reshape(m, m)), (d, n, m)
+    orc.clear_projector_cache()
 
 
 def test_central_elements_separate_frames():
@@ -301,13 +330,14 @@ def test_central_elements_separate_frames():
                         assert class_size(ct) * character(lam, ct) == value * dim_sym(lam), (d, str(lam))
     # content sums alone collide at (3, 6), so the dense family there needs C3
     assert orc.central_eigenvalues(frame(4, 1, 1))[0] == orc.central_eigenvalues(frame(3, 3))[0]
-    orc.clear_projector_cache()
-    fam = orc.isotypical_projectors(4, 6)
-    total = orc.TensorOperator.zero(4, 6)
-    for lam, p in fam.items():
-        assert p.trace() == dim_sym(lam) * dim_unitary(lam, 4)
-        total = total + p
-    assert total == orc.TensorOperator.identity(4, 6)
+    # past every reference, at the largest n of each d: the family sums to 1 and each trace is f_lam dim U_lam
+    for d, n in ((4, 6), (3, 8), (2, 12)):
+        orc.clear_projector_cache()
+        total = orc.TensorOperator.zero(d, n)
+        for lam, p in orc.isotypical_projectors(d, n).items():
+            assert p.trace() == dim_sym(lam) * dim_unitary(lam, d), (d, n, str(lam))
+            total = total + p
+        assert total == orc.TensorOperator.identity(d, n), (d, n)
     orc.clear_projector_cache()
 
 
@@ -703,6 +733,15 @@ def test_int_matmul_routes():
             a = np.array([[rng.randint(-(2**bits), 2**bits) for _ in range(m)] for _ in range(3)], dtype=np.int64)
             b = np.array([[rng.randint(-(2**bits), 2**bits) for _ in range(4)] for _ in range(m)], dtype=np.int64)
             assert orc._int_matmul(a, b).tolist() == (a.astype(object) @ b.astype(object)).tolist()
+
+
+def test_lagrange_rows_keep_int64_only_under_their_bound():
+    # M = J on a 3-word block (the identity and both cyclic shifts), eigenvalue 1 absent: for a constant
+    # start of a, start M^2 = 9a meets the bound max|start| 3^2 exactly, past int64 at 2**60 and inside it at 2**59
+    steps = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    for a in (2**60, 2**59):
+        rows = orc._lagrange_rows(np.full(3, a, dtype=np.int64), steps, [3, 0, 1])
+        assert [(num.tolist(), den) for num, den in rows] == [([6 * a] * 3, 6), ([0] * 3, 3), ([0] * 3, -2)], a
 
 
 def test_family_independent_of_blas_threads():

@@ -14,6 +14,7 @@ from bruteforce import (
 )
 from isotwirl.frames import YoungFrame, dim_sym, frame
 from isotwirl.symmetric_group import (
+    CYCLE_TYPE_CAP,
     Permutation,
     _unrank_permutation,
     character,
@@ -56,6 +57,10 @@ def test_cycle_types_enumeration():
     assert str(cycle_types(3)[0]) == "3"  # unpadded
     with pytest.raises(ValueError, match="n must be >= 0"):
         cycle_types(-1)
+    # the cap itself is served, one past it refused before any level is built
+    assert len(cycle_types(CYCLE_TYPE_CAP)) == len(partitions_of(CYCLE_TYPE_CAP)) == 627
+    with pytest.raises(ValueError, match=rf"^cycle_types\(n={CYCLE_TYPE_CAP + 1}\) exceeds cap {CYCLE_TYPE_CAP}$"):
+        cycle_types(CYCLE_TYPE_CAP + 1)
     # every permutation's cycle type appears
     got = {cycle_type_of(p.images) for p in enumerate_group(5)}
     assert got == set(partitions_of(5))
