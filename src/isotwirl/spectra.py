@@ -11,14 +11,17 @@ skew standard-tableau counts, scaling far beyond the oracle's caps:
   (:func:`frames._skew_counts`, the branching rule) gives f^{lam/mu} by
   position, in place of the LR sum over nu of c^lam_{mu nu} f_nu; f_mu and
   dim U_mu are read off the level of :func:`frames._lattice_level` at the
-  same position, which forms one integer per mu to inject (:func:`_levels`),
-  and one exact integer push back up (:func:`_push`) carries the injected mu
-  to every lam' at once,
+  same position, which forms one integer per mu to inject over the lcm C of
+  its level's dim U_mu (:func:`_levels`), and one exact integer push back up
+  (:func:`_push`) carries the injected mu to every lam' at once,
 * :func:`channel_output_spectrum` resums those over the binomial distribution
-  of depolarised-site counts.  The binomial weights ride along in the
-  injections, so this is the same push over one common denominator per q;
-  :func:`channel_output_spectra` packs every q of a grid into one integer per
-  frame, as :func:`twirl_spectra` packs every k,
+  of depolarised-site counts.  Summing the levels over one denominator
+  would divide each level's lcm C back out, so the channel takes one lcm L
+  over every mu inside lam and injects at level m the weight
+  C(n,m) a^(n-m) ((b-a) d)^m of q = a/b times f_mu f^{lam/mu} L / dim U_mu:
+  one push over one common denominator per q.
+  :func:`channel_output_spectra` packs every q of a grid into one integer
+  per frame, as :func:`twirl_spectra` packs every k,
 * :func:`partial_trace_decomposition` and :func:`paired_block_overlap` are the
   LR route to the same numbers: the partial trace of an isotypical projector
   expanded over the smaller isotypical projectors, and its overlap with each
@@ -42,7 +45,6 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import accumulate, repeat
 from typing import Iterable, Iterator
 
 from .frames import (
@@ -94,7 +96,7 @@ def partial_trace_decomposition(lam: YoungFrame, k: int, d: int) -> SpectralTabl
     units = [_dim_unitary(mu, d) for mu in level.reduced]
     common = math.lcm(*(u for u, s in zip(units, sums) if s))
     du_lam = _dim_unitary(lam.reduced, d)
-    return SpectralTable(d, l, common, [du_lam * s * (common // u) for u, s in zip(units, sums)])
+    return SpectralTable._of(level, common, [du_lam * s * (common // u) for u, s in zip(units, sums)])
 
 
 def paired_block_overlap(lam_prime: YoungFrame, mu: YoungFrame, gamma: YoungFrame, d: int) -> Fraction:
@@ -123,6 +125,8 @@ class SpectralTable:
     only when a weight is read.  A table reads its size, denominator and
     numerators by :func:`frames._integers`, the denominator at least 1, needs
     one numerator per frame, and keeps the level whose frames it is over.
+    The package's producers, which have read their sizes and hold the level,
+    build theirs through :meth:`_of` instead.
     """
 
     d: int
@@ -139,6 +143,14 @@ class SpectralTable:
         if len(self.numerators) != len(self._level.reduced):
             raise ValueError(f"a table over YF({self.d}, {self.n}) needs {len(self._level.reduced)} numerators, "
                              f"got {len(self.numerators)}")
+
+    @classmethod
+    def _of(cls, level: _Level, denominator: int, numerators: list[int]) -> SpectralTable:
+        """The table over ``level`` with these ints, for a producer that has read its sizes and holds the level."""
+        table = object.__new__(cls)
+        table.d, table.n, table.denominator, table.numerators, table._level = (
+            level.d, level.m, denominator, numerators, level)
+        return table
 
     def weight(self, lam: YoungFrame) -> Fraction:
         """The weight of ``lam``; 0 for a frame outside YF_{d,n}."""
@@ -181,27 +193,19 @@ def _levels(lam: YoungFrame, d: int, ms: Iterable[int]) -> _Levels:
     return out
 
 
-def _push(lam: YoungFrame, d: int, levels: _Levels, fields: list[tuple[int, dict[int, int]]]) -> tuple[int, list[int]]:
-    """One push up Young's lattice to the level of lam, every field packed into one integer per frame.
+def _push(lam: YoungFrame, d: int, injections: dict[int, Iterable[tuple[int, int]]]) -> list[int]:
+    """One push up Young's lattice to the level of lam: one integer per frame of YF(d, |lam|).
 
-    Field j is a pair (bound, {m: c}): it injects c G(mu) at each mu of level
-    m of ``levels`` (:func:`_levels`), and no frame ends it above ``bound``.
-    With A the operator adding one box (at most d rows), (A^k delta_mu)(lam')
-    = f^{lam'/mu}, so v_m = A v_(m-1) + inject_m, run from the lowest
-    injected level up to n = |lam|, leaves in field j of every lam' of
-    YF(d, n) the sum over m of c sum_mu G(mu) f^{lam'/mu}, by additions alone.
-    Field j occupies bits [width j, width (j+1)) of each returned integer,
-    with 2^width above every bound, so no field spills into the next; the
-    integers follow the frame enumeration order (:func:`_unpack`).
+    ``injections`` maps a level m to the (position in YF(d, m), integer)
+    pairs added there.  With A the operator adding one box (at most d rows),
+    (A^k delta_mu)(lam') = f^{lam'/mu}, so v_m = A v_(m-1) + inject_m, run
+    from the lowest injected level up to n = |lam|, leaves at every lam' of
+    YF(d, n) the sum of c f^{lam'/mu} over the pairs (mu, c), by additions
+    alone; the integers follow the frame enumeration order.  The callers
+    pack one bit field per k or q into each integer (:func:`_pack`).
     """
     n = lam.n
-    width = max((bound for bound, _ in fields), default=0).bit_length() + 1
-    packed: dict[int, int] = {}
-    for j, (_, field) in enumerate(fields):
-        for m, c in field.items():
-            if c:
-                packed[m] = packed.get(m, 0) + (c << (width * j))
-    low = min(packed, default=n)
+    low = min(injections, default=n)
     # one 0 past the last frame, which the getters of the next level read and carry on
     values = [0] * (len(_lattice_level(d, low).covers) + 1)
     for m in range(low, n + 1):
@@ -212,17 +216,28 @@ def _push(lam: YoungFrame, d: int, levels: _Levels, fields: list[tuple[int, dict
             for get in rest:
                 total = map(operator.add, total, get(values))
             values = list(total)
-        if m in packed:
-            p = packed[m]
-            _, positions, injected = levels[m]
-            for j, g in zip(positions, injected):
-                values[j] += g * p
+        for j, c in injections.get(m, ()):
+            values[j] += c
     values.pop()
-    return width, values
+    return values
+
+
+def _width(bounds: Iterable[int]) -> int:
+    """Bits per field: 2^width lies above every bound, so no field spills into the next."""
+    return max(bounds, default=0).bit_length() + 1
+
+
+def _pack(width: int, fields: list[list[int]]) -> list[int]:
+    """Field j of every position in bits [width j, width (j+1)) of one integer; a single field as it is."""
+    if len(fields) == 1:
+        return fields[0]
+    return [sum(v << (width * j) for j, v in enumerate(column)) for column in zip(*fields)]
 
 
 def _unpack(width: int, fields: int, values: list[int]) -> list[list[int]]:
-    """Field j of every packed value, for j < ``fields``."""
+    """Field j of every packed value, for j < ``fields``; a single field as it is."""
+    if fields == 1:
+        return [values]
     mask = (1 << width) - 1
     return [[(v >> (width * j)) & mask for v in values] for j in range(fields)]
 
@@ -242,11 +257,14 @@ def twirl_spectra(lam: YoungFrame, ks: Iterable[int], d: int) -> list[SpectralTa
     levels = _levels(lam, d, [n - k for k in ks])
     # the normalized weights N dim U_lam' / (f_lam D) of field k sum to 1, so no value exceeds f_lam D
     f_lam = dim_sym(lam)
-    width, values = _push(lam, d, levels, [(f_lam * levels[n - k][0] * d**k, {n - k: 1}) for k in ks])
+    width = _width(f_lam * levels[n - k][0] * d**k for k in ks)
+    weights = _pack(width, [[int(m == n - k) for m in range(n + 1)] for k in ks])
+    injections = {m: zip(positions, [g * weights[m] for g in ints]) for m, (_, positions, ints) in levels.items()}
+    values = _push(lam, d, injections)
     unit = _dim_unitary(lam.reduced, d)
     units = [u * unit for u in level.unitary]
     return [
-        SpectralTable(d, n, levels[n - k][0] * d**k, list(map(operator.mul, field, units)))
+        SpectralTable._of(level, levels[n - k][0] * d**k, list(map(operator.mul, field, units)))
         for k, field in zip(ks, _unpack(width, len(ks), values))
     ]
 
@@ -279,38 +297,43 @@ def channel_output_spectra(
 ) -> list[SpectralTable]:
     """:func:`channel_output_spectrum` for every q in ``grid``, from one push up Young's lattice.
 
-    With C_m and G_m(mu) the coefficients of level m (:func:`_levels`) and L
-    the lcm of the C_m, each q = a/b is one field of the push (:func:`_push`).
-    Level m = n-k injects into it
+    With L the lcm of dim U_mu over every mu inside lam, each q = a/b is one
+    field of the push (:func:`_push`).  Level m = n-k injects into it
 
-        C(n,k) a^k (b-a)^(n-k) d^m (L / C_m) G_m(mu),
+        w_m f_mu f^{lam/mu} L / dim U_mu,  w_m = C(n,m) a^(n-m) ((b-a) d)^m,
 
-    the binomial weight of k mixed sites over the twirl's 1/d^k, all brought
-    to the common denominator L b^n d^n.  The factor C(n,m) d^m (L / C_m)
-    does not depend on q and is formed once per call; each q adds only its
-    powers a^0..a^n and (b-a)^0..(b-a)^n.  The weight of lam' is its field
-    value times dim U_lam' over D = L b^n d^n f_lam: the table holds those
-    integers as they are.
+    the binomial weight C(n,k) q^k (1-q)^(n-k) of k mixed sites over the
+    twirl's d^k, brought to the common denominator L b^n d^n.  The twirl at k
+    injects f_mu f^{lam/mu} C_m / dim U_mu over C_m, the lcm of level m alone
+    (:func:`_levels`); bringing it to L multiplies by L / C_m, so C_m cancels
+    and the channel never forms it.  The weight of lam' is its field value
+    times dim U_lam' over D = L b^n d^n f_lam: the table holds those integers
+    as they are.
     """
     grid = [depolarising_weight(q) for q in grid]
     _, d = _check_source(lam, (), d)
     n = lam.n
-    units = _checked_level(d, n).unitary
-    levels = _levels(lam, d, range(n + 1))
-    common = math.lcm(*(c for c, _, _ in levels.values()))
+    top = _checked_level(d, n)
+    counts = _skew_counts(lam.reduced, d)
+    levels = [_lattice_level(d, m) for m in range(n + 1)]
+    common = math.lcm(*(level.unitary[j] for level, count in zip(levels, counts) for j in count))
     f_lam = dim_sym(lam)
-    fixed = [math.comb(n, m) * d**m * (common // levels[m][0]) for m in range(n + 1)]
-    denominators, fields = [], []
+    # the weights v dim U_lam' / D of a field sum to 1, so no value v exceeds D
+    denominators = [common * q.denominator**n * d**n * f_lam for q in grid]
+    width = _width(denominators)
+    fields = []
     for q in grid:
         a, b = q.numerator, q.denominator
-        # a^j and (b-a)^j for j = 0..n: j sites mixed, j sites kept
-        mixed, kept = (list(accumulate(repeat(x, n), operator.mul, initial=1)) for x in (a, b - a))
-        denominators.append(common * b**n * d**n * f_lam)
-        # the weights v dim U_lam' / D of a field sum to 1, so no value v exceeds D
-        fields.append((denominators[-1], {m: g * mixed[n - m] * kept[m] for m, g in enumerate(fixed)}))
-    width, values = _push(lam, d, levels, fields)
+        kept = (b - a) * d  # each of the n-m mixed sites weighs a, each of the m kept ones (b-a) d
+        fields.append([math.comb(n, m) * a ** (n - m) * kept**m for m in range(n + 1)])
+    injections = {}
+    for m, w in enumerate(_pack(width, fields)):
+        if w:
+            sym, unitary, count = levels[m].sym, levels[m].unitary, counts[m]
+            injections[m] = zip(count, [sym[j] * f * (common // unitary[j]) * w for j, f in count.items()])
+    values = _push(lam, d, injections)
     return [
-        SpectralTable(d, n, denominator, list(map(operator.mul, field, units)))
+        SpectralTable._of(top, denominator, list(map(operator.mul, field, top.unitary)))
         for denominator, field in zip(denominators, _unpack(width, len(grid), values))
     ]
 

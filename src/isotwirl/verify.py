@@ -59,6 +59,7 @@ from .frames import (
     ProbabilityPair,
     YoungFrame,
     _integers,
+    _lattice_level,
     depolarising_weight,
     dim_sym,
     dim_unitary,
@@ -336,8 +337,8 @@ class DenseOverlaps:
     def _weights(self, i: int, pairings: Iterable[int], k: int, norm: int = 1) -> SpectralTable:
         """c_i c_j x_j / (n!^2 d^k norm) for every frames[j], x = ``pairings``."""
         c = self.scales[i]
-        return SpectralTable(
-            self.d, self.n, math.factorial(self.n) ** 2 * self.d**k * norm,
+        return SpectralTable._of(
+            _lattice_level(self.d, self.n), math.factorial(self.n) ** 2 * self.d**k * norm,
             [c * c_j * x for c_j, x in zip(self.scales, pairings)],
         )
 
@@ -501,7 +502,7 @@ def check_fast_path_against_oracle(
             for k, fast in enumerate(twirl_spectra(lam, range(n + 1), d)):
                 fast_norm = twirl_spectrum(lam, k, d)
                 literal, paired = dense.twirl(i, k)
-                paired_norm = SpectralTable(d, n, paired.denominator * norm, paired.numerators)
+                paired_norm = SpectralTable._of(paired._level, paired.denominator * norm, paired.numerators)
                 for j, lam_p in enumerate(frames):
                     route.expect_same_weight(literal, paired, j, "d={} lam={} k={} lam'={}", d, lam, k, lam_p)
                     fast_twirl.expect_same_weight(fast, paired, j, "d={} lam={} k={} lam'={}", d, lam, k, lam_p)

@@ -13,7 +13,10 @@ full matrices that ``TensorOperator.mat`` returns, word digits from
 a time) so that agreement with the package is meaningful.  One reference
 shares more: the full-block projectors use the package's layout, content sums
 and exact integer product, and stand against the build that spreads one row
-per block, at sizes past the reach of the character sums.
+per block, at sizes past the reach of the character sums.  The channel
+reference shares the package's lattice, skew counts and push, and forms its
+injections level by level over each level's own lcm, the bookkeeping the
+package's channel no longer keeps.
 """
 
 from __future__ import annotations
@@ -25,8 +28,9 @@ from functools import cache
 
 import numpy as np
 
-from isotwirl.frames import YoungFrame, enumerate_frames
+from isotwirl.frames import YoungFrame, _checked_level, depolarising_weight, dim_sym, enumerate_frames
 from isotwirl import oracle as orc
+from isotwirl import spectra
 from isotwirl.oracle import TensorOperator
 from isotwirl.symmetric_group import character, enumerate_group
 
@@ -426,6 +430,36 @@ def projectors_by_full_blocks(d: int, n: int) -> dict[YoungFrame, TensorOperator
             g = math.gcd(int(np.gcd.reduce(np.abs(num.ravel()))), den) * (1 if den > 0 else -1)
             vecs[lam][lo:hi] = (num // g * (fact // (den // g))).ravel()
     return {lam: TensorOperator._of(d, n, Fraction(1, fact), layout, vec).reduced() for lam, vec in vecs.items()}
+
+
+def channel_by_level_lcms(lam: YoungFrame, grid: list, d: int) -> list[tuple[int, list[int]]]:
+    """(denominator, numerators) of each q of ``grid``, every level m on its own lcm C_m.
+
+    Level m injects C(n,m) d^m (L / C_m) a^(n-m) (b-a)^m G_m(mu), with C_m and
+    G_m of ``spectra._levels`` and L the lcm of the C_m, over L b^n d^n f_lam.
+    """
+    grid = [depolarising_weight(q) for q in grid]
+    n = lam.n
+    levels = spectra._levels(lam, d, range(n + 1))
+    common = math.lcm(*(c for c, _, _ in levels.values()))
+    f_lam = dim_sym(lam)
+    width = max((common * q.denominator**n * d**n * f_lam for q in grid), default=0).bit_length() + 1
+    packed = [0] * (n + 1)
+    for j, q in enumerate(grid):
+        a, b = q.numerator, q.denominator
+        for m in range(n + 1):
+            fixed = math.comb(n, m) * d**m * (common // levels[m][0])
+            packed[m] += (fixed * a ** (n - m) * (b - a) ** m) << (width * j)
+    values = spectra._push(lam, d, {
+        m: zip(positions, [g * packed[m] for g in injected])
+        for m, (_, positions, injected) in levels.items() if packed[m]
+    })
+    units = _checked_level(d, n).unitary
+    mask = (1 << width) - 1
+    return [
+        (common * q.denominator**n * d**n * f_lam, [((v >> (width * j)) & mask) * u for v, u in zip(values, units)])
+        for j, q in enumerate(grid)
+    ]
 
 
 def twirl_by_permutations(a: TensorOperator) -> TensorOperator:

@@ -4,6 +4,7 @@ Run by hand from the repository root; pytest does not collect this file::
 
     python tests/mutants.py --module frames spectra --sample 10 --seed 1
     python tests/mutants.py --module verify --sample 5 -- tests/test_verify.py
+    python tests/mutants.py --module spectra --function _push --function channel_output_spectra --sample 1000
 
 A mutant is one edit found in a module's syntax tree: a comparison swapped
 (``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``), an arithmetic
@@ -13,7 +14,9 @@ annotations are left alone.  Each mutant is spliced into the module's text at
 the offsets of its tokens, so the rest of the file keeps its text (tests that
 edit source text, such as ``test_dropped_power_fails_a_check``, still find
 theirs).  For each
-module ``--sample`` mutants are drawn with ``--seed``.  Every mutant runs the
+module ``--sample`` mutants are drawn with ``--seed``; with one or more
+``--function NAME``, only from the mutants inside a function (or method) of
+one of those names, so a sample can be aimed at a change.  Every mutant runs the
 selection (default ``tests``) with ``pytest -x`` in one scratch copy of the
 tree; a run that passes is a survivor, and the survivors are listed at the end.
 The survivors known to change no output are kept, each with its reason, in
@@ -66,8 +69,8 @@ class Mutant:
         return f"{self.module}.py:{self.line}: {source[self.start:self.end]!r} -> {self.new!r}"
 
 
-def mutants(module: str, source: str) -> list[Mutant]:
-    """Every mutant of ``source``, in source order."""
+def mutants(module: str, source: str, functions: set[str] | None = None) -> list[Mutant]:
+    """Every mutant of ``source``, in source order; only those inside a function named in ``functions`` if given."""
     lines = source.splitlines(keepends=True)
     starts = [0]
     for text in lines:
@@ -115,7 +118,17 @@ def mutants(module: str, source: str) -> list[Mutant]:
         elif isinstance(node, ast.Constant) and type(node.value) is int:
             start, end = at(node.lineno, node.col_offset), at(node.end_lineno, node.end_col_offset)
             found.append(Mutant(module, node.lineno, start, end, str(node.value + 1)))
-    return sorted((m for m in found if m is not None), key=lambda m: m.start)
+    kept = [m for m in found if m is not None]
+    if functions is not None:
+        spans = [(at(f.lineno, f.col_offset), at(f.end_lineno, f.end_col_offset)) for f in ast.walk(tree)
+                 if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) and f.name in functions]
+        kept = [m for m in kept if any(lo <= m.start < hi for lo, hi in spans)]
+    return sorted(kept, key=lambda m: m.start)
+
+
+def function_names(source: str) -> set[str]:
+    """The names of every function and method defined in ``source``."""
+    return {f.name for f in ast.walk(ast.parse(source)) if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -124,14 +137,21 @@ def main(argv: list[str] | None = None) -> int:
                         help="modules of src/isotwirl to mutate (default: frames spectra)")
     parser.add_argument("--sample", type=int, default=10, help="mutants drawn per module (default 10)")
     parser.add_argument("--seed", type=int, default=0, help="seed of the draw (default 0)")
+    parser.add_argument("--function", action="append", metavar="NAME",
+                        help="draw only mutants inside functions of this name; repeatable (default: every mutant)")
     parser.add_argument("selection", nargs="*", default=["tests"], help="pytest arguments (default: tests)")
     args = parser.parse_args(argv)
 
+    functions = set(args.function) if args.function else None
+    sources = {module: (PACKAGE / f"{module}.py").read_text() for module in args.module}
+    if functions is not None:
+        unknown = functions - set().union(*map(function_names, sources.values()))
+        if unknown:
+            parser.error(f"no function named {', '.join(sorted(unknown))} in {', '.join(args.module)}")
     rng = random.Random(args.seed)
     drawn = []
-    for module in args.module:
-        source = (PACKAGE / f"{module}.py").read_text()
-        every = mutants(module, source)
+    for module, source in sources.items():
+        every = mutants(module, source, functions)
         drawn += [(m, source) for m in sorted(rng.sample(every, min(args.sample, len(every))), key=lambda m: m.start)]
         print(f"{module}.py: {len(every)} mutants, {min(args.sample, len(every))} drawn", flush=True)
 

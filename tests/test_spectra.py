@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 from fractions import Fraction
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bruteforce import count_standard_skew_tableaux, partitions_of, skew_count_by_aitken
+from bruteforce import channel_by_level_lcms, count_standard_skew_tableaux, partitions_of, skew_count_by_aitken
 from isotwirl.frames import (
     YoungFrame,
     _lattice_level,
@@ -302,6 +303,39 @@ def test_packed_fields_do_not_bleed():
                 assert list(table) == list(channel_output_spectrum(lam, q, d)), (lam, d, q)
             ks = range(n, -1, -1)
             assert twirl_spectra(lam, ks, d) == [twirl_spectra(lam, (k,), d)[0] for k in ks]
+
+
+def test_every_producer_gives_one_numerator_per_frame_of_its_size():
+    # the producers build their tables from the level they hold, past the public constructor's read, so
+    # size and length are pinned here, also for pushes that inject at the top level alone (q = 0, k = 0)
+    for d, n in ((1, 3), (2, 6), (3, 5), (4, 4)):
+        for lam in enumerate_frames(d, n):
+            tables = [*channel_output_spectra(lam, [0, Fraction(1, 3), 1], d), *twirl_spectra(lam, range(n + 1), d)]
+            tables += [channel_output_spectrum(lam, q, d) for q in (0, 1)]
+            tables += [twirl_spectrum(lam, k, d) for k in (0, n)]
+            sizes = [(d, n)] * len(tables) + [(d, n - k) for k in range(n + 1)]
+            tables += [partial_trace_decomposition(lam, k, d) for k in range(n + 1)]
+            assert [(t.d, t.n, len(t.numerators)) for t in tables] == [
+                (d_, n_, len(enumerate_frames(d_, n_))) for d_, n_ in sizes
+            ], (d, lam)
+
+
+def test_channel_is_its_level_lcm_reference_integer_for_integer(monkeypatch):
+    # one lcm L for every level and the weight C(n,m) a^(n-m) ((b-a) d)^m injected directly give the
+    # same denominator and numerators as each level on its own lcm C_m, then raised to L: over every
+    # frame up to (2, 24), (3, 12), (4, 10) at 0, 1, 1/97 and 96/97, packed and one q at a time, and
+    # over the benchmark's frame sets at every q its draws can take, packed and one q at a time
+    monkeypatch.syspath_prepend(str(BENCHMARK_SPECTRA.parent.parent))
+    workloads = importlib.import_module("workloads")
+    pool = sorted({Fraction(a, b) for b in range(2, workloads.Q_DENOMINATOR_MAX + 1) for a in range(1, b)})
+    cases = [(d, m, [Fraction(0), Fraction(1), Fraction(1, 97), Fraction(96, 97)])
+             for d, n_max in ((2, 24), (3, 12), (4, 10)) for m in range(n_max + 1)]
+    cases += [(d, n, pool) for d, n in workloads.FAST_FRAME_SETS]
+    for d, n, grid in cases:
+        for lam in enumerate_frames(d, n):
+            for qs in (grid, *([q] for q in grid)):
+                tables = [(t.denominator, t.numerators) for t in channel_output_spectra(lam, qs, d)]
+                assert tables == channel_by_level_lcms(lam, qs, d), (d, lam, qs)
 
 
 def test_fast_path_rejects_frames_d_and_k_it_cannot_honour():

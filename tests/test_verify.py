@@ -150,18 +150,25 @@ def test_perturbed_fast_path_numerator_fails_with_exact_text(monkeypatch):
     "engine_weight_zero_outside_window",
 )
 def test_bumped_packed_field_fails_only_its_own_k_and_q(monkeypatch):
-    # one unit in field 1 of lam' = (2,2) in every push from lam = (4): field 1 is k = 1 of the
-    # all-k twirl and q = 1/3 of the channel grid; field 0 (k = 0, q = 1/2) and the one-field
-    # single-k twirl stay exact, so nothing bleeds between fields
-    real = spectra._push
+    # one unit in field 1 of lam' = (2,2) in every push from lam = (4) that packs more than one field,
+    # added between the push and its unpacking: field 1 is k = 1 of the all-k twirl and q = 1/3 of the
+    # channel grid; field 0 (k = 0, q = 1/2) stays exact, so nothing bleeds between fields
+    real_push, real_unpack = spectra._push, spectra._unpack
+    from_source = []
 
-    def bumped(lam, d, levels, fields):
-        width, values = real(lam, d, levels, fields)
+    def pushed(lam, d, injections):
+        values = real_push(lam, d, injections)
         if (lam, d) == (frame(4), 2):
-            values[2] += 1 << width
-        return width, values
+            from_source.append(values)
+        return values
 
-    monkeypatch.setattr(spectra, "_push", bumped)
+    def bumped(width, fields, values):
+        if fields > 1 and any(values is v for v in from_source):
+            values[2] += 1 << width
+        return real_unpack(width, fields, values)
+
+    monkeypatch.setattr(spectra, "_push", pushed)
+    monkeypatch.setattr(spectra, "_unpack", bumped)
     assert run_checks() == {
         "fast_path_equals_oracle_twirl_spectra": ["d=2 lam=4,0 k=1 lam'=2,2: 5/8 != 0"],
         "fast_path_equals_oracle_channel_spectra": [
@@ -554,9 +561,8 @@ FAST_PATH_CHECKS = {"fast_path_equals_oracle_twirl_spectra", "fast_path_equals_o
          {"fast_path_equals_oracle_channel_spectra"}),
         # d^k left out of the twirl's common denominator: the channel push does not read it
         (spectra, "levels[n - k][0] * d**k, list(", "levels[n - k][0], list(", {"fast_path_equals_oracle_twirl_spectra"}),
-        # d^m left out of the channel push's injection weight: the twirl does not read it
-        (spectra, "math.comb(n, m) * d**m * (common", "math.comb(n, m) * (common",
-         {"fast_path_equals_oracle_channel_spectra"}),
+        # d^m left out of the channel push's level weight C(n,m) a^(n-m) ((b-a) d)^m: the twirl does not read it
+        (spectra, "kept = (b - a) * d", "kept = (b - a)", {"fast_path_equals_oracle_channel_spectra"}),
     ],
 )
 def test_dropped_power_fails_a_check(monkeypatch, module, old, new, failing):
