@@ -206,9 +206,6 @@ def cmd_xy(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     grid = {} if args.grid is None else {"q_grid": _grid(args.grid)}
     cfg = RunConfig(d_max=args.cap_d, n_max=args.cap_n, seed=args.seed, **grid)
-    suites = [*SUITES, "all"]
-    if args.suite not in suites:
-        raise InputError(f"unknown suite {args.suite!r}; choose from {', '.join(suites)}")
     report = run_suite(args.suite, cfg)
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"

@@ -107,7 +107,7 @@ class YoungFrame:
         try:
             return red + (0,) * (d - len(red))
         except (OverflowError, MemoryError):
-            raise ValueError(f"frame {red} cannot be padded to {d} rows") from None
+            raise ValueError(f"frame {format_frame(self)} cannot be padded to {d} rows") from None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, YoungFrame):

@@ -11,17 +11,11 @@ skew standard-tableau counts, scaling far beyond the oracle's caps:
   (:func:`frames._skew_counts`, the branching rule) gives f^{lam/mu} by
   position, in place of the LR sum over nu of c^lam_{mu nu} f_nu; f_mu and
   dim U_mu are read off the level of :func:`frames._lattice_level` at the
-  same position, which forms one integer per mu to inject over the lcm C of
-  its level's dim U_mu (:func:`_levels`), and one exact integer push back up
-  (:func:`_push`) carries the injected mu to every lam' at once,
+  same position, and one exact integer push back up carries every mu to
+  every lam' at once,
 * :func:`channel_output_spectrum` resums those over the binomial distribution
-  of depolarised-site counts.  Summing the levels over one denominator
-  would divide each level's lcm C back out, so the channel takes one lcm L
-  over every mu inside lam and injects at level m the weight
-  C(n,m) a^(n-m) ((b-a) d)^m of q = a/b times f_mu f^{lam/mu} L / dim U_mu:
-  one push over one common denominator per q.
-  :func:`channel_output_spectra` packs every q of a grid into one integer
-  per frame, as :func:`twirl_spectra` packs every k,
+  of depolarised-site counts, C(n,k) q^k (1-q)^(n-k) at k: one push over one
+  common denominator per q,
 * :func:`partial_trace_decomposition` and :func:`paired_block_overlap` are the
   LR route to the same numbers: the partial trace of an isotypical projector
   expanded over the smaller isotypical projectors, and its overlap with each
@@ -30,6 +24,11 @@ skew standard-tableau counts, scaling far beyond the oracle's caps:
   bound on a single far-away weight (d = 2), and :func:`xy_optimize` /
   :func:`xy_entropy_bound` solve the extremal dimension-product problems that
   control it.
+
+The twirl and the channel are one push (:func:`_mixed_push`) and differ in
+the weight of each level and the common multiple it injects over alone: the
+twirl at k weighs level n-k by 1 over that level's own lcm, and the channel
+every level over one lcm L of them all, each the faster for its caller.
 
 All three routes give their spectra in one form, a :class:`SpectralTable`
 of integers over one denominator: the push's, the LR route's projector
@@ -174,25 +173,6 @@ class SpectralTable:
                 yield lam, Fraction(v, self.denominator)
 
 
-_Levels = dict[int, tuple[int, list[int], list[int]]]
-
-
-def _levels(lam: YoungFrame, d: int, ms: Iterable[int]) -> _Levels:
-    """(C, positions in YF(d, m), G) per level m in ``ms``, over the mu inside lam of m boxes.
-
-    C is the lcm of their dim U_mu and G(mu) = f_mu f^{lam/mu} C / dim U_mu,
-    an integer.  The skew counts are the lattice counts of lam alone.
-    """
-    counts = _skew_counts(lam.reduced, d)
-    out = {}
-    for m in ms:
-        level = _lattice_level(d, m)
-        sym, unitary = level.sym, level.unitary
-        common = math.lcm(*(unitary[j] for j in counts[m]))
-        out[m] = common, list(counts[m]), [sym[j] * f * (common // unitary[j]) for j, f in counts[m].items()]
-    return out
-
-
 def _push(lam: YoungFrame, d: int, injections: dict[int, Iterable[tuple[int, int]]]) -> list[int]:
     """One push up Young's lattice to the level of lam: one integer per frame of YF(d, |lam|).
 
@@ -201,8 +181,8 @@ def _push(lam: YoungFrame, d: int, injections: dict[int, Iterable[tuple[int, int
     (A^k delta_mu)(lam') = f^{lam'/mu}, so v_m = A v_(m-1) + inject_m, run
     from the lowest injected level up to n = |lam|, leaves at every lam' of
     YF(d, n) the sum of c f^{lam'/mu} over the pairs (mu, c), by additions
-    alone; the integers follow the frame enumeration order.  The callers
-    pack one bit field per k or q into each integer (:func:`_pack`).
+    alone; the integers follow the frame enumeration order.  Its one caller
+    packs one bit field per k or q into each integer (:func:`_mixed_push`).
     """
     n = lam.n
     low = min(injections, default=n)
@@ -222,11 +202,6 @@ def _push(lam: YoungFrame, d: int, injections: dict[int, Iterable[tuple[int, int
     return values
 
 
-def _width(bounds: Iterable[int]) -> int:
-    """Bits per field: 2^width lies above every bound, so no field spills into the next."""
-    return max(bounds, default=0).bit_length() + 1
-
-
 def _pack(width: int, fields: list[list[int]]) -> list[int]:
     """Field j of every position in bits [width j, width (j+1)) of one integer; a single field as it is."""
     if len(fields) == 1:
@@ -242,30 +217,51 @@ def _unpack(width: int, fields: int, values: list[int]) -> list[list[int]]:
     return [[(v >> (width * j)) & mask for v in values] for j in range(fields)]
 
 
+def _mixed_push(lam: YoungFrame, d: int, counts: tuple[dict[int, int], ...], commons: dict[int, int] | list[int],
+                rows: list[list[int]], bounds: Iterable[int]) -> list[list[int]]:
+    """Field j at every lam' of one push (:func:`_push`): sum_mu rows[j][m] f_mu f^{lam/mu} f^{lam'/mu} C_m / dim U_mu.
+
+    The sum runs over every mu inside lam, of m boxes, with f^{lam/mu} from
+    ``counts`` (:func:`frames._skew_counts`) and C_m = ``commons[m]`` a
+    common multiple of the dim U_mu of level m, read only where a row weighs
+    level m.  Each row is one bit field of the injected integers
+    (:func:`_pack`), each field value lies below its ``bounds`` entry, and
+    2^width lies above every bound, so no field spills into the next.
+    """
+    width = max(bounds, default=0).bit_length() + 1
+    injections = {}
+    for m, w in enumerate(_pack(width, rows)):
+        if w:
+            level, count, common = _lattice_level(d, m), counts[m], commons[m]
+            sym, unitary = level.sym, level.unitary
+            injections[m] = zip(count, [sym[j] * f * (common // unitary[j]) * w for j, f in count.items()])
+    return _unpack(width, len(rows), _push(lam, d, injections))
+
+
 def twirl_spectra(lam: YoungFrame, ks: Iterable[int], d: int) -> list[SpectralTable]:
     """The unnormalized :func:`twirl_spectrum` for every k in ``ks``, from one push up Young's lattice.
 
     The weight of lam' at k is N dim U_lam' dim U_lam / D, with D = C d^k, C
     the lcm of the dim U_mu of the frames mu of n-k boxes inside lam, and N =
-    sum_mu G(mu) f^{lam'/mu} (:func:`_levels`).  One push (:func:`_push`)
-    gives every k at once: k is field j, injected at level n-k.  The
+    sum_mu f_mu f^{lam/mu} f^{lam'/mu} C / dim U_mu.  One push
+    (:func:`_mixed_push`) gives every k at once, k a row of weight 1 at level
+    n-k over its own C: the channel's one lcm would make the push slower.  The
     normalized weight divides by f_lam dim U_lam.
     """
     ks, d = _check_source(lam, ks, d)
     n = lam.n
     level = _checked_level(d, n)
-    levels = _levels(lam, d, [n - k for k in ks])
+    counts = _skew_counts(lam.reduced, d)
+    commons = {m: math.lcm(*map(_lattice_level(d, m).unitary.__getitem__, counts[m])) for m in {n - k for k in ks}}
     # the normalized weights N dim U_lam' / (f_lam D) of field k sum to 1, so no value exceeds f_lam D
     f_lam = dim_sym(lam)
-    width = _width(f_lam * levels[n - k][0] * d**k for k in ks)
-    weights = _pack(width, [[int(m == n - k) for m in range(n + 1)] for k in ks])
-    injections = {m: zip(positions, [g * weights[m] for g in ints]) for m, (_, positions, ints) in levels.items()}
-    values = _push(lam, d, injections)
+    rows = [[int(m == n - k) for m in range(n + 1)] for k in ks]
+    fields = _mixed_push(lam, d, counts, commons, rows, [f_lam * commons[n - k] * d**k for k in ks])
     unit = _dim_unitary(lam.reduced, d)
     units = [u * unit for u in level.unitary]
     return [
-        SpectralTable._of(level, levels[n - k][0] * d**k, list(map(operator.mul, field, units)))
-        for k, field in zip(ks, _unpack(width, len(ks), values))
+        SpectralTable._of(level, commons[n - k] * d**k, list(map(operator.mul, field, units)))
+        for k, field in zip(ks, fields)
     ]
 
 
@@ -298,17 +294,16 @@ def channel_output_spectra(
     """:func:`channel_output_spectrum` for every q in ``grid``, from one push up Young's lattice.
 
     With L the lcm of dim U_mu over every mu inside lam, each q = a/b is one
-    field of the push (:func:`_push`).  Level m = n-k injects into it
+    field of the push (:func:`_mixed_push`).  Level m = n-k injects into it
 
         w_m f_mu f^{lam/mu} L / dim U_mu,  w_m = C(n,m) a^(n-m) ((b-a) d)^m,
 
     the binomial weight C(n,k) q^k (1-q)^(n-k) of k mixed sites over the
     twirl's d^k, brought to the common denominator L b^n d^n.  The twirl at k
-    injects f_mu f^{lam/mu} C_m / dim U_mu over C_m, the lcm of level m alone
-    (:func:`_levels`); bringing it to L multiplies by L / C_m, so C_m cancels
-    and the channel never forms it.  The weight of lam' is its field value
-    times dim U_lam' over D = L b^n d^n f_lam: the table holds those integers
-    as they are.
+    injects the same over C_m, the lcm of level m alone; bringing it to L
+    multiplies by L / C_m, so C_m cancels and the channel never forms it.
+    The weight of lam' is its field value times dim U_lam' over
+    D = L b^n d^n f_lam: the table holds those integers as they are.
     """
     grid = [depolarising_weight(q) for q in grid]
     _, d = _check_source(lam, (), d)
@@ -320,21 +315,15 @@ def channel_output_spectra(
     f_lam = dim_sym(lam)
     # the weights v dim U_lam' / D of a field sum to 1, so no value v exceeds D
     denominators = [common * q.denominator**n * d**n * f_lam for q in grid]
-    width = _width(denominators)
-    fields = []
+    rows = []
     for q in grid:
         a, b = q.numerator, q.denominator
         kept = (b - a) * d  # each of the n-m mixed sites weighs a, each of the m kept ones (b-a) d
-        fields.append([math.comb(n, m) * a ** (n - m) * kept**m for m in range(n + 1)])
-    injections = {}
-    for m, w in enumerate(_pack(width, fields)):
-        if w:
-            sym, unitary, count = levels[m].sym, levels[m].unitary, counts[m]
-            injections[m] = zip(count, [sym[j] * f * (common // unitary[j]) * w for j, f in count.items()])
-    values = _push(lam, d, injections)
+        rows.append([math.comb(n, m) * a ** (n - m) * kept**m for m in range(n + 1)])
+    fields = _mixed_push(lam, d, counts, [common] * len(counts), rows, denominators)
     return [
         SpectralTable._of(top, denominator, list(map(operator.mul, field, top.unitary)))
-        for denominator, field in zip(denominators, _unpack(width, len(grid), values))
+        for denominator, field in zip(denominators, fields)
     ]
 
 

@@ -903,10 +903,12 @@ SUITES = {suite: partial(_run, suite) for suite in dict.fromkeys(check.suite for
 
 
 def run_suite(name: str, cfg: RunConfig | None = None) -> SuiteReport:
-    """Run one suite (or "all") and return its deterministic report."""
+    """Run one suite (or "all") and return its deterministic report; an unknown name is refused before any check."""
+    if name != "all" and name not in SUITES:
+        raise ValueError(f"unknown suite {name!r}; choose from {', '.join([*SUITES, 'all'])}")
     cfg = cfg or RunConfig()
     if name != "all":
-        return SuiteReport(name, cfg, SUITES[name](cfg))  # KeyError for an unknown suite
+        return SuiteReport(name, cfg, SUITES[name](cfg))
     checks = []
     for suite_name, fn in SUITES.items():
         for check in fn(cfg):

@@ -13,10 +13,10 @@ full matrices that ``TensorOperator.mat`` returns, word digits from
 a time) so that agreement with the package is meaningful.  One reference
 shares more: the full-block projectors use the package's layout, content sums
 and exact integer product, and stand against the build that spreads one row
-per block, at sizes past the reach of the character sums.  The channel
-reference shares the package's lattice, skew counts and push, and forms its
-injections level by level over each level's own lcm, the bookkeeping the
-package's channel no longer keeps.
+per block, at sizes past the reach of the character sums.  The twirl and
+channel references by level lcm share the package's lattice, skew counts and
+push, not its one injecting body: each forms its injections level by level,
+every level over its own lcm, and packs and unpacks its own bit fields.
 """
 
 from __future__ import annotations
@@ -28,7 +28,10 @@ from functools import cache
 
 import numpy as np
 
-from isotwirl.frames import YoungFrame, _checked_level, depolarising_weight, dim_sym, enumerate_frames
+from isotwirl.frames import (
+    YoungFrame, _checked_level, _lattice_level, _skew_counts, depolarising_weight, dim_sym, dim_unitary,
+    enumerate_frames,
+)
 from isotwirl import oracle as orc
 from isotwirl import spectra
 from isotwirl.oracle import TensorOperator
@@ -432,15 +435,61 @@ def projectors_by_full_blocks(d: int, n: int) -> dict[YoungFrame, TensorOperator
     return {lam: TensorOperator._of(d, n, Fraction(1, fact), layout, vec).reduced() for lam, vec in vecs.items()}
 
 
+def _levels(lam: YoungFrame, d: int, ms: list[int] | range) -> dict[int, tuple[int, list[int], list[int]]]:
+    """(C_m, positions in YF(d, m), G_m) per level m in ``ms``, over the mu inside lam of m boxes.
+
+    C_m is the lcm of their dim U_mu and G_m(mu) = f_mu f^{lam/mu} C_m / dim U_mu,
+    an integer.  The skew counts are the lattice counts of lam alone.
+    """
+    counts = _skew_counts(lam.reduced, d)
+    out = {}
+    for m in ms:
+        level = _lattice_level(d, m)
+        sym, unitary = level.sym, level.unitary
+        common = math.lcm(*(unitary[j] for j in counts[m]))
+        out[m] = common, list(counts[m]), [sym[j] * f * (common // unitary[j]) for j, f in counts[m].items()]
+    return out
+
+
+def _unpacked(width: int, fields: int, values: list[int]) -> list[list[int]]:
+    """Field j of every value packed ``width`` bits a field, for j < ``fields``."""
+    mask = (1 << width) - 1
+    return [[(v >> (width * j)) & mask for v in values] for j in range(fields)]
+
+
+def twirl_by_level_lcms(lam: YoungFrame, ks: list, d: int) -> list[tuple[int, list[int]]]:
+    """(denominator, numerators) of the unnormalized twirl at each k of ``ks``, every level on its own lcm.
+
+    Level n-k injects G_(n-k) of :func:`_levels`, shifted into field j for
+    the j-th k, over C_(n-k) d^k; the numerator of lam' is its field value
+    times dim U_lam' dim U_lam.
+    """
+    n = lam.n
+    levels = _levels(lam, d, [n - k for k in ks])
+    width = max((dim_sym(lam) * levels[n - k][0] * d**k for k in ks), default=0).bit_length() + 1
+    shifts = {}
+    for j, k in enumerate(ks):
+        shifts[n - k] = shifts.get(n - k, 0) + (1 << (width * j))
+    values = spectra._push(lam, d, {
+        m: zip(positions, [g * shifts[m] for g in injected]) for m, (_, positions, injected) in levels.items()
+    })
+    unit = dim_unitary(lam, d)
+    units = _checked_level(d, n).unitary
+    return [
+        (levels[n - k][0] * d**k, [v * u * unit for v, u in zip(field, units)])
+        for k, field in zip(ks, _unpacked(width, len(ks), values))
+    ]
+
+
 def channel_by_level_lcms(lam: YoungFrame, grid: list, d: int) -> list[tuple[int, list[int]]]:
     """(denominator, numerators) of each q of ``grid``, every level m on its own lcm C_m.
 
     Level m injects C(n,m) d^m (L / C_m) a^(n-m) (b-a)^m G_m(mu), with C_m and
-    G_m of ``spectra._levels`` and L the lcm of the C_m, over L b^n d^n f_lam.
+    G_m of :func:`_levels` and L the lcm of the C_m, over L b^n d^n f_lam.
     """
     grid = [depolarising_weight(q) for q in grid]
     n = lam.n
-    levels = spectra._levels(lam, d, range(n + 1))
+    levels = _levels(lam, d, range(n + 1))
     common = math.lcm(*(c for c, _, _ in levels.values()))
     f_lam = dim_sym(lam)
     width = max((common * q.denominator**n * d**n * f_lam for q in grid), default=0).bit_length() + 1
@@ -455,10 +504,9 @@ def channel_by_level_lcms(lam: YoungFrame, grid: list, d: int) -> list[tuple[int
         for m, (_, positions, injected) in levels.items() if packed[m]
     })
     units = _checked_level(d, n).unitary
-    mask = (1 << width) - 1
     return [
-        (common * q.denominator**n * d**n * f_lam, [((v >> (width * j)) & mask) * u for v, u in zip(values, units)])
-        for j, q in enumerate(grid)
+        (common * q.denominator**n * d**n * f_lam, [v * u for v, u in zip(field, units)])
+        for q, field in zip(grid, _unpacked(width, len(grid), values))
     ]
 
 

@@ -249,7 +249,14 @@ def test_verify_small_suite(tmp_path: Path):
 
 def test_verify_unknown_suite():
     res = run_cli("verify", "bogus")
-    assert res.returncode == 2 and "unknown suite" in res.stderr
+    assert res.returncode == 2
+    assert res.stderr == "error: unknown suite 'bogus'; choose from saturation, support, oracle, tail, xybound, all\n"
+
+
+def test_dims_refuses_a_d_no_padding_reaches_with_the_frame_as_written():
+    res = run_cli("dims", "3,1", "--d", "100000000000000000000")
+    assert res.returncode == 2
+    assert res.stderr == "error: frame 3,1 cannot be padded to 100000000000000000000 rows\n"
 
 
 def test_verify_keyerror_inside_a_check_is_not_an_unknown_suite(monkeypatch, capsys):

@@ -62,6 +62,7 @@ def _refused_calls():
         lambda: format_frame(frame(2, 1), 2.0),
         lambda: RunConfig(d_max=3.0),
         lambda: RunConfig(n_max=Fraction(4)),
+        lambda: verify.run_suite("nope"),
         lambda: SpectralTable(2, 2, 1, ["1", "0"]),
         lambda: SpectralTable(2, 2, 1, [0.5, 0.5]),
         lambda: xy_entropy_bound(frame(2, 2), 5),

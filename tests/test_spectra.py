@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bruteforce import channel_by_level_lcms, count_standard_skew_tableaux, partitions_of, skew_count_by_aitken
+from bruteforce import (
+    channel_by_level_lcms, count_standard_skew_tableaux, partitions_of, skew_count_by_aitken, twirl_by_level_lcms,
+)
 from isotwirl.frames import (
     YoungFrame,
     _lattice_level,
@@ -336,6 +338,18 @@ def test_channel_is_its_level_lcm_reference_integer_for_integer(monkeypatch):
             for qs in (grid, *([q] for q in grid)):
                 tables = [(t.denominator, t.numerators) for t in channel_output_spectra(lam, qs, d)]
                 assert tables == channel_by_level_lcms(lam, qs, d), (d, lam, qs)
+
+
+def test_twirl_is_its_level_lcm_reference_integer_for_integer():
+    # the one push body, with each k a row of weight 1 at level n-k over that level's own lcm, gives the
+    # same denominator and numerators as the twirl's own level-by-level injections: over every frame up
+    # to (1, 8), (2, 24), (3, 12) and (4, 10), with every k packed into one push and with each k alone
+    for d, n_max in ((1, 8), (2, 24), (3, 12), (4, 10)):
+        for n in range(n_max + 1):
+            for lam in enumerate_frames(d, n):
+                for ks in (range(n + 1), *([k] for k in range(n + 1))):
+                    tables = [(t.denominator, t.numerators) for t in twirl_spectra(lam, ks, d)]
+                    assert tables == twirl_by_level_lcms(lam, list(ks), d), (d, lam, list(ks))
 
 
 def test_fast_path_rejects_frames_d_and_k_it_cannot_honour():

@@ -560,7 +560,7 @@ FAST_PATH_CHECKS = {"fast_path_equals_oracle_twirl_spectra", "fast_path_equals_o
         (verify, "dim_unitary(lam, d) * q.denominator**n", "dim_unitary(lam, d)",
          {"fast_path_equals_oracle_channel_spectra"}),
         # d^k left out of the twirl's common denominator: the channel push does not read it
-        (spectra, "levels[n - k][0] * d**k, list(", "levels[n - k][0], list(", {"fast_path_equals_oracle_twirl_spectra"}),
+        (spectra, "commons[n - k] * d**k, list(", "commons[n - k], list(", {"fast_path_equals_oracle_twirl_spectra"}),
         # d^m left out of the channel push's level weight C(n,m) a^(n-m) ((b-a) d)^m: the twirl does not read it
         (spectra, "kept = (b - a) * d", "kept = (b - a)", {"fast_path_equals_oracle_channel_spectra"}),
     ],
