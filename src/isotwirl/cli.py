@@ -9,13 +9,13 @@ the command runs, so a long ``verify`` does not end in an I/O error.
 included) and ``OSError`` becomes a one-line ``error:`` message on stderr.
 A ``--d`` below 1 is refused there for every command, before it runs.
 Identical invocations produce byte-identical output files.
+``argparse`` and ``json`` load on the first :func:`main` call, not on import,
+and ``import isotwirl`` does not load this module.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
-import json
 import os
 import sys
 
@@ -62,6 +62,8 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _json_dump(obj) -> str:
+    import json
+
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
@@ -215,6 +217,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _add_global_flags(parser: argparse.ArgumentParser, *, suppress: bool) -> None:
+    import argparse
+
     # The same flags live on the root parser (with real defaults) and on each
     # subparser (defaulting to SUPPRESS), so they are accepted on either side
     # of the subcommand without the subparser clobbering root-level values.
@@ -241,6 +245,8 @@ def _add_global_flags(parser: argparse.ArgumentParser, *, suppress: bool) -> Non
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of this process, built on the first :func:`main` call; parsing leaves it unchanged."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="isotwirl",
         description="Exact spectra of depolarised permutation-invariant states over isotypical blocks.",

@@ -780,7 +780,8 @@ def _projector_family(d: int, n: int) -> dict[YoungFrame, TensorOperator]:
         spread = _sorting_spread(words, layout.local, d, n)
         for lam, row in block.items():
             np.take(row // gcds[lam], spread, out=vecs[lam][lo:hi].reshape(m, m))
-    return {lam: TensorOperator._of(d, n, Fraction(gcds[lam], fact), layout, vec) for lam, vec in vecs.items()}
+    return {lam: TensorOperator._of(d, n, Fraction(gcds[lam], fact), layout, _read_only(vec))
+            for lam, vec in vecs.items()}
 
 
 def isotypical_projectors(d: int, n: int) -> dict[YoungFrame, TensorOperator]:
@@ -792,9 +793,10 @@ def isotypical_projectors(d: int, n: int) -> dict[YoungFrame, TensorOperator]:
     Where two frames share a content sum the 3-cycle class sum splits them
     (see :func:`central_eigenvalues`).  Each block is built from one row: a
     row times T takes n(n-1)/2 index gathers, not a sweep over all n!
-    permutations, so the dense size limit alone bounds n.
+    permutations, so the dense size limit alone bounds n.  The family is
+    cached: each call returns a new dict of the same read-only operators.
     """
-    return _projector_family(*_check_dense_size(d, n))
+    return dict(_projector_family(*_check_dense_size(d, n)))
 
 
 def clear_projector_cache() -> None:

@@ -903,8 +903,11 @@ SUITES = {suite: partial(_run, suite) for suite in dict.fromkeys(check.suite for
 
 
 def run_suite(name: str, cfg: RunConfig | None = None) -> SuiteReport:
-    """Run one suite (or "all") and return its deterministic report; an unknown name is refused before any check."""
-    if name != "all" and name not in SUITES:
+    """Run one suite (or "all") and return its deterministic report.
+
+    A name that is not a suite's, a non-string included, is refused with ``ValueError`` before any check.
+    """
+    if not isinstance(name, str) or name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {', '.join([*SUITES, 'all'])}")
     cfg = cfg or RunConfig()
     if name != "all":

@@ -412,6 +412,28 @@ def test_main_reuses_one_parser_without_carrying_state(tmp_path: Path, capsys):
     assert cli.build_parser.cache_info().misses == 1
 
 
+def test_importing_the_cli_parses_nothing():
+    # pytest has loaded argparse already, so the imports are read in a fresh interpreter
+    script = (
+        "import sys\n"
+        "loaded = lambda: [m for m in ('argparse', 'gettext', 'json', 'isotwirl.cli') if m in sys.modules]\n"
+        "import isotwirl\n"
+        "print(loaded())\n"
+        "from isotwirl import cli\n"
+        "print(loaded())\n"
+        "cli.main(['dims', '2,1'])\n"
+        "print(loaded())\n"
+    )
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == [
+        "[]",
+        "['isotwirl.cli']",
+        "frame=2,1 d=2 dim_sym=2 dim_unitary=2 projector_trace=4",
+        "['argparse', 'gettext', 'isotwirl.cli']",
+    ]
+
+
 ONES_500 = ",".join(["1"] * 500)
 # The answer a command gives where it succeeds on an edge case.
 ANSWERS = {

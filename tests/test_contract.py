@@ -1,4 +1,5 @@
-"""The input contract of the public API: every size is read by one reader and every frame held to d by one rule.
+"""The contract of the public API: every size is read by one reader, every frame held to d by one rule, and no
+returned value shares state with a cache.
 
 A public call that takes a size (d, n, k, l, a cap or a seed) reads it as an
 int through ``frames._integers`` before it touches any cache, and either
@@ -8,6 +9,7 @@ refused with one message.  A frame of more than d rows is refused with one
 message too, the frame written as the CLI writes it.
 """
 
+import copy
 import json
 import random
 from fractions import Fraction
@@ -63,6 +65,7 @@ def _refused_calls():
         lambda: RunConfig(d_max=3.0),
         lambda: RunConfig(n_max=Fraction(4)),
         lambda: verify.run_suite("nope"),
+        lambda: verify.run_suite(["x"]),
         lambda: SpectralTable(2, 2, 1, ["1", "0"]),
         lambda: SpectralTable(2, 2, 1, [0.5, 0.5]),
         lambda: xy_entropy_bound(frame(2, 2), 5),
@@ -109,6 +112,48 @@ def test_a_refused_size_touches_no_cache():
         assert _valid_values() == fresh
     finally:
         clear()
+
+
+def _bump(table):
+    table.numerators[0] += 1
+
+
+# each public call that returns a container or a table, with the edits a caller could make to what it got
+EDITED_RESULTS = {
+    "isotypical_projectors": (
+        lambda: oracle.isotypical_projectors(2, 3),
+        (dict.clear, lambda family: family.__setitem__(frame(3), TensorOperator.zero(2, 3))),
+    ),
+    "enumerate_frames": (
+        lambda: enumerate_frames(3, 4),
+        (list.clear, lambda frames: frames.__setitem__(0, frame(1)), lambda frames: frames.append(frame(5))),
+    ),
+    "lr_nonzero_pairs": (
+        lambda: lr.lr_nonzero_pairs(frame(3, 2, 1), 3, 3, 3),
+        (list.clear, lambda pairs: pairs.__setitem__(0, (frame(3), frame(3))), lambda pairs: pairs.append(None)),
+    ),
+    "twirl_spectrum": (lambda: twirl_spectrum(frame(3, 2, 1), 2, 3), (_bump,)),
+    "channel_output_spectrum": (lambda: channel_output_spectrum(frame(3, 2, 1), "1/3", 3), (_bump,)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDITED_RESULTS))
+def test_an_edited_result_leaves_the_next_call_unchanged(name):
+    # isotypical_projectors once returned the dict its cache held: after .clear() the next call returned no frames
+    call, edits = EDITED_RESULTS[name]
+    before = copy.deepcopy(call())
+    for edit in edits:
+        edit(call())
+        assert call() == before
+
+
+def test_a_cached_projector_cannot_be_written():
+    family = oracle.isotypical_projectors(2, 3)
+    assert list(family) == enumerate_frames(2, 3)
+    for p in family.values():
+        with pytest.raises(ValueError, match="read-only"):
+            p._vec[0] += 1
+    assert oracle.isotypical_projectors(2, 3) == family
 
 
 def test_one_message_for_a_size_below_its_least():
