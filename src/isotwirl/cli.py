@@ -125,8 +125,6 @@ def cmd_lr(args: argparse.Namespace) -> int:
 def cmd_char(args: argparse.Namespace) -> int:
     lam = parse_frame(args.lam)
     ct = parse_frame(args.cycles)
-    if lam.n != ct.n:
-        raise InputError(f"frame has {lam.n} boxes but cycle type has {ct.n}")
     value = character(lam, ct)
     if args.format == "json":
         text = _json_dump({"lam": str(lam), "cycle_type": str(ct), "character": value})

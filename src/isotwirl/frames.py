@@ -97,9 +97,6 @@ class YoungFrame:
         """Row length at 0-based index ``i``; zero beyond the stored rows."""
         return self.rows[i] if 0 <= i < len(self.rows) else 0
 
-    def fits(self, d: int) -> bool:
-        return self.num_rows <= d
-
     def padded(self, d: int) -> tuple[int, ...]:
         """Rows zero-padded to ``d`` entries (an int), held to :func:`_check_fits`; a ``d`` past memory is refused."""
         _check_fits(d, self)
@@ -127,7 +124,7 @@ class YoungFrame:
 def _check_fits(d: int, *frames: YoungFrame) -> None:
     """The one rule holding frames to ``d`` rows (``d`` an int already read): a frame with more is refused."""
     for f in frames:
-        if len(f.reduced) > d:  # f.fits(d), inlined: padded calls this on every pad
+        if len(f.reduced) > d:
             raise ValueError(f"frame {format_frame(f)} has more than {d} rows")
 
 

@@ -351,9 +351,8 @@ def tail_bound_exponent(lam: YoungFrame, lam_prime: YoungFrame, q: Fraction | in
     than n boxes.  ``n`` is read by :func:`frames._integers`.
     """
     (n,) = _integers((n,), "n", (1,))
+    _check_fits(2, lam, lam_prime)
     for f in (lam, lam_prime):
-        if not f.fits(2):
-            raise ValueError(f"the tail bound holds for d=2 only; frame {f} has more than 2 rows")
         if f.n != n:
             raise ValueError(f"frame {f} has {f.n} boxes, not n={n}")
     q = depolarising_weight(q)
@@ -427,8 +426,6 @@ def xy_entropy_bound(lam_prime: YoungFrame, k: int) -> XYBoundCheck:
     is the float value for reports.  ``k`` is held to 0..n as the fast path holds it.
     """
     n = lam_prime.n
-    if not lam_prime.fits(2):
-        raise ValueError("single-row bound only covers two-row frames")
     [k], _ = _check_source(lam_prime, (k,), 2)
     extrema = xy_optimize(YoungFrame((n,)), lam_prime, n - k, k, 2)
     x = extrema.x

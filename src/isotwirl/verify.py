@@ -2,9 +2,9 @@
 
 Five suites, each a list of named checks over a configurable size range:
 
-* ``saturation`` - dimension identities, LR tableau count vs character
-  oracle, restriction identity, eigenvalue-inequality necessity and the
-  LR-positivity feasibility test.
+* ``saturation`` - dimension identities; from one sweep of the LR triples,
+  LR tableau count vs character oracle, restriction identity,
+  eigenvalue-inequality necessity and the LR-positivity feasibility test.
 * ``support``    - the support-window statement: outside the (d-1)*k window
   the dense overlap, the fast-path weight and the branching chains all vanish;
   plus the projector-pair domination inequality (exact PSD test).
@@ -241,37 +241,33 @@ def check_dimension_identity(sizes: Iterable[tuple[int, int]]) -> CheckResult:
 
 
 def check_lr_coefficients(d: int, n_max: int) -> list[CheckResult]:
-    """Tableau count = character oracle, the restriction identity and c^lam_{mu nu} = c^lam_{nu mu}."""
+    """One sweep of the LR triples: the LR checks and Horn's problem on each c^lam_{mu nu}.
+
+    Tableau count = character oracle, the restriction identity and
+    c^lam_{mu nu} = c^lam_{nu mu}; the basic inequalities are necessary, and
+    feasibility is LR positivity.
+    """
     cross = CheckResult("lr_tableaux_vs_characters")
     restrict = CheckResult("lr_restriction_dimension_identity")
     symmetry = CheckResult("lr_symmetry")
+    necessity = CheckResult("horn_necessity_of_basic_inequalities")
+    feasibility = CheckResult("horn_feasible_iff_lr_positive")
     totals: dict[tuple[YoungFrame, int], int] = {}
     for lam, mu, nu in _lr_triples(d, n_max):
         c = lr_coefficient(lam, mu, nu)
         cross.expect_equal(c, lr_via_characters(lam, mu, nu), "c^{}_{},{}", lam, mu, nu)
         symmetry.expect_equal(c, lr_coefficient(lam, nu, mu), "symmetry {}|{},{}", lam, mu, nu)
         totals[(lam, mu.n)] = totals.get((lam, mu.n), 0) + c * dim_sym(mu) * dim_sym(nu)
-    for (lam, l), total in totals.items():
-        restrict.expect_equal(total, dim_sym(lam), "restriction {} split {}+{}", lam, l, lam.n - l)
-    return [cross, restrict, symmetry]
-
-
-def check_horn_inequalities(d: int, n_max: int) -> list[CheckResult]:
-    """The basic inequalities are necessary, and feasibility is LR positivity."""
-    necessity = CheckResult("horn_necessity_of_basic_inequalities")
-    feasibility = CheckResult("horn_feasible_iff_lr_positive")
-    for lam, mu, nu in _lr_triples(d, n_max):
-        c = lr_coefficient(lam, mu, nu)
         triple = HornTriple(lam, mu, nu, d)
         feasible = horn_feasible(triple)
         feasibility.expect_equal(feasible, c > 0, "feasibility {}|{},{}", lam, mu, nu)
         if c > 0:
-            necessity.record(
-                basic_horn_holds(triple), "c>0 but basic inequalities fail: {}|{},{}", lam, mu, nu
-            )
+            necessity.record(basic_horn_holds(triple), "c>0 but basic inequalities fail: {}|{},{}", lam, mu, nu)
         elif not basic_horn_holds(triple):
             necessity.record(not feasible, "basic false but feasible: {}|{},{}", lam, mu, nu)
-    return [necessity, feasibility]
+    for (lam, l), total in totals.items():
+        restrict.expect_equal(total, dim_sym(lam), "restriction {} split {}+{}", lam, l, lam.n - l)
+    return [cross, restrict, symmetry, necessity, feasibility]
 
 
 def check_two_row_multiplicity_free(n_max: int) -> CheckResult:
@@ -401,14 +397,13 @@ def check_dense_overlap_outside_window(sizes: Iterable[tuple[int, int]]) -> Chec
         for i, lam in enumerate(table.frames):
             starts = _window_starts(lam, table.frames, d)
             for k in range(n + 1):
-                literal, _ = table.twirl(i, k)
                 for j, lam_p in enumerate(table.frames):
                     if k < starts[j]:
-                        v = literal.numerators[j]
+                        v = table.literal[k][i][j]
                         # the weight is read only for a failure
                         dense.record(
                             not v, "d={} lam={} lam'={} k={}: overlap {} != 0",
-                            d, lam, lam_p, k, v and literal.weight(lam_p),
+                            d, lam, lam_p, k, v and table.twirl(i, k)[0].weight(lam_p),
                         )
     dense.info["outside_window_cases"] = dense.checked
     return dense
@@ -423,9 +418,8 @@ def check_projector_domination(n_max: int) -> CheckResult:
         for lam in enumerate_frames(2, n):
             for l in range(0, n + 1):
                 k = n - l
-                dominating = orc.TensorOperator.zero(2, n)
-                for mu, nu in lr_nonzero_pairs(lam, l, k, 2):
-                    dominating = dominating + small[l][mu].kron(small[k][nu])
+                pairs = lr_nonzero_pairs(lam, l, k, 2)
+                dominating = sum((small[l][mu].kron(small[k][nu]) for mu, nu in pairs), orc.TensorOperator.zero(2, n))
                 diff = dominating - family[lam]
                 psd.record(
                     orc.is_positive_semidefinite(diff),
@@ -525,9 +519,8 @@ def check_branching_table(sizes: Iterable[tuple[int, int]]) -> CheckResult:
         small = {m: orc.isotypical_projectors(d, m) for m in range(0, n + 1)}
         for lam in enumerate_frames(d, n):
             for k, dense in enumerate(dense_reductions(family[lam])):
-                recon = orc.TensorOperator.zero(d, n - k)
-                for mu, w in partial_trace_decomposition(lam, k, d):
-                    recon = recon + w * small[n - k][mu]
+                terms = (w * small[n - k][mu] for mu, w in partial_trace_decomposition(lam, k, d))
+                recon = sum(terms, orc.TensorOperator.zero(d, n - k))
                 branching.record(dense == recon, "d={} lam={} k={}", d, lam, k)
     return branching
 
@@ -537,28 +530,24 @@ def check_projector_algebra(sizes: Iterable[tuple[int, int]]) -> CheckResult:
     algebra = CheckResult("projector_algebra")
     for d, n in _each_size(sizes):
         family = orc.isotypical_projectors(d, n)
-        total = orc.TensorOperator.zero(d, n)
-        frames = list(family)
-        for lam in frames:
-            p = family[lam]
-            total = total + p
+        for lam, p in family.items():
             algebra.record(p @ p == p, "d={} n={} {}: not idempotent", d, n, lam)
             algebra.expect_equal(
                 p.trace(), dim_sym(lam) * dim_unitary(lam, d), "d={} n={} {}: trace", d, n, lam
             )
             algebra.record(p.is_symmetric(), "d={} n={} {}: not symmetric", d, n, lam)
         algebra.record(
-            total == orc.TensorOperator.identity(d, n),
+            sum(family.values(), orc.TensorOperator.zero(d, n)) == orc.TensorOperator.identity(d, n),
             "d={} n={}: projectors do not sum to identity", d, n,
         )
         # For symmetric idempotents tr(PQ) equals the squared Frobenius
         # norm of PQ, so a zero pairing certifies PQ = 0 exactly.
-        for i, lam in enumerate(frames):
-            for lam_p in frames[i + 1 :]:
+        frames, projectors = list(family), list(family.values())
+        for i, (lam, p) in enumerate(family.items()):
+            later = projectors[i + 1 :]
+            for lam_p, q, pairing in zip(frames[i + 1 :], later, p.pairings(later)):
                 algebra.expect_equal(
-                    family[lam].hs_product(family[lam_p]),
-                    Fraction(0),
-                    "d={} n={}: {} and {} not orthogonal", d, n, lam, lam_p,
+                    p.scale * q.scale * pairing, 0, "d={} n={}: {} and {} not orthogonal", d, n, lam, lam_p
                 )
     return algebra
 
@@ -649,11 +638,9 @@ def check_twirl_pair_expansion(sizes: Iterable[tuple[int, int]]) -> CheckResult:
             for mu in enumerate_frames(d, l):
                 for gamma in enumerate_frames(d, k):
                     literal = orc.twirl(fam_l[mu].kron(fam_k[gamma]))
-                    recon = orc.TensorOperator.zero(d, n)
-                    for lam_p in enumerate_frames(d, n):
-                        w = paired_block_overlap(lam_p, mu, gamma, d) / dim_unitary(lam_p, d)
-                        if w:
-                            recon = recon + w * family[lam_p]
+                    weights = ((lam_p, paired_block_overlap(lam_p, mu, gamma, d) / dim_unitary(lam_p, d))
+                               for lam_p in enumerate_frames(d, n))
+                    recon = sum((w * family[lam_p] for lam_p, w in weights if w), orc.TensorOperator.zero(d, n))
                     pair_expansion.record(
                         literal == recon, "d={} mu={} gamma={} (n={})", d, mu, gamma, n
                     )
@@ -680,11 +667,9 @@ def check_channel_identities(sizes: Iterable[tuple[int, int]], rng: random.Rando
             reductions = list(dense_reductions(p))
             for q in (Fraction(1, 4), Fraction(2, 3)):
                 literal = orc.depolarise_n(p, q)
-                recon = orc.TensorOperator.zero(d, n)
-                weights = _binomial_weights(n, q)
-                for k, reduced in enumerate(reductions):
-                    weight = Fraction(weights[k], q.denominator**n)
-                    recon = recon + weight * orc.twirl(orc.tensor_with_maximally_mixed(reduced, k))
+                terms = (Fraction(w, q.denominator**n) * orc.twirl(orc.tensor_with_maximally_mixed(reduced, k))
+                         for k, (w, reduced) in enumerate(zip(_binomial_weights(n, q), reductions)))
+                recon = sum(terms, orc.TensorOperator.zero(d, n))
                 channel.record(
                     literal == recon, "d={} lam={} q={}: channel != binomial twirl sum", d, lam, q
                 )
@@ -818,8 +803,8 @@ def _twirl_support(cfg: RunConfig, row: dict[int, int], rng: random.Random) -> l
 
 # Fast-path rows: frames.MAX_BOXES, never above 64.
 _FAST = {d: min(MAX_BOXES[d], 64) for d in (2, 3, 4)}
-# LR and Horn rows: the character cross-check refuses any n past its cap.  Both
-# run at d = d_max alone: its triples contain every triple of a smaller d.
+# The LR and Horn row: the character cross-check refuses any n past its cap.  The
+# sweep runs at d = d_max alone: its triples contain every triple of a smaller d.
 _LR = dict.fromkeys((2, 3, 4), CHARACTER_ORACLE_CAP)
 # Fixed sizes, whatever the caps; the row and the call of each record read the same one.
 # Two-row triples are few enough that their check runs past the cap, to min(n_max + 4, _TWO_ROW_N).
@@ -834,8 +819,7 @@ CHECKS = (
     Check("saturation", "schur_weyl_dimension_identity", _FAST,
           lambda cfg, row, rng: check_dimension_identity(row.items())),
     *_checks("saturation", _LR, lambda cfg, row, rng: check_lr_coefficients(cfg.d_max, row[cfg.d_max]),
-             "lr_tableaux_vs_characters", "lr_restriction_dimension_identity", "lr_symmetry"),
-    *_checks("saturation", _LR, lambda cfg, row, rng: check_horn_inequalities(cfg.d_max, row[cfg.d_max]),
+             "lr_tableaux_vs_characters", "lr_restriction_dimension_identity", "lr_symmetry",
              "horn_necessity_of_basic_inequalities", "horn_feasible_iff_lr_positive"),
     Check("saturation", "lr_two_row_multiplicity_free", {2: _TWO_ROW_N},
           lambda cfg, row, rng: check_two_row_multiplicity_free(min(cfg.n_max + 4, _TWO_ROW_N))),

@@ -9,11 +9,14 @@ Run by hand from the repository root; pytest does not collect this file::
 A mutant is one edit found in a module's syntax tree: a comparison swapped
 (``<`` and ``<=``, ``>`` and ``>=``, ``==`` and ``!=``), an arithmetic
 operator swapped (``+`` and ``-``, ``*`` and ``//``, ...), ``and`` and ``or``
-swapped, or an integer constant raised by 1.  Expressions inside f-strings and
-annotations are left alone.  Each mutant is spliced into the module's text at
-the offsets of its tokens, so the rest of the file keeps its text (tests that
-edit source text, such as ``test_dropped_power_fails_a_check``, still find
-theirs).  For each
+swapped, an integer constant raised by 1, a call of a named function with one
+positional argument replaced by that argument (``dict(x)`` -> ``(x)``: a
+dropped wrapper), or an expression statement replaced by ``pass`` (a dropped
+call made for its effect, such as ``np.take(..., out=...)``).  Docstrings, and
+expressions inside f-strings and annotations, are left alone.  Each mutant is
+spliced into the module's text at the offsets of its tokens, so the rest of
+the file keeps its text (tests that edit source text, such as
+``test_dropped_power_fails_a_check``, still find theirs).  For each
 module ``--sample`` mutants are drawn with ``--seed``; with one or more
 ``--function NAME``, only from the mutants inside a function (or method) of
 one of those names, so a sample can be aimed at a change.  Every mutant runs the
@@ -79,6 +82,9 @@ def mutants(module: str, source: str, functions: set[str] | None = None) -> list
     def at(line: int, col: int) -> int:  # the AST counts columns in UTF-8 bytes
         return starts[line - 1] + len(lines[line - 1].encode()[:col].decode())
 
+    def span(node: ast.AST) -> tuple[int, int]:
+        return at(node.lineno, node.col_offset), at(node.end_lineno, node.end_col_offset)
+
     tokens = [
         (starts[tok.start[0] - 1] + tok.start[1], starts[tok.end[0] - 1] + tok.end[1], tok.string)
         for tok in tokenize.generate_tokens(io.StringIO(source).readline)
@@ -116,8 +122,13 @@ def mutants(module: str, source: str, functions: set[str] | None = None) -> list
         elif isinstance(node, ast.BoolOp):
             found += [between(a, b, node.op) for a, b in zip(node.values, node.values[1:])]
         elif isinstance(node, ast.Constant) and type(node.value) is int:
-            start, end = at(node.lineno, node.col_offset), at(node.end_lineno, node.end_col_offset)
-            found.append(Mutant(module, node.lineno, start, end, str(node.value + 1)))
+            found.append(Mutant(module, node.lineno, *span(node), str(node.value + 1)))
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and len(node.args) == 1
+              and not node.keywords and not isinstance(node.args[0], ast.Starred)):
+            lo, hi = span(node.args[0])
+            found.append(Mutant(module, node.lineno, *span(node), f"({source[lo:hi]})"))
+        elif isinstance(node, ast.Expr) and not isinstance(node.value, ast.Constant):
+            found.append(Mutant(module, node.lineno, *span(node), "pass"))
     kept = [m for m in found if m is not None]
     if functions is not None:
         spans = [(at(f.lineno, f.col_offset), at(f.end_lineno, f.end_col_offset)) for f in ast.walk(tree)

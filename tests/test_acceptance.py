@@ -91,7 +91,7 @@ def test_c05_tail_bound_dominates():
 
 
 def test_c06_horn_necessity_and_saturation():
-    assert_passed(*verify.check_horn_inequalities(3, 8))
+    assert_passed(*verify.check_lr_coefficients(3, 8)[3:])
     report(6, "basic inequalities necessary, feasibility = LR positivity (d<=3, n<=8)")
 
 

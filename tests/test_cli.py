@@ -62,7 +62,8 @@ def test_char_command():
     res = run_cli("char", "2,1", "1,1,1")
     assert res.stdout == "character=2\n"
     res = run_cli("char", "2,1", "2,2")
-    assert res.returncode == 2
+    assert res.returncode == 2 and res.stdout == ""
+    assert res.stderr == "error: size mismatch: frame has 3 boxes, cycle type 4\n"
 
 
 def test_horn_command():

@@ -189,6 +189,8 @@ def test_one_message_for_a_frame_past_d_rows():
         lambda: channel_output_spectrum(frame(2, 1, 1), "1/2", 2),
         lambda: branching_disjoint(frame(2, 1, 1), frame(4), 2, 2, 2),
         lambda: within_support_window(frame(2, 1, 1), frame(4), 2, 1),
+        lambda: tail_bound_exponent(frame(4), frame(2, 1, 1), "1/4", 4),
+        lambda: xy_entropy_bound(frame(2, 1, 1), 1),
     )
     for call in calls:
         with pytest.raises(ValueError) as refused:

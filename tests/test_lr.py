@@ -60,17 +60,17 @@ def test_class_pair_table_matches_group_enumeration():
 
 
 def test_tableaux_vs_characters_exhaustive():
-    cross, _, _ = check_lr_coefficients(3, 6)
+    cross, _, _, _, _ = check_lr_coefficients(3, 6)
     assert cross.passed, cross.failures
 
 
 def test_restriction_dimension_identity():
-    _, restrict, _ = check_lr_coefficients(3, 6)
+    _, restrict, _, _, _ = check_lr_coefficients(3, 6)
     assert restrict.passed, restrict.failures
 
 
 def test_symmetry():
-    _, _, symmetry = check_lr_coefficients(3, 6)
+    _, _, symmetry, _, _ = check_lr_coefficients(3, 6)
     assert symmetry.passed, symmetry.failures
 
 

@@ -439,6 +439,9 @@ def test_tail_bound_value_and_regime():
     bound = 2.0 ** tail_bound_exponent(frame(8, 0), frame(4, 4), Fraction(1, 4), 8)
     expect = 2.0 ** (-8 * ((2 / math.log(2)) * (0.5 - 0.25) ** 2 - math.log2(9) / 8))
     assert abs(bound - expect) < 1e-14
+    # the bound reads the gap |lam_1 - lam'_1|, so swapping the frames keeps it
+    swapped = tail_bound_exponent(frame(4, 4), frame(8, 0), Fraction(1, 4), 8)
+    assert swapped == tail_bound_exponent(frame(8, 0), frame(4, 4), Fraction(1, 4), 8)
     # vacuous edge: ratio == q gives an exponent >= 0, a bound >= 1
     assert tail_bound_exponent(frame(8, 0), frame(6, 2), Fraction(1, 4), 8) >= 0
     with pytest.raises(ValueError, match="vacuous"):

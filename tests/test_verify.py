@@ -251,6 +251,23 @@ def test_wrong_projector_square_fails_with_exact_text(monkeypatch):
     }
 
 
+@perturbs("projector_algebra")
+def test_raised_projector_pairing_fails_orthogonality_with_exact_text(monkeypatch):
+    # the pairing of P_(3) with P_(2,1) at (2, 3) raised by 1: both scales are 1/3, so
+    # tr(P Q) reads 1/9; the other records read no pairing
+    p = oracle.isotypical_projectors(2, 3)[frame(3)]
+    real = oracle.TensorOperator.pairings
+
+    def raised(a, others):
+        out = real(a, others)
+        return [out[0] + 1, *out[1:]] if a is p else out
+
+    monkeypatch.setattr(oracle.TensorOperator, "pairings", raised)
+    assert failures([verify.check_projector_algebra([(2, 3)])]) == {
+        "projector_algebra": ["d=2 n=3: 3,0 and 2,1 not orthogonal: 1/9 != 0"],
+    }
+
+
 @perturbs("pinsker_and_dimension_entropy_bound")
 def test_shrunk_relative_entropy_fails_pinsker_with_exact_text(monkeypatch):
     # D(r||s) at 0.6 of its value drops below l1^2 / (2 ln 2) at 48 of the 81 pairs of
@@ -367,7 +384,7 @@ def test_raised_ordered_lr_coefficient_fails_the_lr_checks(monkeypatch):
     real = verify.lr_coefficient
     raised = (frame(2, 1), frame(1), frame(1, 1))
     monkeypatch.setattr(verify, "lr_coefficient", lambda lam, mu, nu: real(lam, mu, nu) + ((lam, mu, nu) == raised))
-    assert failures([*verify.check_lr_coefficients(2, 3), *verify.check_horn_inequalities(2, 3)]) == {
+    assert failures(verify.check_lr_coefficients(2, 3)) == {
         "lr_tableaux_vs_characters": ["c^2,1_1,0,1,1: 2 != 1"],
         "lr_restriction_dimension_identity": ["restriction 2,1 split 1+2: 3 != 2"],
         "lr_symmetry": ["symmetry 2,1|1,0,1,1: 2 != 1", "symmetry 2,1|1,1,1,0: 1 != 2"],
@@ -391,7 +408,7 @@ def test_basic_inequalities_refused_on_a_feasible_triple_fail_necessity(monkeypa
     real = verify.basic_horn_holds
     refused = (frame(2, 1), frame(1), frame(1, 1))
     monkeypatch.setattr(verify, "basic_horn_holds", lambda t: (t.lam, t.mu, t.nu) != refused and real(t))
-    assert failures(verify.check_horn_inequalities(2, 3)) == {
+    assert failures(verify.check_lr_coefficients(2, 3)) == {
         "horn_necessity_of_basic_inequalities": ["c>0 but basic inequalities fail: 2,1|1,0,1,1"],
     }
 
@@ -637,3 +654,34 @@ def test_registry_lists_every_report_without_running_it():
                 verify.RunConfig(**{field: value})
         for value in good:
             assert getattr(verify.RunConfig(**{field: value}), field) == value
+
+
+def test_each_job_runs_once(monkeypatch):
+    # `verify all` sweeps the LR triples twice: once for the five LR and Horn reports, once for the
+    # two-row check; the projector algebra pairs each projector with the later ones in one call; the
+    # outside-window check reads a dense overlap as a weight only to describe a failure
+    calls = {}
+
+    def counting(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in ((verify, "_lr_triples"), (oracle.TensorOperator, "pairings"),
+                        (oracle.TensorOperator, "hs_product"), (verify.DenseOverlaps, "twirl")):
+        counting(owner, name)
+    assert verify.run_suite("all", verify.RunConfig(n_max=3)).passed
+    assert calls["_lr_triples"] == 2
+    calls.clear()
+    sizes = [(2, 4), (3, 3)]
+    assert verify.check_projector_algebra(sizes).passed
+    assert calls == {"pairings": sum(len(enumerate_frames(d, n)) for d, n in verify._each_size(sizes))}
+    assert verify.check_dense_overlap_outside_window([(2, 4)]).passed
+    assert "twirl" not in calls
+    bump_pairing(monkeypatch, "literal", frame(4), 1, frame(2, 2))
+    assert not verify.check_dense_overlap_outside_window([(2, 4)]).passed
+    assert calls["twirl"] == 1
