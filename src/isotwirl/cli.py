@@ -1,16 +1,22 @@
 """Command-line front end: queries, sweeps, table emission and verification.
 
-Subcommands: dims, lr, char, horn, spectrum, sweep, xy, verify.
+Each subcommand is one row of :data:`SUBCOMMANDS`: its ``cmd_*`` function,
+its help line, the formats it writes (the first is its default) and its
+arguments.  A ``cmd_*`` only computes: it returns its JSON object and its
+text, ``None`` for one it does not write, or a function that makes one, called
+only when that format is written.  :func:`main` picks the format and writes
+the result to stdout or to ``--out``.
 Exit codes: 0 ok, 1 verification failure, 2 usage, input or I/O error.
 ``--format`` is honoured or refused: a format a command does not write exits 2.
 An ``--out`` path whose directory is missing or not writable exits 2 before
-the command runs, so a long ``verify`` does not end in an I/O error.
+the command runs, so a long ``verify`` does not end in an I/O error, and an
+existing file is written only once the command has succeeded.
 ``main`` is the one error boundary: every ``ValueError`` (``InputError``
 included) and ``OSError`` becomes a one-line ``error:`` message on stderr.
 A ``--d`` below 1 is refused there for every command, before it runs.
 Identical invocations produce byte-identical output files.
-``argparse`` and ``json`` load on the first :func:`main` call, not on import,
-and ``import isotwirl`` does not load this module.
+``argparse`` loads on the first :func:`main` call and ``json`` on the first
+JSON output, not on import, and ``import isotwirl`` does not load this module.
 """
 
 from __future__ import annotations
@@ -53,106 +59,61 @@ def _check_out(path: str) -> None:
         raise InputError(f"--out {path}: directory {directory} is not writable")
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _json_dump(obj) -> str:
-    import json
-
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
 def _grid(text: str) -> list[str]:
     """The nonempty comma-separated tokens of ``--grid``, for ``sweep`` and ``verify``."""
     return [tok for tok in text.split(",") if tok.strip()]
 
 
-def cmd_dims(args: argparse.Namespace) -> int:
+def _fields(values: dict) -> str:
+    """One line of ``key=value`` words."""
+    return " ".join(f"{k}={v}" for k, v in values.items()) + "\n"
+
+
+def cmd_dims(args: argparse.Namespace) -> tuple:
     lam = parse_frame(args.frame)
     shown = format_frame(lam, args.d)  # refuses a frame of more than d rows
     ds, du = dim_sym(lam), dim_unitary(lam, args.d)
     fields = {"frame": shown, "d": args.d, "dim_sym": ds, "dim_unitary": du, "projector_trace": ds * du}
-    text = _json_dump(fields) if args.format == "json" else " ".join(f"{k}={v}" for k, v in fields.items()) + "\n"
-    _emit(text, args.out)
-    return 0
+    return fields, _fields(fields)
 
 
-def cmd_lr(args: argparse.Namespace) -> int:
-    lam = parse_frame(args.lam)
-    mu = parse_frame(args.mu)
-    nu = parse_frame(args.nu)
-    note = None
-    if lam.n != mu.n + nu.n:
-        note = f"size mismatch: {lam.n} != {mu.n} + {nu.n}; coefficient is 0"
+def cmd_lr(args: argparse.Namespace) -> tuple:
+    lam, mu, nu = map(parse_frame, (args.lam, args.mu, args.nu))
     coeff = lr_coefficient(lam, mu, nu)
-    if lam.n <= CHARACTER_ORACLE_CAP:
-        oracle_value = lr_via_characters(lam, mu, nu)
-        agree = coeff == oracle_value
-    else:
-        oracle_value, agree = None, None
-    witnesses = lr_tableaux(lam, mu, nu) if args.witness else []
-    if args.format == "json":
-        obj = {
-            "lam": str(lam),
-            "mu": str(mu),
-            "nu": str(nu),
-            "coefficient": coeff,
-            "character_oracle": oracle_value,
-            "agree": agree,
-        }
-        if note:
-            obj["note"] = note
-        if args.witness:
-            obj["witnesses"] = [t.render().split("\n") for t in witnesses]
-        text = _json_dump(obj)
-    else:
-        lines = [f"coefficient={coeff} character_oracle={oracle_value} agree={agree}"]
-        if note:
-            lines.append(note)
-        for i, t in enumerate(witnesses, 1):
-            lines.append(f"witness {i}:")
-            lines.append(t.render())
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return 0
+    oracle_value = lr_via_characters(lam, mu, nu) if lam.n <= CHARACTER_ORACLE_CAP else None
+    agree = None if oracle_value is None else coeff == oracle_value
+    obj = {"lam": str(lam), "mu": str(mu), "nu": str(nu), "coefficient": coeff,
+           "character_oracle": oracle_value, "agree": agree}
+    lines = [f"coefficient={coeff} character_oracle={oracle_value} agree={agree}"]
+    if lam.n != mu.n + nu.n:
+        obj["note"] = f"size mismatch: {lam.n} != {mu.n} + {nu.n}; coefficient is 0"
+        lines.append(obj["note"])
+    if args.witness:
+        witnesses = [t.render() for t in lr_tableaux(lam, mu, nu)]
+        obj["witnesses"] = [w.split("\n") for w in witnesses]
+        for i, w in enumerate(witnesses, 1):
+            lines += [f"witness {i}:", w]
+    return obj, "\n".join(lines) + "\n"
 
 
-def cmd_char(args: argparse.Namespace) -> int:
-    lam = parse_frame(args.lam)
-    ct = parse_frame(args.cycles)
+def cmd_char(args: argparse.Namespace) -> tuple:
+    lam, ct = parse_frame(args.lam), parse_frame(args.cycles)
     value = character(lam, ct)
-    if args.format == "json":
-        text = _json_dump({"lam": str(lam), "cycle_type": str(ct), "character": value})
-    else:
-        text = f"character={value}\n"
-    _emit(text, args.out)
-    return 0
+    return {"lam": str(lam), "cycle_type": str(ct), "character": value}, f"character={value}\n"
 
 
-def cmd_horn(args: argparse.Namespace) -> int:
-    lam = parse_frame(args.lam)
-    mu = parse_frame(args.mu)
-    nu = parse_frame(args.nu)
+def cmd_horn(args: argparse.Namespace) -> tuple:
+    lam, mu, nu = map(parse_frame, (args.lam, args.mu, args.nu))
     triple = HornTriple(lam, mu, nu, args.d)
     results = {}
     if args.basic or not args.feasible:
         results["basic"] = basic_horn_holds(triple)
     if args.feasible or not args.basic:
         results["feasible"] = horn_feasible(triple)
-    if args.format == "json":
-        text = _json_dump({"lam": str(lam), "mu": str(mu), "nu": str(nu), "d": args.d, **results})
-    else:
-        text = " ".join(f"{k}={v}" for k, v in results.items()) + "\n"
-    _emit(text, args.out)
-    return 0
+    return {"lam": str(lam), "mu": str(mu), "nu": str(nu), "d": args.d, **results}, _fields(results)
 
 
-def cmd_spectrum(args: argparse.Namespace) -> int:
+def cmd_spectrum(args: argparse.Namespace) -> tuple:
     lam = parse_frame(args.lam)
     if (args.q is None) == (args.k is None):
         raise InputError("provide exactly one of --q or --k")
@@ -162,82 +123,80 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         table = channel_output_spectrum(lam, args.q, args.d)
     else:
         table = twirl_spectrum(lam, args.k, args.d, normalized=not args.unnormalized)
-    fmt = args.format or "csv"
-    text = _json_dump(table_to_json_obj(table)) if fmt == "json" else table_to_csv(table)
-    _emit(text, args.out)
-    return 0
+    return functools.partial(table_to_json_obj, table), functools.partial(table_to_csv, table)
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    _emit(sweep_to_csv(parse_frame(args.lam), args.d, _grid(args.grid), exact=args.exact), args.out)
-    return 0
+def cmd_sweep(args: argparse.Namespace) -> tuple:
+    return None, sweep_to_csv(parse_frame(args.lam), args.d, _grid(args.grid), exact=args.exact)
 
 
-def cmd_xy(args: argparse.Namespace) -> int:
-    lam = parse_frame(args.lam)
-    lam_p = parse_frame(args.lam_prime)
+def cmd_xy(args: argparse.Namespace) -> tuple:
+    lam, lam_p = parse_frame(args.lam), parse_frame(args.lam_prime)
     extrema = xy_optimize(lam, lam_p, args.l, args.k, args.d)
-    fmt_triple = (
-        lambda t: None if t is None else [format_frame(f) for f in t]
-    )
-    if args.format == "json":
-        text = _json_dump(
-            {
-                "lam": str(lam),
-                "lam_prime": str(lam_p),
-                "l": args.l,
-                "k": args.k,
-                "d": args.d,
-                "x_max": extrema.x,
-                "y_min": extrema.y,
-                "argmax": fmt_triple(extrema.argmax),
-                "argmin": fmt_triple(extrema.argmin),
-            }
-        )
-    else:
-        text = (
-            f"X={extrema.x} Y={extrema.y} "
-            f"argmax={fmt_triple(extrema.argmax)} argmin={fmt_triple(extrema.argmin)}\n"
-        )
-    _emit(text, args.out)
-    return 0
+    argmax, argmin = (None if t is None else [format_frame(f) for f in t] for t in (extrema.argmax, extrema.argmin))
+    obj = {"lam": str(lam), "lam_prime": str(lam_p), "l": args.l, "k": args.k, "d": args.d,
+           "x_max": extrema.x, "y_min": extrema.y, "argmax": argmax, "argmin": argmin}
+    return obj, f"X={extrema.x} Y={extrema.y} argmax={argmax} argmin={argmin}\n"
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple:
     grid = {} if args.grid is None else {"q_grid": _grid(args.grid)}
-    cfg = RunConfig(d_max=args.cap_d, n_max=args.cap_n, seed=args.seed, **grid)
-    report = run_suite(args.suite, cfg)
+    report = run_suite(args.suite, RunConfig(d_max=args.cap_d, n_max=args.cap_n, seed=args.seed, **grid))
     for check in report.checks:
         status = "PASS" if check.passed else "FAIL"
         print(f"[{status}] {check.name} ({check.checked} checks)", file=sys.stderr)
-    _emit(_json_dump(report.to_json_obj()), args.out)
-    return 0 if report.passed else VERIFY_FAILURE
+    return report.to_json_obj(), None
 
 
-def _add_global_flags(parser: argparse.ArgumentParser, *, suppress: bool) -> None:
-    import argparse
-
-    # The same flags live on the root parser (with real defaults) and on each
-    # subparser (defaulting to SUPPRESS), so they are accepted on either side
-    # of the subcommand without the subparser clobbering root-level values.
-    def default(value):
-        return argparse.SUPPRESS if suppress else value
-
-    parser.add_argument("--d", type=int, default=default(2),
-                        help="local dimension / frame row budget of dims, horn, spectrum, sweep and xy, "
-                             "at least 1 (default 2)")
-    parser.add_argument("--format", choices=["text", "csv", "json"], default=default(None),
-                        help="output format: text or json; csv or json for spectrum; csv for "
-                             "sweep; json for verify (default: the first); others exit 2")
-    parser.add_argument("--out", default=default(None), help="output file (default stdout)")
-    parser.add_argument("--cap-n", type=int, default=default(RunConfig.n_max),
-                        help=f"size cap for verification sweeps, {N_MAX_RANGE[0]}..{N_MAX_RANGE[-1]}; "
-                             "each check runs at min(its own largest n, cap)")
-    parser.add_argument("--cap-d", type=int, default=default(RunConfig.d_max),
-                        help=f"dimension cap for verification sweeps, {D_MAX_RANGE[0]}..{D_MAX_RANGE[-1]}")
-    parser.add_argument("--exact", action="store_const", const=True, default=default(False),
-                        help="emit exact rationals in sweep cells")
-    parser.add_argument("--seed", type=int, default=default(RunConfig.seed), help="seed for sampled checks")
+# Each global flag: its root default and its options; every subparser takes it too, defaulting to SUPPRESS.
+GLOBAL_FLAGS = {
+    "--d": (2, dict(type=int, help="local dimension / frame row budget of dims, horn, spectrum, sweep and xy, "
+                                   "at least 1 (default 2)")),
+    "--format": (None, dict(choices=["text", "csv", "json"],
+                            help="output format: text or json; csv or json for spectrum; csv for sweep; "
+                                 "json for verify (default: the first); others exit 2")),
+    "--out": (None, dict(help="output file (default stdout)")),
+    "--cap-n": (RunConfig.n_max, dict(type=int, help=f"size cap for verification sweeps, "
+                                                     f"{N_MAX_RANGE[0]}..{N_MAX_RANGE[-1]}; "
+                                                     "each check runs at min(its own largest n, cap)")),
+    "--cap-d": (RunConfig.d_max, dict(type=int, help=f"dimension cap for verification sweeps, "
+                                                     f"{D_MAX_RANGE[0]}..{D_MAX_RANGE[-1]}")),
+    "--exact": (False, dict(action="store_const", const=True, help="emit exact rationals in sweep cells")),
+    "--seed": (RunConfig.seed, dict(type=int, help="seed for sampled checks")),
+}
+# Each subcommand: its function, help line, the formats it writes (the default first) and its
+# arguments, each a name or a (name, options) pair.
+SUBCOMMANDS = {
+    "dims": (cmd_dims, "dimensions and projector trace of a frame", TEXT_OR_JSON, ["frame"]),
+    "lr": (cmd_lr, "Littlewood-Richardson coefficient with character cross-check", TEXT_OR_JSON, [
+        "lam", "mu", "nu",
+        ("--witness", dict(action="store_true", help="print the witness tableaux")),
+    ]),
+    "char": (cmd_char, "symmetric-group character at a cycle type", TEXT_OR_JSON, ["lam", "cycles"]),
+    "horn": (cmd_horn, "eigenvalue-sum checks for a spectra triple", TEXT_OR_JSON, [
+        "lam", "mu", "nu",
+        ("--basic", dict(action="store_true", help="only the basic inequality family")),
+        ("--feasible", dict(action="store_true", help="only exact feasibility (LR positivity)")),
+    ]),
+    "spectrum": (cmd_spectrum, "output spectrum over isotypical blocks", ("csv", "json"), [
+        "lam",
+        ("--q", dict(help="depolarising weight (rational, e.g. 1/4 or 0.25)")),
+        ("--k", dict(type=int, help="number of maximally mixed sites instead of --q")),
+        ("--unnormalized", dict(action="store_true",
+                                help="with --k: weights for the unnormalized projector instead of the flat state")),
+    ]),
+    "sweep": (cmd_sweep, "spectrum table for a grid of depolarising weights", ("csv",), [
+        "lam",
+        ("--grid", dict(required=True, help="comma-separated weights, e.g. 0.1,0.2,0.3")),
+    ]),
+    "xy": (cmd_xy, "extremal dimension products over connecting chains", TEXT_OR_JSON, [
+        "lam", "lam_prime", ("l", dict(type=int)), ("k", dict(type=int)),
+    ]),
+    "verify": (cmd_verify, "run a verification suite and emit its JSON report", ("json",), [
+        ("suite", dict(help=" | ".join([*SUITES, "all"]))),
+        ("--grid", dict(help="override the q grid for the tail suite")),
+    ]),
+}
 
 
 @functools.cache
@@ -249,76 +208,48 @@ def build_parser() -> argparse.ArgumentParser:
         prog="isotwirl",
         description="Exact spectra of depolarised permutation-invariant states over isotypical blocks.",
     )
-    _add_global_flags(parser, suppress=False)
+    # The parent's SUPPRESS defaults let a global flag stand on either side of the
+    # subcommand without the subparser clobbering a root-level value.
     common = argparse.ArgumentParser(add_help=False)
-    _add_global_flags(common, suppress=True)
+    for flag, (default, options) in GLOBAL_FLAGS.items():
+        parser.add_argument(flag, default=default, **options)
+        common.add_argument(flag, default=argparse.SUPPRESS, **options)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("dims", help="dimensions and projector trace of a frame", parents=[common])
-    p.add_argument("frame")
-    p.set_defaults(fn=cmd_dims, formats=TEXT_OR_JSON)
-
-    p = sub.add_parser("lr", help="Littlewood-Richardson coefficient with character cross-check", parents=[common])
-    p.add_argument("lam")
-    p.add_argument("mu")
-    p.add_argument("nu")
-    p.add_argument("--witness", action="store_true", help="print the witness tableaux")
-    p.set_defaults(fn=cmd_lr, formats=TEXT_OR_JSON)
-
-    p = sub.add_parser("char", help="symmetric-group character at a cycle type", parents=[common])
-    p.add_argument("lam")
-    p.add_argument("cycles")
-    p.set_defaults(fn=cmd_char, formats=TEXT_OR_JSON)
-
-    p = sub.add_parser("horn", help="eigenvalue-sum checks for a spectra triple", parents=[common])
-    p.add_argument("lam")
-    p.add_argument("mu")
-    p.add_argument("nu")
-    p.add_argument("--basic", action="store_true", help="only the basic inequality family")
-    p.add_argument("--feasible", action="store_true", help="only exact feasibility (LR positivity)")
-    p.set_defaults(fn=cmd_horn, formats=TEXT_OR_JSON)
-
-    p = sub.add_parser("spectrum", help="output spectrum over isotypical blocks", parents=[common])
-    p.add_argument("lam")
-    p.add_argument("--q", default=None, help="depolarising weight (rational, e.g. 1/4 or 0.25)")
-    p.add_argument("--k", type=int, default=None, help="number of maximally mixed sites instead of --q")
-    p.add_argument("--unnormalized", action="store_true",
-                   help="with --k: weights for the unnormalized projector instead of the flat state")
-    p.set_defaults(fn=cmd_spectrum, formats=("csv", "json"))
-
-    p = sub.add_parser("sweep", help="spectrum table for a grid of depolarising weights", parents=[common])
-    p.add_argument("lam")
-    p.add_argument("--grid", required=True, help="comma-separated weights, e.g. 0.1,0.2,0.3")
-    p.set_defaults(fn=cmd_sweep, formats=("csv",))
-
-    p = sub.add_parser("xy", help="extremal dimension products over connecting chains", parents=[common])
-    p.add_argument("lam")
-    p.add_argument("lam_prime")
-    p.add_argument("l", type=int)
-    p.add_argument("k", type=int)
-    p.set_defaults(fn=cmd_xy, formats=TEXT_OR_JSON)
-
-    p = sub.add_parser("verify", help="run a verification suite and emit its JSON report", parents=[common])
-    p.add_argument("suite", help=" | ".join([*SUITES, "all"]))
-    p.add_argument("--grid", default=None, help="override the q grid for the tail suite")
-    p.set_defaults(fn=cmd_verify, formats=("json",))
-
+    for name, (_, help_line, _, arguments) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_line, parents=[common])
+        for arg in arguments:
+            arg_name, options = (arg, {}) if isinstance(arg, str) else arg
+            p.add_argument(arg_name, **options)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    command, _, formats, _ = SUBCOMMANDS[args.command]
+    fmt = args.format or formats[0]
     try:
         if args.d < 1:
             raise InputError(f"--d must be >= 1, got d={args.d}")
-        if args.format not in (None, *args.formats):
-            raise InputError(f"{args.command} writes {' or '.join(args.formats)}, not {args.format}")
+        if fmt not in formats:
+            raise InputError(f"{args.command} writes {' or '.join(formats)}, not {fmt}")
         if args.out:
             _check_out(args.out)
-        return args.fn(args)
+        obj, text = command(args)
+        if fmt == "json":
+            import json
+
+            text = json.dumps(obj() if callable(obj) else obj, indent=2, sort_keys=True) + "\n"
+        elif callable(text):
+            text = text()
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    return VERIFY_FAILURE if args.command == "verify" and not obj["passed"] else 0
 
 
 if __name__ == "__main__":

@@ -24,7 +24,10 @@ from .lr import lr_coefficient, lr_nonzero_pairs
 
 @dataclass(frozen=True)
 class HornTriple:
-    """Candidate spectra (lam for the sum, mu and nu for the parts), padded to d rows; ``d`` is read as an int."""
+    """Candidate spectra (lam for the sum, mu and nu for the parts), each of at most d rows; ``d`` is read as an int.
+
+    Nothing is padded to d rows, so a triple costs the same at any d.
+    """
 
     lam: YoungFrame
     mu: YoungFrame
@@ -34,8 +37,7 @@ class HornTriple:
     def __post_init__(self) -> None:
         (d,) = _integers((self.d,), "d", (1,))
         object.__setattr__(self, "d", d)
-        for f in (self.lam, self.mu, self.nu):
-            f.padded(d)  # refuses a frame of more than d rows, and a d no memory holds
+        _check_fits(d, self.lam, self.mu, self.nu)
 
 
 def basic_horn_holds(t: HornTriple) -> bool:

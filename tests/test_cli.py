@@ -1,24 +1,52 @@
 import argparse
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from isotwirl import cli
 from isotwirl.verify import SUITES
 
 CLI = [sys.executable, "-m", "isotwirl.cli"]
 
 
-def run_cli(*args):
+def run_fresh(*args):
+    """``python -m isotwirl.cli`` in a fresh interpreter, for what only a new process shows."""
     return subprocess.run([*CLI, *args], capture_output=True, text=True)
 
 
-def test_dims_text():
+class Run(NamedTuple):
+    returncode: int
+    stdout: str
+    stderr: str
+
+
+@pytest.fixture
+def run_cli(capsys, monkeypatch):
+    """``cli.main`` in this process, read as a subprocess run would be; an exception escaping it fails the test.
+
+    argparse wraps usage and help texts to the width it reads from ``COLUMNS``.
+    """
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def run(*args):
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+        return Run(code, *capsys.readouterr())
+
+    return run
+
+
+def test_dims_text(run_cli):
     res = run_cli("dims", "2,1")
     assert res.returncode == 0
     assert res.stdout == "frame=2,1 d=2 dim_sym=2 dim_unitary=2 projector_trace=4\n"
@@ -26,7 +54,7 @@ def test_dims_text():
     assert "dim_sym=1 dim_unitary=4" in res.stdout
 
 
-def test_dims_json_and_global_flag_positions():
+def test_dims_json_and_global_flag_positions(run_cli):
     before = run_cli("--d", "3", "--format", "json", "dims", "2,1")
     after = run_cli("dims", "2,1", "--d", "3", "--format", "json")
     assert before.returncode == after.returncode == 0
@@ -35,7 +63,7 @@ def test_dims_json_and_global_flag_positions():
     assert obj["dim_unitary"] == 8 and obj["frame"] == "2,1,0"
 
 
-def test_dims_errors():
+def test_dims_errors(run_cli):
     res = run_cli("dims", "2,1,1")
     assert res.returncode == 2 and "more than 2 rows" in res.stderr
     res = run_cli("dims", "1,2")
@@ -44,7 +72,7 @@ def test_dims_errors():
     assert res.returncode == 2 and "not an integer" in res.stderr
 
 
-def test_lr_command():
+def test_lr_command(run_cli):
     res = run_cli("lr", "2", "1", "1")
     assert res.returncode == 0
     assert "coefficient=1" in res.stdout and "agree=True" in res.stdout
@@ -54,9 +82,11 @@ def test_lr_command():
     assert "witness 1:" in res.stdout and ". . 1" in res.stdout
     res = run_cli("lr", "3", "1", "1")
     assert res.returncode == 0 and "size mismatch" in res.stdout and "coefficient=0" in res.stdout
+    # the character oracle runs up to its cap of 10 boxes, the cap included
+    assert run_cli("lr", "5,5", "5", "5").stdout == "coefficient=1 character_oracle=1 agree=True\n"
 
 
-def test_char_command():
+def test_char_command(run_cli):
     res = run_cli("char", "2,1", "3")
     assert res.returncode == 0 and res.stdout == "character=-1\n"
     res = run_cli("char", "2,1", "1,1,1")
@@ -66,7 +96,7 @@ def test_char_command():
     assert res.stderr == "error: size mismatch: frame has 3 boxes, cycle type 4\n"
 
 
-def test_horn_command():
+def test_horn_command(run_cli):
     res = run_cli("horn", "2,1", "1", "1,1")
     assert res.returncode == 0 and res.stdout == "basic=True feasible=True\n"
     res = run_cli("horn", "2,2", "2", "1,1", "--basic")
@@ -81,8 +111,10 @@ def test_horn_command():
 
 
 def test_horn_cost_does_not_grow_with_d():
-    # the basic inequalities once looped over every i, j <= d: about 25 minutes at this d
-    res = subprocess.run([*CLI, "--d", "100000", "horn", "2,1", "1", "1,1"], capture_output=True, text=True, timeout=10)
+    # the basic inequalities once looped over every i, j <= d: about 25 minutes at d = 100000; padding the
+    # frames to d rows then took 4 s and 1.5 GB at d = 10^8, and exited 2 at this d
+    res = subprocess.run([*CLI, "--d", "1000000000000", "horn", "2,1", "1", "1,1"], capture_output=True, text=True,
+                         timeout=10)
     assert res.returncode == 0 and res.stdout == "basic=True feasible=True\n"
 
 
@@ -102,8 +134,6 @@ SUBCOMMAND_ARGS = {
 @pytest.mark.parametrize("command", SUBCOMMAND_ARGS)
 def test_d_below_one_refused_by_every_subcommand(command, capsys):
     # lr, char and verify read no --d, yet once exited 0 on --d -1; dims --d -3 blamed the frame
-    from isotwirl import cli
-
     subcommands = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert set(SUBCOMMAND_ARGS) == set(subcommands.choices)
     call = [command, *SUBCOMMAND_ARGS[command]]
@@ -121,7 +151,6 @@ LONG_Q = "0.12345678901234567890123456789012345678901"
 def test_exact_weights_past_the_int_digit_limit(default_digit_limit, capsys):
     # at n = 128 the weights of a q with 41 decimals run to about 5200 digits; spectrum (csv and json)
     # and sweep --exact once exited 2 on str(int).  The limit is not lifted for the caller
-    from isotwirl import cli
     from isotwirl.frames import format_frame, parse_frame
     from isotwirl.spectra import channel_output_spectrum
 
@@ -146,8 +175,6 @@ def test_exact_weights_past_the_int_digit_limit(default_digit_limit, capsys):
 
 def test_out_of_range_weight_quotes_its_input(default_digit_limit, capsys):
     # the parsed Fraction of 1e5000 has 5001 digits: formatting it once raised the digit-limit error
-    from isotwirl import cli
-
     long_text = "2" + "0" * 100
     for args, shown in (
         (["spectrum", "3,1", "--q", "1e5000"], "1e5000"),
@@ -167,7 +194,6 @@ LONG_DECIMAL_VALUE = Fraction((10**5000 - 1) // 9, 10**5000)
 
 def test_decimal_past_the_digit_limit_is_read_exactly(default_digit_limit, capsys):
     # spectrum --q, sweep --grid and verify --grid once refused it as "not a rational number"
-    from isotwirl import cli
     from isotwirl.frames import parse_frame, rational_text
     from isotwirl.spectra import channel_output_spectrum, sweep_to_csv, table_to_csv
 
@@ -191,7 +217,7 @@ def test_decimal_past_the_digit_limit_is_read_exactly(default_digit_limit, capsy
     assert capsys.readouterr().err == "error: '0." + "1" * 38 + "'... (5003 characters) is not a rational number\n"
 
 
-def test_spectrum_command(tmp_path: Path):
+def test_spectrum_command(tmp_path: Path, run_cli):
     res = run_cli("spectrum", "4,0", "--q", "0")
     lines = res.stdout.strip().split("\n")
     assert lines[0] == "frame,weight_numerator,weight_denominator,weight_float"
@@ -211,14 +237,14 @@ def test_spectrum_command(tmp_path: Path):
     assert obj["entries"][0]["weight"] == "121/256"
 
 
-def test_spectrum_errors():
+def test_spectrum_errors(run_cli):
     assert run_cli("spectrum", "4,0").returncode == 2
     assert run_cli("spectrum", "4,0", "--q", "1/2", "--k", "1").returncode == 2
     assert run_cli("spectrum", "4,0", "--q", "3/2").returncode == 2
     assert run_cli("spectrum", "4,0", "--k", "9").returncode == 2
 
 
-def test_sweep_command():
+def test_sweep_command(run_cli):
     res = run_cli("sweep", "4,0", "--grid", "0,1")
     lines = res.stdout.strip().split("\n")
     assert lines[0] == "frame,q=0/1,q=1/1"
@@ -228,7 +254,7 @@ def test_sweep_command():
     assert run_cli("sweep", "4,0", "--grid", "").returncode == 2
 
 
-def test_xy_command():
+def test_xy_command(run_cli):
     res = run_cli("xy", "4,0", "3,1", "2", "2")
     assert res.returncode == 0 and res.stdout.startswith("X=1 Y=1")
     res = run_cli("xy", "4,0", "2,2", "3", "1", "--format", "json")
@@ -237,7 +263,7 @@ def test_xy_command():
     assert run_cli("xy", "4,0", "3,1", "1", "1").returncode == 2
 
 
-def test_verify_small_suite(tmp_path: Path):
+def test_verify_small_suite(tmp_path: Path, run_cli):
     out = tmp_path / "report.json"
     res = run_cli("verify", "xybound", "--cap-n", "4", "--out", str(out))
     assert res.returncode == 0
@@ -248,13 +274,13 @@ def test_verify_small_suite(tmp_path: Path):
     assert "[PASS]" in res.stderr
 
 
-def test_verify_unknown_suite():
+def test_verify_unknown_suite(run_cli):
     res = run_cli("verify", "bogus")
     assert res.returncode == 2
     assert res.stderr == "error: unknown suite 'bogus'; choose from saturation, support, oracle, tail, xybound, all\n"
 
 
-def test_dims_refuses_a_d_no_padding_reaches_with_the_frame_as_written():
+def test_dims_refuses_a_d_no_padding_reaches_with_the_frame_as_written(run_cli):
     res = run_cli("dims", "3,1", "--d", "100000000000000000000")
     assert res.returncode == 2
     assert res.stderr == "error: frame 3,1 cannot be padded to 100000000000000000000 rows\n"
@@ -262,7 +288,6 @@ def test_dims_refuses_a_d_no_padding_reaches_with_the_frame_as_written():
 
 def test_verify_keyerror_inside_a_check_is_not_an_unknown_suite(monkeypatch, capsys):
     # the suite name is refused before any check runs; a check's own KeyError propagates
-    import isotwirl.cli as cli
     from isotwirl import verify
 
     def broken(n_max):
@@ -275,7 +300,6 @@ def test_verify_keyerror_inside_a_check_is_not_an_unknown_suite(monkeypatch, cap
 
 
 def test_verify_failure_exit_code(monkeypatch, capsys):
-    import isotwirl.cli as cli
     from isotwirl.verify import CheckResult, RunConfig, SuiteReport
 
     broken = CheckResult("broken")
@@ -290,7 +314,6 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
 
 def test_verify_defaults_are_the_readme_caps(monkeypatch):
     # --cap-n 6, --cap-d 3, seed 0 and the grid 1/10..9/10: RunConfig holds them, the parser reads them
-    import isotwirl.cli as cli
     from isotwirl.verify import RunConfig, SuiteReport
 
     readme = RunConfig(d_max=3, n_max=6, q_grid=tuple(Fraction(i, 10) for i in range(1, 10)), seed=0)
@@ -304,8 +327,6 @@ def test_verify_defaults_are_the_readme_caps(monkeypatch):
 
 
 def test_out_path_checked_before_any_suite_runs(monkeypatch, capsys, tmp_path: Path):
-    import isotwirl.cli as cli
-
     def refuse(name, cfg):
         raise AssertionError("a suite ran before --out was checked")
 
@@ -323,8 +344,6 @@ def test_out_path_checked_before_any_suite_runs(monkeypatch, capsys, tmp_path: P
 
 def test_out_file_untouched_until_written(monkeypatch, capsys, tmp_path: Path):
     # a command that fails after the --out check leaves an existing file as it was
-    import isotwirl.cli as cli
-
     out = tmp_path / "report.json"
     out.write_text("kept\n")
 
@@ -337,7 +356,7 @@ def test_out_file_untouched_until_written(monkeypatch, capsys, tmp_path: Path):
     assert out.read_text() == "kept\n"
 
 
-def test_verify_deterministic(tmp_path: Path):
+def test_verify_deterministic(tmp_path: Path, run_cli):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):
         res = run_cli("verify", "saturation", "--cap-n", "4", "--out", str(path))
@@ -345,7 +364,7 @@ def test_verify_deterministic(tmp_path: Path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_output_files_byte_identical(tmp_path: Path):
+def test_output_files_byte_identical(tmp_path: Path, run_cli):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     for path in (a, b):
         assert run_cli("sweep", "6,0", "--grid", "0.1,0.5,0.9", "--out", str(path)).returncode == 0
@@ -380,13 +399,12 @@ def test_cli_output_matches_golden_file(args, golden):
     assert res.stdout == (DATA / golden).read_bytes()
 
 
-def test_main_reuses_one_parser_without_carrying_state(tmp_path: Path, capsys):
+def test_main_reuses_one_parser_without_carrying_state(tmp_path: Path, capsys, monkeypatch):
     # one process, one parser: no flag of one call leaks into the next
-    from isotwirl import cli
-
+    monkeypatch.setenv("COLUMNS", "80")
     out = tmp_path / "a.csv"
     golden = lambda name: (DATA / name).read_text()  # noqa: E731
-    usage = run_cli("sweep")
+    usage = run_fresh("sweep")
     cli.build_parser.cache_clear()
     assert cli.main(["sweep", "7,5,0", "--d", "3", "--grid", GRID_19, "--exact", "--out", str(out)]) == 0
     assert out.read_text() == golden("sweep_7_5_0_d3_exact.csv")
@@ -404,13 +422,19 @@ def test_main_reuses_one_parser_without_carrying_state(tmp_path: Path, capsys):
         cli.main(["sweep"])
     assert exit_info.value.code == usage.returncode == 2
     assert capsys.readouterr().err == usage.stderr
-    refused = ["sweep", "4,0", "--grid", "0.5", "--format", "json"]
-    fresh = run_cli(*refused)
-    assert cli.main(refused) == fresh.returncode == 2
-    assert capsys.readouterr().err == fresh.stderr
+    assert cli.main(["sweep", "4,0", "--grid", "0.5", "--format", "json"]) == 2
+    assert capsys.readouterr().err == "error: sweep writes csv, not json\n"
     assert cli.main(["spectrum", "4,3,2", "--d", "3", "--q", "2/9"]) == 0
     assert capsys.readouterr().out == golden("spectrum_4_3_2_d3_q2_9.csv")
     assert cli.build_parser.cache_info().misses == 1
+
+
+def test_module_runs_as_a_script():
+    # the one help run in a fresh interpreter: ``python -m isotwirl.cli`` reaches main and exits with its code
+    res = subprocess.run([*CLI, "--help"], capture_output=True, text=True, env={**os.environ, "COLUMNS": "80"})
+    record = json.loads((DATA / "cli_record.json").read_text())
+    assert (res.returncode, res.stdout, res.stderr) == (0, record[0]["stdout"], "")
+    assert record[0]["argv"] == ["--help"]
 
 
 def test_importing_the_cli_parses_nothing():
@@ -442,6 +466,9 @@ ANSWERS = {
     ("lr", "3,1", "2", "1,1,1"): "size mismatch",
     ("char", "500", ONES_500): "character=1\n",  # the trivial character at the identity
     ("lr", "1000,1000", "1000", "1000"): "coefficient=1 ",  # Pieri: lam/mu is a horizontal strip
+    # horn reads the frames' rows, never d of them
+    ("--d", "99999999999999999999", "horn", "2,1", "1", "1,1"): "basic=True feasible=True\n",
+    ("--d", "1000000000000000000", "horn", "2,1", "1", "1,1"): "basic=True feasible=True\n",
 }
 
 
@@ -482,15 +509,16 @@ ANSWERS = {
         # an empty q grid is refused, not read as the default; --unnormalized needs --k
         (("verify", "tail", "--grid", ""), 2),
         (("spectrum", "2,1", "--q", "1/3", "--unnormalized"), 2),
-        # a --d past sys.maxsize: padding the frame to d rows once raised OverflowError
+        # a --d past sys.maxsize: padding the frame to d rows once raised OverflowError; dims prints
+        # the padded frame and refuses, horn pads nothing and answers
         (("--d", "99999999999999999999", "dims", "65"), 2),
-        (("--d", "99999999999999999999", "horn", "2,1", "1", "1,1"), 2),
+        (("--d", "99999999999999999999", "horn", "2,1", "1", "1,1"), 0),
         # a --d below sys.maxsize whose padding no memory holds: it once raised MemoryError
         (("--d", "1000000000000000000", "dims", "65"), 2),
-        (("--d", "1000000000000000000", "horn", "2,1", "1", "1,1"), 2),
+        (("--d", "1000000000000000000", "horn", "2,1", "1", "1,1"), 0),
     ],
 )
-def test_exit_codes_without_traceback(tmp_path: Path, args, code):
+def test_exit_codes_without_traceback(tmp_path: Path, args, code, run_cli):
     args = [a.format(missing=tmp_path / "missing") for a in args]
     res = run_cli(*args)
     assert res.returncode == code, res.stderr
@@ -552,8 +580,6 @@ def cli_calls(draw):
 @given(call=cli_calls())
 def test_cli_contract_on_drawn_argv(tmp_path: Path, call):
     # nothing but argparse's SystemExit escapes main; the exit code is 0, 1 or 2, and 1 only from verify
-    from isotwirl import cli
-
     command, argv = call
     try:
         code = cli.main([word.format(out=tmp_path) for word in argv])

@@ -1,7 +1,9 @@
 """Replay a committed record of CLI runs in-process: argv, stdout, stderr and exit code of each.
 
 The record in ``data/cli_record.json`` holds one entry per argv of
-:data:`COMMANDS`.  After a change meant to move an output, rewrite it with
+:data:`COMMANDS`.  Each run that exits 0 and shows no help is replayed once
+more with ``--out``, whose file must hold the recorded stdout.  After a change
+meant to move an output, rewrite the record with
 
     PYTHONPATH=src python tests/test_cli_record.py
 
@@ -57,6 +59,7 @@ COMMANDS = [
     ["verify", "nope"],
     ["verify", "all", "--cap-n", "65"],
     ["sweep", "4,0", "--grid", ","],
+    ["--d", "1000000000000", "horn", "2,1", "1", "1,1"],
 ]
 
 
@@ -76,6 +79,19 @@ def test_cli_outputs_match_the_record(capsys, monkeypatch):
         code = run(entry["argv"])
         out, err = capsys.readouterr()
         assert (out, err, code) == (entry["stdout"], entry["stderr"], entry["code"]), entry["argv"]
+
+
+def test_recorded_outputs_through_out(capsys, monkeypatch, tmp_path):
+    # every run that writes a result writes the same bytes to --out, and nothing to stdout
+    monkeypatch.setenv("COLUMNS", COLUMNS)
+    out = tmp_path / "out"
+    for entry in json.loads(RECORD.read_text()):
+        if entry["code"] != 0 or "--help" in entry["argv"]:
+            continue
+        code = run([*entry["argv"], "--out", str(out)])
+        assert (*capsys.readouterr(), code) == ("", entry["stderr"], entry["code"]), entry["argv"]
+        assert out.read_bytes() == entry["stdout"].encode(), entry["argv"]
+        out.unlink()
 
 
 def write_record():

@@ -42,6 +42,8 @@ def test_basic_horn_reads_only_lams_rows_and_agrees_with_the_full_loop():
 def test_horn_triple_validation():
     with pytest.raises(ValueError):
         HornTriple(frame(1, 1, 1), frame(2, 1), frame(0), 2)
+    # d is kept as the int it reads
+    assert type(HornTriple(frame(3), frame(2), frame(1), True).d) is int
 
 
 def test_feasibility_examples():
