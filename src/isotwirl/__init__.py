@@ -11,7 +11,6 @@ useful.
 """
 
 from .frames import (
-    ProbabilityPair,
     YoungFrame,
     binary_entropy,
     dim_sym,
@@ -29,7 +28,7 @@ from .horn import (
     horn_feasible,
     within_support_window,
 )
-from .lr import LRTableau, SkewShape, lr_coefficient, lr_nonzero_pairs, lr_tableaux, lr_via_characters
+from .lr import LRTableau, lr_coefficient, lr_nonzero_pairs, lr_tableaux, lr_via_characters
 from .oracle import (
     TensorOperator,
     depolarise_n,
@@ -57,9 +56,7 @@ __all__ = [
     "HornTriple",
     "LRTableau",
     "Permutation",
-    "ProbabilityPair",
     "RunConfig",
-    "SkewShape",
     "SpectralTable",
     "TensorOperator",
     "XYExtrema",

@@ -11,8 +11,8 @@ Exit codes: 0 ok, 1 verification failure, 2 usage, input or I/O error.
 An ``--out`` path whose directory is missing or not writable exits 2 before
 the command runs, so a long ``verify`` does not end in an I/O error, and an
 existing file is written only once the command has succeeded.
-``main`` is the one error boundary: every ``ValueError`` (``InputError``
-included) and ``OSError`` becomes a one-line ``error:`` message on stderr.
+``main`` is the one error boundary: every ``ValueError`` and ``OSError``, the
+CLI's own refusals included, becomes a one-line ``error:`` message on stderr.
 A ``--d`` below 1 is refused there for every command, before it runs.
 Identical invocations produce byte-identical output files.
 ``argparse`` loads on the first :func:`main` call and ``json`` on the first
@@ -44,19 +44,15 @@ VERIFY_FAILURE = 1
 TEXT_OR_JSON = ("text", "json")
 
 
-class InputError(ValueError):
-    """Bad user input: reported on stderr, exit code 2."""
-
-
 def _check_out(path: str) -> None:
     """Refuse an ``--out`` path that cannot be written, before any command runs; the file is not touched."""
     directory = os.path.dirname(os.path.abspath(path))
     if os.path.isdir(path):
-        raise InputError(f"--out {path} is a directory")
+        raise ValueError(f"--out {path} is a directory")
     if not os.path.isdir(directory):
-        raise InputError(f"--out {path}: directory {directory} does not exist")
+        raise ValueError(f"--out {path}: directory {directory} does not exist")
     if not os.access(directory, os.W_OK | os.X_OK):
-        raise InputError(f"--out {path}: directory {directory} is not writable")
+        raise ValueError(f"--out {path}: directory {directory} is not writable")
 
 
 def _grid(text: str) -> list[str]:
@@ -116,9 +112,9 @@ def cmd_horn(args: argparse.Namespace) -> tuple:
 def cmd_spectrum(args: argparse.Namespace) -> tuple:
     lam = parse_frame(args.lam)
     if (args.q is None) == (args.k is None):
-        raise InputError("provide exactly one of --q or --k")
+        raise ValueError("provide exactly one of --q or --k")
     if args.unnormalized and args.k is None:
-        raise InputError("--unnormalized applies to --k only")
+        raise ValueError("--unnormalized applies to --k only")
     if args.q is not None:
         table = channel_output_spectrum(lam, args.q, args.d)
     else:
@@ -229,9 +225,9 @@ def main(argv: list[str] | None = None) -> int:
     fmt = args.format or formats[0]
     try:
         if args.d < 1:
-            raise InputError(f"--d must be >= 1, got d={args.d}")
+            raise ValueError(f"--d must be >= 1, got d={args.d}")
         if fmt not in formats:
-            raise InputError(f"{args.command} writes {' or '.join(formats)}, not {fmt}")
+            raise ValueError(f"{args.command} writes {' or '.join(formats)}, not {fmt}")
         if args.out:
             _check_out(args.out)
         obj, text = command(args)

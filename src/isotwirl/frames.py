@@ -10,11 +10,12 @@ skew standard-tableau counts of :func:`_skew_counts` (one pass down the
 lattice YF(d, .) per outer frame, by position), the lattice levels of
 :func:`_lattice_level` (each frame's position, covers, f and dim U, which the
 pass down and the fast path's push read on one lattice per d) and the binary
-entropy / relative entropy helpers defined at the bottom.  Each lattice level
-is built from the level below by adding one box, and reads nothing else.  The
-lattice is the one lister of frames: :func:`enumerate_frames` checks the size
-caps and returns a level's frames, zero-padded, and the cycle types of S_n are
-the frames of the level YF(n, n).
+entropy / relative entropy helpers defined at the bottom, which take a
+distribution on {0, 1} as its probability of 0, a bare real number in [0, 1].
+Each lattice level is built from the level below by adding one box, and reads
+nothing else.  The lattice is the one lister of frames:
+:func:`enumerate_frames` checks the size caps and returns a level's frames,
+zero-padded, and the cycle types of S_n are the frames of the level YF(n, n).
 
 All functions here are pure and the memoized ones are safe to call from
 multiple threads (recomputation under the GIL is idempotent).
@@ -30,9 +31,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import Callable, Union
-
-Scalar = Union[int, float, Fraction]
+from typing import Callable
 
 # Hard enumeration caps.  Requests beyond them are refused, never truncated.
 # The box cap depends on d; see enumerate_frames for the measured costs.
@@ -194,6 +193,13 @@ def depolarising_weight(x: Fraction | int | str) -> Fraction:
         shown = x if isinstance(x, str) else rational_text(q)
         raise ValueError(f"depolarising weight must lie in [0, 1], got {_quoted(shown)}")
     return q
+
+
+def _weight_grid(grid) -> list[Fraction]:
+    """Each weight of the q grid ``grid`` (:func:`depolarising_weight`); a lone number or string is not a grid."""
+    if isinstance(grid, (str, numbers.Number)):
+        raise ValueError(f"q grid must be a collection of weights, got one {type(grid).__name__}")
+    return [depolarising_weight(q) for q in grid]
 
 
 def integer_text(i: int) -> str:
@@ -405,32 +411,18 @@ class _Level:
 _lattice_level = cache(_Level)
 
 
-@dataclass(frozen=True)
-class ProbabilityPair:
-    """Probability distribution on {0, 1}, stored through p0 (p1 = 1 - p0)."""
-
-    p0: Scalar
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.p0 <= 1:
-            raise ValueError(f"p0 must lie in [0, 1], got {self.p0}")
-
-    @property
-    def p1(self) -> Scalar:
-        return 1 - self.p0
-
-    def __getitem__(self, x: int) -> Scalar:
-        if x == 0:
-            return self.p0
-        if x == 1:
-            return self.p1
-        raise KeyError(x)
-
-
-def binary_entropy(t: Scalar) -> float:
-    """h(t) = -t*log2(t) - (1-t)*log2(1-t), with the 0*log(0) = 0 convention."""
+def _probability(t: numbers.Real, what: str) -> numbers.Real:
+    """``t`` itself when it is a real number in [0, 1]; anything else is refused with ``ValueError``."""
+    if not isinstance(t, numbers.Real):
+        raise ValueError(f"{what} must be a real number, got {type(t).__name__}")
     if not 0 <= t <= 1:
-        raise ValueError(f"binary_entropy argument must lie in [0, 1], got {t}")
+        raise ValueError(f"{what} must lie in [0, 1], got {t}")
+    return t
+
+
+def binary_entropy(t: numbers.Real) -> float:
+    """h(t) = -t*log2(t) - (1-t)*log2(1-t), with the 0*log(0) = 0 convention."""
+    t = _probability(t, "binary_entropy argument")
     out = 0.0
     for p in (t, 1 - t):
         if p > 0:
@@ -454,22 +446,17 @@ def within_entropy_bound(x: int, b: int, k: int) -> bool:
     return x * a**a * b**b <= k**k
 
 
-def rel_entropy(r: ProbabilityPair, s: ProbabilityPair) -> float:
-    """Relative entropy D(r||s) in bits; +inf when s does not dominate r.
+def rel_entropy(r: numbers.Real, s: numbers.Real) -> float:
+    """Relative entropy D(r||s) in bits, r and s each a distribution on {0, 1} given as its probability of 0.
 
-    Downstream uses honor the convention 2**(-a*D) == 0 for D == +inf, a > 0.
+    +inf when s does not dominate r; downstream uses honor 2**(-a*D) == 0 for D == +inf, a > 0.
     """
+    r, s = _probability(r, "r"), _probability(s, "s")
     total = 0.0
-    for x in (0, 1):
-        rx, sx = r[x], s[x]
+    for rx, sx in ((r, s), (1 - r, 1 - s)):
         if rx == 0:
             continue
         if sx == 0:
             return math.inf
         total += float(rx) * math.log2(float(rx) / float(sx))
     return total
-
-
-def l1_distance(r: ProbabilityPair, s: ProbabilityPair) -> float:
-    """Total variation norm ||r - s||_1 = |r0 - s0| + |r1 - s1|."""
-    return abs(float(r.p0) - float(s.p0)) + abs(float(r.p1) - float(s.p1))

@@ -4,9 +4,9 @@
 cells in reading order, with lattice-word pruning), so every unit of the count
 comes with a checkable witness.  The search runs on reduced row tuples: a
 triple whose sizes do not add up, or where mu or nu does not fit inside lam,
-counts 0 before anything is built, and the count builds no frame, skew shape
-or tableau object.  ``lr_tableaux`` runs the same search, keeping each
-filling, and wraps them as :class:`LRTableau`.
+counts 0 before anything is built, and the count builds no frame or tableau
+object.  ``lr_tableaux`` runs the same search, keeping each filling, and
+wraps each as an :class:`LRTableau` of lam/mu.
 
 ``lr_via_characters`` recomputes the same number through the completely
 independent induced-character inner product and exists purely to
@@ -35,20 +35,8 @@ def _reading_order(outer: tuple[int, ...], inner: tuple[int, ...]) -> list[tuple
 
 
 @dataclass(frozen=True)
-class SkewShape:
-    """Outer frame with an inner frame removed; inner must fit row-wise."""
-
-    outer: YoungFrame
-    inner: YoungFrame
-
-    def __post_init__(self) -> None:
-        if not _fits(self.inner.reduced, self.outer.reduced):
-            raise ValueError(f"inner {self.inner} does not fit inside outer {self.outer}")
-
-
-@dataclass(frozen=True)
 class LRTableau:
-    """A Littlewood-Richardson filling of a skew shape.
+    """A Littlewood-Richardson filling of the skew shape ``outer``/``inner``.
 
     ``filling[i]`` holds the entries of row ``i`` left to right, skew cells
     only.  Valid fillings have weakly increasing rows, strictly increasing
@@ -56,14 +44,15 @@ class LRTableau:
     equal to a Young frame.
     """
 
-    skew: SkewShape
+    outer: YoungFrame
+    inner: YoungFrame
     filling: tuple[tuple[int, ...], ...]
 
     def render(self) -> str:
         """Grid with '.' on inner cells, one row per line."""
         lines = []
-        for i, r in enumerate(self.skew.outer.reduced):
-            lo = self.skew.inner.row(i)
+        for i, r in enumerate(self.outer.reduced):
+            lo = self.inner.row(i)
             cells = ["."] * lo + [str(v) for v in self.filling[i]]
             assert len(cells) == r
             lines.append(" ".join(cells))
@@ -148,10 +137,7 @@ def lr_coefficient(lam: YoungFrame, mu: YoungFrame, nu: YoungFrame) -> int:
 def lr_tableaux(lam: YoungFrame, mu: YoungFrame, nu: YoungFrame) -> list[LRTableau]:
     """The witness tableaux counted by :func:`lr_coefficient`."""
     _, fillings = _search(lam.reduced, mu.reduced, nu.reduced, collect=True)
-    if not fillings:
-        return []
-    skew = SkewShape(lam, mu)
-    return [LRTableau(skew, filling) for filling in fillings]
+    return [LRTableau(lam, mu, filling) for filling in fillings]
 
 
 @cache

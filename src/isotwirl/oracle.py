@@ -385,14 +385,9 @@ class TensorOperator:
             return other
         if other.scale == 0:
             return self
-        s = Fraction(
-            math.gcd(self.scale.numerator, other.scale.numerator),
-            self.scale.denominator * other.scale.denominator
-            // math.gcd(self.scale.denominator, other.scale.denominator),
-        )
-        a = int(self.scale / s)
-        b = int(other.scale / s)
-        x, y = self._scaled_pair(a, other, b)
+        p, q = self.scale, other.scale
+        s = Fraction(math.gcd(p.numerator, q.numerator), math.lcm(p.denominator, q.denominator))
+        x, y = self._scaled_pair(int(p / s), other, int(q / s))
         return TensorOperator._of(self.d, self.n, s, self._layout, x + y)
 
     def __sub__(self, other: "TensorOperator") -> "TensorOperator":
@@ -501,7 +496,7 @@ class TensorOperator:
 # -- site maps -------------------------------------------------------------------
 
 
-@lru_cache(maxsize=64)
+@cache
 def _kron_maps(d: int, n_left: int, n_right: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Where A kron B can be nonzero, and the positions of the A and B entries multiplied there.
 
@@ -518,7 +513,7 @@ def _kron_maps(d: int, n_left: int, n_right: int) -> tuple[np.ndarray, np.ndarra
     return tuple(map(_read_only, maps))
 
 
-@lru_cache(maxsize=64)
+@cache
 def _trace_maps(d: int, n: int, sites: tuple[int, ...]) -> np.ndarray:
     """Input positions summed into each output entry of the trace over ``sites``, shape (d^k, output size).
 
@@ -534,7 +529,7 @@ def _trace_maps(d: int, n: int, sites: tuple[int, ...]) -> np.ndarray:
     return _read_only(source.position(spread[out.rows] + traced, spread[out.cols] + traced))
 
 
-@lru_cache(maxsize=64)
+@cache
 def _site_maps(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The entries of tr_s(M) tensor 1 at the last site s: where it can be nonzero, and what each sums.
 
@@ -552,7 +547,7 @@ def _site_maps(d: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(agree), _read_only(layout.position(rows, cols))
 
 
-@lru_cache(maxsize=64)
+@cache
 def _shift_map(d: int, n: int) -> np.ndarray:
     """The positions :func:`conjugate_by_permutation` reads for the cyclic shift i -> i + 1 mod n."""
     return _read_only(_conjugated_positions(Permutation(tuple((i + 1) % n for i in range(n))), d))
@@ -865,7 +860,7 @@ def _conjugated_positions(tau: Permutation, d: int) -> np.ndarray:
     return layout.row_base[g][layout.rows] + layout.local[g][layout.cols]
 
 
-@lru_cache(maxsize=64)
+@cache
 def _pair_orbits(d: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Orbits of the stored word pairs (x, y) under permuting the sites of x and y together.
 

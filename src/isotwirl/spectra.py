@@ -55,6 +55,7 @@ from .frames import (
     _integers,
     _lattice_level,
     _skew_counts,
+    _weight_grid,
     binary_entropy,
     depolarising_weight,
     dim_sym,
@@ -248,7 +249,7 @@ def twirl_spectra(lam: YoungFrame, ks: Iterable[int], d: int) -> list[SpectralTa
     n-k over its own C: the channel's one lcm would make the push slower.  The
     normalized weight divides by f_lam dim U_lam.
     """
-    ks, d = _check_source(lam, ks, d)
+    ks, d = _check_source(lam, _integers(ks, "k"), d)
     n = lam.n
     level = _checked_level(d, n)
     counts = _skew_counts(lam.reduced, d)
@@ -305,7 +306,7 @@ def channel_output_spectra(
     The weight of lam' is its field value times dim U_lam' over
     D = L b^n d^n f_lam: the table holds those integers as they are.
     """
-    grid = [depolarising_weight(q) for q in grid]
+    grid = _weight_grid(grid)
     _, d = _check_source(lam, (), d)
     n = lam.n
     top = _checked_level(d, n)
@@ -481,9 +482,9 @@ def sweep_to_csv(lam: YoungFrame, d: int, grid: list[Fraction | int | str], *, e
     same full frame axis.  Column j is the table of q_j
     (:func:`channel_output_spectra`), read by position.
     """
+    grid = _weight_grid(grid)
     if not grid:
         raise ValueError("q grid must be nonempty")
-    grid = [depolarising_weight(q) for q in grid]
     tables = channel_output_spectra(lam, grid, d)
     columns = [
         [f"{num}/{den}" for num, den in _weight_texts(table)] if exact

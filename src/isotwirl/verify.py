@@ -56,17 +56,15 @@ from typing import Callable, Iterable, Iterator
 from . import oracle as orc
 from .frames import (
     MAX_BOXES,
-    ProbabilityPair,
     YoungFrame,
     _integers,
     _lattice_level,
-    depolarising_weight,
+    _weight_grid,
     dim_sym,
     dim_unitary,
     enumerate_frames,
     format_frame,
     integer_text,
-    l1_distance,
     rational_text,
     rel_entropy,
     within_entropy_bound,
@@ -110,9 +108,9 @@ class RunConfig:
             object.__setattr__(self, name, value)
             if allowed and value not in allowed:
                 raise ValueError(f"{name} must lie in {allowed[0]}..{allowed[-1]}")
+        object.__setattr__(self, "q_grid", tuple(_weight_grid(self.q_grid)))
         if not self.q_grid:
             raise ValueError("q grid must be nonempty")
-        object.__setattr__(self, "q_grid", tuple(map(depolarising_weight, self.q_grid)))
 
     def to_json_obj(self) -> dict:
         return {
@@ -284,9 +282,8 @@ def check_entropy_bounds(pinsker_grid: tuple[Fraction, ...], k_max: int) -> Chec
     entropy = CheckResult("pinsker_and_dimension_entropy_bound")
     for r0 in pinsker_grid:
         for s0 in pinsker_grid:
-            r, s = ProbabilityPair(r0), ProbabilityPair(s0)
-            dv = rel_entropy(r, s)
-            lhs = l1_distance(r, s) ** 2 / (2 * math.log(2))
+            dv = rel_entropy(r0, s0)
+            lhs = (abs(float(r0) - float(s0)) + abs(float(1 - r0) - float(1 - s0))) ** 2 / (2 * math.log(2))
             entropy.record(dv >= lhs - 1e-12, "Pinsker fails at r0={} s0={}", r0, s0)
     for k in range(1, k_max + 1):
         for gamma in enumerate_frames(2, k):
@@ -664,11 +661,11 @@ def check_channel_identities(sizes: Iterable[tuple[int, int]], rng: random.Rando
         psd_out = orc.depolarise_n(r.transpose() @ r, Fraction(2, 5))  # R^T R is PSD
         channel.record(orc.is_positive_semidefinite(psd_out), "d={}: PSD input mapped outside PSD cone", d)
         for lam, p in orc.isotypical_projectors(d, n).items():
-            reductions = list(dense_reductions(p))
+            twirled = [orc.twirl(orc.tensor_with_maximally_mixed(reduced, k))
+                       for k, reduced in enumerate(dense_reductions(p))]
             for q in (Fraction(1, 4), Fraction(2, 3)):
                 literal = orc.depolarise_n(p, q)
-                terms = (Fraction(w, q.denominator**n) * orc.twirl(orc.tensor_with_maximally_mixed(reduced, k))
-                         for k, (w, reduced) in enumerate(zip(_binomial_weights(n, q), reductions)))
+                terms = (Fraction(w, q.denominator**n) * t for w, t in zip(_binomial_weights(n, q), twirled))
                 recon = sum(terms, orc.TensorOperator.zero(d, n))
                 channel.record(
                     literal == recon, "d={} lam={} q={}: channel != binomial twirl sum", d, lam, q

@@ -72,6 +72,15 @@ def _refused_calls():
         lambda: oracle.tensor_with_maximally_mixed(op, 0.0),
         lambda: oracle.insert_maximally_mixed(op, [], 1.0),
         lambda: oracle.insert_maximally_mixed(op, [0.0], 2),
+        lambda: spectra.twirl_spectra(frame(3, 1), 3, 2),
+        lambda: spectra.channel_output_spectra(frame(3, 1), Fraction(1, 2), 2),
+        lambda: spectra.channel_output_spectra(frame(3, 1), "01", 2),
+        lambda: spectra.sweep_to_csv(frame(3, 1), 2, Fraction(1, 2)),
+        lambda: spectra.sweep_to_csv(frame(3, 1), 2, "01"),
+        lambda: RunConfig(q_grid=Fraction(1, 2)),
+        lambda: RunConfig(q_grid="01"),
+        lambda: frames.binary_entropy("0.5"),
+        lambda: frames.rel_entropy("0.5", Fraction(1, 2)),
     )
 
 

@@ -15,7 +15,6 @@ from bruteforce import (
 )
 from isotwirl.frames import (
     MAX_BOXES,
-    ProbabilityPair,
     YoungFrame,
     binary_entropy,
     depolarising_weight,
@@ -269,12 +268,11 @@ def test_binary_entropy():
 
 
 def test_rel_entropy():
-    half = ProbabilityPair(Fraction(1, 2))
-    point = ProbabilityPair(1)
+    half = Fraction(1, 2)
     assert rel_entropy(half, half) == 0.0
-    assert rel_entropy(point, ProbabilityPair(0)) == math.inf
-    assert rel_entropy(point, half) == 1.0
-    assert rel_entropy(ProbabilityPair(0), point) == math.inf
+    assert rel_entropy(1, 0) == math.inf
+    assert rel_entropy(1, half) == 1.0
+    assert rel_entropy(0, 1) == math.inf
 
 
 def test_pinsker_inequality_on_grid():
@@ -302,12 +300,9 @@ def test_entropy_bound_decided_on_integers():
             within_entropy_bound(1, b, k)
 
 
-def test_probability_pair_validation():
+def test_probability_validation():
     with pytest.raises(ValueError):
-        ProbabilityPair(Fraction(3, 2))
-    p = ProbabilityPair(Fraction(1, 4))
-    assert p.p1 == Fraction(3, 4)
-    assert p[0] == Fraction(1, 4) and p[1] == Fraction(3, 4)
+        rel_entropy(Fraction(3, 2), Fraction(1, 4))
 
 
 def test_exact_rational_and_depolarising_weight():

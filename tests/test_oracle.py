@@ -194,6 +194,19 @@ def test_verify_all_at_d4_builds_each_projector_family_once():
     assert tables.misses == tables.currsize == sum(orc.DENSE_SWEEP_N.values())  # n = 1..N per d
 
 
+def test_dense_index_maps_are_built_once_per_key():
+    # 72 distinct kron maps, more than a cache bounded at 64 keeps, asked for twice: none is built twice
+    keys = [(d, left, right) for d in (1, 2) for left in range(6) for right in range(6)]
+    orc.clear_projector_cache()
+    try:
+        for _ in range(2):
+            for key in keys:
+                orc._kron_maps(*key)
+        assert orc._kron_maps.cache_info().misses == len(keys)
+    finally:
+        orc.clear_projector_cache()
+
+
 def test_dense_twirl_overlaps_match_full_matrices():
     # both values of every table entry from full Python-int matrices: the trace
     # over the last k sites summed entry by entry, its padding by np.kron
@@ -403,6 +416,17 @@ def test_sum_at_the_int64_edge_leaves_int64(exact_routes):
     total = a + a
     assert exact_routes == [object]
     assert np.array_equal(total.mat, 2 * a.mat)
+
+
+def test_sum_refuses_an_operator_of_another_shape():
+    # a zero operator of another shape is refused too, not handed back as the sum
+    for a, b in (
+        (orc.TensorOperator.identity(2, 2), orc.TensorOperator.identity(2, 3)),
+        (orc.TensorOperator.zero(2, 2), orc.TensorOperator.identity(3, 2)),
+    ):
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(ValueError, match="operator shape mismatch"):
+                x + y
 
 
 def test_partial_trace_site_order():

@@ -489,6 +489,16 @@ def test_wrong_site_sum_fails_channel_identities(monkeypatch):
     ]
 
 
+def test_channel_identities_twirl_each_padded_reduction_once(monkeypatch):
+    # the n + 1 padded reductions of a projector are twirled once and mixed for each q, not once per q
+    twirled = []
+    real = oracle.twirl
+    monkeypatch.setattr(oracle, "twirl", lambda a: twirled.append(a) or real(a))
+    result = verify.check_channel_identities([(2, 3)], random.Random(0))
+    assert result.passed
+    assert len(twirled) == len(oracle.isotypical_projectors(2, 3)) * (3 + 1)
+
+
 @perturbs("permutation_representation")
 def test_transposition_read_as_identity_fails_permutation_representation(monkeypatch):
     # the word map behind B((1,0,2)) at d = 2 is the identity's: a pair of S_3 fails when
