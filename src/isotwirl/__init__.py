@@ -22,7 +22,6 @@ from .frames import (
     rel_entropy,
 )
 from .horn import (
-    HornTriple,
     basic_horn_holds,
     branching_disjoint,
     horn_feasible,
@@ -53,7 +52,6 @@ from .symmetric_group import Permutation, character, cycle_types, enumerate_grou
 from .verify import RunConfig, run_suite
 
 __all__ = [
-    "HornTriple",
     "LRTableau",
     "Permutation",
     "RunConfig",

@@ -25,8 +25,8 @@ import functools
 import os
 import sys
 
-from .frames import dim_sym, dim_unitary, format_frame, parse_frame
-from .horn import HornTriple, basic_horn_holds, horn_feasible
+from .frames import _check_fits, dim_sym, dim_unitary, format_frame, parse_frame
+from .horn import basic_horn_holds, horn_feasible
 from .lr import CHARACTER_ORACLE_CAP, lr_coefficient, lr_tableaux, lr_via_characters
 from .spectra import (
     channel_output_spectrum,
@@ -100,12 +100,12 @@ def cmd_char(args: argparse.Namespace) -> tuple:
 
 def cmd_horn(args: argparse.Namespace) -> tuple:
     lam, mu, nu = map(parse_frame, (args.lam, args.mu, args.nu))
-    triple = HornTriple(lam, mu, nu, args.d)
+    _check_fits(args.d, lam, mu, nu)
     results = {}
     if args.basic or not args.feasible:
-        results["basic"] = basic_horn_holds(triple)
+        results["basic"] = basic_horn_holds(lam, mu, nu)
     if args.feasible or not args.basic:
-        results["feasible"] = horn_feasible(triple)
+        results["feasible"] = horn_feasible(lam, mu, nu)
     return {"lam": str(lam), "mu": str(mu), "nu": str(nu), "d": args.d, **results}, _fields(results)
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache, cached_property
-from typing import Callable
+from typing import Callable, Iterable
 
 # Hard enumeration caps.  Requests beyond them are refused, never truncated.
 # The box cap depends on d; see enumerate_frames for the measured costs.
@@ -125,6 +125,16 @@ def _check_fits(d: int, *frames: YoungFrame) -> None:
     for f in frames:
         if len(f.reduced) > d:
             raise ValueError(f"frame {format_frame(f)} has more than {d} rows")
+
+
+def _check_source(lam: YoungFrame, ks: Iterable[int], d: int) -> tuple[list[int], int]:
+    """Refuse a source block past ``d`` rows or a site count outside 0..|lam|; ``ks`` and d come back as ints."""
+    d, *ks = _integers((d, *ks), "d and k", (1,))
+    _check_fits(d, lam)
+    for k in ks:
+        if not 0 <= k <= lam.n:
+            raise ValueError(f"k={k} outside 0..{lam.n}")
+    return ks, d
 
 
 def frame(*parts: int) -> YoungFrame:

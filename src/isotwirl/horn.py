@@ -4,7 +4,9 @@
 lam_{i+j-1} <= mu_i + nu_j (plus the trace identity) that a sum of two
 non-negative operators must satisfy.  ``horn_feasible`` decides exact
 feasibility for integer spectra through Littlewood-Richardson positivity,
-which for that case is an if-and-only-if.  ``within_support_window`` and
+which for that case is an if-and-only-if (saturation, Knutson and Tao 1999).
+Both take the three frames alone: their verdict is the same at every row
+budget d the frames fit, so they ask for none.  ``within_support_window`` and
 ``branching_disjoint`` (on the LR support, ``lr_nonzero_pairs``) state what the
 package verifies: once two frames differ by more than (d-1)*k in some row, no
 branching chain through a common middle frame can connect them.  The window is
@@ -14,7 +16,6 @@ which the ``verify`` window checks read too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import zip_longest
 from typing import Iterable
 
@@ -22,33 +23,14 @@ from .frames import YoungFrame, _check_fits, _integers
 from .lr import lr_coefficient, lr_nonzero_pairs
 
 
-@dataclass(frozen=True)
-class HornTriple:
-    """Candidate spectra (lam for the sum, mu and nu for the parts), each of at most d rows; ``d`` is read as an int.
-
-    Nothing is padded to d rows, so a triple costs the same at any d.
-    """
-
-    lam: YoungFrame
-    mu: YoungFrame
-    nu: YoungFrame
-    d: int
-
-    def __post_init__(self) -> None:
-        (d,) = _integers((self.d,), "d", (1,))
-        object.__setattr__(self, "d", d)
-        _check_fits(d, self.lam, self.mu, self.nu)
-
-
-def basic_horn_holds(t: HornTriple) -> bool:
-    """Trace identity plus lam_{i+j-1} <= mu_i + nu_j for all i, j with i+j-1 <= d.
+def basic_horn_holds(lam: YoungFrame, mu: YoungFrame, nu: YoungFrame) -> bool:
+    """Trace identity plus lam_{i+j-1} <= mu_i + nu_j for all i, j with i+j-1 at most lam's row count.
 
     A necessary condition for feasibility; with only this m = i+j-1 family it
     is not claimed sufficient.  Past lam's row count an inequality reads
-    0 <= mu_i + nu_j and holds, so only m up to that count is tested, at a
-    cost that does not grow with d.
+    0 <= mu_i + nu_j and holds, so the verdict is the same at every row
+    budget d the frames fit, and the frames alone fix it.
     """
-    lam, mu, nu = t.lam, t.mu, t.nu
     if lam.n != mu.n + nu.n:
         return False
     return all(
@@ -56,9 +38,9 @@ def basic_horn_holds(t: HornTriple) -> bool:
     )
 
 
-def horn_feasible(t: HornTriple) -> bool:
-    """Exact feasibility for integer spectra: true iff c^lam_{mu nu} > 0."""
-    return lr_coefficient(t.lam, t.mu, t.nu) > 0
+def horn_feasible(lam: YoungFrame, mu: YoungFrame, nu: YoungFrame) -> bool:
+    """Exact feasibility for integer spectra: true iff c^lam_{mu nu} > 0, at every row budget the frames fit."""
+    return lr_coefficient(lam, mu, nu) > 0
 
 
 def _window_starts(lam: YoungFrame, frames: Iterable[YoungFrame], d: int) -> list[int]:
@@ -105,5 +87,5 @@ def branching_disjoint(lam: YoungFrame, lam_prime: YoungFrame, l: int, k: int, d
     the verification suites check exactly that implication.
     """
     l, k, d = check_split(lam, lam_prime, l, k, d)
-    middle = {mu for mu, _ in lr_nonzero_pairs(lam, l, k, d)}
-    return middle.isdisjoint(mu for mu, _ in lr_nonzero_pairs(lam_prime, l, k, d))
+    middle = {mu for mu, _ in lr_nonzero_pairs(lam, k, d)}
+    return middle.isdisjoint(mu for mu, _ in lr_nonzero_pairs(lam_prime, k, d))

@@ -6,7 +6,9 @@ comes with a checkable witness.  The search runs on reduced row tuples: a
 triple whose sizes do not add up, or where mu or nu does not fit inside lam,
 counts 0 before anything is built, and the count builds no frame or tableau
 object.  ``lr_tableaux`` runs the same search, keeping each filling, and
-wraps each as an :class:`LRTableau` of lam/mu.
+wraps each as an :class:`LRTableau` of lam/mu.  ``lr_nonzero_pairs`` lists the
+(mu, nu) of nonzero count for lam split at k sites, mu of the n - k that lam
+fixes.
 
 ``lr_via_characters`` recomputes the same number through the completely
 independent induced-character inner product and exists purely to
@@ -22,7 +24,7 @@ import math
 from dataclasses import dataclass
 from functools import cache
 
-from .frames import YoungFrame, _integers, enumerate_frames
+from .frames import YoungFrame, _check_source, enumerate_frames
 from .symmetric_group import class_size, cycle_types, reduced_character
 
 # lr_via_characters iterates over pairs of character tables; keep it at desk scale.
@@ -179,10 +181,8 @@ def lr_via_characters(lam: YoungFrame, mu: YoungFrame, nu: YoungFrame) -> int:
     return quotient
 
 
-def lr_nonzero_pairs(lam: YoungFrame, l: int, k: int, d: int) -> list[tuple[YoungFrame, YoungFrame]]:
-    """All (mu, nu) in YF_{d,l} x YF_{d,k} with c^lam_{mu nu} != 0, enumeration order."""
-    l, k, d = _integers((l, k, d), "l, k and d", (0, 0, 1))
-    if l + k != lam.n:
-        raise ValueError(f"split {l}+{k} does not match {lam.n} boxes")
+def lr_nonzero_pairs(lam: YoungFrame, k: int, d: int) -> list[tuple[YoungFrame, YoungFrame]]:
+    """All (mu, nu) in YF_{d,n-k} x YF_{d,k} with c^lam_{mu nu} != 0, n = |lam|, enumeration order."""
+    [k], d = _check_source(lam, (k,), d)
     nus = enumerate_frames(d, k)
-    return [(mu, nu) for mu in enumerate_frames(d, l) for nu in nus if lr_coefficient(lam, mu, nu) > 0]
+    return [(mu, nu) for mu in enumerate_frames(d, lam.n - k) for nu in nus if lr_coefficient(lam, mu, nu) > 0]

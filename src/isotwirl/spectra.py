@@ -21,7 +21,8 @@ skew standard-tableau counts, scaling far beyond the oracle's caps:
   expanded over the smaller isotypical projectors, and its overlap with each
   block.  The tests and the oracle suite cross-check it against the push,
 * :func:`tail_bound_exponent` is log2 of the closed-form exponential upper
-  bound on a single far-away weight (d = 2), and :func:`xy_optimize` /
+  bound on a single far-away weight (d = 2), n the box count of its two
+  frames, and :func:`xy_optimize` /
   :func:`xy_entropy_bound` solve the extremal dimension-product problems that
   control it.
 
@@ -50,6 +51,7 @@ from .frames import (
     YoungFrame,
     _Level,
     _check_fits,
+    _check_source,
     _checked_level,
     _dim_unitary,
     _integers,
@@ -59,7 +61,6 @@ from .frames import (
     binary_entropy,
     depolarising_weight,
     dim_sym,
-    dim_unitary,
     enumerate_frames,
     format_frame,
     integer_text,
@@ -70,16 +71,6 @@ from .horn import check_split
 from .lr import lr_coefficient, lr_nonzero_pairs
 
 
-def _check_source(lam: YoungFrame, ks: Iterable[int], d: int) -> tuple[list[int], int]:
-    """Refuse a source block or site counts the fast path cannot honour; ``ks`` and d come back as ints."""
-    d, *ks = _integers((d, *ks), "d and k", (1,))
-    _check_fits(d, lam)
-    for k in ks:
-        if not 0 <= k <= lam.n:
-            raise ValueError(f"k={k} outside 0..{lam.n}")
-    return ks, d
-
-
 def partial_trace_decomposition(lam: YoungFrame, k: int, d: int) -> SpectralTable:
     """Exact coefficients of tr_{[k]} P_lam over the P_mu, as a table over mu in YF_{d, n-k}: the LR route.
 
@@ -88,10 +79,9 @@ def partial_trace_decomposition(lam: YoungFrame, k: int, d: int) -> SpectralTabl
     count, so it checks the push independently.
     """
     [k], d = _check_source(lam, (k,), d)
-    l = lam.n - k
-    level = _checked_level(d, l)
+    level = _checked_level(d, lam.n - k)
     sums = [0] * len(level.reduced)  # sum_nu c^lam_{mu nu} f_nu, by position of mu
-    for mu, nu in lr_nonzero_pairs(lam, l, k, d):
+    for mu, nu in lr_nonzero_pairs(lam, k, d):
         sums[level.index[mu.reduced]] += lr_coefficient(lam, mu, nu) * dim_sym(nu)
     units = [_dim_unitary(mu, d) for mu in level.reduced]
     common = math.lcm(*(u for u, s in zip(units, sums) if s))
@@ -107,11 +97,12 @@ def paired_block_overlap(lam_prime: YoungFrame, mu: YoungFrame, gamma: YoungFram
     """
     if mu.n + gamma.n != lam_prime.n:
         raise ValueError("box counts do not add up")
-    unitary = dim_unitary(lam_prime, d)  # reads d before any cache
+    (d,) = _integers((d,), "d", (1,))
+    _check_fits(d, lam_prime, mu, gamma)  # before any cache
     c = lr_coefficient(lam_prime, mu, gamma)
     if c == 0:
         return Fraction(0)
-    return Fraction(c * dim_sym(mu) * dim_sym(gamma) * unitary, dim_sym(lam_prime))
+    return Fraction(c * dim_sym(mu) * dim_sym(gamma) * _dim_unitary(lam_prime.reduced, d), dim_sym(lam_prime))
 
 
 @dataclass
@@ -337,8 +328,8 @@ def channel_output_spectrum(lam: YoungFrame, q: Fraction | int | str, d: int) ->
     return channel_output_spectra(lam, [q], d)[0]
 
 
-def tail_bound_exponent(lam: YoungFrame, lam_prime: YoungFrame, q: Fraction | int | str, n: int) -> float:
-    """log2 of the exponential upper bound on Pr[lam'] for the depolarised flat state pi_lam.
+def tail_bound_exponent(lam: YoungFrame, lam_prime: YoungFrame, q: Fraction | int | str) -> float:
+    """log2 of the exponential upper bound on Pr[lam'] for the depolarised flat state pi_lam, n the frames' box count.
 
     Valid for d = 2 in the regime |lam_1 - lam'_1|/n > q, where the bound is
 
@@ -348,14 +339,13 @@ def tail_bound_exponent(lam: YoungFrame, lam_prime: YoungFrame, q: Fraction | in
     each bounded through the relative-entropy estimate and the (correctly
     oriented) quadratic lower bound on it.  At |lam_1 - lam'_1|/n = q the
     exponent is >= 0 and carries no information; below that the function
-    raises, as it does for n < 1, a frame with more than 2 rows or with other
-    than n boxes.  ``n`` is read by :func:`frames._integers`.
+    raises, as it does for two frames of different box counts, for n < 1 and
+    for a frame with more than 2 rows.
     """
-    (n,) = _integers((n,), "n", (1,))
+    if lam.n != lam_prime.n:
+        raise ValueError(f"frames {lam} and {lam_prime} have {lam.n} and {lam_prime.n} boxes, not one n")
+    (n,) = _integers((lam.n,), "n", (1,))
     _check_fits(2, lam, lam_prime)
-    for f in (lam, lam_prime):
-        if f.n != n:
-            raise ValueError(f"frame {f} has {f.n} boxes, not n={n}")
     q = depolarising_weight(q)
     gap = abs(lam.row(0) - lam_prime.row(0))
     ratio = Fraction(gap, n)

@@ -10,8 +10,7 @@ caller that already holds the tuples (the LR character oracle) builds no
 lives behind ``functools.cache``: under the GIL concurrent lookups are safe and
 a racing recomputation is idempotent, so no external locking is required.
 Cycle types are the frames of the level YF(n, n) of Young's lattice
-(``frames._lattice_level``), unpadded.  A sampled permutation is unranked
-from its lexicographic position, so drawing one never lists the group.
+(``frames._lattice_level``), unpadded.
 """
 
 from __future__ import annotations
@@ -68,15 +67,6 @@ def enumerate_group(n: int) -> Iterator[Permutation]:
     if n > GROUP_ENUMERATION_CAP:
         raise ValueError(f"enumerate_group(n={n}) exceeds cap {GROUP_ENUMERATION_CAP}")
     return map(Permutation, itertools.permutations(range(n)))
-
-
-def _unrank_permutation(n: int, rank: int) -> Permutation:
-    """The permutation at 0-based ``rank`` in the order of :func:`enumerate_group`, built without the group."""
-    left, images = list(range(n)), []
-    for i in reversed(range(n)):
-        pos, rank = divmod(rank, math.factorial(i))
-        images.append(left.pop(pos))
-    return Permutation(tuple(images))
 
 
 def cycle_types(n: int) -> list[YoungFrame]:

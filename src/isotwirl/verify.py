@@ -69,7 +69,7 @@ from .frames import (
     rel_entropy,
     within_entropy_bound,
 )
-from .horn import HornTriple, _window_starts, basic_horn_holds, branching_disjoint, horn_feasible
+from .horn import _window_starts, basic_horn_holds, branching_disjoint, horn_feasible
 from .lr import CHARACTER_ORACLE_CAP, lr_coefficient, lr_nonzero_pairs, lr_via_characters
 from .spectra import (
     SpectralTable,
@@ -82,7 +82,7 @@ from .spectra import (
     xy_entropy_bound,
     xy_optimize,
 )
-from .symmetric_group import Permutation, _unrank_permutation, enumerate_group
+from .symmetric_group import Permutation, enumerate_group
 
 MAX_FAILURES_REPORTED = 5
 
@@ -256,12 +256,11 @@ def check_lr_coefficients(d: int, n_max: int) -> list[CheckResult]:
         cross.expect_equal(c, lr_via_characters(lam, mu, nu), "c^{}_{},{}", lam, mu, nu)
         symmetry.expect_equal(c, lr_coefficient(lam, nu, mu), "symmetry {}|{},{}", lam, mu, nu)
         totals[(lam, mu.n)] = totals.get((lam, mu.n), 0) + c * dim_sym(mu) * dim_sym(nu)
-        triple = HornTriple(lam, mu, nu, d)
-        feasible = horn_feasible(triple)
+        feasible = horn_feasible(lam, mu, nu)
         feasibility.expect_equal(feasible, c > 0, "feasibility {}|{},{}", lam, mu, nu)
         if c > 0:
-            necessity.record(basic_horn_holds(triple), "c>0 but basic inequalities fail: {}|{},{}", lam, mu, nu)
-        elif not basic_horn_holds(triple):
+            necessity.record(basic_horn_holds(lam, mu, nu), "c>0 but basic inequalities fail: {}|{},{}", lam, mu, nu)
+        elif not basic_horn_holds(lam, mu, nu):
             necessity.record(not feasible, "basic false but feasible: {}|{},{}", lam, mu, nu)
     for (lam, l), total in totals.items():
         restrict.expect_equal(total, dim_sym(lam), "restriction {} split {}+{}", lam, l, lam.n - l)
@@ -415,7 +414,7 @@ def check_projector_domination(n_max: int) -> CheckResult:
         for lam in enumerate_frames(2, n):
             for l in range(0, n + 1):
                 k = n - l
-                pairs = lr_nonzero_pairs(lam, l, k, 2)
+                pairs = lr_nonzero_pairs(lam, k, 2)
                 dominating = sum((small[l][mu].kron(small[k][nu]) for mu, nu in pairs), orc.TensorOperator.zero(2, n))
                 diff = dominating - family[lam]
                 psd.record(
@@ -560,11 +559,7 @@ def check_permutation_representation(d_max: int, n: int, rng: random.Random) -> 
                     "d={}: B({})B({}) != B(product)", d, s.images, t.images,
                 )
     for _ in range(6):
-        imgs = list(range(n))
-        rng.shuffle(imgs)
-        s = Permutation(tuple(imgs))
-        rng.shuffle(imgs)
-        t = Permutation(tuple(imgs))
+        s, t = (Permutation(rng.sample(range(n), n)) for _ in range(2))
         rep.record(
             orc.perm_operator(s, 2) @ orc.perm_operator(t, 2) == orc.perm_operator(s * t, 2),
             "random pair at n={}", n,
@@ -578,7 +573,7 @@ def check_projector_commutation(sizes: Iterable[tuple[int, int]], rng: random.Ra
     for d, n in _each_size(sizes, 2):
         family = orc.isotypical_projectors(d, n)
         if n > 4:
-            perms = [_unrank_permutation(n, rng.randrange(math.factorial(n))) for _ in range(8)]
+            perms = [Permutation(rng.sample(range(n), n)) for _ in range(8)]
         else:
             perms = list(enumerate_group(n))
         for lam, p in family.items():

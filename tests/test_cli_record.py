@@ -60,6 +60,7 @@ COMMANDS = [
     ["verify", "all", "--cap-n", "65"],
     ["sweep", "4,0", "--grid", ","],
     ["--d", "1000000000000", "horn", "2,1", "1", "1,1"],
+    ["horn", "1,1,1", "1", "1,1"],
 ]
 
 

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from test_frames import _non_integer_size_calls
 from isotwirl import cli, frames, horn, lr, oracle, spectra, symmetric_group, verify
 from isotwirl.frames import MAX_BOXES, MAX_ROW_BUDGET, dim_unitary, enumerate_frames, format_frame, frame
-from isotwirl.horn import HornTriple, branching_disjoint, check_split, horn_feasible, within_support_window
+from isotwirl.horn import branching_disjoint, check_split, horn_feasible, within_support_window
 from isotwirl.oracle import DIMENSION_CAP, TensorOperator
 from isotwirl.spectra import (
     SpectralTable,
@@ -57,10 +57,8 @@ def _refused_calls():
         lambda: paired_block_overlap(frame(2, 1), frame(1), frame(1, 1), 2.0),
         lambda: enumerate_group(3.0),
         lambda: symmetric_group.cycle_types(CYCLE_TYPE_CAP + 1),
-        lambda: HornTriple(frame(2, 1), frame(1), frame(1, 1), 2.0),
         lambda: within_support_window(frame(4), frame(2, 2), 2.0, 1),
         lambda: within_support_window(frame(4), frame(2, 2), 2, 0.5),
-        lambda: tail_bound_exponent(frame(4), frame(2, 2), "1/10", 4.0),
         lambda: format_frame(frame(2, 1), 2.0),
         lambda: RunConfig(d_max=3.0),
         lambda: RunConfig(n_max=Fraction(4)),
@@ -81,6 +79,8 @@ def _refused_calls():
         lambda: RunConfig(q_grid="01"),
         lambda: frames.binary_entropy("0.5"),
         lambda: frames.rel_entropy("0.5", Fraction(1, 2)),
+        lambda: lr.lr_nonzero_pairs(frame(1, 1, 1), 1, 2),
+        lambda: paired_block_overlap(frame(2, 1, 1), frame(2, 1), frame(1), 2),
     )
 
 
@@ -89,9 +89,9 @@ def _valid_values():
         dim_unitary(frame(3, 1), 2),
         paired_block_overlap(frame(2, 1), frame(1), frame(1, 1), 2),
         list(enumerate_group(3)),
-        horn_feasible(HornTriple(frame(2, 1), frame(1), frame(1, 1), 2)),
+        horn_feasible(frame(2, 1), frame(1), frame(1, 1)),
         within_support_window(frame(4), frame(2, 2), 2, 1),
-        tail_bound_exponent(frame(4), frame(2, 2), "1/10", 4),
+        tail_bound_exponent(frame(4), frame(2, 2), "1/10"),
         format_frame(frame(2, 1), 2),
         channel_output_spectrum(frame(3, 1), "1/2", 2),
         twirl_spectrum(frame(3, 1), 1, 2),
@@ -138,7 +138,7 @@ EDITED_RESULTS = {
         (list.clear, lambda frames: frames.__setitem__(0, frame(1)), lambda frames: frames.append(frame(5))),
     ),
     "lr_nonzero_pairs": (
-        lambda: lr.lr_nonzero_pairs(frame(3, 2, 1), 3, 3, 3),
+        lambda: lr.lr_nonzero_pairs(frame(3, 2, 1), 3, 3),
         (list.clear, lambda pairs: pairs.__setitem__(0, (frame(3), frame(3))), lambda pairs: pairs.append(None)),
     ),
     "twirl_spectrum": (lambda: twirl_spectrum(frame(3, 2, 1), 2, 3), (_bump,)),
@@ -171,15 +171,14 @@ def test_one_message_for_a_size_below_its_least():
         (lambda: enumerate_frames(0, 2), "d must be >= 1, got d=0"),
         (lambda: enumerate_frames(2, -1), "n must be >= 0, got n=-1"),
         (lambda: twirl_spectrum(frame(), 0, -1), "d must be >= 1, got d=-1"),
-        (lambda: tail_bound_exponent(frame(), frame(), 0, 0), "n must be >= 1, got n=0"),
+        (lambda: tail_bound_exponent(frame(), frame(), 0), "n must be >= 1, got n=0"),  # n read from the frames
         (lambda: TensorOperator.zero(2, -1), "n must be >= 0, got n=-1"),
         (lambda: TensorOperator.zero(0, 1), "d must be >= 1, got d=0"),
-        (lambda: HornTriple(frame(), frame(), frame(), 0), "d must be >= 1, got d=0"),
         (lambda: within_support_window(frame(), frame(), 1, -1), "k must be >= 0, got k=-1"),  # d at its least
         (lambda: enumerate_group(-1), "n must be >= 0, got n=-1"),
         (lambda: symmetric_group.cycle_types(-2), "n must be >= 0, got n=-2"),
         (lambda: check_split(frame(4), frame(4), 0, -1, 2), "k must be >= 0, got k=-1"),
-        (lambda: lr.lr_nonzero_pairs(frame(4), -1, 5, 2), "l must be >= 0, got l=-1"),
+        (lambda: lr.lr_nonzero_pairs(frame(4), 1, 0), "d must be >= 1, got d=0"),
         (lambda: format_frame(frame(), 0), "d must be >= 1, got d=0"),
     )
     for call, message in calls:
@@ -193,12 +192,13 @@ def test_one_message_for_a_frame_past_d_rows():
     calls = (
         lambda: frame(2, 1, 1, 0).padded(2),
         lambda: format_frame(frame(2, 1, 1), 2),
-        lambda: HornTriple(frame(2, 1, 1), frame(2, 1), frame(1), 2),
         lambda: twirl_spectrum(frame(2, 1, 1), 1, 2),
         lambda: channel_output_spectrum(frame(2, 1, 1), "1/2", 2),
         lambda: branching_disjoint(frame(2, 1, 1), frame(4), 2, 2, 2),
         lambda: within_support_window(frame(2, 1, 1), frame(4), 2, 1),
-        lambda: tail_bound_exponent(frame(4), frame(2, 1, 1), "1/4", 4),
+        lambda: tail_bound_exponent(frame(4), frame(2, 1, 1), "1/4"),
+        lambda: lr.lr_nonzero_pairs(frame(2, 1, 1), 1, 2),
+        lambda: paired_block_overlap(frame(2, 1, 1), frame(2, 1), frame(1), 2),
         lambda: xy_entropy_bound(frame(2, 1, 1), 1),
     )
     for call in calls:
@@ -248,9 +248,7 @@ SIZED_CALLS = {
     "dim_unitary": (lambda d: dim_unitary(frame(2, 1), d), D),
     "paired_block_overlap": (lambda d: paired_block_overlap(frame(2, 1), frame(1), frame(1, 1), d), D),
     "enumerate_group": (lambda n: next(enumerate_group(n), None), sizes(GROUP_ENUMERATION_CAP + 1)),
-    "HornTriple": (lambda d: horn_feasible(HornTriple(frame(2, 1), frame(1), frame(1, 1), d)), D),
     "within_support_window": (lambda d, k: within_support_window(frame(3), frame(2, 1), d, k), D, SMALL),
-    "tail_bound_exponent": (lambda n: tail_bound_exponent(frame(3), frame(2, 1), "1/10", n), SMALL),
     "format_frame": (lambda d: format_frame(frame(2, 1), d), D),
     "RunConfig": (lambda d, n, seed: json.dumps(RunConfig(d_max=d, n_max=n, seed=seed).to_json_obj()), D, N, SMALL),
     "SpectralTable": (lambda d, n, den, a, b: SpectralTable(d, n, den, [a, b]).total(), D, N, SMALL, SMALL, SMALL),
@@ -260,7 +258,7 @@ SIZED_CALLS = {
     "channel_output_spectrum": (lambda d: channel_output_spectrum(frame(2, 1), "1/3", d), D),
     "twirl_spectrum": (lambda k, d: twirl_spectrum(frame(2, 1), k, d), SMALL, D),
     "partial_trace_decomposition": (lambda k, d: spectra.partial_trace_decomposition(frame(2, 1), k, d), SMALL, D),
-    "lr_nonzero_pairs": (lambda l, k, d: lr.lr_nonzero_pairs(frame(2, 1), l, k, d), SMALL, SMALL, D),
+    "lr_nonzero_pairs": (lambda k, d: lr.lr_nonzero_pairs(frame(2, 1), k, d), SMALL, D),
     "branching_disjoint": (lambda l, k, d: branching_disjoint(frame(2, 1), frame(3), l, k, d), SMALL, SMALL, D),
     "xy_optimize": (lambda l, k, d: spectra.xy_optimize(frame(2, 1), frame(3), l, k, d), SMALL, SMALL, D),
     "within_entropy_bound": (frames.within_entropy_bound, SMALL, SMALL, SMALL),

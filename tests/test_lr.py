@@ -80,11 +80,14 @@ def test_two_row_coefficients_multiplicity_free():
 
 def test_nonzero_pairs():
     for n, l in ((4, 3), (5, 2)):
-        assert lr_nonzero_pairs(frame(n), l, n - l, 2) == [(frame(l), frame(n - l))]
-    pairs = set(lr_nonzero_pairs(frame(3, 1), 2, 2, 2))
+        assert lr_nonzero_pairs(frame(n), n - l, 2) == [(frame(l), frame(n - l))]
+    pairs = set(lr_nonzero_pairs(frame(3, 1), 2, 2))
     assert pairs == {(frame(2), frame(1, 1)), (frame(2), frame(2)), (frame(1, 1), frame(2))}
-    with pytest.raises(ValueError):
-        lr_nonzero_pairs(frame(3, 1), 1, 1, 2)
+    # k runs over 0..n, the other part of the split is n - k
+    for k in (5, -1):
+        with pytest.raises(ValueError) as refused:
+            lr_nonzero_pairs(frame(3, 1), k, 2)
+        assert str(refused.value) == f"k={k} outside 0..4"
 
 
 def test_witness_tableaux_are_valid():

@@ -74,7 +74,9 @@ def test_branching_matches_dense_partial_trace():
 def test_paired_block_overlap_examples():
     assert paired_block_overlap(frame(2), frame(1), frame(1), 2) == 3
     assert paired_block_overlap(frame(1, 1), frame(1), frame(1), 2) == 1
-    assert paired_block_overlap(frame(2), frame(1, 1), frame(), 2) == 0
+    # a vanishing overlap is the exact Fraction 0 too, so a quotient of it stays exact
+    zero = paired_block_overlap(frame(2), frame(1, 1), frame(), 2)
+    assert zero == 0 and type(zero) is Fraction
     with pytest.raises(ValueError):
         paired_block_overlap(frame(2), frame(2), frame(1, 1), 2)
 
@@ -418,7 +420,7 @@ def test_float_weights_refused():
         with pytest.raises(ValueError, match="not exact"):
             orc.depolarise_n(orc.isotypical_projectors(2, 3)[lam], q)
         with pytest.raises(ValueError, match="not exact"):
-            tail_bound_exponent(frame(8, 0), frame(4, 4), q, 8)
+            tail_bound_exponent(frame(8, 0), frame(4, 4), q)
     with pytest.raises(ValueError, match="not exact"):
         orc.TensorOperator(2, 1, 0.1, orc.TensorOperator.identity(2, 1).mat)
     with pytest.raises(ValueError, match="not exact"):
@@ -436,26 +438,26 @@ def test_float_weights_refused():
 
 
 def test_tail_bound_value_and_regime():
-    bound = 2.0 ** tail_bound_exponent(frame(8, 0), frame(4, 4), Fraction(1, 4), 8)
+    bound = 2.0 ** tail_bound_exponent(frame(8, 0), frame(4, 4), Fraction(1, 4))
     expect = 2.0 ** (-8 * ((2 / math.log(2)) * (0.5 - 0.25) ** 2 - math.log2(9) / 8))
     assert abs(bound - expect) < 1e-14
     # the bound reads the gap |lam_1 - lam'_1|, so swapping the frames keeps it
-    swapped = tail_bound_exponent(frame(4, 4), frame(8, 0), Fraction(1, 4), 8)
-    assert swapped == tail_bound_exponent(frame(8, 0), frame(4, 4), Fraction(1, 4), 8)
+    swapped = tail_bound_exponent(frame(4, 4), frame(8, 0), Fraction(1, 4))
+    assert swapped == tail_bound_exponent(frame(8, 0), frame(4, 4), Fraction(1, 4))
     # vacuous edge: ratio == q gives an exponent >= 0, a bound >= 1
-    assert tail_bound_exponent(frame(8, 0), frame(6, 2), Fraction(1, 4), 8) >= 0
+    assert tail_bound_exponent(frame(8, 0), frame(6, 2), Fraction(1, 4)) >= 0
     with pytest.raises(ValueError, match="vacuous"):
-        tail_bound_exponent(frame(8, 0), frame(7, 1), Fraction(1, 4), 8)
+        tail_bound_exponent(frame(8, 0), frame(7, 1), Fraction(1, 4))
     with pytest.raises(ValueError, match="more than 2 rows"):
-        tail_bound_exponent(frame(6, 0, 0), frame(2, 2, 2), Fraction(1, 10), 6)
-    with pytest.raises(ValueError, match="not n=4"):
-        tail_bound_exponent(frame(6), frame(2, 2), Fraction(1, 10), 4)
-    with pytest.raises(ValueError, match="not n=6"):
-        tail_bound_exponent(frame(6), frame(2, 2), Fraction(1, 10), 6)
+        tail_bound_exponent(frame(6, 0, 0), frame(2, 2, 2), Fraction(1, 10))
+    # n is the frames' one box count
+    with pytest.raises(ValueError) as refused:
+        tail_bound_exponent(frame(6), frame(2, 2), Fraction(1, 10))
+    assert str(refused.value) == "frames 6 and 2,2 have 6 and 4 boxes, not one n"
     with pytest.raises(ValueError, match="n must be >= 1, got n=0"):
-        tail_bound_exponent(frame(), frame(), 0, 0)
+        tail_bound_exponent(frame(), frame(), 0)
     # one site is the least n served: at q = 0 the exponent is log2(2) = 1
-    assert tail_bound_exponent(frame(1), frame(1), 0, 1) == 1.0
+    assert tail_bound_exponent(frame(1), frame(1), 0) == 1.0
 
 
 def test_tail_bound_dominates_small_cases():

@@ -222,9 +222,9 @@ def test_dropped_dominating_pair_fails_with_exact_text(monkeypatch):
     # difference has a negative direction and only that split fails
     real = verify.lr_nonzero_pairs
 
-    def dropped(lam, l, k, d):
-        pairs = real(lam, l, k, d)
-        if (lam, l, k, d) == (frame(2, 1), 2, 1, 2):
+    def dropped(lam, k, d):
+        pairs = real(lam, k, d)
+        if (lam, k, d) == (frame(2, 1), 1, 2):
             assert (frame(2), frame(1)) in pairs
             pairs = [pair for pair in pairs if pair != (frame(2), frame(1))]
         return pairs
@@ -407,7 +407,7 @@ def test_basic_inequalities_refused_on_a_feasible_triple_fail_necessity(monkeypa
     # feasibility reads no inequality and passes
     real = verify.basic_horn_holds
     refused = (frame(2, 1), frame(1), frame(1, 1))
-    monkeypatch.setattr(verify, "basic_horn_holds", lambda t: (t.lam, t.mu, t.nu) != refused and real(t))
+    monkeypatch.setattr(verify, "basic_horn_holds", lambda *triple: triple != refused and real(*triple))
     assert failures(verify.check_lr_coefficients(2, 3)) == {
         "horn_necessity_of_basic_inequalities": ["c>0 but basic inequalities fail: 2,1|1,0,1,1"],
     }
