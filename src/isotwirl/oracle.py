@@ -3,12 +3,13 @@
 Everything the fast combinatorial path claims is checked against dense
 operators built here: permutation matrices, isotypical projectors built as
 polynomials in two central elements of the group algebra of S_n (the sums of
-all transpositions and of all 3-cycles, whose eigenvalues are content sums),
-partial traces, the permutation twirl (a mean over orbits of word pairs),
-the depolarising channel applied literally, one site at a time, and an exact
-positive-semidefiniteness test (fraction-free Bareiss elimination).  The
-projectors use no LR coefficient, skew count or character, so the oracle
-stays independent of the fast path.
+all transpositions and of all 3-cycles, whose eigenvalues are content sums;
+a whole family comes from one Lagrange product on the sorted word's row of
+every letter block at once), partial traces, the permutation twirl (a mean
+over orbits of word pairs), the depolarising channel applied literally, one
+site at a time, and an exact positive-semidefiniteness test (fraction-free
+Bareiss elimination).  The projectors use no LR coefficient, skew count or
+character, so the oracle stays independent of the fast path.
 
 A :class:`TensorOperator` is an exact rational matrix: a global ``Fraction``
 scale times integer entries, so no rounding can ever occur.  Permutations of
@@ -64,8 +65,8 @@ import math
 import numbers
 import random
 from fractions import Fraction
-from functools import cache, cached_property, lru_cache, partial
-from typing import Callable, Iterable, Sequence
+from functools import cache, cached_property, lru_cache
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -674,122 +675,111 @@ def _sorting_spread(words: np.ndarray, local: np.ndarray, d: int, n: int) -> np.
 def _lagrange_rows(start: np.ndarray, steps: np.ndarray, values: list[int]) -> list[tuple[np.ndarray, int]]:
     """(N_i, D_i) with N_i / D_i = ``start`` times prod over j != i of (M - v_j) / (v_i - v_j).
 
-    M is a class sum on one letter block, given by ``steps``: the local index
-    of the word each of its permutations maps every word to, one row per
-    permutation, so a row times M is one gather and one sum over those rows.
-    For a diagonalisable M whose eigenvalues lie in the distinct ``values``,
-    the product projects onto the v_i eigenspace.  The rows start M^j are
-    formed once: M >= 0 and its columns sum to the class size c, so
-    |start M^j| <= max|start| c^j entrywise, and they run in int64 when that
-    bound fits.  The numerators are one product of the coefficient matrix with
-    those rows (:func:`_int_matmul`).
+    M is a class sum, given by ``steps``: the index of the word each of its
+    permutations maps every word to, one row per permutation, so a row times
+    M is one gather and one sum over those rows.  For a diagonalisable M whose
+    eigenvalues lie in the distinct ``values``, the product projects onto the
+    v_i eigenspace.  With u_1 > u_2 > ... the values in decreasing order, the
+    rows R_k = start (M - u_1) ... (M - u_k) are formed once: M >= 0 and its
+    columns sum to the class size c, so |R_k| <= max|start| prod (c + |u_j|)
+    entrywise, and they run in int64 when that bound fits.  Each numerator's
+    polynomial is written in the Newton basis (x - u_1) ... (x - u_k) by
+    synthetic division at u_1, u_2, ... in turn, and all numerators are one
+    product of those coefficients with the rows (:func:`_int_matmul`).  The
+    rows shed the largest eigenvalues first, so they stay far below powers of
+    M: for the projector families the product takes the float route at every
+    size but (3, 8).
     """
-    (row,) = _exact(max(_amax(start), 1) * len(steps) ** (len(values) - 1), start)
-    powers = [row]
-    for _ in range(len(values) - 1):
-        powers.append(powers[-1].take(steps).sum(axis=0))
+    nodes = sorted(values, reverse=True)
+    (row,) = _exact(max(_amax(start), 1) * math.prod(len(steps) + abs(u) for u in nodes[:-1]), start)
+    rows = [row]
+    for u in nodes[:-1]:
+        rows.append(rows[-1].take(steps).sum(axis=0) - u * rows[-1])
     coeffs, dens = [], []
     for i, v in enumerate(values):
-        poly, den = [1], 1  # coefficients of prod (x - u), lowest degree first
+        poly, den = [1], 1  # coefficients of prod (x - u), highest degree first
         for u in values[:i] + values[i + 1 :]:
-            poly = [a - u * b for a, b in zip([0] + poly, poly + [0])]
+            poly = [a - u * b for a, b in zip(poly + [0], [0] + poly)]
             den *= v - u
-        coeffs.append(poly)
+        newton = []
+        for u in nodes:  # the remainder of poly / (x - u), and on with the quotient
+            for j in range(1, len(poly)):
+                poly[j] += u * poly[j - 1]
+            newton.append(poly.pop())
+        coeffs.append(newton)
         dens.append(den)
-    return list(zip(_int_matmul(_stored(np.array(coeffs, dtype=object)), np.stack(powers)), dens))
-
-
-def _block_projectors(
-    frames: list[YoungFrame], m: int, steps: Callable[[int], np.ndarray]
-) -> dict[YoungFrame, tuple[np.ndarray, int]]:
-    """(N, D) with N / D the sorted word's row of P_lam on one letter block of m words, for the frames in it.
-
-    ``steps(2)`` and ``steps(3)`` give T and C3 on the block (see
-    :func:`_lagrange_rows`).  The Lagrange product over content sums projects
-    onto P_lam, or onto the sum of the P_mu sharing lam's content sum; a
-    second product over the C3 eigenvalues splits such a collision, applied to
-    the first one's row since T and C3 commute.  The two eigenvalues together
-    tell apart the frames of every YF(d, n) the size limit allows.
-    """
-    groups: dict[int, list[YoungFrame]] = {}
-    for lam in frames:
-        groups.setdefault(central_eigenvalues(lam)[0], []).append(lam)
-    first = np.zeros(m, dtype=np.int64)
-    first[0] = 1
-    out = {}
-    for (num, den), group in zip(_lagrange_rows(first, steps(2), list(groups)), groups.values()):
-        if len(group) == 1:
-            out[group[0]] = (num, den)
-            continue
-        split = [central_eigenvalues(lam)[1] for lam in group]
-        for lam, (snum, sden) in zip(group, _lagrange_rows(num, steps(3), split)):
-            out[lam] = (snum, den * sden)
-    return out
-
-
-def _dominates(lam: YoungFrame, part: tuple[int, ...]) -> bool:
-    return all(a >= b for a, b in zip(itertools.accumulate(lam.padded(len(part))), itertools.accumulate(part)))
+    return list(zip(_int_matmul(_stored(np.array(coeffs, dtype=object)), np.stack(rows)), dens))
 
 
 # Every family a dense sweep asks for, (d, 0..DENSE_SWEEP_N[d]) for each d, stays cached.
 @lru_cache(maxsize=sum(n + 1 for n in DENSE_SWEEP_N.values()))
 def _projector_family(d: int, n: int) -> dict[YoungFrame, TensorOperator]:
-    """The family from central elements, one row per sorted letter histogram.
+    """The family from central elements: every sorted word's row of every P_lam from one Lagrange product.
 
     Permutations keep a word's letter histogram, so every P_lam is block
-    diagonal over the histograms, and P_lam is nonzero on a block exactly when
-    lam dominates its sorted histogram (Kostka number > 0).  Relabelling the
-    letters commutes with S_n, so every P_lam is stored in the sorted layout,
-    one block per sorted histogram.  P_lam commutes with every site
-    permutation too, and those act transitively on a block, so the block is
-    fixed by its sorted word's row: the rows are built from powers of T on
-    that one row (:func:`_block_projectors`), and each is spread over its span
-    by :func:`_sorting_spread`.  The largest blocks go first: their spread
-    maps, the largest temporaries, are then formed while most of the zeroed
-    vectors are still unwritten.  Every block is written at the common scale
-    n!: n! P_lam is an integer matrix, so each block denominator divides n!,
-    and its entries have modulus at most n!, as an orthogonal projector's
-    entries have modulus at most 1: int64, as the dense size limit keeps
-    n <= 12.  Every row of a block is its first row permuted, so the gcd g of
-    a vector's entries is the gcd of its rows' gcds: the rows are divided by g
-    before they are spread, which leaves g/n! times a primitive vector, the
-    canonical form ``reduced`` gives.
+    diagonal over the histograms.  Relabelling the letters commutes with S_n,
+    so every P_lam is stored in the sorted layout, one block per sorted
+    histogram.  P_lam commutes with every site permutation too, and those act
+    transitively on a block, so the block is fixed by its sorted word's row.
+    Those rows, one block after another, form one vector, on which T and C3
+    act through one gather each.  The product over all content sums of
+    YF(d, n) (:func:`_lagrange_rows`), and over the C3 eigenvalues of each
+    group of frames sharing a content sum, gives every frame's rows at once:
+    on each block it is 1 on P_lam's eigenvalue and 0 on every other
+    eigenvalue T has there, whatever extra roots it carries, so the row is
+    zero on every block P_lam vanishes on.  Every row of a block is its first
+    row permuted, so the gcd g of a frame's numerator N over all blocks is
+    that of its vector, and N / D = (g / D) (N / g) is the canonical form
+    ``reduced`` gives.  N / g is int64: n! P_lam is an integer multiple of
+    the primitive N / g, and its entries have modulus at most n!, as an
+    orthogonal projector's entries have modulus at most 1; the dense size
+    limit keeps n <= 12.  Each block is spread over its span by
+    :func:`_sorting_spread` for the frames whose diagonal entry there is
+    nonzero: P_lam w0 is zero exactly when |P_lam w0|^2 is.  The largest
+    blocks go first: their spread maps, the largest temporaries, are then
+    formed while most of the zeroed vectors are still unwritten.
     """
     layout = _layout(d, n)
-    counts = _letter_counts(d, n)
-    cycle_maps = cache(partial(_cycle_class_maps, d, n))
-    fact = math.factorial(n)
     frames = enumerate_frames(d, n)
-    blocks = sorted(zip(layout.blocks, layout.spans), key=lambda item: -len(item[0]))
-    rows = []  # each block's rows, at the common scale n!
-    for words, (_, _, m) in blocks:
-        rows_of = _block_projectors(
-            [lam for lam in frames if _dominates(lam, tuple(counts[words[0]].tolist()))],
-            m,
-            lambda length: layout.local[cycle_maps(length)[:, words]],
-        )
-        rows.append({lam: (num.astype(object) * fact // den).astype(np.int64) for lam, (num, den) in rows_of.items()})
-    gcds = {lam: math.gcd(*(int(np.gcd.reduce(block[lam])) for block in rows if lam in block)) for lam in frames}
+    stored = np.concatenate(layout.blocks)
+    at = np.zeros(d**n, dtype=np.int64)
+    at[stored] = np.arange(len(stored))  # each stored word's place in the one vector
+    firsts = np.cumsum([0, *(len(words) for words in layout.blocks[:-1])])  # each block's sorted word
+    start = np.zeros(len(stored), dtype=np.int64)
+    start[firsts] = 1
+    steps = cache(lambda length: at[_cycle_class_maps(d, n, length)[:, stored]])  # T and C3 on the vector
+    groups: dict[int, list[YoungFrame]] = {}
+    for lam in frames:
+        groups.setdefault(central_eigenvalues(lam)[0], []).append(lam)
+    rows = {}  # each frame's primitive row and scale
+    for (num, den), group in zip(_lagrange_rows(start, steps(2), list(groups)), groups.values()):
+        split = [central_eigenvalues(lam)[1] for lam in group]
+        parts = _lagrange_rows(num, steps(3), split) if len(group) > 1 else [(num, 1)]
+        for lam, (part, sden) in zip(group, parts):
+            part, den_lam = _stored(part), den * sden
+            g = int(np.gcd.reduce(part)) * (den_lam // abs(den_lam))
+            rows[lam] = (part // g).astype(np.int64), Fraction(g, den_lam)
     vecs = {lam: np.zeros(layout.size, dtype=np.int64) for lam in frames}
-    for (words, (lo, hi, m)), block in zip(blocks, rows):
+    for words, (lo, hi, m), first in sorted(zip(layout.blocks, layout.spans, firsts), key=lambda item: -len(item[0])):
         spread = _sorting_spread(words, layout.local, d, n)
-        for lam, row in block.items():
-            np.take(row // gcds[lam], spread, out=vecs[lam][lo:hi].reshape(m, m))
-    return {lam: TensorOperator._of(d, n, Fraction(gcds[lam], fact), layout, _read_only(vec))
-            for lam, vec in vecs.items()}
+        for lam, (row, _) in rows.items():
+            if row[first]:
+                np.take(row[first : first + m], spread, out=vecs[lam][lo:hi].reshape(m, m))
+    return {lam: TensorOperator._of(d, n, rows[lam][1], layout, _read_only(vecs[lam])) for lam in frames}
 
 
 def isotypical_projectors(d: int, n: int) -> dict[YoungFrame, TensorOperator]:
     """All isotypical projectors P_lam for lam in YF_{d,n}, in ``enumerate_frames`` order.
 
     T, the sum of all transpositions, acts on the lam block as the content sum
-    c(lam), so P_lam = prod over mu != lam of (T - c(mu)) / (c(lam) - c(mu)),
-    the product running over the frames present in a letter-count block.
-    Where two frames share a content sum the 3-cycle class sum splits them
-    (see :func:`central_eigenvalues`).  Each block is built from one row: a
-    row times T takes n(n-1)/2 index gathers, not a sweep over all n!
-    permutations, so the dense size limit alone bounds n.  The family is
-    cached: each call returns a new dict of the same read-only operators.
+    c(lam), so P_lam = prod over the other content sums c of YF(d, n) of
+    (T - c) / (c(lam) - c).  Where two frames share a content sum the 3-cycle
+    class sum splits them (see :func:`central_eigenvalues`).  Each block is
+    built from its sorted word's row, and every frame's rows from one product
+    on the vector of all those rows: a vector times T takes n(n-1)/2 index
+    gathers, not a sweep over all n! permutations, so the dense size limit
+    alone bounds n.  The family is cached: each call returns a new dict of
+    the same read-only operators.
     """
     return dict(_projector_family(*_check_dense_size(d, n)))
 
@@ -800,13 +790,13 @@ def clear_projector_cache() -> None:
     The family cache holds as many families as a dense sweep up to
     :data:`DENSE_SWEEP_N` asks for, (d, 0..n) for each d: 22.  A family holds
     one int64 vector per frame; the d=2 n=10 family holds 6.0 MB,
-    the d=3 n=8 family 48.7 MB (its build peaks about 7 MB above that, as it
-    holds one sorted histogram's spread map at a time).  The maps of ``kron``,
-    ``partial_trace``, ``twirl`` and ``depolarise_n`` (its last-site map and
-    its cyclic shift) are cleared too: the eight (3, 8) kron maps alone hold
-    39 MB.  So a caller that builds larger
-    families can free them here.  The cached layouts stay, so an operator
-    built before the clear shares its layout with one built after it.
+    the d=3 n=8 family 48.7 MB (in a fresh process its build peaks about 4 MB
+    above that, as it holds one sorted histogram's spread map at a time).  The
+    maps of ``kron``, ``partial_trace``, ``twirl`` and ``depolarise_n`` (its
+    last-site map and its cyclic shift) are cleared too: the eight (3, 8)
+    kron maps alone hold 39 MB.  So a caller that builds larger families can
+    free them here.  The cached layouts stay, so an operator built before the
+    clear shares its layout with one built after it.
     """
     for cached in (_projector_family, _kron_maps, _trace_maps, _site_maps, _shift_map, _pair_orbits):
         cached.cache_clear()

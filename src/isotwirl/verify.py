@@ -379,7 +379,7 @@ def dense_twirl_overlaps(d: int, n: int) -> DenseOverlaps:
         paired.append(tuple(
             tuple(upper[min(i, j)][abs(j - i)] for j in range(len(level))) for i in range(len(level))
         ))
-    # each projector is written at the common scale n! (oracle._projector_family)
+    # n! P_lam is an integer multiple of its primitive vector (oracle._projector_family)
     scales = [p.scale * math.factorial(n) for p in projectors]
     assert all(c.denominator == 1 for c in scales)
     return DenseOverlaps(d, n, tuple(family), tuple(c.numerator for c in scales), tuple(literal), tuple(paired))

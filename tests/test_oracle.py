@@ -1,4 +1,5 @@
 import ast
+import collections
 import inspect
 import itertools
 import math
@@ -312,6 +313,48 @@ def test_projector_family_matches_full_blocks():
     orc.clear_projector_cache()
 
 
+@pytest.mark.parametrize("d, n", [(3, 8), (2, 12)])
+def test_largest_families_match_full_blocks(d, n):
+    # the largest n of d = 3 and d = 2, vector for vector against the full class-sum blocks
+    orc.clear_projector_cache()
+    fam, ref = orc.isotypical_projectors(d, n), projectors_by_full_blocks(d, n)
+    assert list(fam) == list(ref)
+    for lam, p in ref.items():
+        got = fam[lam]
+        assert (got.scale, got._vec.dtype) == (p.scale, p._vec.dtype), str(lam)
+        assert np.array_equal(got._vec, p._vec), str(lam)
+    orc.clear_projector_cache()
+
+
+def test_one_lagrange_product_builds_each_family(monkeypatch):
+    # one product over every content sum of YF(d, n), and one more per group of frames sharing a
+    # content sum; up to DENSE_SWEEP_N every integer product of the build takes the float route
+    calls, routes = [], []
+    lagrange_rows, int_matmul = orc._lagrange_rows, orc._int_matmul
+
+    def counted(start, steps, values):
+        calls.append(values)
+        return lagrange_rows(start, steps, values)
+
+    def routed(a, b):
+        routes.append(orc._matmul_route(a, b))
+        return int_matmul(a, b)
+
+    monkeypatch.setattr(orc, "_lagrange_rows", counted)
+    monkeypatch.setattr(orc, "_int_matmul", routed)
+    swept = [(d, n) for d, n_max in orc.DENSE_SWEEP_N.items() for n in range(n_max + 1)]
+    for d, n in swept + [(4, 6), (3, 8), (2, 12)]:
+        orc.clear_projector_cache()
+        calls.clear()
+        routes.clear()
+        orc.isotypical_projectors(d, n)
+        sums = collections.Counter(orc.central_eigenvalues(lam)[0] for lam in enumerate_frames(d, n))
+        assert sorted(calls[0]) == sorted(sums), (d, n)
+        assert len(calls) == 1 + sum(count > 1 for count in sums.values()), (d, n)
+        assert routes and ((d, n) not in swept or set(routes) == {"float"}), (d, n, routes)
+    orc.clear_projector_cache()
+
+
 def test_sorting_spread_rebuilds_invariant_blocks():
     # a twirl commutes with every site permutation by the orbit route, so each stored block
     # of it is its sorted word's row read through the spread map
@@ -343,7 +386,7 @@ def test_central_elements_separate_frames():
                         assert class_size(ct) * character(lam, ct) == value * dim_sym(lam), (d, str(lam))
     # content sums alone collide at (3, 6), so the dense family there needs C3
     assert orc.central_eigenvalues(frame(4, 1, 1))[0] == orc.central_eigenvalues(frame(3, 3))[0]
-    # past every reference, at the largest n of each d: the family sums to 1 and each trace is f_lam dim U_lam
+    # at the largest n of each d: the family sums to 1 and each trace is f_lam dim U_lam
     for d, n in ((4, 6), (3, 8), (2, 12)):
         orc.clear_projector_cache()
         total = orc.TensorOperator.zero(d, n)
@@ -759,13 +802,16 @@ def test_int_matmul_routes():
             assert orc._int_matmul(a, b).tolist() == (a.astype(object) @ b.astype(object)).tolist()
 
 
-def test_lagrange_rows_keep_int64_only_under_their_bound():
-    # M = J on a 3-word block (the identity and both cyclic shifts), eigenvalue 1 absent: for a constant
-    # start of a, start M^2 = 9a meets the bound max|start| 3^2 exactly, past int64 at 2**60 and inside it at 2**59
+def test_lagrange_rows_keep_int64_only_under_their_bound(exact_routes):
+    # M = J on a 3-word block (the identity and both cyclic shifts), eigenvalue 3 on a constant start a:
+    # with the values -1 > -2 > -4 the rows a (M + 1) and a (M + 1)(M + 2) are 4a and 20a, which meets the
+    # bound max|start| (3 + 1)(3 + 2) exactly, inside int64 at the largest a it allows and past it at one more
     steps = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
-    for a in (2**60, 2**59):
-        rows = orc._lagrange_rows(np.full(3, a, dtype=np.int64), steps, [3, 0, 1])
-        assert [(num.tolist(), den) for num, den in rows] == [([6 * a] * 3, 6), ([0] * 3, 3), ([0] * 3, -2)], a
+    for a in (orc._INT64_MAX // 20, orc._INT64_MAX // 20 + 1):
+        rows = orc._lagrange_rows(np.full(3, a, dtype=np.int64), steps, [-1, -2, -4])
+        expected = [([35 * a] * 3, 3), ([28 * a] * 3, -2), ([20 * a] * 3, 6)]
+        assert [(num.tolist(), den) for num, den in rows] == expected, a
+    assert exact_routes == [np.int64, object]
 
 
 def test_family_independent_of_blas_threads():
